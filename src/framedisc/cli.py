@@ -77,6 +77,24 @@ _INT_KEYS = {"n-time", "n-freq", "dim", "n-points", "model-seed",
              "refine-max-rounds", "inversion-n-max", "n-trials", "seed"}
 
 
+def _parse_widths(width):
+    """``covering-width`` as "singleton", None, one float, or a list of
+    per-axis floats (given as "1,0.0745" on the command line or a JSON list)."""
+    if width is None or width == "singleton":
+        return width
+    parts = width.split(",") if isinstance(width, str) else width
+    if not isinstance(parts, (list, tuple)):
+        parts = [parts]
+    try:
+        widths = [float(w) for w in parts]
+    except (TypeError, ValueError):
+        widths = []
+    if not widths:
+        raise StructuralError(f"covering-width {width!r} is not a number or a "
+                              f"list of numbers")
+    return widths[0] if len(widths) == 1 else widths
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = dict(DEFAULTS)
     if path is not None:
@@ -94,6 +112,7 @@ def load_config(path: str | None, overrides: dict) -> dict:
             cfg[key] = int(cfg[key]) if key in _INT_KEYS else float(cfg[key])
     if isinstance(cfg.get("covering-sets"), str):
         cfg["covering-sets"] = json.loads(cfg["covering-sets"])
+    cfg["covering-width"] = _parse_widths(cfg.get("covering-width"))
     if isinstance(cfg.get("p"), str) and cfg["p"] != "inf":
         cfg["p"] = float(cfg["p"])
     return cfg
@@ -167,7 +186,10 @@ def build_covering_on(cfg: dict, space) -> Covering | None:
     width = cfg["covering-width"]
     if width == "singleton":
         return singleton_covering(space)
-    return uniform_covering(space, float(width), cfg["covering-overlap"])
+    if np.ndim(width) and len(width) != space.dim:
+        raise StructuralError(f"covering-width has {len(width)} entries for a "
+                              f"{space.dim}-dimensional grid")
+    return uniform_covering(space, width, cfg["covering-overlap"])
 
 
 def build_covering(cfg: dict, model: FrameModel) -> Covering | None:

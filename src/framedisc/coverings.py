@@ -26,6 +26,10 @@ class Covering:
 
     Derived attributes (all exact):
       membership   bool (n_sets, n_points), membership[i, x] = x in U_i
+      flat_sets, flat_points
+                   the (set, point) membership pairs as two flat index
+                   arrays, set-major; ``set_sums`` and ``point_sums`` run
+                   over them
       measures     mu(U_i)
       neighbors    lists i* = {j : U_i and U_j intersect} (i is in i*)
       overlap_bound      N  = max_j #(j*)
@@ -57,6 +61,18 @@ class Covering:
             member[i, idx] = True
         member.setflags(write=False)
         object.__setattr__(self, "membership", member)
+
+        sizes = np.array([idx.size for idx in clean])
+        flat_points = np.concatenate(clean)
+        flat_sets = np.repeat(np.arange(len(clean)), sizes)
+        by_point = np.argsort(flat_points, kind="stable")
+        covered, point_starts = np.unique(flat_points[by_point], return_index=True)
+        for name, arr in (("flat_sets", flat_sets), ("flat_points", flat_points),
+                          ("_set_starts", np.cumsum(sizes) - sizes),
+                          ("_sets_by_point", flat_sets[by_point]),
+                          ("_covered", covered), ("_point_starts", point_starts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
         measures = member @ self.space.weights
         measures.setflags(write=False)
@@ -98,6 +114,19 @@ class Covering:
     def moderateness(self) -> float:
         ratio = self.measures[:, None] / self.measures[None, :]
         return float(np.max(np.where(self._intersects, ratio, 0.0)))
+
+    def set_sums(self, values) -> np.ndarray:
+        """out[i] = sum over x in U_i of values[x], for (n_points, ...) values."""
+        vals = np.asarray(values)[self.flat_points]
+        return np.add.reduceat(vals, self._set_starts, axis=0)
+
+    def point_sums(self, values) -> np.ndarray:
+        """out[x] = sum over sets U_i containing x of values[i], for
+        (n_sets, ...) values; points in no set get 0."""
+        vals = np.asarray(values)[self._sets_by_point]
+        out = np.zeros((self.space.n_points,) + vals.shape[1:], dtype=vals.dtype)
+        out[self._covered] = np.add.reduceat(vals, self._point_starts, axis=0)
+        return out
 
     def q_neighborhood(self, y: int) -> np.ndarray:
         """Indices z reachable from y through a common covering set."""

@@ -24,7 +24,7 @@ from .kernels import DiscreteMeasure, Weight2D, schur_norm
 from .models import FrameModel
 from .oscillation import OscReport, PhaseFunction
 from .spaces import WeightedLp, decomposition_norm, local_integrability_constant, \
-    norm_flat, sup_infinity_space
+    pileup, sup_infinity_space
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +124,20 @@ def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
 class SamplingInverse:
     """Handle applying the inverse of the sampling operator on the kernel range.
 
-    ``neumann`` sums F + (Id-U)F + (Id-U)^2 F + ... and requires a
+    Works in analysis coordinates: every function in the range of the
+    analysis transforms is F = V* a for a unique a in C^d (V the d x n
+    matrix of frame vectors), and there U acts as the d x d matrix
+    S^{-1} S_c, with S_c = sum_i c_i psi_{x_i} psi_{x_i}^*. ``apply`` maps a
+    grid function to coordinates (anything outside the range is first
+    projected onto it), inverts there and maps back; ``_invert_coords``
+    inverts a (d, k) block of coordinates directly, which is what the
+    decomposition, reconstruction and dual-frame helpers use.
+
+    ``neumann`` sums a + (Id-U)a + (Id-U)^2 a + ... and requires a
     certificate that the sharp contraction bound is below one; ``direct``
-    solves the equivalent dim x dim system. Inputs are taken in the range
-    of the analysis transforms (anything else is first projected onto it),
-    where U acts exactly as a dim x dim matrix on analysis coordinates; the
-    iteration runs there, with every term norm still measured in Y.
+    solves the d x d system and needs none. Each column of a block stops
+    once its term's Y-norm is at most ``tol`` times the Y-norm of its input,
+    so the stopping rule does not depend on the scale of the input.
     """
 
     def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -144,6 +152,11 @@ class SamplingInverse:
         self.report = report
         self.last_term_norms: list = []
         self._restricted = _restricted_matrix(model, plan)
+        self._analysis = model.vectors.conj().T
+        self._metric = None
+        if Y.p == 2.0:
+            self._metric = (model.vectors * (model.space.weights * Y.w ** 2)) \
+                @ self._analysis
 
         if method == "neumann":
             if report is None:
@@ -169,34 +182,48 @@ class SamplingInverse:
             raise StructuralError(f"unknown inversion method {method!r}")
 
     def _column_norms(self, coords: np.ndarray) -> np.ndarray:
-        """Y-norms of the grid functions with the given analysis coordinates."""
-        funcs = self.model.vectors.conj().T @ coords
-        vals = np.abs(funcs) * self.Y.w[:, None]
-        if np.isinf(self.Y.p):
-            return vals.max(axis=0)
-        p = self.Y.p
-        return np.sum(self.model.space.weights[:, None] * vals ** p,
-                      axis=0) ** (1.0 / p)
+        """Y-norms of the grid functions with the given analysis coordinates.
+
+        For p = 2 this is the d x d quadratic form |V* a|_Y^2 = a* M a with
+        M = V diag(mu w^2) V*, on columns scaled to unit size so that the
+        squares cannot underflow.
+        """
+        if self._metric is None:
+            return self.Y.column_norms(self._analysis @ coords)
+        scale = np.abs(coords).max(axis=0, initial=0.0)
+        unit = coords / np.where(scale > 0.0, scale, 1.0)
+        quad = np.einsum("ij,ij->j", unit.conj(), self._metric @ unit).real
+        return scale * np.sqrt(np.maximum(quad, 0.0))
 
     def _invert_coords(self, coords: np.ndarray) -> np.ndarray:
+        """Apply the inverse to every column of a (d, k) coordinate block.
+
+        ``last_term_norms`` records, per Neumann term, the largest Y-norm
+        among the columns still summing.
+        """
         if self.method == "direct":
             return self._matrix_inv @ coords
-        term = coords
-        total = np.array(coords, copy=True)
-        norms = [float(self._column_norms(term).max())]
-        if norms[0] == 0.0:
-            self.last_term_norms = norms
+        total = np.array(coords, dtype=complex, copy=True)
+        first = self._column_norms(total)
+        limit = self.tol * first
+        active = np.flatnonzero(first > 0.0)    # zero columns are done
+        term = total[:, active]
+        norms = [float(first.max(initial=0.0))]
+        self.last_term_norms = norms
+        if active.size == 0:
             return total
         for _ in range(self.n_max):
             term = term - self._restricted @ term
-            norms.append(float(self._column_norms(term).max()))
-            if norms[-1] <= self.tol:
-                self.last_term_norms = norms
-                return total + term
-            total += term
+            term_norms = self._column_norms(term)
+            norms.append(float(term_norms.max()))
+            total[:, active] += term
+            going = term_norms > limit[active]
+            if not going.any():
+                return total
+            active, term = active[going], term[:, going]
         raise SingularOperatorError(
-            f"Neumann series did not reach tol {self.tol:.1e} within "
-            f"{self.n_max} terms (last term norm {norms[-1]:.3e})"
+            f"Neumann series did not reach tol {self.tol:.1e} relative to the "
+            f"input within {self.n_max} terms (last term norm {norms[-1]:.3e})"
         )
 
     def apply(self, F) -> np.ndarray:
@@ -204,15 +231,7 @@ class SamplingInverse:
         arr = self.model.space.check_function(F)
         g = self.model.from_analysis(arr)
         out = self._invert_coords(g[:, None])
-        return self.model.vectors.conj().T @ out[:, 0]
-
-    def apply_columns(self, block: np.ndarray) -> np.ndarray:
-        """Apply the inverse to every column of an (n, k) block at once."""
-        arr = np.asarray(block, dtype=complex)
-        g = self.model.s_inverse @ (self.model.vectors
-                                    @ (self.model.space.weights[:, None] * arr))
-        out = self._invert_coords(g)
-        return self.model.vectors.conj().T @ out
+        return self._analysis @ out[:, 0]
 
 
 def invert_sampling(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -222,6 +241,17 @@ def invert_sampling(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
                            n_max=n_max, report=report)
 
 
+def _as_columns(values, length: int, what: str) -> tuple:
+    """One value per row: a vector or a (length, k) block as a (length, k)
+    block, plus the trailing shape to restore."""
+    arr = np.asarray(values, dtype=complex)
+    if arr.ndim not in (1, 2) or arr.shape[0] != length:
+        raise StructuralError(
+            f"{what} must have length {length} (or be a ({length}, k) block), "
+            f"got shape {arr.shape}")
+    return arr.reshape(length, -1), arr.shape[1:]
+
+
 def atomic_decomposition(model: FrameModel, plan: SamplingPlan,
                          inverse: SamplingInverse, f,
                          swap_roles: bool = False) -> np.ndarray:
@@ -229,18 +259,28 @@ def atomic_decomposition(model: FrameModel, plan: SamplingPlan,
 
     A is the dual analysis for expansion in the sampled frame vectors, or
     the plain analysis (``swap_roles``) for expansion in the sampled
-    canonical duals.
+    canonical duals. In analysis coordinates A f is S^{-1} f (or f). ``f``
+    may be one vector or a (d, k) block of column vectors, giving an
+    (n_sets, k) block of coefficients.
     """
-    base = model.analyze(f) if swap_roles else model.dual_analyze(f)
-    g = inverse.apply(base)
-    return plan.masses * g[plan.samples]
+    vecs, shape = _as_columns(f, model.dim, "vector")
+    coords = vecs if swap_roles else model.s_inverse @ vecs
+    g = inverse._invert_coords(coords)
+    out = plan.masses[:, None] * (model.vectors[:, plan.samples].conj().T @ g)
+    return out.reshape((plan.covering.n_sets,) + shape)
 
 
 def synthesize_plan(model: FrameModel, plan: SamplingPlan, coeffs,
                     swap_roles: bool = False) -> np.ndarray:
-    """sum_i lambda_i times the sampled atom (dual atoms when swapped)."""
-    nu = DiscreteMeasure(plan.samples, coeffs)
-    return model.synthesize(nu, dual_atoms=swap_roles)
+    """sum_i lambda_i times the sampled atom (dual atoms when swapped).
+
+    ``coeffs`` may be one sequence or an (n_sets, k) block of them.
+    """
+    lam, shape = _as_columns(coeffs, plan.covering.n_sets, "coefficient sequence")
+    out = model.vectors[:, plan.samples] @ lam
+    if swap_roles:
+        out = model.s_inverse @ out
+    return out.reshape((model.dim,) + shape)
 
 
 def reconstruct_from_samples(model: FrameModel, plan: SamplingPlan,
@@ -249,14 +289,17 @@ def reconstruct_from_samples(model: FrameModel, plan: SamplingPlan,
     """Recover f from its point samples of the analysis transform.
 
     Unswapped, ``samples`` are <f, psi_{x_i}>; swapped, <f, S^{-1}psi_{x_i}>.
+    The sampled function U(A f) = sum_i c_i A f(x_i) R(., x_i) has analysis
+    coordinates S^{-1} sum_i c_i A f(x_i) psi_{x_i}, so the kernel is never
+    formed. ``samples`` may be an (n_sets, k) block, one sample set per
+    column, giving a (d, k) block of vectors.
     """
-    vals = np.asarray(samples, dtype=complex).reshape(-1)
-    if vals.shape[0] != plan.covering.n_sets:
-        raise StructuralError("one sample value per covering set required")
+    vals, shape = _as_columns(samples, plan.covering.n_sets, "sample set")
     xs = plan.samples
-    g0 = model.kernel[:, xs] @ (plan.masses * vals)
-    g = inverse.apply(g0)
-    return model.from_dual_analysis(g) if swap_roles else model.from_analysis(g)
+    coords = model.s_inverse @ (model.vectors[:, xs] @ (plan.masses[:, None] * vals))
+    g = inverse._invert_coords(coords)
+    out = model.frame_operator @ g if swap_roles else g
+    return out.reshape((model.dim,) + shape)
 
 
 def dual_frame(model: FrameModel, plan: SamplingPlan,
@@ -265,18 +308,15 @@ def dual_frame(model: FrameModel, plan: SamplingPlan,
 
     Solves A(e_i) = c_i U^{-1} R(., x_i) where A is the analysis whose range
     the coefficients live in; solvability is guaranteed because the model's
-    frame operator is positive definite (the family spans).
+    frame operator is positive definite (the family spans). In analysis
+    coordinates R(., x_i) is S^{-1} psi_{x_i}, so all e_i come from one
+    (d, n_sets) inversion: e_i = U^{-1} c_i S^{-1} psi_{x_i}, times S when
+    swapped.
     """
     xs = plan.samples
-    block = model.kernel[:, xs] * plan.masses[None, :]
-    e_grid = inverse.apply_columns(block)
-    out = np.empty((plan.covering.n_sets, model.dim), dtype=complex)
-    for i in range(out.shape[0]):
-        if swap_roles:
-            out[i] = model.from_dual_analysis(e_grid[:, i])
-        else:
-            out[i] = model.from_analysis(e_grid[:, i])
-    return out
+    coords = model.s_inverse @ (model.vectors[:, xs] * plan.masses[None, :])
+    e = inverse._invert_coords(coords)
+    return (model.frame_operator @ e if swap_roles else e).T
 
 
 def hilbert_frame_bounds(model: FrameModel, plan: SamplingPlan) -> tuple:
@@ -369,8 +409,7 @@ class BoundsReport:
 
 def sampled_row_kernel(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
     """K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x): rows of R spread over sets."""
-    member = plan.covering.membership.astype(float)
-    return member.T @ np.abs(model.kernel[plan.samples, :])
+    return plan.covering.point_sums(np.abs(model.kernel[plan.samples, :]))
 
 
 def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -381,7 +420,9 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
 
     Each block computes a kernel-derived constant and the worst observed
     ratio over random trials; ``violations`` counts ratios exceeding their
-    constant beyond ``slack``.
+    constant beyond ``slack``. The trials run as blocks, one column each;
+    the kernel applied to a measure sum_k lambda_k delta_{y_k} is formed
+    as V* S^{-1} sum_k lambda_k psi_{y_k}.
     """
     rng = np.random.default_rng(seed)
     space = model.space
@@ -397,35 +438,30 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
                        + schur_norm(space, model.kernel, m_v)) \
         * local_integrability_constant(cov, Y, weight)
 
-    d_obs = 0.0
-    sig_obs = 0.0
-    sup_obs = 0.0
-    ratios_1y = []
-    ratios_ysup = []
-    v_one = WeightedLp(space, 1.0, weight.v)
-    for _ in range(n_trials):
-        F = model.random_range_function(rng)
-        ny = Y.norm(F)
-        if ny == 0.0:
-            continue
-        vals = np.abs(F[plan.samples])
-        d_obs = max(d_obs, norm_flat(vals, cov, Y) / ny)
-        sig_obs = max(sig_obs, Y.norm(vals @ plan.pou.phi) / ny)
-        sup_obs = max(sup_obs, sup_space.norm(F) / ny)
-        ratios_1y.append(ny / v_one.norm(F))
-        ratios_ysup.append(sup_space.norm(F) / ny)
+    F = np.stack([model.random_range_function(rng) for _ in range(n_trials)],
+                 axis=1)
+    ny = Y.column_norms(F)
+    F, ny = F[:, ny > 0.0], ny[ny > 0.0]
+    vals = np.abs(F[plan.samples])
+    sup = sup_space.column_norms(F)
+    d_obs = np.max(Y.column_norms(pileup(vals, cov)) / ny, initial=0.0)
+    sig_obs = np.max(Y.column_norms(plan.pou.phi.T @ vals) / ny, initial=0.0)
+    sup_obs = np.max(sup / ny, initial=0.0)
+    ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)
+    ratios_ysup = sup / ny
 
-    meas_obs = 0.0
-    for _ in range(n_trials):
+    dec_norms = np.empty(n_trials)
+    atoms = np.empty((model.dim, n_trials), dtype=complex)
+    for j in range(n_trials):
         k = rng.integers(1, cov.n_sets + 1)
         idx = rng.choice(space.n_points, size=k, replace=True)
         coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        nu = DiscreteMeasure(idx, coef)
-        dn = decomposition_norm(nu, cov, Y)
-        if dn == 0.0:
-            continue
-        applied = model.kernel[:, nu.indices] @ nu.coefficients
-        meas_obs = max(meas_obs, Y.norm(applied) / dn)
+        dec_norms[j] = decomposition_norm(DiscreteMeasure(idx, coef), cov, Y)
+        atoms[:, j] = model.vectors[:, idx] @ coef
+    applied = model.vectors.conj().T @ (model.s_inverse @ atoms)
+    keep = dec_norms > 0.0
+    meas_obs = np.max(Y.column_norms(applied[:, keep]) / dec_norms[keep],
+                      initial=0.0)
 
     if d_obs > d_const + slack:
         violations += 1
@@ -437,10 +473,10 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
         violations += 1
 
     ratios = {
-        "l1v_vs_Y_max": float(np.max(ratios_1y)) if ratios_1y else 0.0,
-        "l1v_vs_Y_min": float(np.min(ratios_1y)) if ratios_1y else 0.0,
-        "Y_vs_sup_max": float(np.max(ratios_ysup)) if ratios_ysup else 0.0,
-        "Y_vs_sup_min": float(np.min(ratios_ysup)) if ratios_ysup else 0.0,
+        "l1v_vs_Y_max": float(np.max(ratios_1y, initial=0.0)),
+        "l1v_vs_Y_min": float(np.min(ratios_1y)) if ratios_1y.size else 0.0,
+        "Y_vs_sup_max": float(np.max(ratios_ysup, initial=0.0)),
+        "Y_vs_sup_min": float(np.min(ratios_ysup)) if ratios_ysup.size else 0.0,
     }
     return BoundsReport(
         sampled_flat_constant=float(d_const),

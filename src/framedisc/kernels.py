@@ -103,23 +103,16 @@ class DiscreteMeasure:
                                   or self.indices.max() >= space.n_points):
             raise StructuralError("measure atom off the grid")
 
-    def set_totals(self, subsets) -> np.ndarray:
-        """Total variation mass |nu|(U) for each index subset in ``subsets``."""
-        out = np.zeros(len(subsets))
-        absc = np.abs(self.coefficients)
-        for j, sub in enumerate(subsets):
-            mask = np.isin(self.indices, sub)
-            out[j] = absc[mask].sum()
-        return out
-
 
 def check_kernel(space: QuadratureSpace, kernel) -> np.ndarray:
-    """Coerce to a complex (n, n) array with finite entries."""
+    """Coerce to an (n, n) array with finite entries: float for real input,
+    complex otherwise."""
     n = space.n_points
-    k = np.asarray(kernel, dtype=complex)
+    k = np.asarray(kernel)
+    k = k.astype(complex if np.iscomplexobj(k) else float, copy=False)
     if k.shape != (n, n):
         raise StructuralError(f"kernel shape {k.shape}, expected {(n, n)}")
-    if not np.all(np.isfinite(k.real)) or not np.all(np.isfinite(k.imag)):
+    if not np.all(np.isfinite(k)):
         raise StructuralError("kernel entries must be finite")
     return k
 

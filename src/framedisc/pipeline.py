@@ -12,10 +12,10 @@ from .discretize import BoundsReport, SamplingInverse, SamplingPlan, \
     invert_sampling, observed_contraction, reconstruct_from_samples, \
     select_samples, synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError
-from .kernels import Weight2D, compose, schur_norm
+from .kernels import Weight2D, schur_norm
 from .models import FrameModel
 from .oscillation import OscReport, make_phase, oscillation_report, refine_until
-from .spaces import WeightedLp, norm_flat, norm_natural
+from .spaces import WeightedLp, pileup
 
 
 def _unit_random_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -29,39 +29,39 @@ def residual_suite(model: FrameModel, plan: SamplingPlan, inverse: SamplingInver
     """Reconstruction, duality and norm-equivalence residuals on random vectors.
 
     All residuals are relative except the duality defect, which is absolute
-    against unit-norm inputs.
+    against unit-norm inputs. The trials run as one (d, n_trials) block of
+    unit vectors, drawn one after another from ``seed``.
     """
     rng = np.random.default_rng(seed)
     duals = dual_frame(model, plan, inverse, swap_roles=swap_roles)
     cov = plan.covering
-    atomic, banach, duality, exp_b, exp_c = [], [], [], [], []
-    flat_ratios, natural_ratios = [], []
-    for _ in range(n_trials):
-        f = _unit_random_vector(rng, model.dim)
+    xs = plan.samples
+    f = np.stack([_unit_random_vector(rng, model.dim) for _ in range(n_trials)],
+                 axis=1)
 
-        lam = atomic_decomposition(model, plan, inverse, f, swap_roles=swap_roles)
-        rec = synthesize_plan(model, plan, lam, swap_roles=swap_roles)
-        atomic.append(np.linalg.norm(rec - f))
+    def errors(rec):
+        return np.linalg.norm(rec - f, axis=0)
 
-        samples = (model.dual_analyze(f) if swap_roles else model.analyze(f))[plan.samples]
-        rec = reconstruct_from_samples(model, plan, inverse, samples,
-                                       swap_roles=swap_roles)
-        banach.append(np.linalg.norm(rec - f))
+    lam = atomic_decomposition(model, plan, inverse, f, swap_roles=swap_roles)
+    atomic = errors(synthesize_plan(model, plan, lam, swap_roles=swap_roles))
 
-        inner = duals.conj() @ f
-        duality.append(float(np.max(np.abs(lam - inner))))
-        exp_b.append(np.linalg.norm(
-            synthesize_plan(model, plan, inner, swap_roles=swap_roles) - f))
-        exp_c.append(np.linalg.norm(samples @ duals - f))
+    dual_f = model.s_inverse @ f
+    base = model.vectors.conj().T @ (dual_f if swap_roles else f)
+    dual_base = model.vectors.conj().T @ (f if swap_roles else dual_f)
+    samples = base[xs]
+    banach = errors(reconstruct_from_samples(model, plan, inverse, samples,
+                                             swap_roles=swap_roles))
 
-        base = model.dual_analyze(f) if swap_roles else model.analyze(f)
-        ny = Y.norm(base)
-        if ny > 0:
-            flat_ratios.append(norm_flat(base[plan.samples], cov, Y) / ny)
-        dual_base = model.analyze(f) if swap_roles else model.dual_analyze(f)
-        nyd = Y.norm(dual_base)
-        if nyd > 0:
-            natural_ratios.append(norm_natural(inner, cov, Y) / nyd)
+    inner = duals.conj() @ f
+    duality = np.max(np.abs(lam - inner), axis=0)
+    exp_b = errors(synthesize_plan(model, plan, inner, swap_roles=swap_roles))
+    exp_c = errors(duals.T @ samples)
+
+    ny = Y.column_norms(base)
+    flat_ratios = Y.column_norms(pileup(samples, cov))[ny > 0] / ny[ny > 0]
+    nyd = Y.column_norms(dual_base)
+    natural_ratios = Y.column_norms(pileup(inner, cov, natural=True))[nyd > 0] \
+        / nyd[nyd > 0]
 
     return {
         "atomic_max": float(np.max(atomic)),
@@ -76,6 +76,20 @@ def residual_suite(model: FrameModel, plan: SamplingPlan, inverse: SamplingInver
         "natural_ratio_lo": float(np.min(natural_ratios)),
         "natural_ratio_hi": float(np.max(natural_ratios)),
     }
+
+
+def reproducing_defect(model: FrameModel) -> float:
+    """Schur norm of R o R - R, the kernel's failure to be idempotent.
+
+    With R = V* S^{-1} V and S = V W V*, the weighted composition is
+    R o R = V* S^{-1} S S^{-1} V, so the defect kernel is
+    V* (S^{-1} S S^{-1} - S^{-1}) V: an n^2 d product instead of the
+    n^3 dense composition.
+    """
+    g = model.s_inverse
+    core = g @ model.frame_operator @ g - g
+    defect = model.vectors.conj().T @ (core @ model.vectors)
+    return schur_norm(model.space, defect)
 
 
 def cross_check_inversion(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -203,8 +217,7 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
         )
     bounds = verify_sampled_bounds(model, plan, Y, weight, report,
                                    n_trials=n_trials, seed=seed)
-    rr = compose(model.space, model.kernel, model.kernel) - model.kernel
-    defect = schur_norm(model.space, rr)
+    defect = reproducing_defect(model)
 
     return DiscretizationResult(
         osc_report=report,

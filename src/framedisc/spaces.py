@@ -49,6 +49,19 @@ class WeightedLp:
             return float(vals.max())
         return float(np.sum(self.space.weights * vals ** self.p) ** (1.0 / self.p))
 
+    def column_norms(self, block) -> np.ndarray:
+        """Norm of every column of an (n_points, k) block of grid functions."""
+        arr = np.asarray(block)
+        if arr.ndim != 2 or arr.shape[0] != self.space.n_points:
+            raise StructuralError(
+                f"block of shape {arr.shape} is not (n_points, k) on "
+                f"{self.space.n_points} points")
+        vals = np.abs(arr) * self.w[:, None]
+        if np.isinf(self.p):
+            return vals.max(axis=0, initial=0.0)
+        return np.sum(self.space.weights[:, None] * vals ** self.p,
+                      axis=0) ** (1.0 / self.p)
+
     def weight2d(self, ref_index: int = 0) -> Weight2D:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
         return Weight2D.from_pointwise(self.space, self.w, ref_index)
@@ -72,12 +85,19 @@ def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:
 
 
 def pileup(seq, cov: Covering, natural: bool = False) -> np.ndarray:
-    """Grid function sum_i |lambda_i| chi_{U_i} (divided by mu(U_i) if natural)."""
-    lam = np.abs(np.asarray(seq, dtype=complex).reshape(-1))
+    """Grid function sum_i |lambda_i| chi_{U_i} (divided by mu(U_i) if natural).
+
+    A 2-D ``seq`` of shape (n_sets, k) is k sequences, one per column; the
+    result is then (n_points, k).
+    """
+    lam = np.abs(np.asarray(seq))
+    if lam.ndim != 2:
+        lam = lam.reshape(-1)
     if lam.shape[0] != cov.n_sets:
         raise StructuralError("sequence length must equal number of covering sets")
-    coef = lam / cov.measures if natural else lam
-    return coef @ cov.membership.astype(float)
+    if natural:
+        lam = lam / cov.measures.reshape((-1,) + (1,) * (lam.ndim - 1))
+    return cov.point_sums(lam.astype(float, copy=False))
 
 
 def norm_flat(seq, cov: Covering, Y: WeightedLp) -> float:
@@ -200,12 +220,12 @@ def decomposition_norm(nu, cov: Covering, Y: WeightedLp) -> float:
     """
     if isinstance(nu, DiscreteMeasure):
         nu.check_on(cov.space)
-        masses = nu.set_totals(cov.sets)
+        dens = np.bincount(nu.indices, np.abs(nu.coefficients),
+                           minlength=cov.space.n_points)
     else:
         arr = cov.space.check_function(nu)
         dens = np.abs(arr) * cov.space.weights
-        masses = cov.membership.astype(float) @ dens
-    return norm_natural(masses, cov, Y)
+    return norm_natural(cov.set_sums(dens), cov, Y)
 
 
 def local_integrability_constant(cov: Covering, Y: WeightedLp, weight: Weight2D,
@@ -222,5 +242,5 @@ def local_integrability_constant(cov: Covering, Y: WeightedLp, weight: Weight2D,
     mu_k = cov.space.subset_measure(k_idx)
     kernel_norms = set_pair_kernel_norms(cov, weight, ref_set)
     coef = kernel_norms / cov.measures
-    envelope = coef @ cov.membership.astype(float)
+    envelope = cov.point_sums(coef)
     return float(c_hold / mu_k * np.max(envelope / weight.v))

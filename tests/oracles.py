@@ -114,3 +114,25 @@ def sampling_operator_naive(kernel, samples, masses, values):
         for c, s in zip(masses, samples):
             out[x] += c * values[s] * kernel[x][s]
     return out
+
+
+def pileup_naive(sets, n_points, seq, measures=None):
+    """sum_i |seq_i| chi_{U_i}(x), divided by measures[i] when given."""
+    out = np.zeros(n_points)
+    for i, s in enumerate(sets):
+        coef = abs(seq[i]) if measures is None else abs(seq[i]) / measures[i]
+        for x in s:
+            out[int(x)] += coef
+    return out
+
+
+def set_masses_naive(sets, indices, coefficients):
+    """Per set, the sum of |coefficient| over the atoms lying in the set;
+    repeated atoms count once each."""
+    out = np.zeros(len(sets))
+    for i, s in enumerate(sets):
+        members = {int(x) for x in s}
+        for idx, lam in zip(indices, coefficients):
+            if int(idx) in members:
+                out[i] += abs(lam)
+    return out

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,51 @@ class TestValidate:
         assert code == EXIT_OK
         assert doc["N"] == 2
         assert doc["D"] == 2.0
+
+
+def readme_commands(command: str) -> list:
+    """The README's ``framedisc <command>`` example lines, continuation
+    lines joined, as argument lists without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith(f"framedisc {command} ")]
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("command", ["validate", "osc"])
+    def test_example_runs(self, tmp_path, command):
+        examples = readme_commands(command)
+        assert examples
+        for argv in examples:
+            assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_OK
+
+    def test_osc_example_uses_per_axis_boxes(self, tmp_path):
+        argv = readme_commands("osc")[0]
+        assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_OK
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["n_sets"] == 486
+        assert doc["osc_norm"] == pytest.approx(0.148, abs=5e-4)
+
+
+class TestCoveringWidth:
+    def test_json_list_matches_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model-kind": "gabor", "n-time": 4,
+                                   "n-freq": 8, "covering-width": [1, 1.0]}))
+        from_file = tmp_path / "a.json"
+        assert main(["validate", "--config", str(cfg),
+                     "--output", str(from_file)]) == EXIT_OK
+        code, doc = run(tmp_path, "validate", model_kind="gabor", n_time=4,
+                        n_freq=8, covering_width="1,1.0")
+        assert code == EXIT_OK
+        assert json.loads(from_file.read_text()) == doc
+
+    @pytest.mark.parametrize("width", ["1,x", "1,2,3", ""])
+    def test_bad_widths_are_config_errors(self, tmp_path, width):
+        code, _ = run(tmp_path, "validate", model_kind="gabor", n_time=4,
+                      n_freq=8, covering_width=width)
+        assert code == EXIT_CONFIG
 
 
 class TestOsc:

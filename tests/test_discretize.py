@@ -9,9 +9,11 @@ from framedisc import CertificationError, Covering, \
     oscillation_report, reconstruct_from_samples, sampled_row_kernel, \
     schur_norm, select_samples, singleton_covering, synthesize_plan, \
     uniform_covering, verify_sampled_bounds
-from framedisc.models import build_orthonormal_model, \
+from framedisc.kernels import compose
+from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
-from framedisc.pipeline import cross_check_inversion, residual_suite
+from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
+    residual_suite
 
 from oracles import sampling_operator_naive
 
@@ -491,3 +493,104 @@ class TestVerifiedBounds:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         gap = cross_check_inversion(model, plan, Y, report, n_trials=10, seed=4)
         assert gap is not None and gap <= 1e-9
+
+
+class TestScaleInvariantNeumann:
+    """The Neumann stopping rule is relative to each input's size."""
+
+    @pytest.fixture(scope="class")
+    def gabor_plan(self):
+        model = build_gabor_model(6, 161, 2.45)
+        Y = WeightedLp.lebesgue(model.space, 2.0)
+        cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
+        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+                                    Y.weight2d(), 0.2)
+        return model, Y, select_samples(cov, build_pou(cov)), report
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
+    def test_matches_direct_at_every_scale(self, gabor_plan, scale):
+        model, Y, plan, report = gabor_plan
+        neu = invert_sampling(model, plan, Y, method="neumann", report=report)
+        dir_ = invert_sampling(model, plan, Y, method="direct")
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            F = scale * model.random_range_function(rng)
+            gap = Y.norm(neu.apply(F) - dir_.apply(F))
+            assert gap <= 1e-12 * Y.norm(F)
+            assert len(neu.last_term_norms) > 2
+
+    def test_block_columns_of_mixed_scale(self, gabor_plan):
+        model, Y, plan, report = gabor_plan
+        neu = invert_sampling(model, plan, Y, method="neumann", report=report)
+        dir_ = invert_sampling(model, plan, Y, method="direct")
+        rng = np.random.default_rng(6)
+        coords = rng.standard_normal((model.dim, 4)) \
+            + 1j * rng.standard_normal((model.dim, 4))
+        coords *= np.array([1.0, 1e-10, 1e-20, 0.0])
+        got = neu._invert_coords(coords)
+        want = dir_._invert_coords(coords)
+        analysis = model.vectors.conj().T
+        for j in range(3):
+            assert Y.norm(analysis @ (got[:, j] - want[:, j])) \
+                <= 1e-12 * Y.norm(analysis @ coords[:, j])
+        assert np.all(got[:, 3] == 0)
+
+
+class TestBlocks:
+    """Every helper taking one vector also takes a block, column by column."""
+
+    def test_block_equals_columns(self, rng):
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        inverse = invert_sampling(model, plan, Y, report=report)
+        f = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        for swap in (False, True):
+            lam = atomic_decomposition(model, plan, inverse, f, swap_roles=swap)
+            assert lam.shape == (cov.n_sets, 4)
+            samples = (model.dual_analyze if swap else model.analyze)
+            block = np.stack([samples(f[:, j])[plan.samples] for j in range(4)],
+                             axis=1)
+            rec = reconstruct_from_samples(model, plan, inverse, block,
+                                           swap_roles=swap)
+            syn = synthesize_plan(model, plan, lam, swap_roles=swap)
+
+            def close(got, want):
+                return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+            for j in range(4):
+                assert close(lam[:, j], atomic_decomposition(
+                    model, plan, inverse, f[:, j], swap_roles=swap))
+                assert close(rec[:, j], reconstruct_from_samples(
+                    model, plan, inverse, block[:, j], swap_roles=swap))
+                assert close(syn[:, j], synthesize_plan(
+                    model, plan, lam[:, j], swap_roles=swap))
+
+    def test_wrong_lengths_rejected(self):
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        inverse = invert_sampling(model, plan, Y, report=report)
+        with pytest.raises(StructuralError):
+            atomic_decomposition(model, plan, inverse, np.ones(4))
+        with pytest.raises(StructuralError):
+            reconstruct_from_samples(model, plan, inverse, np.ones(cov.n_sets + 1))
+        with pytest.raises(StructuralError):
+            synthesize_plan(model, plan, np.ones((cov.n_sets - 1, 2)))
+
+
+class TestReproducingDefect:
+    """The d x d defect against the dense n^3 composition."""
+
+    def test_matches_dense_compose(self):
+        model = build_random_smooth_model(5, 40, 1.5, seed=3)
+        r = model.kernel
+        dense = schur_norm(model.space, compose(model.space, r, r) - r)
+        assert abs(reproducing_defect(model) - dense) <= 1e-12
+
+    def test_matches_dense_compose_off_identity(self):
+        """With S^{-1} replaced by 1.1 S^{-1} the kernel is no longer
+        idempotent, so both sides are far from zero and must agree."""
+        import copy
+        model = copy.copy(build_random_smooth_model(5, 40, 1.5, seed=3))
+        model.s_inverse = 1.1 * model.s_inverse
+        k = model.vectors.conj().T @ (model.s_inverse @ model.vectors)
+        dense = schur_norm(model.space, compose(model.space, k, k) - k)
+        assert dense > 0.05
+        assert reproducing_defect(model) == pytest.approx(dense, rel=1e-12)

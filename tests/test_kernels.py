@@ -4,7 +4,7 @@ import pytest
 from framedisc import DiscreteMeasure, StructuralError, Weight2D, WeightedLp, \
     apply_kernel, apply_to_measure, compose, identity_kernel, involution, \
     schur_norm, uniform_grid
-from framedisc.kernels import kernel_from_json, kernel_to_json, \
+from framedisc.kernels import check_kernel, kernel_from_json, kernel_to_json, \
     load_kernel_binary, load_kernel_json, save_kernel_binary, save_kernel_json
 
 from conftest import random_kernel, random_weight_matrix
@@ -45,6 +45,16 @@ class TestSchurNorm:
                 abs(alpha) * schur_norm(small_space, k1), rel=1e-12)
             assert schur_norm(small_space, k1 + k2) <= \
                 schur_norm(small_space, k1) + schur_norm(small_space, k2) + 1e-12
+
+    def test_real_kernel_stays_real_and_matches_complex(self, rng):
+        space = uniform_grid(12, weights=rng.uniform(0.2, 1.5, 12))
+        k = rng.standard_normal((12, 12))
+        m = Weight2D(space, random_weight_matrix(rng, 12))
+        assert check_kernel(space, k).dtype == np.float64
+        assert check_kernel(space, k.astype(int)).dtype == np.float64
+        for weight in (None, m):
+            assert schur_norm(space, k, weight) \
+                == schur_norm(space, k.astype(complex), weight)
 
 
 class TestApply:

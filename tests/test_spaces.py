@@ -13,7 +13,7 @@ from framedisc.coverings import check_m_equivalent, \
 from framedisc.spaces import flat_equivalence_interval, lp_sequence_norm, \
     sup_infinity_space
 
-from oracles import lp_norm_naive
+from oracles import lp_norm_naive, pileup_naive, set_masses_naive
 
 P_VALUES = (1.0, 2.0, np.inf)
 
@@ -267,3 +267,64 @@ def test_pileup_values(grid64, rng):
     x = 11
     want = sum(abs(lam[i]) for i in range(cov.n_sets) if cov.membership[i, x])
     assert pile[x] == pytest.approx(want, rel=1e-13)
+
+
+class TestScatterGatherSums:
+    """Pile-ups and per-set masses against plain loops over the sets."""
+
+    @pytest.fixture(params=[0.0, 4.0, 6.0])
+    def overlapping(self, request, rng):
+        space = uniform_grid(64, spacing=1.0, weights=rng.uniform(0.5, 2.0, 64))
+        return uniform_covering(space, 8.0, overlap=request.param)
+
+    def test_pileup_flat_and_natural(self, overlapping, rng):
+        cov = overlapping
+        n = cov.space.n_points
+        lam = rng.standard_normal(cov.n_sets) + 1j * rng.standard_normal(cov.n_sets)
+        assert np.allclose(pileup(lam, cov), pileup_naive(cov.sets, n, lam),
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(pileup(lam, cov, natural=True),
+                           pileup_naive(cov.sets, n, lam, cov.measures),
+                           rtol=1e-14, atol=0.0)
+
+    def test_pileup_block_is_columnwise(self, overlapping, rng):
+        cov = overlapping
+        block = rng.standard_normal((cov.n_sets, 5))
+        for natural in (False, True):
+            got = pileup(block, cov, natural=natural)
+            assert got.shape == (cov.space.n_points, 5)
+            for j in range(5):
+                assert np.array_equal(got[:, j], pileup(block[:, j], cov,
+                                                        natural=natural))
+
+    def test_pileup_leaves_uncovered_points_zero(self, grid64):
+        cov = Covering(grid64, (np.array([0, 1, 2]), np.array([2, 5])))
+        pile = pileup(np.array([1.0, -2.0]), cov)
+        assert np.array_equal(pile, pileup_naive(cov.sets, 64, [1.0, -2.0]))
+
+    def test_measure_masses_with_repeated_atoms(self, overlapping, rng):
+        cov = overlapping
+        idx = np.array([3, 3, 17, 40, 40, 40, 63, 0])
+        coef = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        nu = DiscreteMeasure(idx, coef)
+        Y = WeightedLp.lebesgue(cov.space, 2.0)
+        masses = set_masses_naive(cov.sets, idx, coef)
+        assert decomposition_norm(nu, cov, Y) == pytest.approx(
+            norm_natural(masses, cov, Y), rel=1e-14)
+
+    def test_function_masses(self, overlapping, rng):
+        cov = overlapping
+        space = cov.space
+        f = rng.standard_normal(space.n_points)
+        masses = [sum(space.weights[x] * abs(f[x]) for x in s) for s in cov.sets]
+        assert np.allclose(cov.set_sums(np.abs(f) * space.weights), masses,
+                           rtol=1e-14, atol=0.0)
+
+    def test_column_norms_match_norm(self, weighted_setup, rng):
+        space, w, _ = weighted_setup
+        block = rng.standard_normal((space.n_points, 4)) \
+            + 1j * rng.standard_normal((space.n_points, 4))
+        for p in P_VALUES:
+            Y = WeightedLp(space, p, w)
+            want = [Y.norm(block[:, j]) for j in range(4)]
+            assert np.allclose(Y.column_norms(block), want, rtol=1e-14, atol=0.0)
