@@ -44,10 +44,7 @@ class WeightedLp:
 
     def norm(self, f) -> float:
         arr = self.space.check_function(f)
-        vals = np.abs(arr) * self.w
-        if np.isinf(self.p):
-            return float(vals.max())
-        return float(np.sum(self.space.weights * vals ** self.p) ** (1.0 / self.p))
+        return float(self.column_norms(arr[:, None])[0])
 
     def column_norms(self, block) -> np.ndarray:
         """Norm of every column of an (n_points, k) block of grid functions."""
@@ -96,7 +93,7 @@ def pileup(seq, cov: Covering, natural: bool = False) -> np.ndarray:
     if lam.shape[0] != cov.n_sets:
         raise StructuralError("sequence length must equal number of covering sets")
     if natural:
-        lam = lam / cov.measures.reshape((-1,) + (1,) * (lam.ndim - 1))
+        lam = (lam.T / cov.measures).T
     return cov.point_sums(lam.astype(float, copy=False))
 
 
