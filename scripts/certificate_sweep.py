@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from framedisc import WeightedLp, build_pou, contraction_bounds, invert_sampling, \
+from framedisc import SamplingInverse, WeightedLp, build_pou, contraction_bounds, \
     make_phase, observed_contraction, oscillation_report, select_samples, \
     uniform_covering
 from framedisc.models import build_gabor_model
@@ -70,7 +70,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
         _, sharp = contraction_bounds(report)
         row["contraction_sharp"] = sharp
         row["contraction_observed"] = observed_contraction(model, plan, Y, seed=0)
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         res = residual_suite(model, plan, inverse, Y, n_trials=10, seed=0)
         row["atomic_residual_max"] = res["atomic_max"]
         row["banach_residual_max"] = res["banach_max"]

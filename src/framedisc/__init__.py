@@ -12,9 +12,8 @@ from .coverings import Covering, PartitionOfUnity, build_pou, check_m_equivalent
     uniform_covering, validate_covering, weight_compatibility
 from .discretize import SamplingInverse, SamplingPlan, apply_sampling, \
     apply_smoothed, atomic_decomposition, contraction_bounds, dual_frame, \
-    hilbert_frame_bounds, invert_sampling, observed_contraction, \
-    reconstruct_from_samples, sampled_row_kernel, select_samples, \
-    synthesize_plan, verify_sampled_bounds
+    hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
+    sampled_row_kernel, select_samples, synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import DiscreteMeasure, Weight2D, apply_kernel, apply_to_measure, \
     compose, identity_kernel, involution, schur_norm

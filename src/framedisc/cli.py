@@ -67,15 +67,6 @@ DEFAULTS = {
     "output": None,
 }
 
-_NUMERIC_KEYS = {
-    "n-time", "n-freq", "window-width", "dim", "n-points", "smoothness",
-    "model-seed", "weight-scale", "delta", "covering-overlap",
-    "refine-max-rounds", "inversion-tol", "inversion-n-max", "n-trials",
-    "seed", "tol-atomic", "tol-banach", "tol-duality", "tol-cross",
-}
-_INT_KEYS = {"n-time", "n-freq", "dim", "n-points", "model-seed",
-             "refine-max-rounds", "inversion-n-max", "n-trials", "seed"}
-
 
 def _parse_widths(width):
     """``covering-width`` as "singleton", None, one float, or a list of
@@ -107,14 +98,19 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    for key in _NUMERIC_KEYS:
-        if cfg.get(key) is not None:
-            cfg[key] = int(cfg[key]) if key in _INT_KEYS else float(cfg[key])
+    # numeric keys take the type of their default; p is a float or "inf"
+    for key, default in DEFAULTS.items():
+        if not isinstance(default, (int, float)) or (key == "p" and cfg[key] == "inf"):
+            continue
+        kind = float if key == "p" else type(default)
+        try:
+            cfg[key] = kind(cfg[key])
+        except (TypeError, ValueError) as exc:
+            raise StructuralError(
+                f"{key}: {cfg[key]!r} is not a valid {kind.__name__}") from exc
     if isinstance(cfg.get("covering-sets"), str):
         cfg["covering-sets"] = json.loads(cfg["covering-sets"])
     cfg["covering-width"] = _parse_widths(cfg.get("covering-width"))
-    if isinstance(cfg.get("p"), str) and cfg["p"] != "inf":
-        cfg["p"] = float(cfg["p"])
     return cfg
 
 
@@ -174,10 +170,6 @@ def weighted_space_for(cfg: dict, space) -> WeightedLp:
     return WeightedLp(space, p, w)
 
 
-def build_space_weight(cfg: dict, model: FrameModel) -> WeightedLp:
-    return weighted_space_for(cfg, model.space)
-
-
 def build_covering_on(cfg: dict, space) -> Covering | None:
     if cfg["covering-sets"] is not None:
         return covering_from_json(space, {"sets": cfg["covering-sets"]})
@@ -190,10 +182,6 @@ def build_covering_on(cfg: dict, space) -> Covering | None:
         raise StructuralError(f"covering-width has {len(width)} entries for a "
                               f"{space.dim}-dimensional grid")
     return uniform_covering(space, width, cfg["covering-overlap"])
-
-
-def build_covering(cfg: dict, model: FrameModel) -> Covering | None:
-    return build_covering_on(cfg, model.space)
 
 
 def _json_default(obj):
@@ -238,9 +226,9 @@ def cmd_validate(cfg: dict) -> int:
 
 def cmd_osc(cfg: dict) -> int:
     model = build_model(cfg)
-    Y = build_space_weight(cfg, model)
+    Y = weighted_space_for(cfg, model.space)
     weight = Y.weight2d()
-    cov = build_covering(cfg, model)
+    cov = build_covering_on(cfg, model.space)
     if cov is None:
         try:
             cov, report = refine_until(model, weight, cfg["delta"],
@@ -260,9 +248,9 @@ def cmd_osc(cfg: dict) -> int:
 
 def cmd_discretize(cfg: dict) -> int:
     model = build_model(cfg)
-    Y = build_space_weight(cfg, model)
+    Y = weighted_space_for(cfg, model.space)
     weight = Y.weight2d()
-    cov = build_covering(cfg, model)
+    cov = build_covering_on(cfg, model.space)
     result = run_discretization(
         model, Y, weight, cfg["delta"], covering=cov,
         gamma_rule=cfg["gamma"], pou_kind=cfg["pou"],

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,20 +23,22 @@ from .quadrature import QuadratureSpace
 
 @dataclass(frozen=True, eq=False)
 class Covering:
-    """Indexed family of point subsets with precomputed overlap structure.
+    """Indexed family of point subsets, stored once as point-index arrays.
 
-    Derived attributes (all exact):
-      membership   bool (n_sets, n_points), membership[i, x] = x in U_i
-      flat_sets, flat_points
-                   the (set, point) membership pairs as two flat index
-                   arrays, set-major; ``set_sums`` and ``point_sums`` run
-                   over them
-      measures     mu(U_i)
-      neighbors    lists i* = {j : U_i and U_j intersect} (i is in i*)
-      overlap_bound      N  = max_j #(j*)
+    The incidence is kept as ``sets`` (sorted, unique indices per set) and
+    as the same (set, point) pairs in two flat arrays, set-major
+    (``flat_sets``, ``flat_points``), plus a point-major ordering of those
+    pairs (a CSR index). No (n_sets, n_points), (n_sets, n_sets) or
+    (n_points, n_points) table is formed; everything else is derived (all
+    exact):
+
+      cover_counts       number of sets containing each point
+      measures           mu(U_i)
+      neighbors          sorted lists i* = {j : U_j meets U_i} (i is in i*)
+      overlap_bound      N  = max_i #(i*)
       min_measure        D  = min_i mu(U_i)
       moderateness       C~ = max mu(U_i)/mu(U_j) over intersecting pairs
-      neighborhood pairs Q[y, z] = (z lies in some U_i containing y)
+      q_neighborhood(y)  Q_y, the union of the sets containing y
     """
 
     space: QuadratureSpace
@@ -56,38 +59,18 @@ class Covering:
             raise StructuralError("covering needs at least one set")
         object.__setattr__(self, "sets", tuple(clean))
 
-        member = np.zeros((len(clean), n), dtype=bool)
-        for i, idx in enumerate(clean):
-            member[i, idx] = True
-        member.setflags(write=False)
-        object.__setattr__(self, "membership", member)
-
         sizes = np.array([idx.size for idx in clean])
         flat_points = np.concatenate(clean)
         flat_sets = np.repeat(np.arange(len(clean)), sizes)
         by_point = np.argsort(flat_points, kind="stable")
-        covered, point_starts = np.unique(flat_points[by_point], return_index=True)
+        point_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(flat_points, minlength=n))))
         for name, arr in (("flat_sets", flat_sets), ("flat_points", flat_points),
                           ("_set_starts", np.cumsum(sizes) - sizes),
                           ("_sets_by_point", flat_sets[by_point]),
-                          ("_covered", covered), ("_point_starts", point_starts)):
+                          ("_point_ptr", point_ptr)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-        measures = member @ self.space.weights
-        measures.setflags(write=False)
-        object.__setattr__(self, "measures", measures)
-
-        # float matmuls hit BLAS; counts are exact well below 2^53
-        memf = member.astype(np.float64)
-        inter = (memf @ memf.T) > 0.5
-        object.__setattr__(self, "_intersects", inter)
-        object.__setattr__(self, "neighbors",
-                           tuple(np.flatnonzero(inter[i]) for i in range(len(clean))))
-
-        qmap = (memf.T @ memf) > 0.5
-        qmap.setflags(write=False)
-        object.__setattr__(self, "q_pairs", qmap)
 
     @property
     def n_sets(self) -> int:
@@ -96,11 +79,31 @@ class Covering:
     @property
     def cover_counts(self) -> np.ndarray:
         """Number of sets containing each point."""
-        return np.asarray(self.membership.sum(axis=0))
+        return np.bincount(self.flat_points, minlength=self.space.n_points)
 
     @property
     def covers_all(self) -> bool:
         return bool(np.all(self.cover_counts > 0))
+
+    @cached_property
+    def measures(self) -> np.ndarray:
+        """mu(U_i)."""
+        out = self.set_sums(self.space.weights)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def neighbors(self) -> tuple:
+        """i* for every set i: the sets holding any point of U_i."""
+        # Pair every flat (i, x) with each set j holding x; those j sit at
+        # _sets_by_point[ptr[x]:ptr[x + 1]], laid out here pair after pair.
+        ptr = self._point_ptr
+        holds = np.diff(ptr)[self.flat_points]
+        shift = np.repeat(ptr[self.flat_points] - (np.cumsum(holds) - holds), holds)
+        holders = self._sets_by_point[shift + np.arange(shift.size)]
+        pairs = np.unique(np.repeat(self.flat_sets, holds) * self.n_sets + holders)
+        rows, cols = np.divmod(pairs, self.n_sets)
+        return tuple(np.split(cols, np.flatnonzero(np.diff(rows)) + 1))
 
     @property
     def overlap_bound(self) -> int:
@@ -112,8 +115,9 @@ class Covering:
 
     @property
     def moderateness(self) -> float:
-        ratio = self.measures[:, None] / self.measures[None, :]
-        return float(np.max(np.where(self._intersects, ratio, 0.0)))
+        mu = self.measures
+        rows = np.repeat(np.arange(self.n_sets), [nb.size for nb in self.neighbors])
+        return float(np.max(mu[rows] / mu[np.concatenate(self.neighbors)]))
 
     def set_sums(self, values) -> np.ndarray:
         """out[i] = sum over x in U_i of values[x], for (n_points, ...) values."""
@@ -125,12 +129,17 @@ class Covering:
         (n_sets, ...) values; points in no set get 0."""
         vals = np.asarray(values)[self._sets_by_point]
         out = np.zeros((self.space.n_points,) + vals.shape[1:], dtype=vals.dtype)
-        out[self._covered] = np.add.reduceat(vals, self._point_starts, axis=0)
+        covered = np.diff(self._point_ptr) > 0
+        out[covered] = np.add.reduceat(vals, self._point_ptr[:-1][covered], axis=0)
         return out
 
     def q_neighborhood(self, y: int) -> np.ndarray:
-        """Indices z reachable from y through a common covering set."""
-        return np.flatnonzero(self.q_pairs[y])
+        """Q_y: the sorted indices z sharing a covering set with y."""
+        holders = self._sets_by_point[self._point_ptr[y]:self._point_ptr[y + 1]]
+        if holders.size == 1:
+            return self.sets[holders[0]]
+        return np.unique(np.concatenate([np.empty(0, dtype=int)]
+                                        + [self.sets[i] for i in holders]))
 
     def identifier(self) -> str:
         """Deterministic content hash used in reports."""
@@ -190,11 +199,13 @@ class PartitionOfUnity:
     def __post_init__(self):
         cov = self.covering
         arr = np.asarray(self.phi, dtype=float)
-        if arr.shape != cov.membership.shape:
+        if arr.shape != (cov.n_sets, cov.space.n_points):
             raise StructuralError("phi must be shaped (n_sets, n_points)")
         if np.any(arr < -1e-15) or np.any(arr > 1 + 1e-12):
             raise StructuralError("partition values must lie in [0, 1]")
-        if np.any((~cov.membership) & (arr != 0.0)):
+        # every nonzero value lies on a (set, point) pair of the covering
+        if np.count_nonzero(arr) != np.count_nonzero(arr[cov.flat_sets,
+                                                         cov.flat_points]):
             raise StructuralError("phi_i must vanish outside U_i")
         total = arr.sum(axis=0)
         if np.max(np.abs(total - 1.0)) > 1e-12:
@@ -217,18 +228,17 @@ def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
     counts = cov.cover_counts
     if np.any(counts == 0):
         raise StructuralError("cannot build a partition of unity: uncovered points")
-    member = cov.membership.astype(float)
+    phi = np.zeros((cov.n_sets, cov.space.n_points))
     if kind == "flat":
-        phi = member / counts[None, :]
+        phi[cov.flat_sets, cov.flat_points] = 1.0 / counts[cov.flat_points]
     elif kind == "smooth":
         pts = cov.space.points
-        raw = np.zeros_like(member)
         for i, idx in enumerate(cov.sets):
             center = pts[idx].mean(axis=0)
             d2 = np.sum((pts[idx] - center) ** 2, axis=1)
             spread = max(float(d2.max()), 1e-12)
-            raw[i, idx] = np.exp(-d2 / spread)
-        phi = raw / raw.sum(axis=0)[None, :]
+            phi[i, idx] = np.exp(-d2 / spread)
+        phi /= phi.sum(axis=0)[None, :]
     else:
         raise StructuralError(f"unknown partition kind {kind!r}")
     return PartitionOfUnity(cov, phi)
@@ -275,9 +285,11 @@ def transfer_kernel(cov_u: Covering, cov_v: Covering) -> np.ndarray:
     """
     if cov_u.n_sets != cov_v.n_sets:
         raise StructuralError("coverings must share one index set")
-    mu = cov_u.membership.astype(float)
-    mv = cov_v.membership.astype(float)
-    return (mu.T @ (mv / cov_v.measures[:, None])).astype(complex)
+    n = cov_u.space.n_points
+    out = np.zeros((n, n), dtype=complex)
+    for u, v, mu_v in zip(cov_u.sets, cov_v.sets, cov_v.measures):
+        out[np.ix_(u, v)] += 1.0 / mu_v
+    return out
 
 
 def permutation_kernel(cov: Covering, pi) -> np.ndarray:
@@ -291,15 +303,17 @@ def permutation_kernel(cov: Covering, pi) -> np.ndarray:
         raise StructuralError("pi must be a permutation of the covering index set")
     inv = np.empty_like(pi)
     inv[pi] = np.arange(cov.n_sets)
-    member = cov.membership.astype(float)
-    src = member[inv] / cov.measures[inv][:, None]   # row i: chi_{U_{pi^-1(i)}}/mu
-    return (src.T @ member).astype(complex)
+    n = cov.space.n_points
+    out = np.zeros((n, n), dtype=complex)
+    for i, j in enumerate(inv):          # j = pi^{-1}(i)
+        out[np.ix_(cov.sets[j], cov.sets[i])] += 1.0 / cov.measures[j]
+    return out
 
 
 def is_admissible_permutation(cov: Covering, pi) -> bool:
     """True when pi(i) always lies in the neighbor set i*."""
     pi = np.asarray(pi, dtype=int)
-    return all(cov._intersects[i, pi[i]] for i in range(cov.n_sets))
+    return all(pi[i] in nb for i, nb in enumerate(cov.neighbors))
 
 
 def random_admissible_permutation(cov: Covering, rng: np.random.Generator):
@@ -326,7 +340,8 @@ def neighbor_sums(cov: Covering, seq) -> np.ndarray:
     arr = np.asarray(seq, dtype=complex).reshape(-1)
     if arr.shape[0] != cov.n_sets:
         raise StructuralError("sequence length must equal number of sets")
-    return cov._intersects.astype(float) @ arr
+    starts = np.cumsum([0] + [nb.size for nb in cov.neighbors[:-1]])
+    return np.add.reduceat(arr[np.concatenate(cov.neighbors)], starts)
 
 
 def singleton_covering(space: QuadratureSpace) -> Covering:

@@ -26,6 +26,10 @@ from .oscillation import OscReport, PhaseFunction
 from .spaces import WeightedLp, decomposition_norm, local_integrability_constant, \
     pileup, sup_infinity_space
 
+# Smallest eigenvalue modulus of the restricted sampling operator that
+# ``direct`` inversion accepts; below it the operator counts as singular.
+DIRECT_EIG_FLOOR = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
@@ -43,8 +47,8 @@ class SamplingPlan:
         idx = np.asarray(self.samples, dtype=int).reshape(-1)
         if idx.shape[0] != cov.n_sets:
             raise StructuralError("one sample point per covering set required")
-        for i, s in enumerate(idx):
-            if not cov.membership[i, s]:
+        for i, (s, members) in enumerate(zip(idx, cov.sets)):
+            if s not in members:
                 raise StructuralError(f"sample {s} is not inside covering set {i}")
         c = np.asarray(self.masses, dtype=float).reshape(-1)
         if c.shape[0] != cov.n_sets or np.any(c <= 0):
@@ -142,7 +146,7 @@ class SamplingInverse:
 
     def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
                  method: str = "neumann", tol: float = 1e-12, n_max: int = 200,
-                 report: OscReport | None = None, eig_floor: float = 1e-12):
+                 report: OscReport | None = None):
         self.model = model
         self.plan = plan
         self.Y = Y
@@ -173,7 +177,7 @@ class SamplingInverse:
             self.sharp_bound = sharp
         elif method == "direct":
             evals = np.linalg.eigvals(self._restricted)
-            if np.min(np.abs(evals)) <= eig_floor:
+            if np.min(np.abs(evals)) <= DIRECT_EIG_FLOOR:
                 raise SingularOperatorError(
                     "sampling operator is numerically singular on the kernel range"
                 )
@@ -232,13 +236,6 @@ class SamplingInverse:
         g = self.model.from_analysis(arr)
         out = self._invert_coords(g[:, None])
         return self._analysis @ out[:, 0]
-
-
-def invert_sampling(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
-                    method: str = "neumann", tol: float = 1e-12,
-                    n_max: int = 200, report: OscReport | None = None) -> SamplingInverse:
-    return SamplingInverse(model, plan, Y, method=method, tol=tol,
-                           n_max=n_max, report=report)
 
 
 def _as_columns(values, length: int, what: str) -> tuple:

@@ -11,7 +11,6 @@ submultiplicative under weighted composition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ class Weight2D:
             raise StructuralError(f"weight matrix shape {mat.shape}, expected {(n, n)}")
         if not np.all(np.isfinite(mat)) or np.any(mat <= 0.0):
             raise StructuralError("weight entries must be finite and > 0")
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, mat.max())):
+        if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, mat.max()):
             raise StructuralError("weight matrix must be symmetric")
         if not 0 <= self.ref_index < n:
             raise StructuralError("ref_index out of range")
@@ -163,32 +162,6 @@ def compose(space: QuadratureSpace, k1, k2) -> np.ndarray:
 def involution(kernel) -> np.ndarray:
     """Conjugate transpose K*(x,y) = conj(K(y,x))."""
     return np.conj(np.asarray(kernel, dtype=complex)).T
-
-
-def kernel_to_json(kernel) -> dict:
-    k = np.asarray(kernel, dtype=complex)
-    return {
-        "shape": list(k.shape),
-        "real": k.real.reshape(-1).tolist(),
-        "imag": k.imag.reshape(-1).tolist(),
-    }
-
-
-def kernel_from_json(doc: dict) -> np.ndarray:
-    shape = tuple(doc["shape"])
-    re = np.asarray(doc["real"], dtype=float).reshape(shape)
-    im = np.asarray(doc["imag"], dtype=float).reshape(shape)
-    return re + 1j * im
-
-
-def save_kernel_json(kernel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(kernel_to_json(kernel), fh)
-
-
-def load_kernel_json(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return kernel_from_json(json.load(fh))
 
 
 def save_kernel_binary(kernel, path) -> None:

@@ -20,6 +20,9 @@ from .errors import SingularOperatorError, StructuralError
 from .kernels import DiscreteMeasure
 from .quadrature import QuadratureSpace, uniform_grid
 
+# Smallest admissible eigenvalue of a model's frame operator.
+EIG_FLOOR = 1e-10
+
 
 class FrameModel:
     """Immutable frame model over a quadrature space.
@@ -28,11 +31,12 @@ class FrameModel:
     ----------
     space : QuadratureSpace with n points.
     vectors : complex array (d, n); column x is psi_x.
-    eig_floor : smallest admissible eigenvalue of the frame operator.
-        Models below the floor are refused rather than regularized.
+
+    A frame operator with an eigenvalue at or below ``EIG_FLOOR`` is refused
+    rather than regularized.
     """
 
-    def __init__(self, space: QuadratureSpace, vectors, eig_floor: float = 1e-10):
+    def __init__(self, space: QuadratureSpace, vectors):
         psi = np.asarray(vectors, dtype=complex)
         if psi.ndim != 2 or psi.shape[1] != space.n_points:
             raise StructuralError("vectors must be shaped (dim, n_points)")
@@ -46,10 +50,10 @@ class FrameModel:
         s = (psi * space.weights[None, :]) @ psi.conj().T
         s = 0.5 * (s + s.conj().T)
         evals, evecs = np.linalg.eigh(s)
-        if evals.min() <= eig_floor:
+        if evals.min() <= EIG_FLOOR:
             raise SingularOperatorError(
                 f"frame operator eigenvalue {evals.min():.3e} at or below floor "
-                f"{eig_floor:.1e}; the family does not span (use more points "
+                f"{EIG_FLOOR:.1e}; the family does not span (use more points "
                 f"or a wider spread)"
             )
         self.frame_operator = s
@@ -68,9 +72,6 @@ class FrameModel:
         if arr.shape[0] != self.dim:
             raise StructuralError(f"vector of length {arr.shape[0]}, expected {self.dim}")
         return arr
-
-    def apply_s_inverse(self, f) -> np.ndarray:
-        return self.s_inverse @ self.check_vector(f)
 
     def analyze(self, f) -> np.ndarray:
         """Frame coefficients <f, psi_x> as a grid function."""
@@ -136,8 +137,7 @@ def _periodized_gaussian(d: int, width: float) -> np.ndarray:
     return g / norm
 
 
-def build_gabor_model(n_time: int, n_freq: int, window_width: float,
-                      eig_floor: float = 1e-10) -> FrameModel:
+def build_gabor_model(n_time: int, n_freq: int, window_width: float) -> FrameModel:
     """Time-frequency shifted periodized Gaussians on an n_time x n_freq grid.
 
     The signal length equals ``n_time``; atoms are the window translated to
@@ -163,11 +163,11 @@ def build_gabor_model(n_time: int, n_freq: int, window_width: float,
     freq_step = d / float(n_freq)
     coords = np.array([(t, j * freq_step) for t in range(d) for j in range(int(n_freq))])
     space = QuadratureSpace(coords, np.full(n, d / float(n)))
-    return FrameModel(space, psi, eig_floor=eig_floor)
+    return FrameModel(space, psi)
 
 
 def build_random_smooth_model(d: int, n_points: int, smoothness: float,
-                              seed: int, eig_floor: float = 1e-10) -> FrameModel:
+                              seed: int) -> FrameModel:
     """Random trigonometric vector field on [0, 1), unit-normalized columns.
 
     Mode amplitudes decay like (1 + m)^(-smoothness); larger smoothness
@@ -189,7 +189,7 @@ def build_random_smooth_model(d: int, n_points: int, smoothness: float,
     psi /= norms[None, :]
     space = uniform_grid(n_points, spacing=1.0 / n_points,
                          weights=1.0 / n_points)
-    return FrameModel(space, psi, eig_floor=eig_floor)
+    return FrameModel(space, psi)
 
 
 def build_orthonormal_model(d: int) -> FrameModel:

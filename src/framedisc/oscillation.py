@@ -164,8 +164,7 @@ def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
 
 def refine_until(model: FrameModel, weight: Weight2D, delta: float,
                  gamma_rule: str = "kernel", max_rounds: int = 12,
-                 require_invertibility: bool = True,
-                 overlap_ratio: float = 0.0) -> tuple:
+                 require_invertibility: bool = True) -> tuple:
     """Halve the covering width until the oscillation budget is met.
 
     Starts from a single box spanning the grid and halves the box width each
@@ -191,7 +190,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
     last = None
     for _ in range(max_rounds):
         if np.all(width >= spacing):
-            cov = uniform_covering(space, width, overlap_ratio * width)
+            cov = uniform_covering(space, width)
         else:
             cov = singleton_covering(space)
         report = oscillation_report(model, cov, gamma, weight, delta)

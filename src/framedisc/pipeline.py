@@ -9,8 +9,8 @@ import numpy as np
 from .coverings import Covering, build_pou, validate_covering
 from .discretize import BoundsReport, SamplingInverse, SamplingPlan, \
     atomic_decomposition, contraction_bounds, dual_frame, hilbert_frame_bounds, \
-    invert_sampling, observed_contraction, reconstruct_from_samples, \
-    select_samples, synthesize_plan, verify_sampled_bounds
+    observed_contraction, reconstruct_from_samples, select_samples, \
+    synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError
 from .kernels import Weight2D, schur_norm
 from .models import FrameModel
@@ -99,11 +99,11 @@ def cross_check_inversion(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     """Worst relative Y-norm gap between Neumann and direct inversion,
     or None when the Neumann certificate is unavailable."""
     try:
-        neu = invert_sampling(model, plan, Y, method="neumann", tol=tol,
+        neu = SamplingInverse(model, plan, Y, method="neumann", tol=tol,
                               n_max=n_max, report=report)
     except CertificationError:
         return None
-    direct = invert_sampling(model, plan, Y, method="direct")
+    direct = SamplingInverse(model, plan, Y, method="direct")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
@@ -193,7 +193,6 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
         covering, report = refine_until(model, weight, delta,
                                         gamma_rule=gamma_rule,
                                         max_rounds=refine_max_rounds)
-        gamma = make_phase(model, gamma_rule)
     else:
         gamma = make_phase(model, gamma_rule)
         report = oscillation_report(model, covering, gamma, weight, delta)
@@ -203,7 +202,7 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
     nominal, sharp = contraction_bounds(report)
     observed = observed_contraction(model, plan, Y, seed=seed)
 
-    inverse = invert_sampling(model, plan, Y, method=method, tol=tol,
+    inverse = SamplingInverse(model, plan, Y, method=method, tol=tol,
                               n_max=n_max, report=report)
     gap = cross_check_inversion(model, plan, Y, report, tol=tol, n_max=n_max,
                                 seed=seed)

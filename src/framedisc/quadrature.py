@@ -138,8 +138,3 @@ def space_from_json(doc: dict) -> QuadratureSpace:
 def load_space(path) -> QuadratureSpace:
     with open(path, "r", encoding="utf-8") as fh:
         return space_from_json(json.load(fh))
-
-
-def save_space(space: QuadratureSpace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_json(space), fh, sort_keys=True)

@@ -190,7 +190,9 @@ def sup_embedding_report(cov: Covering, Y: WeightedLp, weight: Weight2D,
     is the worst ratio over basis sequences and ``n_trials`` random draws.
     """
     norms = SequenceNorms.build(cov, Y, weight)
-    base = Y.norm(cov.membership[ref_set].astype(float))
+    chi = np.zeros(cov.space.n_points)
+    chi[cov.sets[ref_set]] = 1.0
+    base = Y.norm(chi)
     per_set = set_pair_kernel_norms(cov, weight, ref_set) / base
     apriori = float(np.max(per_set / norms.sup_trace))
 

@@ -1,7 +1,7 @@
 """Independent brute-force references for the vectorized implementations.
 
 Everything here is written as plain Python loops over indices, deliberately
-avoiding the code paths (matmuls, boolean algebra on membership matrices)
+avoiding the code paths (matmuls, scatter/gather over flat index arrays)
 used by the package itself.
 """
 
@@ -78,13 +78,28 @@ def covering_stats_naive(sets, weights):
     return overlap, min(measures), c_tilde
 
 
+def membership_naive(sets, n_points):
+    """Boolean (n_sets, n_points) table, entry [i, x] = (x in U_i)."""
+    out = np.zeros((len(sets), n_points), dtype=bool)
+    for i, s in enumerate(sets):
+        for x in s:
+            out[i, int(x)] = True
+    return out
+
+
+def q_neighborhoods_naive(sets, n_points):
+    """Q_y for every point y: the points sharing some set with y."""
+    q_of = [set() for _ in range(n_points)]
+    for s in sets:
+        for y in s:
+            q_of[int(y)].update(int(z) for z in s)
+    return q_of
+
+
 def osc_naive(kernel, sets, gamma):
     """Triple loop over (x, y, z in Q_y)."""
     n = kernel.shape[0]
-    q_of = [set() for _ in range(n)]
-    for s in sets:
-        for y in s:
-            q_of[y].update(int(z) for z in s)
+    q_of = q_neighborhoods_naive(sets, n)
     out = np.zeros((n, n))
     for x in range(n):
         for y in range(n):

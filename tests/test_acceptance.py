@@ -12,8 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from framedisc import Weight2D, WeightedLp, build_pou, compose, neighbor_sums, \
-    contraction_bounds, hilbert_frame_bounds, invert_sampling, invertibility_condition, \
+from framedisc import SamplingInverse, Weight2D, WeightedLp, build_pou, compose, \
+    neighbor_sums, contraction_bounds, hilbert_frame_bounds, invertibility_condition, \
     make_phase, norm_flat, norm_natural, observed_contraction, oscillation_kernel, \
     oscillation_report, permutation_kernel, schur_norm, select_samples, \
     singleton_covering, transfer_kernel, uniform_covering, uniform_grid, \
@@ -149,7 +149,7 @@ def test_criterion_4_contraction_certificates(certified_runs):
 def test_criterion_5_end_to_end_decomposition(certified_runs):
     with criterion(5, "atomic decomposition / sampled-frame round trips"):
         for run in certified_runs["runs"]:
-            inverse = invert_sampling(run["model"], run["plan"], run["Y"],
+            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
                                       method="neumann", report=run["report"])
             res = residual_suite(run["model"], run["plan"], inverse, run["Y"],
                                  n_trials=50, seed=5)
@@ -166,7 +166,7 @@ def test_criterion_5_end_to_end_decomposition(certified_runs):
 def test_criterion_6_swapped_roles(certified_runs):
     with criterion(6, "same residual suite with analysis roles exchanged"):
         for run in certified_runs["runs"]:
-            inverse = invert_sampling(run["model"], run["plan"], run["Y"],
+            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
                                       method="neumann", report=run["report"])
             res = residual_suite(run["model"], run["plan"], inverse, run["Y"],
                                  n_trials=50, seed=7, swap_roles=True)

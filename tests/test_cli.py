@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -67,11 +68,13 @@ class TestValidate:
         assert doc["D"] == 2.0
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands(command: str) -> list:
     """The README's ``framedisc <command>`` example lines, continuation
     lines joined, as argument lists without the program name."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = text.replace("\\\n", " ").splitlines()
+    lines = README.read_text().replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines
             if line.startswith(f"framedisc {command} ")]
 
@@ -83,6 +86,11 @@ class TestReadmeExamples:
         assert examples
         for argv in examples:
             assert main(argv + ["--output", str(tmp_path / "r.json")]) == EXIT_OK
+
+    def test_library_example_runs(self):
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})
 
     def test_osc_example_uses_per_axis_boxes(self, tmp_path):
         argv = readme_commands("osc")[0]
@@ -178,8 +186,20 @@ class TestDiscretize:
         assert code == EXIT_NUMERICAL
         assert doc is None
 
-    def test_bad_config_exit_code(self, tmp_path):
-        code, _ = run(tmp_path, "discretize", model_kind="nonsense")
+    @pytest.mark.parametrize("source", ["unknown-model-kind", "flag-not-a-number",
+                                        "json-not-a-number"])
+    def test_bad_config_exit_code(self, tmp_path, source):
+        if source == "unknown-model-kind":
+            code, _ = run(tmp_path, "discretize", model_kind="nonsense")
+        elif source == "flag-not-a-number":
+            code, _ = run(tmp_path, "validate", model_kind="orthonormal",
+                          dim="abc", covering_width="singleton")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"model-kind": "orthonormal",
+                                       "covering-width": "singleton",
+                                       "delta": [0.3]}))
+            code = main(["discretize", "--config", str(cfg)])
         assert code == EXIT_CONFIG
 
     def test_config_file_with_flag_override(self, tmp_path):

@@ -5,10 +5,10 @@ from framedisc import Covering, StructuralError, Weight2D, apply_kernel, \
     check_m_equivalent, identity_kernel, neighbor_sums, permutation_kernel, \
     singleton_covering, transfer_kernel, uniform_covering, uniform_grid, \
     validate_covering, weight_compatibility
-from framedisc.coverings import build_pou, covering_from_json, covering_to_json, \
-    is_admissible_permutation, random_admissible_permutation
+from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json, \
+    covering_to_json, is_admissible_permutation, random_admissible_permutation
 
-from oracles import covering_stats_naive
+from oracles import covering_stats_naive, membership_naive, q_neighborhoods_naive
 
 
 def random_interval_covering(rng, space, n_sets):
@@ -62,6 +62,41 @@ class TestValidation:
         assert np.max(cov.cover_counts) <= cov.overlap_bound
 
 
+class TestRepresentation:
+    """The covering keeps its incidence as index arrays only; neighbours and
+    Q_y are derived from them."""
+
+    def test_no_dense_tables(self, rng, grid64):
+        cov = random_interval_covering(rng, grid64, 6)
+        n, n_sets = grid64.n_points, cov.n_sets
+        assert n_sets != n
+        # touch every derived quantity so cached ones are present too
+        validate_covering(cov)
+        cov.q_neighborhood(0)
+        dense = {(n, n), (n_sets, n_sets), (n_sets, n)}
+        for name, value in vars(cov).items():
+            if isinstance(value, np.ndarray):
+                assert value.shape not in dense, name
+
+    def test_q_neighborhood_matches_oracle(self, rng, grid64):
+        cov = random_interval_covering(rng, grid64, 10)
+        want = q_neighborhoods_naive(cov.sets, 64)
+        for y in range(64):
+            assert cov.q_neighborhood(y).tolist() == sorted(want[y])
+
+    def test_q_neighborhood_of_uncovered_point_is_empty(self, small_space):
+        cov = Covering(small_space, (np.array([0, 1]), np.array([3, 4])))
+        assert cov.q_neighborhood(2).size == 0
+        assert cov.q_neighborhood(3).tolist() == [3, 4]
+
+    def test_neighbors_match_oracle(self, rng, grid64):
+        cov = random_interval_covering(rng, grid64, 10)
+        for i, s in enumerate(cov.sets):
+            want = [j for j, t in enumerate(cov.sets)
+                    if set(s.tolist()) & set(t.tolist())]
+            assert cov.neighbors[i].tolist() == want
+
+
 class TestWeightCompatibility:
     def test_trivial_weight(self, small_space):
         cov = Covering(small_space, (np.arange(5),))
@@ -87,7 +122,7 @@ class TestPartitionOfUnity:
     def test_flat_on_partition_is_indicator(self, grid64):
         cov = uniform_covering(grid64, 8.0)
         pou = build_pou(cov, "flat")
-        assert np.array_equal(pou.phi, cov.membership.astype(float))
+        assert np.array_equal(pou.phi, membership_naive(cov.sets, 64).astype(float))
         assert np.allclose(pou.masses, cov.measures, rtol=0, atol=0)
 
     def test_equal_sharing_on_double_cover(self, small_space):
@@ -109,7 +144,16 @@ class TestPartitionOfUnity:
         pou = build_pou(cov, "smooth")
         assert np.all(pou.phi >= 0) and np.all(pou.phi <= 1)
         assert np.max(np.abs(pou.phi.sum(axis=0) - 1)) <= 1e-14
-        assert np.all(pou.phi[~cov.membership] == 0)
+        assert np.all(pou.phi[~membership_naive(cov.sets, 64)] == 0)
+
+    def test_rejects_support_outside_set(self, small_space):
+        cov = Covering(small_space, (np.array([0, 1, 2]), np.array([2, 3, 4])))
+        phi = np.array(build_pou(cov, "flat").phi)
+        phi[0, 3], phi[1, 3] = 0.5, 0.5       # point 3 is not in U_0
+        with pytest.raises(StructuralError, match="vanish outside"):
+            PartitionOfUnity(cov, phi)
+        with pytest.raises(StructuralError, match="shaped"):
+            PartitionOfUnity(cov, phi.T)
 
 
 class TestEquivalence:
@@ -152,8 +196,9 @@ class TestTransferKernel:
     def test_partition_projects_onto_piecewise_constants(self, grid64):
         cov = uniform_covering(grid64, 8.0)
         L = transfer_kernel(cov, cov)
+        member = membership_naive(cov.sets, 64)
         for j in (0, 3, 7):
-            chi = cov.membership[j].astype(float)
+            chi = member[j].astype(float)
             out = apply_kernel(grid64, L, chi)
             assert np.max(np.abs(out - chi)) <= 1e-14
 
@@ -226,6 +271,16 @@ class TestPermutations:
                 / grid64.subset_measure(cov.sets[inv[i]])
                 for i in range(cov.n_sets))
             assert abs(k[x, y] - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_rejects_non_neighbor(self, grid64):
+        cov = uniform_covering(grid64, 16.0, overlap=8.0)
+        assert 3 not in cov.neighbors[0]
+        pi = np.arange(cov.n_sets)
+        pi[[0, 3]] = pi[[3, 0]]
+        assert not is_admissible_permutation(cov, pi)
+        pi = np.arange(cov.n_sets)
+        pi[[0, 1]] = pi[[1, 0]]
+        assert is_admissible_permutation(cov, pi)
 
     def test_neighbor_sums_brute_force(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 6)

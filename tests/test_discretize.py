@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from framedisc import CertificationError, Covering, \
+from framedisc import CertificationError, Covering, SamplingInverse, \
     SingularOperatorError, StructuralError, WeightedLp, \
     apply_kernel, apply_sampling, apply_smoothed, atomic_decomposition, \
     build_pou, contraction_bounds, dual_frame, hilbert_frame_bounds, \
-    invert_sampling, make_phase, norm_flat, norm_natural, observed_contraction, \
+    make_phase, norm_flat, norm_natural, observed_contraction, \
     oscillation_report, reconstruct_from_samples, sampled_row_kernel, \
     schur_norm, select_samples, singleton_covering, synthesize_plan, \
     uniform_covering, verify_sampled_bounds
@@ -193,14 +193,14 @@ class TestInversion:
     def test_singleton_plan_inverse_is_identity(self, rng):
         model = build_random_smooth_model(3, 24, 2.0, seed=6)
         Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         F = model.random_range_function(rng)
         assert Y.norm(inverse.apply(F) - F) <= 1e-10 * Y.norm(F)
 
     def test_neumann_matches_direct(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        neu = invert_sampling(model, plan, Y, method="neumann", report=report)
-        dir_ = invert_sampling(model, plan, Y, method="direct")
+        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
+        dir_ = SamplingInverse(model, plan, Y, method="direct")
         for _ in range(20):
             F = model.random_range_function(rng)
             gap = Y.norm(neu.apply(F) - dir_.apply(F))
@@ -209,7 +209,7 @@ class TestInversion:
     def test_term_norms_decay_geometrically(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         observed = observed_contraction(model, plan, Y, seed=0)
-        inverse = invert_sampling(model, plan, Y, method="neumann",
+        inverse = SamplingInverse(model, plan, Y, method="neumann",
                                   report=report)
         F = model.random_range_function(rng)
         inverse.apply(F)
@@ -221,7 +221,7 @@ class TestInversion:
 
     def test_inverse_really_inverts(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(5):
             F = model.random_range_function(rng)
             back = apply_sampling(model, plan, inverse.apply(F))
@@ -233,13 +233,13 @@ class TestInversion:
         _, sharp = contraction_bounds(report)
         assert sharp >= 1.0
         with pytest.raises(CertificationError):
-            invert_sampling(model, plan, Y, method="neumann", report=report)
+            SamplingInverse(model, plan, Y, method="neumann", report=report)
         with pytest.raises(CertificationError):
-            invert_sampling(model, plan, Y, method="neumann", report=None)
+            SamplingInverse(model, plan, Y, method="neumann", report=None)
 
     def test_neumann_term_budget_exhaustion(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, method="neumann",
+        inverse = SamplingInverse(model, plan, Y, method="neumann",
                                   report=report, n_max=1)
         with pytest.raises(SingularOperatorError):
             inverse.apply(model.random_range_function(rng))
@@ -250,20 +250,20 @@ class TestInversion:
         plan = select_samples(cov, build_pou(cov))
         Y = WeightedLp.lebesgue(model.space, 2.0)
         with pytest.raises(SingularOperatorError):
-            invert_sampling(model, plan, Y, method="direct")
+            SamplingInverse(model, plan, Y, method="direct")
 
 
 class TestDecomposition:
     def test_zero_vector(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         lam = atomic_decomposition(model, plan, inverse, np.zeros(3))
         assert np.all(lam == 0)
 
     def test_frame_vector_roundtrip_singleton_plan(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=7)
         Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         f = model.vectors[:, 5]
         lam = atomic_decomposition(model, plan, inverse, f)
         rec = synthesize_plan(model, plan, lam)
@@ -271,7 +271,7 @@ class TestDecomposition:
 
     def test_random_vectors_reconstruct(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = atomic_decomposition(model, plan, inverse, f)
@@ -280,7 +280,7 @@ class TestDecomposition:
 
     def test_coefficient_norm_controlled(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         _, sharp = contraction_bounds(report)
         d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
         bound = d_const / (1.0 - sharp)
@@ -294,7 +294,7 @@ class TestDecomposition:
 class TestSampleReconstruction:
     def test_round_trip(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             samples = model.analyze(f)[plan.samples]
@@ -303,7 +303,7 @@ class TestSampleReconstruction:
 
     def test_frame_vector_from_its_samples(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         f = model.vectors[:, plan.samples[3]]
         samples = model.analyze(f)[plan.samples]
         rec = reconstruct_from_samples(model, plan, inverse, samples)
@@ -311,14 +311,14 @@ class TestSampleReconstruction:
 
     def test_zero_samples(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         rec = reconstruct_from_samples(model, plan, inverse,
                                        np.zeros(cov.n_sets))
         assert np.linalg.norm(rec) <= 1e-12
 
     def test_decompose_then_resample_consistent(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         samples = model.analyze(f)[plan.samples]
         rec = reconstruct_from_samples(model, plan, inverse, samples)
@@ -331,7 +331,7 @@ class TestDualFrame:
     def test_orthonormal_singleton_plan(self):
         model = build_orthonormal_model(4)
         Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         duals = dual_frame(model, plan, inverse)
         assert np.allclose(duals, np.eye(4), atol=1e-10)
         f = np.array([1.0, 2.0, 3.0 - 1.0j, 0.5])
@@ -341,7 +341,7 @@ class TestDualFrame:
     def test_dim_one(self):
         model = build_random_smooth_model(1, 8, 1.0, seed=8)
         Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         duals = dual_frame(model, plan, inverse)
         f = np.array([2.0 - 1.0j])
         rec = sum(np.vdot(duals[i], f) * model.vectors[:, plan.samples[i]]
@@ -350,7 +350,7 @@ class TestDualFrame:
 
     def test_duality_of_coefficients(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         duals = dual_frame(model, plan, inverse)
         for _ in range(20):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -363,7 +363,7 @@ class TestDualFrame:
 class TestSwappedRoles:
     def test_full_residual_suite(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         res = residual_suite(model, plan, inverse, Y, n_trials=20, seed=9,
                              swap_roles=True)
         assert res["atomic_max"] <= 1e-8
@@ -374,7 +374,7 @@ class TestSwappedRoles:
 
     def test_swapped_atoms_are_duals(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         lam = atomic_decomposition(model, plan, inverse, f, swap_roles=True)
         rec = synthesize_plan(model, plan, lam, swap_roles=True)
@@ -421,7 +421,7 @@ class TestWeakerThresholds:
         assert not report.invertibility_ok
         _, sharp = contraction_bounds(report)
         assert sharp < 1.0
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(5):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = atomic_decomposition(model, plan, inverse, f)
@@ -446,7 +446,7 @@ class TestVerifiedBounds:
     def test_norm_equivalence_interval(self, rng):
         """Observed sampled-norm ratios sit inside the certified interval."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         _, sharp = contraction_bounds(report)
         d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
         n_over = cov.overlap_bound
@@ -477,7 +477,7 @@ class TestVerifiedBounds:
         """Dual-coefficient natural norms stay inside the certified interval,
         independently of the probe seed."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         _, sharp = contraction_bounds(report)
         d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
         upper = d_const / (1.0 - sharp)
@@ -510,8 +510,8 @@ class TestScaleInvariantNeumann:
     @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
     def test_matches_direct_at_every_scale(self, gabor_plan, scale):
         model, Y, plan, report = gabor_plan
-        neu = invert_sampling(model, plan, Y, method="neumann", report=report)
-        dir_ = invert_sampling(model, plan, Y, method="direct")
+        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
+        dir_ = SamplingInverse(model, plan, Y, method="direct")
         rng = np.random.default_rng(5)
         for _ in range(5):
             F = scale * model.random_range_function(rng)
@@ -521,8 +521,8 @@ class TestScaleInvariantNeumann:
 
     def test_block_columns_of_mixed_scale(self, gabor_plan):
         model, Y, plan, report = gabor_plan
-        neu = invert_sampling(model, plan, Y, method="neumann", report=report)
-        dir_ = invert_sampling(model, plan, Y, method="direct")
+        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
+        dir_ = SamplingInverse(model, plan, Y, method="direct")
         rng = np.random.default_rng(6)
         coords = rng.standard_normal((model.dim, 4)) \
             + 1j * rng.standard_normal((model.dim, 4))
@@ -541,7 +541,7 @@ class TestBlocks:
 
     def test_block_equals_columns(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         f = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         for swap in (False, True):
             lam = atomic_decomposition(model, plan, inverse, f, swap_roles=swap)
@@ -566,7 +566,7 @@ class TestBlocks:
 
     def test_wrong_lengths_rejected(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = invert_sampling(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, plan, Y, report=report)
         with pytest.raises(StructuralError):
             atomic_decomposition(model, plan, inverse, np.ones(4))
         with pytest.raises(StructuralError):

@@ -4,8 +4,7 @@ import pytest
 from framedisc import DiscreteMeasure, StructuralError, Weight2D, WeightedLp, \
     apply_kernel, apply_to_measure, compose, identity_kernel, involution, \
     schur_norm, uniform_grid
-from framedisc.kernels import check_kernel, kernel_from_json, kernel_to_json, \
-    load_kernel_binary, load_kernel_json, save_kernel_binary, save_kernel_json
+from framedisc.kernels import check_kernel, load_kernel_binary, save_kernel_binary
 
 from conftest import random_kernel, random_weight_matrix
 from oracles import apply_measure_naive, apply_naive, compose_naive, \
@@ -198,13 +197,6 @@ class TestValidationAndIO:
     def test_shape_mismatch(self, small_space):
         with pytest.raises(StructuralError):
             schur_norm(small_space, np.ones((4, 4)))
-
-    def test_json_round_trip(self, rng, tmp_path):
-        k = random_kernel(rng, 5)
-        path = tmp_path / "k.json"
-        save_kernel_json(k, path)
-        assert np.array_equal(load_kernel_json(path), k)
-        assert np.array_equal(kernel_from_json(kernel_to_json(k)), k)
 
     def test_binary_round_trip(self, rng, tmp_path):
         k = random_kernel(rng, 6)
