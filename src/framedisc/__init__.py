@@ -19,9 +19,9 @@ from .kernels import DiscreteMeasure, Weight2D, apply_kernel, apply_to_measure, 
     compose, identity_kernel, involution, schur_norm
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
-from .oscillation import OscReport, PhaseFunction, invertibility_condition, \
-    make_phase, oscillation_kernel, oscillation_report, refine_until, \
-    sigma_constant
+from .oscillation import OscReport, PhaseFunction, Screened, \
+    invertibility_condition, make_phase, oscillation_kernel, \
+    oscillation_report, refine_until, sigma_constant
 from .pipeline import DiscretizationResult, cross_check_inversion, \
     residual_suite, run_discretization
 from .quadrature import QuadratureSpace, product_grid, uniform_grid

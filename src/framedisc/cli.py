@@ -234,7 +234,8 @@ def cmd_osc(cfg: dict) -> int:
             cov, report = refine_until(model, weight, cfg["delta"],
                                        gamma_rule=cfg["gamma"],
                                        max_rounds=cfg["refine-max-rounds"])
-        except CertificationError:
+        except CertificationError as exc:
+            print(f"certification refused: {exc}", file=sys.stderr)
             return EXIT_PROPERTY
     else:
         gamma = make_phase(model, cfg["gamma"])

@@ -48,9 +48,17 @@ class Covering:
         n = self.space.n_points
         clean = []
         for s in self.sets:
-            idx = np.unique(np.asarray(s, dtype=int).reshape(-1))
-            if idx.size == 0:
+            try:
+                arr = np.asarray(s)
+            except ValueError as exc:
+                raise StructuralError(f"covering set {s!r} is not an index "
+                                      f"array") from exc
+            if arr.size == 0:
                 raise StructuralError("covering sets must be nonempty")
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise StructuralError(f"covering set entries must be integer "
+                                      f"point indices, got {arr.dtype} values")
+            idx = np.unique(arr.astype(int).reshape(-1))
             if idx.min() < 0 or idx.max() >= n:
                 raise StructuralError("covering set contains invalid point index")
             idx.setflags(write=False)
@@ -404,6 +412,9 @@ def covering_to_json(cov: Covering) -> dict:
 
 def covering_from_json(space: QuadratureSpace, doc: dict) -> Covering:
     try:
-        return Covering(space, tuple(np.asarray(s, dtype=int) for s in doc["sets"]))
+        sets = doc["sets"]
     except KeyError as exc:
         raise StructuralError(f"covering document missing key {exc}") from exc
+    if not isinstance(sets, (list, tuple)):
+        raise StructuralError("covering sets must be a list of index lists")
+    return Covering(space, tuple(sets))

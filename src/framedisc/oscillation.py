@@ -75,18 +75,52 @@ def make_phase(model: FrameModel, rule: str) -> PhaseFunction:
     raise StructuralError(f"unknown phase rule {rule!r}")
 
 
-def oscillation_kernel(model: FrameModel, cov: Covering,
-                       gamma: PhaseFunction) -> np.ndarray:
-    """Exact sup over the finite neighborhoods; nonnegative real kernel."""
+# Relative margin of refine_until's screening level delta * (1 + SCREEN_MARGIN).
+# The one-column dot in oscillation_kernel and the matrix-vector product in
+# schur_norm add the same nonnegative terms in different orders, which moves
+# a sum by at most about n * eps (below 5e-13 for n <= 4096). A column sum at
+# or above the level therefore proves osc_norm > delta, so the screen rejects
+# exactly the rounds whose full report would fail the budget.
+SCREEN_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class Screened:
+    """An oscillation scan stopped at ``column``, whose weighted Schur
+    column sum ``lower_bound`` bounds the oscillation norm from below."""
+
+    column: int
+    lower_bound: float
+
+
+def oscillation_kernel(model: FrameModel, cov: Covering, gamma: PhaseFunction,
+                       stop: tuple | None = None) -> np.ndarray | Screened:
+    """Exact sup over the finite neighborhoods; nonnegative real kernel.
+
+    Columns osc(., y) are computed in index order. With ``stop = (weight,
+    level)`` each column's weighted Schur sum sum_x mu_x osc(x, y) m(x, y) is
+    formed as well, and the scan returns ``Screened`` at the first column
+    whose sum reaches ``level``: the Schur norm is at least that sum, so the
+    columns left cannot bring it below ``level``.
+    """
     if cov.space is not model.space and cov.space.n_points != model.space.n_points:
         raise StructuralError("covering lives on a different space")
     r = model.kernel
     n = model.space.n_points
     out = np.empty((n, n))
+    if stop is not None:
+        weight, level = stop
+        mu = model.space.weights
+        m = None if weight._trivial else weight.matrix
     for y in range(n):
         zs = cov.q_neighborhood(y)
         diffs = np.abs(r[:, [y]] - r[:, zs] * gamma.table[y, zs][None, :])
-        out[:, y] = diffs.max(axis=1)
+        col = diffs.max(axis=1)
+        out[:, y] = col
+        if stop is not None:
+            total = float(mu @ (col if m is None else col * m[:, y]))
+            if total >= level:
+                return Screened(y, total)
     return out
 
 
@@ -137,11 +171,20 @@ class OscReport:
 
 
 def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       weight: Weight2D, delta: float) -> OscReport:
-    """Evaluate the oscillation budget; reports, never raises on failure."""
-    osc = oscillation_kernel(model, cov, gamma)
+                       weight: Weight2D, delta: float, *,
+                       osc: np.ndarray | None = None,
+                       r_norm: float | None = None) -> OscReport:
+    """Evaluate the oscillation budget; reports, never raises on failure.
+
+    ``osc`` (this covering's oscillation kernel under ``gamma``) and
+    ``r_norm`` (the Schur norm of R under ``weight``) are computed here
+    unless the caller already holds them.
+    """
+    if osc is None:
+        osc = oscillation_kernel(model, cov, gamma)
     osc_norm = schur_norm(model.space, osc, weight)
-    r_norm = schur_norm(model.space, model.kernel, weight)
+    if r_norm is None:
+        r_norm = schur_norm(model.space, model.kernel, weight)
     c_mu = weight_compatibility(cov, weight)
     sigma = sigma_constant(delta, r_norm, c_mu)
     lhs, inv_ok = invertibility_condition(delta, r_norm, c_mu)
@@ -171,12 +214,21 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
     round. Succeeds as soon as the oscillation norm is below ``delta`` and
     (when required) the invertibility condition holds; an all-singleton
     covering ends the search regardless, since its oscillation vanishes.
+    Each round's kernel is screened column by column: a round is rejected,
+    with no report, at the first column whose weighted Schur sum proves the
+    norm above ``delta``. Rounds that get through the screen are reported
+    from the kernel already computed, so the returned report is the one
+    ``oscillation_report`` gives for that covering.
     Raises CertificationError when ``max_rounds`` is exhausted first.
     """
     if delta <= 0:
         raise StructuralError("delta must be positive")
+    if max_rounds < 1:
+        raise StructuralError("max_rounds must be at least 1")
     space = model.space
     gamma = make_phase(model, gamma_rule)
+    r_norm = schur_norm(space, model.kernel, weight)
+    stop = (weight, delta * (1.0 + SCREEN_MARGIN))
     spans = space.points.max(axis=0) - space.points.min(axis=0)
     width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
 
@@ -187,21 +239,29 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
         if coords.size > 1:
             spacing[a] = np.diff(coords).min()
 
-    last = None
     for _ in range(max_rounds):
         if np.all(width >= spacing):
             cov = uniform_covering(space, width)
         else:
             cov = singleton_covering(space)
-        report = oscillation_report(model, cov, gamma, weight, delta)
-        last = (cov, report)
-        done = report.oscillation_ok and (
-            not require_invertibility or report.invertibility_ok)
-        singleton = all(s.size == 1 for s in cov.sets)
-        if done or (singleton and report.oscillation_ok):
-            return cov, report
+        scan = oscillation_kernel(model, cov, gamma, stop=stop)
+        if isinstance(scan, Screened):
+            last = scan
+        else:
+            last = oscillation_report(model, cov, gamma, weight, delta,
+                                      osc=scan, r_norm=r_norm)
+            done = last.oscillation_ok and (
+                not require_invertibility or last.invertibility_ok)
+            singleton = all(s.size == 1 for s in cov.sets)
+            if done or (singleton and last.oscillation_ok):
+                return cov, last
         width = width / 2.0
+    if isinstance(last, Screened):
+        found = (f"osc_norm >= {last.lower_bound:.3e} vs delta {delta:.3e}; "
+                 f"the bound is column {last.column}'s weighted Schur sum")
+    else:
+        found = f"osc_norm {last.osc_norm:.3e} vs delta {delta:.3e}"
     raise CertificationError(
         f"no covering met the oscillation budget within {max_rounds} rounds "
-        f"(last osc_norm {last[1].osc_norm:.3e} vs delta {delta:.3e})"
+        f"(last {found})"
     )

@@ -151,3 +151,44 @@ def set_masses_naive(sets, indices, coefficients):
             if int(idx) in members:
                 out[i] += abs(lam)
     return out
+
+
+def refine_until_naive(model, weight, delta, gamma_rule="kernel",
+                       max_rounds=12, require_invertibility=True):
+    """The covering search with every round's budget computed in full.
+
+    The same halving schedule as ``refine_until``, but each round builds the
+    complete ``oscillation_report`` (whole oscillation kernel, both Schur
+    norms, C_mU) before deciding, with no screening.
+    """
+    from framedisc import CertificationError, StructuralError, make_phase, \
+        oscillation_report, singleton_covering, uniform_covering
+
+    if delta <= 0:
+        raise StructuralError("delta must be positive")
+    space = model.space
+    gamma = make_phase(model, gamma_rule)
+    spans = space.points.max(axis=0) - space.points.min(axis=0)
+    width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
+    spacing = np.full(space.dim, np.inf)
+    for a in range(space.dim):
+        coords = np.unique(space.points[:, a])
+        if coords.size > 1:
+            spacing[a] = np.diff(coords).min()
+    report = None
+    for _ in range(max_rounds):
+        if np.all(width >= spacing):
+            cov = uniform_covering(space, width)
+        else:
+            cov = singleton_covering(space)
+        report = oscillation_report(model, cov, gamma, weight, delta)
+        done = report.oscillation_ok and (
+            not require_invertibility or report.invertibility_ok)
+        singleton = all(s.size == 1 for s in cov.sets)
+        if done or (singleton and report.oscillation_ok):
+            return cov, report
+        width = width / 2.0
+    raise CertificationError(
+        f"no covering met the oscillation budget within {max_rounds} rounds "
+        f"(last osc_norm {report.osc_norm:.3e} vs delta {delta:.3e})"
+    )

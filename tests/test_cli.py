@@ -141,6 +141,15 @@ class TestOsc:
         assert doc1 == doc2
         assert doc1["holds_D"] and doc1["holds_58"]
 
+    def test_refine_failure_explains_itself(self, tmp_path, capsys):
+        code, doc = run(tmp_path, "osc", model_kind="gabor", n_time=4, n_freq=16,
+                        window_width=2.0, delta=0.2, refine_max_rounds=1)
+        assert code == EXIT_PROPERTY
+        assert doc is None
+        err = capsys.readouterr().err
+        assert err.startswith("certification refused: no covering met")
+        assert "osc_norm >= " in err and "column 0" in err
+
 
 class TestDiscretize:
     def test_orthonormal_singleton_plan(self, tmp_path):
@@ -187,13 +196,23 @@ class TestDiscretize:
         assert doc is None
 
     @pytest.mark.parametrize("source", ["unknown-model-kind", "flag-not-a-number",
-                                        "json-not-a-number"])
+                                        "json-not-a-number", "set-entry-not-a-number",
+                                        "set-entry-fractional", "zero-refine-rounds"])
     def test_bad_config_exit_code(self, tmp_path, source):
         if source == "unknown-model-kind":
             code, _ = run(tmp_path, "discretize", model_kind="nonsense")
         elif source == "flag-not-a-number":
             code, _ = run(tmp_path, "validate", model_kind="orthonormal",
                           dim="abc", covering_width="singleton")
+        elif source == "set-entry-not-a-number":
+            code, _ = run(tmp_path, "validate", model_kind="orthonormal", dim=3,
+                          covering_sets='[["a"]]')
+        elif source == "set-entry-fractional":
+            code, _ = run(tmp_path, "validate", model_kind="orthonormal", dim=3,
+                          covering_sets="[[0.5,1],[2]]")
+        elif source == "zero-refine-rounds":
+            code, _ = run(tmp_path, "osc", model_kind="orthonormal", dim=3,
+                          refine_max_rounds=0)
         else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"model-kind": "orthonormal",

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import framedisc.oscillation as oscillation_module
 from framedisc import CertificationError, Covering, FrameModel, PhaseFunction, \
-    StructuralError, Weight2D, involution, invertibility_condition, make_phase, \
-    oscillation_kernel, oscillation_report, refine_until, schur_norm, \
-    sigma_constant, singleton_covering, uniform_covering, uniform_grid
+    Screened, StructuralError, Weight2D, WeightedLp, involution, \
+    invertibility_condition, make_phase, oscillation_kernel, \
+    oscillation_report, refine_until, schur_norm, sigma_constant, \
+    singleton_covering, uniform_covering, uniform_grid
 from framedisc.models import build_gabor_model, build_random_smooth_model
 
 from conftest import random_weight_matrix
-from oracles import osc_naive
+from oracles import osc_naive, refine_until_naive
 
 
 @pytest.fixture
@@ -195,3 +197,181 @@ class TestRefine:
         w = Weight2D.constant(smooth_model.space)
         with pytest.raises(CertificationError):
             refine_until(smooth_model, w, delta=1e-9, max_rounds=1)
+
+
+SCREEN_MODELS = {
+    "gabor-4x61": lambda: build_gabor_model(4, 61, 2.45),
+    "gabor-6x81": lambda: build_gabor_model(6, 81, 2.45),
+    "smooth": lambda: build_random_smooth_model(d=4, n_points=12,
+                                                smoothness=1.2, seed=3),
+}
+
+
+@pytest.fixture(scope="module")
+def screen_cases():
+    """Models and weights built once, plus a memo of the exact oscillation
+    kernels the oracle computes (they depend on the covering, not on delta
+    or the weight)."""
+    models = {name: build() for name, build in SCREEN_MODELS.items()}
+    return models, {}, {}
+
+
+def screen_weight(cases, model_name, rule):
+    models, weights, _ = cases
+    key = (model_name, rule)
+    if key not in weights:
+        space = models[model_name].space
+        w = np.ones(space.n_points) if rule == "unit" else \
+            np.exp(0.02 * np.linalg.norm(space.points, axis=1))
+        weights[key] = WeightedLp(space, 2.0, w).weight2d()
+    return models[model_name], weights[key]
+
+
+def outcome(search, *args, **kwargs):
+    try:
+        cov, rep = search(*args, **kwargs)
+    except CertificationError as exc:
+        return CertificationError, str(exc)
+    return cov.identifier(), rep.to_json_dict()
+
+
+def naive_outcome(cases, monkeypatch, model, *args, **kwargs):
+    kernels = cases[2]
+    exact = oscillation_module.oscillation_kernel
+
+    def memo(model, cov, gamma):
+        key = (id(model), cov.identifier(), gamma.rule)
+        if key not in kernels:
+            kernels[key] = exact(model, cov, gamma)
+        return kernels[key]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oscillation_module, "oscillation_kernel", memo)
+        return outcome(refine_until_naive, model, *args, **kwargs)
+
+
+def column0_sum(model, weight):
+    """Round 0's column-0 weighted Schur sum, as the screen forms it."""
+    spans = np.ptp(model.space.points, axis=0)
+    cov = uniform_covering(model.space,
+                           np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0)
+    scan = oscillation_kernel(model, cov, make_phase(model, "kernel"),
+                              stop=(weight, 0.0))
+    assert scan.column == 0
+    return scan.lower_bound
+
+
+def exact_search_cases():
+    """Every model, weight, delta, invertibility flag and round limit, except
+    that on Gabor 6x81 delta = 10 runs with max_rounds = 12 alone: its round
+    0 passes the screen and costs a full n^3 kernel, and max_rounds = 1 would
+    stop after that same round (the 4x61 cases cover that stop)."""
+    cases = []
+    for model_name in sorted(SCREEN_MODELS):
+        for rule in ("unit", "exp"):
+            for delta in (0.2, 3.2, 5.5, 10.0):
+                for require_inv in (True, False):
+                    for max_rounds in (1, 12):
+                        if (model_name == "gabor-6x81" and delta == 10.0
+                                and max_rounds == 1):
+                            continue
+                        cases.append((model_name, rule, delta, require_inv,
+                                      max_rounds))
+    return cases
+
+
+class TestRefineScreen:
+    @pytest.mark.parametrize("model_name,rule,delta,require_inv,max_rounds",
+                             exact_search_cases())
+    def test_matches_exact_search(self, screen_cases, monkeypatch, model_name,
+                                  rule, delta, require_inv, max_rounds):
+        model, w = screen_weight(screen_cases, model_name, rule)
+        opts = dict(max_rounds=max_rounds, require_invertibility=require_inv)
+        got = outcome(refine_until, model, w, delta, **opts)
+        want = naive_outcome(screen_cases, monkeypatch, model, w, delta, **opts)
+        assert got[0] == want[0]
+        if got[0] is CertificationError:
+            prefix = want[1].split("(")[0]
+            assert got[1].startswith(prefix)
+            if ">=" not in got[1]:
+                assert got[1] == want[1]
+        else:
+            assert got[1] == want[1]
+
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    @pytest.mark.parametrize("model_name,rule", [
+        ("gabor-4x61", "unit"), ("gabor-4x61", "exp"), ("gabor-6x81", "unit"),
+        ("smooth", "unit"), ("smooth", "exp")])
+    def test_matches_exact_search_at_column0_sum(self, screen_cases, monkeypatch,
+                                                 model_name, rule, side):
+        """delta on round 0's column-0 sum and one ulp either side. These
+        deltas pass round 0's screen, so on 6x81 each case costs a full n^3
+        kernel; one weight is enough there."""
+        model, w = screen_weight(screen_cases, model_name, rule)
+        delta = column0_sum(model, w)
+        if side:
+            delta = float(np.nextafter(delta, side * np.inf))
+        opts = dict(max_rounds=12, require_invertibility=False)
+        got = outcome(refine_until, model, w, delta, **opts)
+        want = naive_outcome(screen_cases, monkeypatch, model, w, delta, **opts)
+        assert got == want
+
+    def test_rejected_rounds_stop_early(self, screen_cases, monkeypatch):
+        model, w = screen_weight(screen_cases, "gabor-6x81", "unit")
+        n = model.space.n_points
+        calls = {}
+        q_neighborhood = Covering.q_neighborhood
+
+        def counting(cov, y):
+            calls[cov] = calls.get(cov, 0) + 1
+            return q_neighborhood(cov, y)
+
+        monkeypatch.setattr(Covering, "q_neighborhood", counting)
+        cov, rep = refine_until(model, w, delta=0.2)
+        rejected = [count for c, count in calls.items() if c is not cov]
+        assert rejected and all(count < n for count in rejected)
+        assert calls[cov] == n
+        assert rep.oscillation_ok
+
+    def test_screened_exhaustion_names_bound_and_column(self, screen_cases):
+        model, w = screen_weight(screen_cases, "gabor-6x81", "unit")
+        bound = column0_sum(model, w)
+        with pytest.raises(CertificationError) as err:
+            refine_until(model, w, delta=0.2, max_rounds=1)
+        msg = str(err.value)
+        assert f"osc_norm >= {bound:.3e}" in msg
+        assert "column 0" in msg
+
+    def test_screen_stops_at_first_column_reaching_level(self):
+        model = build_gabor_model(4, 16, 2.0)
+        cov = uniform_covering(model.space, 2.0)
+        gamma = make_phase(model, "kernel")
+        w = Weight2D.constant(model.space)
+        osc = oscillation_kernel(model, cov, gamma)
+        sums = model.space.weights @ osc
+        level = float(np.sort(sums)[-2])
+        scan = oscillation_kernel(model, cov, gamma, stop=(w, level))
+        assert isinstance(scan, Screened)
+        first = int(np.flatnonzero(sums >= level)[0])
+        assert scan.column == first
+        assert scan.lower_bound == pytest.approx(sums[first], rel=1e-14)
+        assert scan.lower_bound <= schur_norm(model.space, osc, w)
+        full = oscillation_kernel(model, cov, gamma,
+                                  stop=(w, float(sums.max()) * 2.0))
+        assert np.array_equal(full, osc)
+
+    def test_report_from_given_kernel_is_unchanged(self, smooth_model):
+        cov = uniform_covering(smooth_model.space, 0.25)
+        gamma = make_phase(smooth_model, "kernel")
+        w = Weight2D.constant(smooth_model.space)
+        fresh = oscillation_report(smooth_model, cov, gamma, w, 0.3)
+        given = oscillation_report(
+            smooth_model, cov, gamma, w, 0.3,
+            osc=oscillation_kernel(smooth_model, cov, gamma),
+            r_norm=schur_norm(smooth_model.space, smooth_model.kernel, w))
+        assert given.to_json_dict() == fresh.to_json_dict()
+
+    def test_zero_rounds_rejected(self, smooth_model):
+        with pytest.raises(StructuralError):
+            refine_until(smooth_model, Weight2D.constant(smooth_model.space),
+                         delta=0.5, max_rounds=0)
