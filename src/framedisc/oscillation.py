@@ -111,14 +111,13 @@ def oscillation_kernel(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     if stop is not None:
         weight, level = stop
         mu = model.space.weights
-        m = None if weight._trivial else weight.matrix
     for y in range(n):
         zs = cov.q_neighborhood(y)
         diffs = np.abs(r[:, [y]] - r[:, zs] * gamma.table[y, zs][None, :])
         col = diffs.max(axis=1)
         out[:, y] = col
         if stop is not None:
-            total = float(mu @ (col if m is None else col * m[:, y]))
+            total = float(mu @ (col * weight.matrix[:, y]))
             if total >= level:
                 return Screened(y, total)
     return out
