@@ -94,7 +94,8 @@ class Screened:
 
 
 def oscillation_kernel(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       stop: tuple | None = None) -> np.ndarray | Screened:
+                       stop: tuple[Weight2D, float] | None = None
+                       ) -> np.ndarray | Screened:
     """Exact sup over the finite neighborhoods; nonnegative real kernel.
 
     Columns osc(., y) are computed in index order. With ``stop = (weight,

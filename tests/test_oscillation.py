@@ -208,23 +208,22 @@ SCREEN_MODELS = {
 
 
 @pytest.fixture(scope="module")
-def screen_cases():
-    """Models and weights built once, plus a memo of the exact oscillation
-    kernels the oracle computes (they depend on the covering, not on delta
-    or the weight)."""
-    models = {name: build() for name, build in SCREEN_MODELS.items()}
-    return models, {}, {}
+def screen_models():
+    return {name: build() for name, build in SCREEN_MODELS.items()}
 
 
-def screen_weight(cases, model_name, rule):
-    models, weights, _ = cases
-    key = (model_name, rule)
-    if key not in weights:
-        space = models[model_name].space
-        w = np.ones(space.n_points) if rule == "unit" else \
-            np.exp(0.02 * np.linalg.norm(space.points, axis=1))
-        weights[key] = WeightedLp(space, 2.0, w).weight2d()
-    return models[model_name], weights[key]
+@pytest.fixture(scope="module")
+def exact_kernels():
+    """Memo of the oracle's exact oscillation kernels; they depend on the
+    covering, not on delta or the weight."""
+    return {}
+
+
+def screen_weight(model, rule):
+    space = model.space
+    w = np.ones(space.n_points) if rule == "unit" else \
+        np.exp(0.02 * np.linalg.norm(space.points, axis=1))
+    return WeightedLp(space, 2.0, w).weight2d()
 
 
 def outcome(search, *args, **kwargs):
@@ -235,8 +234,7 @@ def outcome(search, *args, **kwargs):
     return cov.identifier(), rep.to_json_dict()
 
 
-def naive_outcome(cases, monkeypatch, model, *args, **kwargs):
-    kernels = cases[2]
+def naive_outcome(kernels, monkeypatch, model, *args, **kwargs):
     exact = oscillation_module.oscillation_kernel
 
     def memo(model, cov, gamma):
@@ -283,12 +281,14 @@ def exact_search_cases():
 class TestRefineScreen:
     @pytest.mark.parametrize("model_name,rule,delta,require_inv,max_rounds",
                              exact_search_cases())
-    def test_matches_exact_search(self, screen_cases, monkeypatch, model_name,
-                                  rule, delta, require_inv, max_rounds):
-        model, w = screen_weight(screen_cases, model_name, rule)
+    def test_matches_exact_search(self, screen_models, exact_kernels, monkeypatch,
+                                  model_name, rule, delta, require_inv,
+                                  max_rounds):
+        model = screen_models[model_name]
+        w = screen_weight(model, rule)
         opts = dict(max_rounds=max_rounds, require_invertibility=require_inv)
         got = outcome(refine_until, model, w, delta, **opts)
-        want = naive_outcome(screen_cases, monkeypatch, model, w, delta, **opts)
+        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta, **opts)
         assert got[0] == want[0]
         if got[0] is CertificationError:
             prefix = want[1].split("(")[0]
@@ -302,22 +302,25 @@ class TestRefineScreen:
     @pytest.mark.parametrize("model_name,rule", [
         ("gabor-4x61", "unit"), ("gabor-4x61", "exp"), ("gabor-6x81", "unit"),
         ("smooth", "unit"), ("smooth", "exp")])
-    def test_matches_exact_search_at_column0_sum(self, screen_cases, monkeypatch,
-                                                 model_name, rule, side):
+    def test_matches_exact_search_at_column0_sum(self, screen_models, exact_kernels,
+                                                 monkeypatch, model_name, rule,
+                                                 side):
         """delta on round 0's column-0 sum and one ulp either side. These
         deltas pass round 0's screen, so on 6x81 each case costs a full n^3
         kernel; one weight is enough there."""
-        model, w = screen_weight(screen_cases, model_name, rule)
+        model = screen_models[model_name]
+        w = screen_weight(model, rule)
         delta = column0_sum(model, w)
         if side:
             delta = float(np.nextafter(delta, side * np.inf))
         opts = dict(max_rounds=12, require_invertibility=False)
         got = outcome(refine_until, model, w, delta, **opts)
-        want = naive_outcome(screen_cases, monkeypatch, model, w, delta, **opts)
+        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta, **opts)
         assert got == want
 
-    def test_rejected_rounds_stop_early(self, screen_cases, monkeypatch):
-        model, w = screen_weight(screen_cases, "gabor-6x81", "unit")
+    def test_rejected_rounds_stop_early(self, screen_models, monkeypatch):
+        model = screen_models["gabor-6x81"]
+        w = screen_weight(model, "unit")
         n = model.space.n_points
         calls = {}
         q_neighborhood = Covering.q_neighborhood
@@ -333,8 +336,9 @@ class TestRefineScreen:
         assert calls[cov] == n
         assert rep.oscillation_ok
 
-    def test_screened_exhaustion_names_bound_and_column(self, screen_cases):
-        model, w = screen_weight(screen_cases, "gabor-6x81", "unit")
+    def test_screened_exhaustion_names_bound_and_column(self, screen_models):
+        model = screen_models["gabor-6x81"]
+        w = screen_weight(model, "unit")
         bound = column0_sum(model, w)
         with pytest.raises(CertificationError) as err:
             refine_until(model, w, delta=0.2, max_rounds=1)
