@@ -171,20 +171,17 @@ class OscReport:
 
 
 def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       weight: Weight2D, delta: float, *,
-                       osc: np.ndarray | None = None,
-                       r_norm: float | None = None) -> OscReport:
-    """Evaluate the oscillation budget; reports, never raises on failure.
+                       weight: Weight2D, delta: float) -> OscReport:
+    """Evaluate the oscillation budget; reports, never raises on failure."""
+    return _report(model, cov, gamma, weight, delta,
+                   oscillation_kernel(model, cov, gamma))
 
-    ``osc`` (this covering's oscillation kernel under ``gamma``) and
-    ``r_norm`` (the Schur norm of R under ``weight``) are computed here
-    unless the caller already holds them.
-    """
-    if osc is None:
-        osc = oscillation_kernel(model, cov, gamma)
+
+def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
+            weight: Weight2D, delta: float, osc: np.ndarray) -> OscReport:
+    """The budget from ``osc``, this covering's kernel under ``gamma``."""
     osc_norm = schur_norm(model.space, osc, weight)
-    if r_norm is None:
-        r_norm = schur_norm(model.space, model.kernel, weight)
+    r_norm = schur_norm(model.space, model.kernel, weight)
     c_mu = weight_compatibility(cov, weight)
     sigma = sigma_constant(delta, r_norm, c_mu)
     lhs, inv_ok = invertibility_condition(delta, r_norm, c_mu)
@@ -203,6 +200,15 @@ def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
         overlap_bound=cov.overlap_bound,
         n_sets=cov.n_sets,
     )
+
+
+def _floor_4(x: float) -> float:
+    """``x`` rounded down to four significant digits, so that a printed lower
+    bound stays below the value it bounds."""
+    from decimal import ROUND_FLOOR, Decimal
+    d = Decimal(x)
+    return float(d.quantize(Decimal(1).scaleb(d.adjusted() - 3),
+                            rounding=ROUND_FLOOR))
 
 
 def refine_until(model: FrameModel, weight: Weight2D, delta: float,
@@ -227,7 +233,6 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
         raise StructuralError("max_rounds must be at least 1")
     space = model.space
     gamma = make_phase(model, gamma_rule)
-    r_norm = schur_norm(space, model.kernel, weight)
     stop = (weight, delta * (1.0 + SCREEN_MARGIN))
     spans = space.points.max(axis=0) - space.points.min(axis=0)
     width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
@@ -248,8 +253,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
         if isinstance(scan, Screened):
             last = scan
         else:
-            last = oscillation_report(model, cov, gamma, weight, delta,
-                                      osc=scan, r_norm=r_norm)
+            last = _report(model, cov, gamma, weight, delta, scan)
             done = last.oscillation_ok and (
                 not require_invertibility or last.invertibility_ok)
             singleton = all(s.size == 1 for s in cov.sets)
@@ -257,7 +261,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
                 return cov, last
         width = width / 2.0
     if isinstance(last, Screened):
-        found = (f"osc_norm >= {last.lower_bound:.3e} vs delta {delta:.3e}; "
+        found = (f"osc_norm >= {_floor_4(last.lower_bound):.3e} vs delta {delta:.3e}; "
                  f"the bound is column {last.column}'s weighted Schur sum")
     else:
         found = f"osc_norm {last.osc_norm:.3e} vs delta {delta:.3e}"

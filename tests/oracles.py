@@ -159,7 +159,8 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
 
     The same halving schedule as ``refine_until``, but each round builds the
     complete ``oscillation_report`` (whole oscillation kernel, both Schur
-    norms, C_mU) before deciding, with no screening.
+    norms, C_mU) before deciding, with no screening. When the rounds run
+    out, the raised error carries the last round's report as ``last_report``.
     """
     from framedisc import CertificationError, StructuralError, make_phase, \
         oscillation_report, singleton_covering, uniform_covering
@@ -188,7 +189,9 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
         if done or (singleton and report.oscillation_ok):
             return cov, report
         width = width / 2.0
-    raise CertificationError(
+    err = CertificationError(
         f"no covering met the oscillation budget within {max_rounds} rounds "
         f"(last osc_norm {report.osc_norm:.3e} vs delta {delta:.3e})"
     )
+    err.last_report = report
+    raise err
