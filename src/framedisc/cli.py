@@ -105,9 +105,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
         kind = float if key == "p" else type(default)
         try:
             cfg[key] = kind(cfg[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StructuralError(
                 f"{key}: {cfg[key]!r} is not a valid {kind.__name__}") from exc
+        if kind is float and not np.isfinite(cfg[key]):
+            raise StructuralError(f"{key}: {cfg[key]!r} is not finite")
     if isinstance(cfg.get("covering-sets"), str):
         cfg["covering-sets"] = json.loads(cfg["covering-sets"])
     cfg["covering-width"] = _parse_widths(cfg.get("covering-width"))
@@ -230,13 +232,9 @@ def cmd_osc(cfg: dict) -> int:
     weight = Y.weight2d()
     cov = build_covering_on(cfg, model.space)
     if cov is None:
-        try:
-            cov, report = refine_until(model, weight, cfg["delta"],
-                                       gamma_rule=cfg["gamma"],
-                                       max_rounds=cfg["refine-max-rounds"])
-        except CertificationError as exc:
-            print(f"certification refused: {exc}", file=sys.stderr)
-            return EXIT_PROPERTY
+        cov, report = refine_until(model, weight, cfg["delta"],
+                                   gamma_rule=cfg["gamma"],
+                                   max_rounds=cfg["refine-max-rounds"])
     else:
         gamma = make_phase(model, cfg["gamma"])
         report = oscillation_report(model, cov, gamma, weight, cfg["delta"])
@@ -294,6 +292,8 @@ def cmd_report_merge(paths: list, output: str | None) -> int:
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise StructuralError(f"{path}: a report must be a JSON object")
         flat: dict = {"report": path}
         flatten("", doc, flat)
         rows.append(flat)

@@ -89,10 +89,6 @@ class Covering:
         """Number of sets containing each point."""
         return np.bincount(self.flat_points, minlength=self.space.n_points)
 
-    @property
-    def covers_all(self) -> bool:
-        return bool(np.all(self.cover_counts > 0))
-
     @cached_property
     def measures(self) -> np.ndarray:
         """mu(U_i)."""

@@ -102,7 +102,7 @@ def apply_smoothed(model: FrameModel, plan: SamplingPlan, gamma: PhaseFunction,
     """
     arr = model.space.check_function(F)
     xs = plan.samples
-    phases = np.conj(gamma.table[:, xs])              # (n, n_sets) over y
+    phases = np.conj(gamma(np.arange(arr.size)[:, None], xs))   # (n, n_sets) over y
     g = (phases * plan.pou.phi.T) @ arr[xs]
     return model.kernel @ (model.space.weights * g)
 

@@ -25,17 +25,20 @@ from .models import FrameModel
 from .quadrature import QuadratureSpace
 
 
+# |R| <= PHASE_EPS carries no usable phase; the kernel rule uses phase one there.
+PHASE_EPS = 1e-12
+
+
 class PhaseFunction:
-    """Unimodular table Gamma(y, z), stored dense.
+    """Unimodular phase Gamma(y, z); ``gamma(y, z)`` reads it at index arrays
+    broadcast together. ``make_phase`` builds the rules ``one`` (the constant
+    phase, plain kernel oscillation) and ``kernel`` (Gamma(y, z) = R(z, y)/
+    |R(z, y)|, which cancels the kernel's own rotation and typically shrinks
+    the oscillation norm); both are read off the kernel, with no n x n table.
+    Choosing the phase that minimizes the oscillation norm is an open
+    problem; any unimodular n x n table can be supplied directly."""
 
-    Built-in rules: ``one`` (the constant phase, recovering plain kernel
-    oscillation) and ``kernel`` (the phase of R(z, y), which cancels the
-    kernel's own rotation and typically shrinks the oscillation norm).
-    Choosing the unimodular table that minimizes the oscillation norm is an
-    open optimization problem; arbitrary tables can be supplied directly.
-    """
-
-    def __init__(self, space: QuadratureSpace, table, rule: str = "table"):
+    def __init__(self, space: QuadratureSpace, table):
         tab = np.ascontiguousarray(np.asarray(table, dtype=complex))
         n = space.n_points
         if tab.shape != (n, n):
@@ -45,34 +48,35 @@ class PhaseFunction:
             raise StructuralError("phase values must have modulus one")
         tab.setflags(write=False)
         self.space = space
-        self.table = tab
+        self.rule = "table"
+        self._table = tab
+
+    def __call__(self, y, z) -> np.ndarray:
+        return self._table[y, z]
+
+
+class _RulePhase(PhaseFunction):
+    """A built-in rule, evaluated from the model's kernel on demand."""
+
+    def __init__(self, model: FrameModel, rule: str):
+        self.space = model.space
         self.rule = rule
+        self._model = model
 
-    @classmethod
-    def ones(cls, space: QuadratureSpace) -> "PhaseFunction":
-        return cls(space, np.ones((space.n_points, space.n_points), dtype=complex),
-                   rule="one")
-
-    @classmethod
-    def from_kernel(cls, model: FrameModel, eps: float = 1e-12) -> "PhaseFunction":
-        """Gamma(y, z) = R(z, y)/|R(z, y)|, with phase 1 wherever |R| <= eps.
-
-        The diagonal is exactly one: R(y, y) is a positive quadratic form.
-        """
-        r = model.kernel
+    def __call__(self, y, z) -> np.ndarray:
+        if self.rule == "one":
+            return np.ones(np.broadcast(y, z).shape, dtype=complex)
+        r = self._model.kernel[z, y]
         mag = np.abs(r)
-        tab = np.where(mag > eps, r / np.where(mag > eps, mag, 1.0), 1.0)
-        tab = tab.T.copy()
-        np.fill_diagonal(tab, 1.0)
-        return cls(model.space, tab, rule="kernel")
+        big = mag > PHASE_EPS
+        # phase one on the diagonal: R(y, y) is a positive quadratic form
+        return np.where(big & (y != z), r / np.where(big, mag, 1.0), 1.0)
 
 
 def make_phase(model: FrameModel, rule: str) -> PhaseFunction:
-    if rule == "one":
-        return PhaseFunction.ones(model.space)
-    if rule == "kernel":
-        return PhaseFunction.from_kernel(model)
-    raise StructuralError(f"unknown phase rule {rule!r}")
+    if rule not in ("one", "kernel"):
+        raise StructuralError(f"unknown phase rule {rule!r}")
+    return _RulePhase(model, rule)
 
 
 # Relative margin of refine_until's screening level delta * (1 + SCREEN_MARGIN).
@@ -114,7 +118,7 @@ def oscillation_kernel(model: FrameModel, cov: Covering, gamma: PhaseFunction,
         mu = model.space.weights
     for y in range(n):
         zs = cov.q_neighborhood(y)
-        diffs = np.abs(r[:, [y]] - r[:, zs] * gamma.table[y, zs][None, :])
+        diffs = np.abs(r[:, [y]] - r[:, zs] * gamma(y, zs)[None, :])
         col = diffs.max(axis=1)
         out[:, y] = col
         if stop is not None:

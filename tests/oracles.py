@@ -96,6 +96,21 @@ def q_neighborhoods_naive(sets, n_points):
     return q_of
 
 
+def phase_table_naive(kernel, rule):
+    """Gamma(y, z) for every pair: 1 for rule "one"; for rule "kernel" the
+    phase of R(z, y), or 1 where |R(z, y)| <= 1e-12 and on the diagonal."""
+    n = kernel.shape[0]
+    out = np.ones((n, n), dtype=complex)
+    if rule == "one":
+        return out
+    for y in range(n):
+        for z in range(n):
+            value = complex(kernel[z][y])
+            if z != y and abs(value) > 1e-12:
+                out[y][z] = value / abs(value)
+    return out
+
+
 def osc_naive(kernel, sets, gamma):
     """Triple loop over (x, y, z in Q_y)."""
     n = kernel.shape[0]

@@ -27,7 +27,7 @@ from framedisc.spaces import SequenceNorms, flat_equivalence_interval, \
     lp_sequence_norm, sup_embedding_report
 
 from conftest import random_kernel, random_weight_matrix
-from oracles import osc_naive, schur_norm_naive
+from oracles import osc_naive, phase_table_naive, schur_norm_naive
 
 
 @contextmanager
@@ -117,10 +117,11 @@ def test_criterion_3_oscillation_oracle():
             pieces = np.split(np.arange(n), edges)
             sets = [p for p in pieces if p.size] + [np.arange(n // 2 + 1)]
             cov = Covering(model.space, tuple(sets))
-            gamma = make_phase(model, "kernel" if trial % 2 else "one")
+            rule = "kernel" if trial % 2 else "one"
+            gamma = make_phase(model, rule)
             got = oscillation_kernel(model, cov, gamma)
             want = osc_naive(model.kernel, [s.tolist() for s in sets],
-                             gamma.table)
+                             phase_table_naive(model.kernel, rule))
             assert np.max(np.abs(got - want)) <= 1e-14
             singleton = singleton_covering(model.space)
             assert np.all(oscillation_kernel(model, singleton, gamma) == 0.0)

@@ -142,13 +142,15 @@ class TestOsc:
         assert doc1["holds_D"] and doc1["holds_58"]
 
     def test_refine_failure_explains_itself(self, tmp_path, capsys):
-        code, doc = run(tmp_path, "osc", model_kind="gabor", n_time=4, n_freq=16,
-                        window_width=2.0, delta=0.2, refine_max_rounds=1)
-        assert code == EXIT_PROPERTY
-        assert doc is None
-        err = capsys.readouterr().err
-        assert err.startswith("certification refused: no covering met")
-        assert "osc_norm >= " in err and "column 0" in err
+        for command in ("osc", "discretize"):
+            code, doc = run(tmp_path, command, model_kind="gabor", n_time=4,
+                            n_freq=16, window_width=2.0, delta=0.2,
+                            refine_max_rounds=1)
+            assert code == EXIT_CERTIFICATION
+            assert doc is None
+            err = capsys.readouterr().err
+            assert err.startswith("certification refused: no covering met")
+            assert "osc_norm >= " in err and "column 0" in err
 
 
 class TestDiscretize:
@@ -197,7 +199,8 @@ class TestDiscretize:
 
     @pytest.mark.parametrize("source", ["unknown-model-kind", "flag-not-a-number",
                                         "json-not-a-number", "set-entry-not-a-number",
-                                        "set-entry-fractional", "zero-refine-rounds"])
+                                        "set-entry-fractional", "zero-refine-rounds",
+                                        "delta-nan", "delta-inf", "inversion-tol-nan"])
     def test_bad_config_exit_code(self, tmp_path, source):
         if source == "unknown-model-kind":
             code, _ = run(tmp_path, "discretize", model_kind="nonsense")
@@ -213,6 +216,15 @@ class TestDiscretize:
         elif source == "zero-refine-rounds":
             code, _ = run(tmp_path, "osc", model_kind="orthonormal", dim=3,
                           refine_max_rounds=0)
+        elif source in ("delta-nan", "delta-inf"):
+            code, _ = run(tmp_path, "osc", model_kind="orthonormal", dim=3,
+                          covering_width=1, delta=source.split("-")[1])
+        elif source == "inversion-tol-nan":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"model-kind": "orthonormal",
+                                       "covering-width": "singleton",
+                                       "inversion-tol": "nan"}))
+            code = main(["discretize", "--config", str(cfg)])
         else:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"model-kind": "orthonormal",
@@ -267,3 +279,9 @@ class TestReportMerge:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert "osc_norm" in lines[0]
+
+    def test_non_object_report_is_config_error(self, tmp_path, capsys):
+        report = tmp_path / "f.json"
+        report.write_text("[1, 2]")
+        assert main(["report-merge", str(report)]) == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from framedisc import CertificationError, Covering, FrameModel, PhaseFunction, \
     invertibility_condition, make_phase, oscillation_kernel, \
     oscillation_report, refine_until, schur_norm, sigma_constant, \
     singleton_covering, uniform_covering, uniform_grid
-from framedisc.models import build_gabor_model, build_random_smooth_model
+from framedisc.models import build_gabor_model, build_orthonormal_model, \
+    build_random_smooth_model
 
 from conftest import random_weight_matrix
-from oracles import osc_naive, refine_until_naive
+from oracles import osc_naive, phase_table_naive, refine_until_naive
 
 
 @pytest.fixture
@@ -38,7 +40,7 @@ class TestOscillationKernel:
         oscillation for the constant phase, whatever the covering."""
         model = constant_frame_model()
         cov = uniform_covering(model.space, 3.0)
-        osc = oscillation_kernel(model, cov, PhaseFunction.ones(model.space))
+        osc = oscillation_kernel(model, cov, make_phase(model, "one"))
         assert np.max(osc) <= 1e-15
 
     def test_matches_triple_loop(self, rng):
@@ -51,7 +53,7 @@ class TestOscillationKernel:
             gamma = make_phase(model, "kernel")
             got = oscillation_kernel(model, cov, gamma)
             want = osc_naive(model.kernel, [s.tolist() for s in sets],
-                             gamma.table)
+                             phase_table_naive(model.kernel, "kernel"))
             assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_nonnegative(self, smooth_model):
@@ -64,7 +66,7 @@ class TestOscillationKernel:
         model = build_gabor_model(6, 6, 2.4)
         coarse = uniform_covering(model.space, 4.0)
         fine = uniform_covering(model.space, 2.0)
-        gamma = PhaseFunction.ones(model.space)
+        gamma = make_phase(model, "one")
         osc_coarse = oscillation_kernel(model, coarse, gamma)
         osc_fine = oscillation_kernel(model, fine, gamma)
         # aligned dyadic boxes: every fine neighborhood sits in a coarse one
@@ -95,20 +97,62 @@ class TestOscillationKernel:
                     assert np.all(r[:, z] <= osc[:, y] + r[:, y] + 1e-13)
 
 
+def full_table(gamma):
+    """Gamma(y, z) at every pair of grid points, read through ``gamma``."""
+    y, z = np.indices((gamma.space.n_points,) * 2)
+    return gamma(y, z)
+
+
 class TestPhaseFunctions:
     def test_constant_rule_table(self, smooth_model):
         gamma = make_phase(smooth_model, "one")
-        assert np.all(gamma.table == 1.0)
+        assert np.all(full_table(gamma) == 1.0)
 
     def test_kernel_phase_unimodular_and_diagonal_one(self, smooth_model):
-        gamma = make_phase(smooth_model, "kernel")
-        assert np.max(np.abs(np.abs(gamma.table) - 1.0)) <= 1e-14
-        assert np.max(np.abs(np.diagonal(gamma.table) - 1.0)) <= 1e-12
+        table = full_table(make_phase(smooth_model, "kernel"))
+        assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-14
+        assert np.max(np.abs(np.diagonal(table) - 1.0)) <= 1e-12
 
     def test_positive_kernel_gives_constant_phase(self):
         model = constant_frame_model()
         gamma = make_phase(model, "kernel")
-        assert np.allclose(gamma.table, 1.0, atol=1e-14)
+        assert np.allclose(full_table(gamma), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("rule", ["one", "kernel"])
+    def test_rules_hold_no_dense_array(self, rule):
+        """A built-in rule keeps no n x n array and allocates none."""
+        model = build_gabor_model(6, 81, 2.0)
+        n = model.space.n_points
+        model.kernel                           # built before measuring
+        tracemalloc.start()
+        try:
+            gamma = make_phase(model, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+        assert not any(isinstance(v, np.ndarray) and v.size >= n * n
+                       for v in vars(gamma).values())
+        assert gamma.rule == rule
+
+    @pytest.mark.parametrize("rule", ["one", "kernel"])
+    def test_rows_match_oracle(self, rule):
+        """Gamma(y, zs) for one y at a time matches the loop oracle, on a
+        kernel with exact zeros (orthonormal model) and one without."""
+        orthonormal = build_orthonormal_model(5)
+        assert np.any(orthonormal.kernel == 0.0)
+        for model in (orthonormal,
+                      build_random_smooth_model(d=4, n_points=12,
+                                                smoothness=1.2, seed=3)):
+            n = model.space.n_points
+            want = phase_table_naive(model.kernel, rule)
+            gamma = make_phase(model, rule)
+            for y in range(n):
+                got = gamma(y, np.arange(n))
+                assert got.shape == (n,)
+                assert np.max(np.abs(got - want[y])) <= 1e-15
+                assert got[y] == 1.0
+                assert np.all(gamma(y, np.array([y])) == 1.0)
 
     def test_kernel_phase_shrinks_gabor_oscillation(self):
         model = build_gabor_model(16, 16, 4.0)
@@ -124,10 +168,12 @@ class TestPhaseFunctions:
         n = smooth_model.space.n_points
         table = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
         gamma = PhaseFunction(smooth_model.space, table)
+        assert gamma.rule == "table"
+        assert np.array_equal(full_table(gamma), table)
         cov = uniform_covering(smooth_model.space, 0.3)
         got = oscillation_kernel(smooth_model, cov, gamma)
         want = osc_naive(smooth_model.kernel,
-                         [s.tolist() for s in cov.sets], gamma.table)
+                         [s.tolist() for s in cov.sets], table)
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_non_unimodular_table_rejected(self, smooth_model):
