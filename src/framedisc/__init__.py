@@ -15,8 +15,7 @@ from .discretize import SamplingInverse, SamplingPlan, apply_sampling, \
     hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
     sampled_row_kernel, select_samples, synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure, Weight2D, apply_kernel, apply_to_measure, \
-    compose, identity_kernel, involution, schur_norm
+from .kernels import DiscreteMeasure, Weight2D, schur_norm
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from .oscillation import OscReport, PhaseFunction, Screened, \

@@ -128,6 +128,12 @@ class Covering:
         vals = np.asarray(values)[self.flat_points]
         return np.add.reduceat(vals, self._set_starts, axis=0)
 
+    def set_extrema(self, values) -> tuple:
+        """(max, min) over x in U_i of values[x], for every set i."""
+        vals = np.asarray(values)[self.flat_points]
+        return (np.maximum.reduceat(vals, self._set_starts),
+                np.minimum.reduceat(vals, self._set_starts))
+
     def point_sums(self, values) -> np.ndarray:
         """out[x] = sum over sets U_i containing x of values[i], for
         (n_sets, ...) values; points in no set get 0."""
@@ -186,11 +192,10 @@ def validate_covering(cov: Covering) -> CoveringReport:
 
 
 def weight_compatibility(cov: Covering, weight: Weight2D) -> float:
-    """Largest value of the two-point weight inside any single covering set."""
-    best = 0.0
-    for idx in cov.sets:
-        best = max(best, float(weight.matrix[np.ix_(idx, idx)].max()))
-    return best
+    """Largest value of the two-point weight inside any single covering set,
+    max_i max w(U_i) / min w(U_i)."""
+    hi, lo = cov.set_extrema(weight.w)
+    return float(np.max(hi / lo))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,9 +279,10 @@ def check_m_equivalent(cov_u: Covering, cov_v: Covering,
     if cov_u.n_sets != cov_v.n_sets:
         raise StructuralError("coverings must share one index set")
     ratios = cov_v.measures / cov_u.measures
-    cross = 0.0
-    for ui, vi in zip(cov_u.sets, cov_v.sets):
-        cross = max(cross, float(weight.matrix[np.ix_(ui, vi)].max()))
+    # sup of m over U_i x V_i: the larger of the two extreme quotients
+    hi_u, lo_u = cov_u.set_extrema(weight.w)
+    hi_v, lo_v = cov_v.set_extrema(weight.w)
+    cross = float(np.max(np.maximum(hi_u / lo_v, hi_v / lo_u)))
     c1, c2 = float(ratios.min()), float(ratios.max())
     ok = np.isfinite(c1) and np.isfinite(c2) and np.isfinite(cross) and c1 > 0
     return EquivalenceReport(bool(ok), c1, c2, cross)

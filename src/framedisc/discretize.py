@@ -429,7 +429,7 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     d_const = schur_norm(space, sampled_row_kernel(model, plan), weight)
     sigma = report.sigma
     meas_const = report.osc_norm + report.r_norm
-    m_v = Weight2D.from_pointwise(space, weight.v, weight.ref_index)
+    m_v = Weight2D(space, weight.v, weight.ref_index)
     sup_space = sup_infinity_space(Y, weight)
     range_sup_const = (schur_norm(space, report.osc, m_v)
                        + schur_norm(space, model.kernel, m_v)) \

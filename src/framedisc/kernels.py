@@ -6,7 +6,9 @@ larger of the two weighted Schur integrals
     sup_x sum_y w_y |K(x,y)| m(x,y)   and   sup_y sum_x w_x |K(x,y)| m(x,y),
 
 which makes the quadrature identity kernel have norm one and is
-submultiplicative under weighted composition.
+submultiplicative under weighted composition. The two-point weight m is
+the associated weight of a pointwise weight and is stored pointwise, so
+the kernel is the only dense (n, n) array here.
 """
 
 from __future__ import annotations
@@ -21,59 +23,55 @@ from .quadrature import QuadratureSpace
 
 @dataclass(frozen=True, eq=False)
 class Weight2D:
-    """Symmetric two-point weight ``m`` with a distinguished reference point.
+    """Associated two-point weight m(x, y) = max{w(x)/w(y), w(y)/w(x)} of a
+    positive pointwise weight w, with a distinguished reference point.
 
+    Only w is stored; ``block`` evaluates m on index sets. An associated
+    weight is symmetric, one on the diagonal and submultiplicative. A
+    constant w gives the trivial weight m = 1, for which no m is formed.
     The one-point trace ``v(x) = m(x, z)`` (z = ``ref_index``) is what the
     sup-weighted function spaces use.
     """
 
     space: QuadratureSpace
-    matrix: np.ndarray
+    w: np.ndarray
     ref_index: int = 0
 
     def __post_init__(self):
         n = self.space.n_points
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (n, n):
-            raise StructuralError(f"weight matrix shape {mat.shape}, expected {(n, n)}")
-        if not np.all(np.isfinite(mat)) or np.any(mat <= 0.0):
-            raise StructuralError("weight entries must be finite and > 0")
-        if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, mat.max()):
-            raise StructuralError("weight matrix must be symmetric")
+        wv = np.array(self.w, dtype=float).reshape(-1)
+        if wv.shape[0] != n:
+            raise StructuralError(f"pointwise weight has length {wv.shape[0]}, "
+                                  f"expected {n}")
+        if not np.all(np.isfinite(wv)) or np.any(wv <= 0.0):
+            raise StructuralError("pointwise weight entries must be finite and > 0")
+        # every m(x, y) lies in [1, max(w)/min(w)]
+        with np.errstate(over="ignore"):
+            spread = wv.max() / wv.min()
+        if not np.isfinite(spread):
+            raise StructuralError("weight ratio max(w)/min(w) must be finite")
         if not 0 <= self.ref_index < n:
             raise StructuralError("ref_index out of range")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_trivial", bool(mat.min() == 1.0 == mat.max()))
+        wv.setflags(write=False)
+        object.__setattr__(self, "w", wv)
+
+    @property
+    def trivial(self) -> bool:
+        """True for a constant w, whose m is one everywhere."""
+        return bool(self.w.min() == self.w.max())
 
     @property
     def v(self) -> np.ndarray:
         """One-point weight v(x) = m(x, ref)."""
-        return self.matrix[:, self.ref_index]
+        return self.block(slice(None), [self.ref_index])[:, 0]
 
-    @classmethod
-    def constant(cls, space: QuadratureSpace, value: float = 1.0,
-                 ref_index: int = 0) -> "Weight2D":
-        n = space.n_points
-        return cls(space, np.full((n, n), float(value)), ref_index)
-
-    @classmethod
-    def from_pointwise(cls, space: QuadratureSpace, w, ref_index: int = 0) -> "Weight2D":
-        """Associated weight m(x,y) = max{w(x)/w(y), w(y)/w(x)} of a pointwise w."""
-        wv = np.asarray(w, dtype=float).reshape(-1)
-        if wv.shape[0] != space.n_points:
-            raise StructuralError("pointwise weight length mismatch")
-        if np.any(wv <= 0):
-            raise StructuralError("pointwise weight must be positive")
-        ratio = wv[:, None] / wv[None, :]
-        # max with the transposed ratios, not reciprocals: exactly symmetric
-        return cls(space, np.maximum(ratio, ratio.T), ref_index)
-
-    def max_submultiplicative_defect(self) -> float:
-        """max over x,y of m(x,y) / (m(x,z) m(z,y)); <= 1 means submultiplicative."""
-        mz = self.matrix[:, self.ref_index]
-        prod = mz[:, None] * mz[None, :]
-        return float(np.max(self.matrix / prod))
+    def block(self, rows, cols) -> np.ndarray:
+        """m(x, y) for x in ``rows`` and y in ``cols`` (index arrays or slices)."""
+        wr = self.w[rows][:, None]
+        wc = self.w[cols][None, :]
+        # both quotients, not a reciprocal: m(x, y) and m(y, x) are the same float
+        out = wr / wc
+        return np.maximum(out, wc / wr, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +114,6 @@ def check_kernel(space: QuadratureSpace, kernel) -> np.ndarray:
     return k
 
 
-def identity_kernel(space: QuadratureSpace) -> np.ndarray:
-    """The kernel acting as the identity under weighted application."""
-    return np.diag(1.0 / space.weights).astype(complex)
-
-
 def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -> float:
     """Weighted Schur algebra norm of a kernel."""
     k = check_kernel(space, kernel)
@@ -129,39 +122,11 @@ def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -
     if weight is not None:
         if weight.space is not space and weight.space.n_points != space.n_points:
             raise StructuralError("weight lives on a different space")
-        if not weight._trivial:
-            absk = absk * weight.matrix
+        if not weight.trivial:
+            absk *= weight.block(slice(None), slice(None))
     row = float(np.max(absk @ w))
     col = float(np.max(w @ absk))
     return max(row, col)
-
-
-def apply_kernel(space: QuadratureSpace, kernel, f) -> np.ndarray:
-    """(K f)(x) = sum_y w_y K(x,y) f(y)."""
-    k = check_kernel(space, kernel)
-    arr = space.check_function(f)
-    return k @ (space.weights * arr)
-
-
-def apply_to_measure(space: QuadratureSpace, kernel, nu: DiscreteMeasure) -> np.ndarray:
-    """(K nu)(x) = sum_i lambda_i K(x, x_i); atoms carry no quadrature weight."""
-    k = check_kernel(space, kernel)
-    nu.check_on(space)
-    if nu.indices.size == 0:
-        return np.zeros(space.n_points, dtype=complex)
-    return k[:, nu.indices] @ nu.coefficients
-
-
-def compose(space: QuadratureSpace, k1, k2) -> np.ndarray:
-    """(k1 o k2)(x,y) = sum_z w_z k1(x,z) k2(z,y)."""
-    a = check_kernel(space, k1)
-    b = check_kernel(space, k2)
-    return (a * space.weights[None, :]) @ b
-
-
-def involution(kernel) -> np.ndarray:
-    """Conjugate transpose K*(x,y) = conj(K(y,x))."""
-    return np.conj(np.asarray(kernel, dtype=complex)).T
 
 
 def save_kernel_binary(kernel, path) -> None:

@@ -35,8 +35,11 @@ class PhaseFunction:
     phase, plain kernel oscillation) and ``kernel`` (Gamma(y, z) = R(z, y)/
     |R(z, y)|, which cancels the kernel's own rotation and typically shrinks
     the oscillation norm); both are read off the kernel, with no n x n table.
-    Choosing the phase that minimizes the oscillation norm is an open
-    problem; any unimodular n x n table can be supplied directly."""
+    The ``kernel`` rule is the per-pair L^2-optimal phase: since
+    sum_x mu_x conj(R(x, z)) R(x, y) = R(z, y), it minimizes
+    sum_x mu_x |R(x, y) - Gamma(y, z) R(x, z)|^2 for every pair. Which phase
+    minimizes the oscillation norm itself is open; any unimodular n x n
+    table can be supplied directly."""
 
     def __init__(self, space: QuadratureSpace, table):
         tab = np.ascontiguousarray(np.asarray(table, dtype=complex))
@@ -116,13 +119,16 @@ def oscillation_kernel(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     if stop is not None:
         weight, level = stop
         mu = model.space.weights
+        trivial = weight.trivial
     for y in range(n):
         zs = cov.q_neighborhood(y)
         diffs = np.abs(r[:, [y]] - r[:, zs] * gamma(y, zs)[None, :])
         col = diffs.max(axis=1)
         out[:, y] = col
         if stop is not None:
-            total = float(mu @ (col * weight.matrix[:, y]))
+            if not trivial:
+                col = col * weight.block(slice(None), [y])[:, 0]
+            total = float(mu @ col)
             if total >= level:
                 return Screened(y, total)
     return out

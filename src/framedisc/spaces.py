@@ -61,7 +61,7 @@ class WeightedLp:
 
     def weight2d(self, ref_index: int = 0) -> Weight2D:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
-        return Weight2D.from_pointwise(self.space, self.w, ref_index)
+        return Weight2D(self.space, self.w, ref_index)
 
     def holder_l1_constant(self, subset) -> float:
         """Sharp constant of |chi_Q F|_{L^1} <= C |F|_{L^p_w} on a point subset."""
@@ -137,8 +137,8 @@ class SequenceNorms:
 
     @classmethod
     def build(cls, cov: Covering, Y: WeightedLp, weight: Weight2D) -> "SequenceNorms":
-        w_sup = np.array([Y.w[idx].max() for idx in cov.sets])
-        v_sup = np.array([weight.v[idx].max() for idx in cov.sets])
+        w_sup = cov.set_extrema(Y.w)[0]
+        v_sup = cov.set_extrema(weight.v)[0]
         mu = cov.measures
         inv_p = 0.0 if np.isinf(Y.p) else 1.0 / Y.p
         b = mu ** inv_p * w_sup
@@ -162,9 +162,10 @@ def set_pair_kernel_norms(cov: Covering, weight: Weight2D, ref_set: int = 0) -> 
     """
     mu = cov.space.weights
     k_idx = cov.sets[ref_set]
+    m_k = weight.block(k_idx, slice(None))
     out = np.empty(cov.n_sets)
     for i, idx in enumerate(cov.sets):
-        block = weight.matrix[np.ix_(k_idx, idx)]
+        block = m_k[:, idx]
         row = float((block * mu[idx][None, :]).sum(axis=1).max())
         col = float((block * mu[k_idx][:, None]).sum(axis=0).max())
         out[i] = max(row, col)

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from framedisc import QuadratureSpace, uniform_grid
+from framedisc import QuadratureSpace, Weight2D, uniform_grid
 
 
 @pytest.fixture
@@ -32,10 +32,11 @@ def random_kernel(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_weight_matrix(rng, n):
-    """Symmetric log-uniform entries in [1, e^2]."""
-    log = rng.uniform(0.0, 2.0, size=(n, n))
-    log = 0.5 * (log + log.T)
-    m = np.exp(log)
-    np.fill_diagonal(m, np.maximum(np.diagonal(m), 1.0))
-    return m
+def random_pointwise_weight(rng, n):
+    """Log-uniform entries in [1, e^2]; its associated weight lies in [1, e^2]."""
+    return np.exp(rng.uniform(0.0, 2.0, size=n))
+
+
+def unit_weight(space):
+    """The trivial two-point weight m = 1."""
+    return Weight2D(space, np.ones(space.n_points))

@@ -1,11 +1,49 @@
 """Independent brute-force references for the vectorized implementations.
 
-Everything here is written as plain Python loops over indices, deliberately
-avoiding the code paths (matmuls, scatter/gather over flat index arrays)
-used by the package itself.
+Everything named ``*_naive`` is written as plain Python loops over indices,
+deliberately avoiding the code paths (matmuls, scatter/gather over flat
+index arrays) used by the package itself. The dense kernel algebra below
+(``identity_kernel`` ... ``involution``) is the vectorized form the tests
+check against those loops; only tests use it, so the package does not
+carry it.
 """
 
 import numpy as np
+
+from framedisc.kernels import check_kernel
+
+
+def identity_kernel(space):
+    """The kernel acting as the identity under weighted application."""
+    return np.diag(1.0 / space.weights).astype(complex)
+
+
+def apply_kernel(space, kernel, f):
+    """(K f)(x) = sum_y w_y K(x,y) f(y)."""
+    k = check_kernel(space, kernel)
+    arr = space.check_function(f)
+    return k @ (space.weights * arr)
+
+
+def apply_to_measure(space, kernel, nu):
+    """(K nu)(x) = sum_i lambda_i K(x, x_i); atoms carry no quadrature weight."""
+    k = check_kernel(space, kernel)
+    nu.check_on(space)
+    if nu.indices.size == 0:
+        return np.zeros(space.n_points, dtype=complex)
+    return k[:, nu.indices] @ nu.coefficients
+
+
+def compose(space, k1, k2):
+    """(k1 o k2)(x,y) = sum_z w_z k1(x,z) k2(z,y)."""
+    a = check_kernel(space, k1)
+    b = check_kernel(space, k2)
+    return (a * space.weights[None, :]) @ b
+
+
+def involution(kernel):
+    """Conjugate transpose K*(x,y) = conj(K(y,x))."""
+    return np.conj(np.asarray(kernel, dtype=complex)).T
 
 
 def integrate_naive(weights, values):
@@ -32,6 +70,16 @@ def schur_norm_naive(weights, kernel, m=None):
             s += weights[x] * abs(kernel[x][y]) * factor
         col_best = max(col_best, s)
     return max(row_best, col_best)
+
+
+def weight_matrix_naive(w):
+    """Associated two-point weight m(x, y) = max{w(x)/w(y), w(y)/w(x)}."""
+    n = len(w)
+    out = np.zeros((n, n))
+    for x in range(n):
+        for y in range(n):
+            out[x][y] = max(w[x] / w[y], w[y] / w[x])
+    return out
 
 
 def apply_naive(weights, kernel, values):

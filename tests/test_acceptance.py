@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from framedisc import SamplingInverse, Weight2D, WeightedLp, build_pou, compose, \
+from framedisc import SamplingInverse, Weight2D, WeightedLp, build_pou, \
     neighbor_sums, contraction_bounds, hilbert_frame_bounds, invertibility_condition, \
     make_phase, norm_flat, norm_natural, observed_contraction, oscillation_kernel, \
     oscillation_report, permutation_kernel, schur_norm, select_samples, \
@@ -26,8 +26,9 @@ from framedisc.pipeline import cross_check_inversion, residual_suite
 from framedisc.spaces import SequenceNorms, flat_equivalence_interval, \
     lp_sequence_norm, sup_embedding_report
 
-from conftest import random_kernel, random_weight_matrix
-from oracles import osc_naive, phase_table_naive, schur_norm_naive
+from conftest import random_kernel, random_pointwise_weight
+from oracles import compose, osc_naive, phase_table_naive, schur_norm_naive, \
+    weight_matrix_naive
 
 
 @contextmanager
@@ -96,9 +97,9 @@ def test_criterion_2_schur_norm_oracle():
             n = int(rng.integers(2, 25))
             space = uniform_grid(n, weights=rng.uniform(0.1, 2.0, n))
             k = random_kernel(rng, n)
-            m = Weight2D(space, random_weight_matrix(rng, n))
+            m = Weight2D(space, random_pointwise_weight(rng, n))
             got = schur_norm(space, k, m)
-            want = schur_norm_naive(space.weights, k, m.matrix)
+            want = schur_norm_naive(space.weights, k, weight_matrix_naive(m.w))
             assert abs(got - want) <= 1e-13 * want
             k2 = random_kernel(rng, n)
             lhs = schur_norm(space, compose(space, k, k2), m)

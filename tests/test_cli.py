@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import shlex
@@ -38,7 +39,8 @@ class TestValidate:
         assert doc["uncovered_points"] == [2]
 
     def test_report_matches_library(self, tmp_path):
-        from framedisc import Weight2D, uniform_covering, validate_covering, \
+        from conftest import unit_weight
+        from framedisc import uniform_covering, validate_covering, \
             weight_compatibility
         from framedisc.models import build_orthonormal_model
         code, doc = run(tmp_path, "validate", model_kind="orthonormal", dim=8,
@@ -51,7 +53,7 @@ class TestValidate:
         assert doc["D"] == rep.min_measure
         assert doc["C_tilde"] == rep.moderateness
         assert doc["C_mU"] == weight_compatibility(
-            cov, Weight2D.constant(model.space))
+            cov, unit_weight(model.space))
 
     def test_missing_covering_is_config_error(self, tmp_path):
         code, _ = run(tmp_path, "validate", model_kind="orthonormal", dim=6)
@@ -71,12 +73,12 @@ class TestValidate:
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_commands(command: str) -> list:
-    """The README's ``framedisc <command>`` example lines, continuation
+def readme_commands(command: str, program: str = "framedisc") -> list:
+    """The README's ``<program> <command>`` example lines, continuation
     lines joined, as argument lists without the program name."""
     lines = README.read_text().replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines
-            if line.startswith(f"framedisc {command} ")]
+            if line.startswith(f"{program} {command} ")]
 
 
 class TestReadmeExamples:
@@ -91,6 +93,20 @@ class TestReadmeExamples:
         blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
         assert len(blocks) == 1
         exec(compile(blocks[0], "README.md", "exec"), {})
+
+    def test_sweep_script_example(self, tmp_path):
+        [line] = readme_commands("scripts/certificate_sweep.py", program="python")
+        argv = line[1:]
+        at = argv.index("--output")
+        argv[at + 1] = str(tmp_path / "sweep.json")
+        spec = importlib.util.spec_from_file_location(
+            "certificate_sweep", README.parent / "scripts" / "certificate_sweep.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(argv) == 0
+        rows = json.loads((tmp_path / "sweep.json").read_text())
+        certified = {row["n_freq"]: row["certified"] for row in rows}
+        assert certified == {41: False, 81: False, 121: True, 161: True, 201: True}
 
     def test_osc_example_uses_per_axis_boxes(self, tmp_path):
         argv = readme_commands("osc")[0]
@@ -200,7 +216,8 @@ class TestDiscretize:
     @pytest.mark.parametrize("source", ["unknown-model-kind", "flag-not-a-number",
                                         "json-not-a-number", "set-entry-not-a-number",
                                         "set-entry-fractional", "zero-refine-rounds",
-                                        "delta-nan", "delta-inf", "inversion-tol-nan"])
+                                        "delta-nan", "delta-inf", "inversion-tol-nan",
+                                        "weight-ratio-overflow"])
     def test_bad_config_exit_code(self, tmp_path, source):
         if source == "unknown-model-kind":
             code, _ = run(tmp_path, "discretize", model_kind="nonsense")
@@ -219,6 +236,10 @@ class TestDiscretize:
         elif source in ("delta-nan", "delta-inf"):
             code, _ = run(tmp_path, "osc", model_kind="orthonormal", dim=3,
                           covering_width=1, delta=source.split("-")[1])
+        elif source == "weight-ratio-overflow":
+            # finite w whose max(w)/min(w) overflows a double
+            code, _ = run(tmp_path, "osc", weight_rule="power", weight_scale=-260,
+                          covering_width=2)
         elif source == "inversion-tol-nan":
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"model-kind": "orthonormal",

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from framedisc import Covering, StructuralError, Weight2D, apply_kernel, \
-    check_m_equivalent, identity_kernel, neighbor_sums, permutation_kernel, \
-    singleton_covering, transfer_kernel, uniform_covering, uniform_grid, \
-    validate_covering, weight_compatibility
+from framedisc import Covering, StructuralError, Weight2D, \
+    check_m_equivalent, neighbor_sums, permutation_kernel, singleton_covering, \
+    transfer_kernel, uniform_covering, uniform_grid, validate_covering, \
+    weight_compatibility
 from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json, \
     covering_to_json, is_admissible_permutation, random_admissible_permutation
 
-from oracles import covering_stats_naive, membership_naive, q_neighborhoods_naive
+from conftest import unit_weight
+from oracles import apply_kernel, covering_stats_naive, identity_kernel, \
+    membership_naive, q_neighborhoods_naive, weight_matrix_naive
 
 
 def random_interval_covering(rng, space, n_sets):
@@ -100,20 +102,21 @@ class TestRepresentation:
 class TestWeightCompatibility:
     def test_trivial_weight(self, small_space):
         cov = Covering(small_space, (np.arange(5),))
-        assert weight_compatibility(cov, Weight2D.constant(small_space)) == 1.0
+        assert weight_compatibility(cov, unit_weight(small_space)) == 1.0
 
     def test_singletons_give_diagonal(self, small_space, rng):
         cov = singleton_covering(small_space)
-        m = Weight2D.from_pointwise(small_space, rng.uniform(0.5, 2.0, 5))
+        m = Weight2D(small_space, rng.uniform(0.5, 2.0, 5))
         assert weight_compatibility(cov, m) == 1.0
 
     def test_exponential_weight_interval(self):
         space = uniform_grid(32, spacing=1 / 32, weights=1 / 32)
         w = np.exp(space.points[:, 0])
-        m = Weight2D.from_pointwise(space, w)
+        m = Weight2D(space, w)
         cov = uniform_covering(space, 4 / 32)
         got = weight_compatibility(cov, m)
-        want = max(m.matrix[np.ix_(s, s)].max() for s in cov.sets)
+        mat = weight_matrix_naive(w)
+        want = max(mat[np.ix_(s, s)].max() for s in cov.sets)
         assert got == want
         assert got == pytest.approx(np.exp(3 / 32), rel=1e-12)
 
@@ -159,7 +162,7 @@ class TestPartitionOfUnity:
 class TestEquivalence:
     def test_same_covering(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 4)
-        m = Weight2D.from_pointwise(grid64, rng.uniform(0.5, 2.0, 64))
+        m = Weight2D(grid64, rng.uniform(0.5, 2.0, 64))
         rep = check_m_equivalent(cov, cov, m)
         assert rep.equivalent
         assert rep.measure_lower == rep.measure_upper == 1.0
@@ -169,17 +172,18 @@ class TestEquivalence:
         cov_u = uniform_covering(grid64, 4.0)
         shifted = tuple(np.clip(s + 1, 0, 63) for s in cov_u.sets)
         cov_v = Covering(grid64, shifted)
-        rep = check_m_equivalent(cov_u, cov_v, Weight2D.constant(grid64))
+        rep = check_m_equivalent(cov_u, cov_v, unit_weight(grid64))
         assert rep.cross_weight == 1.0
 
     def test_constants_match_brute_force(self, rng, grid64):
         cov_u = random_interval_covering(rng, grid64, 5)
         cov_v = Covering(grid64, tuple(np.clip(s + 2, 0, 63) for s in cov_u.sets))
-        m = Weight2D.from_pointwise(grid64, rng.uniform(0.5, 2.0, 64))
+        m = Weight2D(grid64, rng.uniform(0.5, 2.0, 64))
         rep = check_m_equivalent(cov_u, cov_v, m)
         ratios = [grid64.subset_measure(v) / grid64.subset_measure(u)
                   for u, v in zip(cov_u.sets, cov_v.sets)]
-        cross = max(max(m.matrix[x, y] for x in u for y in v)
+        mat = weight_matrix_naive(m.w)
+        cross = max(max(mat[x, y] for x in u for y in v)
                     for u, v in zip(cov_u.sets, cov_v.sets))
         assert rep.measure_lower == pytest.approx(min(ratios), rel=1e-14)
         assert rep.measure_upper == pytest.approx(max(ratios), rel=1e-14)
@@ -189,7 +193,7 @@ class TestEquivalence:
         with pytest.raises(StructuralError):
             check_m_equivalent(uniform_covering(grid64, 4.0),
                                uniform_covering(grid64, 8.0),
-                               Weight2D.constant(grid64))
+                               unit_weight(grid64))
 
 
 class TestTransferKernel:

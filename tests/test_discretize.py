@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 from framedisc import CertificationError, Covering, SamplingInverse, \
-    SingularOperatorError, StructuralError, WeightedLp, \
-    apply_kernel, apply_sampling, apply_smoothed, atomic_decomposition, \
-    build_pou, contraction_bounds, dual_frame, hilbert_frame_bounds, \
-    make_phase, norm_flat, norm_natural, observed_contraction, \
-    oscillation_report, reconstruct_from_samples, sampled_row_kernel, \
-    schur_norm, select_samples, singleton_covering, synthesize_plan, \
-    uniform_covering, verify_sampled_bounds
-from framedisc.kernels import compose
+    SingularOperatorError, StructuralError, WeightedLp, apply_sampling, \
+    apply_smoothed, atomic_decomposition, build_pou, contraction_bounds, \
+    dual_frame, hilbert_frame_bounds, make_phase, norm_flat, norm_natural, \
+    observed_contraction, oscillation_report, reconstruct_from_samples, \
+    sampled_row_kernel, schur_norm, select_samples, singleton_covering, \
+    synthesize_plan, uniform_covering, verify_sampled_bounds
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
     residual_suite
 
-from oracles import sampling_operator_naive
+from oracles import apply_kernel, compose, sampling_operator_naive
 
 
 def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,

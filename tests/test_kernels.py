@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from framedisc import DiscreteMeasure, StructuralError, Weight2D, WeightedLp, \
-    apply_kernel, apply_to_measure, compose, identity_kernel, involution, \
     schur_norm, uniform_grid
 from framedisc.kernels import check_kernel, load_kernel_binary, save_kernel_binary
 
-from conftest import random_kernel, random_weight_matrix
-from oracles import apply_measure_naive, apply_naive, compose_naive, \
-    schur_norm_naive
+from conftest import random_kernel, random_pointwise_weight, unit_weight
+from oracles import apply_kernel, apply_measure_naive, apply_naive, \
+    apply_to_measure, compose, compose_naive, identity_kernel, involution, \
+    schur_norm_naive, weight_matrix_naive
 
 
 def indicator_kernel(space, rows, cols):
@@ -30,9 +32,9 @@ class TestSchurNorm:
     def test_matches_brute_force(self, rng):
         space = uniform_grid(12, weights=rng.uniform(0.2, 1.5, 12))
         k = random_kernel(rng, 12)
-        m = Weight2D(space, random_weight_matrix(rng, 12))
+        m = Weight2D(space, random_pointwise_weight(rng, 12))
         got = schur_norm(space, k, m)
-        want = schur_norm_naive(space.weights, k, m.matrix)
+        want = schur_norm_naive(space.weights, k, weight_matrix_naive(m.w))
         assert abs(got - want) <= 1e-13 * want
 
     def test_homogeneity_and_triangle(self, rng, small_space):
@@ -48,7 +50,7 @@ class TestSchurNorm:
     def test_real_kernel_stays_real_and_matches_complex(self, rng):
         space = uniform_grid(12, weights=rng.uniform(0.2, 1.5, 12))
         k = rng.standard_normal((12, 12))
-        m = Weight2D(space, random_weight_matrix(rng, 12))
+        m = Weight2D(space, random_pointwise_weight(rng, 12))
         assert check_kernel(space, k).dtype == np.float64
         assert check_kernel(space, k.astype(int)).dtype == np.float64
         for weight in (None, m):
@@ -139,7 +141,7 @@ class TestCompose:
 
     def test_submultiplicative(self, rng):
         space = uniform_grid(7, weights=rng.uniform(0.2, 1.5, 7))
-        m = Weight2D(space, random_weight_matrix(rng, 7))
+        m = Weight2D(space, random_pointwise_weight(rng, 7))
         for _ in range(50):
             k1, k2 = random_kernel(rng, 7), random_kernel(rng, 7)
             lhs = schur_norm(space, compose(space, k1, k2), m)
@@ -159,7 +161,7 @@ class TestInvolution:
 
     def test_norm_preserved_for_symmetric_weight(self, rng):
         space = uniform_grid(8, weights=rng.uniform(0.2, 1.5, 8))
-        m = Weight2D(space, random_weight_matrix(rng, 8))
+        m = Weight2D(space, random_pointwise_weight(rng, 8))
         k = random_kernel(rng, 8)
         a = schur_norm(space, k, m)
         b = schur_norm(space, involution(k), m)
@@ -167,24 +169,66 @@ class TestInvolution:
 
 
 class TestWeight2D:
-    def test_associated_weight_properties(self, small_space, rng):
-        w = rng.uniform(0.5, 3.0, 5)
-        m = Weight2D.from_pointwise(small_space, w)
-        assert np.all(m.matrix >= 1.0)
-        assert np.array_equal(m.matrix, m.matrix.T)
-        assert np.all(np.diagonal(m.matrix) == 1.0)
-        assert m.max_submultiplicative_defect() <= 1.0 + 1e-12
+    def test_block_matches_loop_oracle(self, rng):
+        space = uniform_grid(9)
+        m = Weight2D(space, random_pointwise_weight(rng, 9))
+        want = weight_matrix_naive(m.w)
+        assert np.array_equal(m.block(slice(None), slice(None)), want)
+        rows, cols = np.array([4, 0, 7]), np.array([2, 2, 8, 5])
+        assert np.array_equal(m.block(rows, cols), want[np.ix_(rows, cols)])
+
+    def test_associated_weight_properties(self, rng):
+        """Symmetric, one on the diagonal, submultiplicative on every triple."""
+        for _ in range(5):
+            m = weight_matrix_naive(rng.uniform(0.5, 3.0, 8))
+            assert np.all(m >= 1.0)
+            assert np.array_equal(m, m.T)
+            assert np.all(np.diagonal(m) == 1.0)
+            for x in range(8):
+                for y in range(8):
+                    for z in range(8):
+                        assert m[x, y] <= m[x, z] * m[z, y] * (1 + 1e-15)
 
     def test_v_trace(self, small_space, rng):
         w = rng.uniform(0.5, 3.0, 5)
-        m = Weight2D.from_pointwise(small_space, w, ref_index=2)
-        assert np.array_equal(m.v, m.matrix[:, 2])
+        m = Weight2D(small_space, w, ref_index=2)
+        assert np.array_equal(m.v, weight_matrix_naive(w)[:, 2])
 
-    def test_rejects_asymmetric(self, small_space):
-        bad = np.ones((5, 5))
-        bad[0, 1] = 2.0
+    def test_constant_is_trivial(self, rng):
+        space = uniform_grid(6, weights=rng.uniform(0.2, 1.5, 6))
+        k = random_kernel(rng, 6)
+        for m in (unit_weight(space), Weight2D(space, np.full(6, 3.7))):
+            assert m.trivial
+            assert np.array_equal(m.v, np.ones(6))
+            assert schur_norm(space, k, m) == schur_norm(space, k)
+        assert not Weight2D(space, random_pointwise_weight(rng, 6)).trivial
+
+    def test_stores_only_the_pointwise_weight(self, small_space, rng):
+        m = Weight2D(small_space, rng.uniform(0.5, 3.0, 5), ref_index=1)
+        assert set(vars(m)) == {"space", "w", "ref_index"}
+        assert m.w.shape == (5,) and not m.w.flags.writeable
+
+    @pytest.mark.parametrize("w, ref", [
+        (np.ones(4), 0),                                # wrong length
+        (np.ones((5, 5)), 0),                           # a matrix is not pointwise
+        (np.array([1.0, 0.0, 1.0, 1.0, 1.0]), 0),       # zero
+        (np.array([1.0, -2.0, 1.0, 1.0, 1.0]), 0),      # negative
+        (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), 0),
+        (np.array([1.0, np.inf, 1.0, 1.0, 1.0]), 0),
+        (np.ones(5), 5),                                # ref_index out of range
+        (np.ones(5), -1),
+    ], ids=["length", "matrix", "zero", "negative", "nan", "inf", "ref-high",
+            "ref-negative"])
+    def test_rejects_invalid(self, small_space, w, ref):
         with pytest.raises(StructuralError):
-            Weight2D(small_space, bad)
+            Weight2D(small_space, w, ref)
+
+    def test_rejects_overflowing_ratio_quietly(self, small_space):
+        w = np.array([1e-300, 1.0, 1.0, 1.0, 1e10])     # max/min = 1e310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructuralError, match="max\\(w\\)/min\\(w\\)"):
+                Weight2D(small_space, w)
 
 
 class TestValidationAndIO:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from framedisc import DiscreteMeasure, FrameModel, SingularOperatorError, \
-    StructuralError, apply_kernel, apply_to_measure, compose, identity_kernel, \
-    schur_norm, uniform_grid
+    StructuralError, schur_norm, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, load_frame_vectors
+
+from oracles import apply_kernel, apply_to_measure, compose, identity_kernel
 
 
 @pytest.fixture

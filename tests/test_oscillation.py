@@ -6,15 +6,15 @@ import pytest
 
 import framedisc.oscillation as oscillation_module
 from framedisc import CertificationError, Covering, FrameModel, PhaseFunction, \
-    Screened, StructuralError, Weight2D, WeightedLp, involution, \
-    invertibility_condition, make_phase, oscillation_kernel, \
-    oscillation_report, refine_until, schur_norm, sigma_constant, \
-    singleton_covering, uniform_covering, uniform_grid
+    Screened, StructuralError, Weight2D, WeightedLp, invertibility_condition, \
+    make_phase, oscillation_kernel, oscillation_report, refine_until, \
+    schur_norm, sigma_constant, singleton_covering, uniform_covering, \
+    uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
-from conftest import random_weight_matrix
-from oracles import osc_naive, phase_table_naive, refine_until_naive
+from conftest import random_pointwise_weight, unit_weight
+from oracles import involution, osc_naive, phase_table_naive, refine_until_naive
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ class TestOscillationKernel:
         osc = oscillation_kernel(smooth_model, cov,
                                  make_phase(smooth_model, "kernel"))
         m = Weight2D(smooth_model.space,
-                     random_weight_matrix(rng, smooth_model.space.n_points))
+                     random_pointwise_weight(rng, smooth_model.space.n_points))
         a = schur_norm(smooth_model.space, osc, m)
         b = schur_norm(smooth_model.space, involution(osc), m)
         assert abs(a - b) <= 1e-14 * a
@@ -196,7 +196,7 @@ class TestBudgetReport:
 
     def test_singleton_report_passes_budget(self, smooth_model):
         cov = singleton_covering(smooth_model.space)
-        w = Weight2D.constant(smooth_model.space)
+        w = unit_weight(smooth_model.space)
         rep = oscillation_report(smooth_model, cov,
                                  make_phase(smooth_model, "kernel"), w, 0.05)
         assert rep.osc_norm == 0.0
@@ -207,7 +207,7 @@ class TestBudgetReport:
         cov = singleton_covering(smooth_model.space)
         rep = oscillation_report(smooth_model, cov,
                                  make_phase(smooth_model, "one"),
-                                 Weight2D.constant(smooth_model.space), 0.1)
+                                 unit_weight(smooth_model.space), 0.1)
         doc = rep.to_json_dict()
         for key in ("osc_norm", "delta", "sigma", "R_norm", "C_mU",
                     "holds_D", "holds_58", "covering_id"):
@@ -216,21 +216,21 @@ class TestBudgetReport:
 
 class TestRefine:
     def test_huge_delta_returns_first_covering(self, smooth_model):
-        w = Weight2D.constant(smooth_model.space)
+        w = unit_weight(smooth_model.space)
         cov, rep = refine_until(smooth_model, w, delta=10.0,
                                 require_invertibility=False)
         assert cov.n_sets == 1
         assert rep.oscillation_ok
 
     def test_terminates_for_any_positive_delta(self, smooth_model):
-        w = Weight2D.constant(smooth_model.space)
+        w = unit_weight(smooth_model.space)
         cov, rep = refine_until(smooth_model, w, delta=1e-6, max_rounds=12)
         assert rep.oscillation_ok
         assert all(s.size == 1 for s in cov.sets)
 
     def test_deterministic(self):
         model = build_gabor_model(8, 8, 2.8)
-        w = Weight2D.constant(model.space)
+        w = unit_weight(model.space)
         out1 = refine_until(model, w, delta=0.5, require_invertibility=False)
         out2 = refine_until(model, w, delta=0.5, require_invertibility=False)
         assert out1[0].identifier() == out2[0].identifier()
@@ -238,11 +238,11 @@ class TestRefine:
 
     def test_zero_delta_rejected(self, smooth_model):
         with pytest.raises(StructuralError):
-            refine_until(smooth_model, Weight2D.constant(smooth_model.space),
+            refine_until(smooth_model, unit_weight(smooth_model.space),
                          delta=0.0)
 
     def test_max_rounds_exhaustion(self, smooth_model):
-        w = Weight2D.constant(smooth_model.space)
+        w = unit_weight(smooth_model.space)
         with pytest.raises(CertificationError):
             refine_until(smooth_model, w, delta=1e-9, max_rounds=1)
 
@@ -416,7 +416,7 @@ class TestRefineScreen:
         model = build_gabor_model(4, 16, 2.0)
         cov = uniform_covering(model.space, 2.0)
         gamma = make_phase(model, "kernel")
-        w = Weight2D.constant(model.space)
+        w = unit_weight(model.space)
         osc = oscillation_kernel(model, cov, gamma)
         sums = model.space.weights @ osc
         level = float(np.sort(sums)[-2])
@@ -432,5 +432,5 @@ class TestRefineScreen:
 
     def test_zero_rounds_rejected(self, smooth_model):
         with pytest.raises(StructuralError):
-            refine_until(smooth_model, Weight2D.constant(smooth_model.space),
+            refine_until(smooth_model, unit_weight(smooth_model.space),
                          delta=0.5, max_rounds=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedisc import Covering, SequenceNorms, StructuralError, Weight2D, \
+from framedisc import Covering, SequenceNorms, StructuralError, \
     WeightedLp, DiscreteMeasure, decomposition_norm, local_integrability_constant, \
     neighbor_sums, norm_flat, norm_natural, permutation_kernel, pileup, schur_norm, \
     singleton_covering, sup_embedding_report, transfer_kernel, uniform_covering, \
@@ -13,6 +13,7 @@ from framedisc.coverings import check_m_equivalent, \
 from framedisc.spaces import flat_equivalence_interval, lp_sequence_norm, \
     sup_infinity_space
 
+from conftest import unit_weight
 from oracles import lp_norm_naive, membership_naive, pileup_naive, set_masses_naive
 
 P_VALUES = (1.0, 2.0, np.inf)
@@ -158,7 +159,7 @@ class TestSupEmbedding:
     def test_singleton_covering_sup_space(self, small_space):
         cov = singleton_covering(small_space)
         Y = WeightedLp.lebesgue(small_space, np.inf)
-        rep = sup_embedding_report(cov, Y, Weight2D.constant(small_space),
+        rep = sup_embedding_report(cov, Y, unit_weight(small_space),
                                    n_trials=50, seed=1)
         assert rep.observed_constant <= 1.0 + 1e-12
         assert rep.apriori_constant >= rep.observed_constant - 1e-12
