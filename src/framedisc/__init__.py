@@ -13,14 +13,15 @@ from .coverings import Covering, PartitionOfUnity, build_pou, check_m_equivalent
 from .discretize import SamplingInverse, SamplingPlan, apply_sampling, \
     apply_smoothed, atomic_decomposition, contraction_bounds, dual_frame, \
     hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
-    sampled_row_kernel, select_samples, synthesize_plan, verify_sampled_bounds
+    select_samples, synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure, Weight2D, schur_norm
+from .kernels import DiscreteMeasure, SchurSums, Weight2D, schur_norm, \
+    schur_norms
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from .oscillation import OscReport, PhaseFunction, Screened, \
-    invertibility_condition, make_phase, oscillation_kernel, \
-    oscillation_report, refine_until, sigma_constant
+    invertibility_condition, kernel_norms, make_phase, oscillation_norms, \
+    oscillation_report, refine_until, sigma_constant, v_weight
 from .pipeline import DiscretizationResult, cross_check_inversion, \
     residual_suite, run_discretization
 from .quadrature import QuadratureSpace, product_grid, uniform_grid

@@ -137,10 +137,30 @@ class Covering:
     def point_sums(self, values) -> np.ndarray:
         """out[x] = sum over sets U_i containing x of values[i], for
         (n_sets, ...) values; points in no set get 0."""
-        vals = np.asarray(values)[self._sets_by_point]
-        out = np.zeros((self.space.n_points,) + vals.shape[1:], dtype=vals.dtype)
-        covered = np.diff(self._point_ptr) > 0
-        out[covered] = np.add.reduceat(vals, self._point_ptr[:-1][covered], axis=0)
+        return self.pair_sums(np.asarray(values)[self._sets_by_point])
+
+    def holders(self, start: int, stop: int) -> np.ndarray:
+        """The sets containing each point of ``start:stop``, point after point."""
+        return self._sets_by_point[self._point_ptr[start]:self._point_ptr[stop]]
+
+    def pair_sums(self, values, start: int = 0, stop: int | None = None
+                  ) -> np.ndarray:
+        """out[x - start] = sum of ``values`` over the pairs of point x, for
+        x in ``start:stop`` and one value per set in ``holders(start,
+        stop)``, in that order; points in no set get 0."""
+        stop = self.space.n_points if stop is None else stop
+        ptr = self._point_ptr[start:stop + 1] - self._point_ptr[start]
+        counts = np.diff(ptr)
+        vals = np.asarray(values)
+        out = np.zeros((stop - start,) + vals.shape[1:], dtype=vals.dtype)
+        # the k-th pair of every point held by more than k sets, k = 0, 1, ...;
+        # a row-wise reduceat over mostly one-pair segments is several times slower
+        for k in range(int(counts.max(initial=0))):
+            held = np.flatnonzero(counts > k)
+            if k == 0:
+                out[held] = vals[ptr[held]]
+            else:
+                out[held] += vals[ptr[held] + k]
         return out
 
     def q_neighborhood(self, y: int) -> np.ndarray:

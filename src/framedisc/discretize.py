@@ -20,7 +20,7 @@ import numpy as np
 
 from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure, Weight2D, schur_norm
+from .kernels import DiscreteMeasure, Weight2D, row_slices, schur_norms
 from .models import FrameModel
 from .oscillation import OscReport, PhaseFunction
 from .spaces import WeightedLp, decomposition_norm, local_integrability_constant, \
@@ -404,9 +404,15 @@ class BoundsReport:
         }
 
 
-def sampled_row_kernel(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
-    """K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x): rows of R spread over sets."""
-    return plan.covering.point_sums(np.abs(model.kernel[plan.samples, :]))
+def _sampled_row_blocks(model: FrameModel, plan: SamplingPlan):
+    """``(rows, K[rows, :])`` over row blocks of the sampled-row kernel
+    K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x), read through the covering's
+    point-major index; K itself is never formed."""
+    cov = plan.covering
+    for rows in row_slices(model.space.n_points):
+        sets = cov.holders(rows.start, rows.stop)
+        yield rows, cov.pair_sums(np.abs(model.kernel[plan.samples[sets]]),
+                                  rows.start, rows.stop)
 
 
 def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -415,24 +421,24 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
                           slack: float = 1e-10) -> BoundsReport:
     """Measure every inequality the sampled kernels certify.
 
-    Each block computes a kernel-derived constant and the worst observed
-    ratio over random trials; ``violations`` counts ratios exceeding their
-    constant beyond ``slack``. The trials run as blocks, one column each;
-    the kernel applied to a measure sum_k lambda_k delta_{y_k} is formed
-    as V* S^{-1} sum_k lambda_k psi_{y_k}.
+    ``report`` must be the oscillation report under ``weight``; its m_v
+    norms of osc and R give the range-sup constant. Each block computes a
+    kernel-derived constant and the worst observed ratio over random
+    trials; ``violations`` counts ratios exceeding their constant beyond
+    ``slack``. The trials run as blocks, one column each; the kernel
+    applied to a measure sum_k lambda_k delta_{y_k} is formed as
+    V* S^{-1} sum_k lambda_k psi_{y_k}.
     """
     rng = np.random.default_rng(seed)
     space = model.space
     cov = plan.covering
     violations = 0
 
-    d_const = schur_norm(space, sampled_row_kernel(model, plan), weight)
+    d_const, = schur_norms(space, _sampled_row_blocks(model, plan), [weight])
     sigma = report.sigma
     meas_const = report.osc_norm + report.r_norm
-    m_v = Weight2D(space, weight.v, weight.ref_index)
     sup_space = sup_infinity_space(Y, weight)
-    range_sup_const = (schur_norm(space, report.osc, m_v)
-                       + schur_norm(space, model.kernel, m_v)) \
+    range_sup_const = (report.osc_norm_v + report.r_norm_v) \
         * local_integrability_constant(cov, Y, weight)
 
     F = np.stack([model.random_range_function(rng) for _ in range(n_trials)],

@@ -1,4 +1,4 @@
-"""Dense kernels on point pairs and the weighted Schur algebra.
+"""Kernels on point pairs and the weighted Schur algebra.
 
 A kernel is a complex (n, n) array ``K[x, y]``. The algebra norm is the
 larger of the two weighted Schur integrals
@@ -7,8 +7,14 @@ larger of the two weighted Schur integrals
 
 which makes the quadrature identity kernel have norm one and is
 submultiplicative under weighted composition. The two-point weight m is
-the associated weight of a pointwise weight and is stored pointwise, so
-the kernel is the only dense (n, n) array here.
+the associated weight of a pointwise weight and is stored pointwise.
+
+Schur norms are streamed: ``SchurSums`` takes |K| in blocks of rows,
+forms each non-trivial weight's m on the block once, and keeps the row
+sums and the running column sums of every weight it was given, so one pass
+gives the norm under several weights and no (n, n) array of |K| or m is
+formed. Derived kernels (the oscillation kernel, the sampled-row kernel)
+are produced block by block straight into it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ import numpy as np
 
 from .errors import StructuralError
 from .quadrature import QuadratureSpace
+
+# Bytes of complex kernel values one streamed block may hold; rows per
+# block follow from the row length (``block_rows``).
+BLOCK_BYTES = 1 << 23
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,19 +124,77 @@ def check_kernel(space: QuadratureSpace, kernel) -> np.ndarray:
     return k
 
 
+def block_rows(n: int) -> int:
+    """Rows of n complex values that fit in ``BLOCK_BYTES`` (at least one)."""
+    return max(1, BLOCK_BYTES // (16 * n))
+
+
+def row_slices(n: int) -> list:
+    """Consecutive slices of ``block_rows(n)`` rows covering ``range(n)``."""
+    step = block_rows(n)
+    return [slice(start, min(n, start + step)) for start in range(0, n, step)]
+
+
+class SchurSums:
+    """Weighted Schur sums of a nonnegative kernel fed as blocks of rows.
+
+    ``add(rows, block)`` takes ``block = |K|[rows, :]`` and returns the
+    block's row sums sum_y w_y |K(x, y)| m(x, y), one row per weight;
+    ``norms()`` is the Schur norm under each weight once every row has
+    been fed. A weight of ``None`` is the unit weight; trivial weights
+    share one set of sums.
+    """
+
+    def __init__(self, space: QuadratureSpace, weights):
+        for weight in weights:
+            if weight is not None and weight.space is not space \
+                    and weight.space.n_points != space.n_points:
+                raise StructuralError("weight lives on a different space")
+        self._mu = space.weights
+        self._weights = [None if w is None or w.trivial else w for w in weights]
+        self._row = np.zeros(len(self._weights))
+        self._col = np.zeros((len(self._weights), space.n_points))
+
+    def add(self, rows, block: np.ndarray) -> np.ndarray:
+        mu = self._mu
+        out = np.empty((len(self._weights), block.shape[0]))
+        plain = None
+        for k, weight in enumerate(self._weights):
+            if weight is None:
+                if plain is None:
+                    plain = block @ mu, mu[rows] @ block
+                row, col = plain
+            else:
+                weighted = block * weight.block(rows, slice(None))
+                row, col = weighted @ mu, mu[rows] @ weighted
+            out[k] = row
+            self._col[k] += col
+        np.maximum(self._row, out.max(axis=1, initial=0.0), out=self._row)
+        return out
+
+    def norms(self) -> list:
+        return [float(max(row, col.max(initial=0.0)))
+                for row, col in zip(self._row, self._col)]
+
+
+def schur_norms(space: QuadratureSpace, blocks, weights) -> list:
+    """Schur norms, one per weight, of the kernel whose ``(rows, |K|[rows, :])``
+    blocks ``blocks`` yields, in one pass."""
+    sums = SchurSums(space, weights)
+    for rows, block in blocks:
+        sums.add(rows, block)
+    return sums.norms()
+
+
+def abs_row_blocks(kernel: np.ndarray):
+    """``(rows, |kernel|[rows, :])`` over row blocks of a dense kernel."""
+    return ((rows, np.abs(kernel[rows])) for rows in row_slices(kernel.shape[0]))
+
+
 def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -> float:
-    """Weighted Schur algebra norm of a kernel."""
+    """Weighted Schur algebra norm of a dense kernel."""
     k = check_kernel(space, kernel)
-    w = space.weights
-    absk = np.abs(k)
-    if weight is not None:
-        if weight.space is not space and weight.space.n_points != space.n_points:
-            raise StructuralError("weight lives on a different space")
-        if not weight.trivial:
-            absk *= weight.block(slice(None), slice(None))
-    row = float(np.max(absk @ w))
-    col = float(np.max(w @ absk))
-    return max(row, col)
+    return schur_norms(space, abs_row_blocks(k), [weight])[0]
 
 
 def save_kernel_binary(kernel, path) -> None:

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure
+from .kernels import DiscreteMeasure, row_slices
 from .quadrature import QuadratureSpace, uniform_grid
 
 # Smallest admissible eigenvalue of a model's frame operator.
@@ -65,7 +65,15 @@ class FrameModel:
     def kernel(self) -> np.ndarray:
         """Reproducing kernel R(x, y) = psi_x^* S^{-1} psi_y (Hermitian)."""
         r = self.vectors.conj().T @ (self.s_inverse @ self.vectors)
-        return 0.5 * (r + r.conj().T)
+        # 0.5 (r + r^*) in place, a block of rows and its mirrored block of
+        # columns at a time: the same floats, exactly Hermitian, and no n x n
+        # temporary (the oscillation scan reads kernel rows for columns)
+        for rows in row_slices(r.shape[0]):
+            upper = r[rows, rows.start:] + r[rows.start:, rows].conj().T
+            upper *= 0.5
+            r[rows, rows.start:] = upper
+            r[rows.start:, rows] = upper.conj().T
+        return r
 
     def check_vector(self, f) -> np.ndarray:
         arr = np.asarray(f, dtype=complex).reshape(-1)

@@ -8,7 +8,8 @@ oscillation kernel is
 computed by exact enumeration. Its Schur norm against the target weight is
 the budget that certifies invertibility of the sampling operator: with
 sigma = max{C_mU |R|, |R| + delta}, the sufficient condition reads
-delta (|R| + sigma) <= 1.
+delta (|R| + sigma) <= 1. The kernel is never stored: its columns are
+formed in blocks and streamed into the Schur sums (``oscillation_norms``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 from .coverings import Covering, singleton_covering, uniform_covering, \
     weight_compatibility
 from .errors import CertificationError, StructuralError
-from .kernels import Weight2D, schur_norm
+from .kernels import SchurSums, Weight2D, abs_row_blocks, block_rows, \
+    schur_norms
 from .models import FrameModel
 from .quadrature import QuadratureSpace
 
@@ -82,15 +84,6 @@ def make_phase(model: FrameModel, rule: str) -> PhaseFunction:
     return _RulePhase(model, rule)
 
 
-# Relative margin of refine_until's screening level delta * (1 + SCREEN_MARGIN).
-# The one-column dot in oscillation_kernel and the matrix-vector product in
-# schur_norm add the same nonnegative terms in different orders, which moves
-# a sum by at most about n * eps (below 5e-13 for n <= 4096). A column sum at
-# or above the level therefore proves osc_norm > delta, so the screen rejects
-# exactly the rounds whose full report would fail the budget.
-SCREEN_MARGIN = 1e-9
-
-
 @dataclass(frozen=True)
 class Screened:
     """An oscillation scan stopped at ``column``, whose weighted Schur
@@ -100,38 +93,76 @@ class Screened:
     lower_bound: float
 
 
-def oscillation_kernel(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       stop: tuple[Weight2D, float] | None = None
-                       ) -> np.ndarray | Screened:
-    """Exact sup over the finite neighborhoods; nonnegative real kernel.
+def _osc_rows(r: np.ndarray, cov: Covering, gamma: PhaseFunction,
+              start: int, stop: int) -> np.ndarray:
+    """Columns ``start:stop`` of the oscillation kernel, as rows of osc^T.
 
-    Columns osc(., y) are computed in index order. With ``stop = (weight,
-    level)`` each column's weighted Schur sum sum_x mu_x osc(x, y) m(x, y) is
-    formed as well, and the scan returns ``Screened`` at the first column
-    whose sum reaches ``level``: the Schur norm is at least that sum, so the
-    columns left cannot bring it below ``level``.
+    R is Hermitian, so osc(x, y) = max_z |R(y, x) - conj Gamma(y, z) R(z, x)|
+    reads contiguous kernel rows. Each Q_y is padded to the block's largest
+    by repeating one of its own points, and the term z = y is left out
+    wherever Gamma(y, y) == 1, since it is exactly 0 there.
+    """
+    ys = np.arange(start, stop)
+    drop = gamma(ys, ys) == 1.0
+    qs = []
+    for y, skip in zip(ys, drop):
+        q = cov.q_neighborhood(y)
+        if skip:
+            q = q[q != y]
+        qs.append(q if q.size else np.array([y]))    # the zero term alone
+    sizes = np.array([q.size for q in qs])
+    width = int(sizes.max())
+    last = np.cumsum(sizes) - 1
+    zs = np.concatenate(qs)[np.minimum(last[:, None],
+                                       last[:, None] - sizes[:, None] + 1
+                                       + np.arange(width)[None, :])]
+    phase = np.conj(gamma(ys[:, None], zs))
+    # chunks of the padded axis keep each (b, chunk, n) block in budget
+    chunk = max(1, block_rows(r.shape[1]) // ys.size)
+    out = None
+    for lo in range(0, width, chunk):
+        diff = r[zs[:, lo:lo + chunk]]
+        diff *= phase[:, lo:lo + chunk, None]
+        np.subtract(r[start:stop, None, :], diff, out=diff)
+        part = np.abs(diff).max(axis=1)
+        out = part if out is None else np.maximum(out, part, out=out)
+    return out
+
+
+def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
+                      weights, level: float | None = None) -> list | Screened:
+    """Schur norms of the oscillation kernel under each of ``weights``.
+
+    One pass over the columns in index order, in blocks of one column,
+    then two, four, ... up to ``block_rows``; each block is summed into
+    ``SchurSums`` and dropped. With ``level``, the scan returns
+    ``Screened`` at the first column whose weighted Schur sum under
+    ``weights[0]`` reaches ``level``: the norm is at least that sum, so the
+    columns left cannot bring it below ``level``. Those sums are the floats
+    the norm is the maximum of, and a stopped scan has read Q_y for at most
+    2c + 1 columns, c the column it stopped at.
     """
     if cov.space is not model.space and cov.space.n_points != model.space.n_points:
         raise StructuralError("covering lives on a different space")
     r = model.kernel
     n = model.space.n_points
-    out = np.empty((n, n))
-    if stop is not None:
-        weight, level = stop
-        mu = model.space.weights
-        trivial = weight.trivial
-    for y in range(n):
-        zs = cov.q_neighborhood(y)
-        diffs = np.abs(r[:, [y]] - r[:, zs] * gamma(y, zs)[None, :])
-        col = diffs.max(axis=1)
-        out[:, y] = col
-        if stop is not None:
-            if not trivial:
-                col = col * weight.block(slice(None), [y])[:, 0]
-            total = float(mu @ col)
-            if total >= level:
-                return Screened(y, total)
-    return out
+    sums = SchurSums(model.space, weights)
+    cap = block_rows(n)
+    start, size = 0, 1
+    while start < n:
+        stop = min(n, start + size)
+        col_sums = sums.add(slice(start, stop), _osc_rows(r, cov, gamma, start, stop))
+        if level is not None:
+            hit = np.flatnonzero(col_sums[0] >= level)
+            if hit.size:
+                return Screened(start + int(hit[0]), float(col_sums[0, hit[0]]))
+        start, size = stop, min(2 * size, cap)
+    return sums.norms()
+
+
+def v_weight(weight: Weight2D) -> Weight2D:
+    """m_v, the associated weight of the one-point trace v of ``weight``."""
+    return Weight2D(weight.space, weight.v, weight.ref_index)
 
 
 def sigma_constant(delta: float, r_norm: float, c_mu: float) -> float:
@@ -147,13 +178,18 @@ def invertibility_condition(delta: float, r_norm: float, c_mu: float) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class OscReport:
-    """Snapshot of the oscillation budget for one covering/phase/weight."""
+    """Snapshot of the oscillation budget for one covering/phase/weight.
 
-    osc: np.ndarray          # the oscillation kernel itself (not serialized)
+    ``osc_norm_v`` and ``r_norm_v`` are the norms of osc and R under m_v
+    (``v_weight``), taken in the same passes; they are not serialized.
+    """
+
     osc_norm: float
+    osc_norm_v: float
     delta: float
     sigma: float
     r_norm: float
+    r_norm_v: float
     c_mu: float
     oscillation_ok: bool     # osc_norm < delta (strict)
     invertibility_ok: bool   # delta (r_norm + sigma) <= 1
@@ -183,24 +219,33 @@ class OscReport:
 def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
                        weight: Weight2D, delta: float) -> OscReport:
     """Evaluate the oscillation budget; reports, never raises on failure."""
+    weights = (weight, v_weight(weight))
     return _report(model, cov, gamma, weight, delta,
-                   oscillation_kernel(model, cov, gamma))
+                   oscillation_norms(model, cov, gamma, weights),
+                   kernel_norms(model, weights))
+
+
+def kernel_norms(model: FrameModel, weights) -> list:
+    """Schur norms of R under each of ``weights``, from one pass over |R|."""
+    return schur_norms(model.space, abs_row_blocks(model.kernel), weights)
 
 
 def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-            weight: Weight2D, delta: float, osc: np.ndarray) -> OscReport:
-    """The budget from ``osc``, this covering's kernel under ``gamma``."""
-    osc_norm = schur_norm(model.space, osc, weight)
-    r_norm = schur_norm(model.space, model.kernel, weight)
+            weight: Weight2D, delta: float, osc_norms: list,
+            r_norms: list) -> OscReport:
+    """The budget from the norms of osc and R under ``weight`` and its m_v."""
+    osc_norm, osc_norm_v = osc_norms
+    r_norm, r_norm_v = r_norms
     c_mu = weight_compatibility(cov, weight)
     sigma = sigma_constant(delta, r_norm, c_mu)
     lhs, inv_ok = invertibility_condition(delta, r_norm, c_mu)
     return OscReport(
-        osc=osc,
         osc_norm=float(osc_norm),
+        osc_norm_v=float(osc_norm_v),
         delta=float(delta),
         sigma=float(sigma),
         r_norm=float(r_norm),
+        r_norm_v=float(r_norm_v),
         c_mu=float(c_mu),
         oscillation_ok=bool(osc_norm < delta),
         invertibility_ok=inv_ok,
@@ -230,11 +275,11 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
     round. Succeeds as soon as the oscillation norm is below ``delta`` and
     (when required) the invertibility condition holds; an all-singleton
     covering ends the search regardless, since its oscillation vanishes.
-    Each round's kernel is screened column by column: a round is rejected,
-    with no report, at the first column whose weighted Schur sum proves the
-    norm above ``delta``. Rounds that get through the screen are reported
-    from the kernel already computed, so the returned report is the one
-    ``oscillation_report`` gives for that covering.
+    Each round's oscillation is screened column by column: a round is
+    rejected, with no report, at the first column whose weighted Schur sum
+    proves the norm at least ``delta``. Rounds that get through the screen
+    are reported from the norms the same pass computed, so the returned
+    report is the one ``oscillation_report`` gives for that covering.
     Raises CertificationError when ``max_rounds`` is exhausted first.
     """
     if delta <= 0:
@@ -243,7 +288,8 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
         raise StructuralError("max_rounds must be at least 1")
     space = model.space
     gamma = make_phase(model, gamma_rule)
-    stop = (weight, delta * (1.0 + SCREEN_MARGIN))
+    weights = (weight, v_weight(weight))
+    r_norms = None
     spans = space.points.max(axis=0) - space.points.min(axis=0)
     width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
 
@@ -259,11 +305,13 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
             cov = uniform_covering(space, width)
         else:
             cov = singleton_covering(space)
-        scan = oscillation_kernel(model, cov, gamma, stop=stop)
+        scan = oscillation_norms(model, cov, gamma, weights, level=delta)
         if isinstance(scan, Screened):
             last = scan
         else:
-            last = _report(model, cov, gamma, weight, delta, scan)
+            if r_norms is None:
+                r_norms = kernel_norms(model, weights)
+            last = _report(model, cov, gamma, weight, delta, scan, r_norms)
             done = last.oscillation_ok and (
                 not require_invertibility or last.invertibility_ok)
             singleton = all(s.size == 1 for s in cov.sets)

@@ -12,7 +12,7 @@ from .discretize import BoundsReport, SamplingInverse, SamplingPlan, \
     observed_contraction, reconstruct_from_samples, select_samples, \
     synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError
-from .kernels import Weight2D, schur_norm
+from .kernels import Weight2D, row_slices, schur_norms
 from .models import FrameModel
 from .oscillation import OscReport, make_phase, oscillation_report, refine_until
 from .spaces import WeightedLp, pileup
@@ -84,12 +84,14 @@ def reproducing_defect(model: FrameModel) -> float:
     With R = V* S^{-1} V and S = V W V*, the weighted composition is
     R o R = V* S^{-1} S S^{-1} V, so the defect kernel is
     V* (S^{-1} S S^{-1} - S^{-1}) V: an n^2 d product instead of the
-    n^3 dense composition.
+    n^3 dense composition, formed and summed one block of rows at a time.
     """
     g = model.s_inverse
-    core = g @ model.frame_operator @ g - g
-    defect = model.vectors.conj().T @ (core @ model.vectors)
-    return schur_norm(model.space, defect)
+    right = (g @ model.frame_operator @ g - g) @ model.vectors
+    left = model.vectors.conj().T
+    blocks = ((rows, np.abs(left[rows] @ right))
+              for rows in row_slices(model.space.n_points))
+    return schur_norms(model.space, blocks, [None])[0]
 
 
 def cross_check_inversion(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,

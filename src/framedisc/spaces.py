@@ -200,7 +200,7 @@ def sup_embedding_report(cov: Covering, Y: WeightedLp, weight: Weight2D,
     rng = np.random.default_rng(seed)
     observed = 0.0
     n = cov.n_sets
-    probes = [np.eye(n)[j] for j in range(n)]
+    probes = list(np.eye(n))
     for _ in range(n_trials):
         probes.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     for lam in probes:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from framedisc import QuadratureSpace, Weight2D, uniform_grid
+from framedisc import Covering, QuadratureSpace, Weight2D, uniform_grid
 
 
 @pytest.fixture
@@ -40,3 +40,15 @@ def random_pointwise_weight(rng, n):
 def unit_weight(space):
     """The trivial two-point weight m = 1."""
     return Weight2D(space, np.ones(space.n_points))
+
+
+def random_interval_covering(rng, space, n_sets):
+    """Random intervals of indices, forced to cover everything."""
+    n = space.n_points
+    sets = []
+    for _ in range(n_sets):
+        a = int(rng.integers(0, n - 1))
+        b = int(rng.integers(a + 1, n + 1))
+        sets.append(np.arange(a, b))
+    sets.append(np.arange(n))   # guarantee coverage
+    return Covering(space, tuple(sets))

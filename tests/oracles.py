@@ -3,9 +3,10 @@
 Everything named ``*_naive`` is written as plain Python loops over indices,
 deliberately avoiding the code paths (matmuls, scatter/gather over flat
 index arrays) used by the package itself. The dense kernel algebra below
-(``identity_kernel`` ... ``involution``) is the vectorized form the tests
-check against those loops; only tests use it, so the package does not
-carry it.
+(``identity_kernel`` ... ``involution``) and the dense derived kernels
+(``oscillation_kernel``, ``sampled_row_kernel``) are the vectorized forms
+the tests check against those loops and against the package's streamed
+Schur sums; only tests use them, so the package does not carry them.
 """
 
 import numpy as np
@@ -44,6 +45,23 @@ def compose(space, k1, k2):
 def involution(kernel):
     """Conjugate transpose K*(x,y) = conj(K(y,x))."""
     return np.conj(np.asarray(kernel, dtype=complex)).T
+
+
+def oscillation_kernel(model, cov, gamma):
+    """The dense oscillation kernel, column by column:
+    osc(x, y) = max over z in Q_y of |R(x, y) - Gamma(y, z) R(x, z)|."""
+    r = model.kernel
+    n = model.space.n_points
+    out = np.empty((n, n))
+    for y in range(n):
+        zs = cov.q_neighborhood(y)
+        out[:, y] = np.abs(r[:, [y]] - r[:, zs] * gamma(y, zs)[None, :]).max(axis=1)
+    return out
+
+
+def sampled_row_kernel(model, plan):
+    """K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x): rows of R spread over sets."""
+    return plan.covering.point_sums(np.abs(model.kernel[plan.samples, :]))
 
 
 def integrate_naive(weights, values):
@@ -221,8 +239,8 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
     """The covering search with every round's budget computed in full.
 
     The same halving schedule as ``refine_until``, but each round builds the
-    complete ``oscillation_report`` (whole oscillation kernel, both Schur
-    norms, C_mU) before deciding, with no screening. When the rounds run
+    complete ``oscillation_report`` (an unscreened pass over the whole
+    oscillation kernel, both Schur norms, C_mU) before deciding. When the rounds run
     out, the raised error carries the last round's report as ``last_report``.
     """
     from framedisc import CertificationError, StructuralError, make_phase, \

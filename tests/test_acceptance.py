@@ -14,9 +14,9 @@ import pytest
 
 from framedisc import SamplingInverse, Weight2D, WeightedLp, build_pou, \
     neighbor_sums, contraction_bounds, hilbert_frame_bounds, invertibility_condition, \
-    make_phase, norm_flat, norm_natural, observed_contraction, oscillation_kernel, \
-    oscillation_report, permutation_kernel, schur_norm, select_samples, \
-    singleton_covering, transfer_kernel, uniform_covering, uniform_grid, \
+    make_phase, norm_flat, norm_natural, observed_contraction, \
+    oscillation_norms, oscillation_report, permutation_kernel, schur_norm, \
+    select_samples, singleton_covering, transfer_kernel, uniform_covering, uniform_grid, \
     verify_sampled_bounds
 from framedisc.cli import main
 from framedisc.coverings import Covering, random_admissible_permutation, \
@@ -27,8 +27,8 @@ from framedisc.spaces import SequenceNorms, flat_equivalence_interval, \
     lp_sequence_norm, sup_embedding_report
 
 from conftest import random_kernel, random_pointwise_weight
-from oracles import compose, osc_naive, phase_table_naive, schur_norm_naive, \
-    weight_matrix_naive
+from oracles import compose, osc_naive, oscillation_kernel, phase_table_naive, \
+    schur_norm_naive, weight_matrix_naive
 
 
 @contextmanager
@@ -124,6 +124,9 @@ def test_criterion_3_oscillation_oracle():
             want = osc_naive(model.kernel, [s.tolist() for s in sets],
                              phase_table_naive(model.kernel, rule))
             assert np.max(np.abs(got - want)) <= 1e-14
+            streamed, = oscillation_norms(model, cov, gamma, [None])
+            assert streamed == pytest.approx(
+                schur_norm_naive(model.space.weights, want), rel=1e-13)
             singleton = singleton_covering(model.space)
             assert np.all(oscillation_kernel(model, singleton, gamma) == 0.0)
 

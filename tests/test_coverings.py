@@ -8,21 +8,9 @@ from framedisc import Covering, StructuralError, Weight2D, \
 from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json, \
     covering_to_json, is_admissible_permutation, random_admissible_permutation
 
-from conftest import unit_weight
+from conftest import random_interval_covering, unit_weight
 from oracles import apply_kernel, covering_stats_naive, identity_kernel, \
     membership_naive, q_neighborhoods_naive, weight_matrix_naive
-
-
-def random_interval_covering(rng, space, n_sets):
-    """Random intervals of indices, forced to cover everything."""
-    n = space.n_points
-    sets = []
-    for _ in range(n_sets):
-        a = int(rng.integers(0, n - 1))
-        b = int(rng.integers(a + 1, n + 1))
-        sets.append(np.arange(a, b))
-    sets.append(np.arange(n))   # guarantee coverage
-    return Covering(space, tuple(sets))
 
 
 class TestValidation:

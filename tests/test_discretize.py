@@ -1,19 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import framedisc.kernels as kernels_module
 from framedisc import CertificationError, Covering, SamplingInverse, \
     SingularOperatorError, StructuralError, WeightedLp, apply_sampling, \
     apply_smoothed, atomic_decomposition, build_pou, contraction_bounds, \
     dual_frame, hilbert_frame_bounds, make_phase, norm_flat, norm_natural, \
     observed_contraction, oscillation_report, reconstruct_from_samples, \
-    sampled_row_kernel, schur_norm, select_samples, singleton_covering, \
-    synthesize_plan, uniform_covering, verify_sampled_bounds
+    schur_norm, select_samples, singleton_covering, synthesize_plan, \
+    uniform_covering, verify_sampled_bounds
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
     residual_suite
 
-from oracles import apply_kernel, compose, sampling_operator_naive
+from framedisc.spaces import local_integrability_constant
+
+from conftest import random_interval_covering, random_pointwise_weight
+from oracles import apply_kernel, compose, osc_naive, phase_table_naive, \
+    sampled_row_kernel, sampling_operator_naive, schur_norm_naive, \
+    weight_matrix_naive
 
 
 def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
@@ -491,6 +499,68 @@ class TestVerifiedBounds:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         gap = cross_check_inversion(model, plan, Y, report, n_trials=10, seed=4)
         assert gap is not None and gap <= 1e-9
+
+
+class TestStreamedBounds:
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    @pytest.mark.parametrize("covering", ["intervals", "boxes"])
+    def test_constants_match_dense_oracles(self, covering, weight_rule):
+        """The streamed sampled-row constant and the range-sup constant built
+        from the report's m_v norms match naive Schur norms of the dense
+        sampled-row, oscillation and reproducing kernels."""
+        model = build_random_smooth_model(3, 24, 3.0, seed=1)
+        space = model.space
+        n = space.n_points
+        rng = np.random.default_rng(5)
+        cov = random_interval_covering(rng, space, 5) if covering == "intervals" \
+            else uniform_covering(space, 3.0 / n)
+        w = np.ones(n) if weight_rule == "unit" else random_pointwise_weight(rng, n)
+        Y = WeightedLp(space, 2.0, w)
+        weight = Y.weight2d(ref_index=4)
+        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+                                    weight, 0.25)
+        plan = select_samples(cov, build_pou(cov))
+        bounds = verify_sampled_bounds(model, plan, Y, weight, report, n_trials=5)
+        mu = space.weights
+        m = weight_matrix_naive(weight.w)
+        m_v = weight_matrix_naive(weight.v)
+        assert bounds.sampled_flat_constant == pytest.approx(
+            schur_norm_naive(mu, sampled_row_kernel(model, plan), m), rel=1e-13)
+        osc = osc_naive(model.kernel, [s.tolist() for s in cov.sets],
+                        phase_table_naive(model.kernel, "kernel"))
+        range_sup = (schur_norm_naive(mu, osc, m_v)
+                     + schur_norm_naive(mu, model.kernel, m_v)) \
+            * local_integrability_constant(cov, Y, weight)
+        assert bounds.range_sup_constant == pytest.approx(range_sup, rel=1e-13)
+
+    def test_no_square_array_besides_the_kernel(self, monkeypatch):
+        """With an eight-row block budget, the oscillation report, the bounds
+        check and the reproducing defect each allocate less than one n x n
+        float array on top of the kernel."""
+        model = build_gabor_model(6, 81, 2.45)
+        space = model.space
+        n = space.n_points
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * 16 * n)
+        cov = Covering(space, tuple(np.arange(t, t + 2) for t in range(0, n, 2)))
+        Y = WeightedLp(space, 2.0, np.exp(0.02 * np.linalg.norm(space.points,
+                                                                axis=1)))
+        weight = Y.weight2d()
+        gamma = make_phase(model, "kernel")
+        plan = select_samples(cov, build_pou(cov))
+        model.kernel                           # built before measuring
+        report = oscillation_report(model, cov, gamma, weight, 0.2)
+        for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
+                    lambda: verify_sampled_bounds(model, plan, Y, weight, report,
+                                                  n_trials=5),
+                    lambda: reproducing_defect(model)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n
 
 
 class TestScaleInvariantNeumann:

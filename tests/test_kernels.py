@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from framedisc import DiscreteMeasure, StructuralError, Weight2D, WeightedLp, \
-    schur_norm, uniform_grid
+from framedisc import DiscreteMeasure, SchurSums, StructuralError, Weight2D, \
+    WeightedLp, schur_norm, schur_norms, uniform_grid
 from framedisc.kernels import check_kernel, load_kernel_binary, save_kernel_binary
 
 from conftest import random_kernel, random_pointwise_weight, unit_weight
@@ -56,6 +56,45 @@ class TestSchurNorm:
         for weight in (None, m):
             assert schur_norm(space, k, weight) \
                 == schur_norm(space, k.astype(complex), weight)
+
+
+class TestStreamedSchurSums:
+    def test_several_weights_in_one_pass(self, rng):
+        """Uneven row blocks, given as slices and index arrays, with the unit
+        weight twice and two non-trivial weights."""
+        n = 9
+        space = uniform_grid(n, weights=rng.uniform(0.5, 2.0, n))
+        k = np.abs(random_kernel(rng, n))
+        weights = [None, unit_weight(space),
+                   Weight2D(space, random_pointwise_weight(rng, n)),
+                   Weight2D(space, random_pointwise_weight(rng, n), ref_index=3)]
+        blocks = [(slice(0, 2), k[:2]), (np.array([2, 3, 4]), k[2:5]),
+                  (slice(5, n), k[5:])]
+        got = schur_norms(space, blocks, weights)
+        for value, weight in zip(got, weights):
+            m = None if weight is None else weight_matrix_naive(weight.w)
+            assert value == pytest.approx(
+                schur_norm_naive(space.weights, k, m), rel=1e-13)
+
+    def test_add_returns_the_block_row_sums(self, rng):
+        n = 7
+        space = uniform_grid(n, weights=rng.uniform(0.5, 2.0, n))
+        k = np.abs(random_kernel(rng, n))
+        weight = Weight2D(space, random_pointwise_weight(rng, n))
+        m = weight_matrix_naive(weight.w)
+        rows = slice(2, 5)
+        got = SchurSums(space, [None, weight]).add(rows, k[rows])
+        assert got.shape == (2, 3)
+        for i, x in enumerate(range(2, 5)):
+            plain = sum(space.weights[y] * k[x, y] for y in range(n))
+            weighted = sum(space.weights[y] * k[x, y] * m[x][y] for y in range(n))
+            assert got[0, i] == pytest.approx(plain, rel=1e-14)
+            assert got[1, i] == pytest.approx(weighted, rel=1e-14)
+
+    def test_weight_on_another_space_rejected(self, small_space):
+        other = uniform_grid(3)
+        with pytest.raises(StructuralError):
+            SchurSums(small_space, [unit_weight(other)])
 
 
 class TestApply:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import framedisc.kernels as kernels_module
 from framedisc import DiscreteMeasure, FrameModel, SingularOperatorError, \
     StructuralError, schur_norm, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
@@ -129,6 +130,26 @@ class TestKernelIdentities:
     def test_kernel_hermitian(self, smooth_model):
         r = smooth_model.kernel
         assert np.max(np.abs(r - r.conj().T)) <= 1e-13
+
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("build", [
+        lambda: build_gabor_model(6, 41, 2.45),
+        lambda: build_random_smooth_model(d=4, n_points=30, smoothness=1.2,
+                                          seed=5)])
+    def test_kernel_is_the_symmetrized_product_exactly(self, monkeypatch, build,
+                                                       rows):
+        """The blocked in-place symmetrization gives the floats of
+        0.5 (r + r^*), and the kernel is exactly Hermitian (the oscillation
+        scan reads kernel rows for columns); ``rows`` sets a block budget
+        of that many kernel rows."""
+        model = build()
+        if rows is not None:
+            monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
+                                rows * 16 * model.space.n_points)
+        r = model.vectors.conj().T @ (model.s_inverse @ model.vectors)
+        want = 0.5 * (r + r.conj().T)
+        assert np.array_equal(model.kernel, want)
+        assert np.array_equal(model.kernel, model.kernel.conj().T)
 
     def test_reproducing_identity(self, smooth_model):
         r = smooth_model.kernel

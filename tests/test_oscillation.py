@@ -4,17 +4,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
 from framedisc import CertificationError, Covering, FrameModel, PhaseFunction, \
     Screened, StructuralError, Weight2D, WeightedLp, invertibility_condition, \
-    make_phase, oscillation_kernel, oscillation_report, refine_until, \
-    schur_norm, sigma_constant, singleton_covering, uniform_covering, \
-    uniform_grid
+    kernel_norms, make_phase, oscillation_norms, oscillation_report, \
+    refine_until, schur_norm, sigma_constant, singleton_covering, \
+    uniform_covering, uniform_grid, v_weight
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
-from conftest import random_pointwise_weight, unit_weight
-from oracles import involution, osc_naive, phase_table_naive, refine_until_naive
+from conftest import random_interval_covering, random_pointwise_weight, \
+    unit_weight
+from oracles import involution, osc_naive, oscillation_kernel, \
+    phase_table_naive, refine_until_naive, schur_norm_naive, weight_matrix_naive
 
 
 @pytest.fixture
@@ -95,6 +98,94 @@ class TestOscillationKernel:
             for y in s:
                 for z in s:
                     assert np.all(r[:, z] <= osc[:, y] + r[:, y] + 1e-13)
+
+
+def streamed_setup(covering, weight_rule, phase):
+    """A smooth model on 24 points with an overlapping interval covering or a
+    box partition, a unit or random weight, and a phase; plus the dense
+    oracle's oscillation kernel for them. The ``table`` phase is a random
+    unimodular table whose diagonal is never 1."""
+    model = build_random_smooth_model(d=4, n_points=24, smoothness=1.2, seed=3)
+    space = model.space
+    n = space.n_points
+    rng = np.random.default_rng(11)
+    if covering == "intervals":
+        cov = random_interval_covering(rng, space, 5)
+    else:
+        cov = uniform_covering(space, 4.0 / n)
+        assert sum(s.size for s in cov.sets) == n and cov.n_sets > 1
+    w = np.ones(n) if weight_rule == "unit" else random_pointwise_weight(rng, n)
+    weight = Weight2D(space, w, ref_index=5)
+    if phase == "table":
+        table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
+        gamma = PhaseFunction(space, table)
+    else:
+        table = phase_table_naive(model.kernel, phase)
+        gamma = make_phase(model, phase)
+    osc = osc_naive(model.kernel, [s.tolist() for s in cov.sets], table)
+    return model, cov, weight, gamma, osc
+
+
+class TestStreamedNorms:
+    @pytest.mark.parametrize("budget", ["default", "two rows"])
+    @pytest.mark.parametrize("phase", ["one", "kernel", "table"])
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    @pytest.mark.parametrize("covering", ["intervals", "boxes"])
+    def test_match_dense_oracles(self, monkeypatch, covering, weight_rule, phase,
+                                 budget):
+        """The norms of osc and R under the weight and its m_v, from one
+        streamed pass each, match the triple-loop kernel's naive Schur norms.
+        A two-row block budget also splits each padded Q_y into chunks."""
+        model, cov, weight, gamma, osc = streamed_setup(covering, weight_rule,
+                                                        phase)
+        if budget == "two rows":
+            monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
+                                2 * 16 * model.space.n_points)
+        weights = (weight, v_weight(weight))
+        got_osc = oscillation_norms(model, cov, gamma, weights)
+        got_r = kernel_norms(model, weights)
+        mu = model.space.weights
+        for k, wt in enumerate(weights):
+            m = weight_matrix_naive(wt.w)
+            assert got_osc[k] == pytest.approx(schur_norm_naive(mu, osc, m),
+                                               rel=1e-13)
+            assert got_r[k] == pytest.approx(
+                schur_norm_naive(mu, model.kernel, m), rel=1e-13)
+        rep = oscillation_report(model, cov, gamma, weight, 0.5)
+        assert [rep.osc_norm, rep.osc_norm_v] == got_osc
+        assert [rep.r_norm, rep.r_norm_v] == got_r
+
+    def test_report_holds_no_array(self, smooth_model):
+        cov = uniform_covering(smooth_model.space, 0.3)
+        rep = oscillation_report(smooth_model, cov,
+                                 make_phase(smooth_model, "kernel"),
+                                 unit_weight(smooth_model.space), 0.5)
+        assert not any(isinstance(v, np.ndarray) for v in vars(rep).values())
+
+    @pytest.mark.parametrize("column", [0, 1, 2, 6, 40, 150])
+    def test_stopped_scan_reads_few_neighborhoods(self, monkeypatch, column):
+        """Only the pair {c, c + 1} oscillates, so the scan stops at column c
+        having read Q_y for at most 2c + 1 columns: the column-0 stop reads
+        exactly one."""
+        model = build_gabor_model(6, 41, 2.45)
+        n = model.space.n_points
+        sets = [[y] for y in range(n) if y not in (column, column + 1)]
+        cov = Covering(model.space, tuple(sets + [[column, column + 1]]))
+        calls = []
+        q_neighborhood = Covering.q_neighborhood
+
+        def counting(cov, y):
+            calls.append(y)
+            return q_neighborhood(cov, y)
+
+        monkeypatch.setattr(Covering, "q_neighborhood", counting)
+        scan = oscillation_norms(model, cov, make_phase(model, "kernel"),
+                                 [unit_weight(model.space)],
+                                 level=np.finfo(float).tiny)
+        assert isinstance(scan, Screened) and scan.column == column
+        assert len(calls) <= 2 * column + 1
+        if column == 0:
+            assert calls == [0]
 
 
 def full_table(gamma):
@@ -262,8 +353,9 @@ def screen_models():
 
 @pytest.fixture(scope="module")
 def exact_kernels():
-    """Memo of the oracle's exact oscillation kernels; they depend on the
-    covering, not on delta or the weight."""
+    """Memo of the oscillation kernel blocks the oracle's unscreened passes
+    compute; they depend on the covering and the phase, not on delta or
+    the weight."""
     return {}
 
 
@@ -290,16 +382,16 @@ def stated_bound(message):
 
 
 def naive_outcome(kernels, monkeypatch, model, *args, **kwargs):
-    exact = oscillation_module.oscillation_kernel
+    exact = oscillation_module._osc_rows
 
-    def memo(model, cov, gamma):
-        key = (id(model), cov.identifier(), gamma.rule)
+    def memo(r, cov, gamma, start, stop):
+        key = (id(r), cov.identifier(), gamma.rule, start, stop)
         if key not in kernels:
-            kernels[key] = exact(model, cov, gamma)
+            kernels[key] = exact(r, cov, gamma, start, stop)
         return kernels[key]
 
     with monkeypatch.context() as patch:
-        patch.setattr(oscillation_module, "oscillation_kernel", memo)
+        patch.setattr(oscillation_module, "_osc_rows", memo)
         return outcome(refine_until_naive, model, *args, **kwargs)
 
 
@@ -308,8 +400,8 @@ def column0_sum(model, weight):
     spans = np.ptp(model.space.points, axis=0)
     cov = uniform_covering(model.space,
                            np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0)
-    scan = oscillation_kernel(model, cov, make_phase(model, "kernel"),
-                              stop=(weight, 0.0))
+    scan = oscillation_norms(model, cov, make_phase(model, "kernel"), [weight],
+                             level=0.0)
     assert scan.column == 0
     return scan.lower_bound
 
@@ -420,15 +512,17 @@ class TestRefineScreen:
         osc = oscillation_kernel(model, cov, gamma)
         sums = model.space.weights @ osc
         level = float(np.sort(sums)[-2])
-        scan = oscillation_kernel(model, cov, gamma, stop=(w, level))
+        scan = oscillation_norms(model, cov, gamma, [w], level=level)
         assert isinstance(scan, Screened)
         first = int(np.flatnonzero(sums >= level)[0])
         assert scan.column == first
         assert scan.lower_bound == pytest.approx(sums[first], rel=1e-14)
-        assert scan.lower_bound <= schur_norm(model.space, osc, w)
-        full = oscillation_kernel(model, cov, gamma,
-                                  stop=(w, float(sums.max()) * 2.0))
-        assert np.array_equal(full, osc)
+        norm = schur_norm(model.space, osc, w)
+        assert scan.lower_bound <= norm * (1 + 1e-13)
+        full = oscillation_norms(model, cov, gamma, [w],
+                                 level=float(sums.max()) * 2.0)
+        assert full == oscillation_norms(model, cov, gamma, [w])
+        assert full[0] == pytest.approx(norm, rel=1e-13)
 
     def test_zero_rounds_rejected(self, smooth_model):
         with pytest.raises(StructuralError):

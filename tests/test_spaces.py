@@ -185,6 +185,33 @@ class TestSupEmbedding:
             assert rep.apriori_constant >= rep.observed_constant * (1 - 1e-12)
 
 
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_matches_one_probe_at_a_time(self, weighted_setup, p):
+        """The report equals the same probes built one unit vector at a time."""
+        space, w, cov = weighted_setup
+        Y = WeightedLp(space, p, w)
+        weight = Y.weight2d()
+        rep = sup_embedding_report(cov, Y, weight, n_trials=20, seed=4)
+        trace = SequenceNorms.build(cov, Y, weight).sup_trace
+        rng = np.random.default_rng(4)
+        n = cov.n_sets
+        probes = []
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = 1.0
+            probes.append(e)
+        probes += [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                   for _ in range(20)]
+        observed = 0.0
+        for lam in probes:
+            nat = norm_natural(lam, cov, Y)
+            if nat > 0.0:
+                observed = max(observed,
+                               float(np.max(np.abs(lam) / (trace * nat))))
+        assert rep.observed_constant == observed
+        assert np.array_equal(rep.sup_trace, trace)
+
+
 class TestDecompositionNorm:
     def test_dirac_on_singleton_partition(self, small_space):
         cov = singleton_covering(small_space)
