@@ -220,23 +220,27 @@ def weight_compatibility(cov: Covering, weight: Weight2D) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
-    """Nonnegative functions phi_i <= 1 supported in U_i and summing to one."""
+    """Nonnegative functions phi_i <= 1 supported in U_i and summing to one.
+
+    ``phi`` holds one value phi_i(x) per (set, point) pair of the covering,
+    point-major: in the order of ``covering.holders(0, n_points)``, the
+    order ``Covering.pair_sums`` reads. Off those pairs phi_i is zero, so
+    no (n_sets, n_points) table is formed.
+    """
 
     covering: Covering
     phi: np.ndarray
 
     def __post_init__(self):
         cov = self.covering
-        arr = np.asarray(self.phi, dtype=float)
-        if arr.shape != (cov.n_sets, cov.space.n_points):
-            raise StructuralError("phi must be shaped (n_sets, n_points)")
+        arr = np.array(self.phi, dtype=float)
+        if arr.shape != cov.flat_points.shape:
+            raise StructuralError(
+                f"phi must be shaped ({cov.flat_points.size},): one value per "
+                f"(set, point) pair of the covering")
         if np.any(arr < -1e-15) or np.any(arr > 1 + 1e-12):
             raise StructuralError("partition values must lie in [0, 1]")
-        # every nonzero value lies on a (set, point) pair of the covering
-        if np.count_nonzero(arr) != np.count_nonzero(arr[cov.flat_sets,
-                                                         cov.flat_points]):
-            raise StructuralError("phi_i must vanish outside U_i")
-        total = arr.sum(axis=0)
+        total = cov.pair_sums(arr)
         if np.max(np.abs(total - 1.0)) > 1e-12:
             raise StructuralError("partition functions must sum to one")
         arr.setflags(write=False)
@@ -245,7 +249,11 @@ class PartitionOfUnity:
     @property
     def masses(self) -> np.ndarray:
         """c_i = integral of phi_i."""
-        return self.phi @ self.covering.space.weights
+        cov = self.covering
+        points = np.repeat(np.arange(cov.space.n_points), cov.cover_counts)
+        return np.bincount(cov.holders(0, cov.space.n_points),
+                           self.phi * cov.space.weights[points],
+                           minlength=cov.n_sets)
 
 
 def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
@@ -257,17 +265,19 @@ def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
     counts = cov.cover_counts
     if np.any(counts == 0):
         raise StructuralError("cannot build a partition of unity: uncovered points")
-    phi = np.zeros((cov.n_sets, cov.space.n_points))
     if kind == "flat":
-        phi[cov.flat_sets, cov.flat_points] = 1.0 / counts[cov.flat_points]
+        phi = np.repeat(1.0 / counts, counts)
     elif kind == "smooth":
         pts = cov.space.points
-        for i, idx in enumerate(cov.sets):
+        bumps = []
+        for idx in cov.sets:
             center = pts[idx].mean(axis=0)
             d2 = np.sum((pts[idx] - center) ** 2, axis=1)
             spread = max(float(d2.max()), 1e-12)
-            phi[i, idx] = np.exp(-d2 / spread)
-        phi /= phi.sum(axis=0)[None, :]
+            bumps.append(np.exp(-d2 / spread))
+        # set-major bumps, reordered to the point-major pairs
+        phi = np.concatenate(bumps)[np.argsort(cov.flat_points, kind="stable")]
+        phi /= np.repeat(cov.pair_sums(phi), counts)
     else:
         raise StructuralError(f"unknown partition kind {kind!r}")
     return PartitionOfUnity(cov, phi)

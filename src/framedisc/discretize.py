@@ -30,6 +30,10 @@ from .spaces import WeightedLp, decomposition_norm, local_integrability_constant
 # ``direct`` inversion accepts; below it the operator counts as singular.
 DIRECT_EIG_FLOOR = 1e-12
 
+# Bytes of complex grid values one block of a streamed Y-norm may hold
+# (``SamplingInverse._column_norms`` for p != 2).
+NORM_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
@@ -86,25 +90,29 @@ def select_samples(cov: Covering, pou: PartitionOfUnity,
 
 
 def apply_sampling(model: FrameModel, plan: SamplingPlan, F) -> np.ndarray:
-    """(U F)(x) = sum_i c_i F(x_i) R(x, x_i)."""
+    """(U F)(x) = sum_i c_i F(x_i) R(x, x_i), formed as V^* A[:, xs] (c F(xs))."""
     arr = model.space.check_function(F)
     xs = plan.samples
-    return model.kernel[:, xs] @ (plan.masses * arr[xs])
+    return model.vectors.conj().T @ (model.duals[:, xs] @ (plan.masses * arr[xs]))
 
 
 def apply_smoothed(model: FrameModel, plan: SamplingPlan, gamma: PhaseFunction,
                    F) -> np.ndarray:
     """Phase-corrected companion of the sampling operator.
 
-    Builds G(y) = sum_i conj(Gamma(y, x_i)) F(x_i) phi_i(y) and applies the
-    reproducing kernel; it differs from U by at most the oscillation norm
+    Builds G(y) = sum_i conj(Gamma(y, x_i)) F(x_i) phi_i(y) over the
+    covering's (set, point) pairs and applies the reproducing kernel as
+    V^* S^{-1} V (mu G); it differs from U by at most the oscillation norm
     times the partition pile-up bound.
     """
     arr = model.space.check_function(F)
-    xs = plan.samples
-    phases = np.conj(gamma(np.arange(arr.size)[:, None], xs))   # (n, n_sets) over y
-    g = (phases * plan.pou.phi.T) @ arr[xs]
-    return model.kernel @ (model.space.weights * g)
+    cov = plan.covering
+    n = arr.size
+    points = np.repeat(np.arange(n), cov.cover_counts)
+    held = plan.samples[cov.holders(0, n)]
+    g = cov.pair_sums(np.conj(gamma(points, held)) * plan.pou.phi * arr[held])
+    return model.vectors.conj().T @ (
+        model.s_inverse @ (model.vectors @ (model.space.weights * g)))
 
 
 def contraction_bounds(report: OscReport) -> tuple:
@@ -190,10 +198,15 @@ class SamplingInverse:
 
         For p = 2 this is the d x d quadratic form |V* a|_Y^2 = a* M a with
         M = V diag(mu w^2) V*, on columns scaled to unit size so that the
-        squares cannot underflow.
+        squares cannot underflow. Otherwise V* a is formed and its norms
+        summed in row blocks of at most ``NORM_BLOCK_BYTES``.
         """
         if self._metric is None:
-            return self.Y.column_norms(self._analysis @ coords)
+            n = self.model.space.n_points
+            step = max(1, NORM_BLOCK_BYTES // (16 * coords.shape[1]))
+            return self.Y.streamed_column_norms(
+                (rows, self._analysis[rows] @ coords)
+                for rows in row_slices(n, step))
         scale = np.abs(coords).max(axis=0, initial=0.0)
         unit = coords / np.where(scale > 0.0, scale, 1.0)
         quad = np.einsum("ij,ij->j", unit.conj(), self._metric @ unit).real
@@ -231,11 +244,14 @@ class SamplingInverse:
         )
 
     def apply(self, F) -> np.ndarray:
-        """Apply the inverse to one grid function in the kernel range."""
-        arr = self.model.space.check_function(F)
-        g = self.model.from_analysis(arr)
-        out = self._invert_coords(g[:, None])
-        return self._analysis @ out[:, 0]
+        """Apply the inverse to a grid function in the kernel range, or to
+        each column of an (n_points, k) block of them."""
+        model = self.model
+        arr, shape = _as_columns(F, model.space.n_points, "grid function")
+        coords = model.s_inverse @ (model.vectors
+                                    @ (model.space.weights[:, None] * arr))
+        out = self._analysis @ self._invert_coords(coords)
+        return out.reshape((model.space.n_points,) + shape)
 
 
 def _as_columns(values, length: int, what: str) -> tuple:
@@ -407,12 +423,14 @@ class BoundsReport:
 def _sampled_row_blocks(model: FrameModel, plan: SamplingPlan):
     """``(rows, K[rows, :])`` over row blocks of the sampled-row kernel
     K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x), read through the covering's
-    point-major index; K itself is never formed."""
+    point-major index; K itself is never formed. Each block forms the row
+    R(x_i, .) once per set i holding one of its points."""
     cov = plan.covering
     for rows in row_slices(model.space.n_points):
-        sets = cov.holders(rows.start, rows.stop)
-        yield rows, cov.pair_sums(np.abs(model.kernel[plan.samples[sets]]),
-                                  rows.start, rows.stop)
+        sets, pair = np.unique(cov.holders(rows.start, rows.stop),
+                               return_inverse=True)
+        sampled = np.abs(model.kernel_rows(plan.samples[sets]))
+        yield rows, cov.pair_sums(sampled[pair], rows.start, rows.stop)
 
 
 def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -448,7 +466,9 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     vals = np.abs(F[plan.samples])
     sup = sup_space.column_norms(F)
     d_obs = np.max(Y.column_norms(pileup(vals, cov)) / ny, initial=0.0)
-    sig_obs = np.max(Y.column_norms(plan.pou.phi.T @ vals) / ny, initial=0.0)
+    smoothed = cov.pair_sums(plan.pou.phi[:, None]
+                             * vals[cov.holders(0, space.n_points)])
+    sig_obs = np.max(Y.column_norms(smoothed) / ny, initial=0.0)
     sup_obs = np.max(sup / ny, initial=0.0)
     ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)
     ratios_ysup = sup / ny

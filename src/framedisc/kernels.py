@@ -13,8 +13,10 @@ Schur norms are streamed: ``SchurSums`` takes |K| in blocks of rows,
 forms each non-trivial weight's m on the block once, and keeps the row
 sums and the running column sums of every weight it was given, so one pass
 gives the norm under several weights and no (n, n) array of |K| or m is
-formed. Derived kernels (the oscillation kernel, the sampled-row kernel)
-are produced block by block straight into it.
+formed. The reproducing kernel and the kernels derived from it (the
+oscillation kernel, the sampled-row kernel, the reproducing defect) are
+produced block by block from a model's rank-d factors straight into it;
+dense kernels are accepted only by ``schur_norm``.
 """
 
 from __future__ import annotations
@@ -129,9 +131,10 @@ def block_rows(n: int) -> int:
     return max(1, BLOCK_BYTES // (16 * n))
 
 
-def row_slices(n: int) -> list:
-    """Consecutive slices of ``block_rows(n)`` rows covering ``range(n)``."""
-    step = block_rows(n)
+def row_slices(n: int, step: int | None = None) -> list:
+    """Consecutive slices of ``step`` rows (default ``block_rows(n)``)
+    covering ``range(n)``."""
+    step = block_rows(n) if step is None else step
     return [slice(start, min(n, start + step)) for start in range(0, n, step)]
 
 

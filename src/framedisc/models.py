@@ -6,18 +6,19 @@ definite; its inverse defines the reproducing kernel
 
     R(x, y) = psi_x^* S^{-1} psi_y,
 
-a Hermitian matrix that is idempotent under weighted composition and acts
-as the identity on the range of both analysis transforms.
+a Hermitian kernel that is idempotent under weighted composition and acts
+as the identity on the range of both analysis transforms. R has rank d:
+with V the (d, n) matrix of frame vectors and A = S^{-1} V the dual
+vectors, R = A^* V. The model keeps only V and A; ``kernel_rows`` forms
+rows of R (or of any V^* C V) on demand, so no n x n kernel is stored.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure, row_slices
+from .kernels import DiscreteMeasure
 from .quadrature import QuadratureSpace, uniform_grid
 
 # Smallest admissible eigenvalue of a model's frame operator.
@@ -32,8 +33,9 @@ class FrameModel:
     space : QuadratureSpace with n points.
     vectors : complex array (d, n); column x is psi_x.
 
-    A frame operator with an eigenvalue at or below ``EIG_FLOOR`` is refused
-    rather than regularized.
+    ``duals`` is the read-only (d, n) array A = S^{-1} V of canonical dual
+    vectors. A frame operator with an eigenvalue at or below ``EIG_FLOOR``
+    is refused rather than regularized.
     """
 
     def __init__(self, space: QuadratureSpace, vectors):
@@ -60,20 +62,21 @@ class FrameModel:
         self.s_eigenvalues = evals
         self._s_evecs = evecs
         self.s_inverse = (evecs / evals[None, :]) @ evecs.conj().T
+        duals = self.s_inverse @ psi
+        duals.setflags(write=False)
+        self.duals = duals
 
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """Reproducing kernel R(x, y) = psi_x^* S^{-1} psi_y (Hermitian)."""
-        r = self.vectors.conj().T @ (self.s_inverse @ self.vectors)
-        # 0.5 (r + r^*) in place, a block of rows and its mirrored block of
-        # columns at a time: the same floats, exactly Hermitian, and no n x n
-        # temporary (the oscillation scan reads kernel rows for columns)
-        for rows in row_slices(r.shape[0]):
-            upper = r[rows, rows.start:] + r[rows.start:, rows].conj().T
-            upper *= 0.5
-            r[rows, rows.start:] = upper
-            r[rows.start:, rows] = upper.conj().T
-        return r
+    def kernel_rows(self, rows, core=None) -> np.ndarray:
+        """Rows ``rows`` (an index array or slice) of a rank-d kernel.
+
+        By default the reproducing kernel, R[rows, :] = A[:, rows]^* V. With
+        a (d, d) ``core`` C, the rows of V^* C V instead, formed as
+        V[:, rows]^* (C V); ``core = S^{-1} S S^{-1} - S^{-1}`` gives the
+        reproducing defect R o R - R.
+        """
+        if core is None:
+            return self.duals[:, rows].conj().T @ self.vectors
+        return self.vectors[:, rows].conj().T @ (core @ self.vectors)
 
     def check_vector(self, f) -> np.ndarray:
         arr = np.asarray(f, dtype=complex).reshape(-1)

@@ -8,8 +8,10 @@ oscillation kernel is
 computed by exact enumeration. Its Schur norm against the target weight is
 the budget that certifies invertibility of the sampling operator: with
 sigma = max{C_mU |R|, |R| + delta}, the sufficient condition reads
-delta (|R| + sigma) <= 1. The kernel is never stored: its columns are
-formed in blocks and streamed into the Schur sums (``oscillation_norms``).
+delta (|R| + sigma) <= 1. Neither osc nor R is stored: the columns of osc
+are formed in blocks from the model's rank-d factors and streamed into the
+Schur sums (``oscillation_norms``), and so are the rows of R
+(``kernel_norms``).
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 from .coverings import Covering, singleton_covering, uniform_covering, \
     weight_compatibility
 from .errors import CertificationError, StructuralError
-from .kernels import SchurSums, Weight2D, abs_row_blocks, block_rows, \
-    schur_norms
+from .kernels import SchurSums, Weight2D, block_rows, row_slices, schur_norms
 from .models import FrameModel
 from .quadrature import QuadratureSpace
 
@@ -36,7 +37,8 @@ class PhaseFunction:
     broadcast together. ``make_phase`` builds the rules ``one`` (the constant
     phase, plain kernel oscillation) and ``kernel`` (Gamma(y, z) = R(z, y)/
     |R(z, y)|, which cancels the kernel's own rotation and typically shrinks
-    the oscillation norm); both are read off the kernel, with no n x n table.
+    the oscillation norm); both are read off the model's rank-d factors, with
+    no n x n table.
     The ``kernel`` rule is the per-pair L^2-optimal phase: since
     sum_x mu_x conj(R(x, z)) R(x, y) = R(z, y), it minimizes
     sum_x mu_x |R(x, y) - Gamma(y, z) R(x, z)|^2 for every pair. Which phase
@@ -61,7 +63,8 @@ class PhaseFunction:
 
 
 class _RulePhase(PhaseFunction):
-    """A built-in rule, evaluated from the model's kernel on demand."""
+    """A built-in rule, evaluated from the model's factors on demand:
+    R(z, y) is the d-term product A[:, z]^* V[:, y]."""
 
     def __init__(self, model: FrameModel, rule: str):
         self.space = model.space
@@ -71,7 +74,9 @@ class _RulePhase(PhaseFunction):
     def __call__(self, y, z) -> np.ndarray:
         if self.rule == "one":
             return np.ones(np.broadcast(y, z).shape, dtype=complex)
-        r = self._model.kernel[z, y]
+        model = self._model
+        y, z = np.broadcast_arrays(y, z)
+        r = (model.duals[:, z].conj() * model.vectors[:, y]).sum(axis=0)
         mag = np.abs(r)
         big = mag > PHASE_EPS
         # phase one on the diagonal: R(y, y) is a positive quadratic form
@@ -93,14 +98,16 @@ class Screened:
     lower_bound: float
 
 
-def _osc_rows(r: np.ndarray, cov: Covering, gamma: PhaseFunction,
+def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
               start: int, stop: int) -> np.ndarray:
     """Columns ``start:stop`` of the oscillation kernel, as rows of osc^T.
 
-    R is Hermitian, so osc(x, y) = max_z |R(y, x) - conj Gamma(y, z) R(z, x)|
-    reads contiguous kernel rows. Each Q_y is padded to the block's largest
-    by repeating one of its own points, and the term z = y is left out
-    wherever Gamma(y, y) == 1, since it is exactly 0 there.
+    osc(x, y) = max_z |R(y, x) - conj Gamma(y, z) R(z, x)| up to the
+    rounding of the rank-d rows, and the row R(y, .) - conj Gamma(y, z)
+    R(z, .) is (A[:, y] - Gamma(y, z) A[:, z])^* V, so each chunk of (y, z)
+    pairs is one (pairs, d) @ (d, n) product. Each Q_y is padded to the
+    block's largest by repeating one of its own points, and the term z = y
+    is left out wherever Gamma(y, y) == 1, since it is exactly 0 there.
     """
     ys = np.arange(start, stop)
     drop = gamma(ys, ys) == 1.0
@@ -116,15 +123,15 @@ def _osc_rows(r: np.ndarray, cov: Covering, gamma: PhaseFunction,
     zs = np.concatenate(qs)[np.minimum(last[:, None],
                                        last[:, None] - sizes[:, None] + 1
                                        + np.arange(width)[None, :])]
-    phase = np.conj(gamma(ys[:, None], zs))
-    # chunks of the padded axis keep each (b, chunk, n) block in budget
-    chunk = max(1, block_rows(r.shape[1]) // ys.size)
+    duals, n = model.duals, model.space.n_points
+    # chunks of the padded axis keep each (b * chunk, n) block in budget
+    chunk = max(1, block_rows(n) // ys.size)
     out = None
     for lo in range(0, width, chunk):
-        diff = r[zs[:, lo:lo + chunk]]
-        diff *= phase[:, lo:lo + chunk, None]
-        np.subtract(r[start:stop, None, :], diff, out=diff)
-        part = np.abs(diff).max(axis=1)
+        z = zs[:, lo:lo + chunk]
+        left = duals[:, ys, None] - gamma(ys[:, None], z) * duals[:, z]
+        rows = left.reshape(model.dim, -1).conj().T @ model.vectors
+        part = np.abs(rows).reshape(ys.size, -1, n).max(axis=1)
         out = part if out is None else np.maximum(out, part, out=out)
     return out
 
@@ -144,14 +151,13 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     """
     if cov.space is not model.space and cov.space.n_points != model.space.n_points:
         raise StructuralError("covering lives on a different space")
-    r = model.kernel
     n = model.space.n_points
     sums = SchurSums(model.space, weights)
     cap = block_rows(n)
     start, size = 0, 1
     while start < n:
         stop = min(n, start + size)
-        col_sums = sums.add(slice(start, stop), _osc_rows(r, cov, gamma, start, stop))
+        col_sums = sums.add(slice(start, stop), _osc_rows(model, cov, gamma, start, stop))
         if level is not None:
             hit = np.flatnonzero(col_sums[0] >= level)
             if hit.size:
@@ -226,8 +232,11 @@ def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
 
 
 def kernel_norms(model: FrameModel, weights) -> list:
-    """Schur norms of R under each of ``weights``, from one pass over |R|."""
-    return schur_norms(model.space, abs_row_blocks(model.kernel), weights)
+    """Schur norms of R under each of ``weights``, from one pass over |R|
+    in row blocks formed from the model's factors."""
+    blocks = ((rows, np.abs(model.kernel_rows(rows)))
+              for rows in row_slices(model.space.n_points))
+    return schur_norms(model.space, blocks, weights)
 
 
 def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,

@@ -53,11 +53,33 @@ class WeightedLp:
             raise StructuralError(
                 f"block of shape {arr.shape} is not (n_points, k) on "
                 f"{self.space.n_points} points")
-        vals = np.abs(arr) * self.w[:, None]
-        if np.isinf(self.p):
-            return vals.max(axis=0, initial=0.0)
-        return np.sum(self.space.weights[:, None] * vals ** self.p,
-                      axis=0) ** (1.0 / self.p)
+        return self.streamed_column_norms([(slice(None), arr)])
+
+    def streamed_column_norms(self, blocks) -> np.ndarray:
+        """Column norms of an (n_points, k) block fed as ``(rows, block[rows])``
+        pieces whose rows cover the grid once.
+
+        For 1 < p < inf every column is divided by its largest weighted
+        modulus before the power is taken, and the running sums are rescaled
+        when a later piece raises that maximum, so the norm neither
+        underflows nor overflows for any finite input. p = 1 and p = inf
+        need no scaling.
+        """
+        p, mu = self.p, self.space.weights
+        top = total = 0.0
+        for rows, part in blocks:
+            vals = np.abs(part) * self.w[rows, None]
+            new_top = np.maximum(top, vals.max(axis=0, initial=0.0))
+            if p == 1.0:
+                total = total + np.sum(mu[rows, None] * vals, axis=0)
+            elif not np.isinf(p):
+                scale = np.where(new_top > 0.0, new_top, 1.0)
+                total = total * (top / scale) ** p \
+                    + np.sum(mu[rows, None] * (vals / scale) ** p, axis=0)
+            top = new_top
+        if np.isinf(p):
+            return top
+        return total if p == 1.0 else top * total ** (1.0 / p)
 
     def weight2d(self, ref_index: int = 0) -> Weight2D:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
@@ -158,18 +180,17 @@ def set_pair_kernel_norms(cov: Covering, weight: Weight2D, ref_set: int = 0) -> 
 
     Computed directly from the definition (no dense kernels): the two Schur
     integrals of set i are sup_{x in U_k} sum_{y in U_i} mu_y m(x,y) and the
-    transpose-side analogue.
+    transpose-side analogue, for every set at once over the covering's flat
+    (set, point) pairs.
     """
     mu = cov.space.weights
     k_idx = cov.sets[ref_set]
-    m_k = weight.block(k_idx, slice(None))
-    out = np.empty(cov.n_sets)
-    for i, idx in enumerate(cov.sets):
-        block = m_k[:, idx]
-        row = float((block * mu[idx][None, :]).sum(axis=1).max())
-        col = float((block * mu[k_idx][:, None]).sum(axis=0).max())
-        out[i] = max(row, col)
-    return out
+    points = cov.flat_points
+    starts = np.flatnonzero(np.diff(cov.flat_sets, prepend=-1))
+    m_k = weight.block(k_idx, points)               # (|U_k|, pairs)
+    row = np.add.reduceat(m_k * mu[points][None, :], starts, axis=1).max(axis=0)
+    col = np.maximum.reduceat((m_k * mu[k_idx][:, None]).sum(axis=0), starts)
+    return np.maximum(row, col)
 
 
 @dataclass(frozen=True, eq=False)

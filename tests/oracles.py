@@ -2,16 +2,44 @@
 
 Everything named ``*_naive`` is written as plain Python loops over indices,
 deliberately avoiding the code paths (matmuls, scatter/gather over flat
-index arrays) used by the package itself. The dense kernel algebra below
-(``identity_kernel`` ... ``involution``) and the dense derived kernels
-(``oscillation_kernel``, ``sampled_row_kernel``) are the vectorized forms
-the tests check against those loops and against the package's streamed
-Schur sums; only tests use them, so the package does not carry them.
+index arrays) used by the package itself. The dense reproducing kernel
+(``dense_kernel``), the dense partition-of-unity table (``dense_pou``),
+the dense kernel algebra (``identity_kernel`` ... ``involution``) and the
+dense derived kernels (``oscillation_kernel``, ``sampled_row_kernel``) are
+the vectorized forms the tests check against those loops and against the
+package's streamed Schur sums and rank-d rows; only tests use them, so the
+package does not carry them.
 """
 
 import numpy as np
 
 from framedisc.kernels import check_kernel
+
+
+def dense_kernel(model):
+    """The n x n reproducing kernel R = V^* S^{-1} V, made exactly Hermitian
+    as 0.5 (R + R^*)."""
+    r = model.vectors.conj().T @ (model.s_inverse @ model.vectors)
+    return 0.5 * (r + r.conj().T)
+
+
+def rank_d_entries(model):
+    """R(z, y) = A[:, z]^* V[:, y] for every pair, each a d-term sum formed
+    from gathered factor columns the way the built-in phase rules form it
+    (not symmetrized)."""
+    z, y = np.indices((model.space.n_points,) * 2)
+    return (model.duals[:, z].conj() * model.vectors[:, y]).sum(axis=0)
+
+
+def dense_pou(pou):
+    """The (n_sets, n_points) table of a partition of unity: phi_i(x) on the
+    covering's (set, point) pairs, zero elsewhere."""
+    cov = pou.covering
+    n = cov.space.n_points
+    out = np.zeros((cov.n_sets, n))
+    points = np.repeat(np.arange(n), cov.cover_counts)
+    out[cov.holders(0, n), points] = pou.phi
+    return out
 
 
 def identity_kernel(space):
@@ -50,7 +78,7 @@ def involution(kernel):
 def oscillation_kernel(model, cov, gamma):
     """The dense oscillation kernel, column by column:
     osc(x, y) = max over z in Q_y of |R(x, y) - Gamma(y, z) R(x, z)|."""
-    r = model.kernel
+    r = dense_kernel(model)
     n = model.space.n_points
     out = np.empty((n, n))
     for y in range(n):
@@ -61,7 +89,7 @@ def oscillation_kernel(model, cov, gamma):
 
 def sampled_row_kernel(model, plan):
     """K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x): rows of R spread over sets."""
-    return plan.covering.point_sums(np.abs(model.kernel[plan.samples, :]))
+    return plan.covering.point_sums(np.abs(dense_kernel(model)[plan.samples, :]))
 
 
 def integrate_naive(weights, values):

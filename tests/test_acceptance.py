@@ -27,8 +27,8 @@ from framedisc.spaces import SequenceNorms, flat_equivalence_interval, \
     lp_sequence_norm, sup_embedding_report
 
 from conftest import random_kernel, random_pointwise_weight
-from oracles import compose, osc_naive, oscillation_kernel, phase_table_naive, \
-    schur_norm_naive, weight_matrix_naive
+from oracles import compose, dense_kernel, osc_naive, oscillation_kernel, \
+    phase_table_naive, rank_d_entries, schur_norm_naive, weight_matrix_naive
 
 
 @contextmanager
@@ -80,11 +80,11 @@ def test_criterion_1_reproducing_identity():
     with criterion(1, "reproducing identity for both built-in models"):
         t0 = time.time()
         gabor = build_gabor_model(32, 32, 5.7)
-        r = gabor.kernel
+        r = dense_kernel(gabor)
         defect = schur_norm(gabor.space, compose(gabor.space, r, r) - r)
         assert defect <= 1e-10
         smooth = build_random_smooth_model(16, 256, 2.0, seed=0)
-        r = smooth.kernel
+        r = dense_kernel(smooth)
         defect = schur_norm(smooth.space, compose(smooth.space, r, r) - r)
         assert defect <= 1e-10
         assert time.time() - t0 <= 30.0
@@ -121,8 +121,8 @@ def test_criterion_3_oscillation_oracle():
             rule = "kernel" if trial % 2 else "one"
             gamma = make_phase(model, rule)
             got = oscillation_kernel(model, cov, gamma)
-            want = osc_naive(model.kernel, [s.tolist() for s in sets],
-                             phase_table_naive(model.kernel, rule))
+            want = osc_naive(dense_kernel(model), [s.tolist() for s in sets],
+                             phase_table_naive(rank_d_entries(model), rule))
             assert np.max(np.abs(got - want)) <= 1e-14
             streamed, = oscillation_norms(model, cov, gamma, [None])
             assert streamed == pytest.approx(

@@ -9,8 +9,8 @@ from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json,
     covering_to_json, is_admissible_permutation, random_admissible_permutation
 
 from conftest import random_interval_covering, unit_weight
-from oracles import apply_kernel, covering_stats_naive, identity_kernel, \
-    membership_naive, q_neighborhoods_naive, weight_matrix_naive
+from oracles import apply_kernel, covering_stats_naive, dense_pou, \
+    identity_kernel, membership_naive, q_neighborhoods_naive, weight_matrix_naive
 
 
 class TestValidation:
@@ -113,13 +113,15 @@ class TestPartitionOfUnity:
     def test_flat_on_partition_is_indicator(self, grid64):
         cov = uniform_covering(grid64, 8.0)
         pou = build_pou(cov, "flat")
-        assert np.array_equal(pou.phi, membership_naive(cov.sets, 64).astype(float))
+        assert np.array_equal(dense_pou(pou),
+                              membership_naive(cov.sets, 64).astype(float))
         assert np.allclose(pou.masses, cov.measures, rtol=0, atol=0)
 
     def test_equal_sharing_on_double_cover(self, small_space):
         cov = Covering(small_space, (np.array([0, 1, 2]), np.array([2, 3, 4])))
         pou = build_pou(cov, "flat")
-        assert pou.phi[0, 2] == 0.5 and pou.phi[1, 2] == 0.5
+        phi = dense_pou(pou)
+        assert phi[0, 2] == 0.5 and phi[1, 2] == 0.5
 
     def test_masses_sum_to_total_measure(self, rng, grid64):
         for kind in ("flat", "smooth"):
@@ -129,22 +131,58 @@ class TestPartitionOfUnity:
                                                        rel=1e-12)
             assert np.all(pou.masses > 0)
             assert np.all(pou.masses <= cov.measures + 1e-12)
+            assert np.allclose(pou.masses, dense_pou(pou) @ grid64.weights,
+                               rtol=1e-14, atol=0)
 
     def test_smooth_invariants(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 5)
         pou = build_pou(cov, "smooth")
-        assert np.all(pou.phi >= 0) and np.all(pou.phi <= 1)
-        assert np.max(np.abs(pou.phi.sum(axis=0) - 1)) <= 1e-14
-        assert np.all(pou.phi[~membership_naive(cov.sets, 64)] == 0)
+        phi = dense_pou(pou)
+        assert np.all(phi >= 0) and np.all(phi <= 1)
+        assert np.max(np.abs(phi.sum(axis=0) - 1)) <= 1e-14
+        assert np.all(phi[~membership_naive(cov.sets, 64)] == 0)
+
+    def test_smooth_matches_dense_construction(self, rng, grid64):
+        """The per-pair smooth partition has the floats of the dense
+        construction: Gaussian bumps on each set, divided by their sum."""
+        cov = random_interval_covering(rng, grid64, 5)
+        want = np.zeros((cov.n_sets, 64))
+        pts = grid64.points
+        for i, idx in enumerate(cov.sets):
+            d2 = np.sum((pts[idx] - pts[idx].mean(axis=0)) ** 2, axis=1)
+            want[i, idx] = np.exp(-d2 / max(float(d2.max()), 1e-12))
+        want /= want.sum(axis=0)[None, :]
+        assert np.array_equal(dense_pou(build_pou(cov, "smooth")), want)
+
+    def test_stores_one_value_per_pair(self):
+        cov = singleton_covering(uniform_grid(256))
+        pou = build_pou(cov, "smooth")
+        assert pou.phi.shape == (256,)
+        assert not pou.phi.flags.writeable
 
     def test_rejects_support_outside_set(self, small_space):
+        """Values are stored per (set, point) pair, so a partition of a
+        covering whose U_0 also holds point 3 cannot be attached to this
+        one; a dense table is refused for its shape."""
+        cov = Covering(small_space, (np.array([0, 1, 2]), np.array([2, 3, 4])))
+        wider = Covering(small_space, (np.array([0, 1, 2, 3]),
+                                       np.array([2, 3, 4])))
+        with pytest.raises(StructuralError, match="one value per"):
+            PartitionOfUnity(cov, build_pou(wider, "flat").phi)
+        with pytest.raises(StructuralError, match="shaped"):
+            PartitionOfUnity(cov, dense_pou(build_pou(cov, "flat")))
+
+    def test_rejects_values_out_of_range_or_not_summing_to_one(self, small_space):
         cov = Covering(small_space, (np.array([0, 1, 2]), np.array([2, 3, 4])))
         phi = np.array(build_pou(cov, "flat").phi)
-        phi[0, 3], phi[1, 3] = 0.5, 0.5       # point 3 is not in U_0
-        with pytest.raises(StructuralError, match="vanish outside"):
-            PartitionOfUnity(cov, phi)
-        with pytest.raises(StructuralError, match="shaped"):
-            PartitionOfUnity(cov, phi.T)
+        bad = phi.copy()
+        bad[0] = 1.5
+        with pytest.raises(StructuralError, match="lie in"):
+            PartitionOfUnity(cov, bad)
+        bad = phi.copy()
+        bad[2] = 0.25                       # point 2's two shares now sum to 0.75
+        with pytest.raises(StructuralError, match="sum to one"):
+            PartitionOfUnity(cov, bad)
 
 
 class TestEquivalence:

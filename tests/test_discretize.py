@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
 from framedisc import CertificationError, Covering, SamplingInverse, \
     SingularOperatorError, StructuralError, WeightedLp, apply_sampling, \
@@ -14,14 +15,14 @@ from framedisc import CertificationError, Covering, SamplingInverse, \
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
-    residual_suite
+    residual_suite, run_discretization
 
 from framedisc.spaces import local_integrability_constant
 
 from conftest import random_interval_covering, random_pointwise_weight
-from oracles import apply_kernel, compose, osc_naive, phase_table_naive, \
-    sampled_row_kernel, sampling_operator_naive, schur_norm_naive, \
-    weight_matrix_naive
+from oracles import apply_kernel, compose, dense_kernel, osc_naive, \
+    phase_table_naive, rank_d_entries, sampled_row_kernel, \
+    sampling_operator_naive, schur_norm_naive, weight_matrix_naive
 
 
 def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
@@ -92,7 +93,7 @@ class TestSamplingOperator:
         rng = np.random.default_rng(0)
         F = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         out = apply_sampling(model, plan, F)
-        ref = apply_kernel(model.space, model.kernel, F)
+        ref = apply_kernel(model.space, dense_kernel(model), F)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         G = model.random_range_function(rng)
         assert np.max(np.abs(apply_sampling(model, plan, G) - G)) \
@@ -106,7 +107,7 @@ class TestSamplingOperator:
         model, Y, weight, cov, gamma, report, plan = make_setup(n=48, delta=0.6)
         F = rng.standard_normal(48) + 1j * rng.standard_normal(48)
         got = apply_sampling(model, plan, F)
-        want = sampling_operator_naive(model.kernel, plan.samples,
+        want = sampling_operator_naive(dense_kernel(model), plan.samples,
                                        plan.masses, F)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -139,7 +140,7 @@ class TestSmoothedOperator:
         gamma = make_phase(model, "one")
         F = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         out = apply_smoothed(model, plan, gamma, F)
-        ref = apply_kernel(space, model.kernel, F)
+        ref = apply_kernel(space, dense_kernel(model), F)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_input(self):
@@ -476,7 +477,7 @@ class TestVerifiedBounds:
         for _ in range(20):
             lam = rng.standard_normal(cov.n_sets) \
                 + 1j * rng.standard_normal(cov.n_sets)
-            spread = model.kernel[:, plan.samples] @ lam
+            spread = dense_kernel(model)[:, plan.samples] @ lam
             assert Y.norm(spread) <= bound * norm_natural(lam, cov, Y) * (1 + 1e-10)
 
     def test_natural_equivalence_interval_stable(self):
@@ -526,17 +527,17 @@ class TestStreamedBounds:
         m_v = weight_matrix_naive(weight.v)
         assert bounds.sampled_flat_constant == pytest.approx(
             schur_norm_naive(mu, sampled_row_kernel(model, plan), m), rel=1e-13)
-        osc = osc_naive(model.kernel, [s.tolist() for s in cov.sets],
-                        phase_table_naive(model.kernel, "kernel"))
+        osc = osc_naive(dense_kernel(model), [s.tolist() for s in cov.sets],
+                        phase_table_naive(rank_d_entries(model), "kernel"))
         range_sup = (schur_norm_naive(mu, osc, m_v)
-                     + schur_norm_naive(mu, model.kernel, m_v)) \
+                     + schur_norm_naive(mu, dense_kernel(model), m_v)) \
             * local_integrability_constant(cov, Y, weight)
         assert bounds.range_sup_constant == pytest.approx(range_sup, rel=1e-13)
 
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
         """With an eight-row block budget, the oscillation report, the bounds
         check and the reproducing defect each allocate less than one n x n
-        float array on top of the kernel."""
+        float array; the model itself holds no kernel."""
         model = build_gabor_model(6, 81, 2.45)
         space = model.space
         n = space.n_points
@@ -547,7 +548,6 @@ class TestStreamedBounds:
         weight = Y.weight2d()
         gamma = make_phase(model, "kernel")
         plan = select_samples(cov, build_pou(cov))
-        model.kernel                           # built before measuring
         report = oscillation_report(model, cov, gamma, weight, 0.2)
         for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
                     lambda: verify_sampled_bounds(model, plan, Y, weight, report,
@@ -561,6 +561,27 @@ class TestStreamedBounds:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * n * n
+
+    def test_discretization_peaks_below_one_dense_kernel(self):
+        """A whole certified run on Gabor 8 x 191 (1,528 points) allocates
+        less than one complex n x n kernel would take."""
+        n_time, n_freq = 8, 191
+        model = build_gabor_model(n_time, n_freq, 2.83)
+        n = model.space.n_points
+        cov = Covering(model.space, tuple(
+            np.arange(t * n_freq + m, t * n_freq + min(m + 2, n_freq))
+            for t in range(n_time) for m in range(0, n_freq, 2)))
+        Y = WeightedLp.lebesgue(model.space, 2.0)
+        tracemalloc.start()
+        try:
+            result = run_discretization(model, Y, Y.weight2d(), 0.21,
+                                        covering=cov, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.osc_report.oscillation_ok
+        assert result.osc_report.invertibility_ok
+        assert peak < 16 * n * n
 
 
 class TestScaleInvariantNeumann:
@@ -604,6 +625,65 @@ class TestScaleInvariantNeumann:
         assert np.all(got[:, 3] == 0)
 
 
+class TestExtremeScales:
+    """Norms and Neumann inversion do not depend on the scale of the input,
+    for every exponent, even where the p-th powers of the values underflow
+    or overflow."""
+
+    @pytest.fixture(scope="class")
+    def gabor_4x61(self):
+        model = build_gabor_model(4, 61, 2.0)
+        space = model.space
+        cov = Covering(space, tuple(np.arange(t * 61 + m, t * 61 + min(m + 2, 61))
+                                    for t in range(4) for m in range(0, 61, 2)))
+        w = np.exp(0.02 * np.linalg.norm(space.points, axis=1))
+        weight = WeightedLp(space, 2.0, w).weight2d()
+        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+                                    weight, 0.25)
+        return model, w, select_samples(cov, build_pou(cov)), report
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_neumann_apply_homogeneous(self, gabor_4x61, p):
+        model, w, plan, report = gabor_4x61
+        Y = WeightedLp(model.space, p, w)
+        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
+        F = model.random_range_function(np.random.default_rng(3))
+        base = neu.apply(F)
+        terms = len(neu.last_term_norms)
+        assert terms > 2
+        for scale in (1e-150, 1e-120, 1e150):
+            got = neu.apply(scale * F)
+            assert len(neu.last_term_norms) == terms
+            assert Y.norm(scale * F) == pytest.approx(scale * Y.norm(F),
+                                                      rel=1e-14)
+            assert Y.norm(got - scale * base) <= 1e-14 * scale * Y.norm(base)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_streamed_neumann_norms_match_one_block(self, monkeypatch,
+                                                    gabor_4x61, p, k):
+        """The p != 2 term norms, streamed over row blocks of V* C, equal
+        the Y-norms of the whole V* C, zero columns included."""
+        model, w, plan, report = gabor_4x61
+        Y = WeightedLp(model.space, p, w)
+        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
+        rng = np.random.default_rng(k)
+        coords = rng.standard_normal((model.dim, k)) \
+            + 1j * rng.standard_normal((model.dim, k))
+        coords[:, -1] *= 1e-100
+        if k > 1:
+            coords[:, 0] = 0.0
+        want = Y.column_norms(model.vectors.conj().T @ coords)
+        for rows in (7, None):
+            if rows is not None:
+                monkeypatch.setattr(discretize_module, "NORM_BLOCK_BYTES",
+                                    rows * 16 * k)
+            got = neu._column_norms(coords)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        if k > 1:
+            assert got[0] == 0.0
+
+
 class TestBlocks:
     """Every helper taking one vector also takes a block, column by column."""
 
@@ -632,6 +712,18 @@ class TestBlocks:
                 assert close(syn[:, j], synthesize_plan(
                     model, plan, lam[:, j], swap_roles=swap))
 
+    def test_inverse_apply_block_is_columnwise(self, rng):
+        model, Y, weight, cov, gamma, report, plan = make_setup(p=1.0)
+        inverse = SamplingInverse(model, plan, Y, report=report)
+        F = np.stack([model.random_range_function(rng) for _ in range(3)],
+                     axis=1)
+        got = inverse.apply(F)
+        assert got.shape == F.shape
+        for j in range(3):
+            want = inverse.apply(F[:, j])
+            assert np.linalg.norm(got[:, j] - want) \
+                <= 1e-12 * np.linalg.norm(want)
+
     def test_wrong_lengths_rejected(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
@@ -648,7 +740,7 @@ class TestReproducingDefect:
 
     def test_matches_dense_compose(self):
         model = build_random_smooth_model(5, 40, 1.5, seed=3)
-        r = model.kernel
+        r = dense_kernel(model)
         dense = schur_norm(model.space, compose(model.space, r, r) - r)
         assert abs(reproducing_defect(model) - dense) <= 1e-12
 

@@ -7,7 +7,8 @@ from framedisc import DiscreteMeasure, FrameModel, SingularOperatorError, \
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, load_frame_vectors
 
-from oracles import apply_kernel, apply_to_measure, compose, identity_kernel
+from oracles import apply_kernel, apply_to_measure, compose, dense_kernel, \
+    identity_kernel
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ class TestGaborModel:
 
     def test_kernel_norm_finite(self):
         model = build_gabor_model(8, 8, 2.8)
-        val = schur_norm(model.space, model.kernel)
+        val = schur_norm(model.space, dense_kernel(model))
         assert np.isfinite(val) and val > 0
 
     def test_atoms_unit_norm(self):
@@ -62,7 +63,8 @@ class TestOrthonormalModel:
     def test_identity_reproducing_kernel(self):
         model = build_orthonormal_model(6)
         assert np.allclose(model.frame_operator, np.eye(6), atol=1e-15)
-        assert np.allclose(model.kernel, identity_kernel(model.space), atol=1e-14)
+        assert np.allclose(dense_kernel(model), identity_kernel(model.space),
+                           atol=1e-14)
 
 
 class TestTransforms:
@@ -96,7 +98,7 @@ class TestTransforms:
     def test_dual_analysis_of_atom_is_kernel_column(self, smooth_model):
         y = 9
         out = smooth_model.dual_analyze(smooth_model.vectors[:, y])
-        assert np.max(np.abs(out - smooth_model.kernel[:, y])) <= 1e-12
+        assert np.max(np.abs(out - dense_kernel(smooth_model)[:, y])) <= 1e-12
 
 
 class TestSynthesis:
@@ -128,7 +130,8 @@ class TestKernelIdentities:
         assert np.max(np.abs(si - si.conj().T)) <= 1e-12
 
     def test_kernel_hermitian(self, smooth_model):
-        r = smooth_model.kernel
+        """The rank-d rows A^* V are Hermitian up to rounding."""
+        r = smooth_model.kernel_rows(slice(None))
         assert np.max(np.abs(r - r.conj().T)) <= 1e-13
 
     @pytest.mark.parametrize("rows", [None, 3])
@@ -136,30 +139,44 @@ class TestKernelIdentities:
         lambda: build_gabor_model(6, 41, 2.45),
         lambda: build_random_smooth_model(d=4, n_points=30, smoothness=1.2,
                                           seed=5)])
-    def test_kernel_is_the_symmetrized_product_exactly(self, monkeypatch, build,
-                                                       rows):
-        """The blocked in-place symmetrization gives the floats of
-        0.5 (r + r^*), and the kernel is exactly Hermitian (the oscillation
-        scan reads kernel rows for columns); ``rows`` sets a block budget
-        of that many kernel rows."""
+    def test_kernel_rows_match_dense_oracle(self, monkeypatch, build, rows):
+        """Rows of R, and of V^* C V for a core C, read from the factors in
+        row blocks (``rows`` sets a block budget of that many rows) or at
+        scattered indices, match the dense products within c d eps max|K|."""
         model = build()
+        n, d = model.space.n_points, model.dim
         if rows is not None:
-            monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
-                                rows * 16 * model.space.n_points)
-        r = model.vectors.conj().T @ (model.s_inverse @ model.vectors)
-        want = 0.5 * (r + r.conj().T)
-        assert np.array_equal(model.kernel, want)
-        assert np.array_equal(model.kernel, model.kernel.conj().T)
+            monkeypatch.setattr(kernels_module, "BLOCK_BYTES", rows * 16 * n)
+        core = model.s_inverse @ model.s_inverse
+        for args, want in (((), dense_kernel(model)),
+                           ((core,), model.vectors.conj().T
+                            @ (core @ model.vectors))):
+            tol = 8 * d * np.finfo(float).eps * np.max(np.abs(want))
+            blocks = [model.kernel_rows(sl, *args)
+                      for sl in kernels_module.row_slices(n)]
+            assert np.max(np.abs(np.concatenate(blocks) - want)) <= tol
+            picked = np.random.default_rng(0).integers(0, n, size=7)
+            got = model.kernel_rows(picked, *args)
+            assert got.shape == (7, n)
+            assert np.max(np.abs(got - want[picked])) <= tol
+
+    def test_model_stores_no_square_array(self):
+        model = build_gabor_model(6, 41, 2.45)
+        n = model.space.n_points
+        assert model.duals.shape == (model.dim, n)
+        assert not model.duals.flags.writeable
+        assert not any(isinstance(v, np.ndarray) and v.size >= n * n
+                       for v in vars(model).values())
 
     def test_reproducing_identity(self, smooth_model):
-        r = smooth_model.kernel
+        r = dense_kernel(smooth_model)
         rr = compose(smooth_model.space, r, r)
         assert schur_norm(smooth_model.space, rr - r) <= 1e-11
 
     def test_analysis_lands_in_kernel_range(self, smooth_model, rng):
         f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         for F in (smooth_model.analyze(f), smooth_model.dual_analyze(f)):
-            back = apply_kernel(smooth_model.space, smooth_model.kernel, F)
+            back = apply_kernel(smooth_model.space, dense_kernel(smooth_model), F)
             assert np.max(np.abs(back - F)) <= 1e-11 * max(1, np.max(np.abs(F)))
 
     def test_pairing_identity(self, smooth_model, rng):
@@ -194,4 +211,4 @@ def test_vector_export_round_trip(tmp_path, smooth_model):
     back = load_frame_vectors(path, smooth_model.dim)
     assert np.array_equal(back, smooth_model.vectors)
     rebuilt = FrameModel(smooth_model.space, back)
-    assert np.allclose(rebuilt.kernel, smooth_model.kernel, atol=1e-14)
+    assert np.allclose(dense_kernel(rebuilt), dense_kernel(smooth_model), atol=1e-14)

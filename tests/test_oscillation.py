@@ -16,8 +16,9 @@ from framedisc.models import build_gabor_model, build_orthonormal_model, \
 
 from conftest import random_interval_covering, random_pointwise_weight, \
     unit_weight
-from oracles import involution, osc_naive, oscillation_kernel, \
-    phase_table_naive, refine_until_naive, schur_norm_naive, weight_matrix_naive
+from oracles import dense_kernel, involution, osc_naive, oscillation_kernel, \
+    phase_table_naive, rank_d_entries, refine_until_naive, schur_norm_naive, \
+    weight_matrix_naive
 
 
 @pytest.fixture
@@ -55,8 +56,8 @@ class TestOscillationKernel:
             cov = Covering(model.space, tuple(sets))
             gamma = make_phase(model, "kernel")
             got = oscillation_kernel(model, cov, gamma)
-            want = osc_naive(model.kernel, [s.tolist() for s in sets],
-                             phase_table_naive(model.kernel, "kernel"))
+            want = osc_naive(dense_kernel(model), [s.tolist() for s in sets],
+                             phase_table_naive(rank_d_entries(model), "kernel"))
             assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_nonnegative(self, smooth_model):
@@ -92,7 +93,7 @@ class TestOscillationKernel:
         cov = uniform_covering(smooth_model.space, 0.3)
         osc = oscillation_kernel(smooth_model, cov,
                                  make_phase(smooth_model, "kernel"))
-        r = np.abs(smooth_model.kernel)
+        r = np.abs(dense_kernel(smooth_model))
         n = smooth_model.space.n_points
         for s in cov.sets:
             for y in s:
@@ -120,10 +121,32 @@ def streamed_setup(covering, weight_rule, phase):
         table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
         gamma = PhaseFunction(space, table)
     else:
-        table = phase_table_naive(model.kernel, phase)
+        table = phase_table_naive(rank_d_entries(model), phase)
         gamma = make_phase(model, phase)
-    osc = osc_naive(model.kernel, [s.tolist() for s in cov.sets], table)
+    osc = osc_naive(dense_kernel(model), [s.tolist() for s in cov.sets], table)
     return model, cov, weight, gamma, osc
+
+
+class TestOscRows:
+    @pytest.mark.parametrize("rule", ["one", "kernel"])
+    @pytest.mark.parametrize("build,width", [
+        (lambda: build_gabor_model(6, 41, 2.45), (1.0, 2 * 6 / 41)),
+        (lambda: build_random_smooth_model(d=4, n_points=30, smoothness=1.2,
+                                           seed=5), 0.15)])
+    def test_rows_match_dense_oracle(self, build, width, rule):
+        """Blocks of osc^T rows from the rank-d factors match the dense
+        oracle's columns within c d eps max|R|."""
+        model = build()
+        n, d = model.space.n_points, model.dim
+        cov = uniform_covering(model.space, width)
+        assert cov.overlap_bound == 1 and max(s.size for s in cov.sets) > 1
+        gamma = make_phase(model, rule)
+        want = oscillation_kernel(model, cov, gamma).T
+        tol = 8 * d * np.finfo(float).eps * np.max(np.abs(dense_kernel(model)))
+        for start, stop in ((0, 1), (1, 5), (5, n)):
+            got = oscillation_module._osc_rows(model, cov, gamma, start, stop)
+            assert got.shape == (stop - start, n)
+            assert np.max(np.abs(got - want[start:stop])) <= tol
 
 
 class TestStreamedNorms:
@@ -150,7 +173,7 @@ class TestStreamedNorms:
             assert got_osc[k] == pytest.approx(schur_norm_naive(mu, osc, m),
                                                rel=1e-13)
             assert got_r[k] == pytest.approx(
-                schur_norm_naive(mu, model.kernel, m), rel=1e-13)
+                schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
         rep = oscillation_report(model, cov, gamma, weight, 0.5)
         assert [rep.osc_norm, rep.osc_norm_v] == got_osc
         assert [rep.r_norm, rep.r_norm_v] == got_r
@@ -214,7 +237,6 @@ class TestPhaseFunctions:
         """A built-in rule keeps no n x n array and allocates none."""
         model = build_gabor_model(6, 81, 2.0)
         n = model.space.n_points
-        model.kernel                           # built before measuring
         tracemalloc.start()
         try:
             gamma = make_phase(model, rule)
@@ -229,14 +251,16 @@ class TestPhaseFunctions:
     @pytest.mark.parametrize("rule", ["one", "kernel"])
     def test_rows_match_oracle(self, rule):
         """Gamma(y, zs) for one y at a time matches the loop oracle, on a
-        kernel with exact zeros (orthonormal model) and one without."""
+        kernel with exact zeros (orthonormal model) and one without. The
+        oracle reads the same rank-d entries A[:, z]^* V[:, y] the rule
+        reads, not the symmetrized dense kernel."""
         orthonormal = build_orthonormal_model(5)
-        assert np.any(orthonormal.kernel == 0.0)
+        assert np.any(rank_d_entries(orthonormal) == 0.0)
         for model in (orthonormal,
                       build_random_smooth_model(d=4, n_points=12,
                                                 smoothness=1.2, seed=3)):
             n = model.space.n_points
-            want = phase_table_naive(model.kernel, rule)
+            want = phase_table_naive(rank_d_entries(model), rule)
             gamma = make_phase(model, rule)
             for y in range(n):
                 got = gamma(y, np.arange(n))
@@ -263,7 +287,7 @@ class TestPhaseFunctions:
         assert np.array_equal(full_table(gamma), table)
         cov = uniform_covering(smooth_model.space, 0.3)
         got = oscillation_kernel(smooth_model, cov, gamma)
-        want = osc_naive(smooth_model.kernel,
+        want = osc_naive(dense_kernel(smooth_model),
                          [s.tolist() for s in cov.sets], table)
         assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -384,10 +408,10 @@ def stated_bound(message):
 def naive_outcome(kernels, monkeypatch, model, *args, **kwargs):
     exact = oscillation_module._osc_rows
 
-    def memo(r, cov, gamma, start, stop):
-        key = (id(r), cov.identifier(), gamma.rule, start, stop)
+    def memo(model, cov, gamma, start, stop):
+        key = (id(model), cov.identifier(), gamma.rule, start, stop)
         if key not in kernels:
-            kernels[key] = exact(r, cov, gamma, start, stop)
+            kernels[key] = exact(model, cov, gamma, start, stop)
         return kernels[key]
 
     with monkeypatch.context() as patch:

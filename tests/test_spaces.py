@@ -69,6 +69,42 @@ class TestNormY:
             Y = WeightedLp(space, p, w)
             assert Y.norm(small) <= Y.norm(big) * (1 + 1e-14)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_norms_homogeneous_at_extreme_scales(self, weighted_setup, rng, p):
+        """|s F|_Y = s |F|_Y for s in 1e+-150 and 1e-200: no power of an
+        unscaled value underflows to 0 or overflows to inf."""
+        space, w, _ = weighted_setup
+        Y = WeightedLp(space, p, w)
+        block = rng.standard_normal((space.n_points, 3)) \
+            + 1j * rng.standard_normal((space.n_points, 3))
+        block[:, 2] = 0.0
+        base = Y.column_norms(block)
+        assert base[2] == 0.0
+        for scale in (1e-200, 1e-150, 1e150):
+            got = Y.column_norms(scale * block)
+            assert got[2] == 0.0
+            assert np.allclose(got[:2], scale * base[:2], rtol=1e-14, atol=0.0)
+            assert Y.norm(scale * block[:, 0]) == pytest.approx(
+                scale * base[0], rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_streamed_pieces_match_one_block(self, weighted_setup, rng, p):
+        """Pieces in any row order, with the column maxima in late pieces,
+        give the one-block norms."""
+        space, w, _ = weighted_setup
+        Y = WeightedLp(space, p, w)
+        n = space.n_points
+        block = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        block[:, 0] *= 1e-120
+        block[n - 3, 1] = 1e3           # a late piece raises column 1's maximum
+        block[:, 3] = 0.0
+        pieces = [slice(start, min(n, start + 7)) for start in range(0, n, 7)]
+        got = Y.streamed_column_norms((rows, block[rows]) for rows in pieces[::-1])
+        assert np.allclose(got, Y.column_norms(block), rtol=1e-14, atol=0.0)
+        got = Y.streamed_column_norms((rows, block[rows]) for rows in pieces)
+        assert np.allclose(got, Y.column_norms(block), rtol=1e-14, atol=0.0)
+        assert got[3] == 0.0
+
     def test_indicator_norm_finite_positive(self, weighted_setup):
         space, w, cov = weighted_setup
         for p in P_VALUES:
