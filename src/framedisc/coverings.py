@@ -46,7 +46,7 @@ class Covering:
 
     def __post_init__(self):
         n = self.space.n_points
-        clean = []
+        raw = []
         for s in self.sets:
             try:
                 arr = np.asarray(s)
@@ -55,21 +55,24 @@ class Covering:
                                       f"array") from exc
             if arr.size == 0:
                 raise StructuralError("covering sets must be nonempty")
-            if not np.issubdtype(arr.dtype, np.integer):
+            if arr.dtype.kind not in "iu":
                 raise StructuralError(f"covering set entries must be integer "
                                       f"point indices, got {arr.dtype} values")
-            idx = np.unique(arr.astype(int).reshape(-1))
-            if idx.min() < 0 or idx.max() >= n:
-                raise StructuralError("covering set contains invalid point index")
-            idx.setflags(write=False)
-            clean.append(idx)
-        if not clean:
+            raw.append(arr.astype(int).reshape(-1))
+        if not raw:
             raise StructuralError("covering needs at least one set")
-        object.__setattr__(self, "sets", tuple(clean))
+        points = np.concatenate(raw)
+        if points.min() < 0 or points.max() >= n:
+            raise StructuralError("covering set contains invalid point index")
 
-        sizes = np.array([idx.size for idx in clean])
-        flat_points = np.concatenate(clean)
-        flat_sets = np.repeat(np.arange(len(clean)), sizes)
+        # sort and dedupe every (set, point) pair at once, keyed set * n + point
+        keys = np.unique(np.repeat(np.arange(len(raw)) * n,
+                                   [idx.size for idx in raw]) + points)
+        flat_sets, flat_points = np.divmod(keys, n)
+        sizes = np.bincount(flat_sets, minlength=len(raw))
+        flat_points.setflags(write=False)
+        object.__setattr__(self, "sets",
+                           tuple(np.split(flat_points, np.cumsum(sizes)[:-1])))
         by_point = np.argsort(flat_points, kind="stable")
         point_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(flat_points, minlength=n))))

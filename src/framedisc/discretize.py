@@ -15,23 +15,24 @@ verification helpers compute both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure, Weight2D, row_slices, schur_norms
+from .kernels import Weight2D, row_slices, schur_norms
 from .models import FrameModel
 from .oscillation import OscReport, PhaseFunction
-from .spaces import WeightedLp, decomposition_norm, local_integrability_constant, \
-    pileup, sup_infinity_space
+from .spaces import WeightedLp, local_integrability_constant, pileup, \
+    sup_infinity_space
 
 # Smallest eigenvalue modulus of the restricted sampling operator that
 # ``direct`` inversion accepts; below it the operator counts as singular.
 DIRECT_EIG_FLOOR = 1e-12
 
 # Bytes of complex grid values one block of a streamed Y-norm may hold
-# (``SamplingInverse._column_norms`` for p != 2).
+# (``_analysis_norms``).
 NORM_BLOCK_BYTES = 1 << 20
 
 
@@ -51,9 +52,11 @@ class SamplingPlan:
         idx = np.asarray(self.samples, dtype=int).reshape(-1)
         if idx.shape[0] != cov.n_sets:
             raise StructuralError("one sample point per covering set required")
-        for i, (s, members) in enumerate(zip(idx, cov.sets)):
-            if s not in members:
-                raise StructuralError(f"sample {s} is not inside covering set {i}")
+        inside = np.zeros(cov.n_sets, dtype=bool)
+        inside[cov.flat_sets[cov.flat_points == idx[cov.flat_sets]]] = True
+        if not inside.all():
+            i = int(np.argmin(inside))
+            raise StructuralError(f"sample {idx[i]} is not inside covering set {i}")
         c = np.asarray(self.masses, dtype=float).reshape(-1)
         if c.shape[0] != cov.n_sets or np.any(c <= 0):
             raise StructuralError("partition masses must be positive, one per set")
@@ -75,17 +78,21 @@ def select_samples(cov: Covering, pou: PartitionOfUnity,
                  rest of the set.
     """
     space = cov.space
-    samples = np.empty(cov.n_sets, dtype=int)
-    for i, idx in enumerate(cov.sets):
-        if rule == "max_weight":
-            vals = space.weights[idx]
-            samples[i] = idx[int(np.argmax(vals))]
-        elif rule == "medoid":
+    if rule == "max_weight":
+        # the pairs are set-major with ascending points, so the first pair of
+        # a set at the set's largest weight holds its lowest such index
+        vals = space.weights[cov.flat_points]
+        top = np.flatnonzero(vals == cov.set_extrema(space.weights)[0][cov.flat_sets])
+        first = top[np.diff(cov.flat_sets[top], prepend=-1) != 0]
+        samples = cov.flat_points[first]
+    elif rule == "medoid":
+        samples = np.empty(cov.n_sets, dtype=int)
+        for i, idx in enumerate(cov.sets):
             pts = space.points[idx]
             dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
             samples[i] = idx[int(np.argmin(dists.sum(axis=1)))]
-        else:
-            raise StructuralError(f"unknown sampling rule {rule!r}")
+    else:
+        raise StructuralError(f"unknown sampling rule {rule!r}")
     return SamplingPlan(cov, pou, samples, pou.masses)
 
 
@@ -202,11 +209,7 @@ class SamplingInverse:
         summed in row blocks of at most ``NORM_BLOCK_BYTES``.
         """
         if self._metric is None:
-            n = self.model.space.n_points
-            step = max(1, NORM_BLOCK_BYTES // (16 * coords.shape[1]))
-            return self.Y.streamed_column_norms(
-                (rows, self._analysis[rows] @ coords)
-                for rows in row_slices(n, step))
+            return _analysis_norms(self._analysis, self.Y, coords)
         scale = np.abs(coords).max(axis=0, initial=0.0)
         unit = coords / np.where(scale > 0.0, scale, 1.0)
         quad = np.einsum("ij,ij->j", unit.conj(), self._metric @ unit).real
@@ -252,6 +255,28 @@ class SamplingInverse:
                                     @ (model.space.weights[:, None] * arr))
         out = self._analysis @ self._invert_coords(coords)
         return out.reshape((model.space.n_points,) + shape)
+
+    @cached_property
+    def dual_coords(self) -> np.ndarray:
+        """The read-only (d, n_sets) block U^{-1} c_i S^{-1} psi_{x_i}, one
+        column per sample: the canonical coordinates of the dual frame
+        (``dual_frame``), inverted once per handle for both roles."""
+        model, plan = self.model, self.plan
+        coords = model.s_inverse @ (model.vectors[:, plan.samples]
+                                    * plan.masses[None, :])
+        out = self._invert_coords(coords)
+        out.setflags(write=False)
+        return out
+
+
+def _analysis_norms(analysis: np.ndarray, Y: WeightedLp,
+                   coords: np.ndarray) -> np.ndarray:
+    """Y-norms of the columns of ``analysis @ coords``, for the (n, d)
+    analysis matrix V* and a (d, k) coordinate block, formed and summed in
+    row blocks of at most ``NORM_BLOCK_BYTES``."""
+    step = max(1, NORM_BLOCK_BYTES // (16 * max(1, coords.shape[1])))
+    return Y.streamed_column_norms((rows, analysis[rows] @ coords)
+                                   for rows in row_slices(analysis.shape[0], step))
 
 
 def _as_columns(values, length: int, what: str) -> tuple:
@@ -324,11 +349,12 @@ def dual_frame(model: FrameModel, plan: SamplingPlan,
     frame operator is positive definite (the family spans). In analysis
     coordinates R(., x_i) is S^{-1} psi_{x_i}, so all e_i come from one
     (d, n_sets) inversion: e_i = U^{-1} c_i S^{-1} psi_{x_i}, times S when
-    swapped.
+    swapped. That inversion is ``inverse.dual_coords``, made once per
+    inverse and shared by both roles; the unswapped rows are read-only.
     """
-    xs = plan.samples
-    coords = model.s_inverse @ (model.vectors[:, xs] * plan.masses[None, :])
-    e = inverse._invert_coords(coords)
+    if inverse.plan is not plan or inverse.model is not model:
+        raise StructuralError("the inverse was built for another model or plan")
+    e = inverse.dual_coords
     return (model.frame_operator @ e if swap_roles else e).T
 
 
@@ -348,7 +374,17 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
 
     For p = 2 the restriction is finite dimensional and the norm is computed
     exactly through the weighted metric; otherwise the estimate is the best
-    ratio over power-iteration iterates and random range functions.
+    ratio |V* m g|_Y / |V* g|_Y, m = Id - S^{-1} S_c, over power-iteration
+    iterates g and ``n_probes`` random coordinate vectors.
+
+    The power iteration g <- m g / |m g| runs in coordinates for up to
+    ``n_iter`` steps, stopping early only where m g vanishes. Its iterates
+    and their images are then analyzed as two (n, k) blocks, and the
+    iteration's stopping rule (a zero-norm iterate, or two successive
+    ratios within ``tol``) is replayed on the array of ratios, so the
+    estimate is the one a step-by-step iteration would return, up to
+    rounding. The probes are drawn one after another and analyzed as one
+    block.
     """
     rng = np.random.default_rng(seed)
     m = np.eye(model.dim, dtype=complex) - _restricted_matrix(model, plan)
@@ -362,31 +398,38 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
         half_inv = (evecs / np.sqrt(evals)[None, :]) @ evecs.conj().T
         return float(np.linalg.norm(half @ m @ half_inv, ord=2))
 
+    analysis = model.vectors.conj().T
     best = 0.0
     g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    prev = 0.0
+    iterates, images = [], []
     for _ in range(n_iter):
-        F = model.analyze(g)
-        nf = Y.norm(F)
-        if nf == 0.0:
-            break
         g_next = m @ g
-        ratio = Y.norm(model.analyze(g_next)) / nf
-        best = max(best, ratio)
+        iterates.append(g)
+        images.append(g_next)
         scale = np.linalg.norm(g_next)
         if scale == 0.0:
             break
         g = g_next / scale
-        if abs(ratio - prev) <= tol * max(1.0, ratio):
-            break
-        prev = ratio
-    for _ in range(n_probes):
-        g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-        F = model.analyze(g)
-        nf = Y.norm(F)
-        if nf == 0.0:
-            continue
-        best = max(best, Y.norm(model.analyze(m @ g)) / nf)
+    if iterates:
+        nf = _analysis_norms(analysis, Y, np.stack(iterates, axis=1))
+        ni = _analysis_norms(analysis, Y, np.stack(images, axis=1))
+        zero = np.flatnonzero(nf == 0.0)
+        stop = zero[0] if zero.size else nf.size
+        ratios = ni[:stop] / nf[:stop]
+        settled = np.abs(np.diff(ratios, prepend=0.0)) \
+            <= tol * np.maximum(1.0, ratios)
+        if settled.any():
+            ratios = ratios[:np.argmax(settled) + 1]
+        best = ratios.max(initial=0.0)
+
+    if n_probes > 0:
+        probes = np.stack([rng.standard_normal(model.dim)
+                           + 1j * rng.standard_normal(model.dim)
+                           for _ in range(n_probes)], axis=1)
+        nf = _analysis_norms(analysis, Y, probes)
+        ni = _analysis_norms(analysis, Y, m @ probes)
+        keep = nf > 0.0
+        best = max(best, np.max(ni[keep] / nf[keep], initial=0.0))
     return float(best)
 
 
@@ -473,14 +516,23 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)
     ratios_ysup = sup / ny
 
-    dec_norms = np.empty(n_trials)
+    # Measure trials: atoms at random points. Each trial's per-point mass
+    # sum_k |lambda_k| [y_k = x] is one column of a (n, n_trials) density,
+    # whose decomposition norms are one natural pile-up pass.
     atoms = np.empty((model.dim, n_trials), dtype=complex)
+    points, moduli = [], []
     for j in range(n_trials):
         k = rng.integers(1, cov.n_sets + 1)
         idx = rng.choice(space.n_points, size=k, replace=True)
         coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        dec_norms[j] = decomposition_norm(DiscreteMeasure(idx, coef), cov, Y)
         atoms[:, j] = model.vectors[:, idx] @ coef
+        points.append(idx * n_trials + j)
+        moduli.append(np.abs(coef))
+    density = np.bincount(np.concatenate(points), np.concatenate(moduli),
+                          minlength=space.n_points * n_trials)
+    dec_norms = Y.column_norms(pileup(
+        cov.set_sums(density.reshape(space.n_points, n_trials)), cov,
+        natural=True))
     applied = model.vectors.conj().T @ (model.s_inverse @ atoms)
     keep = dec_norms > 0.0
     meas_obs = np.max(Y.column_norms(applied[:, keep]) / dec_norms[keep],

@@ -160,19 +160,16 @@ def build_gabor_model(n_time: int, n_freq: int, window_width: float) -> FrameMod
         raise StructuralError("n_time and n_freq must be positive")
     if not (window_width > 0):
         raise StructuralError("window width must be positive")
-    d = int(n_time)
+    d, n_f = int(n_time), int(n_freq)
     g = _periodized_gaussian(d, float(window_width))
-    n = d * int(n_freq)
-    psi = np.empty((d, n), dtype=complex)
-    k = np.arange(d)
-    col = 0
-    for t in range(d):
-        shifted = np.roll(g, t)
-        for j in range(int(n_freq)):
-            psi[:, col] = shifted * np.exp(2j * np.pi * j * k / float(n_freq))
-            col += 1
-    freq_step = d / float(n_freq)
-    coords = np.array([(t, j * freq_step) for t in range(d) for j in range(int(n_freq))])
+    n = d * n_f
+    k, t, j = np.arange(d), np.arange(d), np.arange(n_f)
+    # column t * n_f + j is the window rolled by t times the j-th modulation
+    shifted = g[(k[:, None] - t[None, :]) % d]
+    modulation = np.exp(2j * np.pi * j[None, :] * k[:, None] / float(n_f))
+    psi = (shifted[:, :, None] * modulation[:, None, :]).reshape(d, n)
+    coords = np.column_stack((np.repeat(t, n_f).astype(float),
+                              np.tile(j * (d / float(n_f)), d)))
     space = QuadratureSpace(coords, np.full(n, d / float(n)))
     return FrameModel(space, psi)
 

@@ -304,3 +304,85 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
     )
     err.last_report = report
     raise err
+
+
+def gabor_vectors_naive(n_time, n_freq, window_width):
+    """The Gabor frame vectors and grid coordinates of ``build_gabor_model``,
+    one column and one coordinate pair at a time."""
+    from framedisc.models import _periodized_gaussian
+
+    d = int(n_time)
+    g = _periodized_gaussian(d, float(window_width))
+    psi = np.empty((d, d * int(n_freq)), dtype=complex)
+    k = np.arange(d)
+    col = 0
+    for t in range(d):
+        shifted = np.roll(g, t)
+        for j in range(int(n_freq)):
+            psi[:, col] = shifted * np.exp(2j * np.pi * j * k / float(n_freq))
+            col += 1
+    freq_step = d / float(n_freq)
+    coords = np.array([(t, j * freq_step) for t in range(d)
+                       for j in range(int(n_freq))])
+    return psi, coords
+
+
+def observed_contraction_naive(model, plan, Y, n_iter=200, tol=1e-10,
+                               n_probes=20, seed=0):
+    """``observed_contraction`` for p != 2, one vector at a time: the power
+    iteration analyzes every iterate and image separately and stops at the
+    first zero-norm iterate, vanishing image or settled ratio; then the
+    probes run one by one."""
+    from framedisc.discretize import _restricted_matrix
+
+    rng = np.random.default_rng(seed)
+    m = np.eye(model.dim, dtype=complex) - _restricted_matrix(model, plan)
+    best = 0.0
+    g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+    prev = 0.0
+    for _ in range(n_iter):
+        F = model.analyze(g)
+        nf = Y.norm(F)
+        if nf == 0.0:
+            break
+        g_next = m @ g
+        ratio = Y.norm(model.analyze(g_next)) / nf
+        best = max(best, ratio)
+        scale = np.linalg.norm(g_next)
+        if scale == 0.0:
+            break
+        g = g_next / scale
+        if abs(ratio - prev) <= tol * max(1.0, ratio):
+            break
+        prev = ratio
+    for _ in range(n_probes):
+        g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
+        F = model.analyze(g)
+        nf = Y.norm(F)
+        if nf == 0.0:
+            continue
+        best = max(best, Y.norm(model.analyze(m @ g)) / nf)
+    return float(best)
+
+
+def measure_observed_naive(model, plan, Y, n_trials=50, seed=0):
+    """The ``measure_observed`` field of ``verify_sampled_bounds``, one trial
+    at a time: after the same ``n_trials`` range-function draws, each trial
+    measure's decomposition norm and kernel image are formed on their own."""
+    from framedisc import DiscreteMeasure, decomposition_norm
+
+    rng = np.random.default_rng(seed)
+    for _ in range(n_trials):
+        model.random_range_function(rng)
+    cov = plan.covering
+    best = 0.0
+    for _ in range(n_trials):
+        k = rng.integers(1, cov.n_sets + 1)
+        idx = rng.choice(model.space.n_points, size=k, replace=True)
+        coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        dec = decomposition_norm(DiscreteMeasure(idx, coef), cov, Y)
+        if dec > 0.0:
+            applied = model.vectors.conj().T @ (
+                model.s_inverse @ (model.vectors[:, idx] @ coef))
+            best = max(best, Y.norm(applied) / dec)
+    return best

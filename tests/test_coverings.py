@@ -47,6 +47,37 @@ class TestValidation:
         with pytest.raises(StructuralError):
             Covering(small_space, (np.array([], dtype=int),))
 
+    @pytest.mark.parametrize("sets, message", [
+        ((np.array([0, 1]), [], np.array([2])), "nonempty"),
+        ((np.array([0.0, 1.0]),), "integer point indices"),
+        ((np.array([True, False]),), "integer point indices"),
+        ((np.array([0, 1]), [[0, 1], [2]]), "not an index array"),
+        ((np.array([0, 1]), np.array([4, 5])), "invalid point index"),
+        ((np.array([-1, 1]), np.array([2, 3])), "invalid point index"),
+        ((), "at least one set"),
+    ])
+    def test_malformed_sets_rejected(self, small_space, sets, message):
+        with pytest.raises(StructuralError, match=message):
+            Covering(small_space, sets)
+
+    def test_sets_sorted_and_deduplicated(self, rng, grid64):
+        """Unsorted index lists with repeats, of any integer dtype or shape,
+        become the sorted unique sets, with flat pairs in the same order."""
+        raw = [rng.integers(0, 64, size=int(rng.integers(1, 20)))
+               for _ in range(12)]
+        raw[0] = raw[0].astype(np.uint16)
+        raw[1] = np.array([[5, 3], [3, 5]])
+        raw[2] = [7, 7, 7]
+        cov = Covering(grid64, tuple(raw))
+        want = [np.unique(np.asarray(s).reshape(-1)) for s in raw]
+        assert len(cov.sets) == len(want)
+        for got, ref in zip(cov.sets, want):
+            assert got.dtype == np.dtype(int) and not got.flags.writeable
+            assert np.array_equal(got, ref)
+        assert np.array_equal(cov.flat_points, np.concatenate(want))
+        assert np.array_equal(cov.flat_sets,
+                              np.repeat(np.arange(12), [s.size for s in want]))
+
     def test_overlap_count_bounded_by_n(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 8)
         assert np.max(cov.cover_counts) <= cov.overlap_bound

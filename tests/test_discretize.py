@@ -5,6 +5,7 @@ import pytest
 
 import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
+import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, SamplingInverse, \
     SingularOperatorError, StructuralError, WeightedLp, apply_sampling, \
     apply_smoothed, atomic_decomposition, build_pou, contraction_bounds, \
@@ -20,7 +21,8 @@ from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
 from framedisc.spaces import local_integrability_constant
 
 from conftest import random_interval_covering, random_pointwise_weight
-from oracles import apply_kernel, compose, dense_kernel, osc_naive, \
+from oracles import apply_kernel, compose, dense_kernel, \
+    measure_observed_naive, observed_contraction_naive, osc_naive, \
     phase_table_naive, rank_d_entries, sampled_row_kernel, \
     sampling_operator_naive, schur_norm_naive, weight_matrix_naive
 
@@ -64,13 +66,18 @@ class TestSampleSelection:
         assert np.array_equal(plan.samples, [s[0] for s in cov.sets])
 
     def test_max_weight_matches_argmax(self, rng):
+        """Distinct and tied weights, on boxes and on overlapping intervals."""
         from framedisc import uniform_grid
-        space = uniform_grid(32, weights=rng.uniform(0.1, 2.0, 32))
-        cov = uniform_covering(space, 4.0)
-        plan = select_samples(cov, build_pou(cov), "max_weight")
-        for i, s in enumerate(cov.sets):
-            best = max(s, key=lambda j: (space.weights[j], -j))
-            assert plan.samples[i] == best
+        for weights in ("distinct", "tied"):
+            w = rng.uniform(0.1, 2.0, 32) if weights == "distinct" \
+                else rng.choice([0.5, 1.0, 2.0], 32)
+            space = uniform_grid(32, weights=w)
+            for cov in (uniform_covering(space, 4.0),
+                        random_interval_covering(rng, space, 12)):
+                plan = select_samples(cov, build_pou(cov), "max_weight")
+                for i, s in enumerate(cov.sets):
+                    best = max(s, key=lambda j: (space.weights[j], -j))
+                    assert plan.samples[i] == best
 
     def test_medoid_of_interval_is_middle(self, grid64):
         cov = uniform_covering(grid64, 5.0)
@@ -79,11 +86,23 @@ class TestSampleSelection:
             assert plan.samples[i] == s[(s.size - 1) // 2]
 
     def test_sample_in_its_set_enforced(self, grid64):
+        """Sets are [8 i, 8 i + 8); a sample outside its set, or off the
+        grid, is refused, naming the first such set."""
         cov = uniform_covering(grid64, 8.0)
         pou = build_pou(cov)
         from framedisc import SamplingPlan
         with pytest.raises(StructuralError):
             SamplingPlan(cov, pou, np.zeros(cov.n_sets, dtype=int), pou.masses)
+        for bad in (0, -1, 64, 40):
+            samples = np.array([s[-1] for s in cov.sets])
+            SamplingPlan(cov, pou, samples, pou.masses)
+            samples[3] = bad
+            with pytest.raises(StructuralError,
+                               match=f"sample {bad} is not inside covering set 3"):
+                SamplingPlan(cov, pou, samples, pou.masses)
+            samples[6] = bad
+            with pytest.raises(StructuralError, match="covering set 3"):
+                SamplingPlan(cov, pou, samples, pou.masses)
 
 
 class TestSamplingOperator:
@@ -733,6 +752,149 @@ class TestBlocks:
             reconstruct_from_samples(model, plan, inverse, np.ones(cov.n_sets + 1))
         with pytest.raises(StructuralError):
             synthesize_plan(model, plan, np.ones((cov.n_sets - 1, 2)))
+
+
+class TestBlockHarness:
+    """The verification harness's block forms against their one-trial and
+    one-iterate loops, and the call counts those loops cost."""
+
+    @pytest.fixture(scope="class")
+    def gabor_4x61(self):
+        model = build_gabor_model(4, 61, 2.0)
+        space = model.space
+        cov = Covering(space, tuple(np.arange(t * 61 + m, t * 61 + min(m + 2, 61))
+                                    for t in range(4) for m in range(0, 61, 2)))
+        w = {"unit": np.ones(space.n_points),
+             "exp": np.exp(0.02 * np.linalg.norm(space.points, axis=1))}
+        return model, select_samples(cov, build_pou(cov)), w
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_observed_contraction_matches_loop(self, gabor_4x61, p,
+                                               weight_rule, tol):
+        """tol = 1e-3 settles the power iteration after a few steps; 1e-10
+        runs all of them."""
+        model, plan, w = gabor_4x61
+        Y = WeightedLp(model.space, p, w[weight_rule])
+        want = observed_contraction_naive(model, plan, Y, tol=tol, seed=4)
+        got = observed_contraction(model, plan, Y, tol=tol, seed=4)
+        assert want > 1e-4
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.0, np.inf])
+    def test_observed_contraction_stops_at_first_step(self, monkeypatch, p):
+        """m = Id - S^{-1} S_c vanishes on a singleton plan: exactly for the
+        orthonormal basis (the image is zero, so the iteration keeps one
+        iterate), to rounding for a smooth model (the first ratio settles)."""
+        model = build_orthonormal_model(4)
+        Y, weight, gamma, report, plan = singleton_setup(model, p=p)
+        widths = []
+        original = discretize_module._analysis_norms
+
+        def recorded(analysis, Y, coords):
+            widths.append(coords.shape[1])
+            return original(analysis, Y, coords)
+
+        monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
+        assert observed_contraction(model, plan, Y, seed=3) == 0.0
+        assert widths == [1, 1, 20, 20]
+        assert observed_contraction_naive(model, plan, Y, seed=3) == 0.0
+        model = build_random_smooth_model(3, 24, 2.0, seed=5)
+        Y, weight, gamma, report, plan = singleton_setup(model, p=p)
+        assert observed_contraction(model, plan, Y, seed=3) <= 1e-12
+        assert observed_contraction_naive(model, plan, Y, seed=3) <= 1e-12
+
+    @pytest.mark.parametrize("n_iter", [1, 7, 200])
+    def test_observed_contraction_norm_calls(self, monkeypatch, gabor_4x61,
+                                             n_iter):
+        """The iterates, their images and the probes are three blocks and
+        the probe images a fourth, whatever n_iter is."""
+        model, plan, w = gabor_4x61
+        Y = WeightedLp(model.space, 1.0, w["exp"])
+        want = observed_contraction_naive(model, plan, Y, n_iter=n_iter)
+        calls = {"column_norms": 0, "streamed_column_norms": 0}
+        for name in calls:
+            original = getattr(WeightedLp, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(WeightedLp, name, counted)
+        got = observed_contraction(model, plan, Y, n_iter=n_iter)
+        assert calls["column_norms"] <= 4
+        assert calls["streamed_column_norms"] <= 4
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_measure_observed_matches_loop(self, monkeypatch, gabor_4x61, p,
+                                           weight_rule):
+        """The decomposition norms of all measure trials come from one
+        density block; no trial calls ``decomposition_norm``."""
+        model, plan, w = gabor_4x61
+        Y = WeightedLp(model.space, p, w[weight_rule])
+        weight = Y.weight2d()
+        report = oscillation_report(model, plan.covering,
+                                    make_phase(model, "kernel"), weight, 0.25)
+        want = measure_observed_naive(model, plan, Y, n_trials=20, seed=6)
+        calls = []
+        original = spaces_module.decomposition_norm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (discretize_module, spaces_module):
+            monkeypatch.setattr(module, "decomposition_norm", counted,
+                                raising=False)
+        rep = verify_sampled_bounds(model, plan, Y, weight, report,
+                                    n_trials=20, seed=6)
+        assert not calls
+        assert want > 0.0
+        assert rep.measure_observed == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_dual_frame_inverts_once_for_both_roles(self, monkeypatch):
+        model, Y, weight, cov, gamma, report, plan = make_setup(p=1.0)
+        inverse = SamplingInverse(model, plan, Y, report=report)
+        calls = []
+        original = SamplingInverse._invert_coords
+
+        def counted(self, coords):
+            calls.append(coords.shape)
+            return original(self, coords)
+
+        monkeypatch.setattr(SamplingInverse, "_invert_coords", counted)
+        duals = dual_frame(model, plan, inverse)
+        swapped = dual_frame(model, plan, inverse, swap_roles=True)
+        assert calls == [(model.dim, cov.n_sets)]
+        assert np.array_equal(swapped, (model.frame_operator @ duals.T).T)
+        assert not duals.flags.writeable
+        other = select_samples(cov, build_pou(cov), "medoid")
+        with pytest.raises(StructuralError, match="another model or plan"):
+            dual_frame(model, other, inverse)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_run_residuals_equal_standalone_suites(self, gabor_4x61, p):
+        """The two role-swapped suites of a run share one dual-frame
+        inversion and still report exactly what two separate suites, each
+        with its own inverse, report."""
+        model, plan, w = gabor_4x61
+        cov = plan.covering
+        Y = WeightedLp(model.space, p, w["exp"])
+        weight = Y.weight2d()
+        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+                                    n_trials=10, seed=3)
+        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+                                    weight, 0.25)
+        suites = [residual_suite(model, plan,
+                                 SamplingInverse(model, plan, Y, report=report),
+                                 Y, n_trials=10, seed=3 + swap,
+                                 swap_roles=bool(swap))
+                  for swap in (0, 1)]
+        assert result.residuals == suites[0]
+        assert result.residuals_swapped == suites[1]
 
 
 class TestReproducingDefect:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import framedisc.kernels as kernels_module
-from framedisc import DiscreteMeasure, FrameModel, SingularOperatorError, \
-    StructuralError, schur_norm, uniform_grid
+from framedisc import DiscreteMeasure, FrameModel, QuadratureSpace, \
+    SingularOperatorError, StructuralError, schur_norm, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, load_frame_vectors
 
 from oracles import apply_kernel, apply_to_measure, compose, dense_kernel, \
-    identity_kernel
+    gabor_vectors_naive, identity_kernel
 
 
 @pytest.fixture
@@ -40,6 +40,19 @@ class TestGaborModel:
     def test_degenerate_width_rejected(self):
         with pytest.raises(StructuralError):
             build_gabor_model(8, 8, 0.0)
+
+    @pytest.mark.parametrize("shape", [(6, 255, 2.45), (8, 191, 2.83),
+                                       (4, 61, 2.0), (1, 1, 0.7), (5, 3, 1.3)])
+    def test_matches_column_loop_exactly(self, shape):
+        """The broadcast atoms, their duals and the grid coordinates are the
+        floats of the one-column-at-a-time construction."""
+        model = build_gabor_model(*shape)
+        psi, coords = gabor_vectors_naive(*shape)
+        n = coords.shape[0]
+        ref = FrameModel(QuadratureSpace(coords, np.full(n, shape[0] / n)), psi)
+        assert np.array_equal(model.vectors, psi)
+        assert np.array_equal(model.space.points, coords)
+        assert np.array_equal(model.duals, ref.duals)
 
 
 class TestRandomSmoothModel:
