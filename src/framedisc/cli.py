@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -318,7 +319,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key}", dest=key, default=None)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(prog="framedisc",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,8 +330,11 @@ def main(argv=None) -> int:
     merge = sub.add_parser("report-merge")
     merge.add_argument("reports", nargs="+")
     merge.add_argument("--output", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "report-merge":
             return cmd_report_merge(args.reports, args.output)

@@ -149,8 +149,10 @@ class SamplingInverse:
     S^{-1} S_c, with S_c = sum_i c_i psi_{x_i} psi_{x_i}^*. ``apply`` maps a
     grid function to coordinates (anything outside the range is first
     projected onto it), inverts there and maps back; ``_invert_coords``
-    inverts a (d, k) block of coordinates directly, which is what the
-    decomposition, reconstruction and dual-frame helpers use.
+    inverts a (d, k) block of coordinates directly. The handle is the one
+    argument the decomposition, reconstruction, dual-frame, residual and
+    cross-check helpers take: they read the model, plan, Y, report, ``tol``
+    and ``n_max`` from it.
 
     ``neumann`` sums a + (Id-U)a + (Id-U)^2 a + ... and requires a
     certificate that the sharp contraction bound is below one; ``direct``
@@ -173,9 +175,6 @@ class SamplingInverse:
         self._restricted = _restricted_matrix(model, plan)
         self._analysis = model.vectors.conj().T
         self._metric = None
-        if Y.p == 2.0:
-            self._metric = (model.vectors * (model.space.weights * Y.w ** 2)) \
-                @ self._analysis
 
         if method == "neumann":
             if report is None:
@@ -190,6 +189,9 @@ class SamplingInverse:
                     f"refine the covering (smaller width) before inverting"
                 )
             self.sharp_bound = sharp
+            if Y.p == 2.0:
+                self._metric = (model.vectors * (model.space.weights * Y.w ** 2)) \
+                    @ self._analysis
         elif method == "direct":
             evals = np.linalg.eigvals(self._restricted)
             if np.min(np.abs(evals)) <= DIRECT_EIG_FLOOR:
@@ -290,10 +292,9 @@ def _as_columns(values, length: int, what: str) -> tuple:
     return arr.reshape(length, -1), arr.shape[1:]
 
 
-def atomic_decomposition(model: FrameModel, plan: SamplingPlan,
-                         inverse: SamplingInverse, f,
+def atomic_decomposition(inverse: SamplingInverse, f,
                          swap_roles: bool = False) -> np.ndarray:
-    """Coefficients lambda_i = c_i (U^{-1} A f)(x_i).
+    """Coefficients lambda_i = c_i (U^{-1} A f)(x_i) in the inverse's plan.
 
     A is the dual analysis for expansion in the sampled frame vectors, or
     the plain analysis (``swap_roles``) for expansion in the sampled
@@ -301,6 +302,7 @@ def atomic_decomposition(model: FrameModel, plan: SamplingPlan,
     may be one vector or a (d, k) block of column vectors, giving an
     (n_sets, k) block of coefficients.
     """
+    model, plan = inverse.model, inverse.plan
     vecs, shape = _as_columns(f, model.dim, "vector")
     coords = vecs if swap_roles else model.s_inverse @ vecs
     g = inverse._invert_coords(coords)
@@ -321,10 +323,10 @@ def synthesize_plan(model: FrameModel, plan: SamplingPlan, coeffs,
     return out.reshape((model.dim,) + shape)
 
 
-def reconstruct_from_samples(model: FrameModel, plan: SamplingPlan,
-                             inverse: SamplingInverse, samples,
+def reconstruct_from_samples(inverse: SamplingInverse, samples,
                              swap_roles: bool = False) -> np.ndarray:
-    """Recover f from its point samples of the analysis transform.
+    """Recover f from its point samples of the analysis transform at the
+    inverse's sample points.
 
     Unswapped, ``samples`` are <f, psi_{x_i}>; swapped, <f, S^{-1}psi_{x_i}>.
     The sampled function U(A f) = sum_i c_i A f(x_i) R(., x_i) has analysis
@@ -332,6 +334,7 @@ def reconstruct_from_samples(model: FrameModel, plan: SamplingPlan,
     formed. ``samples`` may be an (n_sets, k) block, one sample set per
     column, giving a (d, k) block of vectors.
     """
+    model, plan = inverse.model, inverse.plan
     vals, shape = _as_columns(samples, plan.covering.n_sets, "sample set")
     xs = plan.samples
     coords = model.s_inverse @ (model.vectors[:, xs] @ (plan.masses[:, None] * vals))
@@ -340,8 +343,7 @@ def reconstruct_from_samples(model: FrameModel, plan: SamplingPlan,
     return out.reshape((model.dim,) + shape)
 
 
-def dual_frame(model: FrameModel, plan: SamplingPlan,
-               inverse: SamplingInverse, swap_roles: bool = False) -> np.ndarray:
+def dual_frame(inverse: SamplingInverse, swap_roles: bool = False) -> np.ndarray:
     """Vectors e_i with lambda_i(f) = <f, e_i>, stacked as rows.
 
     Solves A(e_i) = c_i U^{-1} R(., x_i) where A is the analysis whose range
@@ -352,10 +354,8 @@ def dual_frame(model: FrameModel, plan: SamplingPlan,
     swapped. That inversion is ``inverse.dual_coords``, made once per
     inverse and shared by both roles; the unswapped rows are read-only.
     """
-    if inverse.plan is not plan or inverse.model is not model:
-        raise StructuralError("the inverse was built for another model or plan")
     e = inverse.dual_coords
-    return (model.frame_operator @ e if swap_roles else e).T
+    return (inverse.model.frame_operator @ e if swap_roles else e).T
 
 
 def hilbert_frame_bounds(model: FrameModel, plan: SamplingPlan) -> tuple:

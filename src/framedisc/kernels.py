@@ -145,7 +145,8 @@ class SchurSums:
     block's row sums sum_y w_y |K(x, y)| m(x, y), one row per weight;
     ``norms()`` is the Schur norm under each weight once every row has
     been fed. A weight of ``None`` is the unit weight; trivial weights
-    share one set of sums.
+    share one set of sums, and so do repeats of one weight object, whose m
+    is formed once per block.
     """
 
     def __init__(self, space: QuadratureSpace, weights):
@@ -161,15 +162,13 @@ class SchurSums:
     def add(self, rows, block: np.ndarray) -> np.ndarray:
         mu = self._mu
         out = np.empty((len(self._weights), block.shape[0]))
-        plain = None
+        sums = {}
         for k, weight in enumerate(self._weights):
-            if weight is None:
-                if plain is None:
-                    plain = block @ mu, mu[rows] @ block
-                row, col = plain
-            else:
-                weighted = block * weight.block(rows, slice(None))
-                row, col = weighted @ mu, mu[rows] @ weighted
+            if weight not in sums:
+                weighted = block if weight is None \
+                    else block * weight.block(rows, slice(None))
+                sums[weight] = weighted @ mu, mu[rows] @ weighted
+            row, col = sums[weight]
             out[k] = row
             self._col[k] += col
         np.maximum(self._row, out.max(axis=1, initial=0.0), out=self._row)
@@ -198,21 +197,3 @@ def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -
     """Weighted Schur algebra norm of a dense kernel."""
     k = check_kernel(space, kernel)
     return schur_norms(space, abs_row_blocks(k), [weight])[0]
-
-
-def save_kernel_binary(kernel, path) -> None:
-    """Raw row-major little-endian complex128 (interleaved float64 pairs)."""
-    k = np.ascontiguousarray(np.asarray(kernel, dtype=complex))
-    with open(path, "wb") as fh:
-        fh.write(k.astype("<c16").tobytes())
-
-
-def load_kernel_binary(path, shape=None) -> np.ndarray:
-    with open(path, "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<c16")
-    if shape is None:
-        n = int(round(np.sqrt(flat.size)))
-        if n * n != flat.size:
-            raise StructuralError("binary kernel is not square; pass shape")
-        shape = (n, n)
-    return flat.reshape(shape).astype(complex)

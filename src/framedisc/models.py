@@ -122,20 +122,6 @@ class FrameModel:
         f = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         return self.analyze(f)
 
-    def save_vectors(self, path) -> None:
-        """Write the (dim, n) frame-vector matrix in the binary fixture format."""
-        from .kernels import save_kernel_binary
-        save_kernel_binary(self.vectors, path)
-
-
-def load_frame_vectors(path, dim: int) -> np.ndarray:
-    """Read a (dim, n) frame-vector matrix written by ``save_vectors``."""
-    from .kernels import load_kernel_binary
-    flat = load_kernel_binary(path, shape=(-1,))
-    if flat.size % dim:
-        raise StructuralError("file size is not a multiple of the dimension")
-    return flat.reshape(dim, flat.size // dim)
-
 
 def _periodized_gaussian(d: int, width: float) -> np.ndarray:
     k = np.arange(d, dtype=float)

@@ -167,8 +167,13 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
 
 
 def v_weight(weight: Weight2D) -> Weight2D:
-    """m_v, the associated weight of the one-point trace v of ``weight``."""
-    return Weight2D(weight.space, weight.v, weight.ref_index)
+    """m_v, the associated weight of the one-point trace v of ``weight``;
+    ``weight`` itself when v equals w, as it does whenever w is one at the
+    reference point and at least one everywhere."""
+    v = weight.v
+    if np.array_equal(v, weight.w):
+        return weight
+    return Weight2D(weight.space, v, weight.ref_index)
 
 
 def sigma_constant(delta: float, r_norm: float, c_mu: float) -> float:

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import Covering, build_pou, validate_covering
-from .discretize import BoundsReport, SamplingInverse, SamplingPlan, \
-    atomic_decomposition, contraction_bounds, dual_frame, hilbert_frame_bounds, \
-    observed_contraction, reconstruct_from_samples, select_samples, \
-    synthesize_plan, verify_sampled_bounds
+from .discretize import BoundsReport, SamplingInverse, atomic_decomposition, \
+    contraction_bounds, dual_frame, hilbert_frame_bounds, observed_contraction, \
+    reconstruct_from_samples, select_samples, synthesize_plan, \
+    verify_sampled_bounds
 from .errors import CertificationError
 from .kernels import Weight2D, row_slices, schur_norms
 from .models import FrameModel
@@ -23,17 +23,18 @@ def _unit_random_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     return f / np.linalg.norm(f)
 
 
-def residual_suite(model: FrameModel, plan: SamplingPlan, inverse: SamplingInverse,
-                   Y: WeightedLp, n_trials: int = 50, seed: int = 0,
+def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
                    swap_roles: bool = False) -> dict:
     """Reconstruction, duality and norm-equivalence residuals on random vectors.
 
     All residuals are relative except the duality defect, which is absolute
-    against unit-norm inputs. The trials run as one (d, n_trials) block of
-    unit vectors, drawn one after another from ``seed``.
+    against unit-norm inputs; the norm-equivalence ratios are in the
+    inverse's Y. The trials run as one (d, n_trials) block of unit vectors,
+    drawn one after another from ``seed``.
     """
     rng = np.random.default_rng(seed)
-    duals = dual_frame(model, plan, inverse, swap_roles=swap_roles)
+    model, plan, Y = inverse.model, inverse.plan, inverse.Y
+    duals = dual_frame(inverse, swap_roles=swap_roles)
     cov = plan.covering
     xs = plan.samples
     f = np.stack([_unit_random_vector(rng, model.dim) for _ in range(n_trials)],
@@ -42,14 +43,14 @@ def residual_suite(model: FrameModel, plan: SamplingPlan, inverse: SamplingInver
     def errors(rec):
         return np.linalg.norm(rec - f, axis=0)
 
-    lam = atomic_decomposition(model, plan, inverse, f, swap_roles=swap_roles)
+    lam = atomic_decomposition(inverse, f, swap_roles=swap_roles)
     atomic = errors(synthesize_plan(model, plan, lam, swap_roles=swap_roles))
 
     dual_f = model.s_inverse @ f
     base = model.vectors.conj().T @ (dual_f if swap_roles else f)
     dual_base = model.vectors.conj().T @ (f if swap_roles else dual_f)
     samples = base[xs]
-    banach = errors(reconstruct_from_samples(model, plan, inverse, samples,
+    banach = errors(reconstruct_from_samples(inverse, samples,
                                              swap_roles=swap_roles))
 
     inner = duals.conj() @ f
@@ -93,18 +94,24 @@ def reproducing_defect(model: FrameModel) -> float:
     return schur_norms(model.space, blocks, [None])[0]
 
 
-def cross_check_inversion(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
-                          report: OscReport, tol: float = 1e-12,
-                          n_max: int = 200, n_trials: int = 20,
+def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
                           seed: int = 0) -> float | None:
     """Worst relative Y-norm gap between Neumann and direct inversion,
-    or None when the Neumann certificate is unavailable. The trials run as
-    one block of random range functions, one column each."""
-    try:
-        neu = SamplingInverse(model, plan, Y, method="neumann", tol=tol,
-                              n_max=n_max, report=report)
-    except CertificationError:
-        return None
+    or None when the Neumann certificate is unavailable.
+
+    A Neumann ``inverse`` is the Neumann side; otherwise one is built from
+    its report, ``tol`` and ``n_max``. The trials run as one block of random
+    range functions, one column each.
+    """
+    model, plan, Y = inverse.model, inverse.plan, inverse.Y
+    neu = inverse
+    if inverse.method != "neumann":
+        try:
+            neu = SamplingInverse(model, plan, Y, method="neumann",
+                                  tol=inverse.tol, n_max=inverse.n_max,
+                                  report=inverse.report)
+        except CertificationError:
+            return None
     direct = SamplingInverse(model, plan, Y, method="direct")
     rng = np.random.default_rng(seed)
     F = np.stack([model.random_range_function(rng) for _ in range(n_trials)],
@@ -204,11 +211,10 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
 
     inverse = SamplingInverse(model, plan, Y, method=method, tol=tol,
                               n_max=n_max, report=report)
-    gap = cross_check_inversion(model, plan, Y, report, tol=tol, n_max=n_max,
-                                seed=seed)
-    res = residual_suite(model, plan, inverse, Y, n_trials=n_trials, seed=seed)
-    res_sw = residual_suite(model, plan, inverse, Y, n_trials=n_trials,
-                            seed=seed + 1, swap_roles=True)
+    gap = cross_check_inversion(inverse, seed=seed)
+    res = residual_suite(inverse, n_trials=n_trials, seed=seed)
+    res_sw = residual_suite(inverse, n_trials=n_trials, seed=seed + 1,
+                            swap_roles=True)
     c1, c2 = hilbert_frame_bounds(model, plan)
     if report.invertibility_ok and not c1 > 0.0:
         raise CertificationError(

@@ -156,15 +156,13 @@ def test_criterion_5_end_to_end_decomposition(certified_runs):
         for run in certified_runs["runs"]:
             inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
                                       method="neumann", report=run["report"])
-            res = residual_suite(run["model"], run["plan"], inverse, run["Y"],
-                                 n_trials=50, seed=5)
+            res = residual_suite(inverse, n_trials=50, seed=5)
             assert res["atomic_max"] <= 1e-8, run["label"]
             assert res["banach_max"] <= 1e-8, run["label"]
             assert res["duality_max"] <= 1e-10, run["label"]
             assert res["dual_expansion_max"] <= 1e-8, run["label"]
             assert res["sample_expansion_max"] <= 1e-8, run["label"]
-            gap = cross_check_inversion(run["model"], run["plan"], run["Y"],
-                                        run["report"], n_trials=20, seed=6)
+            gap = cross_check_inversion(inverse, n_trials=20, seed=6)
             assert gap is not None and gap <= 1e-9, run["label"]
 
 
@@ -173,8 +171,7 @@ def test_criterion_6_swapped_roles(certified_runs):
         for run in certified_runs["runs"]:
             inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
                                       method="neumann", report=run["report"])
-            res = residual_suite(run["model"], run["plan"], inverse, run["Y"],
-                                 n_trials=50, seed=7, swap_roles=True)
+            res = residual_suite(inverse, n_trials=50, seed=7, swap_roles=True)
             assert res["atomic_max"] <= 1e-8, run["label"]
             assert res["banach_max"] <= 1e-8, run["label"]
             assert res["duality_max"] <= 1e-10, run["label"]

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import re
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from framedisc import cli
 from framedisc.cli import EXIT_CERTIFICATION, EXIT_CONFIG, EXIT_NUMERICAL, \
     EXIT_OK, EXIT_PROPERTY, main
 
@@ -285,6 +287,26 @@ class TestDeterminism:
                     + sum([[f"--{k.replace('_', '-')}", str(v)]
                            for k, v in opts.items()], [])) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, monkeypatch):
+        """Successive ``main`` calls parse with one parser."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        try:
+            assert run(tmp_path, "validate", **BASE)[0] == EXIT_OK
+            assert run(tmp_path, "osc", **BASE, delta=0.3)[0] == EXIT_OK
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("framedisc") == 1
 
 
 class TestReportMerge:

@@ -283,7 +283,7 @@ class TestDecomposition:
     def test_zero_vector(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
-        lam = atomic_decomposition(model, plan, inverse, np.zeros(3))
+        lam = atomic_decomposition(inverse, np.zeros(3))
         assert np.all(lam == 0)
 
     def test_frame_vector_roundtrip_singleton_plan(self):
@@ -291,7 +291,7 @@ class TestDecomposition:
         Y, weight, gamma, report, plan = singleton_setup(model)
         inverse = SamplingInverse(model, plan, Y, report=report)
         f = model.vectors[:, 5]
-        lam = atomic_decomposition(model, plan, inverse, f)
+        lam = atomic_decomposition(inverse, f)
         rec = synthesize_plan(model, plan, lam)
         assert np.linalg.norm(rec - f) <= 1e-9
 
@@ -300,7 +300,7 @@ class TestDecomposition:
         inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            lam = atomic_decomposition(model, plan, inverse, f)
+            lam = atomic_decomposition(inverse, f)
             rec = synthesize_plan(model, plan, lam)
             assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
 
@@ -312,7 +312,7 @@ class TestDecomposition:
         bound = d_const / (1.0 - sharp)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            lam = atomic_decomposition(model, plan, inverse, f)
+            lam = atomic_decomposition(inverse, f)
             assert norm_natural(lam, cov, Y) \
                 <= bound * Y.norm(model.dual_analyze(f)) * (1 + 1e-9)
 
@@ -324,7 +324,7 @@ class TestSampleReconstruction:
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             samples = model.analyze(f)[plan.samples]
-            rec = reconstruct_from_samples(model, plan, inverse, samples)
+            rec = reconstruct_from_samples(inverse, samples)
             assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
 
     def test_frame_vector_from_its_samples(self):
@@ -332,14 +332,13 @@ class TestSampleReconstruction:
         inverse = SamplingInverse(model, plan, Y, report=report)
         f = model.vectors[:, plan.samples[3]]
         samples = model.analyze(f)[plan.samples]
-        rec = reconstruct_from_samples(model, plan, inverse, samples)
+        rec = reconstruct_from_samples(inverse, samples)
         assert np.linalg.norm(rec - f) <= 1e-8
 
     def test_zero_samples(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
-        rec = reconstruct_from_samples(model, plan, inverse,
-                                       np.zeros(cov.n_sets))
+        rec = reconstruct_from_samples(inverse, np.zeros(cov.n_sets))
         assert np.linalg.norm(rec) <= 1e-12
 
     def test_decompose_then_resample_consistent(self, rng):
@@ -347,7 +346,7 @@ class TestSampleReconstruction:
         inverse = SamplingInverse(model, plan, Y, report=report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         samples = model.analyze(f)[plan.samples]
-        rec = reconstruct_from_samples(model, plan, inverse, samples)
+        rec = reconstruct_from_samples(inverse, samples)
         resampled = model.analyze(rec)[plan.samples]
         assert np.max(np.abs(resampled - samples)) \
             <= 1e-8 * max(1.0, np.max(np.abs(samples)))
@@ -358,7 +357,7 @@ class TestDualFrame:
         model = build_orthonormal_model(4)
         Y, weight, gamma, report, plan = singleton_setup(model)
         inverse = SamplingInverse(model, plan, Y, report=report)
-        duals = dual_frame(model, plan, inverse)
+        duals = dual_frame(inverse)
         assert np.allclose(duals, np.eye(4), atol=1e-10)
         f = np.array([1.0, 2.0, 3.0 - 1.0j, 0.5])
         rec = (model.analyze(f)[plan.samples]) @ duals
@@ -368,7 +367,7 @@ class TestDualFrame:
         model = build_random_smooth_model(1, 8, 1.0, seed=8)
         Y, weight, gamma, report, plan = singleton_setup(model)
         inverse = SamplingInverse(model, plan, Y, report=report)
-        duals = dual_frame(model, plan, inverse)
+        duals = dual_frame(inverse)
         f = np.array([2.0 - 1.0j])
         rec = sum(np.vdot(duals[i], f) * model.vectors[:, plan.samples[i]]
                   for i in range(plan.covering.n_sets))
@@ -377,11 +376,11 @@ class TestDualFrame:
     def test_duality_of_coefficients(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
-        duals = dual_frame(model, plan, inverse)
+        duals = dual_frame(inverse)
         for _ in range(20):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             f /= np.linalg.norm(f)
-            lam = atomic_decomposition(model, plan, inverse, f)
+            lam = atomic_decomposition(inverse, f)
             inner = duals.conj() @ f
             assert np.max(np.abs(lam - inner)) <= 1e-10
 
@@ -390,8 +389,7 @@ class TestSwappedRoles:
     def test_full_residual_suite(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
-        res = residual_suite(model, plan, inverse, Y, n_trials=20, seed=9,
-                             swap_roles=True)
+        res = residual_suite(inverse, n_trials=20, seed=9, swap_roles=True)
         assert res["atomic_max"] <= 1e-8
         assert res["banach_max"] <= 1e-8
         assert res["duality_max"] <= 1e-10
@@ -402,7 +400,7 @@ class TestSwappedRoles:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        lam = atomic_decomposition(model, plan, inverse, f, swap_roles=True)
+        lam = atomic_decomposition(inverse, f, swap_roles=True)
         rec = synthesize_plan(model, plan, lam, swap_roles=True)
         manual = sum(lam[i] * (model.s_inverse @ model.vectors[:, plan.samples[i]])
                      for i in range(cov.n_sets))
@@ -450,11 +448,11 @@ class TestWeakerThresholds:
         inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(5):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            lam = atomic_decomposition(model, plan, inverse, f)
+            lam = atomic_decomposition(inverse, f)
             assert np.linalg.norm(synthesize_plan(model, plan, lam) - f) \
                 <= 1e-8 * np.linalg.norm(f)
             samples = model.analyze(f)[plan.samples]
-            rec = reconstruct_from_samples(model, plan, inverse, samples)
+            rec = reconstruct_from_samples(inverse, samples)
             assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
 
 
@@ -511,13 +509,14 @@ class TestVerifiedBounds:
             * max(1.0, cov.moderateness)
         lower = 1.0 / ((report.osc_norm + report.r_norm) * c_plus)
         for seed in (21, 22):
-            res = residual_suite(model, plan, inverse, Y, n_trials=25, seed=seed)
+            res = residual_suite(inverse, n_trials=25, seed=seed)
             assert lower * (1 - 1e-9) <= res["natural_ratio_lo"]
             assert res["natural_ratio_hi"] <= upper * (1 + 1e-9)
 
     def test_cross_check_inversion_helper(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        gap = cross_check_inversion(model, plan, Y, report, n_trials=10, seed=4)
+        inverse = SamplingInverse(model, plan, Y, report=report)
+        gap = cross_check_inversion(inverse, n_trials=10, seed=4)
         assert gap is not None and gap <= 1e-9
 
 
@@ -711,13 +710,12 @@ class TestBlocks:
         inverse = SamplingInverse(model, plan, Y, report=report)
         f = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         for swap in (False, True):
-            lam = atomic_decomposition(model, plan, inverse, f, swap_roles=swap)
+            lam = atomic_decomposition(inverse, f, swap_roles=swap)
             assert lam.shape == (cov.n_sets, 4)
             samples = (model.dual_analyze if swap else model.analyze)
             block = np.stack([samples(f[:, j])[plan.samples] for j in range(4)],
                              axis=1)
-            rec = reconstruct_from_samples(model, plan, inverse, block,
-                                           swap_roles=swap)
+            rec = reconstruct_from_samples(inverse, block, swap_roles=swap)
             syn = synthesize_plan(model, plan, lam, swap_roles=swap)
 
             def close(got, want):
@@ -725,9 +723,9 @@ class TestBlocks:
 
             for j in range(4):
                 assert close(lam[:, j], atomic_decomposition(
-                    model, plan, inverse, f[:, j], swap_roles=swap))
+                    inverse, f[:, j], swap_roles=swap))
                 assert close(rec[:, j], reconstruct_from_samples(
-                    model, plan, inverse, block[:, j], swap_roles=swap))
+                    inverse, block[:, j], swap_roles=swap))
                 assert close(syn[:, j], synthesize_plan(
                     model, plan, lam[:, j], swap_roles=swap))
 
@@ -747,9 +745,9 @@ class TestBlocks:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
         with pytest.raises(StructuralError):
-            atomic_decomposition(model, plan, inverse, np.ones(4))
+            atomic_decomposition(inverse, np.ones(4))
         with pytest.raises(StructuralError):
-            reconstruct_from_samples(model, plan, inverse, np.ones(cov.n_sets + 1))
+            reconstruct_from_samples(inverse, np.ones(cov.n_sets + 1))
         with pytest.raises(StructuralError):
             synthesize_plan(model, plan, np.ones((cov.n_sets - 1, 2)))
 
@@ -866,14 +864,11 @@ class TestBlockHarness:
             return original(self, coords)
 
         monkeypatch.setattr(SamplingInverse, "_invert_coords", counted)
-        duals = dual_frame(model, plan, inverse)
-        swapped = dual_frame(model, plan, inverse, swap_roles=True)
+        duals = dual_frame(inverse)
+        swapped = dual_frame(inverse, swap_roles=True)
         assert calls == [(model.dim, cov.n_sets)]
         assert np.array_equal(swapped, (model.frame_operator @ duals.T).T)
         assert not duals.flags.writeable
-        other = select_samples(cov, build_pou(cov), "medoid")
-        with pytest.raises(StructuralError, match="another model or plan"):
-            dual_frame(model, other, inverse)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_run_residuals_equal_standalone_suites(self, gabor_4x61, p):
@@ -888,13 +883,60 @@ class TestBlockHarness:
                                     n_trials=10, seed=3)
         report = oscillation_report(model, cov, make_phase(model, "kernel"),
                                     weight, 0.25)
-        suites = [residual_suite(model, plan,
-                                 SamplingInverse(model, plan, Y, report=report),
-                                 Y, n_trials=10, seed=3 + swap,
+        suites = [residual_suite(SamplingInverse(model, plan, Y, report=report),
+                                 n_trials=10, seed=3 + swap,
                                  swap_roles=bool(swap))
                   for swap in (0, 1)]
         assert result.residuals == suites[0]
         assert result.residuals_swapped == suites[1]
+
+
+class TestInverseHandle:
+    """The inverse is the one handle of the sampled frame: the helpers read
+    its model, plan, Y, report, tol and n_max, and a Neumann run builds one
+    Neumann and one direct inverse."""
+
+    def test_neumann_run_builds_two_inverses(self, monkeypatch):
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        built = []
+        init = SamplingInverse.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.method)
+
+        monkeypatch.setattr(SamplingInverse, "__init__", counted)
+        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+                                    n_trials=10, seed=3)
+        monkeypatch.undo()
+        assert sorted(built) == ["direct", "neumann"]
+        neu = SamplingInverse(model, plan, Y, report=report)
+        direct = SamplingInverse(model, plan, Y, method="direct")
+        rng = np.random.default_rng(3)
+        F = np.stack([model.random_range_function(rng) for _ in range(20)],
+                     axis=1)
+        gaps = Y.column_norms(neu.apply(F) - direct.apply(F)) / Y.column_norms(F)
+        assert result.cross_method_gap == float(gaps.max())
+
+    def test_cross_check_from_a_direct_inverse(self):
+        """A direct inverse checks against a Neumann inverse built from its
+        report, tol and n_max; without a report there is none."""
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        gaps = []
+        for tol in (1e-12, 1e-4):
+            neu = SamplingInverse(model, plan, Y, tol=tol, report=report)
+            direct = SamplingInverse(model, plan, Y, method="direct", tol=tol,
+                                     report=report)
+            gaps.append(cross_check_inversion(direct, n_trials=10, seed=4))
+            assert gaps[-1] == cross_check_inversion(neu, n_trials=10, seed=4)
+        assert gaps[1] > 100 * gaps[0]       # the looser tol was used
+        bare = SamplingInverse(model, plan, Y, method="direct")
+        assert cross_check_inversion(bare, n_trials=10, seed=4) is None
+
+    def test_direct_inverse_forms_no_metric(self):
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        assert SamplingInverse(model, plan, Y, method="direct")._metric is None
+        assert SamplingInverse(model, plan, Y, report=report)._metric is not None
 
 
 class TestReproducingDefect:

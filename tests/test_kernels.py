@@ -5,7 +5,7 @@ import pytest
 
 from framedisc import DiscreteMeasure, SchurSums, StructuralError, Weight2D, \
     WeightedLp, schur_norm, schur_norms, uniform_grid
-from framedisc.kernels import check_kernel, load_kernel_binary, save_kernel_binary
+from framedisc.kernels import check_kernel
 
 from conftest import random_kernel, random_pointwise_weight, unit_weight
 from oracles import apply_kernel, apply_measure_naive, apply_naive, \
@@ -280,17 +280,3 @@ class TestValidationAndIO:
     def test_shape_mismatch(self, small_space):
         with pytest.raises(StructuralError):
             schur_norm(small_space, np.ones((4, 4)))
-
-    def test_binary_round_trip(self, rng, tmp_path):
-        k = random_kernel(rng, 6)
-        path = tmp_path / "k.bin"
-        save_kernel_binary(k, path)
-        assert np.array_equal(load_kernel_binary(path), k)
-        assert path.stat().st_size == 6 * 6 * 16
-
-    def test_binary_layout_little_endian_pairs(self, tmp_path):
-        import struct
-        path = tmp_path / "one.bin"
-        save_kernel_binary(np.array([[1.0 + 2.0j]]), path)
-        raw = path.read_bytes()
-        assert raw == struct.pack("<dd", 1.0, 2.0)

@@ -5,7 +5,7 @@ import framedisc.kernels as kernels_module
 from framedisc import DiscreteMeasure, FrameModel, QuadratureSpace, \
     SingularOperatorError, StructuralError, schur_norm, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
-    build_random_smooth_model, load_frame_vectors
+    build_random_smooth_model
 
 from oracles import apply_kernel, apply_to_measure, compose, dense_kernel, \
     gabor_vectors_naive, identity_kernel
@@ -217,11 +217,3 @@ def test_eigenvalue_floor_refusal():
     with pytest.raises(SingularOperatorError):
         FrameModel(space, vectors)
 
-
-def test_vector_export_round_trip(tmp_path, smooth_model):
-    path = tmp_path / "vectors.bin"
-    smooth_model.save_vectors(path)
-    back = load_frame_vectors(path, smooth_model.dim)
-    assert np.array_equal(back, smooth_model.vectors)
-    rebuilt = FrameModel(smooth_model.space, back)
-    assert np.allclose(dense_kernel(rebuilt), dense_kernel(smooth_model), atol=1e-14)

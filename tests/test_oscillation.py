@@ -178,6 +178,38 @@ class TestStreamedNorms:
         assert [rep.osc_norm, rep.osc_norm_v] == got_osc
         assert [rep.r_norm, rep.r_norm_v] == got_r
 
+    def test_v_weight_equal_to_weight_is_shared(self, monkeypatch):
+        """An exp weight is one at the origin, point 0, and grows from it, so
+        its m_v is the weight itself: one report forms m once per row block
+        of each Schur pass, half as often as with a separate m_v, and gives
+        the same norms."""
+        model = build_gabor_model(4, 101, 2.0)
+        space = model.space
+        cov = Covering(space, tuple(np.arange(t * 101 + m, t * 101 + min(m + 2, 101))
+                                    for t in range(4) for m in range(0, 101, 2)))
+        w = np.exp(0.02 * np.linalg.norm(space.points, axis=1))
+        weight = WeightedLp(space, 2.0, w).weight2d()
+        assert v_weight(weight) is weight
+        moved = Weight2D(space, w, ref_index=7)      # w > 1 at point 7
+        assert v_weight(moved) is not moved
+        gamma = make_phase(model, "kernel")
+        calls = []
+        block = Weight2D.block
+
+        def counted(self, rows, cols):
+            calls.append(isinstance(cols, slice))
+            return block(self, rows, cols)
+
+        monkeypatch.setattr(Weight2D, "block", counted)
+        shared = oscillation_report(model, cov, gamma, weight, 0.25)
+        n_shared = sum(calls)
+        calls.clear()
+        monkeypatch.setattr(oscillation_module, "v_weight",
+                            lambda wt: Weight2D(wt.space, wt.v, wt.ref_index))
+        separate = oscillation_report(model, cov, gamma, weight, 0.25)
+        assert n_shared > 0 and 2 * n_shared == sum(calls)
+        assert vars(shared) == vars(separate)
+
     def test_report_holds_no_array(self, smooth_model):
         cov = uniform_covering(smooth_model.space, 0.3)
         rep = oscillation_report(smooth_model, cov,
