@@ -13,10 +13,13 @@ Schur norms are streamed: ``SchurSums`` takes |K| in blocks of rows,
 forms each non-trivial weight's m on the block once, and keeps the row
 sums and the running column sums of every weight it was given, so one pass
 gives the norm under several weights and no (n, n) array of |K| or m is
-formed. The reproducing kernel and the kernels derived from it (the
-oscillation kernel, the sampled-row kernel, the reproducing defect) are
-produced block by block from a model's rank-d factors straight into it;
-dense kernels are accepted only by ``schur_norm``.
+formed. The reproducing kernel and the oscillation kernel, and the
+sampled-row kernel under a non-trivial weight, are produced block by block
+from a model's rank-d factors straight into it; dense kernels are accepted
+only by ``schur_norm``. Two kernels need no such pass: under a trivial
+weight the sampled-row constant is read off the sample rows of R
+(``discretize.verify_sampled_bounds``), and the reproducing defect is
+bounded through its d x d core (``pipeline.reproducing_defect``).
 """
 
 from __future__ import annotations

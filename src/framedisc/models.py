@@ -10,7 +10,7 @@ a Hermitian kernel that is idempotent under weighted composition and acts
 as the identity on the range of both analysis transforms. R has rank d:
 with V the (d, n) matrix of frame vectors and A = S^{-1} V the dual
 vectors, R = A^* V. The model keeps only V and A; ``kernel_rows`` forms
-rows of R (or of any V^* C V) on demand, so no n x n kernel is stored.
+rows of R on demand, so no n x n kernel is stored.
 """
 
 from __future__ import annotations
@@ -66,17 +66,10 @@ class FrameModel:
         duals.setflags(write=False)
         self.duals = duals
 
-    def kernel_rows(self, rows, core=None) -> np.ndarray:
-        """Rows ``rows`` (an index array or slice) of a rank-d kernel.
-
-        By default the reproducing kernel, R[rows, :] = A[:, rows]^* V. With
-        a (d, d) ``core`` C, the rows of V^* C V instead, formed as
-        V[:, rows]^* (C V); ``core = S^{-1} S S^{-1} - S^{-1}`` gives the
-        reproducing defect R o R - R.
-        """
-        if core is None:
-            return self.duals[:, rows].conj().T @ self.vectors
-        return self.vectors[:, rows].conj().T @ (core @ self.vectors)
+    def kernel_rows(self, rows) -> np.ndarray:
+        """Rows ``rows`` (an index array or slice) of the reproducing kernel,
+        R[rows, :] = A[:, rows]^* V."""
+        return self.duals[:, rows].conj().T @ self.vectors
 
     def check_vector(self, f) -> np.ndarray:
         arr = np.asarray(f, dtype=complex).reshape(-1)

@@ -12,7 +12,7 @@ from .discretize import BoundsReport, SamplingInverse, atomic_decomposition, \
     reconstruct_from_samples, select_samples, synthesize_plan, \
     verify_sampled_bounds
 from .errors import CertificationError
-from .kernels import Weight2D, row_slices, schur_norms
+from .kernels import Weight2D
 from .models import FrameModel
 from .oscillation import OscReport, make_phase, oscillation_report, refine_until
 from .spaces import WeightedLp, pileup
@@ -80,18 +80,27 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
 
 
 def reproducing_defect(model: FrameModel) -> float:
-    """Schur norm of R o R - R, the kernel's failure to be idempotent.
+    """Upper bound on the Schur norm of R o R - R, the kernel's failure to
+    be idempotent.
 
     With R = V* S^{-1} V and S = V W V*, the weighted composition is
-    R o R = V* S^{-1} S S^{-1} V, so the defect kernel is
-    V* (S^{-1} S S^{-1} - S^{-1}) V: an n^2 d product instead of the
-    n^3 dense composition, formed and summed one block of rows at a time.
+    R o R = V* S^{-1} S S^{-1} V, so the defect kernel is V* C V with the
+    d x d core C = S^{-1} S S^{-1} - S^{-1}. With the SVD C = U Sigma W*
+    (not ``eigh``: the computed C is Hermitian only up to rounding),
+    |V* C V|(x, y) <= sum_k sigma_k p_k(x) q_k(y) with p_k = |u_k* V| and
+    q_k = |w_k* V|. The Schur sums of that majorant are
+    sum_k sigma_k p_k(x) (q_k . mu) by rows and sum_k sigma_k q_k(y)
+    (p_k . mu) by columns: O(n d) after the d x d work, and no kernel entry
+    is formed.
     """
     g = model.s_inverse
-    core = g @ model.frame_operator @ g - g
-    blocks = ((rows, np.abs(model.kernel_rows(rows, core)))
-              for rows in row_slices(model.space.n_points))
-    return schur_norms(model.space, blocks, [None])[0]
+    u, sigma, wh = np.linalg.svd(g @ model.frame_operator @ g - g)
+    p = np.abs(u.conj().T @ model.vectors)
+    q = np.abs(wh @ model.vectors)
+    mu = model.space.weights
+    rows = (sigma[:, None] * p).T @ (q @ mu)
+    cols = (sigma[:, None] * q).T @ (p @ mu)
+    return float(max(rows.max(), cols.max()))
 
 
 def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
@@ -99,20 +108,21 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
     """Worst relative Y-norm gap between Neumann and direct inversion,
     or None when the Neumann certificate is unavailable.
 
-    A Neumann ``inverse`` is the Neumann side; otherwise one is built from
-    its report, ``tol`` and ``n_max``. The trials run as one block of random
-    range functions, one column each.
+    ``inverse`` is the side of its own method; the other side is built
+    from it (a Neumann one from its report, ``tol`` and ``n_max``). The
+    trials run as one block of random range functions, one column each.
     """
     model, plan, Y = inverse.model, inverse.plan, inverse.Y
-    neu = inverse
-    if inverse.method != "neumann":
+    if inverse.method == "neumann":
+        neu, direct = inverse, SamplingInverse(model, plan, Y, method="direct")
+    else:
+        direct = inverse
         try:
             neu = SamplingInverse(model, plan, Y, method="neumann",
                                   tol=inverse.tol, n_max=inverse.n_max,
                                   report=inverse.report)
         except CertificationError:
             return None
-    direct = SamplingInverse(model, plan, Y, method="direct")
     rng = np.random.default_rng(seed)
     F = np.stack([model.random_range_function(rng) for _ in range(n_trials)],
                  axis=1)

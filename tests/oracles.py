@@ -4,16 +4,17 @@ Everything named ``*_naive`` is written as plain Python loops over indices,
 deliberately avoiding the code paths (matmuls, scatter/gather over flat
 index arrays) used by the package itself. The dense reproducing kernel
 (``dense_kernel``), the dense partition-of-unity table (``dense_pou``),
-the dense kernel algebra (``identity_kernel`` ... ``involution``) and the
-dense derived kernels (``oscillation_kernel``, ``sampled_row_kernel``) are
+the dense kernel algebra (``identity_kernel`` ... ``involution``), the
+dense derived kernels (``oscillation_kernel``, ``sampled_row_kernel``) and
+the exact streamed reproducing defect (``reproducing_defect_streamed``) are
 the vectorized forms the tests check against those loops and against the
-package's streamed Schur sums and rank-d rows; only tests use them, so the
-package does not carry them.
+package's streamed Schur sums, rank-d rows and rank-d majorants; only tests
+use them, so the package does not carry them.
 """
 
 import numpy as np
 
-from framedisc.kernels import check_kernel
+from framedisc.kernels import check_kernel, row_slices, schur_norms
 
 
 def dense_kernel(model):
@@ -90,6 +91,16 @@ def oscillation_kernel(model, cov, gamma):
 def sampled_row_kernel(model, plan):
     """K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x): rows of R spread over sets."""
     return plan.covering.point_sums(np.abs(dense_kernel(model)[plan.samples, :]))
+
+
+def reproducing_defect_streamed(model):
+    """Schur norm of R o R - R = V^* (S^{-1} S S^{-1} - S^{-1}) V, its
+    rows formed and summed one block at a time (an n^2 d pass)."""
+    g = model.s_inverse
+    right = (g @ model.frame_operator @ g - g) @ model.vectors
+    blocks = ((rows, np.abs(model.vectors[:, rows].conj().T @ right))
+              for rows in row_slices(model.space.n_points))
+    return schur_norms(model.space, blocks, [None])[0]
 
 
 def integrate_naive(weights, values):

@@ -1,18 +1,22 @@
+import copy
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
 import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, SamplingInverse, \
-    SingularOperatorError, StructuralError, WeightedLp, apply_sampling, \
-    apply_smoothed, atomic_decomposition, build_pou, contraction_bounds, \
-    dual_frame, hilbert_frame_bounds, make_phase, norm_flat, norm_natural, \
-    observed_contraction, oscillation_report, reconstruct_from_samples, \
-    schur_norm, select_samples, singleton_covering, synthesize_plan, \
-    uniform_covering, verify_sampled_bounds
+    SchurSums, SingularOperatorError, StructuralError, WeightedLp, \
+    apply_sampling, apply_smoothed, atomic_decomposition, build_pou, \
+    contraction_bounds, dual_frame, hilbert_frame_bounds, make_phase, \
+    norm_flat, norm_natural, observed_contraction, oscillation_report, \
+    reconstruct_from_samples, schur_norm, select_samples, singleton_covering, \
+    synthesize_plan, uniform_covering, verify_sampled_bounds
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
@@ -23,8 +27,9 @@ from framedisc.spaces import local_integrability_constant
 from conftest import random_interval_covering, random_pointwise_weight
 from oracles import apply_kernel, compose, dense_kernel, \
     measure_observed_naive, observed_contraction_naive, osc_naive, \
-    phase_table_naive, rank_d_entries, sampled_row_kernel, \
-    sampling_operator_naive, schur_norm_naive, weight_matrix_naive
+    phase_table_naive, rank_d_entries, reproducing_defect_streamed, \
+    sampled_row_kernel, sampling_operator_naive, schur_norm_naive, \
+    weight_matrix_naive
 
 
 def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
@@ -552,6 +557,56 @@ class TestStreamedBounds:
             * local_integrability_constant(cov, Y, weight)
         assert bounds.range_sup_constant == pytest.approx(range_sup, rel=1e-13)
 
+    @pytest.mark.parametrize("covering",
+                             ["intervals", "uniform", "singletons", "uncovered"])
+    def test_unit_weight_constant_from_sample_rows(self, covering, monkeypatch):
+        """Under the unit weight the sampled-row constant, formed from the
+        n_sets sample rows of R in blocks of three sets, matches the naive
+        Schur norm of the dense sampled-row kernel. A covering may leave
+        points in no set (no partition of unity, hence no plan, admits
+        them), so that case passes a bare covering and samples."""
+        model = build_random_smooth_model(3, 24, 3.0, seed=2)
+        space = model.space
+        n = space.n_points
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 3 * 16 * n)
+        rng = np.random.default_rng(7)
+        if covering == "uncovered":
+            cov = Covering(space, (np.arange(2, 9), np.arange(6, 15),
+                                   np.arange(20, 23)))
+            plan = SimpleNamespace(covering=cov, samples=np.array([4, 6, 22]))
+        else:
+            cov = {"intervals": lambda: random_interval_covering(rng, space, 5),
+                   "uniform": lambda: uniform_covering(space, 3.0 / n),
+                   "singletons": lambda: singleton_covering(space)}[covering]()
+            plan = select_samples(cov, build_pou(cov))
+        weight = WeightedLp.lebesgue(space, 2.0).weight2d()
+        got = discretize_module._sampled_row_constant(model, plan, weight)
+        assert got == pytest.approx(
+            schur_norm_naive(space.weights, sampled_row_kernel(model, plan)),
+            rel=1e-13)
+
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    def test_unit_weight_streams_no_block(self, weight_rule, monkeypatch):
+        """Under a trivial weight ``verify_sampled_bounds`` feeds no block of
+        the sampled-row kernel to ``SchurSums``; a non-trivial one streams
+        it."""
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        if weight_rule == "exp":
+            Y = WeightedLp(model.space, 2.0,
+                           np.exp(0.5 * model.space.points[:, 0]))
+            weight = Y.weight2d()
+            report = oscillation_report(model, cov, gamma, weight, 0.25)
+        fed = []
+        add = SchurSums.add
+
+        def counted(self, rows, block):
+            fed.append(rows)
+            return add(self, rows, block)
+
+        monkeypatch.setattr(SchurSums, "add", counted)
+        verify_sampled_bounds(model, plan, Y, weight, report, n_trials=5)
+        assert (fed == []) == weight.trivial
+
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
         """With an eight-row block budget, the oscillation report, the bounds
         check and the reproducing defect each allocate less than one n x n
@@ -893,10 +948,13 @@ class TestBlockHarness:
 
 class TestInverseHandle:
     """The inverse is the one handle of the sampled frame: the helpers read
-    its model, plan, Y, report, tol and n_max, and a Neumann run builds one
-    Neumann and one direct inverse."""
+    its model, plan, Y, report, tol and n_max, and a run of either method
+    builds one Neumann and one direct inverse."""
 
-    def test_neumann_run_builds_two_inverses(self, monkeypatch):
+    @staticmethod
+    def run_counting_inverses(monkeypatch, method):
+        """Run with the given method; return the methods of the inverses it
+        built, and check its cross-method gap against a fresh pair."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
         built = []
         init = SamplingInverse.__init__
@@ -907,9 +965,8 @@ class TestInverseHandle:
 
         monkeypatch.setattr(SamplingInverse, "__init__", counted)
         result = run_discretization(model, Y, weight, 0.25, covering=cov,
-                                    n_trials=10, seed=3)
+                                    method=method, n_trials=10, seed=3)
         monkeypatch.undo()
-        assert sorted(built) == ["direct", "neumann"]
         neu = SamplingInverse(model, plan, Y, report=report)
         direct = SamplingInverse(model, plan, Y, method="direct")
         rng = np.random.default_rng(3)
@@ -917,6 +974,16 @@ class TestInverseHandle:
                      axis=1)
         gaps = Y.column_norms(neu.apply(F) - direct.apply(F)) / Y.column_norms(F)
         assert result.cross_method_gap == float(gaps.max())
+        return sorted(built)
+
+    def test_neumann_run_builds_two_inverses(self, monkeypatch):
+        assert self.run_counting_inverses(monkeypatch, "neumann") \
+            == ["direct", "neumann"]
+
+    def test_direct_run_builds_two_inverses(self, monkeypatch):
+        """A direct run's inverse is the direct side of its cross-check."""
+        assert self.run_counting_inverses(monkeypatch, "direct") \
+            == ["direct", "neumann"]
 
     def test_cross_check_from_a_direct_inverse(self):
         """A direct inverse checks against a Neumann inverse built from its
@@ -939,22 +1006,64 @@ class TestInverseHandle:
         assert SamplingInverse(model, plan, Y, report=report)._metric is not None
 
 
+def off_identity(model):
+    """The model with S^{-1} replaced by 1.1 S^{-1}: its kernel is no longer
+    idempotent, so the defect is far from zero."""
+    out = copy.copy(model)
+    out.s_inverse = 1.1 * model.s_inverse
+    return out
+
+
 class TestReproducingDefect:
-    """The d x d defect against the dense n^3 composition."""
+    """The streamed defect oracle against the dense n^3 composition, and the
+    reported rank-d majorant against that oracle."""
 
     def test_matches_dense_compose(self):
         model = build_random_smooth_model(5, 40, 1.5, seed=3)
         r = dense_kernel(model)
         dense = schur_norm(model.space, compose(model.space, r, r) - r)
-        assert abs(reproducing_defect(model) - dense) <= 1e-12
+        assert abs(reproducing_defect_streamed(model) - dense) <= 1e-12
 
     def test_matches_dense_compose_off_identity(self):
-        """With S^{-1} replaced by 1.1 S^{-1} the kernel is no longer
-        idempotent, so both sides are far from zero and must agree."""
-        import copy
-        model = copy.copy(build_random_smooth_model(5, 40, 1.5, seed=3))
-        model.s_inverse = 1.1 * model.s_inverse
+        """Off the identity both sides are far from zero and must agree."""
+        model = off_identity(build_random_smooth_model(5, 40, 1.5, seed=3))
         k = model.vectors.conj().T @ (model.s_inverse @ model.vectors)
         dense = schur_norm(model.space, compose(model.space, k, k) - k)
         assert dense > 0.05
-        assert reproducing_defect(model) == pytest.approx(dense, rel=1e-12)
+        assert reproducing_defect_streamed(model) \
+            == pytest.approx(dense, rel=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8), st.integers(16, 64),
+           st.floats(0.5, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_majorant_dominates_exact_defect(self, seed, d, n, smoothness):
+        """The reported defect bounds the exact one, up to the rounding of
+        the two sums, on random smooth models (rounding-level defect) and
+        off the identity."""
+        try:
+            model = build_random_smooth_model(d, n, smoothness, seed=seed)
+        except SingularOperatorError:
+            return
+        for m in (model, off_identity(model)):
+            exact = reproducing_defect_streamed(m)
+            assert reproducing_defect(m) >= exact * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("kind, scale", [("plain", 2.0 ** 332),
+                                             ("plain", 2.0 ** -332),
+                                             ("off_identity", 1e100),
+                                             ("off_identity", 1e-100)])
+    def test_bound_does_not_depend_on_scale(self, kind, scale):
+        """Scaling V by c scales S by c^2 and S^{-1} by c^-2 and leaves the
+        defect kernel alone, and the bound must follow even at c = 1e+-100.
+        A rounding-level core is reproduced only under exact scaling, by
+        2^+-332 (about 1e+-100); off the identity any c will do."""
+        base = build_random_smooth_model(5, 40, 1.5, seed=3)
+        if kind == "off_identity":
+            base = off_identity(base)
+        scaled = copy.copy(base)
+        scaled.vectors = scale * base.vectors
+        scaled.frame_operator = scale ** 2 * base.frame_operator
+        scaled.s_inverse = base.s_inverse / scale ** 2
+        want = reproducing_defect(base)
+        assert want > 0.0
+        assert reproducing_defect(scaled) == pytest.approx(want, rel=1e-12)
