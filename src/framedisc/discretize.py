@@ -22,7 +22,7 @@ import numpy as np
 from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import Weight2D, block_rows, row_slices, schur_norms
-from .models import FrameModel
+from .models import FrameModel, random_vectors
 from .oscillation import OscReport, PhaseFunction
 from .spaces import WeightedLp, local_integrability_constant, pileup, \
     sup_infinity_space
@@ -378,13 +378,13 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     iterates g and ``n_probes`` random coordinate vectors.
 
     The power iteration g <- m g / |m g| runs in coordinates for up to
-    ``n_iter`` steps, stopping early only where m g vanishes. Its iterates
-    and their images are then analyzed as two (n, k) blocks, and the
-    iteration's stopping rule (a zero-norm iterate, or two successive
-    ratios within ``tol``) is replayed on the array of ratios, so the
-    estimate is the one a step-by-step iteration would return, up to
-    rounding. The probes are drawn one after another and analyzed as one
-    block.
+    ``n_iter`` steps, stopping early only where m g vanishes. Image j is
+    |m g_j| times iterate j + 1, so the iterates and the last image are
+    analyzed as one (n, k + 1) block, and the iteration's stopping rule (a
+    zero-norm iterate, or two successive ratios within ``tol``) is replayed
+    on the array of ratios: the estimate is the one a step-by-step
+    iteration would return, up to rounding. The probes are drawn in one
+    call (``random_vectors``) and analyzed as one block.
     """
     rng = np.random.default_rng(seed)
     m = np.eye(model.dim, dtype=complex) - _restricted_matrix(model, plan)
@@ -400,19 +400,20 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
 
     analysis = model.vectors.conj().T
     best = 0.0
-    g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-    iterates, images = [], []
+    g = random_vectors(rng, model.dim, 1)[:, 0]
+    iterates, scales = [], []
     for _ in range(n_iter):
         g_next = m @ g
         iterates.append(g)
-        images.append(g_next)
         scale = np.linalg.norm(g_next)
+        scales.append(scale)
         if scale == 0.0:
             break
         g = g_next / scale
     if iterates:
-        nf = _analysis_norms(analysis, Y, np.stack(iterates, axis=1))
-        ni = _analysis_norms(analysis, Y, np.stack(images, axis=1))
+        norms = _analysis_norms(analysis, Y, np.stack(iterates + [g_next], axis=1))
+        nf = norms[:-1]
+        ni = np.append(np.array(scales[:-1]) * norms[1:-1], norms[-1])
         zero = np.flatnonzero(nf == 0.0)
         stop = zero[0] if zero.size else nf.size
         ratios = ni[:stop] / nf[:stop]
@@ -423,9 +424,7 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
         best = ratios.max(initial=0.0)
 
     if n_probes > 0:
-        probes = np.stack([rng.standard_normal(model.dim)
-                           + 1j * rng.standard_normal(model.dim)
-                           for _ in range(n_probes)], axis=1)
+        probes = random_vectors(rng, model.dim, n_probes)
         nf = _analysis_norms(analysis, Y, probes)
         ni = _analysis_norms(analysis, Y, m @ probes)
         keep = nf > 0.0
@@ -530,8 +529,7 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     range_sup_const = (report.osc_norm_v + report.r_norm_v) \
         * local_integrability_constant(cov, Y, weight)
 
-    F = np.stack([model.random_range_function(rng) for _ in range(n_trials)],
-                 axis=1)
+    F = model.random_range_block(rng, n_trials)
     ny = Y.column_norms(F)
     F, ny = F[:, ny > 0.0], ny[ny > 0.0]
     vals = np.abs(F[plan.samples])
@@ -551,8 +549,9 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     points, moduli = [], []
     for j in range(n_trials):
         k = rng.integers(1, cov.n_sets + 1)
-        idx = rng.choice(space.n_points, size=k, replace=True)
-        coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        # the values rng.choice(n, size=k) gives, without its extra checks
+        idx = rng.integers(0, space.n_points, size=k)
+        coef = random_vectors(rng, k, 1)[:, 0]
         atoms[:, j] = model.vectors[:, idx] @ coef
         points.append(idx * n_trials + j)
         moduli.append(np.abs(coef))

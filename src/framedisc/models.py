@@ -110,10 +110,25 @@ class FrameModel:
         return self.vectors.conj().T @ (
             self.s_inverse @ (self.vectors @ (self.space.weights * arr)))
 
+    def random_range_block(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """Analyses of ``k`` random vectors (``random_vectors``), one column
+        each: an (n_points, k) block of generic elements of the range."""
+        return self.vectors.conj().T @ random_vectors(rng, self.dim, k)
+
     def random_range_function(self, rng: np.random.Generator) -> np.ndarray:
         """Analysis of a random vector: a generic element of the range."""
-        f = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return self.analyze(f)
+        return self.random_range_block(rng, 1)[:, 0]
+
+
+def random_vectors(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
+    """A (dim, k) block of complex Gaussian vectors, drawn in one call.
+
+    Column j takes the real and then the imaginary part from the stream, so
+    the block holds, bit for bit, what ``k`` successive draws of
+    ``rng.standard_normal(dim) + 1j * rng.standard_normal(dim)`` give.
+    """
+    g = rng.standard_normal((k, 2, dim))
+    return (g[:, 0] + 1j * g[:, 1]).T
 
 
 def _periodized_gaussian(d: int, width: float) -> np.ndarray:

@@ -13,14 +13,9 @@ from .discretize import BoundsReport, SamplingInverse, atomic_decomposition, \
     verify_sampled_bounds
 from .errors import CertificationError
 from .kernels import Weight2D
-from .models import FrameModel
+from .models import FrameModel, random_vectors
 from .oscillation import OscReport, make_phase, oscillation_report, refine_until
 from .spaces import WeightedLp, pileup
-
-
-def _unit_random_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return f / np.linalg.norm(f)
 
 
 def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
@@ -30,15 +25,15 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     All residuals are relative except the duality defect, which is absolute
     against unit-norm inputs; the norm-equivalence ratios are in the
     inverse's Y. The trials run as one (d, n_trials) block of unit vectors,
-    drawn one after another from ``seed``.
+    drawn in one call from ``seed`` (``random_vectors``).
     """
     rng = np.random.default_rng(seed)
     model, plan, Y = inverse.model, inverse.plan, inverse.Y
     duals = dual_frame(inverse, swap_roles=swap_roles)
     cov = plan.covering
     xs = plan.samples
-    f = np.stack([_unit_random_vector(rng, model.dim) for _ in range(n_trials)],
-                 axis=1)
+    f = random_vectors(rng, model.dim, n_trials)
+    f /= np.linalg.norm(f, axis=0)
 
     def errors(rec):
         return np.linalg.norm(rec - f, axis=0)
@@ -79,9 +74,9 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     }
 
 
-def reproducing_defect(model: FrameModel) -> float:
-    """Upper bound on the Schur norm of R o R - R, the kernel's failure to
-    be idempotent.
+def reproducing_defect(model: FrameModel, weight: Weight2D) -> float:
+    """Upper bound on the Schur norm of R o R - R under ``weight``, the
+    kernel's failure to be idempotent.
 
     With R = V* S^{-1} V and S = V W V*, the weighted composition is
     R o R = V* S^{-1} S S^{-1} V, so the defect kernel is V* C V with the
@@ -91,15 +86,24 @@ def reproducing_defect(model: FrameModel) -> float:
     q_k = |w_k* V|. The Schur sums of that majorant are
     sum_k sigma_k p_k(x) (q_k . mu) by rows and sum_k sigma_k q_k(y)
     (p_k . mu) by columns: O(n d) after the d x d work, and no kernel entry
-    is formed.
+    is formed. Under a non-trivial weight, m(x, y) <= w(x)/w(y) + w(y)/w(x)
+    splits the weighted majorant into two rank-d ones, with p_k w, q_k / w
+    and p_k / w, q_k w in place of p_k, q_k; w is first divided by its
+    maximum, which leaves m alone and keeps every product finite.
     """
     g = model.s_inverse
     u, sigma, wh = np.linalg.svd(g @ model.frame_operator @ g - g)
     p = np.abs(u.conj().T @ model.vectors)
     q = np.abs(wh @ model.vectors)
     mu = model.space.weights
-    rows = (sigma[:, None] * p).T @ (q @ mu)
-    cols = (sigma[:, None] * q).T @ (p @ mu)
+    sp, sq = sigma[:, None] * p, sigma[:, None] * q
+    if weight.trivial:
+        rows = sp.T @ (q @ mu)
+        cols = sq.T @ (p @ mu)
+    else:
+        w = weight.w / weight.w.max()
+        rows = w * (sp.T @ (q @ (mu / w))) + (sp.T @ (q @ (mu * w))) / w
+        cols = w * (sq.T @ (p @ (mu / w))) + (sq.T @ (p @ (mu * w))) / w
     return float(max(rows.max(), cols.max()))
 
 
@@ -124,8 +128,7 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
         except CertificationError:
             return None
     rng = np.random.default_rng(seed)
-    F = np.stack([model.random_range_function(rng) for _ in range(n_trials)],
-                 axis=1)
+    F = model.random_range_block(rng, n_trials)
     nf = Y.column_norms(F)
     F, nf = F[:, nf > 0.0], nf[nf > 0.0]
     gaps = Y.column_norms(neu.apply(F) - direct.apply(F)) / nf
@@ -232,7 +235,7 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
         )
     bounds = verify_sampled_bounds(model, plan, Y, weight, report,
                                    n_trials=n_trials, seed=seed)
-    defect = reproducing_defect(model)
+    defect = reproducing_defect(model, weight)
 
     return DiscretizationResult(
         osc_report=report,

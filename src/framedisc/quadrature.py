@@ -41,7 +41,8 @@ class QuadratureSpace:
             raise StructuralError("points must be finite")
         if not np.all(np.isfinite(wts)) or np.any(wts <= 0.0):
             raise StructuralError("weights must be finite and > 0")
-        if len({tuple(p) for p in pts}) != pts.shape[0]:
+        # + 0.0 turns -0.0 into 0.0, so the two count as one point
+        if np.unique(pts + 0.0, axis=0).shape[0] != pts.shape[0]:
             raise StructuralError("points must be unique")
         pts.setflags(write=False)
         wts.setflags(write=False)

@@ -63,23 +63,31 @@ class WeightedLp:
         modulus before the power is taken, and the running sums are rescaled
         when a later piece raises that maximum, so the norm neither
         underflows nor overflows for any finite input. p = 1 and p = inf
-        need no scaling.
+        need no scaling. Each piece's mu-weighted sum is one product.
         """
         p, mu = self.p, self.space.weights
         top = total = 0.0
         for rows, part in blocks:
-            vals = np.abs(part) * self.w[rows, None]
-            new_top = np.maximum(top, vals.max(axis=0, initial=0.0))
+            vals = np.abs(part).astype(float, copy=False)
+            vals *= self.w[rows, None]
             if p == 1.0:
-                total = total + np.sum(mu[rows, None] * vals, axis=0)
-            elif not np.isinf(p):
+                total = total + mu[rows] @ vals
+                continue
+            new_top = np.maximum(top, vals.max(axis=0, initial=0.0))
+            if not np.isinf(p):
                 scale = np.where(new_top > 0.0, new_top, 1.0)
-                total = total * (top / scale) ** p \
-                    + np.sum(mu[rows, None] * (vals / scale) ** p, axis=0)
+                vals /= scale
+                if p == 2.0:
+                    np.square(vals, out=vals)
+                else:
+                    np.power(vals, p, out=vals)
+                total = total * (top / scale) ** p + mu[rows] @ vals
             top = new_top
+        if p == 1.0:
+            return total
         if np.isinf(p):
             return top
-        return total if p == 1.0 else top * total ** (1.0 / p)
+        return top * total ** (1.0 / p)
 
     def weight2d(self, ref_index: int = 0) -> Weight2D:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""

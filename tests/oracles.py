@@ -9,7 +9,9 @@ dense derived kernels (``oscillation_kernel``, ``sampled_row_kernel``) and
 the exact streamed reproducing defect (``reproducing_defect_streamed``) are
 the vectorized forms the tests check against those loops and against the
 package's streamed Schur sums, rank-d rows and rank-d majorants; only tests
-use them, so the package does not carry them.
+use them, so the package does not carry them. ``q_table_loop`` and
+``osc_rows_loop`` keep the per-column ``Covering.q_neighborhood`` loop that
+the osc rows were once built with; the array-built table must equal it.
 """
 
 import numpy as np
@@ -85,6 +87,45 @@ def oscillation_kernel(model, cov, gamma):
     for y in range(n):
         zs = cov.q_neighborhood(y)
         out[:, y] = np.abs(r[:, [y]] - r[:, zs] * gamma(y, zs)[None, :]).max(axis=1)
+    return out
+
+
+def q_table_loop(cov, ys, drop):
+    """The padded (y, z) table of ``oscillation._osc_rows``, one column at a
+    time through ``Covering.q_neighborhood``: Q_y without y where ``drop``
+    holds, {y} when that leaves nothing, each row padded by repeating its
+    last point."""
+    qs = []
+    for y, skip in zip(ys, drop):
+        q = cov.q_neighborhood(y)
+        if skip:
+            q = q[q != y]
+        qs.append(q if q.size else np.array([y]))    # the zero term alone
+    sizes = np.array([q.size for q in qs])
+    width = int(sizes.max())
+    last = np.cumsum(sizes) - 1
+    return np.concatenate(qs)[np.minimum(last[:, None],
+                                         last[:, None] - sizes[:, None] + 1
+                                         + np.arange(width)[None, :])]
+
+
+def osc_rows_loop(model, cov, gamma, start, stop):
+    """Columns ``start:stop`` of the oscillation kernel as rows of osc^T,
+    from ``q_table_loop`` and the same chunked rank-d products as
+    ``oscillation._osc_rows``, with no shortcut for all-zero blocks."""
+    from framedisc.kernels import block_rows
+
+    ys = np.arange(start, stop)
+    zs = q_table_loop(cov, ys, gamma(ys, ys) == 1.0)
+    duals, n = model.duals, model.space.n_points
+    chunk = max(1, block_rows(n) // ys.size)
+    out = None
+    for lo in range(0, zs.shape[1], chunk):
+        z = zs[:, lo:lo + chunk]
+        left = duals[:, ys, None] - gamma(ys[:, None], z) * duals[:, z]
+        rows = left.reshape(model.dim, -1).conj().T @ model.vectors
+        part = np.abs(rows).reshape(ys.size, -1, n).max(axis=1)
+        out = part if out is None else np.maximum(out, part, out=out)
     return out
 
 

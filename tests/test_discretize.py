@@ -11,7 +11,7 @@ import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
 import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, SamplingInverse, \
-    SchurSums, SingularOperatorError, StructuralError, WeightedLp, \
+    SchurSums, SingularOperatorError, StructuralError, Weight2D, WeightedLp, \
     apply_sampling, apply_smoothed, atomic_decomposition, build_pou, \
     contraction_bounds, dual_frame, hilbert_frame_bounds, make_phase, \
     norm_flat, norm_natural, observed_contraction, oscillation_report, \
@@ -24,7 +24,8 @@ from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
 
 from framedisc.spaces import local_integrability_constant
 
-from conftest import random_interval_covering, random_pointwise_weight
+from conftest import random_interval_covering, random_pointwise_weight, \
+    unit_weight
 from oracles import apply_kernel, compose, dense_kernel, \
     measure_observed_naive, observed_contraction_naive, osc_naive, \
     phase_table_naive, rank_d_entries, reproducing_defect_streamed, \
@@ -625,7 +626,7 @@ class TestStreamedBounds:
         for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
                     lambda: verify_sampled_bounds(model, plan, Y, weight, report,
                                                   n_trials=5),
-                    lambda: reproducing_defect(model)):
+                    lambda: reproducing_defect(model, weight)):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -839,7 +840,8 @@ class TestBlockHarness:
     def test_observed_contraction_stops_at_first_step(self, monkeypatch, p):
         """m = Id - S^{-1} S_c vanishes on a singleton plan: exactly for the
         orthonormal basis (the image is zero, so the iteration keeps one
-        iterate), to rounding for a smooth model (the first ratio settles)."""
+        iterate and its image), to rounding for a smooth model (the first
+        ratio settles)."""
         model = build_orthonormal_model(4)
         Y, weight, gamma, report, plan = singleton_setup(model, p=p)
         widths = []
@@ -851,7 +853,7 @@ class TestBlockHarness:
 
         monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
         assert observed_contraction(model, plan, Y, seed=3) == 0.0
-        assert widths == [1, 1, 20, 20]
+        assert widths == [2, 20, 20]
         assert observed_contraction_naive(model, plan, Y, seed=3) == 0.0
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
         Y, weight, gamma, report, plan = singleton_setup(model, p=p)
@@ -861,8 +863,8 @@ class TestBlockHarness:
     @pytest.mark.parametrize("n_iter", [1, 7, 200])
     def test_observed_contraction_norm_calls(self, monkeypatch, gabor_4x61,
                                              n_iter):
-        """The iterates, their images and the probes are three blocks and
-        the probe images a fourth, whatever n_iter is."""
+        """The iterates with the last image, the probes and the probe
+        images are three blocks, whatever n_iter is."""
         model, plan, w = gabor_4x61
         Y = WeightedLp(model.space, 1.0, w["exp"])
         want = observed_contraction_naive(model, plan, Y, n_iter=n_iter)
@@ -876,8 +878,8 @@ class TestBlockHarness:
 
             monkeypatch.setattr(WeightedLp, name, counted)
         got = observed_contraction(model, plan, Y, n_iter=n_iter)
-        assert calls["column_norms"] <= 4
-        assert calls["streamed_column_norms"] <= 4
+        assert calls["column_norms"] <= 3
+        assert calls["streamed_column_norms"] <= 3
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -969,9 +971,7 @@ class TestInverseHandle:
         monkeypatch.undo()
         neu = SamplingInverse(model, plan, Y, report=report)
         direct = SamplingInverse(model, plan, Y, method="direct")
-        rng = np.random.default_rng(3)
-        F = np.stack([model.random_range_function(rng) for _ in range(20)],
-                     axis=1)
+        F = model.random_range_block(np.random.default_rng(3), 20)
         gaps = Y.column_norms(neu.apply(F) - direct.apply(F)) / Y.column_norms(F)
         assert result.cross_method_gap == float(gaps.max())
         return sorted(built)
@@ -1046,7 +1046,8 @@ class TestReproducingDefect:
             return
         for m in (model, off_identity(model)):
             exact = reproducing_defect_streamed(m)
-            assert reproducing_defect(m) >= exact * (1.0 - 1e-12)
+            assert reproducing_defect(m, unit_weight(m.space)) \
+                >= exact * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("kind, scale", [("plain", 2.0 ** 332),
                                              ("plain", 2.0 ** -332),
@@ -1064,6 +1065,40 @@ class TestReproducingDefect:
         scaled.vectors = scale * base.vectors
         scaled.frame_operator = scale ** 2 * base.frame_operator
         scaled.s_inverse = base.s_inverse / scale ** 2
-        want = reproducing_defect(base)
+        unit = unit_weight(base.space)
+        want = reproducing_defect(base, unit)
         assert want > 0.0
-        assert reproducing_defect(scaled) == pytest.approx(want, rel=1e-12)
+        assert reproducing_defect(scaled, unit) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["plain", "off_identity"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_weighted_bound_dominates_dense_defect(self, kind, seed):
+        """Under a non-trivial weight the bound dominates the naive A_m
+        norm of the dense defect R o R - R, and stays within the factor
+        that m <= w(x)/w(y) + w(y)/w(x) costs of the unit-weight bound
+        times the weight's spread; w scaled by 1e+-200 gives the same
+        float."""
+        model = build_random_smooth_model(4, 24, 1.5, seed=seed)
+        if kind == "off_identity":
+            model = off_identity(model)
+        space = model.space
+        w = random_pointwise_weight(np.random.default_rng(seed), space.n_points)
+        weight = Weight2D(space, w)
+        k = model.vectors.conj().T @ (model.s_inverse @ model.vectors)
+        defect = compose(space, k, k) - k
+        exact = schur_norm_naive(space.weights, defect, weight_matrix_naive(w))
+        got = reproducing_defect(model, weight)
+        assert got >= exact * (1.0 - 1e-12)
+        assert got <= 2.0 * w.max() / w.min() \
+            * reproducing_defect(model, unit_weight(space)) * (1.0 + 1e-12)
+        for scale in (1e-200, 1e200):
+            assert reproducing_defect(model, Weight2D(space, scale * w)) \
+                == pytest.approx(got, rel=1e-12)
+
+    def test_trivial_weight_keeps_unit_floats(self):
+        """Any constant w is the unit weight: the same floats."""
+        model = off_identity(build_random_smooth_model(5, 40, 1.5, seed=3))
+        space = model.space
+        want = reproducing_defect(model, unit_weight(space))
+        assert reproducing_defect(model, Weight2D(space, np.full(
+            space.n_points, 7.5))) == want

@@ -5,7 +5,7 @@ import framedisc.kernels as kernels_module
 from framedisc import DiscreteMeasure, FrameModel, QuadratureSpace, \
     SingularOperatorError, StructuralError, schur_norm, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
-    build_random_smooth_model
+    build_random_smooth_model, random_vectors
 
 from oracles import apply_kernel, apply_to_measure, compose, dense_kernel, \
     gabor_vectors_naive, identity_kernel
@@ -100,6 +100,32 @@ class TestTransforms:
             psi = smooth_model.vectors[:, x]
             assert abs(got_v[x] - np.vdot(psi, f)) <= 1e-13
             assert abs(got_w[x] - np.vdot(psi, sinv_f)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 50])
+    def test_random_range_block_is_the_one_vector_stream(self, smooth_model, k):
+        """One block draw holds the k successive real/imaginary pairs that
+        k one-vector draws take, and leaves the stream where they do; a
+        single range function is the block's one column."""
+        d = smooth_model.dim
+        loop, block, single = (np.random.default_rng(9) for _ in range(3))
+        vecs = np.stack([loop.standard_normal(d) + 1j * loop.standard_normal(d)
+                         for _ in range(k)], axis=1)
+        assert np.array_equal(random_vectors(np.random.default_rng(9), d, k),
+                              vecs)
+        got = smooth_model.random_range_block(block, k)
+        assert np.array_equal(got, smooth_model.vectors.conj().T @ vecs)
+        assert np.array_equal(smooth_model.random_range_function(single),
+                              smooth_model.analyze(vecs[:, 0]))
+        assert loop.random() == block.random()
+
+    def test_integers_draw_as_choice(self):
+        """The measure trials draw their atoms with ``integers``, which
+        gives what ``choice`` with replacement gives on the same stream."""
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for k in range(1, 200):
+            assert np.array_equal(a.choice(311, size=k, replace=True),
+                                  b.integers(0, 311, size=k))
+        assert a.random() == b.random()
 
     def test_tight_frame_w_is_scaled_v(self):
         model = build_gabor_model(8, 8, 2.8)

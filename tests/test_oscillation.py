@@ -16,9 +16,9 @@ from framedisc.models import build_gabor_model, build_orthonormal_model, \
 
 from conftest import random_interval_covering, random_pointwise_weight, \
     unit_weight
-from oracles import dense_kernel, involution, osc_naive, oscillation_kernel, \
-    phase_table_naive, rank_d_entries, refine_until_naive, schur_norm_naive, \
-    weight_matrix_naive
+from oracles import dense_kernel, involution, osc_naive, osc_rows_loop, \
+    oscillation_kernel, phase_table_naive, q_table_loop, rank_d_entries, \
+    refine_until_naive, schur_norm_naive, weight_matrix_naive
 
 
 @pytest.fixture
@@ -149,6 +149,89 @@ class TestOscRows:
             assert np.max(np.abs(got - want[start:stop])) <= tol
 
 
+def q_table_setup(covering, phase):
+    """A smooth model on 24 points with one of four coverings and a phase.
+
+    The coverings are a box partition, overlapping random intervals, all
+    singletons, and sets that leave points 11-14 and 16-17 uncovered. The
+    ``table`` phase is a random unimodular table that is not Hermitian,
+    with Gamma(y, y) = 1 on even points only, so a block drops z = y on
+    some rows and keeps it on others."""
+    model = build_random_smooth_model(d=4, n_points=24, smoothness=1.2, seed=3)
+    space = model.space
+    n = space.n_points
+    rng = np.random.default_rng(17)
+    cov = {"partition": lambda: uniform_covering(space, 4.0 / n),
+           "intervals": lambda: random_interval_covering(rng, space, 5),
+           "singletons": lambda: singleton_covering(space),
+           "uncovered": lambda: Covering(space, (np.arange(0, 6), np.arange(4, 11),
+                                                 [15], np.arange(18, n)))}[covering]()
+    if phase == "table":
+        table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
+        table[np.arange(0, n, 2), np.arange(0, n, 2)] = 1.0
+        gamma = PhaseFunction(space, table)
+    else:
+        gamma = make_phase(model, phase)
+    return model, cov, gamma
+
+
+Q_TABLE_COVERINGS = ["partition", "intervals", "singletons", "uncovered"]
+
+
+class TestQTable:
+    """The (y, z) table built from the covering's flat index, and the osc
+    rows formed from it, against the per-column ``q_neighborhood`` loop."""
+
+    @pytest.mark.parametrize("phase", ["one", "kernel", "table"])
+    @pytest.mark.parametrize("covering", Q_TABLE_COVERINGS)
+    def test_table_and_rows_equal_column_loop(self, covering, phase):
+        """Exactly equal on the scan's doubling blocks, on blocks inside
+        and across the uncovered run, and on the whole grid."""
+        model, cov, gamma = q_table_setup(covering, phase)
+        n = model.space.n_points
+        for start, stop in ((0, 1), (1, 3), (3, 7), (7, 15), (15, n), (11, 15),
+                            (10, 19), (0, n)):
+            ys = np.arange(start, stop)
+            drop = gamma(ys, ys) == 1.0
+            assert np.array_equal(oscillation_module._q_table(cov, ys, drop),
+                                  q_table_loop(cov, ys, drop))
+            assert np.array_equal(
+                oscillation_module._osc_rows(model, cov, gamma, start, stop),
+                osc_rows_loop(model, cov, gamma, start, stop))
+
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    @pytest.mark.parametrize("phase", ["kernel", "table"])
+    @pytest.mark.parametrize("covering", Q_TABLE_COVERINGS)
+    def test_norms_equal_column_loop(self, monkeypatch, covering, phase,
+                                     weight_rule):
+        """The oscillation norms under a weight and its m_v are the floats
+        the loop's rows give."""
+        model, cov, gamma = q_table_setup(covering, phase)
+        space = model.space
+        w = np.ones(space.n_points) if weight_rule == "unit" \
+            else np.exp(0.5 * np.linalg.norm(space.points, axis=1))
+        weight = Weight2D(space, w, ref_index=5)
+        weights = (weight, v_weight(weight))
+        got = oscillation_norms(model, cov, gamma, weights)
+        monkeypatch.setattr(oscillation_module, "_osc_rows", osc_rows_loop)
+        assert got == oscillation_norms(model, cov, gamma, weights)
+
+    def test_all_zero_block_forms_no_product(self):
+        """On singletons with Gamma(y, y) = 1 every row is the zero term
+        alone: the rows are zeros, and the phase is read once, on the
+        diagonal, with no product formed."""
+        model, cov, _ = q_table_setup("singletons", "one")
+        calls = []
+
+        def phase_one(y, z):
+            calls.append((np.shape(y), np.shape(z)))
+            return np.ones(np.broadcast(y, z).shape, dtype=complex)
+
+        rows = oscillation_module._osc_rows(model, cov, phase_one, 0, 24)
+        assert np.array_equal(rows, np.zeros((24, 24)))
+        assert calls == [((24,), (24,))]
+
+
 class TestStreamedNorms:
     @pytest.mark.parametrize("budget", ["default", "two rows"])
     @pytest.mark.parametrize("phase", ["one", "kernel", "table"])
@@ -220,27 +303,27 @@ class TestStreamedNorms:
     @pytest.mark.parametrize("column", [0, 1, 2, 6, 40, 150])
     def test_stopped_scan_reads_few_neighborhoods(self, monkeypatch, column):
         """Only the pair {c, c + 1} oscillates, so the scan stops at column c
-        having read Q_y for at most 2c + 1 columns: the column-0 stop reads
+        having formed at most 2c + 1 columns of osc: the column-0 stop forms
         exactly one."""
         model = build_gabor_model(6, 41, 2.45)
         n = model.space.n_points
         sets = [[y] for y in range(n) if y not in (column, column + 1)]
         cov = Covering(model.space, tuple(sets + [[column, column + 1]]))
         calls = []
-        q_neighborhood = Covering.q_neighborhood
+        osc_rows = oscillation_module._osc_rows
 
-        def counting(cov, y):
-            calls.append(y)
-            return q_neighborhood(cov, y)
+        def counting(model, cov, gamma, start, stop):
+            calls.append((start, stop))
+            return osc_rows(model, cov, gamma, start, stop)
 
-        monkeypatch.setattr(Covering, "q_neighborhood", counting)
+        monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         scan = oscillation_norms(model, cov, make_phase(model, "kernel"),
                                  [unit_weight(model.space)],
                                  level=np.finfo(float).tiny)
         assert isinstance(scan, Screened) and scan.column == column
-        assert len(calls) <= 2 * column + 1
+        assert sum(stop - start for start, stop in calls) <= 2 * column + 1
         if column == 0:
-            assert calls == [0]
+            assert calls == [(0, 1)]
 
 
 def full_table(gamma):
@@ -537,13 +620,13 @@ class TestRefineScreen:
         w = screen_weight(model, "unit")
         n = model.space.n_points
         calls = {}
-        q_neighborhood = Covering.q_neighborhood
+        osc_rows = oscillation_module._osc_rows
 
-        def counting(cov, y):
-            calls[cov] = calls.get(cov, 0) + 1
-            return q_neighborhood(cov, y)
+        def counting(model, cov, gamma, start, stop):
+            calls[cov] = calls.get(cov, 0) + stop - start
+            return osc_rows(model, cov, gamma, start, stop)
 
-        monkeypatch.setattr(Covering, "q_neighborhood", counting)
+        monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         cov, rep = refine_until(model, w, delta=0.2)
         rejected = [count for c, count in calls.items() if c is not cov]
         assert rejected and all(count < n for count in rejected)

@@ -68,6 +68,10 @@ def test_structural_errors(small_space):
         QuadratureSpace(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
     with pytest.raises(StructuralError):
         QuadratureSpace(np.array([[0.0], [0.0]]), np.array([1.0, 1.0]))
+    # -0.0 and 0.0 are one coordinate
+    with pytest.raises(StructuralError):
+        QuadratureSpace(np.array([[0.0, 1.0], [-0.0, 1.0]]), np.array([1.0, 1.0]))
+    QuadratureSpace(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
 
 
 def test_space_is_immutable(small_space):

@@ -57,6 +57,26 @@ class TestNormY:
             want = lp_norm_naive(space.weights, w, f, p)
             assert got == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_streamed_norms_match_naive(self, weighted_setup, rng, p):
+        """Every column of a block fed in uneven pieces, zero columns and a
+        column zero on all but one piece included, against the loop."""
+        space, w, _ = weighted_setup
+        Y = WeightedLp(space, p, w)
+        n = space.n_points
+        block = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        block[:, 1] = 0.0
+        block[:n - 4, 3] = 0.0
+        block[:, 4] *= 1e-150
+        cuts = [0, 1, 7, 20, 21, n]
+        pieces = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        got = Y.streamed_column_norms((rows, block[rows]) for rows in pieces)
+        want = [lp_norm_naive(space.weights, w, block[:, j], p) for j in range(4)]
+        assert got[1] == 0.0
+        assert np.allclose(got[:4], want, rtol=1e-14, atol=0.0)
+        assert got[4] == pytest.approx(1e-150 * lp_norm_naive(
+            space.weights, w, block[:, 4] * 1e150, p), rel=1e-14)
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_solidity(self, seed):
