@@ -21,6 +21,13 @@ from .kernels import Weight2D
 from .quadrature import QuadratureSpace
 
 
+def _segments(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the segments [starts[k], starts[k] + sizes[k]), laid
+    out one segment after another."""
+    shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return shift + np.arange(shift.size)
+
+
 @dataclass(frozen=True, eq=False)
 class Covering:
     """Indexed family of point subsets, stored once as point-index arrays.
@@ -38,7 +45,8 @@ class Covering:
       overlap_bound      N  = max_i #(i*)
       min_measure        D  = min_i mu(U_i)
       moderateness       C~ = max mu(U_i)/mu(U_j) over intersecting pairs
-      q_neighborhood(y)  Q_y, the union of the sets containing y
+      q_neighborhoods    Q_y for a block of points y, the union of the sets
+                         containing y, as sorted (y, z) pairs
     """
 
     space: QuadratureSpace
@@ -78,6 +86,7 @@ class Covering:
             ([0], np.cumsum(np.bincount(flat_points, minlength=n))))
         for name, arr in (("flat_sets", flat_sets), ("flat_points", flat_points),
                           ("_set_starts", np.cumsum(sizes) - sizes),
+                          ("_set_sizes", sizes),
                           ("_sets_by_point", flat_sets[by_point]),
                           ("_point_ptr", point_ptr)):
             arr.setflags(write=False)
@@ -106,8 +115,7 @@ class Covering:
         # _sets_by_point[ptr[x]:ptr[x + 1]], laid out here pair after pair.
         ptr = self._point_ptr
         holds = np.diff(ptr)[self.flat_points]
-        shift = np.repeat(ptr[self.flat_points] - (np.cumsum(holds) - holds), holds)
-        holders = self._sets_by_point[shift + np.arange(shift.size)]
+        holders = self._sets_by_point[_segments(ptr[self.flat_points], holds)]
         pairs = np.unique(np.repeat(self.flat_sets, holds) * self.n_sets + holders)
         rows, cols = np.divmod(pairs, self.n_sets)
         return tuple(np.split(cols, np.flatnonzero(np.diff(rows)) + 1))
@@ -166,13 +174,21 @@ class Covering:
                 out[held] += vals[ptr[held] + k]
         return out
 
+    def q_neighborhoods(self, start: int, stop: int) -> tuple:
+        """Q_y for every y in ``start:stop``, as the sorted pairs (ys, zs):
+        ordered by y, then z, each pair once; an uncovered y has none."""
+        held = self.holders(start, stop)
+        sizes = self._set_sizes[held]
+        # every point of every set holding y, laid out holder after holder
+        zs = self.flat_points[_segments(self._set_starts[held], sizes)]
+        ys = np.repeat(np.repeat(np.arange(start, stop),
+                                 np.diff(self._point_ptr[start:stop + 1])), sizes)
+        n = self.space.n_points
+        return np.divmod(np.unique(ys * n + zs), n)
+
     def q_neighborhood(self, y: int) -> np.ndarray:
         """Q_y: the sorted indices z sharing a covering set with y."""
-        holders = self._sets_by_point[self._point_ptr[y]:self._point_ptr[y + 1]]
-        if holders.size == 1:
-            return self.sets[holders[0]]
-        return np.unique(np.concatenate([np.empty(0, dtype=int)]
-                                        + [self.sets[i] for i in holders]))
+        return self.q_neighborhoods(y, y + 1)[1]
 
     def identifier(self) -> str:
         """Deterministic content hash used in reports."""

@@ -98,55 +98,34 @@ class Screened:
     lower_bound: float
 
 
-def _q_table(cov: Covering, ys: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    """The (y, z) table of the consecutive columns ``ys``: row k lists Q_y
-    for y = ys[k] in ascending order, padded to the longest row by repeating
-    its last point. z = y is left out where ``drop`` holds, since the term is
-    exactly 0 there, unless nothing else is left; an uncovered y gets {y}.
-
-    The (y, z) pairs come from the covering's point-major index: every set
-    holding y, then every point of that set; one ``np.unique`` over the keys
-    y * n + z sorts and dedupes them for the whole block at once.
-    """
-    n = cov.space.n_points
-    ptr = cov._point_ptr[ys[0]:ys[-1] + 2]
-    holders = cov._sets_by_point[ptr[0]:ptr[-1]]
-    starts = cov._set_starts[holders]
-    sizes = np.diff(cov._set_starts, append=cov.flat_points.size)[holders]
-    # the points of each holder set, laid out holder after holder
-    shift = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
-    zs = cov.flat_points[shift + np.arange(shift.size)]
-    owners = np.repeat(np.repeat(ys, np.diff(ptr)), sizes)
-    keys = np.unique(np.concatenate((owners * n + zs, ys * (n + 1))))
-    y_of, zs = np.divmod(keys, n)
-    row = y_of - ys[0]
-    counts = np.bincount(row, minlength=ys.size)
-    keep = (zs != y_of) | ~drop[row] | (counts[row] == 1)
-    zs, row = zs[keep], row[keep]
-    counts = np.bincount(row, minlength=ys.size)
-    last = np.cumsum(counts) - 1
-    width = int(counts.max())
-    return zs[np.minimum(last[:, None], last[:, None] - counts[:, None] + 1
-                         + np.arange(width)[None, :])]
-
-
 def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
               start: int, stop: int) -> np.ndarray:
     """Columns ``start:stop`` of the oscillation kernel, as rows of osc^T.
 
     osc(x, y) = max_z |R(y, x) - conj Gamma(y, z) R(z, x)| up to the
     rounding of the rank-d rows, and the row R(y, .) - conj Gamma(y, z)
-    R(z, .) is (A[:, y] - Gamma(y, z) A[:, z])^* V, so each chunk of the
-    padded (y, z) table (``_q_table``) is one (pairs, d) @ (d, n) product.
-    The term z = y is left out wherever Gamma(y, y) == 1; a block whose
-    every row is then that zero term alone is zero, and forms no product.
+    R(z, .) is (A[:, y] - Gamma(y, z) A[:, z])^* V. The (y, z) pairs of
+    the block (``Covering.q_neighborhoods``) are laid out as a table, row
+    k listing Q_y for y = start + k, padded to the longest row by repeating
+    its last point, and each chunk of that table is one (pairs, d) @ (d, n)
+    product. The term z = y is exactly 0 where Gamma(y, y) == 1 and is left
+    out there, unless nothing else is left; an uncovered y gets {y}.
     """
     ys = np.arange(start, stop)
     drop = gamma(ys, ys) == 1.0
-    zs = _q_table(cov, ys, drop)
+    y_of, zs = cov.q_neighborhoods(start, stop)
+    row = y_of - start
+    keep = (zs != y_of) | ~drop[row]
+    zs, row = zs[keep], row[keep]
+    counts = np.bincount(row, minlength=ys.size)
+    # a row left empty (y uncovered, or Q_y = {y} with z = y dropped) gets {y}
+    empty = np.flatnonzero(counts == 0)
+    zs = np.insert(zs, (np.cumsum(counts) - counts)[empty], ys[empty])
+    counts[empty] = 1
+    last = np.cumsum(counts) - 1
+    zs = zs[np.minimum(last[:, None], last[:, None] - counts[:, None] + 1
+                       + np.arange(counts.max())[None, :])]
     duals, n = model.duals, model.space.n_points
-    if zs.shape[1] == 1 and drop.all() and np.array_equal(zs[:, 0], ys):
-        return np.zeros((ys.size, n))
     # chunks of the padded axis keep each (b * chunk, n) block in budget
     chunk = max(1, block_rows(n) // ys.size)
     out = None

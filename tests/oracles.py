@@ -10,8 +10,9 @@ the exact streamed reproducing defect (``reproducing_defect_streamed``) are
 the vectorized forms the tests check against those loops and against the
 package's streamed Schur sums, rank-d rows and rank-d majorants; only tests
 use them, so the package does not carry them. ``q_table_loop`` and
-``osc_rows_loop`` keep the per-column ``Covering.q_neighborhood`` loop that
-the osc rows were once built with; the array-built table must equal it.
+``osc_rows_loop`` keep the per-column loop that the osc rows were once built
+with, reading Q_y off ``q_neighborhoods_naive``; the rows built from
+``Covering.q_neighborhoods`` must equal it.
 """
 
 import numpy as np
@@ -92,14 +93,13 @@ def oscillation_kernel(model, cov, gamma):
 
 def q_table_loop(cov, ys, drop):
     """The padded (y, z) table of ``oscillation._osc_rows``, one column at a
-    time through ``Covering.q_neighborhood``: Q_y without y where ``drop``
-    holds, {y} when that leaves nothing, each row padded by repeating its
-    last point."""
+    time from ``q_neighborhoods_naive``: Q_y without y where ``drop`` holds,
+    {y} when that leaves nothing, each row padded by repeating its last
+    point."""
+    q_of = q_neighborhoods_naive(cov.sets, cov.space.n_points)
     qs = []
     for y, skip in zip(ys, drop):
-        q = cov.q_neighborhood(y)
-        if skip:
-            q = q[q != y]
+        q = np.array(sorted(q_of[y] - {y} if skip else q_of[y]), dtype=int)
         qs.append(q if q.size else np.array([y]))    # the zero term alone
     sizes = np.array([q.size for q in qs])
     width = int(sizes.max())
@@ -112,7 +112,7 @@ def q_table_loop(cov, ys, drop):
 def osc_rows_loop(model, cov, gamma, start, stop):
     """Columns ``start:stop`` of the oscillation kernel as rows of osc^T,
     from ``q_table_loop`` and the same chunked rank-d products as
-    ``oscillation._osc_rows``, with no shortcut for all-zero blocks."""
+    ``oscillation._osc_rows``."""
     from framedisc.kernels import block_rows
 
     ys = np.arange(start, stop)

@@ -17,8 +17,8 @@ from framedisc.models import build_gabor_model, build_orthonormal_model, \
 from conftest import random_interval_covering, random_pointwise_weight, \
     unit_weight
 from oracles import dense_kernel, involution, osc_naive, osc_rows_loop, \
-    oscillation_kernel, phase_table_naive, q_table_loop, rank_d_entries, \
-    refine_until_naive, schur_norm_naive, weight_matrix_naive
+    oscillation_kernel, phase_table_naive, q_neighborhoods_naive, \
+    rank_d_entries, refine_until_naive, schur_norm_naive, weight_matrix_naive
 
 
 @pytest.fixture
@@ -179,8 +179,8 @@ Q_TABLE_COVERINGS = ["partition", "intervals", "singletons", "uncovered"]
 
 
 class TestQTable:
-    """The (y, z) table built from the covering's flat index, and the osc
-    rows formed from it, against the per-column ``q_neighborhood`` loop."""
+    """The block's (y, z) pairs from ``Covering.q_neighborhoods``, and the
+    osc rows formed from them, against the per-column loop."""
 
     @pytest.mark.parametrize("phase", ["one", "kernel", "table"])
     @pytest.mark.parametrize("covering", Q_TABLE_COVERINGS)
@@ -189,12 +189,12 @@ class TestQTable:
         and across the uncovered run, and on the whole grid."""
         model, cov, gamma = q_table_setup(covering, phase)
         n = model.space.n_points
+        q_of = q_neighborhoods_naive(cov.sets, n)
         for start, stop in ((0, 1), (1, 3), (3, 7), (7, 15), (15, n), (11, 15),
                             (10, 19), (0, n)):
-            ys = np.arange(start, stop)
-            drop = gamma(ys, ys) == 1.0
-            assert np.array_equal(oscillation_module._q_table(cov, ys, drop),
-                                  q_table_loop(cov, ys, drop))
+            y_of, zs = cov.q_neighborhoods(start, stop)
+            assert list(zip(y_of.tolist(), zs.tolist())) == \
+                [(y, z) for y in range(start, stop) for z in sorted(q_of[y])]
             assert np.array_equal(
                 oscillation_module._osc_rows(model, cov, gamma, start, stop),
                 osc_rows_loop(model, cov, gamma, start, stop))
@@ -215,21 +215,6 @@ class TestQTable:
         got = oscillation_norms(model, cov, gamma, weights)
         monkeypatch.setattr(oscillation_module, "_osc_rows", osc_rows_loop)
         assert got == oscillation_norms(model, cov, gamma, weights)
-
-    def test_all_zero_block_forms_no_product(self):
-        """On singletons with Gamma(y, y) = 1 every row is the zero term
-        alone: the rows are zeros, and the phase is read once, on the
-        diagonal, with no product formed."""
-        model, cov, _ = q_table_setup("singletons", "one")
-        calls = []
-
-        def phase_one(y, z):
-            calls.append((np.shape(y), np.shape(z)))
-            return np.ones(np.broadcast(y, z).shape, dtype=complex)
-
-        rows = oscillation_module._osc_rows(model, cov, phase_one, 0, 24)
-        assert np.array_equal(rows, np.zeros((24, 24)))
-        assert calls == [((24,), (24,))]
 
 
 class TestStreamedNorms:
