@@ -7,16 +7,15 @@ frames with computable constants: contraction certificates, dual frames,
 atomic decompositions, and two-sided norm equivalences.
 """
 
-from .coverings import Covering, PartitionOfUnity, build_pou, check_m_equivalent, \
-    neighbor_sums, permutation_kernel, singleton_covering, transfer_kernel, \
-    uniform_covering, validate_covering, weight_compatibility
-from .discretize import SamplingInverse, SamplingPlan, apply_sampling, \
-    apply_smoothed, atomic_decomposition, contraction_bounds, dual_frame, \
-    hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
-    select_samples, synthesize_plan, verify_sampled_bounds
+from .coverings import Covering, PartitionOfUnity, build_pou, \
+    singleton_covering, uniform_covering, validate_covering, \
+    weight_compatibility
+from .discretize import SamplingInverse, SamplingPlan, atomic_decomposition, \
+    contraction_bounds, dual_frame, hilbert_frame_bounds, \
+    observed_contraction, reconstruct_from_samples, select_samples, \
+    synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure, SchurSums, Weight2D, schur_norm, \
-    schur_norms
+from .kernels import SchurSums, Weight2D, schur_norms
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from .oscillation import OscReport, PhaseFunction, Screened, \
@@ -25,8 +24,7 @@ from .oscillation import OscReport, PhaseFunction, Screened, \
 from .pipeline import DiscretizationResult, cross_check_inversion, \
     residual_suite, run_discretization
 from .quadrature import QuadratureSpace, product_grid, uniform_grid
-from .spaces import SequenceNorms, WeightedLp, decomposition_norm, \
-    flat_equivalence_interval, local_integrability_constant, norm_flat, \
-    norm_natural, pileup, sup_embedding_report, sup_infinity_space
+from .spaces import WeightedLp, local_integrability_constant, pileup, \
+    sup_infinity_space
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,4 +1,4 @@
-"""Coverings of the point set, partitions of unity, and covering kernels.
+"""Coverings of the point set and partitions of unity.
 
 A covering is a finite family of nonempty point-index subsets. Validation
 computes the overlap bound N, the smallest set measure D, and the
@@ -186,10 +186,6 @@ class Covering:
         n = self.space.n_points
         return np.divmod(np.unique(ys * n + zs), n)
 
-    def q_neighborhood(self, y: int) -> np.ndarray:
-        """Q_y: the sorted indices z sharing a covering set with y."""
-        return self.q_neighborhoods(y, y + 1)[1]
-
     def identifier(self) -> str:
         """Deterministic content hash used in reports."""
         payload = json.dumps([s.tolist() for s in self.sets]).encode()
@@ -300,107 +296,6 @@ def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
     else:
         raise StructuralError(f"unknown partition kind {kind!r}")
     return PartitionOfUnity(cov, phi)
-
-
-@dataclass(frozen=True, eq=False)
-class EquivalenceReport:
-    equivalent: bool
-    measure_lower: float   # C_1: min mu(V_i)/mu(U_i)
-    measure_upper: float   # C_2: max mu(V_i)/mu(U_i)
-    cross_weight: float    # C': max over i of sup_{x in U_i, y in V_i} m(x,y)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "equivalent": self.equivalent,
-            "C_1": self.measure_lower,
-            "C_2": self.measure_upper,
-            "C_prime": self.cross_weight,
-        }
-
-
-def check_m_equivalent(cov_u: Covering, cov_v: Covering,
-                       weight: Weight2D) -> EquivalenceReport:
-    """Measure-ratio and cross-weight constants linking two coverings.
-
-    Requires identical index sets. On a finite space the constants are
-    always finite, so the report mostly carries their magnitudes.
-    """
-    if cov_u.n_sets != cov_v.n_sets:
-        raise StructuralError("coverings must share one index set")
-    ratios = cov_v.measures / cov_u.measures
-    # sup of m over U_i x V_i: the larger of the two extreme quotients
-    hi_u, lo_u = cov_u.set_extrema(weight.w)
-    hi_v, lo_v = cov_v.set_extrema(weight.w)
-    cross = float(np.max(np.maximum(hi_u / lo_v, hi_v / lo_u)))
-    c1, c2 = float(ratios.min()), float(ratios.max())
-    ok = np.isfinite(c1) and np.isfinite(c2) and np.isfinite(cross) and c1 > 0
-    return EquivalenceReport(bool(ok), c1, c2, cross)
-
-
-def transfer_kernel(cov_u: Covering, cov_v: Covering) -> np.ndarray:
-    """Kernel moving coefficient pile-ups over ``cov_v`` to pile-ups over ``cov_u``.
-
-    L(x, y) = sum_j chi_{U_j}(x) chi_{V_j}(y) / mu(V_j).
-    """
-    if cov_u.n_sets != cov_v.n_sets:
-        raise StructuralError("coverings must share one index set")
-    n = cov_u.space.n_points
-    out = np.zeros((n, n), dtype=complex)
-    for u, v, mu_v in zip(cov_u.sets, cov_v.sets, cov_v.measures):
-        out[np.ix_(u, v)] += 1.0 / mu_v
-    return out
-
-
-def permutation_kernel(cov: Covering, pi) -> np.ndarray:
-    """Kernel bounding the relabeling lambda -> lambda o pi on pile-up norms.
-
-    K_pi(x, y) = sum_i chi_{U_{pi^{-1}(i)}}(x) chi_{U_i}(y) / mu(U_{pi^{-1}(i)}).
-    ``pi`` must be a permutation of range(n_sets).
-    """
-    pi = np.asarray(pi, dtype=int)
-    if sorted(pi.tolist()) != list(range(cov.n_sets)):
-        raise StructuralError("pi must be a permutation of the covering index set")
-    inv = np.empty_like(pi)
-    inv[pi] = np.arange(cov.n_sets)
-    n = cov.space.n_points
-    out = np.zeros((n, n), dtype=complex)
-    for i, j in enumerate(inv):          # j = pi^{-1}(i)
-        out[np.ix_(cov.sets[j], cov.sets[i])] += 1.0 / cov.measures[j]
-    return out
-
-
-def is_admissible_permutation(cov: Covering, pi) -> bool:
-    """True when pi(i) always lies in the neighbor set i*."""
-    pi = np.asarray(pi, dtype=int)
-    return all(pi[i] in nb for i, nb in enumerate(cov.neighbors))
-
-
-def random_admissible_permutation(cov: Covering, rng: np.random.Generator):
-    """Random permutation with pi(i) in i*, or None if the greedy draw fails.
-
-    The identity is always admissible, so callers can fall back to it.
-    """
-    n = cov.n_sets
-    order = rng.permutation(n)
-    taken = np.zeros(n, dtype=bool)
-    pi = np.full(n, -1, dtype=int)
-    for i in order:
-        options = [j for j in cov.neighbors[i] if not taken[j]]
-        if not options:
-            return None
-        j = options[rng.integers(len(options))]
-        pi[i] = j
-        taken[j] = True
-    return pi
-
-
-def neighbor_sums(cov: Covering, seq) -> np.ndarray:
-    """lambda+_i = sum over j with U_j meeting U_i of lambda_j."""
-    arr = np.asarray(seq, dtype=complex).reshape(-1)
-    if arr.shape[0] != cov.n_sets:
-        raise StructuralError("sequence length must equal number of sets")
-    starts = np.cumsum([0] + [nb.size for nb in cov.neighbors[:-1]])
-    return np.add.reduceat(arr[np.concatenate(cov.neighbors)], starts)
 
 
 def singleton_covering(space: QuadratureSpace) -> Covering:

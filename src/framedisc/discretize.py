@@ -23,7 +23,7 @@ from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import Weight2D, block_rows, row_slices, schur_norms
 from .models import FrameModel, random_vectors
-from .oscillation import OscReport, PhaseFunction
+from .oscillation import OscReport
 from .spaces import WeightedLp, local_integrability_constant, pileup, \
     sup_infinity_space
 
@@ -96,32 +96,6 @@ def select_samples(cov: Covering, pou: PartitionOfUnity,
     return SamplingPlan(cov, pou, samples, pou.masses)
 
 
-def apply_sampling(model: FrameModel, plan: SamplingPlan, F) -> np.ndarray:
-    """(U F)(x) = sum_i c_i F(x_i) R(x, x_i), formed as V^* A[:, xs] (c F(xs))."""
-    arr = model.space.check_function(F)
-    xs = plan.samples
-    return model.vectors.conj().T @ (model.duals[:, xs] @ (plan.masses * arr[xs]))
-
-
-def apply_smoothed(model: FrameModel, plan: SamplingPlan, gamma: PhaseFunction,
-                   F) -> np.ndarray:
-    """Phase-corrected companion of the sampling operator.
-
-    Builds G(y) = sum_i conj(Gamma(y, x_i)) F(x_i) phi_i(y) over the
-    covering's (set, point) pairs and applies the reproducing kernel as
-    V^* S^{-1} V (mu G); it differs from U by at most the oscillation norm
-    times the partition pile-up bound.
-    """
-    arr = model.space.check_function(F)
-    cov = plan.covering
-    n = arr.size
-    points = np.repeat(np.arange(n), cov.cover_counts)
-    held = plan.samples[cov.holders(0, n)]
-    g = cov.pair_sums(np.conj(gamma(points, held)) * plan.pou.phi * arr[held])
-    return model.vectors.conj().T @ (
-        model.s_inverse @ (model.vectors @ (model.space.weights * g)))
-
-
 def contraction_bounds(report: OscReport) -> tuple:
     """(nominal, sharp) bounds on ||Id - U|| restricted to the kernel range.
 
@@ -138,6 +112,13 @@ def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
     psi = model.vectors[:, xs]
     s_c = (psi * plan.masses[None, :]) @ psi.conj().T
     return model.s_inverse @ s_c
+
+
+def _weighted_metric(model: FrameModel, Y: WeightedLp) -> np.ndarray:
+    """The d x d metric M = V diag(mu w^2) V* of the p = 2 Y-norm in
+    analysis coordinates: |V* a|_Y^2 = a* M a."""
+    return (model.vectors * (model.space.weights * Y.w ** 2)) \
+        @ model.vectors.conj().T
 
 
 class SamplingInverse:
@@ -190,8 +171,7 @@ class SamplingInverse:
                 )
             self.sharp_bound = sharp
             if Y.p == 2.0:
-                self._metric = (model.vectors * (model.space.weights * Y.w ** 2)) \
-                    @ self._analysis
+                self._metric = _weighted_metric(model, Y)
         elif method == "direct":
             evals = np.linalg.eigvals(self._restricted)
             if np.min(np.abs(evals)) <= DIRECT_EIG_FLOOR:
@@ -205,8 +185,8 @@ class SamplingInverse:
     def _column_norms(self, coords: np.ndarray) -> np.ndarray:
         """Y-norms of the grid functions with the given analysis coordinates.
 
-        For p = 2 this is the d x d quadratic form |V* a|_Y^2 = a* M a with
-        M = V diag(mu w^2) V*, on columns scaled to unit size so that the
+        For p = 2 this is the d x d quadratic form |V* a|_Y^2 = a* M a
+        (``_weighted_metric``), on columns scaled to unit size so that the
         squares cannot underflow. Otherwise V* a is formed and its norms
         summed in row blocks of at most ``NORM_BLOCK_BYTES``.
         """
@@ -390,8 +370,7 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     m = np.eye(model.dim, dtype=complex) - _restricted_matrix(model, plan)
 
     if Y.p == 2.0:
-        metric = (model.vectors * (model.space.weights * Y.w ** 2)[None, :]) \
-            @ model.vectors.conj().T
+        metric = _weighted_metric(model, Y)
         evals, evecs = np.linalg.eigh(0.5 * (metric + metric.conj().T))
         evals = np.maximum(evals, 1e-300)
         half = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T

@@ -1,7 +1,7 @@
 """Kernels on point pairs and the weighted Schur algebra.
 
-A kernel is a complex (n, n) array ``K[x, y]``. The algebra norm is the
-larger of the two weighted Schur integrals
+A kernel is a complex function K(x, y) on pairs of points. The algebra
+norm is the larger of the two weighted Schur integrals
 
     sup_x sum_y w_y |K(x,y)| m(x,y)   and   sup_y sum_x w_x |K(x,y)| m(x,y),
 
@@ -15,9 +15,9 @@ sums and the running column sums of every weight it was given, so one pass
 gives the norm under several weights and no (n, n) array of |K| or m is
 formed. The reproducing kernel and the oscillation kernel, and the
 sampled-row kernel under a non-trivial weight, are produced block by block
-from a model's rank-d factors straight into it; dense kernels are accepted
-only by ``schur_norm``. Two kernels need no such pass: under a trivial
-weight the sampled-row constant is read off the sample rows of R
+from a model's rank-d factors straight into it; no dense kernel is
+accepted. Two kernels need no such pass: under a trivial weight the
+sampled-row constant is read off the sample rows of R
 (``discretize.verify_sampled_bounds``), and the reproducing defect is
 bounded through its d x d core (``pipeline.reproducing_defect``).
 """
@@ -89,46 +89,6 @@ class Weight2D:
         return np.maximum(out, wc / wr, out=out)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
-    """Finite complex combination of point masses sitting on grid points."""
-
-    indices: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int).reshape(-1)
-        coef = np.asarray(self.coefficients, dtype=complex).reshape(-1)
-        if idx.shape != coef.shape:
-            raise StructuralError("one coefficient per atom required")
-        idx.setflags(write=False)
-        coef.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "coefficients", coef)
-
-    @classmethod
-    def dirac(cls, index: int) -> "DiscreteMeasure":
-        return cls(np.array([index]), np.array([1.0 + 0.0j]))
-
-    def check_on(self, space: QuadratureSpace) -> None:
-        if self.indices.size and (self.indices.min() < 0
-                                  or self.indices.max() >= space.n_points):
-            raise StructuralError("measure atom off the grid")
-
-
-def check_kernel(space: QuadratureSpace, kernel) -> np.ndarray:
-    """Coerce to an (n, n) array with finite entries: float for real input,
-    complex otherwise."""
-    n = space.n_points
-    k = np.asarray(kernel)
-    k = k.astype(complex if np.iscomplexobj(k) else float, copy=False)
-    if k.shape != (n, n):
-        raise StructuralError(f"kernel shape {k.shape}, expected {(n, n)}")
-    if not np.all(np.isfinite(k)):
-        raise StructuralError("kernel entries must be finite")
-    return k
-
-
 def block_rows(n: int) -> int:
     """Rows of n complex values that fit in ``BLOCK_BYTES`` (at least one)."""
     return max(1, BLOCK_BYTES // (16 * n))
@@ -189,14 +149,3 @@ def schur_norms(space: QuadratureSpace, blocks, weights) -> list:
     for rows, block in blocks:
         sums.add(rows, block)
     return sums.norms()
-
-
-def abs_row_blocks(kernel: np.ndarray):
-    """``(rows, |kernel|[rows, :])`` over row blocks of a dense kernel."""
-    return ((rows, np.abs(kernel[rows])) for rows in row_slices(kernel.shape[0]))
-
-
-def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -> float:
-    """Weighted Schur algebra norm of a dense kernel."""
-    k = check_kernel(space, kernel)
-    return schur_norms(space, abs_row_blocks(k), [weight])[0]

@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularOperatorError, StructuralError
-from .kernels import DiscreteMeasure
-from .quadrature import QuadratureSpace, uniform_grid
+from .quadrature import QuadratureSpace, product_grid, uniform_grid
 
 # Smallest admissible eigenvalue of a model's frame operator.
 EIG_FLOOR = 1e-10
@@ -85,39 +84,10 @@ class FrameModel:
         """Canonical-dual coefficients <f, S^{-1} psi_x> as a grid function."""
         return self.vectors.conj().T @ (self.s_inverse @ self.check_vector(f))
 
-    def from_analysis(self, F) -> np.ndarray:
-        """Invert ``analyze`` on its range: f = S^{-1} sum_x w_x F(x) psi_x."""
-        arr = self.space.check_function(F)
-        return self.s_inverse @ (self.vectors @ (self.space.weights * arr))
-
-    def from_dual_analysis(self, F) -> np.ndarray:
-        """Invert ``dual_analyze`` on its range: f = sum_x w_x F(x) psi_x."""
-        arr = self.space.check_function(F)
-        return self.vectors @ (self.space.weights * arr)
-
-    def synthesize(self, coeffs: DiscreteMeasure, dual_atoms: bool = False) -> np.ndarray:
-        """sum_i lambda_i psi_{x_i} (or S^{-1} psi_{x_i} with ``dual_atoms``)."""
-        coeffs.check_on(self.space)
-        if coeffs.indices.size == 0:
-            return np.zeros(self.dim, dtype=complex)
-        out = self.vectors[:, coeffs.indices] @ coeffs.coefficients
-        return self.s_inverse @ out if dual_atoms else out
-
-    def project_to_range(self, F) -> np.ndarray:
-        """Weighted-L2-orthogonal projection of a grid function onto the
-        common range of the analysis transforms."""
-        arr = self.space.check_function(F)
-        return self.vectors.conj().T @ (
-            self.s_inverse @ (self.vectors @ (self.space.weights * arr)))
-
     def random_range_block(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """Analyses of ``k`` random vectors (``random_vectors``), one column
         each: an (n_points, k) block of generic elements of the range."""
         return self.vectors.conj().T @ random_vectors(rng, self.dim, k)
-
-    def random_range_function(self, rng: np.random.Generator) -> np.ndarray:
-        """Analysis of a random vector: a generic element of the range."""
-        return self.random_range_block(rng, 1)[:, 0]
 
 
 def random_vectors(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
@@ -162,9 +132,7 @@ def build_gabor_model(n_time: int, n_freq: int, window_width: float) -> FrameMod
     shifted = g[(k[:, None] - t[None, :]) % d]
     modulation = np.exp(2j * np.pi * j[None, :] * k[:, None] / float(n_f))
     psi = (shifted[:, :, None] * modulation[:, None, :]).reshape(d, n)
-    coords = np.column_stack((np.repeat(t, n_f).astype(float),
-                              np.tile(j * (d / float(n_f)), d)))
-    space = QuadratureSpace(coords, np.full(n, d / float(n)))
+    space = product_grid((d, n_f), spacings=(1.0, d / n_f), weight=d / n)
     return FrameModel(space, psi)
 
 

@@ -25,7 +25,6 @@ from .coverings import Covering, singleton_covering, uniform_covering, \
 from .errors import CertificationError, StructuralError
 from .kernels import SchurSums, Weight2D, block_rows, row_slices, schur_norms
 from .models import FrameModel
-from .quadrature import QuadratureSpace
 
 
 # |R| <= PHASE_EPS carries no usable phase; the kernel rule uses phase one there.
@@ -34,39 +33,20 @@ PHASE_EPS = 1e-12
 
 class PhaseFunction:
     """Unimodular phase Gamma(y, z); ``gamma(y, z)`` reads it at index arrays
-    broadcast together. ``make_phase`` builds the rules ``one`` (the constant
-    phase, plain kernel oscillation) and ``kernel`` (Gamma(y, z) = R(z, y)/
-    |R(z, y)|, which cancels the kernel's own rotation and typically shrinks
-    the oscillation norm); both are read off the model's rank-d factors, with
-    no n x n table.
+    broadcast together. The rules are ``one`` (the constant phase, plain
+    kernel oscillation) and ``kernel`` (Gamma(y, z) = R(z, y)/|R(z, y)|,
+    which cancels the kernel's own rotation and typically shrinks the
+    oscillation norm); both are read off the model's rank-d factors on
+    demand, R(z, y) being the d-term product A[:, z]^* V[:, y], with no
+    n x n table.
     The ``kernel`` rule is the per-pair L^2-optimal phase: since
     sum_x mu_x conj(R(x, z)) R(x, y) = R(z, y), it minimizes
     sum_x mu_x |R(x, y) - Gamma(y, z) R(x, z)|^2 for every pair. Which phase
-    minimizes the oscillation norm itself is open; any unimodular n x n
-    table can be supplied directly."""
-
-    def __init__(self, space: QuadratureSpace, table):
-        tab = np.ascontiguousarray(np.asarray(table, dtype=complex))
-        n = space.n_points
-        if tab.shape != (n, n):
-            raise StructuralError(f"phase table shape {tab.shape}, expected {(n, n)}")
-        mod = np.abs(tab)
-        if np.max(np.abs(mod - 1.0)) > 1e-14:
-            raise StructuralError("phase values must have modulus one")
-        tab.setflags(write=False)
-        self.space = space
-        self.rule = "table"
-        self._table = tab
-
-    def __call__(self, y, z) -> np.ndarray:
-        return self._table[y, z]
-
-
-class _RulePhase(PhaseFunction):
-    """A built-in rule, evaluated from the model's factors on demand:
-    R(z, y) is the d-term product A[:, z]^* V[:, y]."""
+    minimizes the oscillation norm itself is open."""
 
     def __init__(self, model: FrameModel, rule: str):
+        if rule not in ("one", "kernel"):
+            raise StructuralError(f"unknown phase rule {rule!r}")
         self.space = model.space
         self.rule = rule
         self._model = model
@@ -84,9 +64,8 @@ class _RulePhase(PhaseFunction):
 
 
 def make_phase(model: FrameModel, rule: str) -> PhaseFunction:
-    if rule not in ("one", "kernel"):
-        raise StructuralError(f"unknown phase rule {rule!r}")
-    return _RulePhase(model, rule)
+    """The phase rule ``rule`` ("one" or "kernel") of ``model``."""
+    return PhaseFunction(model, rule)
 
 
 @dataclass(frozen=True)

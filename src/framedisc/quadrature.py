@@ -57,10 +57,6 @@ class QuadratureSpace:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def total_measure(self) -> float:
-        return float(np.sum(self.weights))
-
     def check_function(self, f) -> np.ndarray:
         """Coerce ``f`` to a complex grid function on this space."""
         arr = np.asarray(f, dtype=complex).reshape(-1)
@@ -69,11 +65,6 @@ class QuadratureSpace:
                 f"grid function of length {arr.shape[0]} on {self.n_points} points"
             )
         return arr
-
-    def integrate(self, f) -> complex:
-        """Weighted sum of ``f`` over all points (deterministic order)."""
-        arr = self.check_function(f)
-        return complex(np.sum(self.weights * arr))
 
     def subset_measure(self, subset) -> float:
         """Total weight of a set of point indices."""

@@ -1,9 +1,9 @@
-"""Weighted L^p spaces on the grid and the covering sequence norms.
+"""Weighted L^p spaces on the grid and the pile-ups of covering sequences.
 
 The solid spaces are L^p_w with norm (sum_x mu_x |F(x)|^p w(x)^p)^(1/p)
 (weighted sup for p = inf). Sequences over a covering are measured through
-their pile-up functions: the flat norm piles |lambda_i| on chi_{U_i}, the
-natural norm first divides by mu(U_i).
+their pile-up functions: the flat pile-up puts |lambda_i| on chi_{U_i}, the
+natural one first divides by mu(U_i).
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import Covering, weight_compatibility
+from .coverings import Covering
 from .errors import StructuralError
-from .kernels import DiscreteMeasure, Weight2D
+from .kernels import Weight2D
 from .quadrature import QuadratureSpace
 
 
@@ -127,62 +127,6 @@ def pileup(seq, cov: Covering, natural: bool = False) -> np.ndarray:
     return cov.point_sums(lam.astype(float, copy=False))
 
 
-def norm_flat(seq, cov: Covering, Y: WeightedLp) -> float:
-    """Pile-up norm |sum_i |lambda_i| chi_{U_i}|_Y."""
-    return Y.norm(pileup(seq, cov, natural=False))
-
-
-def norm_natural(seq, cov: Covering, Y: WeightedLp) -> float:
-    """Measure-normalized pile-up norm |sum_i |lambda_i| chi_{U_i}/mu(U_i)|_Y."""
-    return Y.norm(pileup(seq, cov, natural=True))
-
-
-def lp_sequence_norm(seq, weights, p: float) -> float:
-    """Discrete weighted l^p norm of a sequence."""
-    lam = np.abs(np.asarray(seq, dtype=complex).reshape(-1))
-    wts = np.asarray(weights, dtype=float).reshape(-1)
-    if lam.shape != wts.shape:
-        raise StructuralError("sequence/weight length mismatch")
-    if np.isinf(p):
-        return float(np.max(lam * wts))
-    return float(np.sum((lam * wts) ** p) ** (1.0 / p))
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceNorms:
-    """Per-set weights that turn the pile-up norms into plain weighted l^p norms.
-
-    flat_weights     b(i) = mu(U_i)^(1/p)  * sup_{x in U_i} w(x)
-    natural_weights  d(i) = mu(U_i)^(1/p-1)* sup_{x in U_i} w(x)
-    sup_trace        r(i) = mu(U_i) * sup_{x in U_i} v(x)
-    """
-
-    covering: Covering
-    Y: WeightedLp
-    flat_weights: np.ndarray
-    natural_weights: np.ndarray
-    sup_trace: np.ndarray
-    w_sup: np.ndarray
-    v_sup: np.ndarray
-
-    @classmethod
-    def build(cls, cov: Covering, Y: WeightedLp, weight: Weight2D) -> "SequenceNorms":
-        w_sup = cov.set_extrema(Y.w)[0]
-        v_sup = cov.set_extrema(weight.v)[0]
-        mu = cov.measures
-        inv_p = 0.0 if np.isinf(Y.p) else 1.0 / Y.p
-        b = mu ** inv_p * w_sup
-        d = mu ** (inv_p - 1.0) * w_sup
-        r = mu * v_sup
-        return cls(cov, Y, b, d, r, w_sup, v_sup)
-
-
-def flat_equivalence_interval(cov: Covering, weight: Weight2D) -> tuple:
-    """[1/C_mU, N]: guaranteed range of norm_flat / weighted-l^p ratios."""
-    c_mu = weight_compatibility(cov, weight)
-    return 1.0 / c_mu, float(cov.overlap_bound)
-
-
 def set_pair_kernel_norms(cov: Covering, weight: Weight2D, ref_set: int = 0) -> np.ndarray:
     """Schur norms of the rank-one set kernels chi_{U_k}(x) chi_{U_i}(y), k fixed.
 
@@ -199,62 +143,6 @@ def set_pair_kernel_norms(cov: Covering, weight: Weight2D, ref_set: int = 0) -> 
     row = np.add.reduceat(m_k * mu[points][None, :], starts, axis=1).max(axis=0)
     col = np.maximum.reduceat((m_k * mu[k_idx][:, None]).sum(axis=0), starts)
     return np.maximum(row, col)
-
-
-@dataclass(frozen=True, eq=False)
-class SupEmbeddingReport:
-    """Coefficient bound |lambda_i| <= C r(i) |lambda|_natural, with evidence."""
-
-    apriori_constant: float
-    observed_constant: float
-    per_set_constants: np.ndarray
-    sup_trace: np.ndarray
-
-
-def sup_embedding_report(cov: Covering, Y: WeightedLp, weight: Weight2D,
-                         ref_set: int = 0, n_trials: int = 100,
-                         seed: int = 0) -> SupEmbeddingReport:
-    """Bound single coefficients by the natural norm, scaled by r(i).
-
-    The a-priori constant comes from the set-pair kernels; the observed one
-    is the worst ratio over basis sequences and ``n_trials`` random draws.
-    """
-    norms = SequenceNorms.build(cov, Y, weight)
-    chi = np.zeros(cov.space.n_points)
-    chi[cov.sets[ref_set]] = 1.0
-    base = Y.norm(chi)
-    per_set = set_pair_kernel_norms(cov, weight, ref_set) / base
-    apriori = float(np.max(per_set / norms.sup_trace))
-
-    rng = np.random.default_rng(seed)
-    observed = 0.0
-    n = cov.n_sets
-    probes = list(np.eye(n))
-    for _ in range(n_trials):
-        probes.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    for lam in probes:
-        nat = norm_natural(lam, cov, Y)
-        if nat == 0.0:
-            continue
-        ratios = np.abs(lam) / (norms.sup_trace * nat)
-        observed = max(observed, float(ratios.max()))
-    return SupEmbeddingReport(apriori, observed, per_set, norms.sup_trace)
-
-
-def decomposition_norm(nu, cov: Covering, Y: WeightedLp) -> float:
-    """Natural pile-up norm of the per-set masses of a measure or function.
-
-    Measures contribute sum of |coefficients| of atoms inside U_i; grid
-    functions contribute the integral of |F| over U_i.
-    """
-    if isinstance(nu, DiscreteMeasure):
-        nu.check_on(cov.space)
-        dens = np.bincount(nu.indices, np.abs(nu.coefficients),
-                           minlength=cov.space.n_points)
-    else:
-        arr = cov.space.check_function(nu)
-        dens = np.abs(arr) * cov.space.weights
-    return norm_natural(cov.set_sums(dens), cov, Y)
 
 
 def local_integrability_constant(cov: Covering, Y: WeightedLp, weight: Weight2D,

@@ -13,11 +13,19 @@ use them, so the package does not carry them. ``q_table_loop`` and
 ``osc_rows_loop`` keep the per-column loop that the osc rows were once built
 with, reading Q_y off ``q_neighborhoods_naive``; the rows built from
 ``Covering.q_neighborhoods`` must equal it.
+
+The theory layer the tests measure with (measures, ``check_kernel`` and
+the dense ``schur_norm``, sequence and decomposition norms, covering
+kernels, the sampling operator on grid functions) is in ``theory.py``;
+the dense algebra here coerces its kernels through ``theory.check_kernel``.
 """
 
 import numpy as np
 
-from framedisc.kernels import check_kernel, row_slices, schur_norms
+from framedisc.kernels import row_slices, schur_norms
+
+from theory import DiscreteMeasure, check_kernel, decomposition_norm, \
+    random_range_function
 
 
 def dense_kernel(model):
@@ -29,7 +37,7 @@ def dense_kernel(model):
 
 def rank_d_entries(model):
     """R(z, y) = A[:, z]^* V[:, y] for every pair, each a d-term sum formed
-    from gathered factor columns the way the built-in phase rules form it
+    from gathered factor columns the way the phase rules form it
     (not symmetrized)."""
     z, y = np.indices((model.space.n_points,) * 2)
     return (model.duals[:, z].conj() * model.vectors[:, y]).sum(axis=0)
@@ -86,7 +94,7 @@ def oscillation_kernel(model, cov, gamma):
     n = model.space.n_points
     out = np.empty((n, n))
     for y in range(n):
-        zs = cov.q_neighborhood(y)
+        zs = cov.q_neighborhoods(y, y + 1)[1]
         out[:, y] = np.abs(r[:, [y]] - r[:, zs] * gamma(y, zs)[None, :]).max(axis=1)
     return out
 
@@ -421,11 +429,9 @@ def measure_observed_naive(model, plan, Y, n_trials=50, seed=0):
     """The ``measure_observed`` field of ``verify_sampled_bounds``, one trial
     at a time: after the same ``n_trials`` range-function draws, each trial
     measure's decomposition norm and kernel image are formed on their own."""
-    from framedisc import DiscreteMeasure, decomposition_norm
-
     rng = np.random.default_rng(seed)
     for _ in range(n_trials):
-        model.random_range_function(rng)
+        random_range_function(model, rng)
     cov = plan.covering
     best = 0.0
     for _ in range(n_trials):

@@ -13,22 +13,22 @@ import numpy as np
 import pytest
 
 from framedisc import SamplingInverse, Weight2D, WeightedLp, build_pou, \
-    neighbor_sums, contraction_bounds, hilbert_frame_bounds, invertibility_condition, \
-    make_phase, norm_flat, norm_natural, observed_contraction, \
-    oscillation_norms, oscillation_report, permutation_kernel, schur_norm, \
-    select_samples, singleton_covering, transfer_kernel, uniform_covering, uniform_grid, \
+    contraction_bounds, hilbert_frame_bounds, invertibility_condition, \
+    make_phase, observed_contraction, oscillation_norms, oscillation_report, \
+    select_samples, singleton_covering, uniform_covering, uniform_grid, \
     verify_sampled_bounds
 from framedisc.cli import main
-from framedisc.coverings import Covering, random_admissible_permutation, \
-    weight_compatibility
+from framedisc.coverings import Covering, weight_compatibility
 from framedisc.models import build_gabor_model, build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, residual_suite
-from framedisc.spaces import SequenceNorms, flat_equivalence_interval, \
-    lp_sequence_norm, sup_embedding_report
 
 from conftest import random_kernel, random_pointwise_weight
 from oracles import compose, dense_kernel, osc_naive, oscillation_kernel, \
     phase_table_naive, rank_d_entries, schur_norm_naive, weight_matrix_naive
+from theory import SequenceNorms, flat_equivalence_interval, lp_sequence_norm, \
+    neighbor_sums, norm_flat, norm_natural, permutation_kernel, \
+    random_admissible_permutation, schur_norm, sup_embedding_report, \
+    transfer_kernel
 
 
 @contextmanager

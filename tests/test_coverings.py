@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from framedisc import Covering, StructuralError, Weight2D, \
-    check_m_equivalent, neighbor_sums, permutation_kernel, singleton_covering, \
-    transfer_kernel, uniform_covering, uniform_grid, validate_covering, \
+    singleton_covering, uniform_covering, uniform_grid, validate_covering, \
     weight_compatibility
 from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json, \
-    covering_to_json, is_admissible_permutation, random_admissible_permutation
+    covering_to_json
 
 from conftest import random_interval_covering, unit_weight
 from oracles import apply_kernel, covering_stats_naive, dense_pou, \
     identity_kernel, membership_naive, q_neighborhoods_naive, weight_matrix_naive
+from theory import check_m_equivalent, is_admissible_permutation, \
+    neighbor_sums, permutation_kernel, random_admissible_permutation, \
+    total_measure, transfer_kernel
 
 
 class TestValidation:
@@ -93,7 +95,7 @@ class TestRepresentation:
         assert n_sets != n
         # touch every derived quantity so cached ones are present too
         validate_covering(cov)
-        cov.q_neighborhood(0)
+        cov.q_neighborhoods(0, 1)[1]
         dense = {(n, n), (n_sets, n_sets), (n_sets, n)}
         for name, value in vars(cov).items():
             if isinstance(value, np.ndarray):
@@ -103,12 +105,12 @@ class TestRepresentation:
         cov = random_interval_covering(rng, grid64, 10)
         want = q_neighborhoods_naive(cov.sets, 64)
         for y in range(64):
-            assert cov.q_neighborhood(y).tolist() == sorted(want[y])
+            assert cov.q_neighborhoods(y, y + 1)[1].tolist() == sorted(want[y])
 
     def test_q_neighborhood_of_uncovered_point_is_empty(self, small_space):
         cov = Covering(small_space, (np.array([0, 1]), np.array([3, 4])))
-        assert cov.q_neighborhood(2).size == 0
-        assert cov.q_neighborhood(3).tolist() == [3, 4]
+        assert cov.q_neighborhoods(2, 3)[1].size == 0
+        assert cov.q_neighborhoods(3, 4)[1].tolist() == [3, 4]
 
     def test_neighbors_match_oracle(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 10)
@@ -158,7 +160,7 @@ class TestPartitionOfUnity:
         for kind in ("flat", "smooth"):
             cov = random_interval_covering(rng, grid64, 6)
             pou = build_pou(cov, kind)
-            assert np.sum(pou.masses) == pytest.approx(grid64.total_measure,
+            assert np.sum(pou.masses) == pytest.approx(total_measure(grid64),
                                                        rel=1e-12)
             assert np.all(pou.masses > 0)
             assert np.all(pou.masses <= cov.measures + 1e-12)

@@ -12,11 +12,11 @@ import framedisc.kernels as kernels_module
 import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, SamplingInverse, \
     SchurSums, SingularOperatorError, StructuralError, Weight2D, WeightedLp, \
-    apply_sampling, apply_smoothed, atomic_decomposition, build_pou, \
-    contraction_bounds, dual_frame, hilbert_frame_bounds, make_phase, \
-    norm_flat, norm_natural, observed_contraction, oscillation_report, \
-    reconstruct_from_samples, schur_norm, select_samples, singleton_covering, \
-    synthesize_plan, uniform_covering, verify_sampled_bounds
+    atomic_decomposition, build_pou, contraction_bounds, dual_frame, \
+    hilbert_frame_bounds, make_phase, observed_contraction, \
+    oscillation_report, reconstruct_from_samples, select_samples, \
+    singleton_covering, synthesize_plan, uniform_covering, \
+    verify_sampled_bounds
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
@@ -31,6 +31,9 @@ from oracles import apply_kernel, compose, dense_kernel, \
     phase_table_naive, rank_d_entries, reproducing_defect_streamed, \
     sampled_row_kernel, sampling_operator_naive, schur_norm_naive, \
     weight_matrix_naive
+from theory import apply_sampling, apply_smoothed, decomposition_norm, \
+    integrate, norm_flat, norm_natural, project_to_range, \
+    random_range_function, schur_norm
 
 
 def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
@@ -120,7 +123,7 @@ class TestSamplingOperator:
         out = apply_sampling(model, plan, F)
         ref = apply_kernel(model.space, dense_kernel(model), F)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-        G = model.random_range_function(rng)
+        G = random_range_function(model, rng)
         assert np.max(np.abs(apply_sampling(model, plan, G) - G)) \
             <= 1e-11 * np.max(np.abs(G))
 
@@ -139,19 +142,19 @@ class TestSamplingOperator:
     def test_maps_range_into_range(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         for _ in range(10):
-            F = model.random_range_function(rng)
+            F = random_range_function(model, rng)
             UF = apply_sampling(model, plan, F)
-            proj = model.project_to_range(UF)
+            proj = project_to_range(model, UF)
             assert np.max(np.abs(proj - UF)) <= 1e-10 * Y.norm(F)
 
     def test_self_adjoint_under_weighted_pairing(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         space = model.space
         for _ in range(10):
-            F = model.random_range_function(rng)
-            G = model.random_range_function(rng)
-            lhs = space.integrate(apply_sampling(model, plan, F) * np.conj(G))
-            rhs = space.integrate(F * np.conj(apply_sampling(model, plan, G)))
+            F = random_range_function(model, rng)
+            G = random_range_function(model, rng)
+            lhs = integrate(space, apply_sampling(model, plan, F) * np.conj(G))
+            rhs = integrate(space, F * np.conj(apply_sampling(model, plan, G)))
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) <= 1e-11 * scale
 
@@ -177,7 +180,7 @@ class TestSmoothedOperator:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         bound = report.sigma * report.osc_norm
         for _ in range(20):
-            F = model.random_range_function(rng)
+            F = random_range_function(model, rng)
             gap = Y.norm(apply_smoothed(model, plan, gamma, F)
                          - apply_sampling(model, plan, F))
             assert gap <= bound * Y.norm(F) * (1 + 1e-10)
@@ -187,7 +190,7 @@ class TestSmoothedOperator:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         bound = report.r_norm * report.osc_norm
         for _ in range(20):
-            F = model.random_range_function(rng)
+            F = random_range_function(model, rng)
             gap = Y.norm(F - apply_smoothed(model, plan, gamma, F))
             assert gap <= bound * Y.norm(F) * (1 + 1e-10)
 
@@ -226,7 +229,7 @@ class TestInversion:
         model = build_random_smooth_model(3, 24, 2.0, seed=6)
         Y, weight, gamma, report, plan = singleton_setup(model)
         inverse = SamplingInverse(model, plan, Y, report=report)
-        F = model.random_range_function(rng)
+        F = random_range_function(model, rng)
         assert Y.norm(inverse.apply(F) - F) <= 1e-10 * Y.norm(F)
 
     def test_neumann_matches_direct(self, rng):
@@ -234,7 +237,7 @@ class TestInversion:
         neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
         dir_ = SamplingInverse(model, plan, Y, method="direct")
         for _ in range(20):
-            F = model.random_range_function(rng)
+            F = random_range_function(model, rng)
             gap = Y.norm(neu.apply(F) - dir_.apply(F))
             assert gap <= 1e-9 * Y.norm(F)
 
@@ -243,7 +246,7 @@ class TestInversion:
         observed = observed_contraction(model, plan, Y, seed=0)
         inverse = SamplingInverse(model, plan, Y, method="neumann",
                                   report=report)
-        F = model.random_range_function(rng)
+        F = random_range_function(model, rng)
         inverse.apply(F)
         norms = inverse.last_term_norms
         assert len(norms) >= 3
@@ -255,7 +258,7 @@ class TestInversion:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(5):
-            F = model.random_range_function(rng)
+            F = random_range_function(model, rng)
             back = apply_sampling(model, plan, inverse.apply(F))
             assert Y.norm(back - F) <= 1e-9 * Y.norm(F)
 
@@ -274,7 +277,7 @@ class TestInversion:
         inverse = SamplingInverse(model, plan, Y, method="neumann",
                                   report=report, n_max=1)
         with pytest.raises(SingularOperatorError):
-            inverse.apply(model.random_range_function(rng))
+            inverse.apply(random_range_function(model, rng))
 
     def test_direct_refuses_rank_deficient_plan(self):
         model = build_orthonormal_model(4)
@@ -677,7 +680,7 @@ class TestScaleInvariantNeumann:
         dir_ = SamplingInverse(model, plan, Y, method="direct")
         rng = np.random.default_rng(5)
         for _ in range(5):
-            F = scale * model.random_range_function(rng)
+            F = scale * random_range_function(model, rng)
             gap = Y.norm(neu.apply(F) - dir_.apply(F))
             assert gap <= 1e-12 * Y.norm(F)
             assert len(neu.last_term_norms) > 2
@@ -721,7 +724,7 @@ class TestExtremeScales:
         model, w, plan, report = gabor_4x61
         Y = WeightedLp(model.space, p, w)
         neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
-        F = model.random_range_function(np.random.default_rng(3))
+        F = random_range_function(model, np.random.default_rng(3))
         base = neu.apply(F)
         terms = len(neu.last_term_norms)
         assert terms > 2
@@ -788,7 +791,7 @@ class TestBlocks:
     def test_inverse_apply_block_is_columnwise(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup(p=1.0)
         inverse = SamplingInverse(model, plan, Y, report=report)
-        F = np.stack([model.random_range_function(rng) for _ in range(3)],
+        F = np.stack([random_range_function(model, rng) for _ in range(3)],
                      axis=1)
         got = inverse.apply(F)
         assert got.shape == F.shape
@@ -895,7 +898,7 @@ class TestBlockHarness:
                                     make_phase(model, "kernel"), weight, 0.25)
         want = measure_observed_naive(model, plan, Y, n_trials=20, seed=6)
         calls = []
-        original = spaces_module.decomposition_norm
+        original = decomposition_norm
 
         def counted(*args, **kwargs):
             calls.append(1)

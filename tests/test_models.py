@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 import framedisc.kernels as kernels_module
-from framedisc import DiscreteMeasure, FrameModel, QuadratureSpace, \
-    SingularOperatorError, StructuralError, schur_norm, uniform_grid
+from framedisc import FrameModel, QuadratureSpace, SingularOperatorError, \
+    StructuralError, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, random_vectors
 
 from oracles import apply_kernel, apply_to_measure, compose, dense_kernel, \
     gabor_vectors_naive, identity_kernel
+from theory import DiscreteMeasure, from_analysis, from_dual_analysis, \
+    integrate, random_range_function, schur_norm, synthesize
 
 
 @pytest.fixture
@@ -114,7 +116,7 @@ class TestTransforms:
                               vecs)
         got = smooth_model.random_range_block(block, k)
         assert np.array_equal(got, smooth_model.vectors.conj().T @ vecs)
-        assert np.array_equal(smooth_model.random_range_function(single),
+        assert np.array_equal(random_range_function(smooth_model, single),
                               smooth_model.analyze(vecs[:, 0]))
         assert loop.random() == block.random()
 
@@ -142,12 +144,12 @@ class TestTransforms:
 
 class TestSynthesis:
     def test_single_atom(self, smooth_model):
-        out = smooth_model.synthesize(DiscreteMeasure.dirac(4))
+        out = synthesize(smooth_model, DiscreteMeasure.dirac(4))
         assert np.array_equal(out, smooth_model.vectors[:, 4])
 
     def test_zero_coefficients(self, smooth_model):
         nu = DiscreteMeasure(np.array([1, 2]), np.zeros(2, dtype=complex))
-        assert np.all(smooth_model.synthesize(nu) == 0)
+        assert np.all(synthesize(smooth_model, nu) == 0)
 
     def test_two_path_consistency(self, smooth_model, rng):
         """Analysis of a synthesized combination equals the Gram columns
@@ -155,7 +157,7 @@ class TestSynthesis:
         idx = rng.integers(0, 24, size=6)
         coef = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         nu = DiscreteMeasure(idx, coef)
-        via_synth = smooth_model.analyze(smooth_model.synthesize(nu))
+        via_synth = smooth_model.analyze(synthesize(smooth_model, nu))
         gram = smooth_model.vectors.conj().T @ smooth_model.vectors
         via_kernel = apply_to_measure(smooth_model.space, gram, nu)
         assert np.max(np.abs(via_synth - via_kernel)) <= 1e-12
@@ -219,16 +221,16 @@ class TestKernelIdentities:
         f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         lhs = np.vdot(g, f)
-        rhs = smooth_model.space.integrate(
-            smooth_model.analyze(f) * np.conj(smooth_model.dual_analyze(g)))
+        rhs = integrate(smooth_model.space, smooth_model.analyze(f)
+                        * np.conj(smooth_model.dual_analyze(g)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_inversion_of_transforms(self, smooth_model, rng):
         f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        assert np.allclose(smooth_model.from_analysis(smooth_model.analyze(f)),
+        assert np.allclose(from_analysis(smooth_model, smooth_model.analyze(f)),
                            f, atol=1e-12)
         assert np.allclose(
-            smooth_model.from_dual_analysis(smooth_model.dual_analyze(f)),
+            from_dual_analysis(smooth_model, smooth_model.dual_analyze(f)),
             f, atol=1e-12)
 
 

@@ -6,11 +6,11 @@ import pytest
 
 import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
-from framedisc import CertificationError, Covering, FrameModel, PhaseFunction, \
-    Screened, StructuralError, Weight2D, WeightedLp, invertibility_condition, \
+from framedisc import CertificationError, Covering, FrameModel, Screened, \
+    StructuralError, Weight2D, WeightedLp, invertibility_condition, \
     kernel_norms, make_phase, oscillation_norms, oscillation_report, \
-    refine_until, schur_norm, sigma_constant, singleton_covering, \
-    uniform_covering, uniform_grid, v_weight
+    refine_until, sigma_constant, singleton_covering, uniform_covering, \
+    uniform_grid, v_weight
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
@@ -19,6 +19,7 @@ from conftest import random_interval_covering, random_pointwise_weight, \
 from oracles import dense_kernel, involution, osc_naive, osc_rows_loop, \
     oscillation_kernel, phase_table_naive, q_neighborhoods_naive, \
     rank_d_entries, refine_until_naive, schur_norm_naive, weight_matrix_naive
+from theory import TablePhase, schur_norm
 
 
 @pytest.fixture
@@ -119,7 +120,7 @@ def streamed_setup(covering, weight_rule, phase):
     weight = Weight2D(space, w, ref_index=5)
     if phase == "table":
         table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
-        gamma = PhaseFunction(space, table)
+        gamma = TablePhase(space, table)
     else:
         table = phase_table_naive(rank_d_entries(model), phase)
         gamma = make_phase(model, phase)
@@ -169,7 +170,7 @@ def q_table_setup(covering, phase):
     if phase == "table":
         table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
         table[np.arange(0, n, 2), np.arange(0, n, 2)] = 1.0
-        gamma = PhaseFunction(space, table)
+        gamma = TablePhase(space, table)
     else:
         gamma = make_phase(model, phase)
     return model, cov, gamma
@@ -334,7 +335,7 @@ class TestPhaseFunctions:
 
     @pytest.mark.parametrize("rule", ["one", "kernel"])
     def test_rules_hold_no_dense_array(self, rule):
-        """A built-in rule keeps no n x n array and allocates none."""
+        """A phase rule keeps no n x n array and allocates none."""
         model = build_gabor_model(6, 81, 2.0)
         n = model.space.n_points
         tracemalloc.start()
@@ -382,7 +383,7 @@ class TestPhaseFunctions:
     def test_user_table_matches_oracle(self, smooth_model, rng):
         n = smooth_model.space.n_points
         table = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
-        gamma = PhaseFunction(smooth_model.space, table)
+        gamma = TablePhase(smooth_model.space, table)
         assert gamma.rule == "table"
         assert np.array_equal(full_table(gamma), table)
         cov = uniform_covering(smooth_model.space, 0.3)
@@ -394,7 +395,7 @@ class TestPhaseFunctions:
     def test_non_unimodular_table_rejected(self, smooth_model):
         n = smooth_model.space.n_points
         with pytest.raises(StructuralError):
-            PhaseFunction(smooth_model.space, np.full((n, n), 0.5 + 0j))
+            TablePhase(smooth_model.space, np.full((n, n), 0.5 + 0j))
 
 
 class TestBudgetReport:

@@ -9,22 +9,23 @@ from framedisc import QuadratureSpace, StructuralError, uniform_grid
 from framedisc.quadrature import product_grid, space_from_json, space_to_json
 
 from oracles import integrate_naive
+from theory import integrate
 
 
 def test_constant_function_integrates_to_total_weight():
     space = QuadratureSpace(np.array([[0.0], [1.0], [2.0]]),
                             np.array([0.5, 0.5, 1.0]))
-    assert space.integrate(np.ones(3)) == 2.0
+    assert integrate(space, np.ones(3)) == 2.0
 
 
 def test_zero_function_integrates_to_zero(small_space):
-    assert small_space.integrate(np.zeros(5)) == 0.0
+    assert integrate(small_space, np.zeros(5)) == 0.0
 
 
 def test_integrate_matches_naive_loop(rng):
     space = uniform_grid(16, spacing=0.37, weights=rng.uniform(0.1, 2.0, 16))
     f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    got = space.integrate(f)
+    got = integrate(space, f)
     want = integrate_naive(space.weights, f)
     assert abs(got - want) <= 1e-14 * abs(want)
 
@@ -32,7 +33,7 @@ def test_integrate_matches_naive_loop(rng):
 def test_subset_measure_cases(small_space):
     assert small_space.subset_measure([]) == 0.0
     assert small_space.subset_measure(range(5)) == pytest.approx(
-        small_space.integrate(np.ones(5)).real, abs=0.0)
+        integrate(small_space, np.ones(5)).real, abs=0.0)
     assert small_space.subset_measure([3]) == 2.0
     assert small_space.subset_measure({0, 1}) == 1.5
 
@@ -54,14 +55,14 @@ def test_integrate_is_linear(values, alpha):
                             np.array([0.5, 1.0, 0.25, 2.0, 1.25]))
     f = np.asarray(values)
     g = np.linspace(1, 2, 5) + 0j
-    lhs = space.integrate(alpha * f + g)
-    rhs = alpha * space.integrate(f) + space.integrate(g)
+    lhs = integrate(space, alpha * f + g)
+    rhs = alpha * integrate(space, f) + integrate(space, g)
     assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs), abs(rhs))
 
 
 def test_structural_errors(small_space):
     with pytest.raises(StructuralError):
-        small_space.integrate(np.ones(4))
+        integrate(small_space, np.ones(4))
     with pytest.raises(StructuralError):
         small_space.subset_measure([7])
     with pytest.raises(StructuralError):
