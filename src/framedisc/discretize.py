@@ -139,7 +139,13 @@ class SamplingInverse:
     certificate that the sharp contraction bound is below one; ``direct``
     solves the d x d system and needs none. Each column of a block stops
     once its term's Y-norm is at most ``tol`` times the Y-norm of its input,
-    so the stopping rule does not depend on the scale of the input.
+    so the stopping rule does not depend on the scale of the input. For
+    p = 2 the term norms are exact (a d x d quadratic form). Otherwise a
+    term t is tested through the bound |V* t|_Y <= kappa_Y |t|_2, with
+    kappa_Y = |x -> |psi_x|_2|_Y (Cauchy-Schwarz at every point, then
+    solidity of Y), so no term is formed on the grid; the bound dominates
+    the norm, so a column stops no earlier than the exact rule would stop
+    it. The input norms stay exact.
     """
 
     def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -155,7 +161,7 @@ class SamplingInverse:
         self.last_term_norms: list = []
         self._restricted = _restricted_matrix(model, plan)
         self._analysis = model.vectors.conj().T
-        self._metric = None
+        self._metric = self._kappa = None
 
         if method == "neumann":
             if report is None:
@@ -172,6 +178,8 @@ class SamplingInverse:
             self.sharp_bound = sharp
             if Y.p == 2.0:
                 self._metric = _weighted_metric(model, Y)
+            else:
+                self._kappa = Y.norm(np.linalg.norm(model.vectors, axis=0))
         elif method == "direct":
             evals = np.linalg.eigvals(self._restricted)
             if np.min(np.abs(evals)) <= DIRECT_EIG_FLOOR:
@@ -192,16 +200,27 @@ class SamplingInverse:
         """
         if self._metric is None:
             return _analysis_norms(self._analysis, self.Y, coords)
-        scale = np.abs(coords).max(axis=0, initial=0.0)
-        unit = coords / np.where(scale > 0.0, scale, 1.0)
+        scale, unit = _unit_columns(coords)
         quad = np.einsum("ij,ij->j", unit.conj(), self._metric @ unit).real
         return scale * np.sqrt(np.maximum(quad, 0.0))
+
+    def _term_norms(self, coords: np.ndarray) -> np.ndarray:
+        """What the stopping rule tests for each column of a Neumann term:
+        the exact Y-norm for p = 2, else the bound kappa_Y |t|_2, taken on
+        columns scaled to unit size (O(d) work per column)."""
+        if self._metric is not None:
+            return self._column_norms(coords)
+        scale, unit = _unit_columns(np.abs(coords))
+        return self._kappa * scale * np.sqrt(np.einsum("ij,ij->j", unit, unit))
 
     def _invert_coords(self, coords: np.ndarray) -> np.ndarray:
         """Apply the inverse to every column of a (d, k) coordinate block.
 
-        ``last_term_norms`` records, per Neumann term, the largest Y-norm
-        among the columns still summing.
+        ``last_term_norms`` records the largest input Y-norm of the block,
+        then, per Neumann term, the largest tested value among the columns
+        still summing: the term's Y-norm for p = 2, its bound kappa_Y |t|_2
+        otherwise. At p != 2 only the input is formed on the grid, once per
+        call.
         """
         if self.method == "direct":
             return self._matrix_inv @ coords
@@ -216,7 +235,7 @@ class SamplingInverse:
             return total
         for _ in range(self.n_max):
             term = term - self._restricted @ term
-            term_norms = self._column_norms(term)
+            term_norms = self._term_norms(term)
             norms.append(float(term_norms.max()))
             total[:, active] += term
             going = term_norms > limit[active]
@@ -249,6 +268,22 @@ class SamplingInverse:
         out = self._invert_coords(coords)
         out.setflags(write=False)
         return out
+
+
+def _unit_columns(block: np.ndarray) -> tuple:
+    """(scale, unit): the largest modulus of each column of a (d, k) block,
+    and the block with each nonzero column divided by it. Only floats are
+    divided (the real and imaginary parts of a complex block): numpy's
+    complex division forms 1 / scale, which overflows for a subnormal
+    scale."""
+    scale = np.abs(block).max(axis=0, initial=0.0)
+    div = np.where(scale > 0.0, scale, 1.0)
+    if not np.iscomplexobj(block):
+        return scale, block / div
+    unit = np.empty(block.shape, dtype=complex)
+    np.divide(block.real, div, out=unit.real)
+    np.divide(block.imag, div, out=unit.imag)
+    return scale, unit
 
 
 def _analysis_norms(analysis: np.ndarray, Y: WeightedLp,

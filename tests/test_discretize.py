@@ -728,7 +728,7 @@ class TestExtremeScales:
         base = neu.apply(F)
         terms = len(neu.last_term_norms)
         assert terms > 2
-        for scale in (1e-150, 1e-120, 1e150):
+        for scale in (1e-300, 1e-150, 1e-120, 1e150, 1e300):
             got = neu.apply(scale * F)
             assert len(neu.last_term_norms) == terms
             assert Y.norm(scale * F) == pytest.approx(scale * Y.norm(F),
@@ -739,8 +739,10 @@ class TestExtremeScales:
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
     def test_streamed_neumann_norms_match_one_block(self, monkeypatch,
                                                     gabor_4x61, p, k):
-        """The p != 2 term norms, streamed over row blocks of V* C, equal
-        the Y-norms of the whole V* C, zero columns included."""
+        """The p != 2 input norms of a Neumann inversion, streamed over row
+        blocks of V* C, equal the Y-norms of the whole V* C, zero columns
+        included. (The terms are tested through a coordinate bound and are
+        not formed on the grid.)"""
         model, w, plan, report = gabor_4x61
         Y = WeightedLp(model.space, p, w)
         neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
@@ -759,6 +761,84 @@ class TestExtremeScales:
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         if k > 1:
             assert got[0] == 0.0
+
+
+class TestNeumannTermBound:
+    """At p != 2 the stopping rule tests kappa_Y |t|_2, kappa_Y the Y-norm
+    of x -> |psi_x|_2, in place of |V* t|_Y; only the input is formed on
+    the grid."""
+
+    @pytest.fixture(scope="class")
+    def gabor_4x61(self):
+        model = build_gabor_model(4, 61, 2.0)
+        space = model.space
+        cov = Covering(space, tuple(np.arange(t * 61 + m, t * 61 + min(m + 2, 61))
+                                    for t in range(4) for m in range(0, 61, 2)))
+        w = {"unit": np.ones(space.n_points),
+             "exp": np.exp(0.02 * np.linalg.norm(space.points, axis=1))}
+        report = {rule: oscillation_report(
+            model, cov, make_phase(model, "kernel"),
+            WeightedLp(space, 2.0, w[rule]).weight2d(), 0.25) for rule in w}
+        return model, select_samples(cov, build_pou(cov)), w, report
+
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_bound_dominates_term_norm(self, gabor_4x61, p, weight_rule):
+        """On random blocks and on every direction psi_x / |psi_x|; at
+        p = inf the direction of the largest w(x) |psi_x|_2 attains it."""
+        model, plan, w, report = gabor_4x61
+        Y = WeightedLp(model.space, p, w[weight_rule])
+        neu = SamplingInverse(model, plan, Y, method="neumann",
+                              report=report[weight_rule])
+        rng = np.random.default_rng(8)
+        coords = rng.standard_normal((model.dim, 6)) \
+            + 1j * rng.standard_normal((model.dim, 6))
+        coords *= np.array([1.0, 1e-160, 1e160, 1e-300, 1e300, 0.0])
+        psi = model.vectors
+        atom_norms = np.linalg.norm(psi, axis=0)
+        kappa = Y.norm(atom_norms)
+        analysis = psi.conj().T
+        bound = neu._term_norms(coords)
+        assert np.all(bound >= Y.column_norms(analysis @ coords)
+                      * (1.0 - 1e-13))
+        assert bound[-1] == 0.0
+        directions = psi / atom_norms
+        bound = neu._term_norms(directions)
+        exact = Y.column_norms(analysis @ directions)
+        assert bound == pytest.approx(np.full(model.space.n_points, kappa),
+                                      rel=1e-14, abs=0.0)
+        assert np.all(bound >= exact * (1.0 - 1e-13))
+        if np.isinf(p):
+            top = int(np.argmax(Y.w * atom_norms))
+            assert exact[top] == pytest.approx(kappa, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+    def test_one_grid_norm_per_inversion(self, monkeypatch, gabor_4x61, p, k):
+        """``_invert_coords`` forms V* a once (the input norms), however
+        many terms it sums, and matches the direct inverse."""
+        model, plan, w, report = gabor_4x61
+        Y = WeightedLp(model.space, p, w["exp"])
+        neu = SamplingInverse(model, plan, Y, method="neumann",
+                              report=report["exp"])
+        dir_ = SamplingInverse(model, plan, Y, method="direct")
+        rng = np.random.default_rng(k)
+        coords = rng.standard_normal((model.dim, k)) \
+            + 1j * rng.standard_normal((model.dim, k))
+        widths = []
+        original = discretize_module._analysis_norms
+
+        def recorded(analysis, Y, coords):
+            widths.append(coords.shape[1])
+            return original(analysis, Y, coords)
+
+        monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
+        got = neu._invert_coords(coords)
+        assert widths == [k]
+        assert len(neu.last_term_norms) > 2
+        analysis = model.vectors.conj().T
+        gap = Y.column_norms(analysis @ (got - dir_._invert_coords(coords)))
+        assert np.all(gap <= 1e-12 * Y.column_norms(analysis @ coords))
 
 
 class TestBlocks:
