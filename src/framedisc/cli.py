@@ -99,16 +99,21 @@ def load_config(path: str | None, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = value
-    # numeric keys take the type of their default; p is a float or "inf"
+    # numeric keys take the type of their default; p is a float or "inf";
+    # an integer key takes only integral numbers, and no key takes a boolean
     for key, default in DEFAULTS.items():
         if not isinstance(default, (int, float)) or (key == "p" and cfg[key] == "inf"):
             continue
         kind = float if key == "p" else type(default)
+        value = cfg[key]
         try:
-            cfg[key] = kind(cfg[key])
+            if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                           and not value.is_integer()):
+                raise ValueError
+            cfg[key] = kind(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise StructuralError(
-                f"{key}: {cfg[key]!r} is not a valid {kind.__name__}") from exc
+                f"{key}: {value!r} is not a valid {kind.__name__}") from exc
         if kind is float and not np.isfinite(cfg[key]):
             raise StructuralError(f"{key}: {cfg[key]!r} is not finite")
     if isinstance(cfg.get("covering-sets"), str):
@@ -131,6 +136,8 @@ def validate_config(cfg: dict) -> None:
         raise StructuralError("p must be 1, 2 or 'inf'")
     if cfg["delta"] < 0:
         raise StructuralError("delta must be nonnegative")
+    if cfg["seed"] < 0 or cfg["model-seed"] < 0:
+        raise StructuralError("seed and model-seed must be nonnegative")
     if cfg["n-trials"] < 1 or cfg["inversion-n-max"] < 1:
         raise StructuralError("n-trials and inversion-n-max must be at least 1")
     if cfg["inversion-tol"] <= 0:

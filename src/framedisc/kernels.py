@@ -13,13 +13,15 @@ Schur norms are streamed: ``SchurSums`` takes |K| in blocks of rows,
 forms each non-trivial weight's m on the block once, and keeps the row
 sums and the running column sums of every weight it was given, so one pass
 gives the norm under several weights and no (n, n) array of |K| or m is
-formed. The reproducing kernel and the oscillation kernel, and the
-sampled-row kernel under a non-trivial weight, are produced block by block
+formed. The reproducing kernel, the oscillation kernel and, under a
+non-trivial weight, the sampled-row kernel are produced block by block
 from a model's rank-d factors straight into it; no dense kernel is
-accepted. Two kernels need no such pass: under a trivial weight the
-sampled-row constant is read off the sample rows of R
-(``discretize.verify_sampled_bounds``), and the reproducing defect is
-bounded through its d x d core (``pipeline.reproducing_defect``).
+accepted. |R| m is symmetric, so R goes in as strips of its upper
+triangle (``SchurSums.add_upper``) and each entry is formed once. Two
+kernels need no such pass: under a trivial weight the sampled-row constant
+is read off the sample rows of R (``discretize.verify_sampled_bounds``),
+and the reproducing defect is bounded through its d x d core
+(``pipeline.reproducing_defect``).
 """
 
 from __future__ import annotations
@@ -110,6 +112,12 @@ class SchurSums:
     been fed. A weight of ``None`` is the unit weight; trivial weights
     share one set of sums, and so do repeats of one weight object, whose m
     is formed once per block.
+
+    A kernel whose |K| is symmetric may instead be fed as strips of its
+    upper triangle, ``add_upper(start, |K|[start:stop, start:])`` for
+    consecutive ``start`` from 0: each strip's column sums beyond ``stop``
+    are the row sums of the rows below it, mirrored, so every entry is
+    formed once and the row sup, which equals the column sup, is the norm.
     """
 
     def __init__(self, space: QuadratureSpace, weights):
@@ -123,17 +131,31 @@ class SchurSums:
         self._col = np.zeros((len(self._weights), space.n_points))
 
     def add(self, rows, block: np.ndarray) -> np.ndarray:
+        return self._feed(rows, slice(None), block)
+
+    def add_upper(self, start: int, block: np.ndarray) -> np.ndarray:
+        stop = start + block.shape[0]
+        return self._feed(slice(start, stop), slice(start, None), block,
+                          upper=True)
+
+    def _feed(self, rows, cols, block, upper=False) -> np.ndarray:
+        """Row sums of ``block`` = |K|[rows, cols]; the column sums are kept
+        for every column or, for an upper strip, for the columns right of
+        its diagonal block, where they are the rows' sums left of the
+        diagonal."""
         mu = self._mu
+        skip = block.shape[0] if upper else 0
+        kept = slice(rows.stop, None) if upper else slice(None)
         out = np.empty((len(self._weights), block.shape[0]))
         sums = {}
         for k, weight in enumerate(self._weights):
             if weight not in sums:
                 weighted = block if weight is None \
-                    else block * weight.block(rows, slice(None))
-                sums[weight] = weighted @ mu, mu[rows] @ weighted
+                    else block * weight.block(rows, cols)
+                sums[weight] = weighted @ mu[cols], mu[rows] @ weighted[:, skip:]
             row, col = sums[weight]
-            out[k] = row
-            self._col[k] += col
+            out[k] = row + self._col[k, rows] if upper else row
+            self._col[k, kept] += col
         np.maximum(self._row, out.max(axis=1, initial=0.0), out=self._row)
         return out
 

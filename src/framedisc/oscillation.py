@@ -10,8 +10,10 @@ the budget that certifies invertibility of the sampling operator: with
 sigma = max{C_mU |R|, |R| + delta}, the sufficient condition reads
 delta (|R| + sigma) <= 1. Neither osc nor R is stored: the columns of osc
 are formed in blocks from the model's rank-d factors and streamed into the
-Schur sums (``oscillation_norms``), and so are the rows of R
-(``kernel_norms``).
+Schur sums (``oscillation_norms``), and so are the upper-triangle strips
+of R (``kernel_norms``). Both passes form each distinct kernel entry once:
+|R| m is symmetric, and for a Hermitian phase the osc rows of the pairs
+(y, z) and (z, y) have the same moduli.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .coverings import Covering, singleton_covering, uniform_covering, \
     weight_compatibility
 from .errors import CertificationError, StructuralError
-from .kernels import SchurSums, Weight2D, block_rows, row_slices, schur_norms
+from .kernels import SchurSums, Weight2D, block_rows, row_slices
 from .models import FrameModel
 
 
@@ -37,12 +39,16 @@ class PhaseFunction:
     kernel oscillation) and ``kernel`` (Gamma(y, z) = R(z, y)/|R(z, y)|,
     which cancels the kernel's own rotation and typically shrinks the
     oscillation norm); both are read off the model's rank-d factors on
-    demand, R(z, y) being the d-term product A[:, z]^* V[:, y], with no
-    n x n table.
+    demand, with no n x n table. The ``kernel`` rule reads each pair in one
+    orientation: R(z, y) is the d-term product A[:, z]^* V[:, y] for z > y
+    and the conjugate of A[:, y]^* V[:, z] for z < y, so Gamma(z, y) is
+    conj Gamma(y, z) to the bit; both rules are ``hermitian``.
     The ``kernel`` rule is the per-pair L^2-optimal phase: since
     sum_x mu_x conj(R(x, z)) R(x, y) = R(z, y), it minimizes
     sum_x mu_x |R(x, y) - Gamma(y, z) R(x, z)|^2 for every pair. Which phase
     minimizes the oscillation norm itself is open."""
+
+    hermitian = True
 
     def __init__(self, model: FrameModel, rule: str):
         if rule not in ("one", "kernel"):
@@ -56,11 +62,14 @@ class PhaseFunction:
             return np.ones(np.broadcast(y, z).shape, dtype=complex)
         model = self._model
         y, z = np.broadcast_arrays(y, z)
-        r = (model.duals[:, z].conj() * model.vectors[:, y]).sum(axis=0)
+        # R(hi, lo) = A[:, hi]^* V[:, lo], conjugated below where z < y
+        r = (model.duals[:, np.maximum(y, z)].conj()
+             * model.vectors[:, np.minimum(y, z)]).sum(axis=0)
         mag = np.abs(r)
-        big = mag > PHASE_EPS
         # phase one on the diagonal: R(y, y) is a positive quadratic form
-        return np.where(big & (y != z), r / np.where(big, mag, 1.0), 1.0)
+        big = (mag > PHASE_EPS) & (y != z)
+        out = np.where(big, r / np.where(big, mag, 1.0), 1.0)
+        return np.conjugate(out, out=out, where=z < y)
 
 
 def make_phase(model: FrameModel, rule: str) -> PhaseFunction:
@@ -85,45 +94,77 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     rounding of the rank-d rows, and the row R(y, .) - conj Gamma(y, z)
     R(z, .) is (A[:, y] - Gamma(y, z) A[:, z])^* V. The (y, z) pairs of
     the block (``Covering.q_neighborhoods``) are laid out as a table, row
-    k listing Q_y for y = start + k, padded to the longest row by repeating
-    its last point, and each chunk of that table is one (pairs, d) @ (d, n)
-    product. The term z = y is exactly 0 where Gamma(y, y) == 1 and is left
-    out there, unless nothing else is left; an uncovered y gets {y}.
+    k listing Q_y for y = start + k, and each chunk of the table's columns
+    is one (pairs, d) @ (d, n) product whose moduli are maxed along the
+    rows. The term z = y is exactly 0 where Gamma(y, y) == 1 and is not
+    formed; a y with no term left, such as an uncovered one, gets a zero
+    row, and so do the cells past the end of a shorter row.
+
+    For a ``hermitian`` phase the row of (z, y) is -Gamma(y, z) times the
+    row of (y, z), so every pair is formed in the orientation (min, max),
+    and a pair whose mirror lies in the same chunk reuses the mirror's
+    moduli; a phase that is not Hermitian forms every (y, z).
     """
     ys = np.arange(start, stop)
-    drop = gamma(ys, ys) == 1.0
+    n = model.space.n_points
     y_of, zs = cov.q_neighborhoods(start, stop)
-    row = y_of - start
-    keep = (zs != y_of) | ~drop[row]
-    zs, row = zs[keep], row[keep]
-    counts = np.bincount(row, minlength=ys.size)
-    # a row left empty (y uncovered, or Q_y = {y} with z = y dropped) gets {y}
-    empty = np.flatnonzero(counts == 0)
-    zs = np.insert(zs, (np.cumsum(counts) - counts)[empty], ys[empty])
-    counts[empty] = 1
-    last = np.cumsum(counts) - 1
-    zs = zs[np.minimum(last[:, None], last[:, None] - counts[:, None] + 1
-                       + np.arange(counts.max())[None, :])]
-    duals, n = model.duals, model.space.n_points
-    # chunks of the padded axis keep each (b * chunk, n) block in budget
+    keep = (zs != y_of) | (gamma(ys, ys) != 1.0)[y_of - start]
+    y_of, zs = y_of[keep], zs[keep]
+    counts = np.bincount(y_of - start, minlength=ys.size)
+    first = np.cumsum(counts) - counts
+    # chunks of columns keep each (b * chunk, n) block in budget
     chunk = max(1, block_rows(n) // ys.size)
+    pair = np.arange(zs.size)
+    source = pair.copy()
+    lo, hi = y_of, zs
+    if gamma.hermitian:
+        lo, hi = np.minimum(y_of, zs), np.maximum(y_of, zs)
+        col = pair - first[y_of - start]
+        # the mirror (z, y) of a pair with start <= z < y, in the sorted
+        # pair keys y * n + z
+        below = np.flatnonzero((zs < y_of) & (zs >= start))
+        mirror = np.searchsorted(y_of * n + zs, zs[below] * n + y_of[below])
+        near = col[mirror] // chunk == col[below] // chunk
+        source[below[near]] = mirror[near]
+    formed = source == pair
+    steps = np.arange(counts.max(initial=0))
+    table = np.where(steps < counts[:, None], first[:, None] + steps, -1)
+    # slot[p]: the row of pair p among the chunk's moduli; slot[-1] is the
+    # zero row. A reused pair's mirror is formed in its chunk, so every
+    # chunk forms at least one row.
+    slot = np.empty(zs.size + 1, dtype=np.intp)
     out = None
-    for lo in range(0, zs.shape[1], chunk):
-        z = zs[:, lo:lo + chunk]
-        left = duals[:, ys, None] - gamma(ys[:, None], z) * duals[:, z]
-        rows = left.reshape(model.dim, -1).conj().T @ model.vectors
-        part = np.abs(rows).reshape(ys.size, -1, n).max(axis=1)
+    for c0 in range(0, steps.size, chunk):
+        cells = table[:, c0:c0 + chunk]
+        pairs = cells[cells >= 0]
+        made = pairs[formed[pairs]]
+        a, b = lo[made], hi[made]
+        left = model.duals[:, a] - gamma(a, b) * model.duals[:, b]
+        mods = np.empty((made.size + 1, n))
+        np.abs(left.conj().T @ model.vectors, out=mods[:-1])
+        mods[-1] = 0.0
+        slot[made] = np.arange(made.size)
+        slot[pairs] = slot[source[pairs]]
+        slot[-1] = made.size
+        at = slot[cells]
+        if np.array_equal(at.ravel(), np.arange(made.size)):
+            # every cell formed, in table order: no gather
+            part = mods[:-1].reshape(ys.size, -1, n)
+        else:
+            part = mods[at]
+        part = part[:, 0] if part.shape[1] == 1 else part.max(axis=1)
         out = part if out is None else np.maximum(out, part, out=out)
-    return out
+    return np.zeros((ys.size, n)) if out is None else out
 
 
 def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
                       weights, level: float | None = None) -> list | Screened:
     """Schur norms of the oscillation kernel under each of ``weights``.
 
-    One pass over the columns in index order, in blocks of one column,
-    then two, four, ... up to ``block_rows``; each block is summed into
-    ``SchurSums`` and dropped. With ``level``, the scan returns
+    One pass over the columns in index order, in blocks of ``block_rows``
+    columns; each block is summed into ``SchurSums`` and dropped. With
+    ``level`` the blocks are one column, then two, four, ... up to
+    ``block_rows``, and the scan returns
     ``Screened`` at the first column whose weighted Schur sum under
     ``weights[0]`` reaches ``level``: the norm is at least that sum, so the
     columns left cannot bring it below ``level``. Those sums are the floats
@@ -135,7 +176,7 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     n = model.space.n_points
     sums = SchurSums(model.space, weights)
     cap = block_rows(n)
-    start, size = 0, 1
+    start, size = 0, cap if level is None else 1
     while start < n:
         stop = min(n, start + size)
         col_sums = sums.add(slice(start, stop), _osc_rows(model, cov, gamma, start, stop))
@@ -218,11 +259,15 @@ def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
 
 
 def kernel_norms(model: FrameModel, weights) -> list:
-    """Schur norms of R under each of ``weights``, from one pass over |R|
-    in row blocks formed from the model's factors."""
-    blocks = ((rows, np.abs(model.kernel_rows(rows)))
-              for rows in row_slices(model.space.n_points))
-    return schur_norms(model.space, blocks, weights)
+    """Schur norms of R under each of ``weights``, from one pass over the
+    upper triangle of |R| in strips |R|[a:b, a:] formed from the model's
+    factors (``SchurSums.add_upper``): |R| m is symmetric, R = V^* S^-1 V
+    being Hermitian and m symmetric, so R(x, y) is read for x <= y only."""
+    sums = SchurSums(model.space, weights)
+    for rows in row_slices(model.space.n_points):
+        sums.add_upper(rows.start, np.abs(
+            model.duals[:, rows].conj().T @ model.vectors[:, rows.start:]))
+    return sums.norms()
 
 
 def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,

@@ -9,10 +9,10 @@ dense derived kernels (``oscillation_kernel``, ``sampled_row_kernel``) and
 the exact streamed reproducing defect (``reproducing_defect_streamed``) are
 the vectorized forms the tests check against those loops and against the
 package's streamed Schur sums, rank-d rows and rank-d majorants; only tests
-use them, so the package does not carry them. ``q_table_loop`` and
-``osc_rows_loop`` keep the per-column loop that the osc rows were once built
-with, reading Q_y off ``q_neighborhoods_naive``; the rows built from
-``Covering.q_neighborhoods`` must equal it.
+use them, so the package does not carry them. ``osc_rows_loop`` lists the
+(y, z) pairs of a block one column at a time, reading Q_y off
+``q_neighborhoods_naive``, and forms every pair without reusing mirrors;
+the rows built from ``Covering.q_neighborhoods`` must equal it.
 
 The theory layer the tests measure with (measures, ``check_kernel`` and
 the dense ``schur_norm``, sequence and decomposition norms, covering
@@ -99,41 +99,31 @@ def oscillation_kernel(model, cov, gamma):
     return out
 
 
-def q_table_loop(cov, ys, drop):
-    """The padded (y, z) table of ``oscillation._osc_rows``, one column at a
-    time from ``q_neighborhoods_naive``: Q_y without y where ``drop`` holds,
-    {y} when that leaves nothing, each row padded by repeating its last
-    point."""
-    q_of = q_neighborhoods_naive(cov.sets, cov.space.n_points)
-    qs = []
-    for y, skip in zip(ys, drop):
-        q = np.array(sorted(q_of[y] - {y} if skip else q_of[y]), dtype=int)
-        qs.append(q if q.size else np.array([y]))    # the zero term alone
-    sizes = np.array([q.size for q in qs])
-    width = int(sizes.max())
-    last = np.cumsum(sizes) - 1
-    return np.concatenate(qs)[np.minimum(last[:, None],
-                                         last[:, None] - sizes[:, None] + 1
-                                         + np.arange(width)[None, :])]
-
-
 def osc_rows_loop(model, cov, gamma, start, stop):
-    """Columns ``start:stop`` of the oscillation kernel as rows of osc^T,
-    from ``q_table_loop`` and the same chunked rank-d products as
-    ``oscillation._osc_rows``."""
-    from framedisc.kernels import block_rows
-
-    ys = np.arange(start, stop)
-    zs = q_table_loop(cov, ys, gamma(ys, ys) == 1.0)
-    duals, n = model.duals, model.space.n_points
-    chunk = max(1, block_rows(n) // ys.size)
-    out = None
-    for lo in range(0, zs.shape[1], chunk):
-        z = zs[:, lo:lo + chunk]
-        left = duals[:, ys, None] - gamma(ys[:, None], z) * duals[:, z]
-        rows = left.reshape(model.dim, -1).conj().T @ model.vectors
-        part = np.abs(rows).reshape(ys.size, -1, n).max(axis=1)
-        out = part if out is None else np.maximum(out, part, out=out)
+    """Columns ``start:stop`` of the oscillation kernel as rows of osc^T, the
+    pairs listed one column at a time from ``q_neighborhoods_naive``: the
+    term z = y is left out where Gamma(y, y) == 1 (it is exactly 0), a
+    column with no term left is 0, and for a Hermitian phase every pair
+    (y, z) is formed in the orientation (min, max), whose row has the same
+    moduli. Every pair, mirrored ones twice, is a row of one rank-d
+    product, and each column is the running maximum of its rows."""
+    n = model.space.n_points
+    q_of = q_neighborhoods_naive(cov.sets, n)
+    ys, pairs = [], []
+    for y in range(start, stop):
+        for z in sorted(q_of[y]):
+            if z == y and gamma(y, y) == 1.0:
+                continue
+            ys.append(y)
+            pairs.append((min(y, z), max(y, z)) if gamma.hermitian else (y, z))
+    out = np.zeros((stop - start, n))
+    if not pairs:
+        return out
+    a, b = np.array(pairs).T
+    left = model.duals[:, a] - gamma(a, b) * model.duals[:, b]
+    rows = np.abs(left.conj().T @ model.vectors)
+    for y, row in zip(ys, rows):
+        np.maximum(out[y - start], row, out=out[y - start])
     return out
 
 
@@ -252,14 +242,17 @@ def q_neighborhoods_naive(sets, n_points):
 
 def phase_table_naive(kernel, rule):
     """Gamma(y, z) for every pair: 1 for rule "one"; for rule "kernel" the
-    phase of R(z, y), or 1 where |R(z, y)| <= 1e-12 and on the diagonal."""
+    phase of R(z, y), or 1 where |R(z, y)| <= 1e-12 and on the diagonal.
+    R(z, y) is read as the rule reads it: ``kernel[z][y]`` for z > y and
+    the conjugate of ``kernel[y][z]`` for z < y."""
     n = kernel.shape[0]
     out = np.ones((n, n), dtype=complex)
     if rule == "one":
         return out
     for y in range(n):
         for z in range(n):
-            value = complex(kernel[z][y])
+            value = complex(kernel[z][y]) if z > y \
+                else complex(kernel[y][z]).conjugate()
             if z != y and abs(value) > 1e-12:
                 out[y][z] = value / abs(value)
     return out

@@ -274,6 +274,49 @@ class TestDiscretize:
         assert main(["discretize", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+class TestNumericKeys:
+    """Seeds are nonnegative, and an integer key takes an integral number
+    (3.0 included) but neither a fraction nor a boolean; a refusal is a
+    config error, exit 2."""
+
+    def osc_from_json(self, tmp_path, **keys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model-kind": "gabor", "n-time": 3,
+                                   "n-freq": 8, "window-width": 2.0,
+                                   "covering-width": "singleton", **keys}))
+        out = tmp_path / "r.json"
+        code = main(["osc", "--config", str(cfg), "--output", str(out)])
+        return code, json.loads(out.read_text()) if out.exists() else None
+
+    @pytest.mark.parametrize("flag", ["seed", "model-seed"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, flag):
+        if flag == "seed":
+            code, doc = run(tmp_path, "discretize", n_time=4, n_freq=61,
+                            window_width=2.0, covering_width="singleton",
+                            seed=-1)
+        else:
+            code, doc = run(tmp_path, "discretize", model_kind="random-smooth",
+                            dim=3, n_points=24, covering_width="singleton",
+                            model_seed=-3)
+        assert code == EXIT_CONFIG and doc is None
+
+    @pytest.mark.parametrize("key", ["seed", "model-seed"])
+    def test_negative_seed_json_is_config_error(self, tmp_path, key):
+        assert self.osc_from_json(tmp_path, **{key: -2}) == (EXIT_CONFIG, None)
+
+    @pytest.mark.parametrize("key,value", [("n-time", 4.7), ("n-time", True),
+                                           ("n-trials", 2.9), ("n-freq", False),
+                                           ("delta", True), ("seed", 1.5)])
+    def test_fraction_or_boolean_is_config_error(self, tmp_path, key, value):
+        assert self.osc_from_json(tmp_path, **{key: value}) == (EXIT_CONFIG, None)
+
+    def test_integral_float_accepted(self, tmp_path):
+        code, doc = self.osc_from_json(tmp_path, **{"n-time": 3.0,
+                                                    "n-trials": 2.0})
+        assert code == EXIT_OK
+        assert doc["n_sets"] == 3 * 8
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         opts = dict(model_kind="random-smooth", dim=3, n_points=96,

@@ -91,6 +91,30 @@ class TestStreamedSchurSums:
             assert got[0, i] == pytest.approx(plain, rel=1e-14)
             assert got[1, i] == pytest.approx(weighted, rel=1e-14)
 
+    def test_upper_strips_of_a_symmetric_kernel(self, rng):
+        """Strips |K|[a:b, a:] of a symmetric kernel, of uneven heights, give
+        the norms of the whole kernel under two weights and the unit one,
+        and each strip's row sums are the full row sums of its rows."""
+        n = 11
+        space = uniform_grid(n, weights=rng.uniform(0.5, 2.0, n))
+        k = random_kernel(rng, n)
+        k = np.abs(k + k.conj().T)
+        weights = [None, Weight2D(space, random_pointwise_weight(rng, n)),
+                   Weight2D(space, random_pointwise_weight(rng, n), ref_index=4)]
+        sums = SchurSums(space, weights)
+        for a, b in ((0, 2), (2, 3), (3, 7), (7, n)):
+            got = sums.add_upper(a, k[a:b, a:])
+            assert got.shape == (3, b - a)
+            for value, weight in zip(got, weights):
+                m = np.ones((n, n)) if weight is None \
+                    else weight_matrix_naive(weight.w)
+                want = (k[a:b] * m[a:b]) @ space.weights
+                assert np.allclose(value, want, rtol=1e-14, atol=0.0)
+        for value, weight in zip(sums.norms(), weights):
+            m = None if weight is None else weight_matrix_naive(weight.w)
+            assert value == pytest.approx(
+                schur_norm_naive(space.weights, k, m), rel=1e-13)
+
     def test_weight_on_another_space_rejected(self, small_space):
         other = uniform_grid(3)
         with pytest.raises(StructuralError):

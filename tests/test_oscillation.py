@@ -150,6 +150,94 @@ class TestOscRows:
             assert np.max(np.abs(got - want[start:stop])) <= tol
 
 
+def count_product_rows(model):
+    """Replace ``model.vectors`` by a view that records the row count of
+    every left factor multiplied into it: the osc rows formed."""
+    counts = []
+
+    class Counting(np.ndarray):
+        def __rmatmul__(self, other):
+            counts.append(other.shape[0])
+            return np.asarray(other) @ self.view(np.ndarray)
+
+    model.vectors = model.vectors.view(Counting)
+    return counts
+
+
+class TestMirroredPairs:
+    """A Hermitian phase forms each mirrored pair of a chunk once, and the
+    exact-zero z = y terms not at all."""
+
+    @pytest.mark.parametrize("rule", ["one", "kernel"])
+    def test_two_point_boxes_form_half_the_rows(self, monkeypatch, rule):
+        """On a partition into 1 x 2 boxes every Q_y \\ {y} is the one mirror
+        of a pair: one block forms n/2 rows, and a scan in blocks of 64
+        rows forms at most one more per block (a box cut by a block
+        boundary). The rows are the ones the oracle forms twice."""
+        model = build_gabor_model(4, 60, 2.0)
+        n = model.space.n_points
+        cov = Covering(model.space, tuple(np.arange(y, y + 2)
+                                          for y in range(0, n, 2)))
+        gamma = make_phase(model, rule)
+        want = osc_rows_loop(model, cov, gamma, 0, n)
+        rows = count_product_rows(model)
+        got = oscillation_module._osc_rows(model, cov, gamma, 0, n)
+        assert rows == [n // 2]
+        assert np.array_equal(got, want)
+        rows.clear()
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 64 * 16 * n)
+        oscillation_norms(model, cov, gamma, [unit_weight(model.space)])
+        assert len(rows) == -(-n // 64)
+        assert sum(rows) <= n // 2 + len(rows)
+
+    @pytest.mark.parametrize("rule", ["one", "kernel"])
+    def test_singleton_covering_forms_no_product(self, rule):
+        model = build_gabor_model(4, 30, 2.0)
+        cov = singleton_covering(model.space)
+        gamma = make_phase(model, rule)
+        rows = count_product_rows(model)
+        w = unit_weight(model.space)
+        assert oscillation_norms(model, cov, gamma, [w, w]) == [0.0, 0.0]
+        assert rows == []
+
+    def test_refine_singleton_round_forms_no_product(self):
+        """The all-singleton round that ends a search forms no osc
+        product: a 6 x 81 search at delta 0.2 forms one product for the
+        screened column 0 of each of its three box rounds, and then only
+        the one strip of R for the report."""
+        model = build_gabor_model(6, 81, 2.45)
+        n = model.space.n_points
+        rows = count_product_rows(model)
+        cov, rep = refine_until(model, unit_weight(model.space), 0.2)
+        assert cov.n_sets == n and rep.osc_norm == 0.0
+        assert len(rows) == 4 and all(r < n for r in rows[:3])
+        assert rows[3] == n
+
+    @pytest.mark.parametrize("covering", ["intervals", "boxes"])
+    def test_non_hermitian_table_keeps_every_orientation(self, covering):
+        """A random table is not Hermitian: its rows are formed as (y, z)
+        for every pair and match the triple loop."""
+        model, cov, weight, gamma, osc = streamed_setup(covering, "unit",
+                                                        "table")
+        assert gamma.hermitian is False
+        n = model.space.n_points
+        got = oscillation_module._osc_rows(model, cov, gamma, 0, n)
+        tol = 8 * model.dim * np.finfo(float).eps \
+            * np.max(np.abs(dense_kernel(model)))
+        assert np.max(np.abs(got - osc.T)) <= tol
+
+    def test_hermitian_table_takes_the_mirrored_path(self):
+        """The kernel rule written out as a table is Hermitian to the bit,
+        so a table phase built from it forms the rows the rule forms."""
+        model, cov, gamma = q_table_setup("intervals", "kernel")
+        n = model.space.n_points
+        table = TablePhase(model.space, full_table(gamma))
+        assert table.hermitian is True
+        assert np.array_equal(
+            oscillation_module._osc_rows(model, cov, table, 0, n),
+            oscillation_module._osc_rows(model, cov, gamma, 0, n))
+
+
 def q_table_setup(covering, phase):
     """A smooth model on 24 points with one of four coverings and a phase.
 
@@ -227,7 +315,8 @@ class TestStreamedNorms:
                                  budget):
         """The norms of osc and R under the weight and its m_v, from one
         streamed pass each, match the triple-loop kernel's naive Schur norms.
-        A two-row block budget also splits each padded Q_y into chunks."""
+        A two-row block budget also splits each block's table of Q_y into
+        column chunks."""
         model, cov, weight, gamma, osc = streamed_setup(covering, weight_rule,
                                                         phase)
         if budget == "two rows":
@@ -246,6 +335,61 @@ class TestStreamedNorms:
         rep = oscillation_report(model, cov, gamma, weight, 0.5)
         assert [rep.osc_norm, rep.osc_norm_v] == got_osc
         assert [rep.r_norm, rep.r_norm_v] == got_r
+
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    def test_r_norms_from_upper_strips(self, monkeypatch, weight_rule):
+        """Under a budget of 30 rows the norms of R come from at least three
+        strips |R|[a:b, a:] of the upper triangle and match the dense
+        kernel's naive Schur norms."""
+        model = build_gabor_model(6, 16, 2.45)
+        space = model.space
+        n = space.n_points
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 30 * 16 * n)
+        w = np.ones(n) if weight_rule == "unit" \
+            else np.exp(0.3 * np.linalg.norm(space.points, axis=1))
+        weight = Weight2D(space, w, ref_index=5)
+        weights = (weight, v_weight(weight))
+        strips = []
+        add_upper = kernels_module.SchurSums.add_upper
+
+        def recorded(self, start, block):
+            strips.append((start, block.shape))
+            return add_upper(self, start, block)
+
+        monkeypatch.setattr(kernels_module.SchurSums, "add_upper", recorded)
+        got = kernel_norms(model, weights)
+        assert len(strips) >= 3
+        assert strips == [(a, (min(n, a + 30) - a, n - a))
+                          for a in range(0, n, 30)]
+        for value, wt in zip(got, weights):
+            assert value == pytest.approx(
+                schur_norm_naive(space.weights, dense_kernel(model),
+                                 weight_matrix_naive(wt.w)), rel=1e-13)
+
+    def test_unscreened_scan_takes_full_blocks(self, monkeypatch):
+        """Without a level the scan's blocks are ``block_rows`` columns from
+        the start; a screened scan doubles up to that size."""
+        model = build_gabor_model(6, 41, 2.45)
+        n = model.space.n_points
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 50 * 16 * n)
+        cov = uniform_covering(model.space, (1.0, 2 * 6 / 41))
+        gamma = make_phase(model, "kernel")
+        calls = []
+        osc_rows = oscillation_module._osc_rows
+
+        def counting(model, cov, gamma, start, stop):
+            calls.append((start, stop))
+            return osc_rows(model, cov, gamma, start, stop)
+
+        monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
+        weights = [unit_weight(model.space)]
+        full = oscillation_norms(model, cov, gamma, weights)
+        assert calls == [(a, min(n, a + 50)) for a in range(0, n, 50)]
+        calls.clear()
+        screened = oscillation_norms(model, cov, gamma, weights, level=np.inf)
+        assert calls[:7] == [(0, 1), (1, 3), (3, 7), (7, 15), (15, 31),
+                             (31, 63), (63, 113)]
+        assert screened == pytest.approx(full, rel=1e-14)
 
     def test_v_weight_equal_to_weight_is_shared(self, monkeypatch):
         """An exp weight is one at the origin, point 0, and grows from it, so
@@ -350,11 +494,25 @@ class TestPhaseFunctions:
         assert gamma.rule == rule
 
     @pytest.mark.parametrize("rule", ["one", "kernel"])
+    @pytest.mark.parametrize("build", [
+        lambda: build_gabor_model(6, 41, 2.45),
+        lambda: build_random_smooth_model(d=4, n_points=30, smoothness=1.2,
+                                          seed=5)], ids=["gabor", "smooth"])
+    def test_mirrored_pairs_conjugate_exactly(self, build, rule):
+        """gamma(z, y) == conj gamma(y, z) to the bit, at every pair."""
+        gamma = make_phase(build(), rule)
+        table = full_table(gamma)
+        assert gamma.hermitian is True
+        assert np.array_equal(table, table.conj().T)
+
+    @pytest.mark.parametrize("rule", ["one", "kernel"])
     def test_rows_match_oracle(self, rule):
         """Gamma(y, zs) for one y at a time matches the loop oracle, on a
         kernel with exact zeros (orthonormal model) and one without. The
         oracle reads the same rank-d entries A[:, z]^* V[:, y] the rule
-        reads, not the symmetrized dense kernel."""
+        reads, in the same orientation (the (z, y) entry for z > y, else
+        the conjugate of the (y, z) entry), not the symmetrized dense
+        kernel."""
         orthonormal = build_orthonormal_model(5)
         assert np.any(rank_d_entries(orthonormal) == 0.0)
         for model in (orthonormal,

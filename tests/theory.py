@@ -132,7 +132,8 @@ def random_range_function(model: FrameModel, rng: np.random.Generator) -> np.nda
 class TablePhase:
     """A unimodular phase given as a full n x n table, called like
     ``oscillation.PhaseFunction``: ``gamma(y, z)`` reads the table at index
-    arrays broadcast together, and ``rule`` names it in reports."""
+    arrays broadcast together, ``rule`` names it in reports, and
+    ``hermitian`` says whether the table equals its conjugate transpose."""
 
     rule = "table"
 
@@ -146,6 +147,7 @@ class TablePhase:
             raise StructuralError("phase values must have modulus one")
         tab.setflags(write=False)
         self.space = space
+        self.hermitian = bool(np.array_equal(tab, tab.conj().T))
         self._table = tab
 
     def __call__(self, y, z) -> np.ndarray:
