@@ -195,6 +195,11 @@ class Covering:
 
     def identifier(self) -> str:
         """Deterministic content hash used in reports."""
+        return self._identifier
+
+    @cached_property
+    def _identifier(self) -> str:
+        # hashed once per covering: the JSON dump of every set dominates
         payload = json.dumps([s.tolist() for s in self.sets]).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 

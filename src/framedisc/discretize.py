@@ -21,9 +21,9 @@ import numpy as np
 
 from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import Weight2D, block_rows, row_slices, schur_norms
+from .kernels import Weight2D, row_slices, schur_norms
 from .models import FrameModel, random_vectors
-from .oscillation import OscReport
+from .oscillation import OscReport, kernel_norms
 from .spaces import WeightedLp, local_integrability_constant, pileup, \
     sup_infinity_space
 
@@ -490,28 +490,27 @@ def _sampled_row_blocks(model: FrameModel, plan: SamplingPlan):
 
 
 def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
-                          weight: Weight2D) -> float:
+                          weight: Weight2D, report: OscReport | None = None
+                          ) -> float:
     """Schur norm of the sampled-row kernel K(x, y) = sum_i |R(x_i, y)|
     chi_{U_i}(x) under ``weight``.
 
-    Under a trivial weight only the ``n_sets`` sample rows of R are formed:
-    the row sum at x is sum_{i : x in U_i} rho_i with rho_i = sum_y mu_y
-    |R(x_i, y)|, and the column sum at y is sum_i mu(U_i) |R(x_i, y)|.
-    Otherwise m(x, y) ties every point of U_i to y, and K is streamed in row
-    blocks (``_sampled_row_blocks``).
+    Under a trivial weight it is the last norm of an R pass with the plan's
+    samples (``oscillation.kernel_norms``), read off the unit-weight |R|
+    row sums at the samples and |R| c, with no sample row of R formed; a
+    ``report`` made for this plan (same covering, same samples) carries
+    it as ``d_const``, and then no pass runs. Otherwise m(x, y) ties every
+    point of U_i to y, and K is streamed in row blocks
+    (``_sampled_row_blocks``).
     """
     if not weight.trivial:
         return schur_norms(model.space, _sampled_row_blocks(model, plan),
                            [weight])[0]
-    cov = plan.covering
-    mu = model.space.weights
-    rho = np.empty(cov.n_sets)
-    col = np.zeros(model.space.n_points)
-    for sets in row_slices(cov.n_sets, block_rows(model.space.n_points)):
-        rows = np.abs(model.kernel_rows(plan.samples[sets]))
-        rho[sets] = rows @ mu
-        col += cov.measures[sets] @ rows
-    return float(max(cov.point_sums(rho).max(), col.max()))
+    if report is not None and report.d_samples is not None \
+            and report.covering_id == plan.covering.identifier() \
+            and np.array_equal(report.d_samples, plan.samples):
+        return report.d_const
+    return kernel_norms(model, (), plan.covering, plan.samples)[-1]
 
 
 def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -524,19 +523,20 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     norms of osc and R give the range-sup constant. Each block computes a
     kernel-derived constant and the worst observed ratio over random
     trials; ``violations`` counts ratios exceeding their constant beyond
-    ``slack``. The sampled-row constant D comes from the ``n_sets`` sample
-    rows of R alone under a trivial weight, and from a streamed pass over
-    the sampled-row kernel otherwise (``_sampled_row_constant``). The
-    trials run as blocks, one column each; the kernel applied to a measure
-    sum_k lambda_k delta_{y_k} is formed as V* S^{-1} sum_k lambda_k
-    psi_{y_k}.
+    ``slack``. Under a trivial weight the sampled-row constant D is the
+    report's ``d_const`` when the report was made for this plan, so no
+    second pass over R runs; any other plan gets an R pass with its own
+    samples, and a non-trivial weight a streamed pass over the sampled-row
+    kernel (``_sampled_row_constant``). The trials run as blocks, one
+    column each; the kernel applied to a measure sum_k lambda_k
+    delta_{y_k} is formed as V* S^{-1} sum_k lambda_k psi_{y_k}.
     """
     rng = np.random.default_rng(seed)
     space = model.space
     cov = plan.covering
     violations = 0
 
-    d_const = _sampled_row_constant(model, plan, weight)
+    d_const = _sampled_row_constant(model, plan, weight, report)
     sigma = report.sigma
     meas_const = report.osc_norm + report.r_norm
     sup_space = sup_infinity_space(Y, weight)

@@ -18,9 +18,10 @@ non-trivial weight, the sampled-row kernel are produced block by block
 from a model's rank-d factors straight into it; no dense kernel is
 accepted. |R| m is symmetric, so R goes in as strips of its upper
 triangle (``SchurSums.add_upper``) and each entry is formed once. Two
-kernels need no such pass: under a trivial weight the sampled-row constant
-is read off the sample rows of R (``discretize.verify_sampled_bounds``),
-and the reproducing defect is bounded through its d x d core
+kernels need no pass of their own: under a trivial weight the sampled-row
+constant is read off the R pass, from its unit-weight row sums at the
+sample points and |R| c (``oscillation.kernel_norms``), and the
+reproducing defect is bounded through its d x d core
 (``pipeline.reproducing_defect``).
 """
 

@@ -13,12 +13,13 @@ are formed in blocks from the model's rank-d factors and streamed into the
 Schur sums (``oscillation_norms``), and so are the upper-triangle strips
 of R (``kernel_norms``). Both passes form each distinct kernel entry once:
 |R| m is symmetric, and for a Hermitian phase the osc rows of the pairs
-(y, z) and (z, y) have the same moduli.
+(y, z) and (z, y) have the same moduli. Under a trivial weight, given a
+plan's samples, the R pass also yields the plan's sampled-row constant D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -215,6 +216,9 @@ class OscReport:
 
     ``osc_norm_v`` and ``r_norm_v`` are the norms of osc and R under m_v
     (``v_weight``), taken in the same passes; they are not serialized.
+    Neither is ``d_const``: under a trivial weight and given a plan's
+    sample indices ``d_samples``, the sampled-row constant D of that plan,
+    read off the same R pass (``kernel_norms``); otherwise None.
     """
 
     osc_norm: float
@@ -231,6 +235,8 @@ class OscReport:
     gamma_rule: str
     overlap_bound: int
     n_sets: int
+    d_const: float | None = None
+    d_samples: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -250,24 +256,61 @@ class OscReport:
 
 
 def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       weight: Weight2D, delta: float) -> OscReport:
-    """Evaluate the oscillation budget; reports, never raises on failure."""
+                       weight: Weight2D, delta: float,
+                       samples=None) -> OscReport:
+    """Evaluate the oscillation budget; reports, never raises on failure.
+
+    With ``samples``, one sample index per set of ``cov`` (a plan's
+    ``samples``), a trivial weight's R pass also yields that plan's
+    sampled-row constant D, which the report carries as ``d_const``; a
+    non-trivial weight ignores them, as its D needs m on every pair.
+    """
     weights = (weight, v_weight(weight))
-    return _report(model, cov, gamma, weight, delta,
-                   oscillation_norms(model, cov, gamma, weights),
-                   kernel_norms(model, weights))
+    osc_norms = oscillation_norms(model, cov, gamma, weights)
+    if samples is None or not weight.trivial:
+        return _report(model, cov, gamma, weight, delta, osc_norms,
+                       kernel_norms(model, weights))
+    samples = np.array(samples, dtype=int)
+    samples.setflags(write=False)
+    *r_norms, d_const = kernel_norms(model, weights, cov, samples)
+    return replace(_report(model, cov, gamma, weight, delta, osc_norms, r_norms),
+                   d_const=d_const, d_samples=samples)
 
 
-def kernel_norms(model: FrameModel, weights) -> list:
+def kernel_norms(model: FrameModel, weights, cov: Covering | None = None,
+                 samples=None) -> list:
     """Schur norms of R under each of ``weights``, from one pass over the
     upper triangle of |R| in strips |R|[a:b, a:] formed from the model's
     factors (``SchurSums.add_upper``): |R| m is symmetric, R = V^* S^-1 V
-    being Hermitian and m symmetric, so R(x, y) is read for x <= y only."""
-    sums = SchurSums(model.space, weights)
-    for rows in row_slices(model.space.n_points):
-        sums.add_upper(rows.start, np.abs(
-            model.duals[:, rows].conj().T @ model.vectors[:, rows.start:]))
-    return sums.norms()
+    being Hermitian and m symmetric, so R(x, y) is read for x <= y only.
+
+    Given a covering and one sample index x_i per set, the list ends with
+    one more norm: the unit-weight Schur norm D of the sampled-row kernel
+    K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x). Its row sum at x is the sum
+    of rho_i = sum_y mu_y |R(x_i, y)| over the sets holding x, and rho_i is
+    the unit-weight |R| row sum the pass returns at x_i. Its column sums
+    are |R| c, c = sum_i mu(U_i) delta_{x_i}: a strip adds strip @ c[a:] to
+    its rows and, mirrored, c[a:b] @ strip[:, b - a:] to the rows right of
+    its diagonal block, two products per strip and no sample row of R.
+    """
+    n = model.space.n_points
+    sampled = samples is not None
+    sums = SchurSums(model.space, list(weights) + ([None] if sampled else []))
+    if sampled:
+        c = np.bincount(samples, cov.measures, minlength=n)
+        rho, col = np.empty(n), np.zeros(n)
+    for rows in row_slices(n):
+        strip = np.abs(model.duals[:, rows].conj().T
+                       @ model.vectors[:, rows.start:])
+        row_sums = sums.add_upper(rows.start, strip)
+        if sampled:
+            rho[rows] = row_sums[-1]
+            col[rows] += strip @ c[rows.start:]
+            col[rows.stop:] += c[rows] @ strip[:, rows.stop - rows.start:]
+    norms = sums.norms()
+    if sampled:
+        norms[-1] = float(max(cov.point_sums(rho[samples]).max(), col.max()))
+    return norms
 
 
 def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,

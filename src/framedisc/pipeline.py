@@ -206,19 +206,21 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
     """Full pipeline: covering -> oscillation budget -> inversion -> residuals.
 
     With ``covering=None`` the covering is refined until the budget and the
-    invertibility condition hold. Raises CertificationError when Neumann
-    inversion is requested without a usable certificate.
+    invertibility condition hold. A given covering's plan is built before
+    its oscillation report, whose R pass then also gives the plan's
+    sampled-row constant under a trivial weight. Raises CertificationError
+    when Neumann inversion is requested without a usable certificate.
     """
+    report = None
     if covering is None:
         covering, report = refine_until(model, weight, delta,
                                         gamma_rule=gamma_rule,
                                         max_rounds=refine_max_rounds)
-    else:
-        gamma = make_phase(model, gamma_rule)
-        report = oscillation_report(model, covering, gamma, weight, delta)
+    plan = select_samples(covering, build_pou(covering, pou_kind), sampling_rule)
+    if report is None:
+        report = oscillation_report(model, covering, make_phase(model, gamma_rule),
+                                    weight, delta, samples=plan.samples)
 
-    pou = build_pou(covering, pou_kind)
-    plan = select_samples(covering, pou, sampling_rule)
     nominal, sharp = contraction_bounds(report)
     observed = observed_contraction(model, plan, Y, seed=seed)
 

@@ -360,3 +360,28 @@ def test_json_round_trip(rng, grid64):
     back = covering_from_json(grid64, covering_to_json(cov))
     assert all(np.array_equal(a, b) for a, b in zip(back.sets, cov.sets))
     assert back.identifier() == cov.identifier()
+
+
+def test_identifier_hashed_once(grid64, monkeypatch):
+    """A covering's identifier keeps its digest (pinned from the code that
+    hashed on every call) and is hashed once per covering, also when a
+    plan's identifier reads it."""
+    import framedisc.coverings as coverings_module
+    from framedisc import select_samples
+
+    hashed = []
+    sha256 = coverings_module.hashlib.sha256
+
+    def counted(payload):
+        hashed.append(payload)
+        return sha256(payload)
+
+    monkeypatch.setattr(coverings_module.hashlib, "sha256", counted)
+    cov = Covering(grid64, (np.arange(0, 40), np.arange(30, 64), np.array([5, 3, 3])))
+    boxes = uniform_covering(grid64, 4.0)
+    plan = select_samples(boxes, build_pou(boxes))
+    for _ in range(3):
+        assert cov.identifier() == "c533ecd0e964"
+        assert boxes.identifier() == "6616088e25fe"
+        assert plan.identifier().startswith("6616088e25fe-")
+    assert len(hashed) == 2

@@ -17,8 +17,8 @@ from framedisc import CertificationError, Covering, SamplingInverse, \
     oscillation_report, reconstruct_from_samples, select_samples, \
     singleton_covering, synthesize_plan, uniform_covering, \
     verify_sampled_bounds
-from framedisc.models import build_gabor_model, build_orthonormal_model, \
-    build_random_smooth_model
+from framedisc.models import FrameModel, build_gabor_model, \
+    build_orthonormal_model, build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
     residual_suite, run_discretization
 
@@ -561,60 +561,129 @@ class TestStreamedBounds:
             * local_integrability_constant(cov, Y, weight)
         assert bounds.range_sup_constant == pytest.approx(range_sup, rel=1e-13)
 
-    @pytest.mark.parametrize("covering",
-                             ["intervals", "uniform", "singletons", "uncovered"])
+    @pytest.mark.parametrize("covering", ["intervals", "uniform", "singletons",
+                                          "uncovered", "shared"])
     def test_unit_weight_constant_from_sample_rows(self, covering, monkeypatch):
-        """Under the unit weight the sampled-row constant, formed from the
-        n_sets sample rows of R in blocks of three sets, matches the naive
-        Schur norm of the dense sampled-row kernel. A covering may leave
-        points in no set (no partition of unity, hence no plan, admits
-        them), so that case passes a bare covering and samples."""
+        """Under the unit weight the sampled-row constant, read off an R pass
+        (the |R| row sums at the samples and |R| c) in eight strips of three
+        rows, matches the naive Schur norm of the dense sampled-row kernel,
+        both from a direct call and as the ``d_const`` of an oscillation
+        report made with the plan's samples. A covering may leave points in
+        no set (no partition of unity, hence no plan, admits them), so that
+        case passes a bare covering and samples. Where two sets share a
+        sample point, c = sum_i mu(U_i) delta_{x_i} adds both measures."""
         model = build_random_smooth_model(3, 24, 3.0, seed=2)
         space = model.space
         n = space.n_points
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 3 * 16 * n)
+        assert len(kernels_module.row_slices(n)) >= 3
         rng = np.random.default_rng(7)
         if covering == "uncovered":
             cov = Covering(space, (np.arange(2, 9), np.arange(6, 15),
                                    np.arange(20, 23)))
             plan = SimpleNamespace(covering=cov, samples=np.array([4, 6, 22]))
+        elif covering == "shared":
+            cov = Covering(space, (np.arange(0, 8), np.arange(5, 14),
+                                   np.arange(14, n)))
+            pou = build_pou(cov)
+            plan = discretize_module.SamplingPlan(cov, pou, np.array([6, 6, 20]),
+                                                  pou.masses)
         else:
             cov = {"intervals": lambda: random_interval_covering(rng, space, 5),
                    "uniform": lambda: uniform_covering(space, 3.0 / n),
                    "singletons": lambda: singleton_covering(space)}[covering]()
             plan = select_samples(cov, build_pou(cov))
         weight = WeightedLp.lebesgue(space, 2.0).weight2d()
+        want = schur_norm_naive(space.weights, sampled_row_kernel(model, plan))
         got = discretize_module._sampled_row_constant(model, plan, weight)
-        assert got == pytest.approx(
-            schur_norm_naive(space.weights, sampled_row_kernel(model, plan)),
-            rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13)
+        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+                                    weight, 0.25, samples=plan.samples)
+        assert report.d_const == pytest.approx(want, rel=1e-13)
+        assert np.array_equal(report.d_samples, plan.samples)
+
+    def test_report_constant_only_for_its_own_plan(self):
+        """A unit-weight report made for plan A and handed in with plan B,
+        on the same covering with other samples or on another covering,
+        gives plan B's sampled-row constant; with plan A it gives A's."""
+        model, Y, weight, cov, gamma, _, plan_a = make_setup()
+        space = model.space
+        report = oscillation_report(model, cov, gamma, weight, 0.25,
+                                    samples=plan_a.samples)
+        other = np.array([idx[-1] for idx in cov.sets])
+        plan_b = discretize_module.SamplingPlan(cov, plan_a.pou, other,
+                                                plan_a.masses)
+        cov_c = uniform_covering(space, 3.0 / space.n_points)
+        plan_c = select_samples(cov_c, build_pou(cov_c))
+        for plan in (plan_a, plan_b, plan_c):
+            want = schur_norm_naive(space.weights,
+                                    sampled_row_kernel(model, plan))
+            got = verify_sampled_bounds(model, plan, Y, weight, report,
+                                        n_trials=3).sampled_flat_constant
+            assert got == pytest.approx(want, rel=1e-13)
+        assert report.d_const != pytest.approx(
+            schur_norm_naive(space.weights, sampled_row_kernel(model, plan_b)),
+            rel=1e-6)
+
+    def test_weighted_report_carries_no_constant(self):
+        """Under a non-trivial weight the samples are ignored: its D needs
+        m on every pair, so the report carries none."""
+        model, _, _, cov, gamma, _, plan = make_setup()
+        Y = WeightedLp(model.space, 2.0, np.exp(0.5 * model.space.points[:, 0]))
+        report = oscillation_report(model, cov, gamma, Y.weight2d(), 0.25,
+                                    samples=plan.samples)
+        assert report.d_const is None and report.d_samples is None
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     def test_unit_weight_streams_no_block(self, weight_rule, monkeypatch):
-        """Under a trivial weight ``verify_sampled_bounds`` feeds no block of
-        the sampled-row kernel to ``SchurSums``; a non-trivial one streams
-        it."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        """A fixed-covering run makes one pass over the strips of |R|, in
+        the oscillation report. Under the unit weight it forms no sample
+        row of R (``FrameModel.kernel_rows``) at all; under an exp weight
+        it still streams the sampled-row kernel (``_sampled_row_blocks``)."""
+        model, Y, weight, cov, _, _, _ = make_setup()
+        n = model.space.n_points
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * 16 * n)
         if weight_rule == "exp":
             Y = WeightedLp(model.space, 2.0,
                            np.exp(0.5 * model.space.points[:, 0]))
             weight = Y.weight2d()
-            report = oscillation_report(model, cov, gamma, weight, 0.25)
-        fed = []
-        add = SchurSums.add
+        calls = {"kernel_rows": 0, "blocks": 0}
+        strips = []
+        kernel_rows = FrameModel.kernel_rows
+        add_upper = SchurSums.add_upper
+        blocks = discretize_module._sampled_row_blocks
 
-        def counted(self, rows, block):
-            fed.append(rows)
-            return add(self, rows, block)
+        def counted_rows(self, rows):
+            calls["kernel_rows"] += 1
+            return kernel_rows(self, rows)
 
-        monkeypatch.setattr(SchurSums, "add", counted)
-        verify_sampled_bounds(model, plan, Y, weight, report, n_trials=5)
-        assert (fed == []) == weight.trivial
+        def counted_strips(self, start, block):
+            strips.append(start)
+            return add_upper(self, start, block)
+
+        def counted_blocks(model, plan):
+            calls["blocks"] += 1
+            return blocks(model, plan)
+
+        monkeypatch.setattr(FrameModel, "kernel_rows", counted_rows)
+        monkeypatch.setattr(SchurSums, "add_upper", counted_strips)
+        monkeypatch.setattr(discretize_module, "_sampled_row_blocks",
+                            counted_blocks)
+        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+                                    n_trials=5)
+        assert result.bounds.violations == 0
+        assert strips == [rows.start for rows in kernels_module.row_slices(n)]
+        assert len(strips) >= 3
+        if weight.trivial:
+            assert calls == {"kernel_rows": 0, "blocks": 0}
+        else:
+            assert calls["blocks"] == 1 and calls["kernel_rows"] > 0
 
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
         """With an eight-row block budget, the oscillation report, the bounds
         check and the reproducing defect each allocate less than one n x n
-        float array; the model itself holds no kernel."""
+        float array; the model itself holds no kernel. So does a unit-weight
+        report made with the plan's samples, whose |R| c adds O(n)."""
         model = build_gabor_model(6, 81, 2.45)
         space = model.space
         n = space.n_points
@@ -626,7 +695,10 @@ class TestStreamedBounds:
         gamma = make_phase(model, "kernel")
         plan = select_samples(cov, build_pou(cov))
         report = oscillation_report(model, cov, gamma, weight, 0.2)
+        unit = WeightedLp.lebesgue(space, 2.0).weight2d()
         for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
+                    lambda: oscillation_report(model, cov, gamma, unit, 0.2,
+                                               samples=plan.samples),
                     lambda: verify_sampled_bounds(model, plan, Y, weight, report,
                                                   n_trials=5),
                     lambda: reproducing_defect(model, weight)):

@@ -1,13 +1,18 @@
-"""Frozen `discretize` reports for one small weighted run per exponent.
+"""Frozen `discretize` reports: one small weighted run per exponent and
+one unit-weight run.
 
 ``golden_reports.json`` holds the certificate constants and the observed
 bound ratios of a Gabor 4 x 61 model (window 2.0, exponential weight 0.02,
 boxes of one time step by two frequency steps, delta 0.25, 20 trials, seed
 0) for p = 1, 2 and inf, as written by the dense loop-per-trial harness
-that preceded the analysis-coordinate one. The constants and the observed
-ratios do not depend on how the harness is organised, so they must match to
-1e-12 relative; the residuals are rounding noise and only have to stay
-under their configured limits.
+that preceded the analysis-coordinate one. The entry ``unit-2`` is a Gabor
+6 x 161 model (window 2.45, unit weight, boxes of one time step by two
+frequency steps, delta 0.2, p = 2, 20 trials, seed 0), written by the
+harness that read the unit-weight sampled-row constant off the sample rows
+of R, before that constant came from the oscillation report's R pass. The
+constants and the observed ratios do not depend on how the harness is
+organised, so they must match to 1e-12 relative; the residuals are rounding
+noise and only have to stay under their configured limits.
 """
 
 import json
@@ -37,24 +42,33 @@ def flatten(prefix, doc, into):
     return into
 
 
+def config(key):
+    """The run behind the golden entry ``key``."""
+    if key == "unit-2":
+        return {"model-kind": "gabor", "n-time": 6, "n-freq": 161,
+                "window-width": 2.45, "weight-rule": "one", "p": 2,
+                "delta": 0.2, "covering-sets": box_sets(6, 161, 2),
+                "n-trials": 20, "seed": 0}
+    return {"model-kind": "gabor", "n-time": 4, "n-freq": 61, "window-width": 2.0,
+            "weight-rule": "exp", "weight-scale": 0.02,
+            "p": key if key == "inf" else int(key), "delta": 0.25,
+            "covering-sets": box_sets(4, 61, 2), "n-trials": 20, "seed": 0}
+
+
 @pytest.fixture(scope="module", params=sorted(GOLDEN))
 def report(request, tmp_path_factory):
-    p = request.param
-    cfg = {"model-kind": "gabor", "n-time": 4, "n-freq": 61, "window-width": 2.0,
-           "weight-rule": "exp", "weight-scale": 0.02,
-           "p": p if p == "inf" else int(p), "delta": 0.25,
-           "covering-sets": box_sets(4, 61, 2), "n-trials": 20, "seed": 0}
-    tmp = tmp_path_factory.mktemp(f"golden-p{p}")
-    (tmp / "cfg.json").write_text(json.dumps(cfg))
+    key = request.param
+    tmp = tmp_path_factory.mktemp(f"golden-{key}")
+    (tmp / "cfg.json").write_text(json.dumps(config(key)))
     out = tmp / "report.json"
     code = main(["discretize", "--config", str(tmp / "cfg.json"),
                  "--output", str(out)])
-    return p, code, json.loads(out.read_text())
+    return key, code, json.loads(out.read_text())
 
 
 def test_constants_and_observed_ratios_match(report):
-    p, code, doc = report
-    want = GOLDEN[p]
+    key, code, doc = report
+    want = GOLDEN[key]
     assert code == EXIT_OK
     assert doc["covering_id"] == want["covering_id"]
     got = flatten("", {
