@@ -16,9 +16,9 @@ import argparse
 import json
 import sys
 
-from framedisc import SamplingInverse, WeightedLp, build_pou, contraction_bounds, \
-    make_phase, observed_contraction, oscillation_report, select_samples, \
-    uniform_covering
+from framedisc import PhaseFunction, SamplingInverse, WeightedLp, build_pou, \
+    contraction_bounds, observed_contraction, oscillation_report, \
+    select_samples, uniform_covering
 from framedisc.models import build_gabor_model
 from framedisc.pipeline import residual_suite
 
@@ -47,7 +47,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
     weight = Y.weight2d()
     freq_step = n_time / n_freq
     cov = uniform_covering(model.space, (1.0, 2 * freq_step))
-    gamma = make_phase(model, "kernel")
+    gamma = PhaseFunction(model, "kernel")
 
     probe = oscillation_report(model, cov, gamma, weight, delta=1.0)
     budget = max_certifiable_budget(probe.r_norm, probe.c_mu)
@@ -66,7 +66,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
         "certified": certified,
     }
     if certified:
-        plan = select_samples(cov, build_pou(cov))
+        plan = select_samples(build_pou(cov))
         _, sharp = contraction_bounds(report)
         row["contraction_sharp"] = sharp
         row["contraction_observed"] = observed_contraction(model, plan, Y, seed=0)

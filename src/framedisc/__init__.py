@@ -19,7 +19,7 @@ from .kernels import SchurSums, Weight2D, schur_norms
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from .oscillation import OscReport, PhaseFunction, Screened, \
-    invertibility_condition, kernel_norms, make_phase, oscillation_norms, \
+    invertibility_condition, kernel_norms, oscillation_norms, \
     oscillation_report, refine_until, sigma_constant, v_weight
 from .pipeline import DiscretizationResult, cross_check_inversion, \
     residual_suite, run_discretization

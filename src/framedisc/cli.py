@@ -22,7 +22,7 @@ from .coverings import Covering, covering_from_json, singleton_covering, \
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
-from .oscillation import make_phase, oscillation_report, refine_until
+from .oscillation import PhaseFunction, oscillation_report, refine_until
 from .pipeline import run_discretization
 from .quadrature import load_space
 from .spaces import WeightedLp
@@ -244,7 +244,7 @@ def cmd_osc(cfg: dict) -> int:
                                    gamma_rule=cfg["gamma"],
                                    max_rounds=cfg["refine-max-rounds"])
     else:
-        gamma = make_phase(model, cfg["gamma"])
+        gamma = PhaseFunction(model, cfg["gamma"])
         report = oscillation_report(model, cov, gamma, weight, cfg["delta"])
     doc = report.to_json_dict()
     doc["schema_version"] = "1"

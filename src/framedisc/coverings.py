@@ -364,10 +364,6 @@ def uniform_covering(space: QuadratureSpace, width, overlap=0.0) -> Covering:
     return Covering(space, tuple(sets))
 
 
-def covering_to_json(cov: Covering) -> dict:
-    return {"sets": [s.tolist() for s in cov.sets]}
-
-
 def covering_from_json(space: QuadratureSpace, doc: dict) -> Covering:
     try:
         sets = doc["sets"]

@@ -14,7 +14,7 @@ verification helpers compute both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,20 +35,28 @@ DIRECT_EIG_FLOOR = 1e-12
 # (``_analysis_norms``).
 NORM_BLOCK_BYTES = 1 << 20
 
+# ``observed_contraction`` at p != 2: at most this many power steps, settled
+# when two successive ratios agree to the tolerance, then this many probes.
+CONTRACTION_STEPS = 200
+CONTRACTION_TOL = 1e-10
+CONTRACTION_PROBES = 20
+
+# An observed ratio above its certified constant by more than this is a
+# violation (``verify_sampled_bounds``).
+BOUNDS_SLACK = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """A covering, its partition of unity, and one sample point per set."""
+    """A partition of unity and one sample point per set of its covering;
+    the covering and the masses c_i = integral of phi_i are the partition's."""
 
-    covering: Covering
     pou: PartitionOfUnity
     samples: np.ndarray
-    masses: np.ndarray       # c_i
+    masses: np.ndarray = field(init=False)      # c_i
 
     def __post_init__(self):
         cov = self.covering
-        if self.pou.covering is not cov:
-            raise StructuralError("partition of unity built for another covering")
         idx = np.asarray(self.samples, dtype=int).reshape(-1)
         if idx.shape[0] != cov.n_sets:
             raise StructuralError("one sample point per covering set required")
@@ -57,26 +65,32 @@ class SamplingPlan:
         if not inside.all():
             i = int(np.argmin(inside))
             raise StructuralError(f"sample {idx[i]} is not inside covering set {i}")
-        c = np.asarray(self.masses, dtype=float).reshape(-1)
-        if c.shape[0] != cov.n_sets or np.any(c <= 0):
-            raise StructuralError("partition masses must be positive, one per set")
+        c = self.pou.masses
+        if np.any(c <= 0):
+            raise StructuralError("partition masses must be positive")
         idx.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "samples", idx)
         object.__setattr__(self, "masses", c)
 
+    @property
+    def covering(self) -> Covering:
+        return self.pou.covering
+
     def identifier(self) -> str:
         return f"{self.covering.identifier()}-{'.'.join(map(str, self.samples))}"
 
 
-def select_samples(cov: Covering, pou: PartitionOfUnity,
+def select_samples(pou: PartitionOfUnity,
                    rule: str = "max_weight") -> SamplingPlan:
-    """Pick one point per covering set; ties break to the lowest index.
+    """Pick one point per set of the partition's covering; ties break to
+    the lowest index.
 
     max_weight : the point of largest quadrature weight in the set.
     medoid     : the point minimizing the summed coordinate distance to the
                  rest of the set.
     """
+    cov = pou.covering
     space = cov.space
     if rule == "max_weight":
         # the pairs are set-major with ascending points, so the first pair of
@@ -93,7 +107,14 @@ def select_samples(cov: Covering, pou: PartitionOfUnity,
             samples[i] = idx[int(np.argmin(dists.sum(axis=1)))]
     else:
         raise StructuralError(f"unknown sampling rule {rule!r}")
-    return SamplingPlan(cov, pou, samples, pou.masses)
+    return SamplingPlan(pou, samples)
+
+
+def _own_report(plan: SamplingPlan, report: OscReport) -> None:
+    """Refuse a report of another covering: it certifies nothing here."""
+    if report.covering_id != plan.covering.identifier():
+        raise StructuralError(f"oscillation report made for covering "
+                              f"{report.covering_id}, not the plan's covering")
 
 
 def contraction_bounds(report: OscReport) -> tuple:
@@ -133,7 +154,7 @@ class SamplingInverse:
     inverts a (d, k) block of coordinates directly. The handle is the one
     argument the decomposition, reconstruction, dual-frame, residual and
     cross-check helpers take: they read the model, plan, Y, report, ``tol``
-    and ``n_max`` from it.
+    and ``n_max`` from it. A report of another covering is refused.
 
     ``neumann`` sums a + (Id-U)a + (Id-U)^2 a + ... and requires a
     certificate that the sharp contraction bound is below one; ``direct``
@@ -151,6 +172,8 @@ class SamplingInverse:
     def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
                  method: str = "neumann", tol: float = 1e-12, n_max: int = 200,
                  report: OscReport | None = None):
+        if report is not None:
+            _own_report(plan, report)
         self.model = model
         self.plan = plan
         self.Y = Y
@@ -383,20 +406,20 @@ def hilbert_frame_bounds(model: FrameModel, plan: SamplingPlan) -> tuple:
 
 
 def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
-                         n_iter: int = 200, tol: float = 1e-10,
-                         n_probes: int = 20, seed: int = 0) -> float:
+                         *, seed: int = 0) -> float:
     """Empirical lower estimate of ||Id - U|| on the kernel range in Y-norm.
 
     For p = 2 the restriction is finite dimensional and the norm is computed
     exactly through the weighted metric; otherwise the estimate is the best
     ratio |V* m g|_Y / |V* g|_Y, m = Id - S^{-1} S_c, over power-iteration
-    iterates g and ``n_probes`` random coordinate vectors.
+    iterates g and ``CONTRACTION_PROBES`` random coordinate vectors.
 
     The power iteration g <- m g / |m g| runs in coordinates for up to
-    ``n_iter`` steps, stopping early only where m g vanishes. Image j is
-    |m g_j| times iterate j + 1, so the iterates and the last image are
-    analyzed as one (n, k + 1) block, and the iteration's stopping rule (a
-    zero-norm iterate, or two successive ratios within ``tol``) is replayed
+    ``CONTRACTION_STEPS`` steps, stopping early only where m g vanishes.
+    Image j is |m g_j| times iterate j + 1, so the iterates and the last
+    image are analyzed as one (n, k + 1) block, and the iteration's stopping
+    rule (a zero-norm iterate, or two successive ratios within
+    ``CONTRACTION_TOL``) is replayed
     on the array of ratios: the estimate is the one a step-by-step
     iteration would return, up to rounding. The probes are drawn in one
     call (``random_vectors``) and analyzed as one block.
@@ -416,7 +439,7 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     best = 0.0
     g = random_vectors(rng, model.dim, 1)[:, 0]
     iterates, scales = [], []
-    for _ in range(n_iter):
+    for _ in range(CONTRACTION_STEPS):
         g_next = m @ g
         iterates.append(g)
         scale = np.linalg.norm(g_next)
@@ -432,18 +455,16 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
         stop = zero[0] if zero.size else nf.size
         ratios = ni[:stop] / nf[:stop]
         settled = np.abs(np.diff(ratios, prepend=0.0)) \
-            <= tol * np.maximum(1.0, ratios)
+            <= CONTRACTION_TOL * np.maximum(1.0, ratios)
         if settled.any():
             ratios = ratios[:np.argmax(settled) + 1]
         best = ratios.max(initial=0.0)
 
-    if n_probes > 0:
-        probes = random_vectors(rng, model.dim, n_probes)
-        nf = _analysis_norms(analysis, Y, probes)
-        ni = _analysis_norms(analysis, Y, m @ probes)
-        keep = nf > 0.0
-        best = max(best, np.max(ni[keep] / nf[keep], initial=0.0))
-    return float(best)
+    probes = random_vectors(rng, model.dim, CONTRACTION_PROBES)
+    nf = _analysis_norms(analysis, Y, probes)
+    ni = _analysis_norms(analysis, Y, m @ probes)
+    keep = nf > 0.0
+    return float(max(best, np.max(ni[keep] / nf[keep], initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,7 +519,7 @@ def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
     Under a trivial weight it is the last norm of an R pass with the plan's
     samples (``oscillation.kernel_norms``), read off the unit-weight |R|
     row sums at the samples and |R| c, with no sample row of R formed; a
-    ``report`` made for this plan (same covering, same samples) carries
+    ``report`` on the plan's covering made with the plan's samples carries
     it as ``d_const``, and then no pass runs. Otherwise m(x, y) ties every
     point of U_i to y, and K is streamed in row blocks
     (``_sampled_row_blocks``).
@@ -507,37 +528,36 @@ def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
         return schur_norms(model.space, _sampled_row_blocks(model, plan),
                            [weight])[0]
     if report is not None and report.d_samples is not None \
-            and report.covering_id == plan.covering.identifier() \
             and np.array_equal(report.d_samples, plan.samples):
         return report.d_const
     return kernel_norms(model, (), plan.covering, plan.samples)[-1]
 
 
 def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
-                          weight: Weight2D, report: OscReport,
-                          n_trials: int = 50, seed: int = 0,
-                          slack: float = 1e-10) -> BoundsReport:
+                          report: OscReport, n_trials: int = 50,
+                          seed: int = 0) -> BoundsReport:
     """Measure every inequality the sampled kernels certify.
 
-    ``report`` must be the oscillation report under ``weight``; its m_v
-    norms of osc and R give the range-sup constant. Each block computes a
-    kernel-derived constant and the worst observed ratio over random
-    trials; ``violations`` counts ratios exceeding their constant beyond
-    ``slack``. Under a trivial weight the sampled-row constant D is the
-    report's ``d_const`` when the report was made for this plan, so no
-    second pass over R runs; any other plan gets an R pass with its own
-    samples, and a non-trivial weight a streamed pass over the sampled-row
-    kernel (``_sampled_row_constant``). The trials run as blocks, one
-    column each; the kernel applied to a measure sum_k lambda_k
+    ``report`` is the oscillation report of the plan's covering (another
+    is refused, StructuralError); the constants are taken under its weight,
+    and its m_v norms of osc and R give the range-sup constant. Each block
+    computes a kernel-derived constant and the worst observed ratio over
+    random trials; ``violations`` counts ratios exceeding their constant
+    beyond ``BOUNDS_SLACK``. Under a trivial weight the sampled-row
+    constant D is the report's ``d_const`` when the report was made with
+    the plan's samples, so no second pass over R runs; other samples get an
+    R pass of their own, and a non-trivial weight a streamed pass over the
+    sampled-row kernel (``_sampled_row_constant``). The trials run as
+    blocks, one column each; the kernel applied to a measure sum_k lambda_k
     delta_{y_k} is formed as V* S^{-1} sum_k lambda_k psi_{y_k}.
     """
+    _own_report(plan, report)
     rng = np.random.default_rng(seed)
     space = model.space
     cov = plan.covering
-    violations = 0
+    weight = report.weight
 
     d_const = _sampled_row_constant(model, plan, weight, report)
-    sigma = report.sigma
     meas_const = report.osc_norm + report.r_norm
     sup_space = sup_infinity_space(Y, weight)
     range_sup_const = (report.osc_norm_v + report.r_norm_v) \
@@ -579,14 +599,10 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     meas_obs = np.max(Y.column_norms(applied[:, keep]) / dec_norms[keep],
                       initial=0.0)
 
-    if d_obs > d_const + slack:
-        violations += 1
-    if report.oscillation_ok and sig_obs > sigma + slack:
-        violations += 1
-    if meas_obs > meas_const + slack:
-        violations += 1
-    if sup_obs > range_sup_const + slack:
-        violations += 1
+    checks = [(d_obs, d_const), (meas_obs, meas_const), (sup_obs, range_sup_const)]
+    if report.oscillation_ok:
+        checks.append((sig_obs, report.sigma))
+    violations = int(sum(obs > const + BOUNDS_SLACK for obs, const in checks))
 
     ratios = {
         "l1v_vs_Y_max": float(np.max(ratios_1y, initial=0.0)),
@@ -597,7 +613,7 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     return BoundsReport(
         sampled_flat_constant=float(d_const),
         sampled_flat_observed=float(d_obs),
-        pou_pileup_constant=float(sigma),
+        pou_pileup_constant=float(report.sigma),
         pou_pileup_observed=float(sig_obs),
         measure_constant=float(meas_const),
         measure_observed=float(meas_obs),

@@ -73,11 +73,6 @@ class PhaseFunction:
         return np.conjugate(out, out=out, where=z < y)
 
 
-def make_phase(model: FrameModel, rule: str) -> PhaseFunction:
-    """The phase rule ``rule`` ("one" or "kernel") of ``model``."""
-    return PhaseFunction(model, rule)
-
-
 @dataclass(frozen=True)
 class Screened:
     """An oscillation scan stopped at ``column``, whose weighted Schur
@@ -214,11 +209,12 @@ def invertibility_condition(delta: float, r_norm: float, c_mu: float) -> tuple:
 class OscReport:
     """Snapshot of the oscillation budget for one covering/phase/weight.
 
-    ``osc_norm_v`` and ``r_norm_v`` are the norms of osc and R under m_v
-    (``v_weight``), taken in the same passes; they are not serialized.
-    Neither is ``d_const``: under a trivial weight and given a plan's
-    sample indices ``d_samples``, the sampled-row constant D of that plan,
-    read off the same R pass (``kernel_norms``); otherwise None.
+    It names its covering (``covering_id``) and keeps its ``weight``, which
+    its consumers read; they refuse a plan on another covering. Not
+    serialized: ``weight``; ``osc_norm_v`` and ``r_norm_v``, the norms of
+    osc and R under m_v (``v_weight``) from the same passes; and, under a
+    trivial weight given a plan's samples ``d_samples``, that plan's
+    sampled-row constant ``d_const`` from the same R pass (else None).
     """
 
     osc_norm: float
@@ -235,6 +231,7 @@ class OscReport:
     gamma_rule: str
     overlap_bound: int
     n_sets: int
+    weight: Weight2D
     d_const: float | None = None
     d_samples: np.ndarray | None = None
 
@@ -337,6 +334,7 @@ def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
         gamma_rule=gamma.rule,
         overlap_bound=cov.overlap_bound,
         n_sets=cov.n_sets,
+        weight=weight,
     )
 
 
@@ -370,7 +368,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
     if max_rounds < 1:
         raise StructuralError("max_rounds must be at least 1")
     space = model.space
-    gamma = make_phase(model, gamma_rule)
+    gamma = PhaseFunction(model, gamma_rule)
     weights = (weight, v_weight(weight))
     r_norms = None
     spans = space.points.max(axis=0) - space.points.min(axis=0)

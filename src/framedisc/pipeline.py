@@ -7,14 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import Covering, build_pou, validate_covering
-from .discretize import BoundsReport, SamplingInverse, atomic_decomposition, \
-    contraction_bounds, dual_frame, hilbert_frame_bounds, observed_contraction, \
-    reconstruct_from_samples, select_samples, synthesize_plan, \
-    verify_sampled_bounds
+from .discretize import BoundsReport, SamplingInverse, SamplingPlan, \
+    atomic_decomposition, contraction_bounds, dual_frame, \
+    hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
+    select_samples, synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
-from .oscillation import OscReport, make_phase, oscillation_report, refine_until
+from .oscillation import OscReport, PhaseFunction, oscillation_report, \
+    refine_until
 from .spaces import WeightedLp, pileup
 
 
@@ -137,14 +138,12 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
 
 @dataclass(frozen=True, eq=False)
 class DiscretizationResult:
-    """Every certified constant and measured residual of one full run."""
+    """Every certified constant and measured residual of one full run; the
+    covering, the samples and the contraction bounds are read off ``plan``
+    and ``osc_report``."""
 
     osc_report: OscReport
-    covering_report: dict
-    plan_id: str
-    sample_indices: list
-    contraction_nominal: float
-    contraction_sharp: float
+    plan: SamplingPlan
     contraction_observed: float
     inversion_method: str
     cross_method_gap: float | None
@@ -160,6 +159,7 @@ class DiscretizationResult:
 
     def to_json_dict(self) -> dict:
         osc = self.osc_report.to_json_dict()
+        nominal, sharp = contraction_bounds(self.osc_report)
         return {
             "schema_version": self.schema_version,
             "constants": {
@@ -169,8 +169,8 @@ class DiscretizationResult:
                 "osc_norm": osc["osc_norm"],
                 "C_mU": osc["C_mU"],
                 "N": osc["N"],
-                "contraction_bound": self.contraction_nominal,
-                "contraction_bound_sharp": self.contraction_sharp,
+                "contraction_bound": nominal,
+                "contraction_bound_sharp": sharp,
                 "contraction_observed": self.contraction_observed,
                 "C1": self.frame_lower,
                 "C2": self.frame_upper,
@@ -181,10 +181,10 @@ class DiscretizationResult:
                 "holds_58": osc["holds_58"],
                 "condition_lhs": osc["condition_lhs"],
             },
-            "covering": self.covering_report,
+            "covering": validate_covering(self.plan.covering).to_json_dict(),
             "covering_id": osc["covering_id"],
-            "plan_id": self.plan_id,
-            "samples": self.sample_indices,
+            "plan_id": self.plan.identifier(),
+            "samples": [int(s) for s in self.plan.samples],
             "inversion_method": self.inversion_method,
             "cross_method_gap": self.cross_method_gap,
             "reproducing_defect": self.reproducing_defect,
@@ -216,12 +216,12 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
         covering, report = refine_until(model, weight, delta,
                                         gamma_rule=gamma_rule,
                                         max_rounds=refine_max_rounds)
-    plan = select_samples(covering, build_pou(covering, pou_kind), sampling_rule)
+    plan = select_samples(build_pou(covering, pou_kind), sampling_rule)
     if report is None:
-        report = oscillation_report(model, covering, make_phase(model, gamma_rule),
-                                    weight, delta, samples=plan.samples)
+        report = oscillation_report(model, covering,
+                                    PhaseFunction(model, gamma_rule), weight,
+                                    delta, samples=plan.samples)
 
-    nominal, sharp = contraction_bounds(report)
     observed = observed_contraction(model, plan, Y, seed=seed)
 
     inverse = SamplingInverse(model, plan, Y, method=method, tol=tol,
@@ -235,17 +235,13 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
         raise CertificationError(
             "certified plan produced a degenerate sampled frame operator"
         )
-    bounds = verify_sampled_bounds(model, plan, Y, weight, report,
-                                   n_trials=n_trials, seed=seed)
+    bounds = verify_sampled_bounds(model, plan, Y, report, n_trials=n_trials,
+                                   seed=seed)
     defect = reproducing_defect(model, weight)
 
     return DiscretizationResult(
         osc_report=report,
-        covering_report=validate_covering(covering).to_json_dict(),
-        plan_id=plan.identifier(),
-        sample_indices=[int(s) for s in plan.samples],
-        contraction_nominal=float(nominal),
-        contraction_sharp=float(sharp),
+        plan=plan,
         contraction_observed=float(observed),
         inversion_method=method,
         cross_method_gap=gap,

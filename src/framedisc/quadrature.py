@@ -77,12 +77,11 @@ class QuadratureSpace:
         return float(np.sum(self.weights[idx]))
 
 
-def uniform_grid(n: int, spacing: float = 1.0, origin: float = 0.0,
-                 weights=None) -> QuadratureSpace:
-    """1-D grid of ``n`` equispaced points; uniform weights default to spacing."""
+def uniform_grid(n: int, spacing: float = 1.0, *, weights=None) -> QuadratureSpace:
+    """1-D grid of ``n`` equispaced points from 0; weights default to spacing."""
     if n <= 0 or spacing <= 0:
         raise StructuralError("n and spacing must be positive")
-    pts = origin + spacing * np.arange(n, dtype=float)
+    pts = spacing * np.arange(n, dtype=float)
     if weights is None:
         wts = np.full(n, spacing)
     elif np.isscalar(weights):
@@ -110,13 +109,6 @@ def product_grid(shape, spacings=None, weight=None) -> QuadratureSpace:
     pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
     w = float(np.prod(spacings)) if weight is None else float(weight)
     return QuadratureSpace(pts, np.full(pts.shape[0], w))
-
-
-def space_to_json(space: QuadratureSpace) -> dict:
-    return {
-        "points": space.points.tolist(),
-        "weights": space.weights.tolist(),
-    }
 
 
 def space_from_json(doc: dict) -> QuadratureSpace:

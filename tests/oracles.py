@@ -12,7 +12,9 @@ package's streamed Schur sums, rank-d rows and rank-d majorants; only tests
 use them, so the package does not carry them. ``osc_rows_loop`` lists the
 (y, z) pairs of a block one column at a time, reading Q_y off
 ``q_neighborhoods_naive``, and forms every pair without reusing mirrors;
-the rows built from ``Covering.q_neighborhoods`` must equal it.
+the rows built from ``Covering.q_neighborhoods`` must equal it. The JSON
+writers of grids and coverings (``space_to_json``, ``covering_to_json``)
+are here too: only the round-trip tests write those documents.
 
 The theory layer the tests measure with (measures, ``check_kernel`` and
 the dense ``schur_norm``, sequence and decomposition norms, covering
@@ -324,13 +326,13 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
     oscillation kernel, both Schur norms, C_mU) before deciding. When the rounds run
     out, the raised error carries the last round's report as ``last_report``.
     """
-    from framedisc import CertificationError, StructuralError, make_phase, \
+    from framedisc import CertificationError, PhaseFunction, StructuralError, \
         oscillation_report, singleton_covering, uniform_covering
 
     if delta <= 0:
         raise StructuralError("delta must be positive")
     space = model.space
-    gamma = make_phase(model, gamma_rule)
+    gamma = PhaseFunction(model, gamma_rule)
     spans = space.points.max(axis=0) - space.points.min(axis=0)
     width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
     spacing = np.full(space.dim, np.inf)
@@ -437,3 +439,15 @@ def measure_observed_naive(model, plan, Y, n_trials=50, seed=0):
                 model.s_inverse @ (model.vectors[:, idx] @ coef))
             best = max(best, Y.norm(applied) / dec)
     return best
+
+
+def covering_to_json(cov):
+    """The covering document ``coverings.covering_from_json`` reads; only
+    the round-trip tests write one."""
+    return {"sets": [s.tolist() for s in cov.sets]}
+
+
+def space_to_json(space):
+    """The grid document ``quadrature.space_from_json`` reads; only the
+    round-trip tests write one."""
+    return {"points": space.points.tolist(), "weights": space.weights.tolist()}

@@ -12,10 +12,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from framedisc import SamplingInverse, Weight2D, WeightedLp, build_pou, \
-    contraction_bounds, hilbert_frame_bounds, invertibility_condition, \
-    make_phase, observed_contraction, oscillation_norms, oscillation_report, \
-    select_samples, singleton_covering, uniform_covering, uniform_grid, \
+from framedisc import PhaseFunction, SamplingInverse, Weight2D, WeightedLp, \
+    build_pou, contraction_bounds, hilbert_frame_bounds, \
+    invertibility_condition, observed_contraction, oscillation_norms, \
+    oscillation_report, select_samples, singleton_covering, uniform_covering, uniform_grid, \
     verify_sampled_bounds
 from framedisc.cli import main
 from framedisc.coverings import Covering, weight_compatibility
@@ -65,9 +65,9 @@ def certified_runs():
             cov = singleton_covering(space)
         else:
             cov = uniform_covering(space, (1.0, box_pts * n_time / n_freq))
-        gamma = make_phase(model, "kernel")
+        gamma = PhaseFunction(model, "kernel")
         report = oscillation_report(model, cov, gamma, weight, delta)
-        plan = select_samples(cov, build_pou(cov))
+        plan = select_samples(build_pou(cov))
         runs.append({
             "label": f"d{n_time}-nf{n_freq}-p{p}",
             "model": model, "Y": Y, "weight": weight, "cov": cov,
@@ -119,7 +119,7 @@ def test_criterion_3_oscillation_oracle():
             sets = [p for p in pieces if p.size] + [np.arange(n // 2 + 1)]
             cov = Covering(model.space, tuple(sets))
             rule = "kernel" if trial % 2 else "one"
-            gamma = make_phase(model, rule)
+            gamma = PhaseFunction(model, rule)
             got = oscillation_kernel(model, cov, gamma)
             want = osc_naive(dense_kernel(model), [s.tolist() for s in sets],
                              phase_table_naive(rank_d_entries(model), rule))
@@ -243,7 +243,7 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
         # sampled-kernel inequalities on every certified configuration
         for run in certified_runs["runs"]:
             rep = verify_sampled_bounds(run["model"], run["plan"], run["Y"],
-                                        run["weight"], run["report"],
+                                        run["report"],
                                         n_trials=50, seed=8)
             assert rep.violations == 0, run["label"]
             for pair in (("sampled_flat_observed", "sampled_flat_constant"),
@@ -257,7 +257,7 @@ def test_criterion_9_hilbert_frame_bounds(certified_runs):
     with criterion(9, "sampled frame bounds: singleton exactness, positivity"):
         model = build_random_smooth_model(6, 64, 2.0, seed=4)
         cov = singleton_covering(model.space)
-        plan = select_samples(cov, build_pou(cov))
+        plan = select_samples(build_pou(cov))
         c1, c2 = hilbert_frame_bounds(model, plan)
         ev = model.s_eigenvalues
         assert abs(c1 - ev[0]) <= 1e-10

@@ -4,12 +4,12 @@ import pytest
 from framedisc import Covering, StructuralError, Weight2D, \
     singleton_covering, uniform_covering, uniform_grid, validate_covering, \
     weight_compatibility
-from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json, \
-    covering_to_json
+from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json
 
 from conftest import random_interval_covering, unit_weight
-from oracles import apply_kernel, covering_stats_naive, dense_pou, \
-    identity_kernel, membership_naive, q_neighborhoods_naive, weight_matrix_naive
+from oracles import apply_kernel, covering_stats_naive, covering_to_json, \
+    dense_pou, identity_kernel, membership_naive, q_neighborhoods_naive, \
+    weight_matrix_naive
 from theory import check_m_equivalent, is_admissible_permutation, \
     neighbor_sums, permutation_kernel, random_admissible_permutation, \
     total_measure, transfer_kernel
@@ -379,7 +379,7 @@ def test_identifier_hashed_once(grid64, monkeypatch):
     monkeypatch.setattr(coverings_module.hashlib, "sha256", counted)
     cov = Covering(grid64, (np.arange(0, 40), np.arange(30, 64), np.array([5, 3, 3])))
     boxes = uniform_covering(grid64, 4.0)
-    plan = select_samples(boxes, build_pou(boxes))
+    plan = select_samples(build_pou(boxes))
     for _ in range(3):
         assert cov.identifier() == "c533ecd0e964"
         assert boxes.identifier() == "6616088e25fe"

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
 import framedisc.spaces as spaces_module
-from framedisc import CertificationError, Covering, SamplingInverse, \
-    SchurSums, SingularOperatorError, StructuralError, Weight2D, WeightedLp, \
-    atomic_decomposition, build_pou, contraction_bounds, dual_frame, \
-    hilbert_frame_bounds, make_phase, observed_contraction, \
-    oscillation_report, reconstruct_from_samples, select_samples, \
-    singleton_covering, synthesize_plan, uniform_covering, \
+from framedisc import CertificationError, Covering, PhaseFunction, \
+    SamplingInverse, SchurSums, SingularOperatorError, StructuralError, \
+    Weight2D, WeightedLp, atomic_decomposition, build_pou, \
+    contraction_bounds, dual_frame, hilbert_frame_bounds, \
+    observed_contraction, oscillation_report, reconstruct_from_samples, \
+    select_samples, singleton_covering, synthesize_plan, uniform_covering, \
     verify_sampled_bounds
 from framedisc.models import FrameModel, build_gabor_model, \
     build_orthonormal_model, build_random_smooth_model
@@ -44,10 +44,10 @@ def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
     Y = WeightedLp.lebesgue(space, p)
     weight = Y.weight2d()
     cov = uniform_covering(space, box_pts / n)
-    gamma = make_phase(model, "kernel")
+    gamma = PhaseFunction(model, "kernel")
     report = oscillation_report(model, cov, gamma, weight, delta)
     pou = build_pou(cov, pou_kind)
-    plan = select_samples(cov, pou, rule)
+    plan = select_samples(pou, rule)
     return model, Y, weight, cov, gamma, report, plan
 
 
@@ -56,22 +56,22 @@ def singleton_setup(model, p=2.0):
     cov = singleton_covering(space)
     Y = WeightedLp.lebesgue(space, p)
     weight = Y.weight2d()
-    gamma = make_phase(model, "kernel")
+    gamma = PhaseFunction(model, "kernel")
     report = oscillation_report(model, cov, gamma, weight, 0.25)
     pou = build_pou(cov)
-    plan = select_samples(cov, pou)
+    plan = select_samples(pou)
     return Y, weight, gamma, report, plan
 
 
 class TestSampleSelection:
     def test_singleton_sets(self, small_space):
         cov = singleton_covering(small_space)
-        plan = select_samples(cov, build_pou(cov))
+        plan = select_samples(build_pou(cov))
         assert np.array_equal(plan.samples, np.arange(5))
 
     def test_uniform_weights_tie_break_lowest(self, grid64):
         cov = uniform_covering(grid64, 8.0)
-        plan = select_samples(cov, build_pou(cov), "max_weight")
+        plan = select_samples(build_pou(cov), "max_weight")
         assert np.array_equal(plan.samples, [s[0] for s in cov.sets])
 
     def test_max_weight_matches_argmax(self, rng):
@@ -83,14 +83,14 @@ class TestSampleSelection:
             space = uniform_grid(32, weights=w)
             for cov in (uniform_covering(space, 4.0),
                         random_interval_covering(rng, space, 12)):
-                plan = select_samples(cov, build_pou(cov), "max_weight")
+                plan = select_samples(build_pou(cov), "max_weight")
                 for i, s in enumerate(cov.sets):
                     best = max(s, key=lambda j: (space.weights[j], -j))
                     assert plan.samples[i] == best
 
     def test_medoid_of_interval_is_middle(self, grid64):
         cov = uniform_covering(grid64, 5.0)
-        plan = select_samples(cov, build_pou(cov), "medoid")
+        plan = select_samples(build_pou(cov), "medoid")
         for i, s in enumerate(cov.sets):
             assert plan.samples[i] == s[(s.size - 1) // 2]
 
@@ -101,17 +101,33 @@ class TestSampleSelection:
         pou = build_pou(cov)
         from framedisc import SamplingPlan
         with pytest.raises(StructuralError):
-            SamplingPlan(cov, pou, np.zeros(cov.n_sets, dtype=int), pou.masses)
+            SamplingPlan(pou, np.zeros(cov.n_sets, dtype=int))
         for bad in (0, -1, 64, 40):
             samples = np.array([s[-1] for s in cov.sets])
-            SamplingPlan(cov, pou, samples, pou.masses)
+            SamplingPlan(pou, samples)
             samples[3] = bad
             with pytest.raises(StructuralError,
                                match=f"sample {bad} is not inside covering set 3"):
-                SamplingPlan(cov, pou, samples, pou.masses)
+                SamplingPlan(pou, samples)
             samples[6] = bad
             with pytest.raises(StructuralError, match="covering set 3"):
-                SamplingPlan(cov, pou, samples, pou.masses)
+                SamplingPlan(pou, samples)
+
+    @pytest.mark.parametrize("kind", ["flat", "smooth"])
+    def test_plan_reads_its_partition(self, grid64, kind):
+        """The covering and the masses c_i are the partition's, computed
+        once; neither can be passed in."""
+        from framedisc import SamplingPlan
+        cov = uniform_covering(grid64, 5.0)
+        pou = build_pou(cov, kind)
+        plan = select_samples(pou)
+        assert plan.covering is cov
+        assert np.array_equal(plan.masses, pou.masses)
+        assert plan.masses is plan.masses and not plan.masses.flags.writeable
+        with pytest.raises(TypeError):
+            SamplingPlan(pou, plan.samples, 3.0 * pou.masses)
+        with pytest.raises(TypeError):
+            SamplingPlan(cov, pou, plan.samples, pou.masses)
 
 
 class TestSamplingOperator:
@@ -164,8 +180,8 @@ class TestSmoothedOperator:
         model = build_random_smooth_model(3, 24, 2.0, seed=4)
         space = model.space
         cov = singleton_covering(space)
-        plan = select_samples(cov, build_pou(cov))
-        gamma = make_phase(model, "one")
+        plan = select_samples(build_pou(cov))
+        gamma = PhaseFunction(model, "one")
         F = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         out = apply_smoothed(model, plan, gamma, F)
         ref = apply_kernel(space, dense_kernel(model), F)
@@ -282,7 +298,7 @@ class TestInversion:
     def test_direct_refuses_rank_deficient_plan(self):
         model = build_orthonormal_model(4)
         cov = Covering(model.space, (np.array([0, 1]), np.array([2, 3])))
-        plan = select_samples(cov, build_pou(cov))
+        plan = select_samples(build_pou(cov))
         Y = WeightedLp.lebesgue(model.space, 2.0)
         with pytest.raises(SingularOperatorError):
             SamplingInverse(model, plan, Y, method="direct")
@@ -468,7 +484,7 @@ class TestWeakerThresholds:
 class TestVerifiedBounds:
     def test_no_violations_on_certified_setup(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        rep = verify_sampled_bounds(model, plan, Y, weight, report,
+        rep = verify_sampled_bounds(model, plan, Y, report,
                                     n_trials=50, seed=3)
         assert rep.violations == 0
         assert rep.sampled_flat_observed <= rep.sampled_flat_constant + 1e-10
@@ -529,6 +545,47 @@ class TestVerifiedBounds:
         assert gap is not None and gap <= 1e-9
 
 
+class TestReportCovering:
+    """A report certifies its own covering only: a plan on another covering
+    is refused, not measured against the report's constants."""
+
+    @pytest.fixture(scope="class")
+    def gabor_6x161(self):
+        """Gabor 6 x 161 (window 2.45, p = 2, unit weight) with boxes of one
+        time step by two frequency steps, whose report certifies (sharp
+        bound 0.61), and boxes of one by sixteen, whose own oscillation
+        norm is 1.85."""
+        model = build_gabor_model(6, 161, 2.45)
+        space = model.space
+        Y = WeightedLp.lebesgue(space, 2.0)
+        step = 6 / 161
+        gamma = PhaseFunction(model, "kernel")
+        fine = uniform_covering(space, (1.0, 2 * step))
+        coarse = uniform_covering(space, (1.0, 16 * step))
+        report = oscillation_report(model, fine, gamma, Y.weight2d(), 0.2)
+        own = oscillation_report(model, coarse, gamma, Y.weight2d(), 0.2)
+        assert contraction_bounds(report)[1] < 0.62
+        assert own.osc_norm > 1.8
+        return model, Y, report, select_samples(build_pou(fine)), \
+            select_samples(build_pou(coarse))
+
+    @pytest.mark.parametrize("method", ["neumann", "direct"])
+    def test_inverse_refuses_another_covering(self, gabor_6x161, method):
+        model, Y, report, fine_plan, coarse_plan = gabor_6x161
+        with pytest.raises(StructuralError, match="not the plan's covering"):
+            SamplingInverse(model, coarse_plan, Y, method=method, report=report)
+        inverse = SamplingInverse(model, fine_plan, Y, method=method,
+                                  report=report)
+        assert inverse.report is report
+
+    def test_bounds_refuse_another_covering(self, gabor_6x161):
+        model, Y, report, fine_plan, coarse_plan = gabor_6x161
+        with pytest.raises(StructuralError, match="not the plan's covering"):
+            verify_sampled_bounds(model, coarse_plan, Y, report, n_trials=3)
+        rep = verify_sampled_bounds(model, fine_plan, Y, report, n_trials=3)
+        assert rep.violations == 0
+
+
 class TestStreamedBounds:
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     @pytest.mark.parametrize("covering", ["intervals", "boxes"])
@@ -545,10 +602,10 @@ class TestStreamedBounds:
         w = np.ones(n) if weight_rule == "unit" else random_pointwise_weight(rng, n)
         Y = WeightedLp(space, 2.0, w)
         weight = Y.weight2d(ref_index=4)
-        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        plan = select_samples(cov, build_pou(cov))
-        bounds = verify_sampled_bounds(model, plan, Y, weight, report, n_trials=5)
+        plan = select_samples(build_pou(cov))
+        bounds = verify_sampled_bounds(model, plan, Y, report, n_trials=5)
         mu = space.weights
         m = weight_matrix_naive(weight.w)
         m_v = weight_matrix_naive(weight.v)
@@ -586,44 +643,45 @@ class TestStreamedBounds:
             cov = Covering(space, (np.arange(0, 8), np.arange(5, 14),
                                    np.arange(14, n)))
             pou = build_pou(cov)
-            plan = discretize_module.SamplingPlan(cov, pou, np.array([6, 6, 20]),
-                                                  pou.masses)
+            plan = discretize_module.SamplingPlan(pou, np.array([6, 6, 20]))
         else:
             cov = {"intervals": lambda: random_interval_covering(rng, space, 5),
                    "uniform": lambda: uniform_covering(space, 3.0 / n),
                    "singletons": lambda: singleton_covering(space)}[covering]()
-            plan = select_samples(cov, build_pou(cov))
+            plan = select_samples(build_pou(cov))
         weight = WeightedLp.lebesgue(space, 2.0).weight2d()
         want = schur_norm_naive(space.weights, sampled_row_kernel(model, plan))
         got = discretize_module._sampled_row_constant(model, plan, weight)
         assert got == pytest.approx(want, rel=1e-13)
-        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25, samples=plan.samples)
         assert report.d_const == pytest.approx(want, rel=1e-13)
         assert np.array_equal(report.d_samples, plan.samples)
 
     def test_report_constant_only_for_its_own_plan(self):
         """A unit-weight report made for plan A and handed in with plan B,
-        on the same covering with other samples or on another covering,
-        gives plan B's sampled-row constant; with plan A it gives A's."""
+        on the same covering with other samples, gives plan B's sampled-row
+        constant; with plan A it gives A's. With a plan on another covering
+        it is refused."""
         model, Y, weight, cov, gamma, _, plan_a = make_setup()
         space = model.space
         report = oscillation_report(model, cov, gamma, weight, 0.25,
                                     samples=plan_a.samples)
         other = np.array([idx[-1] for idx in cov.sets])
-        plan_b = discretize_module.SamplingPlan(cov, plan_a.pou, other,
-                                                plan_a.masses)
+        plan_b = discretize_module.SamplingPlan(plan_a.pou, other)
         cov_c = uniform_covering(space, 3.0 / space.n_points)
-        plan_c = select_samples(cov_c, build_pou(cov_c))
-        for plan in (plan_a, plan_b, plan_c):
+        plan_c = select_samples(build_pou(cov_c))
+        for plan in (plan_a, plan_b):
             want = schur_norm_naive(space.weights,
                                     sampled_row_kernel(model, plan))
-            got = verify_sampled_bounds(model, plan, Y, weight, report,
+            got = verify_sampled_bounds(model, plan, Y, report,
                                         n_trials=3).sampled_flat_constant
             assert got == pytest.approx(want, rel=1e-13)
         assert report.d_const != pytest.approx(
             schur_norm_naive(space.weights, sampled_row_kernel(model, plan_b)),
             rel=1e-6)
+        with pytest.raises(StructuralError, match="not the plan's covering"):
+            verify_sampled_bounds(model, plan_c, Y, report, n_trials=3)
 
     def test_weighted_report_carries_no_constant(self):
         """Under a non-trivial weight the samples are ignored: its D needs
@@ -692,14 +750,14 @@ class TestStreamedBounds:
         Y = WeightedLp(space, 2.0, np.exp(0.02 * np.linalg.norm(space.points,
                                                                 axis=1)))
         weight = Y.weight2d()
-        gamma = make_phase(model, "kernel")
-        plan = select_samples(cov, build_pou(cov))
+        gamma = PhaseFunction(model, "kernel")
+        plan = select_samples(build_pou(cov))
         report = oscillation_report(model, cov, gamma, weight, 0.2)
         unit = WeightedLp.lebesgue(space, 2.0).weight2d()
         for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
                     lambda: oscillation_report(model, cov, gamma, unit, 0.2,
                                                samples=plan.samples),
-                    lambda: verify_sampled_bounds(model, plan, Y, weight, report,
+                    lambda: verify_sampled_bounds(model, plan, Y, report,
                                                   n_trials=5),
                     lambda: reproducing_defect(model, weight)):
             tracemalloc.start()
@@ -741,9 +799,9 @@ class TestScaleInvariantNeumann:
         model = build_gabor_model(6, 161, 2.45)
         Y = WeightedLp.lebesgue(model.space, 2.0)
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
-        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     Y.weight2d(), 0.2)
-        return model, Y, select_samples(cov, build_pou(cov)), report
+        return model, Y, select_samples(build_pou(cov)), report
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
     def test_matches_direct_at_every_scale(self, gabor_plan, scale):
@@ -787,9 +845,9 @@ class TestExtremeScales:
                                     for t in range(4) for m in range(0, 61, 2)))
         w = np.exp(0.02 * np.linalg.norm(space.points, axis=1))
         weight = WeightedLp(space, 2.0, w).weight2d()
-        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        return model, w, select_samples(cov, build_pou(cov)), report
+        return model, w, select_samples(build_pou(cov)), report
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
     def test_neumann_apply_homogeneous(self, gabor_4x61, p):
@@ -849,9 +907,9 @@ class TestNeumannTermBound:
         w = {"unit": np.ones(space.n_points),
              "exp": np.exp(0.02 * np.linalg.norm(space.points, axis=1))}
         report = {rule: oscillation_report(
-            model, cov, make_phase(model, "kernel"),
+            model, cov, PhaseFunction(model, "kernel"),
             WeightedLp(space, 2.0, w[rule]).weight2d(), 0.25) for rule in w}
-        return model, select_samples(cov, build_pou(cov)), w, report
+        return model, select_samples(build_pou(cov)), w, report
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
@@ -975,19 +1033,20 @@ class TestBlockHarness:
                                     for t in range(4) for m in range(0, 61, 2)))
         w = {"unit": np.ones(space.n_points),
              "exp": np.exp(0.02 * np.linalg.norm(space.points, axis=1))}
-        return model, select_samples(cov, build_pou(cov)), w
+        return model, select_samples(build_pou(cov)), w
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-3])
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
-    def test_observed_contraction_matches_loop(self, gabor_4x61, p,
-                                               weight_rule, tol):
+    def test_observed_contraction_matches_loop(self, monkeypatch, gabor_4x61,
+                                               p, weight_rule, tol):
         """tol = 1e-3 settles the power iteration after a few steps; 1e-10
         runs all of them."""
         model, plan, w = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
+        monkeypatch.setattr(discretize_module, "CONTRACTION_TOL", tol)
         want = observed_contraction_naive(model, plan, Y, tol=tol, seed=4)
-        got = observed_contraction(model, plan, Y, tol=tol, seed=4)
+        got = observed_contraction(model, plan, Y, seed=4)
         assert want > 1e-4
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -1019,7 +1078,7 @@ class TestBlockHarness:
     def test_observed_contraction_norm_calls(self, monkeypatch, gabor_4x61,
                                              n_iter):
         """The iterates with the last image, the probes and the probe
-        images are three blocks, whatever n_iter is."""
+        images are three blocks, whatever ``CONTRACTION_STEPS`` is."""
         model, plan, w = gabor_4x61
         Y = WeightedLp(model.space, 1.0, w["exp"])
         want = observed_contraction_naive(model, plan, Y, n_iter=n_iter)
@@ -1032,7 +1091,8 @@ class TestBlockHarness:
                 return _original(self, *args)
 
             monkeypatch.setattr(WeightedLp, name, counted)
-        got = observed_contraction(model, plan, Y, n_iter=n_iter)
+        monkeypatch.setattr(discretize_module, "CONTRACTION_STEPS", n_iter)
+        got = observed_contraction(model, plan, Y)
         assert calls["column_norms"] <= 3
         assert calls["streamed_column_norms"] <= 3
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -1047,7 +1107,7 @@ class TestBlockHarness:
         Y = WeightedLp(model.space, p, w[weight_rule])
         weight = Y.weight2d()
         report = oscillation_report(model, plan.covering,
-                                    make_phase(model, "kernel"), weight, 0.25)
+                                    PhaseFunction(model, "kernel"), weight, 0.25)
         want = measure_observed_naive(model, plan, Y, n_trials=20, seed=6)
         calls = []
         original = decomposition_norm
@@ -1059,7 +1119,7 @@ class TestBlockHarness:
         for module in (discretize_module, spaces_module):
             monkeypatch.setattr(module, "decomposition_norm", counted,
                                 raising=False)
-        rep = verify_sampled_bounds(model, plan, Y, weight, report,
+        rep = verify_sampled_bounds(model, plan, Y, report,
                                     n_trials=20, seed=6)
         assert not calls
         assert want > 0.0
@@ -1093,7 +1153,7 @@ class TestBlockHarness:
         weight = Y.weight2d()
         result = run_discretization(model, Y, weight, 0.25, covering=cov,
                                     n_trials=10, seed=3)
-        report = oscillation_report(model, cov, make_phase(model, "kernel"),
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
         suites = [residual_suite(SamplingInverse(model, plan, Y, report=report),
                                  n_trials=10, seed=3 + swap,

@@ -1,10 +1,11 @@
-"""The package exports only names that something outside the tests uses.
+"""The package holds only code that something outside the tests uses.
 
-A public name of ``framedisc`` that only the test suite calls belongs in
-``tests/theory.py`` or ``tests/oracles.py``, not in the package. A name
-counts as used when code in a module of ``src/framedisc/`` other than
-``__init__.py``, or in a script under ``scripts/``, refers to it outside
-the name's own ``def`` or ``class`` (docstrings and comments do not
+A public name of ``framedisc``, or a public module-level function or
+method of a module under ``src/framedisc/``, that only the test suite
+calls belongs in ``tests/theory.py`` or ``tests/oracles.py``, not in the
+package. A name counts as used when code in a module of ``src/framedisc/``
+other than ``__init__.py``, or in a script under ``scripts/``, refers to it
+outside the name's own ``def`` or ``class`` (docstrings and comments do not
 count), or when ``README.md`` names it.
 """
 
@@ -16,34 +17,76 @@ from pathlib import Path
 import framedisc
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(p for p in (ROOT / "src" / "framedisc").glob("*.py")
+                 if p.name != "__init__.py")
 
 
-def _names_in(node, skip=None) -> set:
+def _names_in(node, skip=()) -> set:
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))} - {skip}
+            if isinstance(n, (ast.Name, ast.Attribute))} - set(skip)
+
+
+def _units(tree):
+    """(node, own names) for every top-level statement, a class split into
+    its body statements, each of which leaves out the class's name and, for
+    a method, the method's own name."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for node in stmt.bases + stmt.decorator_list:
+                yield node, (stmt.name,)
+            for item in stmt.body:
+                own = item.name if isinstance(
+                    item, (ast.FunctionDef, ast.ClassDef)) else None
+                yield item, (stmt.name, own)
+        elif isinstance(stmt, ast.FunctionDef):
+            yield stmt, (stmt.name,)
+        else:
+            yield stmt, ()
 
 
 def code_references() -> set:
     """Names read by the package modules (not ``__init__.py``) and the
-    scripts, each top-level definition's own name left out of its body."""
-    paths = [p for p in sorted((ROOT / "src" / "framedisc").glob("*.py"))
-             if p.name != "__init__.py"]
-    paths += sorted((ROOT / "scripts").glob("*.py"))
+    scripts, each definition's own name left out of its body."""
+    paths = PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
     names = set()
     for path in paths:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = stmt.name if isinstance(
-                stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            names |= _names_in(stmt, own)
+        for node, own in _units(ast.parse(path.read_text(encoding="utf-8"))):
+            names |= _names_in(node, own)
     return names
 
 
-def test_every_public_name_has_a_caller_outside_tests():
-    public = [name for name in framedisc.__all__
-              if not isinstance(getattr(framedisc, name), types.ModuleType)]
+def public_definitions() -> list:
+    """``module.name`` and ``module.Class.name`` of every public
+    module-level function and public method of the package modules."""
+    found = []
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef):
+                found.append((f"{path.stem}.{stmt.name}", stmt.name))
+            elif isinstance(stmt, ast.ClassDef):
+                found += [(f"{path.stem}.{stmt.name}.{item.name}", item.name)
+                          for item in stmt.body
+                          if isinstance(item, ast.FunctionDef)]
+    return [(where, name) for where, name in found if not name.startswith("_")]
+
+
+def _unused(names) -> list:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     used = code_references()
-    unused = [name for name in public if name not in used
-              and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    return [where for where, name in names if name not in used
+            and not re.search(rf"\b{re.escape(name)}\b", readme)]
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    public = [(name, name) for name in framedisc.__all__
+              if not isinstance(getattr(framedisc, name), types.ModuleType)]
+    unused = _unused(public)
     assert not unused, f"public names only the tests use: {unused}"
+
+
+def test_every_public_function_and_method_has_a_caller_outside_tests():
+    definitions = public_definitions()
+    assert len(definitions) > 50
+    unused = _unused(definitions)
+    assert not unused, f"public functions and methods only the tests use: {unused}"

@@ -6,11 +6,11 @@ import pytest
 
 import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
-from framedisc import CertificationError, Covering, FrameModel, Screened, \
-    StructuralError, Weight2D, WeightedLp, invertibility_condition, \
-    kernel_norms, make_phase, oscillation_norms, oscillation_report, \
-    refine_until, sigma_constant, singleton_covering, uniform_covering, \
-    uniform_grid, v_weight
+from framedisc import CertificationError, Covering, FrameModel, \
+    PhaseFunction, Screened, StructuralError, Weight2D, WeightedLp, \
+    invertibility_condition, kernel_norms, oscillation_norms, \
+    oscillation_report, refine_until, sigma_constant, singleton_covering, \
+    uniform_covering, uniform_grid, v_weight
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
@@ -37,7 +37,7 @@ class TestOscillationKernel:
         cov = singleton_covering(smooth_model.space)
         for rule in ("one", "kernel"):
             osc = oscillation_kernel(smooth_model, cov,
-                                     make_phase(smooth_model, rule))
+                                     PhaseFunction(smooth_model, rule))
             assert np.all(osc == 0.0)
 
     def test_constant_kernel_no_oscillation(self):
@@ -45,7 +45,7 @@ class TestOscillationKernel:
         oscillation for the constant phase, whatever the covering."""
         model = constant_frame_model()
         cov = uniform_covering(model.space, 3.0)
-        osc = oscillation_kernel(model, cov, make_phase(model, "one"))
+        osc = oscillation_kernel(model, cov, PhaseFunction(model, "one"))
         assert np.max(osc) <= 1e-15
 
     def test_matches_triple_loop(self, rng):
@@ -55,7 +55,7 @@ class TestOscillationKernel:
             sets = [np.arange(0, 4), np.arange(3, 7), np.arange(6, 10),
                     np.arange(2, 9)]
             cov = Covering(model.space, tuple(sets))
-            gamma = make_phase(model, "kernel")
+            gamma = PhaseFunction(model, "kernel")
             got = oscillation_kernel(model, cov, gamma)
             want = osc_naive(dense_kernel(model), [s.tolist() for s in sets],
                              phase_table_naive(rank_d_entries(model), "kernel"))
@@ -64,14 +64,14 @@ class TestOscillationKernel:
     def test_nonnegative(self, smooth_model):
         cov = uniform_covering(smooth_model.space, 0.3)
         osc = oscillation_kernel(smooth_model, cov,
-                                 make_phase(smooth_model, "kernel"))
+                                 PhaseFunction(smooth_model, "kernel"))
         assert np.all(osc >= 0.0)
 
     def test_monotone_under_neighborhood_shrinkage(self):
         model = build_gabor_model(6, 6, 2.4)
         coarse = uniform_covering(model.space, 4.0)
         fine = uniform_covering(model.space, 2.0)
-        gamma = make_phase(model, "one")
+        gamma = PhaseFunction(model, "one")
         osc_coarse = oscillation_kernel(model, coarse, gamma)
         osc_fine = oscillation_kernel(model, fine, gamma)
         # aligned dyadic boxes: every fine neighborhood sits in a coarse one
@@ -82,7 +82,7 @@ class TestOscillationKernel:
     def test_involution_norm_identity(self, smooth_model, rng):
         cov = uniform_covering(smooth_model.space, 0.25)
         osc = oscillation_kernel(smooth_model, cov,
-                                 make_phase(smooth_model, "kernel"))
+                                 PhaseFunction(smooth_model, "kernel"))
         m = Weight2D(smooth_model.space,
                      random_pointwise_weight(rng, smooth_model.space.n_points))
         a = schur_norm(smooth_model.space, osc, m)
@@ -93,7 +93,7 @@ class TestOscillationKernel:
         """|R(x,z)| <= osc(x,y) + |R(x,y)| whenever z, y share a set."""
         cov = uniform_covering(smooth_model.space, 0.3)
         osc = oscillation_kernel(smooth_model, cov,
-                                 make_phase(smooth_model, "kernel"))
+                                 PhaseFunction(smooth_model, "kernel"))
         r = np.abs(dense_kernel(smooth_model))
         n = smooth_model.space.n_points
         for s in cov.sets:
@@ -123,7 +123,7 @@ def streamed_setup(covering, weight_rule, phase):
         gamma = TablePhase(space, table)
     else:
         table = phase_table_naive(rank_d_entries(model), phase)
-        gamma = make_phase(model, phase)
+        gamma = PhaseFunction(model, phase)
     osc = osc_naive(dense_kernel(model), [s.tolist() for s in cov.sets], table)
     return model, cov, weight, gamma, osc
 
@@ -141,7 +141,7 @@ class TestOscRows:
         n, d = model.space.n_points, model.dim
         cov = uniform_covering(model.space, width)
         assert cov.overlap_bound == 1 and max(s.size for s in cov.sets) > 1
-        gamma = make_phase(model, rule)
+        gamma = PhaseFunction(model, rule)
         want = oscillation_kernel(model, cov, gamma).T
         tol = 8 * d * np.finfo(float).eps * np.max(np.abs(dense_kernel(model)))
         for start, stop in ((0, 1), (1, 5), (5, n)):
@@ -178,7 +178,7 @@ class TestMirroredPairs:
         n = model.space.n_points
         cov = Covering(model.space, tuple(np.arange(y, y + 2)
                                           for y in range(0, n, 2)))
-        gamma = make_phase(model, rule)
+        gamma = PhaseFunction(model, rule)
         want = osc_rows_loop(model, cov, gamma, 0, n)
         rows = count_product_rows(model)
         got = oscillation_module._osc_rows(model, cov, gamma, 0, n)
@@ -194,7 +194,7 @@ class TestMirroredPairs:
     def test_singleton_covering_forms_no_product(self, rule):
         model = build_gabor_model(4, 30, 2.0)
         cov = singleton_covering(model.space)
-        gamma = make_phase(model, rule)
+        gamma = PhaseFunction(model, rule)
         rows = count_product_rows(model)
         w = unit_weight(model.space)
         assert oscillation_norms(model, cov, gamma, [w, w]) == [0.0, 0.0]
@@ -260,7 +260,7 @@ def q_table_setup(covering, phase):
         table[np.arange(0, n, 2), np.arange(0, n, 2)] = 1.0
         gamma = TablePhase(space, table)
     else:
-        gamma = make_phase(model, phase)
+        gamma = PhaseFunction(model, phase)
     return model, cov, gamma
 
 
@@ -373,7 +373,7 @@ class TestStreamedNorms:
         n = model.space.n_points
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 50 * 16 * n)
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 41))
-        gamma = make_phase(model, "kernel")
+        gamma = PhaseFunction(model, "kernel")
         calls = []
         osc_rows = oscillation_module._osc_rows
 
@@ -405,7 +405,7 @@ class TestStreamedNorms:
         assert v_weight(weight) is weight
         moved = Weight2D(space, w, ref_index=7)      # w > 1 at point 7
         assert v_weight(moved) is not moved
-        gamma = make_phase(model, "kernel")
+        gamma = PhaseFunction(model, "kernel")
         calls = []
         block = Weight2D.block
 
@@ -426,7 +426,7 @@ class TestStreamedNorms:
     def test_report_holds_no_array(self, smooth_model):
         cov = uniform_covering(smooth_model.space, 0.3)
         rep = oscillation_report(smooth_model, cov,
-                                 make_phase(smooth_model, "kernel"),
+                                 PhaseFunction(smooth_model, "kernel"),
                                  unit_weight(smooth_model.space), 0.5)
         assert not any(isinstance(v, np.ndarray) for v in vars(rep).values())
 
@@ -447,7 +447,7 @@ class TestStreamedNorms:
             return osc_rows(model, cov, gamma, start, stop)
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
-        scan = oscillation_norms(model, cov, make_phase(model, "kernel"),
+        scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"),
                                  [unit_weight(model.space)],
                                  level=np.finfo(float).tiny)
         assert isinstance(scan, Screened) and scan.column == column
@@ -464,17 +464,17 @@ def full_table(gamma):
 
 class TestPhaseFunctions:
     def test_constant_rule_table(self, smooth_model):
-        gamma = make_phase(smooth_model, "one")
+        gamma = PhaseFunction(smooth_model, "one")
         assert np.all(full_table(gamma) == 1.0)
 
     def test_kernel_phase_unimodular_and_diagonal_one(self, smooth_model):
-        table = full_table(make_phase(smooth_model, "kernel"))
+        table = full_table(PhaseFunction(smooth_model, "kernel"))
         assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-14
         assert np.max(np.abs(np.diagonal(table) - 1.0)) <= 1e-12
 
     def test_positive_kernel_gives_constant_phase(self):
         model = constant_frame_model()
-        gamma = make_phase(model, "kernel")
+        gamma = PhaseFunction(model, "kernel")
         assert np.allclose(full_table(gamma), 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("rule", ["one", "kernel"])
@@ -484,7 +484,7 @@ class TestPhaseFunctions:
         n = model.space.n_points
         tracemalloc.start()
         try:
-            gamma = make_phase(model, rule)
+            gamma = PhaseFunction(model, rule)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -500,7 +500,7 @@ class TestPhaseFunctions:
                                           seed=5)], ids=["gabor", "smooth"])
     def test_mirrored_pairs_conjugate_exactly(self, build, rule):
         """gamma(z, y) == conj gamma(y, z) to the bit, at every pair."""
-        gamma = make_phase(build(), rule)
+        gamma = PhaseFunction(build(), rule)
         table = full_table(gamma)
         assert gamma.hermitian is True
         assert np.array_equal(table, table.conj().T)
@@ -520,7 +520,7 @@ class TestPhaseFunctions:
                                                 smoothness=1.2, seed=3)):
             n = model.space.n_points
             want = phase_table_naive(rank_d_entries(model), rule)
-            gamma = make_phase(model, rule)
+            gamma = PhaseFunction(model, rule)
             for y in range(n):
                 got = gamma(y, np.arange(n))
                 assert got.shape == (n,)
@@ -532,9 +532,9 @@ class TestPhaseFunctions:
         model = build_gabor_model(16, 16, 4.0)
         cov = uniform_covering(model.space, 2.0)
         n1 = schur_norm(model.space, oscillation_kernel(
-            model, cov, make_phase(model, "one")))
+            model, cov, PhaseFunction(model, "one")))
         nk = schur_norm(model.space, oscillation_kernel(
-            model, cov, make_phase(model, "kernel")))
+            model, cov, PhaseFunction(model, "kernel")))
         assert np.isfinite(n1) and np.isfinite(nk)
         assert nk <= n1
 
@@ -572,7 +572,7 @@ class TestBudgetReport:
         cov = singleton_covering(smooth_model.space)
         w = unit_weight(smooth_model.space)
         rep = oscillation_report(smooth_model, cov,
-                                 make_phase(smooth_model, "kernel"), w, 0.05)
+                                 PhaseFunction(smooth_model, "kernel"), w, 0.05)
         assert rep.osc_norm == 0.0
         assert rep.oscillation_ok
         assert rep.sigma == sigma_constant(0.05, rep.r_norm, rep.c_mu)
@@ -580,12 +580,26 @@ class TestBudgetReport:
     def test_report_json_fields(self, smooth_model):
         cov = singleton_covering(smooth_model.space)
         rep = oscillation_report(smooth_model, cov,
-                                 make_phase(smooth_model, "one"),
+                                 PhaseFunction(smooth_model, "one"),
                                  unit_weight(smooth_model.space), 0.1)
         doc = rep.to_json_dict()
         for key in ("osc_norm", "delta", "sigma", "R_norm", "C_mU",
                     "holds_D", "holds_58", "covering_id"):
             assert key in doc
+
+    def test_report_records_covering_and_weight(self, smooth_model):
+        """A report names its covering and keeps the weight it was made
+        under, from a direct call and from the refinement search alike;
+        the weight is not serialized."""
+        w = unit_weight(smooth_model.space)
+        cov = uniform_covering(smooth_model.space, 0.1)
+        rep = oscillation_report(smooth_model, cov,
+                                 PhaseFunction(smooth_model, "kernel"), w, 0.1)
+        assert rep.covering_id == cov.identifier() and rep.weight is w
+        assert "weight" not in rep.to_json_dict()
+        found, refined = refine_until(smooth_model, w, delta=10.0,
+                                      require_invertibility=False)
+        assert refined.covering_id == found.identifier() and refined.weight is w
 
 
 class TestRefine:
@@ -683,7 +697,7 @@ def column0_sum(model, weight):
     spans = np.ptp(model.space.points, axis=0)
     cov = uniform_covering(model.space,
                            np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0)
-    scan = oscillation_norms(model, cov, make_phase(model, "kernel"), [weight],
+    scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"), [weight],
                              level=0.0)
     assert scan.column == 0
     return scan.lower_bound
@@ -790,7 +804,7 @@ class TestRefineScreen:
     def test_screen_stops_at_first_column_reaching_level(self):
         model = build_gabor_model(4, 16, 2.0)
         cov = uniform_covering(model.space, 2.0)
-        gamma = make_phase(model, "kernel")
+        gamma = PhaseFunction(model, "kernel")
         w = unit_weight(model.space)
         osc = oscillation_kernel(model, cov, gamma)
         sums = model.space.weights @ osc
