@@ -69,8 +69,8 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
         plan = select_samples(build_pou(cov))
         _, sharp = contraction_bounds(report)
         row["contraction_sharp"] = sharp
-        row["contraction_observed"] = observed_contraction(model, plan, Y, seed=0)
         inverse = SamplingInverse(model, plan, Y, report=report)
+        row["contraction_observed"] = observed_contraction(inverse, seed=0)
         res = residual_suite(inverse, n_trials=10, seed=0)
         row["atomic_residual_max"] = res["atomic_max"]
         row["banach_residual_max"] = res["banach_max"]

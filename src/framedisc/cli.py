@@ -3,8 +3,8 @@
 Subcommands: validate, osc, discretize, report-merge. Configuration is a
 flat JSON document with kebab-case keys; any key can be overridden on the
 command line by the flag of the same name. Exit codes: 0 success,
-1 property failure, 2 configuration error, 3 certification refusal,
-4 numerical failure.
+1 property failure, 2 configuration error (including a file that cannot be
+read, decoded or written), 3 certification refusal, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -353,7 +353,8 @@ def main(argv=None) -> int:
         if args.command == "osc":
             return cmd_osc(cfg)
         return cmd_discretize(cfg)
-    except (StructuralError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (StructuralError, OSError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CertificationError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import Weight2D, row_slices, schur_norms
+from .kernels import row_slices, schur_norms
 from .models import FrameModel, random_vectors
 from .oscillation import OscReport, kernel_norms
 from .spaces import WeightedLp, local_integrability_constant, pileup, \
@@ -110,13 +110,6 @@ def select_samples(pou: PartitionOfUnity,
     return SamplingPlan(pou, samples)
 
 
-def _own_report(plan: SamplingPlan, report: OscReport) -> None:
-    """Refuse a report of another covering: it certifies nothing here."""
-    if report.covering_id != plan.covering.identifier():
-        raise StructuralError(f"oscillation report made for covering "
-                              f"{report.covering_id}, not the plan's covering")
-
-
 def contraction_bounds(report: OscReport) -> tuple:
     """(nominal, sharp) bounds on ||Id - U|| restricted to the kernel range.
 
@@ -152,9 +145,10 @@ class SamplingInverse:
     grid function to coordinates (anything outside the range is first
     projected onto it), inverts there and maps back; ``_invert_coords``
     inverts a (d, k) block of coordinates directly. The handle is the one
-    argument the decomposition, reconstruction, dual-frame, residual and
-    cross-check helpers take: they read the model, plan, Y, report, ``tol``
-    and ``n_max`` from it. A report of another covering is refused.
+    argument the decomposition, reconstruction, dual-frame, residual,
+    cross-check, observed-contraction and bounds helpers take: they read
+    the model, plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and the
+    p = 2 metric from it. A report of another covering is refused here.
 
     ``neumann`` sums a + (Id-U)a + (Id-U)^2 a + ... and requires a
     certificate that the sharp contraction bound is below one; ``direct``
@@ -172,8 +166,11 @@ class SamplingInverse:
     def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
                  method: str = "neumann", tol: float = 1e-12, n_max: int = 200,
                  report: OscReport | None = None):
-        if report is not None:
-            _own_report(plan, report)
+        # a report of another covering certifies nothing here
+        if report is not None \
+                and report.covering_id != plan.covering.identifier():
+            raise StructuralError(f"oscillation report made for covering "
+                                  f"{report.covering_id}, not the plan's covering")
         self.model = model
         self.plan = plan
         self.Y = Y
@@ -405,14 +402,15 @@ def hilbert_frame_bounds(model: FrameModel, plan: SamplingPlan) -> tuple:
     return float(evals[0]), float(evals[-1])
 
 
-def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
-                         *, seed: int = 0) -> float:
-    """Empirical lower estimate of ||Id - U|| on the kernel range in Y-norm.
+def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
+    """Empirical lower estimate of ||Id - U|| on the kernel range in the
+    inverse's Y-norm, read off the handle's S^{-1} S_c.
 
     For p = 2 the restriction is finite dimensional and the norm is computed
-    exactly through the weighted metric; otherwise the estimate is the best
-    ratio |V* m g|_Y / |V* g|_Y, m = Id - S^{-1} S_c, over power-iteration
-    iterates g and ``CONTRACTION_PROBES`` random coordinate vectors.
+    exactly through the weighted metric (the handle's, where it formed one);
+    otherwise the estimate is the best ratio |V* m g|_Y / |V* g|_Y,
+    m = Id - S^{-1} S_c, over power-iteration iterates g and
+    ``CONTRACTION_PROBES`` random coordinate vectors.
 
     The power iteration g <- m g / |m g| runs in coordinates for up to
     ``CONTRACTION_STEPS`` steps, stopping early only where m g vanishes.
@@ -424,18 +422,21 @@ def observed_contraction(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     iteration would return, up to rounding. The probes are drawn in one
     call (``random_vectors``) and analyzed as one block.
     """
+    model, Y = inverse.model, inverse.Y
     rng = np.random.default_rng(seed)
-    m = np.eye(model.dim, dtype=complex) - _restricted_matrix(model, plan)
+    m = np.eye(model.dim, dtype=complex) - inverse._restricted
 
     if Y.p == 2.0:
-        metric = _weighted_metric(model, Y)
+        metric = inverse._metric
+        if metric is None:
+            metric = _weighted_metric(model, Y)
         evals, evecs = np.linalg.eigh(0.5 * (metric + metric.conj().T))
         evals = np.maximum(evals, 1e-300)
         half = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
         half_inv = (evecs / np.sqrt(evals)[None, :]) @ evecs.conj().T
         return float(np.linalg.norm(half @ m @ half_inv, ord=2))
 
-    analysis = model.vectors.conj().T
+    analysis = inverse._analysis
     best = 0.0
     g = random_vectors(rng, model.dim, 1)[:, 0]
     iterates, scales = [], []
@@ -511,53 +512,55 @@ def _sampled_row_blocks(model: FrameModel, plan: SamplingPlan):
 
 
 def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
-                          weight: Weight2D, report: OscReport | None = None
-                          ) -> float:
+                          report: OscReport) -> float:
     """Schur norm of the sampled-row kernel K(x, y) = sum_i |R(x_i, y)|
-    chi_{U_i}(x) under ``weight``.
+    chi_{U_i}(x) under the report's weight.
 
-    Under a trivial weight it is the last norm of an R pass with the plan's
-    samples (``oscillation.kernel_norms``), read off the unit-weight |R|
-    row sums at the samples and |R| c, with no sample row of R formed; a
-    ``report`` on the plan's covering made with the plan's samples carries
-    it as ``d_const``, and then no pass runs. Otherwise m(x, y) ties every
-    point of U_i to y, and K is streamed in row blocks
-    (``_sampled_row_blocks``).
+    Under a trivial weight it is the last norm of an R pass with the plan
+    (``oscillation.kernel_norms``), read off the unit-weight |R| row sums
+    at the samples and |R| c, with no sample row of R formed; a report made
+    with this plan (``d_plan``) carries it as ``d_const``, and then no pass
+    runs. Otherwise m(x, y) ties every point of U_i to y, and K is streamed
+    in row blocks (``_sampled_row_blocks``).
     """
+    weight = report.weight
     if not weight.trivial:
         return schur_norms(model.space, _sampled_row_blocks(model, plan),
                            [weight])[0]
-    if report is not None and report.d_samples is not None \
-            and np.array_equal(report.d_samples, plan.samples):
+    if report.d_plan == plan.identifier():
         return report.d_const
-    return kernel_norms(model, (), plan.covering, plan.samples)[-1]
+    return kernel_norms(model, (), plan)[-1]
 
 
-def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
-                          report: OscReport, n_trials: int = 50,
+def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
                           seed: int = 0) -> BoundsReport:
-    """Measure every inequality the sampled kernels certify.
+    """Measure every inequality the sampled kernels certify, for the
+    inverse's plan in its Y.
 
-    ``report`` is the oscillation report of the plan's covering (another
-    is refused, StructuralError); the constants are taken under its weight,
-    and its m_v norms of osc and R give the range-sup constant. Each block
-    computes a kernel-derived constant and the worst observed ratio over
-    random trials; ``violations`` counts ratios exceeding their constant
-    beyond ``BOUNDS_SLACK``. Under a trivial weight the sampled-row
-    constant D is the report's ``d_const`` when the report was made with
-    the plan's samples, so no second pass over R runs; other samples get an
-    R pass of their own, and a non-trivial weight a streamed pass over the
-    sampled-row kernel (``_sampled_row_constant``). The trials run as
-    blocks, one column each; the kernel applied to a measure sum_k lambda_k
-    delta_{y_k} is formed as V* S^{-1} sum_k lambda_k psi_{y_k}.
+    The handle must carry the oscillation report of its plan's covering
+    (one without a report is refused, StructuralError); the constants are
+    taken under the report's weight, and its m_v norms of osc and R give
+    the range-sup constant. Each block computes a kernel-derived constant
+    and the worst observed ratio over random trials; ``violations`` counts
+    ratios exceeding their constant beyond ``BOUNDS_SLACK``. Under a
+    trivial weight the sampled-row constant D is the report's ``d_const``
+    when the report was made with the plan (``d_plan``), so no second pass
+    over R runs; another plan gets an R pass of its own, and a non-trivial
+    weight a streamed pass over the sampled-row kernel
+    (``_sampled_row_constant``). The trials run as blocks, one column each;
+    the kernel applied to a measure sum_k lambda_k delta_{y_k} is formed as
+    V* S^{-1} sum_k lambda_k psi_{y_k}.
     """
-    _own_report(plan, report)
+    model, plan, Y, report = inverse.model, inverse.plan, inverse.Y, inverse.report
+    if report is None:
+        raise StructuralError("bounds need an inverse made with an "
+                              "oscillation report")
     rng = np.random.default_rng(seed)
     space = model.space
     cov = plan.covering
     weight = report.weight
 
-    d_const = _sampled_row_constant(model, plan, weight, report)
+    d_const = _sampled_row_constant(model, plan, report)
     meas_const = report.osc_norm + report.r_norm
     sup_space = sup_infinity_space(Y, weight)
     range_sup_const = (report.osc_norm_v + report.r_norm_v) \
@@ -594,7 +597,7 @@ def verify_sampled_bounds(model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
     dec_norms = Y.column_norms(pileup(
         cov.set_sums(density.reshape(space.n_points, n_trials)), cov,
         natural=True))
-    applied = model.vectors.conj().T @ (model.s_inverse @ atoms)
+    applied = inverse._analysis @ (model.s_inverse @ atoms)
     keep = dec_norms > 0.0
     meas_obs = np.max(Y.column_norms(applied[:, keep]) / dec_norms[keep],
                       initial=0.0)

@@ -14,7 +14,7 @@ Schur sums (``oscillation_norms``), and so are the upper-triangle strips
 of R (``kernel_norms``). Both passes form each distinct kernel entry once:
 |R| m is symmetric, and for a Hermitian phase the osc rows of the pairs
 (y, z) and (z, y) have the same moduli. Under a trivial weight, given a
-plan's samples, the R pass also yields the plan's sampled-row constant D.
+sampling plan, the R pass also yields the plan's sampled-row constant D.
 """
 
 from __future__ import annotations
@@ -153,6 +153,12 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     return np.zeros((ys.size, n)) if out is None else out
 
 
+def _same_space(model: FrameModel, cov: Covering) -> None:
+    """Refuse a covering of another grid than the model's."""
+    if cov.space is not model.space and cov.space.n_points != model.space.n_points:
+        raise StructuralError("covering lives on a different space")
+
+
 def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
                       weights, level: float | None = None) -> list | Screened:
     """Schur norms of the oscillation kernel under each of ``weights``.
@@ -167,8 +173,7 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     the norm is the maximum of, and a stopped scan has formed at most
     2c + 1 columns, c the column it stopped at.
     """
-    if cov.space is not model.space and cov.space.n_points != model.space.n_points:
-        raise StructuralError("covering lives on a different space")
+    _same_space(model, cov)
     n = model.space.n_points
     sums = SchurSums(model.space, weights)
     cap = block_rows(n)
@@ -213,8 +218,8 @@ class OscReport:
     its consumers read; they refuse a plan on another covering. Not
     serialized: ``weight``; ``osc_norm_v`` and ``r_norm_v``, the norms of
     osc and R under m_v (``v_weight``) from the same passes; and, under a
-    trivial weight given a plan's samples ``d_samples``, that plan's
-    sampled-row constant ``d_const`` from the same R pass (else None).
+    trivial weight given a plan, its sampled-row constant ``d_const`` from
+    the same R pass and its ``identifier()`` as ``d_plan`` (else None).
     """
 
     osc_norm: float
@@ -233,7 +238,7 @@ class OscReport:
     n_sets: int
     weight: Weight2D
     d_const: float | None = None
-    d_samples: np.ndarray | None = None
+    d_plan: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -253,49 +258,51 @@ class OscReport:
 
 
 def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       weight: Weight2D, delta: float,
-                       samples=None) -> OscReport:
+                       weight: Weight2D, delta: float, plan=None) -> OscReport:
     """Evaluate the oscillation budget; reports, never raises on failure.
 
-    With ``samples``, one sample index per set of ``cov`` (a plan's
-    ``samples``), a trivial weight's R pass also yields that plan's
-    sampled-row constant D, which the report carries as ``d_const``; a
-    non-trivial weight ignores them, as its D needs m on every pair.
+    With a sampling ``plan`` on ``cov`` (another covering's is refused
+    before any pass, StructuralError), a trivial weight's R pass also gives
+    the plan's sampled-row constant D, carried as ``d_const`` with the
+    plan's ``identifier()`` as ``d_plan``; a non-trivial weight ignores the
+    plan, as its D needs m on every pair.
     """
+    if plan is not None and plan.covering.identifier() != cov.identifier():
+        raise StructuralError("the plan is on another covering than the report's")
     weights = (weight, v_weight(weight))
     osc_norms = oscillation_norms(model, cov, gamma, weights)
-    if samples is None or not weight.trivial:
+    if plan is None or not weight.trivial:
         return _report(model, cov, gamma, weight, delta, osc_norms,
                        kernel_norms(model, weights))
-    samples = np.array(samples, dtype=int)
-    samples.setflags(write=False)
-    *r_norms, d_const = kernel_norms(model, weights, cov, samples)
+    *r_norms, d_const = kernel_norms(model, weights, plan)
     return replace(_report(model, cov, gamma, weight, delta, osc_norms, r_norms),
-                   d_const=d_const, d_samples=samples)
+                   d_const=d_const, d_plan=plan.identifier())
 
 
-def kernel_norms(model: FrameModel, weights, cov: Covering | None = None,
-                 samples=None) -> list:
+def kernel_norms(model: FrameModel, weights, plan=None) -> list:
     """Schur norms of R under each of ``weights``, from one pass over the
     upper triangle of |R| in strips |R|[a:b, a:] formed from the model's
     factors (``SchurSums.add_upper``): |R| m is symmetric, R = V^* S^-1 V
     being Hermitian and m symmetric, so R(x, y) is read for x <= y only.
 
-    Given a covering and one sample index x_i per set, the list ends with
-    one more norm: the unit-weight Schur norm D of the sampled-row kernel
-    K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x). Its row sum at x is the sum
-    of rho_i = sum_y mu_y |R(x_i, y)| over the sets holding x, and rho_i is
-    the unit-weight |R| row sum the pass returns at x_i. Its column sums
-    are |R| c, c = sum_i mu(U_i) delta_{x_i}: a strip adds strip @ c[a:] to
-    its rows and, mirrored, c[a:b] @ strip[:, b - a:] to the rows right of
-    its diagonal block, two products per strip and no sample row of R.
+    Given a sampling ``plan`` (one on another grid is refused before the
+    pass, StructuralError), the list ends with one more norm: the
+    unit-weight Schur norm D of K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x).
+    Its row sum at x is the sum of rho_i = sum_y mu_y |R(x_i, y)| over the
+    sets holding x, and rho_i is the unit-weight |R| row sum the pass
+    returns at x_i. Its column sums are |R| c, c = sum_i mu(U_i)
+    delta_{x_i}: a strip adds strip @ c[a:] to its rows and, mirrored,
+    c[a:b] @ strip[:, b - a:] to the rows right of its diagonal block, two
+    products per strip and no sample row of R.
     """
     n = model.space.n_points
-    sampled = samples is not None
-    sums = SchurSums(model.space, list(weights) + ([None] if sampled else []))
+    sampled = plan is not None
     if sampled:
+        cov, samples = plan.covering, plan.samples
+        _same_space(model, cov)
         c = np.bincount(samples, cov.measures, minlength=n)
         rho, col = np.empty(n), np.zeros(n)
+    sums = SchurSums(model.space, list(weights) + ([None] if sampled else []))
     for rows in row_slices(n):
         strip = np.abs(model.duals[:, rows].conj().T
                        @ model.vectors[:, rows.start:])

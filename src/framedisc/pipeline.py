@@ -7,15 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import Covering, build_pou, validate_covering
-from .discretize import BoundsReport, SamplingInverse, SamplingPlan, \
-    atomic_decomposition, contraction_bounds, dual_frame, \
-    hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
-    select_samples, synthesize_plan, verify_sampled_bounds
+from .discretize import BoundsReport, SamplingInverse, atomic_decomposition, \
+    contraction_bounds, dual_frame, hilbert_frame_bounds, observed_contraction, \
+    reconstruct_from_samples, select_samples, synthesize_plan, \
+    verify_sampled_bounds
 from .errors import CertificationError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
-from .oscillation import OscReport, PhaseFunction, oscillation_report, \
-    refine_until
+from .oscillation import PhaseFunction, oscillation_report, refine_until
 from .spaces import WeightedLp, pileup
 
 
@@ -139,13 +138,11 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
 @dataclass(frozen=True, eq=False)
 class DiscretizationResult:
     """Every certified constant and measured residual of one full run; the
-    covering, the samples and the contraction bounds are read off ``plan``
-    and ``osc_report``."""
+    covering, the plan, the inversion method and the contraction bounds are
+    read off the run's ``inverse`` and its report."""
 
-    osc_report: OscReport
-    plan: SamplingPlan
+    inverse: SamplingInverse
     contraction_observed: float
-    inversion_method: str
     cross_method_gap: float | None
     residuals: dict
     residuals_swapped: dict
@@ -158,8 +155,9 @@ class DiscretizationResult:
     schema_version: str = "1"
 
     def to_json_dict(self) -> dict:
-        osc = self.osc_report.to_json_dict()
-        nominal, sharp = contraction_bounds(self.osc_report)
+        report, plan = self.inverse.report, self.inverse.plan
+        osc = report.to_json_dict()
+        nominal, sharp = contraction_bounds(report)
         return {
             "schema_version": self.schema_version,
             "constants": {
@@ -181,11 +179,11 @@ class DiscretizationResult:
                 "holds_58": osc["holds_58"],
                 "condition_lhs": osc["condition_lhs"],
             },
-            "covering": validate_covering(self.plan.covering).to_json_dict(),
+            "covering": validate_covering(plan.covering).to_json_dict(),
             "covering_id": osc["covering_id"],
-            "plan_id": self.plan.identifier(),
-            "samples": [int(s) for s in self.plan.samples],
-            "inversion_method": self.inversion_method,
+            "plan_id": plan.identifier(),
+            "samples": [int(s) for s in plan.samples],
+            "inversion_method": self.inverse.method,
             "cross_method_gap": self.cross_method_gap,
             "reproducing_defect": self.reproducing_defect,
             "residuals": self.residuals,
@@ -208,8 +206,9 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
     With ``covering=None`` the covering is refined until the budget and the
     invertibility condition hold. A given covering's plan is built before
     its oscillation report, whose R pass then also gives the plan's
-    sampled-row constant under a trivial weight. Raises CertificationError
-    when Neumann inversion is requested without a usable certificate.
+    sampled-row constant under a trivial weight. The checks read the plan,
+    Y, report and S^{-1} S_c off the run's inverse. Raises
+    CertificationError when Neumann inversion lacks a usable certificate.
     """
     report = None
     if covering is None:
@@ -220,12 +219,11 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
     if report is None:
         report = oscillation_report(model, covering,
                                     PhaseFunction(model, gamma_rule), weight,
-                                    delta, samples=plan.samples)
-
-    observed = observed_contraction(model, plan, Y, seed=seed)
+                                    delta, plan=plan)
 
     inverse = SamplingInverse(model, plan, Y, method=method, tol=tol,
                               n_max=n_max, report=report)
+    observed = observed_contraction(inverse, seed=seed)
     gap = cross_check_inversion(inverse, seed=seed)
     res = residual_suite(inverse, n_trials=n_trials, seed=seed)
     res_sw = residual_suite(inverse, n_trials=n_trials, seed=seed + 1,
@@ -235,15 +233,12 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
         raise CertificationError(
             "certified plan produced a degenerate sampled frame operator"
         )
-    bounds = verify_sampled_bounds(model, plan, Y, report, n_trials=n_trials,
-                                   seed=seed)
+    bounds = verify_sampled_bounds(inverse, n_trials=n_trials, seed=seed)
     defect = reproducing_defect(model, weight)
 
     return DiscretizationResult(
-        osc_report=report,
-        plan=plan,
+        inverse=inverse,
         contraction_observed=float(observed),
-        inversion_method=method,
         cross_method_gap=gap,
         residuals=res,
         residuals_swapped=res_sw,

@@ -66,16 +66,6 @@ class QuadratureSpace:
             )
         return arr
 
-    def subset_measure(self, subset) -> float:
-        """Total weight of a set of point indices."""
-        idx = np.asarray(list(subset) if isinstance(subset, (set, frozenset)) else subset,
-                         dtype=int).reshape(-1)
-        if idx.size == 0:
-            return 0.0
-        if idx.min() < 0 or idx.max() >= self.n_points:
-            raise StructuralError("subset contains out-of-range point indices")
-        return float(np.sum(self.weights[idx]))
-
 
 def uniform_grid(n: int, spacing: float = 1.0, *, weights=None) -> QuadratureSpace:
     """1-D grid of ``n`` equispaced points from 0; weights default to spacing."""

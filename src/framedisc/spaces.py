@@ -127,8 +127,9 @@ def pileup(seq, cov: Covering, natural: bool = False) -> np.ndarray:
     return cov.point_sums(lam.astype(float, copy=False))
 
 
-def set_pair_kernel_norms(cov: Covering, weight: Weight2D, ref_set: int = 0) -> np.ndarray:
-    """Schur norms of the rank-one set kernels chi_{U_k}(x) chi_{U_i}(y), k fixed.
+def set_pair_kernel_norms(cov: Covering, weight: Weight2D) -> np.ndarray:
+    """Schur norms of the rank-one set kernels chi_{U_k}(x) chi_{U_i}(y), for
+    the reference set k = 0.
 
     Computed directly from the definition (no dense kernels): the two Schur
     integrals of set i are sup_{x in U_k} sum_{y in U_i} mu_y m(x,y) and the
@@ -136,7 +137,7 @@ def set_pair_kernel_norms(cov: Covering, weight: Weight2D, ref_set: int = 0) -> 
     (set, point) pairs.
     """
     mu = cov.space.weights
-    k_idx = cov.sets[ref_set]
+    k_idx = cov.sets[0]
     points = cov.flat_points
     starts = np.flatnonzero(np.diff(cov.flat_sets, prepend=-1))
     m_k = weight.block(k_idx, points)               # (|U_k|, pairs)
@@ -145,19 +146,16 @@ def set_pair_kernel_norms(cov: Covering, weight: Weight2D, ref_set: int = 0) -> 
     return np.maximum(row, col)
 
 
-def local_integrability_constant(cov: Covering, Y: WeightedLp, weight: Weight2D,
-                                 ref_set: int = 0) -> float:
+def local_integrability_constant(cov: Covering, Y: WeightedLp,
+                                 weight: Weight2D) -> float:
     """A-priori constant C with |F|_{D(L^1, natural sup-space)} <= C |F|_Y.
 
-    Chains the sharp local Hoelder embedding on the reference set with the
-    set-pair kernel norms:
+    Chains the sharp local Hoelder embedding on the reference set k = 0
+    with the set-pair kernel norms:
     |chi_{U_i} F|_{L^1} <= C_k mu(U_k)^{-1} |K_i| |F|_Y, then takes the
     weighted sup of the resulting pile-up against 1/v.
     """
-    k_idx = cov.sets[ref_set]
-    c_hold = Y.holder_l1_constant(k_idx)
-    mu_k = cov.space.subset_measure(k_idx)
-    kernel_norms = set_pair_kernel_norms(cov, weight, ref_set)
-    coef = kernel_norms / cov.measures
+    c_hold = Y.holder_l1_constant(cov.sets[0])
+    coef = set_pair_kernel_norms(cov, weight) / cov.measures
     envelope = cov.point_sums(coef)
-    return float(c_hold / mu_k * np.max(envelope / weight.v))
+    return float(c_hold / cov.measures[0] * np.max(envelope / weight.v))

@@ -140,8 +140,9 @@ def test_criterion_4_contraction_certificates(certified_runs):
             assert report.oscillation_ok and report.invertibility_ok, run["label"]
             n_certified += 1
             _, sharp = contraction_bounds(report)
-            observed = observed_contraction(run["model"], run["plan"],
-                                            run["Y"], seed=0)
+            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
+                                      report=report)
+            observed = observed_contraction(inverse, seed=0)
             assert observed <= sharp + 1e-9, run["label"]
         assert n_certified >= 5
         lhs, ok = invertibility_condition(0.4, 1.0, 1.0)
@@ -242,9 +243,9 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
 
         # sampled-kernel inequalities on every certified configuration
         for run in certified_runs["runs"]:
-            rep = verify_sampled_bounds(run["model"], run["plan"], run["Y"],
-                                        run["report"],
-                                        n_trials=50, seed=8)
+            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
+                                      report=run["report"])
+            rep = verify_sampled_bounds(inverse, n_trials=50, seed=8)
             assert rep.violations == 0, run["label"]
             for pair in (("sampled_flat_observed", "sampled_flat_constant"),
                          ("pou_pileup_observed", "pou_pileup_constant"),

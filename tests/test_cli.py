@@ -274,6 +274,35 @@ class TestDiscretize:
         assert main(["discretize", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+class TestUnusableFiles:
+    """A file that cannot be read, decoded or written is a configuration
+    error: exit 2 with one line on stderr, no traceback."""
+
+    @staticmethod
+    def refused(capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.refused(capsys, ["osc", "--config", str(tmp_path)])
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        self.refused(capsys, ["osc", "--model-kind", "orthonormal", "--dim", "3",
+                              "--covering-width", "singleton",
+                              "--output", str(tmp_path)])
+
+    def test_merge_input_is_a_directory(self, tmp_path, capsys):
+        self.refused(capsys, ["report-merge", str(tmp_path)])
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"model-kind": "orthonormal", "dim": "\xff"}')
+        self.refused(capsys, ["osc", "--config", str(cfg)])
+
+
 class TestNumericKeys:
     """Seeds are nonnegative, and an integer key takes an integral number
     (3.0 included) but neither a fraction nor a boolean; a refusal is a

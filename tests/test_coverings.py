@@ -239,7 +239,7 @@ class TestEquivalence:
         cov_v = Covering(grid64, tuple(np.clip(s + 2, 0, 63) for s in cov_u.sets))
         m = Weight2D(grid64, rng.uniform(0.5, 2.0, 64))
         rep = check_m_equivalent(cov_u, cov_v, m)
-        ratios = [grid64.subset_measure(v) / grid64.subset_measure(u)
+        ratios = [grid64.weights[v].sum() / grid64.weights[u].sum()
                   for u, v in zip(cov_u.sets, cov_v.sets)]
         mat = weight_matrix_naive(m.w)
         cross = max(max(mat[x, y] for x in u for y in v)
@@ -278,7 +278,7 @@ class TestTransferKernel:
             x = int(rng.integers(0, 64))
             y = int(rng.integers(0, 64))
             want = sum(
-                (x in u.tolist()) * (y in v.tolist()) / grid64.subset_measure(v)
+                (x in u.tolist()) * (y in v.tolist()) / grid64.weights[v].sum()
                 for u, v in zip(cov_u.sets, cov_v.sets))
             assert abs(L[x, y] - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -331,7 +331,7 @@ class TestPermutations:
             y = int(rng.integers(0, 64))
             want = sum(
                 (x in cov.sets[inv[i]].tolist()) * (y in cov.sets[i].tolist())
-                / grid64.subset_measure(cov.sets[inv[i]])
+                / grid64.weights[cov.sets[inv[i]]].sum()
                 for i in range(cov.n_sets))
             assert abs(k[x, y] - want) <= 1e-13 * max(1.0, abs(want))
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
+import framedisc.oscillation as oscillation_module
 import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, PhaseFunction, \
     SamplingInverse, SchurSums, SingularOperatorError, StructuralError, \
     Weight2D, WeightedLp, atomic_decomposition, build_pou, \
-    contraction_bounds, dual_frame, hilbert_frame_bounds, \
+    contraction_bounds, dual_frame, hilbert_frame_bounds, kernel_norms, \
     observed_contraction, oscillation_report, reconstruct_from_samples, \
     select_samples, singleton_covering, synthesize_plan, uniform_covering, \
     verify_sampled_bounds
@@ -229,14 +230,16 @@ class TestContraction:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         assert report.oscillation_ok and report.invertibility_ok
         _, sharp = contraction_bounds(report)
-        observed = observed_contraction(model, plan, Y, seed=2)
+        inverse = SamplingInverse(model, plan, Y, report=report)
+        observed = observed_contraction(inverse, seed=2)
         assert observed <= sharp + 1e-9
 
     def test_observed_below_sharp_all_p(self):
         for p in (1.0, np.inf):
             model, Y, weight, cov, gamma, report, plan = make_setup(p=p)
             _, sharp = contraction_bounds(report)
-            observed = observed_contraction(model, plan, Y, seed=2)
+            inverse = SamplingInverse(model, plan, Y, report=report)
+            observed = observed_contraction(inverse, seed=2)
             assert observed <= sharp + 1e-9
 
 
@@ -259,9 +262,9 @@ class TestInversion:
 
     def test_term_norms_decay_geometrically(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        observed = observed_contraction(model, plan, Y, seed=0)
         inverse = SamplingInverse(model, plan, Y, method="neumann",
                                   report=report)
+        observed = observed_contraction(inverse, seed=0)
         F = random_range_function(model, rng)
         inverse.apply(F)
         norms = inverse.last_term_norms
@@ -484,7 +487,8 @@ class TestWeakerThresholds:
 class TestVerifiedBounds:
     def test_no_violations_on_certified_setup(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        rep = verify_sampled_bounds(model, plan, Y, report,
+        rep = verify_sampled_bounds(SamplingInverse(model, plan, Y,
+                                                    report=report),
                                     n_trials=50, seed=3)
         assert rep.violations == 0
         assert rep.sampled_flat_observed <= rep.sampled_flat_constant + 1e-10
@@ -579,10 +583,15 @@ class TestReportCovering:
         assert inverse.report is report
 
     def test_bounds_refuse_another_covering(self, gabor_6x161):
+        """The bounds take their plan and report from a handle, which
+        refuses the pair when it is made."""
         model, Y, report, fine_plan, coarse_plan = gabor_6x161
         with pytest.raises(StructuralError, match="not the plan's covering"):
-            verify_sampled_bounds(model, coarse_plan, Y, report, n_trials=3)
-        rep = verify_sampled_bounds(model, fine_plan, Y, report, n_trials=3)
+            verify_sampled_bounds(SamplingInverse(model, coarse_plan, Y,
+                                                  method="direct",
+                                                  report=report), n_trials=3)
+        rep = verify_sampled_bounds(SamplingInverse(model, fine_plan, Y,
+                                                    report=report), n_trials=3)
         assert rep.violations == 0
 
 
@@ -605,7 +614,9 @@ class TestStreamedBounds:
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
         plan = select_samples(build_pou(cov))
-        bounds = verify_sampled_bounds(model, plan, Y, report, n_trials=5)
+        bounds = verify_sampled_bounds(
+            SamplingInverse(model, plan, Y, method="direct", report=report),
+            n_trials=5)
         mu = space.weights
         m = weight_matrix_naive(weight.w)
         m_v = weight_matrix_naive(weight.v)
@@ -624,11 +635,12 @@ class TestStreamedBounds:
         """Under the unit weight the sampled-row constant, read off an R pass
         (the |R| row sums at the samples and |R| c) in eight strips of three
         rows, matches the naive Schur norm of the dense sampled-row kernel,
-        both from a direct call and as the ``d_const`` of an oscillation
-        report made with the plan's samples. A covering may leave points in
+        both from a report made without the plan and as the ``d_const`` of
+        an oscillation report made with it. A covering may leave points in
         no set (no partition of unity, hence no plan, admits them), so that
-        case passes a bare covering and samples. Where two sets share a
-        sample point, c = sum_i mu(U_i) delta_{x_i} adds both measures."""
+        case passes a bare covering, samples and identifier. Where two sets
+        share a sample point, c = sum_i mu(U_i) delta_{x_i} adds both
+        measures."""
         model = build_random_smooth_model(3, 24, 3.0, seed=2)
         space = model.space
         n = space.n_points
@@ -638,7 +650,8 @@ class TestStreamedBounds:
         if covering == "uncovered":
             cov = Covering(space, (np.arange(2, 9), np.arange(6, 15),
                                    np.arange(20, 23)))
-            plan = SimpleNamespace(covering=cov, samples=np.array([4, 6, 22]))
+            plan = SimpleNamespace(covering=cov, samples=np.array([4, 6, 22]),
+                                   identifier=lambda: "uncovered")
         elif covering == "shared":
             cov = Covering(space, (np.arange(0, 8), np.arange(5, 14),
                                    np.arange(14, n)))
@@ -650,13 +663,14 @@ class TestStreamedBounds:
                    "singletons": lambda: singleton_covering(space)}[covering]()
             plan = select_samples(build_pou(cov))
         weight = WeightedLp.lebesgue(space, 2.0).weight2d()
+        gamma = PhaseFunction(model, "kernel")
         want = schur_norm_naive(space.weights, sampled_row_kernel(model, plan))
-        got = discretize_module._sampled_row_constant(model, plan, weight)
+        bare = oscillation_report(model, cov, gamma, weight, 0.25)
+        got = discretize_module._sampled_row_constant(model, plan, bare)
         assert got == pytest.approx(want, rel=1e-13)
-        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    weight, 0.25, samples=plan.samples)
+        report = oscillation_report(model, cov, gamma, weight, 0.25, plan=plan)
         assert report.d_const == pytest.approx(want, rel=1e-13)
-        assert np.array_equal(report.d_samples, plan.samples)
+        assert report.d_plan == plan.identifier()
 
     def test_report_constant_only_for_its_own_plan(self):
         """A unit-weight report made for plan A and handed in with plan B,
@@ -666,7 +680,7 @@ class TestStreamedBounds:
         model, Y, weight, cov, gamma, _, plan_a = make_setup()
         space = model.space
         report = oscillation_report(model, cov, gamma, weight, 0.25,
-                                    samples=plan_a.samples)
+                                    plan=plan_a)
         other = np.array([idx[-1] for idx in cov.sets])
         plan_b = discretize_module.SamplingPlan(plan_a.pou, other)
         cov_c = uniform_covering(space, 3.0 / space.n_points)
@@ -674,14 +688,16 @@ class TestStreamedBounds:
         for plan in (plan_a, plan_b):
             want = schur_norm_naive(space.weights,
                                     sampled_row_kernel(model, plan))
-            got = verify_sampled_bounds(model, plan, Y, report,
+            inverse = SamplingInverse(model, plan, Y, method="direct",
+                                      report=report)
+            got = verify_sampled_bounds(inverse,
                                         n_trials=3).sampled_flat_constant
             assert got == pytest.approx(want, rel=1e-13)
         assert report.d_const != pytest.approx(
             schur_norm_naive(space.weights, sampled_row_kernel(model, plan_b)),
             rel=1e-6)
         with pytest.raises(StructuralError, match="not the plan's covering"):
-            verify_sampled_bounds(model, plan_c, Y, report, n_trials=3)
+            SamplingInverse(model, plan_c, Y, method="direct", report=report)
 
     def test_weighted_report_carries_no_constant(self):
         """Under a non-trivial weight the samples are ignored: its D needs
@@ -689,8 +705,8 @@ class TestStreamedBounds:
         model, _, _, cov, gamma, _, plan = make_setup()
         Y = WeightedLp(model.space, 2.0, np.exp(0.5 * model.space.points[:, 0]))
         report = oscillation_report(model, cov, gamma, Y.weight2d(), 0.25,
-                                    samples=plan.samples)
-        assert report.d_const is None and report.d_samples is None
+                                    plan=plan)
+        assert report.d_const is None and report.d_plan is None
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     def test_unit_weight_streams_no_block(self, weight_rule, monkeypatch):
@@ -753,12 +769,12 @@ class TestStreamedBounds:
         gamma = PhaseFunction(model, "kernel")
         plan = select_samples(build_pou(cov))
         report = oscillation_report(model, cov, gamma, weight, 0.2)
+        inverse = SamplingInverse(model, plan, Y, method="direct", report=report)
         unit = WeightedLp.lebesgue(space, 2.0).weight2d()
         for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
                     lambda: oscillation_report(model, cov, gamma, unit, 0.2,
-                                               samples=plan.samples),
-                    lambda: verify_sampled_bounds(model, plan, Y, report,
-                                                  n_trials=5),
+                                               plan=plan),
+                    lambda: verify_sampled_bounds(inverse, n_trials=5),
                     lambda: reproducing_defect(model, weight)):
             tracemalloc.start()
             try:
@@ -786,8 +802,8 @@ class TestStreamedBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.osc_report.oscillation_ok
-        assert result.osc_report.invertibility_ok
+        assert result.inverse.report.oscillation_ok
+        assert result.inverse.report.invertibility_ok
         assert peak < 16 * n * n
 
 
@@ -1046,7 +1062,8 @@ class TestBlockHarness:
         Y = WeightedLp(model.space, p, w[weight_rule])
         monkeypatch.setattr(discretize_module, "CONTRACTION_TOL", tol)
         want = observed_contraction_naive(model, plan, Y, tol=tol, seed=4)
-        got = observed_contraction(model, plan, Y, seed=4)
+        got = observed_contraction(
+            SamplingInverse(model, plan, Y, method="direct"), seed=4)
         assert want > 1e-4
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -1066,12 +1083,14 @@ class TestBlockHarness:
             return original(analysis, Y, coords)
 
         monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
-        assert observed_contraction(model, plan, Y, seed=3) == 0.0
+        direct = SamplingInverse(model, plan, Y, method="direct")
+        assert observed_contraction(direct, seed=3) == 0.0
         assert widths == [2, 20, 20]
         assert observed_contraction_naive(model, plan, Y, seed=3) == 0.0
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
         Y, weight, gamma, report, plan = singleton_setup(model, p=p)
-        assert observed_contraction(model, plan, Y, seed=3) <= 1e-12
+        direct = SamplingInverse(model, plan, Y, method="direct")
+        assert observed_contraction(direct, seed=3) <= 1e-12
         assert observed_contraction_naive(model, plan, Y, seed=3) <= 1e-12
 
     @pytest.mark.parametrize("n_iter", [1, 7, 200])
@@ -1082,6 +1101,7 @@ class TestBlockHarness:
         model, plan, w = gabor_4x61
         Y = WeightedLp(model.space, 1.0, w["exp"])
         want = observed_contraction_naive(model, plan, Y, n_iter=n_iter)
+        direct = SamplingInverse(model, plan, Y, method="direct")
         calls = {"column_norms": 0, "streamed_column_norms": 0}
         for name in calls:
             original = getattr(WeightedLp, name)
@@ -1092,7 +1112,7 @@ class TestBlockHarness:
 
             monkeypatch.setattr(WeightedLp, name, counted)
         monkeypatch.setattr(discretize_module, "CONTRACTION_STEPS", n_iter)
-        got = observed_contraction(model, plan, Y)
+        got = observed_contraction(direct)
         assert calls["column_norms"] <= 3
         assert calls["streamed_column_norms"] <= 3
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -1119,8 +1139,9 @@ class TestBlockHarness:
         for module in (discretize_module, spaces_module):
             monkeypatch.setattr(module, "decomposition_norm", counted,
                                 raising=False)
-        rep = verify_sampled_bounds(model, plan, Y, report,
-                                    n_trials=20, seed=6)
+        inverse = SamplingInverse(model, plan, Y, method="direct",
+                                  report=report)
+        rep = verify_sampled_bounds(inverse, n_trials=20, seed=6)
         assert not calls
         assert want > 0.0
         assert rep.measure_observed == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -1219,6 +1240,82 @@ class TestInverseHandle:
         model, Y, weight, cov, gamma, report, plan = make_setup()
         assert SamplingInverse(model, plan, Y, method="direct")._metric is None
         assert SamplingInverse(model, plan, Y, report=report)._metric is not None
+
+    def test_bounds_refuse_a_handle_without_report(self):
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        bare = SamplingInverse(model, plan, Y, method="direct")
+        with pytest.raises(StructuralError, match="oscillation report"):
+            verify_sampled_bounds(bare, n_trials=3)
+
+    @pytest.mark.parametrize("method", ["neumann", "direct"])
+    def test_run_forms_restricted_operator_twice(self, monkeypatch, method):
+        """S^{-1} S_c is formed once by the run's inverse, which the observed
+        contraction reads, and once by the other side of the cross-check.
+        The p = 2 metric is the Neumann handle's; a direct handle forms
+        none, so there the observed contraction forms its own."""
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        calls = {"_restricted_matrix": 0, "_weighted_metric": 0}
+        for name in calls:
+            original = getattr(discretize_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(discretize_module, name, counted)
+        run_discretization(model, Y, weight, 0.25, covering=cov,
+                           method=method, n_trials=5, seed=3)
+        assert calls == {"_restricted_matrix": 2,
+                         "_weighted_metric": 1 if method == "neumann" else 2}
+
+    def test_result_reads_its_inverse(self):
+        """The run's JSON reads the covering, plan, method, certificate and
+        D off the handle the run built and its own report."""
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+                                    n_trials=5, seed=3)
+        doc = result.to_json_dict()
+        inverse = result.inverse
+        own, own_plan = inverse.report, inverse.plan
+        assert doc["covering_id"] == own.covering_id == cov.identifier()
+        assert doc["plan_id"] == own_plan.identifier() == own.d_plan
+        assert doc["samples"] == own_plan.samples.tolist()
+        assert doc["inversion_method"] == inverse.method == "neumann"
+        assert doc["constants"]["osc_norm"] == own.osc_norm
+        assert doc["constants"]["contraction_bound_sharp"] \
+            == contraction_bounds(own)[1]
+        assert doc["constants"]["D_const"] == own.d_const
+
+
+class TestPlanOnAnotherCovering:
+    """A pass given a plan refuses one whose covering is not its own before
+    any Schur sum is formed."""
+
+    @staticmethod
+    def forbid_passes(monkeypatch) -> list:
+        """Record every ``SchurSums`` the oscillation module would make."""
+        passes = []
+        monkeypatch.setattr(oscillation_module, "SchurSums",
+                            lambda *args: passes.append(args))
+        return passes
+
+    def test_kernel_norms(self, monkeypatch):
+        model, Y, weight, cov, gamma, report, plan = make_setup(n=96)
+        other = select_samples(build_pou(uniform_covering(
+            build_random_smooth_model(3, 48, 3.0, seed=1).space, 2 / 48)))
+        passes = self.forbid_passes(monkeypatch)
+        with pytest.raises(StructuralError, match="different space"):
+            kernel_norms(model, (weight,), plan=other)
+        assert not passes
+
+    def test_oscillation_report(self, monkeypatch):
+        model, Y, weight, cov, gamma, report, plan = make_setup()
+        other = select_samples(build_pou(
+            uniform_covering(model.space, 3 / model.space.n_points)))
+        passes = self.forbid_passes(monkeypatch)
+        with pytest.raises(StructuralError, match="another covering"):
+            oscillation_report(model, cov, gamma, weight, 0.25, plan=other)
+        assert not passes
 
 
 def off_identity(model):

@@ -30,20 +30,6 @@ def test_integrate_matches_naive_loop(rng):
     assert abs(got - want) <= 1e-14 * abs(want)
 
 
-def test_subset_measure_cases(small_space):
-    assert small_space.subset_measure([]) == 0.0
-    assert small_space.subset_measure(range(5)) == pytest.approx(
-        integrate(small_space, np.ones(5)).real, abs=0.0)
-    assert small_space.subset_measure([3]) == 2.0
-    assert small_space.subset_measure({0, 1}) == 1.5
-
-
-def test_subset_measure_additive_on_disjoint(small_space):
-    a, b = [0, 2], [1, 4]
-    assert small_space.subset_measure(a) + small_space.subset_measure(b) \
-        == small_space.subset_measure(a + b)
-
-
 @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False,
                                    allow_infinity=False),
                 min_size=5, max_size=5),
@@ -69,8 +55,6 @@ def test_integrate_is_linear(values, alpha):
 def test_structural_errors(small_space):
     with pytest.raises(StructuralError):
         integrate(small_space, np.ones(4))
-    with pytest.raises(StructuralError):
-        small_space.subset_measure([7])
     with pytest.raises(StructuralError):
         QuadratureSpace(np.array([[0.0], [1.0]]), np.array([1.0, -1.0]))
     with pytest.raises(StructuralError):

@@ -322,18 +322,19 @@ class SupEmbeddingReport:
 
 
 def sup_embedding_report(cov: Covering, Y: WeightedLp, weight: Weight2D,
-                         ref_set: int = 0, n_trials: int = 100,
+                         n_trials: int = 100,
                          seed: int = 0) -> SupEmbeddingReport:
-    """Bound single coefficients by the natural norm, scaled by r(i).
+    """Bound single coefficients by the natural norm, scaled by r(i), through
+    the reference set k = 0.
 
     The a-priori constant comes from the set-pair kernels; the observed one
     is the worst ratio over basis sequences and ``n_trials`` random draws.
     """
     norms = SequenceNorms.build(cov, Y, weight)
     chi = np.zeros(cov.space.n_points)
-    chi[cov.sets[ref_set]] = 1.0
+    chi[cov.sets[0]] = 1.0
     base = Y.norm(chi)
-    per_set = set_pair_kernel_norms(cov, weight, ref_set) / base
+    per_set = set_pair_kernel_norms(cov, weight) / base
     apriori = float(np.max(per_set / norms.sup_trace))
 
     rng = np.random.default_rng(seed)
