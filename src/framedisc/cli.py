@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -204,6 +205,24 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def check_output(output: str | None) -> None:
+    """Refuse an output path that cannot be written, before any work: a
+    directory, a file in a missing directory, or a path without write
+    permission. Nothing is created or truncated, so a run that fails
+    later leaves no report."""
+    if not output:
+        return
+    if os.path.isdir(output):
+        raise StructuralError(f"output {output!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(output))
+    if not os.path.isdir(parent):
+        raise StructuralError(f"output {output!r}: directory {parent!r} "
+                              f"does not exist")
+    target = output if os.path.exists(output) else parent
+    if not os.access(target, os.W_OK):
+        raise StructuralError(f"output {output!r} is not writable")
+
+
 def emit(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
     if output:
@@ -344,10 +363,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report-merge":
+            check_output(args.output)
             return cmd_report_merge(args.reports, args.output)
         overrides = {k: getattr(args, k) for k in DEFAULTS}
         cfg = load_config(args.config, overrides)
         validate_config(cfg)
+        check_output(cfg["output"])
         if args.command == "validate":
             return cmd_validate(cfg)
         if args.command == "osc":

@@ -54,6 +54,7 @@ class Covering:
       moderateness       C~ = max mu(U_i)/mu(U_j) over intersecting pairs
       q_neighborhoods    Q_y for a block of points y, the union of the sets
                          containing y, as sorted (y, z) pairs
+      q_bound            max_y |Q_y| <= max_y sum of |U_i| over U_i holding y
     """
 
     space: QuadratureSpace
@@ -192,6 +193,14 @@ class Covering:
                                  np.diff(self._point_ptr[start:stop + 1])), sizes)
         n = self.space.n_points
         return np.divmod(np.unique(ys * n + zs), n)
+
+    @cached_property
+    def q_bound(self) -> int:
+        """An upper bound on every |Q_y|: the largest sum, over one point y,
+        of the sizes of the sets containing y (the pairs
+        ``q_neighborhoods`` lists for y before repeats are dropped)."""
+        sums = np.bincount(self.flat_points, self._set_sizes[self.flat_sets])
+        return int(sums.max(initial=0))
 
     def identifier(self) -> str:
         """Deterministic content hash used in reports."""

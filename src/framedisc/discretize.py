@@ -14,6 +14,7 @@ verification helpers compute both sides.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import row_slices, schur_norms
+from .kernels import WEIGHT_ENTRY_BYTES, Workspace, block_rows, even_step, \
+    row_slices, schur_norms
 from .models import FrameModel, random_vectors
 from .oscillation import OscReport, kernel_norms
 from .spaces import WeightedLp, local_integrability_constant, pileup, \
@@ -31,9 +33,14 @@ from .spaces import WeightedLp, local_integrability_constant, pileup, \
 # ``direct`` inversion accepts; below it the operator counts as singular.
 DIRECT_EIG_FLOOR = 1e-12
 
-# Bytes of complex grid values one block of a streamed Y-norm may hold
-# (``_analysis_norms``).
-NORM_BLOCK_BYTES = 1 << 20
+# Bytes a streamed Y-norm holds per grid value (``_analysis_norms``): the
+# complex product and its moduli.
+NORM_ENTRY_BYTES = 24
+
+# Bytes the weighted sampled-row pass holds per grid point for each set
+# holding a row's point (``_sampled_row_blocks``): the sample row of R, its
+# moduli and, where points lie in several sets, the gathered moduli.
+SAMPLED_ENTRY_BYTES = 32
 
 # ``observed_contraction`` at p != 2: at most this many power steps, settled
 # when two successive ratios agree to the tolerance, then this many probes.
@@ -149,6 +156,8 @@ class SamplingInverse:
     cross-check, observed-contraction and bounds helpers take: they read
     the model, plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and the
     p = 2 metric from it. A report of another covering is refused here.
+    ``other_method`` gives the handle of the other method on the same
+    S^{-1} S_c and metric, so a run forms each of them once.
 
     ``neumann`` sums a + (Id-U)a + (Id-U)^2 a + ... and requires a
     certificate that the sharp contraction bound is below one; ``direct``
@@ -174,15 +183,21 @@ class SamplingInverse:
         self.model = model
         self.plan = plan
         self.Y = Y
-        self.method = method
         self.tol = float(tol)
         self.n_max = int(n_max)
         self.report = report
-        self.last_term_norms: list = []
         self._restricted = _restricted_matrix(model, plan)
         self._analysis = model.vectors.conj().T
-        self._metric = self._kappa = None
+        self._metric = None
+        self._prepare(method)
 
+    def _prepare(self, method: str) -> None:
+        """Set the handle up for ``method`` on its S^{-1} S_c, forming the
+        p = 2 metric of a Neumann handle unless the handle holds it."""
+        model, Y, report = self.model, self.Y, self.report
+        self.method = method
+        self.last_term_norms: list = []
+        self._kappa = None
         if method == "neumann":
             if report is None:
                 raise CertificationError(
@@ -197,7 +212,8 @@ class SamplingInverse:
                 )
             self.sharp_bound = sharp
             if Y.p == 2.0:
-                self._metric = _weighted_metric(model, Y)
+                if self._metric is None:
+                    self._metric = _weighted_metric(model, Y)
             else:
                 self._kappa = Y.norm(np.linalg.norm(model.vectors, axis=0))
         elif method == "direct":
@@ -210,13 +226,23 @@ class SamplingInverse:
         else:
             raise StructuralError(f"unknown inversion method {method!r}")
 
+    def other_method(self) -> "SamplingInverse":
+        """The handle of the other method (Neumann for direct, direct for
+        Neumann) on the same plan, Y, report, ``tol`` and ``n_max``, reusing
+        this handle's S^{-1} S_c and, where formed, its p = 2 metric.
+        Raises what that method's constructor raises."""
+        other = copy.copy(self)
+        other.__dict__.pop("dual_coords", None)
+        other._prepare("direct" if self.method == "neumann" else "neumann")
+        return other
+
     def _column_norms(self, coords: np.ndarray) -> np.ndarray:
         """Y-norms of the grid functions with the given analysis coordinates.
 
         For p = 2 this is the d x d quadratic form |V* a|_Y^2 = a* M a
         (``_weighted_metric``), on columns scaled to unit size so that the
         squares cannot underflow. Otherwise V* a is formed and its norms
-        summed in row blocks of at most ``NORM_BLOCK_BYTES``.
+        summed in row blocks (``_analysis_norms``).
         """
         if self._metric is None:
             return _analysis_norms(self._analysis, self.Y, coords)
@@ -310,10 +336,18 @@ def _analysis_norms(analysis: np.ndarray, Y: WeightedLp,
                    coords: np.ndarray) -> np.ndarray:
     """Y-norms of the columns of ``analysis @ coords``, for the (n, d)
     analysis matrix V* and a (d, k) coordinate block, formed and summed in
-    row blocks of at most ``NORM_BLOCK_BYTES``."""
-    step = max(1, NORM_BLOCK_BYTES // (16 * max(1, coords.shape[1])))
-    return Y.streamed_column_norms((rows, analysis[rows] @ coords)
-                                   for rows in row_slices(analysis.shape[0], step))
+    row blocks whose product and moduli fit in ``BLOCK_BYTES``; the product
+    buffer is allocated once."""
+    n, k = analysis.shape[0], coords.shape[1]
+    step = even_step(n, block_rows(k, NORM_ENTRY_BYTES))
+    prod, = Workspace().views(((step, k), complex))
+
+    def blocks():
+        for rows in row_slices(n, step):
+            yield rows, np.matmul(analysis[rows], coords,
+                                  out=prod[:rows.stop - rows.start])
+
+    return Y.streamed_column_norms(blocks())
 
 
 def _as_columns(values, length: int, what: str) -> tuple:
@@ -407,7 +441,8 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     inverse's Y-norm, read off the handle's S^{-1} S_c.
 
     For p = 2 the restriction is finite dimensional and the norm is computed
-    exactly through the weighted metric (the handle's, where it formed one);
+    exactly through the weighted metric (the handle's; one formed here is
+    kept on the handle);
     otherwise the estimate is the best ratio |V* m g|_Y / |V* g|_Y,
     m = Id - S^{-1} S_c, over power-iteration iterates g and
     ``CONTRACTION_PROBES`` random coordinate vectors.
@@ -427,9 +462,9 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     m = np.eye(model.dim, dtype=complex) - inverse._restricted
 
     if Y.p == 2.0:
+        if inverse._metric is None:
+            inverse._metric = _weighted_metric(model, Y)
         metric = inverse._metric
-        if metric is None:
-            metric = _weighted_metric(model, Y)
         evals, evecs = np.linalg.eigh(0.5 * (metric + metric.conj().T))
         evals = np.maximum(evals, 1e-300)
         half = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
@@ -502,13 +537,42 @@ def _sampled_row_blocks(model: FrameModel, plan: SamplingPlan):
     """``(rows, K[rows, :])`` over row blocks of the sampled-row kernel
     K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x), read through the covering's
     point-major index; K itself is never formed. Each block forms the row
-    R(x_i, .) once per set i holding one of its points."""
+    R(x_i, .) once per set i holding one of its points and sums, for every
+    point, the moduli of its sets' rows in the order of its pairs. The
+    blocks are sized for a weighted Schur pass, so the rows of R, their
+    moduli, the gathered and summed rows and the Schur sums' m fit in
+    ``BLOCK_BYTES``; each block is a view into buffers allocated once,
+    which the next block overwrites."""
     cov = plan.covering
-    for rows in row_slices(model.space.n_points):
+    n = model.space.n_points
+    counts = cov.cover_counts
+    depth = max(1, int(counts.max()))
+    entry = SAMPLED_ENTRY_BYTES if depth > 1 else SAMPLED_ENTRY_BYTES - 8
+    step = even_step(n, block_rows(n, depth * entry + 8 + WEIGHT_ENTRY_BYTES))
+    pairs = step * depth
+    prod, mods, gath, out = Workspace().views(
+        ((pairs, n), complex), ((pairs + 1, n), float),
+        ((pairs if depth > 1 else 0, n), float), ((step, n), float))
+    mods[0] = 0.0
+    steps = np.arange(depth)
+    for rows in row_slices(n, step):
         sets, pair = np.unique(cov.holders(rows.start, rows.stop),
                                return_inverse=True)
-        sampled = np.abs(model.kernel_rows(plan.samples[sets]))
-        yield rows, cov.pair_sums(sampled[pair], rows.start, rows.stop)
+        model.kernel_rows(plan.samples[sets], out=prod[:sets.size])
+        np.abs(prod[:sets.size], out=mods[1:sets.size + 1])
+        # at[x, k]: the moduli row of the k-th set holding x; 0 past the last
+        held = counts[rows]
+        first = np.cumsum(held) - held
+        at = np.append(pair + 1, 0)[np.where(steps < held[:, None],
+                                             first[:, None] + steps, -1)]
+        dst = out[:rows.stop - rows.start]
+        if depth == 1:
+            np.take(mods, at[:, 0], axis=0, out=dst, mode="clip")
+        else:
+            part = gath[:at.size].reshape(at.shape + (n,))
+            np.take(mods, at, axis=0, out=part, mode="clip")
+            np.sum(part, axis=1, out=dst)
+        yield rows, dst
 
 
 def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,

@@ -23,10 +23,23 @@ constant is read off the R pass, from its unit-weight row sums at the
 sample points and |R| c (``oscillation.kernel_norms``), and the
 reproducing defect is bounded through its d x d core
 (``pipeline.reproducing_defect``).
+
+Every streamed pass keeps to one working-set budget, ``BLOCK_BYTES``: the
+total bytes of the kernel-derived temporaries it holds at once, i.e. the
+complex products, their moduli, the gathered and maxed rows, and the weight
+block m with its second quotient (``SchurSums.entry_bytes``). A pass
+states what it holds per kernel entry, takes its tiles from that
+(``block_rows``, ``upper_strips``), carves its arrays out of one buffer
+allocated once (``Workspace``) and fills them in place. Beside the budget
+a pass holds the model's O(n d) factors and its index bookkeeping: O(n)
+entries, and for the oscillation pass at most a budget's worth of (y, z)
+pairs where n is small against the budget. So a pass's peak follows from
+n, d and ``BLOCK_BYTES``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +47,14 @@ import numpy as np
 from .errors import StructuralError
 from .quadrature import QuadratureSpace
 
-# Bytes of complex kernel values one streamed block may hold; rows per
-# block follow from the row length (``block_rows``).
-BLOCK_BYTES = 1 << 23
+# Total bytes of the kernel-derived temporaries one streamed pass holds at
+# once; each pass sizes its tiles from its own bytes per kernel entry
+# (``block_rows``, ``upper_strips``).
+BLOCK_BYTES = 1 << 22
+
+# Bytes per entry a non-trivial weight adds to a Schur pass: m, multiplied
+# by |K| in place, and m's second quotient.
+WEIGHT_ENTRY_BYTES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,25 +101,77 @@ class Weight2D:
         """One-point weight v(x) = m(x, ref)."""
         return self.block(slice(None), [self.ref_index])[:, 0]
 
-    def block(self, rows, cols) -> np.ndarray:
-        """m(x, y) for x in ``rows`` and y in ``cols`` (index arrays or slices)."""
+    def block(self, rows, cols, out=None, spare=None) -> np.ndarray:
+        """m(x, y) for x in ``rows`` and y in ``cols`` (index arrays or
+        slices), written into ``out`` when given; ``spare``, of the same
+        shape, takes the second quotient."""
         wr = self.w[rows][:, None]
         wc = self.w[cols][None, :]
         # both quotients, not a reciprocal: m(x, y) and m(y, x) are the same float
-        out = wr / wc
-        return np.maximum(out, wc / wr, out=out)
+        out = np.divide(wr, wc, out=out)
+        return np.maximum(out, np.divide(wc, wr, out=spare), out=out)
 
 
-def block_rows(n: int) -> int:
-    """Rows of n complex values that fit in ``BLOCK_BYTES`` (at least one)."""
-    return max(1, BLOCK_BYTES // (16 * n))
+def block_rows(n: int, entry_bytes: int = 16) -> int:
+    """Rows of n entries that fit in ``BLOCK_BYTES`` at ``entry_bytes`` of
+    temporaries per entry (at least one)."""
+    return max(1, BLOCK_BYTES // (entry_bytes * max(1, n)))
+
+
+def even_step(total: int, step: int) -> int:
+    """The least step that cuts ``total`` items into as few pieces as
+    steps of ``step`` would: the pieces come out even, none above ``step``."""
+    return -(-total // -(-total // step)) if total > 0 else step
 
 
 def row_slices(n: int, step: int | None = None) -> list:
-    """Consecutive slices of ``step`` rows (default ``block_rows(n)``)
-    covering ``range(n)``."""
-    step = block_rows(n) if step is None else step
+    """Consecutive slices of at most ``step`` rows (default
+    ``block_rows(n)``) covering ``range(n)``, as few as that allows and of
+    even size, so the buffers sized for them are no larger than needed."""
+    step = even_step(n, block_rows(n) if step is None else step)
     return [slice(start, min(n, start + step)) for start in range(0, n, step)]
+
+
+def upper_strips(n: int, entry_bytes: int) -> list:
+    """Consecutive row slices a:b covering ``range(n)`` whose strips
+    [a:b, a:] of an n x n upper triangle each fit in ``BLOCK_BYTES`` at
+    ``entry_bytes`` per entry (at least one row): the strips grow taller as
+    they narrow."""
+    strips, start = [], 0
+    while start < n:
+        stop = min(n, start + block_rows(n - start, entry_bytes))
+        strips.append(slice(start, stop))
+        start = stop
+    return strips
+
+
+class Workspace:
+    """The one buffer a streamed pass allocates and carves its arrays from.
+
+    ``views((shape, dtype), ...)`` lays C-contiguous arrays of those shapes
+    and dtypes (float or complex) out one after another in the buffer and
+    returns them; every call overwrites the arrays of the last. The buffer
+    is allocated again only when a larger layout is asked for, after the
+    smaller one is let go. One allocation per pass, rather than one per
+    array, also lets the allocator keep the pass's memory for the next
+    pass, where arrays freed together above its trim threshold would go
+    back to the system and be faulted in again.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def views(self, *specs) -> list:
+        layout, end = [], 0
+        for shape, dtype in specs:
+            size = math.prod(shape) * (2 if dtype is complex else 1)
+            layout.append((end, size, shape, dtype))
+            end += size + size % 2      # every array 16-byte aligned
+        if self._buf.size < end:
+            self._buf = None
+            self._buf = np.empty(end)
+        return [self._buf[start:start + size].view(dtype).reshape(shape)
+                for start, size, shape, dtype in layout]
 
 
 class SchurSums:
@@ -119,6 +189,10 @@ class SchurSums:
     consecutive ``start`` from 0: each strip's column sums beyond ``stop``
     are the row sums of the rows below it, mirrored, so every entry is
     formed once and the row sup, which equals the column sup, is the norm.
+
+    ``entry_bytes`` is what the sums hold per entry of a block: nothing
+    under unit and trivial weights, else m (multiplied by |K| in place)
+    and its second quotient, in buffers reused from block to block.
     """
 
     def __init__(self, space: QuadratureSpace, weights):
@@ -130,6 +204,9 @@ class SchurSums:
         self._weights = [None if w is None or w.trivial else w for w in weights]
         self._row = np.zeros(len(self._weights))
         self._col = np.zeros((len(self._weights), space.n_points))
+        self.entry_bytes = 0 if all(w is None for w in self._weights) \
+            else WEIGHT_ENTRY_BYTES
+        self._work = Workspace()
 
     def add(self, rows, block: np.ndarray) -> np.ndarray:
         return self._feed(rows, slice(None), block)
@@ -152,13 +229,19 @@ class SchurSums:
         for k, weight in enumerate(self._weights):
             if weight not in sums:
                 weighted = block if weight is None \
-                    else block * weight.block(rows, cols)
+                    else self._weighted(weight, rows, cols, block)
                 sums[weight] = weighted @ mu[cols], mu[rows] @ weighted[:, skip:]
             row, col = sums[weight]
             out[k] = row + self._col[k, rows] if upper else row
             self._col[k, kept] += col
         np.maximum(self._row, out.max(axis=1, initial=0.0), out=self._row)
         return out
+
+    def _weighted(self, weight: Weight2D, rows, cols, block) -> np.ndarray:
+        """|K| m on the block, in the reused m buffers."""
+        m, spare = self._work.views((block.shape, float), (block.shape, float))
+        weight.block(rows, cols, out=m, spare=spare)
+        return np.multiply(m, block, out=m)
 
     def norms(self) -> list:
         return [float(max(row, col.max(initial=0.0)))

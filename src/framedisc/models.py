@@ -65,10 +65,10 @@ class FrameModel:
         duals.setflags(write=False)
         self.duals = duals
 
-    def kernel_rows(self, rows) -> np.ndarray:
+    def kernel_rows(self, rows, out=None) -> np.ndarray:
         """Rows ``rows`` (an index array or slice) of the reproducing kernel,
-        R[rows, :] = A[:, rows]^* V."""
-        return self.duals[:, rows].conj().T @ self.vectors
+        R[rows, :] = A[:, rows]^* V, written into ``out`` when given."""
+        return np.matmul(self.duals[:, rows].conj().T, self.vectors, out=out)
 
     def check_vector(self, f) -> np.ndarray:
         arr = np.asarray(f, dtype=complex).reshape(-1)

@@ -19,6 +19,7 @@ sampling plan, the R pass also yields the plan's sampled-row constant D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,12 +27,26 @@ import numpy as np
 from .coverings import Covering, singleton_covering, uniform_covering, \
     weight_compatibility
 from .errors import CertificationError, StructuralError
-from .kernels import SchurSums, Weight2D, block_rows, row_slices
+from .kernels import SchurSums, Weight2D, Workspace, block_rows, even_step, \
+    upper_strips
 from .models import FrameModel
 
 
 # |R| <= PHASE_EPS carries no usable phase; the kernel rule uses phase one there.
 PHASE_EPS = 1e-12
+
+# Bytes an R strip holds per entry: the complex product and its moduli.
+STRIP_ENTRY_BYTES = 24
+
+# Bytes an oscillation tile holds per (y, z) cell and grid point: the
+# complex product row, its moduli, the gathered moduli and the maxed osc
+# row, each counted for every cell (a cell forms at most one row).
+OSC_CELL_BYTES = 40
+
+# Bytes of bookkeeping per (y, z) cell and frame dimension that a column
+# block of the oscillation pass holds at its peak, while its phases and
+# left factors are formed from gathered factor columns.
+PAIR_BYTES = 64
 
 
 class PhaseFunction:
@@ -83,74 +98,100 @@ class Screened:
 
 
 def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-              start: int, stop: int) -> np.ndarray:
-    """Columns ``start:stop`` of the oscillation kernel, as rows of osc^T.
+              start: int, stop: int, cells: int, work: Workspace):
+    """Columns ``start:stop`` of the oscillation kernel, as rows of osc^T,
+    yielded in tiles ``(rows, osc^T[rows])`` of at most ``cells`` (y, z)
+    cells; each tile is a view into ``work`` that the next overwrites.
 
     osc(x, y) = max_z |R(y, x) - conj Gamma(y, z) R(z, x)| up to the
     rounding of the rank-d rows, and the row R(y, .) - conj Gamma(y, z)
     R(z, .) is (A[:, y] - Gamma(y, z) A[:, z])^* V. The (y, z) pairs of
     the block (``Covering.q_neighborhoods``) are laid out as a table, row
-    k listing Q_y for y = start + k, and each chunk of the table's columns
-    is one (pairs, d) @ (d, n) product whose moduli are maxed along the
-    rows. The term z = y is exactly 0 where Gamma(y, y) == 1 and is not
-    formed; a y with no term left, such as an uncovered one, gets a zero
-    row, and so do the cells past the end of a shorter row.
+    k listing Q_y for y = start + k. Its bookkeeping (the pairs, mirrors,
+    phases and left factors) is made once for the block; the arithmetic
+    runs in even tiles, each whole table rows or, where one row has more
+    than ``cells`` cells, a piece of one row. A tile is one (pairs, d) @
+    (d, n) product whose moduli are maxed along the table's rows. The term
+    z = y is exactly 0 where Gamma(y, y) == 1 and is not formed; a y with
+    no term left, such as an uncovered one, gets a zero row, and so do the
+    cells past the end of a shorter row.
 
     For a ``hermitian`` phase the row of (z, y) is -Gamma(y, z) times the
     row of (y, z), so every pair is formed in the orientation (min, max),
-    and a pair whose mirror lies in the same chunk reuses the mirror's
+    and a pair whose mirror lies in the same tile reuses the mirror's
     moduli; a phase that is not Hermitian forms every (y, z).
     """
-    ys = np.arange(start, stop)
     n = model.space.n_points
+    ys = np.arange(start, stop)
     y_of, zs = cov.q_neighborhoods(start, stop)
     keep = (zs != y_of) | (gamma(ys, ys) != 1.0)[y_of - start]
     y_of, zs = y_of[keep], zs[keep]
-    counts = np.bincount(y_of - start, minlength=ys.size)
+    row_of = y_of - start
+    counts = np.bincount(row_of, minlength=ys.size)
+    width = int(counts.max(initial=0))
+    if width == 0:
+        step = even_step(ys.size, cells)
+        for r0 in range(0, ys.size, step):
+            rows = slice(start + r0, min(stop, start + r0 + step))
+            dst, = work.views(((rows.stop - rows.start, n), float))
+            dst.fill(0.0)
+            yield rows, dst
+        return
+    # a tile is `tall` whole table rows, or one row in chunks of `chunk` cells
+    tall = even_step(ys.size, max(1, cells // width))
+    chunk = even_step(width, min(width, cells))
+    n_tiles, n_chunks = -(-ys.size // tall), -(-width // chunk)
     first = np.cumsum(counts) - counts
-    # chunks of columns keep each (b * chunk, n) block in budget
-    chunk = max(1, block_rows(n) // ys.size)
     pair = np.arange(zs.size)
+    group = row_of // tall * n_chunks + (pair - first[row_of]) // chunk
     source = pair.copy()
     lo, hi = y_of, zs
     if gamma.hermitian:
         lo, hi = np.minimum(y_of, zs), np.maximum(y_of, zs)
-        col = pair - first[y_of - start]
         # the mirror (z, y) of a pair with start <= z < y, in the sorted
         # pair keys y * n + z
         below = np.flatnonzero((zs < y_of) & (zs >= start))
         mirror = np.searchsorted(y_of * n + zs, zs[below] * n + y_of[below])
-        near = col[mirror] // chunk == col[below] // chunk
+        near = group[mirror] == group[below]
         source[below[near]] = mirror[near]
     formed = source == pair
-    steps = np.arange(counts.max(initial=0))
+    made = np.bincount(group[formed], minlength=n_tiles * n_chunks)
+    made_start = np.cumsum(made) - made
+    # slot[p]: the row of pair p's moduli in its tile; row 0 is zero
+    slot = (np.cumsum(formed) - 1)[source] - made_start[group] + 1
+    steps = np.arange(width)
     table = np.where(steps < counts[:, None], first[:, None] + steps, -1)
-    # slot[p]: the row of pair p among the chunk's moduli; slot[-1] is the
-    # zero row. A reused pair's mirror is formed in its chunk, so every
-    # chunk forms at least one row.
-    slot = np.empty(zs.size + 1, dtype=np.intp)
-    out = None
-    for c0 in range(0, steps.size, chunk):
-        cells = table[:, c0:c0 + chunk]
-        pairs = cells[cells >= 0]
-        made = pairs[formed[pairs]]
-        a, b = lo[made], hi[made]
-        left = model.duals[:, a] - gamma(a, b) * model.duals[:, b]
-        mods = np.empty((made.size + 1, n))
-        np.abs(left.conj().T @ model.vectors, out=mods[:-1])
-        mods[-1] = 0.0
-        slot[made] = np.arange(made.size)
-        slot[pairs] = slot[source[pairs]]
-        slot[-1] = made.size
-        at = slot[cells]
-        if np.array_equal(at.ravel(), np.arange(made.size)):
-            # every cell formed, in table order: no gather
-            part = mods[:-1].reshape(ys.size, -1, n)
-        else:
-            part = mods[at]
-        part = part[:, 0] if part.shape[1] == 1 else part.max(axis=1)
-        out = part if out is None else np.maximum(out, part, out=out)
-    return np.zeros((ys.size, n)) if out is None else out
+    at = np.where(table >= 0, slot[table], 0)
+    a, b = lo[formed], hi[formed]
+    left = (model.duals[:, a] - gamma(a, b) * model.duals[:, b]).conj().T
+    tile = tall * chunk
+    prod, mods, gathered, out, spare = work.views(
+        ((tile, n), complex), ((tile + 1, n), float), ((tile, n), float),
+        ((tall, n), float), ((1, n), float))
+    mods[0] = 0.0
+    for t in range(n_tiles):
+        r0, r1 = t * tall, min(ys.size, (t + 1) * tall)
+        dst = out[:r1 - r0]
+        for c in range(n_chunks):
+            c0, c1 = c * chunk, min(width, (c + 1) * chunk)
+            f0, f = made_start[t * n_chunks + c], made[t * n_chunks + c]
+            np.matmul(left[f0:f0 + f], model.vectors, out=prod[:f])
+            np.abs(prod[:f], out=mods[1:f + 1])
+            into = dst if c == 0 else spare
+            if f == (r1 - r0) * (c1 - c0):
+                # every cell formed, in table order: no gather
+                np.max(mods[1:f + 1].reshape(r1 - r0, c1 - c0, n), axis=1,
+                       out=into)
+            elif c1 - c0 == 1:
+                np.take(mods, at[r0:r1, c0], axis=0, out=into, mode="clip")
+            else:
+                cell = at[r0:r1, c0:c1]
+                part = gathered[:cell.size].reshape(cell.shape + (n,))
+                np.take(mods, cell, axis=0, out=part, mode="clip")
+                np.max(part, axis=1, out=into)
+            if c:
+                np.maximum(dst, into, out=dst)
+        yield slice(start + r0, start + r1), dst
 
 
 def _same_space(model: FrameModel, cov: Covering) -> None:
@@ -163,29 +204,39 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
                       weights, level: float | None = None) -> list | Screened:
     """Schur norms of the oscillation kernel under each of ``weights``.
 
-    One pass over the columns in index order, in blocks of ``block_rows``
-    columns; each block is summed into ``SchurSums`` and dropped. With
-    ``level`` the blocks are one column, then two, four, ... up to
-    ``block_rows``, and the scan returns
-    ``Screened`` at the first column whose weighted Schur sum under
-    ``weights[0]`` reaches ``level``: the norm is at least that sum, so the
-    columns left cannot bring it below ``level``. Those sums are the floats
-    the norm is the maximum of, and a stopped scan has formed at most
-    2c + 1 columns, c the column it stopped at.
+    One pass over the columns in index order, in blocks whose table of Q_y
+    has at most n cells or, if more, as many as the budget holds the
+    bookkeeping of (``PAIR_BYTES`` per cell and frame dimension), counted
+    at the bound ``Covering.q_bound`` on |Q_y|. Each block's rows are
+    formed in tiles
+    (``_osc_rows``) whose product, moduli, gathered and maxed rows and
+    Schur sums' m hold at most ``BLOCK_BYTES`` together, in buffers
+    allocated once; each tile is summed into ``SchurSums`` and
+    overwritten. With ``level`` the blocks are one column, then two,
+    four, ... up to that size, and the scan returns ``Screened`` at the
+    first column whose weighted Schur sum under ``weights[0]`` reaches
+    ``level``: the norm is at least that sum, so the columns left cannot
+    bring it below ``level``. Those sums are the floats the norm is the
+    maximum of, and a stopped scan has formed at most 2c + 1 columns, c
+    the column it stopped at.
     """
     _same_space(model, cov)
     n = model.space.n_points
     sums = SchurSums(model.space, weights)
-    cap = block_rows(n)
-    start, size = 0, cap if level is None else 1
+    cells = block_rows(n, OSC_CELL_BYTES + sums.entry_bytes)
+    step = max(1, max(n, block_rows(model.dim, PAIR_BYTES)) // cov.q_bound)
+    work = Workspace()
+    start, size = 0, step if level is None else 1
     while start < n:
         stop = min(n, start + size)
-        col_sums = sums.add(slice(start, stop), _osc_rows(model, cov, gamma, start, stop))
-        if level is not None:
-            hit = np.flatnonzero(col_sums[0] >= level)
-            if hit.size:
-                return Screened(start + int(hit[0]), float(col_sums[0, hit[0]]))
-        start, size = stop, min(2 * size, cap)
+        for rows, osc in _osc_rows(model, cov, gamma, start, stop, cells, work):
+            col_sums = sums.add(rows, osc)
+            if level is not None:
+                hit = np.flatnonzero(col_sums[0] >= level)
+                if hit.size:
+                    return Screened(rows.start + int(hit[0]),
+                                    float(col_sums[0, hit[0]]))
+        start, size = stop, min(2 * size, step)
     return sums.norms()
 
 
@@ -284,6 +335,9 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
     upper triangle of |R| in strips |R|[a:b, a:] formed from the model's
     factors (``SchurSums.add_upper``): |R| m is symmetric, R = V^* S^-1 V
     being Hermitian and m symmetric, so R(x, y) is read for x <= y only.
+    A strip holds its complex product and moduli, plus the Schur sums' m
+    under a non-trivial weight, within ``BLOCK_BYTES`` (``upper_strips``);
+    both buffers are allocated once.
 
     Given a sampling ``plan`` (one on another grid is refused before the
     pass, StructuralError), the list ends with one more norm: the
@@ -303,9 +357,15 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
         c = np.bincount(samples, cov.measures, minlength=n)
         rho, col = np.empty(n), np.zeros(n)
     sums = SchurSums(model.space, list(weights) + ([None] if sampled else []))
-    for rows in row_slices(n):
-        strip = np.abs(model.duals[:, rows].conj().T
-                       @ model.vectors[:, rows.start:])
+    strips = upper_strips(n, STRIP_ENTRY_BYTES + sums.entry_bytes)
+    size = max((rows.stop - rows.start) * (n - rows.start) for rows in strips)
+    prod, mods = Workspace().views(((size,), complex), ((size,), float))
+    left = model.duals.conj().T
+    for rows in strips:
+        shape = (rows.stop - rows.start, n - rows.start)
+        product = np.matmul(left[rows], model.vectors[:, rows.start:],
+                            out=prod[:math.prod(shape)].reshape(shape))
+        strip = np.abs(product, out=mods[:product.size].reshape(shape))
         row_sums = sums.add_upper(rows.start, strip)
         if sampled:
             rho[rows] = row_sums[-1]

@@ -113,20 +113,18 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
     or None when the Neumann certificate is unavailable.
 
     ``inverse`` is the side of its own method; the other side is built
-    from it (a Neumann one from its report, ``tol`` and ``n_max``). The
-    trials run as one block of random range functions, one column each.
+    from it (``SamplingInverse.other_method``: a Neumann one from its
+    report, ``tol`` and ``n_max``), on the same S^{-1} S_c and p = 2
+    metric. The trials run as one block of random range functions, one
+    column each.
     """
-    model, plan, Y = inverse.model, inverse.plan, inverse.Y
-    if inverse.method == "neumann":
-        neu, direct = inverse, SamplingInverse(model, plan, Y, method="direct")
-    else:
-        direct = inverse
-        try:
-            neu = SamplingInverse(model, plan, Y, method="neumann",
-                                  tol=inverse.tol, n_max=inverse.n_max,
-                                  report=inverse.report)
-        except CertificationError:
-            return None
+    model, Y = inverse.model, inverse.Y
+    try:
+        other = inverse.other_method()
+    except CertificationError:
+        return None
+    neu, direct = (inverse, other) if inverse.method == "neumann" \
+        else (other, inverse)
     rng = np.random.default_rng(seed)
     F = model.random_range_block(rng, n_trials)
     nf = Y.column_norms(F)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .coverings import Covering
 from .errors import StructuralError
-from .kernels import Weight2D
+from .kernels import Weight2D, Workspace
 from .quadrature import QuadratureSpace
 
 
@@ -63,12 +63,14 @@ class WeightedLp:
         modulus before the power is taken, and the running sums are rescaled
         when a later piece raises that maximum, so the norm neither
         underflows nor overflows for any finite input. p = 1 and p = inf
-        need no scaling. Each piece's mu-weighted sum is one product.
+        need no scaling. Each piece's mu-weighted sum is one product. The
+        moduli of every piece go into one buffer.
         """
         p, mu = self.p, self.space.weights
         top = total = 0.0
+        work = Workspace()
         for rows, part in blocks:
-            vals = np.abs(part).astype(float, copy=False)
+            vals = np.abs(part, out=work.views((part.shape, float))[0])
             vals *= self.w[rows, None]
             if p == 1.0:
                 total = total + mu[rows] @ vals

@@ -294,6 +294,45 @@ class TestUnusableFiles:
                               "--covering-width", "singleton",
                               "--output", str(tmp_path)])
 
+    @pytest.mark.parametrize("target", ["directory", "missing parent",
+                                        "not writable"])
+    @pytest.mark.parametrize("command", ["osc", "discretize"])
+    def test_unwritable_output_refused_before_any_work(self, tmp_path, capsys,
+                                                       monkeypatch, command,
+                                                       target):
+        """An output that is a directory, lies in a missing directory or
+        may not be written is refused before the model is built: neither
+        the model nor ``run_discretization`` is reached, and nothing is
+        created."""
+        calls = []
+        monkeypatch.setattr(cli, "build_model",
+                            lambda cfg: calls.append("build_model"))
+        monkeypatch.setattr(cli, "run_discretization",
+                            lambda *a, **k: calls.append("run_discretization"))
+        out = {"directory": tmp_path,
+               "missing parent": tmp_path / "missing" / "r.json",
+               "not writable": tmp_path / "r.json"}[target]
+        if target == "not writable":
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        before = sorted(tmp_path.rglob("*"))
+        self.refused(capsys, [command, "--model-kind", "gabor", "--n-time", "8",
+                              "--n-freq", "191", "--window-width", "2.83",
+                              "--covering-width", "singleton",
+                              "--output", str(out)])
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_refused_run_leaves_no_report(self, tmp_path, capsys):
+        """A writable output is not touched before the run: a run refused
+        for certification writes no report, empty or not."""
+        out = tmp_path / "r.json"
+        code = main(["discretize", "--model-kind", "orthonormal", "--dim", "4",
+                     "--delta", "1e-9", "--refine-max-rounds", "1",
+                     "--output", str(out)])
+        assert code == EXIT_CERTIFICATION
+        assert "certification refused" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_merge_input_is_a_directory(self, tmp_path, capsys):
         self.refused(capsys, ["report-merge", str(tmp_path)])
 

@@ -12,12 +12,13 @@ import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
 import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, PhaseFunction, \
-    SamplingInverse, SchurSums, SingularOperatorError, StructuralError, \
+    SamplingInverse, SchurSums, Screened, SingularOperatorError, \
+    StructuralError, \
     Weight2D, WeightedLp, atomic_decomposition, build_pou, \
     contraction_bounds, dual_frame, hilbert_frame_bounds, kernel_norms, \
-    observed_contraction, oscillation_report, reconstruct_from_samples, \
-    select_samples, singleton_covering, synthesize_plan, uniform_covering, \
-    verify_sampled_bounds
+    observed_contraction, oscillation_norms, oscillation_report, \
+    reconstruct_from_samples, select_samples, singleton_covering, \
+    synthesize_plan, uniform_covering, verify_sampled_bounds
 from framedisc.models import FrameModel, build_gabor_model, \
     build_orthonormal_model, build_random_smooth_model
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
@@ -727,9 +728,9 @@ class TestStreamedBounds:
         add_upper = SchurSums.add_upper
         blocks = discretize_module._sampled_row_blocks
 
-        def counted_rows(self, rows):
+        def counted_rows(self, rows, out=None):
             calls["kernel_rows"] += 1
-            return kernel_rows(self, rows)
+            return kernel_rows(self, rows, out)
 
         def counted_strips(self, start, block):
             strips.append(start)
@@ -746,7 +747,10 @@ class TestStreamedBounds:
         result = run_discretization(model, Y, weight, 0.25, covering=cov,
                                     n_trials=5)
         assert result.bounds.violations == 0
-        assert strips == [rows.start for rows in kernels_module.row_slices(n)]
+        entry = oscillation_module.STRIP_ENTRY_BYTES \
+            + (0 if weight.trivial else kernels_module.WEIGHT_ENTRY_BYTES)
+        assert strips == [rows.start
+                          for rows in kernels_module.upper_strips(n, entry)]
         assert len(strips) >= 3
         if weight.trivial:
             assert calls == {"kernel_rows": 0, "blocks": 0}
@@ -805,6 +809,75 @@ class TestStreamedBounds:
         assert result.inverse.report.oscillation_ok
         assert result.inverse.report.invertibility_ok
         assert peak < 16 * n * n
+
+
+def _working_set_pass(name, model, cov, plan, Y, report, coords):
+    """Run one streamed kernel pass on the ``TestWorkingSetBudget`` setup."""
+    space = model.space
+    gamma = PhaseFunction(model, "kernel")
+    unit = unit_weight(space)
+    if name == "osc":
+        return oscillation_norms(model, cov, gamma,
+                                 [report.weight, report.weight])
+    if name == "screen":
+        one_box = Covering(space, (np.arange(space.n_points),))
+        scan = oscillation_norms(model, one_box, gamma, [unit], level=0.0)
+        assert isinstance(scan, Screened) and scan.column == 0
+        return scan
+    if name == "R":
+        return kernel_norms(model, (unit, unit), plan)
+    if name == "D":
+        return discretize_module._sampled_row_constant(model, plan, report)
+    return discretize_module._analysis_norms(
+        model.vectors.conj().T, WeightedLp(space, 1.0, Y.w), coords)
+
+
+class TestWorkingSetBudget:
+    """Every streamed kernel pass holds its kernel-derived temporaries
+    within one budget, ``kernels.BLOCK_BYTES``. On Gabor 6 x 255 (1,530
+    points, d = 6) with 1 x 3 boxes and the budget set to k rows of n
+    complex values, the tracemalloc peak of each pass stays within
+    c = 1 times the budget plus six complex (n, d) arrays, for the factors'
+    gathered copies and the pair bookkeeping. The passes: the oscillation
+    norms under an exp weight, the screen's first column on a one-box
+    covering (every Q_y the whole grid, as in refinement round 0), the R
+    pass with a plan, the weighted sampled-row pass, and the Y-norms of an
+    (n, n_sets) analysis block, whose budget of 32 rows is below what a
+    separate 1 MiB norm budget would hold."""
+
+    @pytest.fixture(scope="class")
+    def gabor_6x255(self):
+        model = build_gabor_model(6, 255, 2.45)
+        space = model.space
+        cov = Covering(space, tuple(
+            np.arange(t * 255 + m, t * 255 + min(m + 3, 255))
+            for t in range(6) for m in range(0, 255, 3)))
+        plan = select_samples(build_pou(cov))
+        Y = WeightedLp(space, 2.0,
+                       np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
+                                    Y.weight2d(), 0.2)
+        coords = np.random.default_rng(0).standard_normal(
+            (model.dim, cov.n_sets)) + 0j
+        return model, cov, plan, Y, report, coords
+
+    @pytest.mark.parametrize("name,rows", [("osc", 128), ("screen", 128),
+                                           ("R", 128), ("D", 128),
+                                           ("analysis", 32)])
+    def test_pass_peak_within_budget(self, gabor_6x255, monkeypatch, name,
+                                     rows):
+        model = gabor_6x255[0]
+        n, d = model.space.n_points, model.dim
+        budget = rows * 16 * n
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _working_set_pass(name, *gabor_6x255)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * budget + 6 * 16 * n * d
 
 
 class TestScaleInvariantNeumann:
@@ -901,8 +974,8 @@ class TestExtremeScales:
         want = Y.column_norms(model.vectors.conj().T @ coords)
         for rows in (7, None):
             if rows is not None:
-                monkeypatch.setattr(discretize_module, "NORM_BLOCK_BYTES",
-                                    rows * 16 * k)
+                monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
+                                    rows * discretize_module.NORM_ENTRY_BYTES * k)
             got = neu._column_norms(coords)
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         if k > 1:
@@ -1195,13 +1268,13 @@ class TestInverseHandle:
         built, and check its cross-method gap against a fresh pair."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
         built = []
-        init = SamplingInverse.__init__
+        prepare = SamplingInverse._prepare
 
-        def counted(self, *args, **kwargs):
-            init(self, *args, **kwargs)
+        def counted(self, method):
+            prepare(self, method)
             built.append(self.method)
 
-        monkeypatch.setattr(SamplingInverse, "__init__", counted)
+        monkeypatch.setattr(SamplingInverse, "_prepare", counted)
         result = run_discretization(model, Y, weight, 0.25, covering=cov,
                                     method=method, n_trials=10, seed=3)
         monkeypatch.undo()
@@ -1248,11 +1321,12 @@ class TestInverseHandle:
             verify_sampled_bounds(bare, n_trials=3)
 
     @pytest.mark.parametrize("method", ["neumann", "direct"])
-    def test_run_forms_restricted_operator_twice(self, monkeypatch, method):
-        """S^{-1} S_c is formed once by the run's inverse, which the observed
-        contraction reads, and once by the other side of the cross-check.
-        The p = 2 metric is the Neumann handle's; a direct handle forms
-        none, so there the observed contraction forms its own."""
+    def test_run_forms_restricted_operator_once(self, monkeypatch, method):
+        """S^{-1} S_c is formed once, by the run's inverse: the observed
+        contraction reads it, and the other side of the cross-check is
+        built from the handle. The p = 2 metric is formed once: by the
+        Neumann handle, or, for a direct run, by the observed contraction,
+        which keeps it on the handle for the Neumann side."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
         calls = {"_restricted_matrix": 0, "_weighted_metric": 0}
         for name in calls:
@@ -1265,8 +1339,7 @@ class TestInverseHandle:
             monkeypatch.setattr(discretize_module, name, counted)
         run_discretization(model, Y, weight, 0.25, covering=cov,
                            method=method, n_trials=5, seed=3)
-        assert calls == {"_restricted_matrix": 2,
-                         "_weighted_metric": 1 if method == "neumann" else 2}
+        assert calls == {"_restricted_matrix": 1, "_weighted_metric": 1}
 
     def test_result_reads_its_inverse(self):
         """The run's JSON reads the covering, plan, method, certificate and

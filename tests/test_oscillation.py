@@ -145,20 +145,43 @@ class TestOscRows:
         want = oscillation_kernel(model, cov, gamma).T
         tol = 8 * d * np.finfo(float).eps * np.max(np.abs(dense_kernel(model)))
         for start, stop in ((0, 1), (1, 5), (5, n)):
-            got = oscillation_module._osc_rows(model, cov, gamma, start, stop)
+            got = osc_rows(model, cov, gamma, start, stop)
             assert got.shape == (stop - start, n)
             assert np.max(np.abs(got - want[start:stop])) <= tol
 
 
+def osc_rows(model, cov, gamma, start, stop, cells=None):
+    """Columns ``start:stop`` of the oscillation kernel as rows of osc^T,
+    assembled from the pass's tiles (``_osc_rows``), each copied before
+    the next overwrites it; ``cells`` defaults to the pass's tile size
+    under the unit weight."""
+    n = model.space.n_points
+    if cells is None:
+        cells = kernels_module.block_rows(n, oscillation_module.OSC_CELL_BYTES)
+    tiles = oscillation_module._osc_rows(model, cov, gamma, start, stop, cells,
+                                         kernels_module.Workspace())
+    return np.concatenate([block.copy() for _, block in tiles])
+
+
+def loop_tiles(model, cov, gamma, start, stop, cells, work):
+    """``osc_rows_loop`` as the one tile of a block, in ``_osc_rows``'s
+    signature."""
+    return [(slice(start, stop), osc_rows_loop(model, cov, gamma, start, stop))]
+
+
 def count_product_rows(model):
     """Replace ``model.vectors`` by a view that records the row count of
-    every left factor multiplied into it: the osc rows formed."""
+    every left factor multiplied into it (by ``@`` or ``np.matmul``): the
+    osc rows formed."""
     counts = []
 
     class Counting(np.ndarray):
-        def __rmatmul__(self, other):
-            counts.append(other.shape[0])
-            return np.asarray(other) @ self.view(np.ndarray)
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                counts.append(inputs[0].shape[0])
+            plain = [x.view(np.ndarray) if isinstance(x, Counting) else x
+                     for x in inputs]
+            return getattr(ufunc, method)(*plain, **kwargs)
 
     model.vectors = model.vectors.view(Counting)
     return counts
@@ -171,9 +194,10 @@ class TestMirroredPairs:
     @pytest.mark.parametrize("rule", ["one", "kernel"])
     def test_two_point_boxes_form_half_the_rows(self, monkeypatch, rule):
         """On a partition into 1 x 2 boxes every Q_y \\ {y} is the one mirror
-        of a pair: one block forms n/2 rows, and a scan in blocks of 64
-        rows forms at most one more per block (a box cut by a block
-        boundary). The rows are the ones the oracle forms twice."""
+        of a pair: one tile forms n/2 rows, and a scan in tiles of at most
+        64 cells (one per row here) forms at most one more per tile (a box
+        cut by a tile boundary). The rows are the ones the oracle forms
+        twice."""
         model = build_gabor_model(4, 60, 2.0)
         n = model.space.n_points
         cov = Covering(model.space, tuple(np.arange(y, y + 2)
@@ -181,14 +205,39 @@ class TestMirroredPairs:
         gamma = PhaseFunction(model, rule)
         want = osc_rows_loop(model, cov, gamma, 0, n)
         rows = count_product_rows(model)
-        got = oscillation_module._osc_rows(model, cov, gamma, 0, n)
+        got = osc_rows(model, cov, gamma, 0, n, cells=n)
         assert rows == [n // 2]
         assert np.array_equal(got, want)
         rows.clear()
-        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 64 * 16 * n)
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
+                            64 * oscillation_module.OSC_CELL_BYTES * n)
         oscillation_norms(model, cov, gamma, [unit_weight(model.space)])
         assert len(rows) == -(-n // 64)
         assert sum(rows) <= n // 2 + len(rows)
+
+    def test_three_point_boxes_form_each_unordered_pair_once(self):
+        """On Gabor 6 x 255 with 1 x 3 boxes the pass lists 3,060 (y, z)
+        pairs with z != y, each box's three unordered pairs twice. Under the
+        default budget it forms each unordered pair once, plus at most two
+        more per tile (a box cut by a tile boundary), and takes one phase per
+        pair it forms. (Reusing a mirror only within one column of the
+        table of Q_y formed 1,986.)"""
+        model = build_gabor_model(6, 255, 2.45)
+        cov = Covering(model.space, tuple(
+            np.arange(t * 255 + m, t * 255 + min(m + 3, 255))
+            for t in range(6) for m in range(0, 255, 3)))
+        phases = []
+
+        class CountingPhase(PhaseFunction):
+            def __call__(self, y, z):
+                phases.append(int(np.count_nonzero(np.not_equal(y, z))))
+                return super().__call__(y, z)
+
+        rows = count_product_rows(model)
+        oscillation_norms(model, cov, CountingPhase(model, "kernel"),
+                          [unit_weight(model.space)])
+        assert sum(phases) == sum(rows)
+        assert sum(rows) <= 3060 // 2 + 2 * len(rows)
 
     @pytest.mark.parametrize("rule", ["one", "kernel"])
     def test_singleton_covering_forms_no_product(self, rule):
@@ -200,13 +249,16 @@ class TestMirroredPairs:
         assert oscillation_norms(model, cov, gamma, [w, w]) == [0.0, 0.0]
         assert rows == []
 
-    def test_refine_singleton_round_forms_no_product(self):
+    def test_refine_singleton_round_forms_no_product(self, monkeypatch):
         """The all-singleton round that ends a search forms no osc
-        product: a 6 x 81 search at delta 0.2 forms one product for the
-        screened column 0 of each of its three box rounds, and then only
+        product: under a budget whose tiles hold a whole column of n
+        cells, a 6 x 81 search at delta 0.2 forms one product for the
+        screened first tile of each of its three box rounds, and then only
         the one strip of R for the report."""
         model = build_gabor_model(6, 81, 2.45)
         n = model.space.n_points
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
+                            n * n * oscillation_module.OSC_CELL_BYTES)
         rows = count_product_rows(model)
         cov, rep = refine_until(model, unit_weight(model.space), 0.2)
         assert cov.n_sets == n and rep.osc_norm == 0.0
@@ -221,7 +273,7 @@ class TestMirroredPairs:
                                                         "table")
         assert gamma.hermitian is False
         n = model.space.n_points
-        got = oscillation_module._osc_rows(model, cov, gamma, 0, n)
+        got = osc_rows(model, cov, gamma, 0, n)
         tol = 8 * model.dim * np.finfo(float).eps \
             * np.max(np.abs(dense_kernel(model)))
         assert np.max(np.abs(got - osc.T)) <= tol
@@ -233,9 +285,8 @@ class TestMirroredPairs:
         n = model.space.n_points
         table = TablePhase(model.space, full_table(gamma))
         assert table.hermitian is True
-        assert np.array_equal(
-            oscillation_module._osc_rows(model, cov, table, 0, n),
-            oscillation_module._osc_rows(model, cov, gamma, 0, n))
+        assert np.array_equal(osc_rows(model, cov, table, 0, n),
+                              osc_rows(model, cov, gamma, 0, n))
 
 
 def q_table_setup(covering, phase):
@@ -274,8 +325,9 @@ class TestQTable:
     @pytest.mark.parametrize("phase", ["one", "kernel", "table"])
     @pytest.mark.parametrize("covering", Q_TABLE_COVERINGS)
     def test_table_and_rows_equal_column_loop(self, covering, phase):
-        """Exactly equal on the scan's doubling blocks, on blocks inside
-        and across the uncovered run, and on the whole grid."""
+        """Exactly equal on blocks of 1, 2, 4, ... columns, on blocks inside
+        and across the uncovered run, and on the whole grid, in tiles of the
+        default size and of three cells (which cut the wider rows)."""
         model, cov, gamma = q_table_setup(covering, phase)
         n = model.space.n_points
         q_of = q_neighborhoods_naive(cov.sets, n)
@@ -284,9 +336,10 @@ class TestQTable:
             y_of, zs = cov.q_neighborhoods(start, stop)
             assert list(zip(y_of.tolist(), zs.tolist())) == \
                 [(y, z) for y in range(start, stop) for z in sorted(q_of[y])]
-            assert np.array_equal(
-                oscillation_module._osc_rows(model, cov, gamma, start, stop),
-                osc_rows_loop(model, cov, gamma, start, stop))
+            want = osc_rows_loop(model, cov, gamma, start, stop)
+            for cells in (None, 3):
+                assert np.array_equal(
+                    osc_rows(model, cov, gamma, start, stop, cells), want)
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     @pytest.mark.parametrize("phase", ["kernel", "table"])
@@ -302,7 +355,7 @@ class TestQTable:
         weight = Weight2D(space, w, ref_index=5)
         weights = (weight, v_weight(weight))
         got = oscillation_norms(model, cov, gamma, weights)
-        monkeypatch.setattr(oscillation_module, "_osc_rows", osc_rows_loop)
+        monkeypatch.setattr(oscillation_module, "_osc_rows", loop_tiles)
         assert got == oscillation_norms(model, cov, gamma, weights)
 
 
@@ -315,8 +368,9 @@ class TestStreamedNorms:
                                  budget):
         """The norms of osc and R under the weight and its m_v, from one
         streamed pass each, match the triple-loop kernel's naive Schur norms.
-        A two-row block budget also splits each block's table of Q_y into
-        column chunks."""
+        A budget of two complex rows holds one (y, z) cell per oscillation
+        tile, so it also cuts every row of each block's table of Q_y into
+        one-cell pieces."""
         model, cov, weight, gamma, osc = streamed_setup(covering, weight_rule,
                                                         phase)
         if budget == "two rows":
@@ -338,13 +392,18 @@ class TestStreamedNorms:
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     def test_r_norms_from_upper_strips(self, monkeypatch, weight_rule):
-        """Under a budget of 30 rows the norms of R come from at least three
-        strips |R|[a:b, a:] of the upper triangle and match the dense
-        kernel's naive Schur norms."""
+        """Under a budget of 30 full rows (the product and moduli, plus m
+        and its second quotient under the exp weight) the norms of R come
+        from at least three strips |R|[a:b, a:] of the upper triangle: the
+        first 30 rows tall, each as tall as the budget holds at its width,
+        so each fits in the budget. They match the dense kernel's naive
+        Schur norms."""
         model = build_gabor_model(6, 16, 2.45)
         space = model.space
         n = space.n_points
-        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 30 * 16 * n)
+        entry = oscillation_module.STRIP_ENTRY_BYTES \
+            + (0 if weight_rule == "unit" else kernels_module.WEIGHT_ENTRY_BYTES)
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 30 * entry * n)
         w = np.ones(n) if weight_rule == "unit" \
             else np.exp(0.3 * np.linalg.norm(space.points, axis=1))
         weight = Weight2D(space, w, ref_index=5)
@@ -359,36 +418,54 @@ class TestStreamedNorms:
         monkeypatch.setattr(kernels_module.SchurSums, "add_upper", recorded)
         got = kernel_norms(model, weights)
         assert len(strips) >= 3
-        assert strips == [(a, (min(n, a + 30) - a, n - a))
-                          for a in range(0, n, 30)]
+        starts = [a for a, _ in strips] + [n]
+        assert starts[:2] == [0, 30]
+        for (a, shape), b in zip(strips, starts[1:]):
+            assert shape == (b - a, n - a)
+            assert (b - a) * (n - a) <= 30 * n
+            assert b == n or (b - a + 1) * (n - a) > 30 * n
         for value, wt in zip(got, weights):
             assert value == pytest.approx(
                 schur_norm_naive(space.weights, dense_kernel(model),
                                  weight_matrix_naive(wt.w)), rel=1e-13)
 
     def test_unscreened_scan_takes_full_blocks(self, monkeypatch):
-        """Without a level the scan's blocks are ``block_rows`` columns from
-        the start; a screened scan doubles up to that size."""
+        """Under a budget of 50 cells an unscreened scan is one block of the
+        whole grid whose tiles are even runs of whole columns, as many per
+        tile as 50 cells hold at the widest Q_y. A screened scan's blocks
+        double, 1, 2, 4, ... columns, and each is cut into the fewest even
+        tiles of at most that many columns. Both give the same norms."""
         model = build_gabor_model(6, 41, 2.45)
         n = model.space.n_points
-        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 50 * 16 * n)
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
+                            50 * oscillation_module.OSC_CELL_BYTES * n)
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 41))
         gamma = PhaseFunction(model, "kernel")
-        calls = []
+        width = max(s.size for s in cov.sets) - 1     # z = y is not formed
+        blocks, tiles = [], []
         osc_rows = oscillation_module._osc_rows
 
-        def counting(model, cov, gamma, start, stop):
-            calls.append((start, stop))
-            return osc_rows(model, cov, gamma, start, stop)
+        def counting(model, cov, gamma, start, stop, *args):
+            blocks.append((start, stop))
+            for rows, block in osc_rows(model, cov, gamma, start, stop, *args):
+                tiles.append((rows.start, rows.stop))
+                yield rows, block
+
+        def even_tiles(start, stop):
+            step = kernels_module.even_step(stop - start, 50 // width)
+            return [(a, min(stop, a + step)) for a in range(start, stop, step)]
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         weights = [unit_weight(model.space)]
         full = oscillation_norms(model, cov, gamma, weights)
-        assert calls == [(a, min(n, a + 50)) for a in range(0, n, 50)]
-        calls.clear()
+        assert blocks == [(0, n)] and tiles == even_tiles(0, n)
+        assert (tiles[0][1] - tiles[0][0]) * width <= 50
+        blocks.clear()
+        tiles.clear()
         screened = oscillation_norms(model, cov, gamma, weights, level=np.inf)
-        assert calls[:7] == [(0, 1), (1, 3), (3, 7), (7, 15), (15, 31),
-                             (31, 63), (63, 113)]
+        starts = [0, 1, 3, 7, 15, 31, 63, 127]
+        assert blocks == list(zip(starts, starts[1:] + [n]))
+        assert tiles == [tile for block in blocks for tile in even_tiles(*block)]
         assert screened == pytest.approx(full, rel=1e-14)
 
     def test_v_weight_equal_to_weight_is_shared(self, monkeypatch):
@@ -409,9 +486,9 @@ class TestStreamedNorms:
         calls = []
         block = Weight2D.block
 
-        def counted(self, rows, cols):
+        def counted(self, rows, cols, out=None, spare=None):
             calls.append(isinstance(cols, slice))
-            return block(self, rows, cols)
+            return block(self, rows, cols, out, spare)
 
         monkeypatch.setattr(Weight2D, "block", counted)
         shared = oscillation_report(model, cov, gamma, weight, 0.25)
@@ -442,9 +519,10 @@ class TestStreamedNorms:
         calls = []
         osc_rows = oscillation_module._osc_rows
 
-        def counting(model, cov, gamma, start, stop):
-            calls.append((start, stop))
-            return osc_rows(model, cov, gamma, start, stop)
+        def counting(*args):
+            for rows, block in osc_rows(*args):
+                calls.append((rows.start, rows.stop))
+                yield rows, block
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"),
@@ -681,10 +759,11 @@ def stated_bound(message):
 def naive_outcome(kernels, monkeypatch, model, *args, **kwargs):
     exact = oscillation_module._osc_rows
 
-    def memo(model, cov, gamma, start, stop):
+    def memo(model, cov, gamma, start, stop, cells, work):
         key = (id(model), cov.identifier(), gamma.rule, start, stop)
         if key not in kernels:
-            kernels[key] = exact(model, cov, gamma, start, stop)
+            kernels[key] = [(rows, block.copy()) for rows, block
+                            in exact(model, cov, gamma, start, stop, cells, work)]
         return kernels[key]
 
     with monkeypatch.context() as patch:
@@ -780,9 +859,10 @@ class TestRefineScreen:
         calls = {}
         osc_rows = oscillation_module._osc_rows
 
-        def counting(model, cov, gamma, start, stop):
-            calls[cov] = calls.get(cov, 0) + stop - start
-            return osc_rows(model, cov, gamma, start, stop)
+        def counting(model, cov, *args):
+            for rows, block in osc_rows(model, cov, *args):
+                calls[cov] = calls.get(cov, 0) + rows.stop - rows.start
+                yield rows, block
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         cov, rep = refine_until(model, w, delta=0.2)
