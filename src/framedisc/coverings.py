@@ -158,9 +158,23 @@ class Covering:
         (n_sets, ...) values; points in no set get 0."""
         return self.pair_sums(np.asarray(values)[self._sets_by_point])
 
+    def pairs(self, start: int, stop: int) -> slice:
+        """The point-major (set, point) pairs of the points ``start:stop``:
+        the slice of ``holders(0, n_points)`` that ``holders(start, stop)``
+        is."""
+        return slice(self._point_ptr[start], self._point_ptr[stop])
+
     def holders(self, start: int, stop: int) -> np.ndarray:
         """The sets containing each point of ``start:stop``, point after point."""
-        return self._sets_by_point[self._point_ptr[start]:self._point_ptr[stop]]
+        return self._sets_by_point[self.pairs(start, stop)]
+
+    def holders_of(self, points) -> tuple:
+        """(sets, counts): the sets containing each of ``points`` (an index
+        array, repeats allowed), point after point, and how many sets hold
+        each point."""
+        ptr = self._point_ptr
+        counts = np.diff(ptr)[points]
+        return self._sets_by_point[_segments(ptr[points], counts)], counts
 
     def pair_sums(self, values, start: int = 0, stop: int | None = None
                   ) -> np.ndarray:

@@ -26,7 +26,7 @@ from .kernels import WEIGHT_ENTRY_BYTES, Workspace, block_rows, even_step, \
     row_slices, schur_norms
 from .models import FrameModel, random_vectors
 from .oscillation import OscReport, kernel_norms
-from .spaces import WeightedLp, local_integrability_constant, pileup, \
+from .spaces import WeightedLp, local_integrability_constant, pileup_norms, \
     sup_infinity_space
 
 # Smallest eigenvalue modulus of the restricted sampling operator that
@@ -47,6 +47,10 @@ SAMPLED_ENTRY_BYTES = 32
 CONTRACTION_STEPS = 200
 CONTRACTION_TOL = 1e-10
 CONTRACTION_PROBES = 20
+
+# Bytes the power iteration holds per iterate and frame dimension: the
+# iterate, its image and the iterates a doubling forms at once.
+ITERATE_BYTES = 48
 
 # An observed ratio above its certified constant by more than this is a
 # violation (``verify_sampled_bounds``).
@@ -150,8 +154,10 @@ class SamplingInverse:
     matrix of frame vectors), and there U acts as the d x d matrix
     S^{-1} S_c, with S_c = sum_i c_i psi_{x_i} psi_{x_i}^*. ``apply`` maps a
     grid function to coordinates (anything outside the range is first
-    projected onto it), inverts there and maps back; ``_invert_coords``
-    inverts a (d, k) block of coordinates directly. The handle is the one
+    projected onto it), inverts there and maps back; ``invert_coords``
+    inverts a (d, k) block of coordinates directly, and ``range_norms``
+    gives the Y-norms of the range functions V* a of such a block without
+    forming them on the whole grid. The handle is the one
     argument the decomposition, reconstruction, dual-frame, residual,
     cross-check, observed-contraction and bounds helpers take: they read
     the model, plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and the
@@ -212,8 +218,7 @@ class SamplingInverse:
                 )
             self.sharp_bound = sharp
             if Y.p == 2.0:
-                if self._metric is None:
-                    self._metric = _weighted_metric(model, Y)
+                self._p2_metric()
             else:
                 self._kappa = Y.norm(np.linalg.norm(model.vectors, axis=0))
         elif method == "direct":
@@ -236,30 +241,38 @@ class SamplingInverse:
         other._prepare("direct" if self.method == "neumann" else "neumann")
         return other
 
-    def _column_norms(self, coords: np.ndarray) -> np.ndarray:
-        """Y-norms of the grid functions with the given analysis coordinates.
+    def _p2_metric(self) -> np.ndarray:
+        """The p = 2 metric (``_weighted_metric``), formed once per handle;
+        ``other_method`` hands it on."""
+        if self._metric is None:
+            self._metric = _weighted_metric(self.model, self.Y)
+        return self._metric
+
+    def range_norms(self, coords: np.ndarray) -> np.ndarray:
+        """Y-norms of the range functions V* a, one per column of a (d, k)
+        coordinate block a.
 
         For p = 2 this is the d x d quadratic form |V* a|_Y^2 = a* M a
         (``_weighted_metric``), on columns scaled to unit size so that the
         squares cannot underflow. Otherwise V* a is formed and its norms
-        summed in row blocks (``_analysis_norms``).
+        summed in row blocks within ``BLOCK_BYTES`` (``_analysis_norms``).
         """
-        if self._metric is None:
+        if self.Y.p != 2.0:
             return _analysis_norms(self._analysis, self.Y, coords)
         scale, unit = _unit_columns(coords)
-        quad = np.einsum("ij,ij->j", unit.conj(), self._metric @ unit).real
+        quad = np.einsum("ij,ij->j", unit.conj(), self._p2_metric() @ unit).real
         return scale * np.sqrt(np.maximum(quad, 0.0))
 
     def _term_norms(self, coords: np.ndarray) -> np.ndarray:
         """What the stopping rule tests for each column of a Neumann term:
         the exact Y-norm for p = 2, else the bound kappa_Y |t|_2, taken on
         columns scaled to unit size (O(d) work per column)."""
-        if self._metric is not None:
-            return self._column_norms(coords)
+        if self.Y.p == 2.0:
+            return self.range_norms(coords)
         scale, unit = _unit_columns(np.abs(coords))
         return self._kappa * scale * np.sqrt(np.einsum("ij,ij->j", unit, unit))
 
-    def _invert_coords(self, coords: np.ndarray) -> np.ndarray:
+    def invert_coords(self, coords: np.ndarray) -> np.ndarray:
         """Apply the inverse to every column of a (d, k) coordinate block.
 
         ``last_term_norms`` records the largest input Y-norm of the block,
@@ -271,7 +284,7 @@ class SamplingInverse:
         if self.method == "direct":
             return self._matrix_inv @ coords
         total = np.array(coords, dtype=complex, copy=True)
-        first = self._column_norms(total)
+        first = self.range_norms(total)
         limit = self.tol * first
         active = np.flatnonzero(first > 0.0)    # zero columns are done
         term = total[:, active]
@@ -300,7 +313,7 @@ class SamplingInverse:
         arr, shape = _as_columns(F, model.space.n_points, "grid function")
         coords = model.s_inverse @ (model.vectors
                                     @ (model.space.weights[:, None] * arr))
-        out = self._analysis @ self._invert_coords(coords)
+        out = self._analysis @ self.invert_coords(coords)
         return out.reshape((model.space.n_points,) + shape)
 
     @cached_property
@@ -311,7 +324,7 @@ class SamplingInverse:
         model, plan = self.model, self.plan
         coords = model.s_inverse @ (model.vectors[:, plan.samples]
                                     * plan.masses[None, :])
-        out = self._invert_coords(coords)
+        out = self.invert_coords(coords)
         out.setflags(write=False)
         return out
 
@@ -374,7 +387,7 @@ def atomic_decomposition(inverse: SamplingInverse, f,
     model, plan = inverse.model, inverse.plan
     vecs, shape = _as_columns(f, model.dim, "vector")
     coords = vecs if swap_roles else model.s_inverse @ vecs
-    g = inverse._invert_coords(coords)
+    g = inverse.invert_coords(coords)
     out = plan.masses[:, None] * (model.vectors[:, plan.samples].conj().T @ g)
     return out.reshape((plan.covering.n_sets,) + shape)
 
@@ -407,7 +420,7 @@ def reconstruct_from_samples(inverse: SamplingInverse, samples,
     vals, shape = _as_columns(samples, plan.covering.n_sets, "sample set")
     xs = plan.samples
     coords = model.s_inverse @ (model.vectors[:, xs] @ (plan.masses[:, None] * vals))
-    g = inverse._invert_coords(coords)
+    g = inverse.invert_coords(coords)
     out = model.frame_operator @ g if swap_roles else g
     return out.reshape((model.dim,) + shape)
 
@@ -436,6 +449,28 @@ def hilbert_frame_bounds(model: FrameModel, plan: SamplingPlan) -> tuple:
     return float(evals[0]), float(evals[-1])
 
 
+def _power_iterates(m: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """The (d, k) block of power iterates m^j g / |m^j g|_2, j < k, of a
+    unit vector g, read off the normalized powers m^(2^i) / max|m^(2^i)|
+    built by doubling: power 2^i maps the first 2^i iterates to the next
+    2^i in one product. An iterate whose power of m vanishes is zero."""
+    out = np.empty((g.size, k), dtype=complex)
+    out[:, 0] = g
+    have, power = 1, m
+    while have < k:
+        top = np.abs(power).max()
+        if top > 0.0:
+            power = power / top
+        take = min(have, k - have)
+        new = power @ out[:, :take]
+        size = np.linalg.norm(new, axis=0)
+        out[:, have:have + take] = new / np.where(size > 0.0, size, 1.0)
+        have += take
+        if have < k:
+            power = power @ power
+    return out
+
+
 def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     """Empirical lower estimate of ||Id - U|| on the kernel range in the
     inverse's Y-norm, read off the handle's S^{-1} S_c.
@@ -449,22 +484,23 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
 
     The power iteration g <- m g / |m g| runs in coordinates for up to
     ``CONTRACTION_STEPS`` steps, stopping early only where m g vanishes.
-    Image j is |m g_j| times iterate j + 1, so the iterates and the last
-    image are analyzed as one (n, k + 1) block, and the iteration's stopping
-    rule (a zero-norm iterate, or two successive ratios within
-    ``CONTRACTION_TOL``) is replayed
-    on the array of ratios: the estimate is the one a step-by-step
-    iteration would return, up to rounding. The probes are drawn in one
-    call (``random_vectors``) and analyzed as one block.
+    Its iterates are read off normalized powers of m built by doubling
+    (``_power_iterates``), as many at once as ``BLOCK_BYTES`` holds at
+    ``ITERATE_BYTES`` per iterate and frame dimension. Image j is |m g_j|
+    times iterate j + 1, so the iterates and the last image are analyzed
+    as one (n, k + 1) block, and the iteration's stopping rule (a
+    zero-norm iterate, a vanishing image, or two successive ratios within
+    ``CONTRACTION_TOL``) is replayed on the array of ratios: the estimate
+    is the one a step-by-step iteration would return, up to rounding. The
+    probes are drawn in one call (``random_vectors``) and analyzed as one
+    block.
     """
     model, Y = inverse.model, inverse.Y
     rng = np.random.default_rng(seed)
     m = np.eye(model.dim, dtype=complex) - inverse._restricted
 
     if Y.p == 2.0:
-        if inverse._metric is None:
-            inverse._metric = _weighted_metric(model, Y)
-        metric = inverse._metric
+        metric = inverse._p2_metric()
         evals, evecs = np.linalg.eigh(0.5 * (metric + metric.conj().T))
         evals = np.maximum(evals, 1e-300)
         half = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
@@ -472,29 +508,32 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
         return float(np.linalg.norm(half @ m @ half_inv, ord=2))
 
     analysis = inverse._analysis
-    best = 0.0
+    best, last = 0.0, 0.0
     g = random_vectors(rng, model.dim, 1)[:, 0]
-    iterates, scales = [], []
-    for _ in range(CONTRACTION_STEPS):
-        g_next = m @ g
-        iterates.append(g)
-        scale = np.linalg.norm(g_next)
-        scales.append(scale)
-        if scale == 0.0:
-            break
-        g = g_next / scale
-    if iterates:
-        norms = _analysis_norms(analysis, Y, np.stack(iterates + [g_next], axis=1))
+    held = block_rows(model.dim, ITERATE_BYTES)
+    left = CONTRACTION_STEPS
+    while left > 0:
+        iterates = _power_iterates(m, g, min(left, held))
+        images = m @ iterates
+        scales = np.linalg.norm(images, axis=0)
+        vanish = np.flatnonzero(scales == 0.0)
+        k = vanish[0] + 1 if vanish.size else iterates.shape[1]
+        norms = _analysis_norms(analysis, Y, np.column_stack(
+            (iterates[:, :k], images[:, k - 1])))
         nf = norms[:-1]
-        ni = np.append(np.array(scales[:-1]) * norms[1:-1], norms[-1])
+        ni = np.append(scales[:k - 1] * norms[1:-1], norms[-1])
         zero = np.flatnonzero(nf == 0.0)
-        stop = zero[0] if zero.size else nf.size
+        stop = zero[0] if zero.size else k
         ratios = ni[:stop] / nf[:stop]
-        settled = np.abs(np.diff(ratios, prepend=0.0)) \
+        settled = np.abs(np.diff(ratios, prepend=last)) \
             <= CONTRACTION_TOL * np.maximum(1.0, ratios)
         if settled.any():
             ratios = ratios[:np.argmax(settled) + 1]
-        best = ratios.max(initial=0.0)
+        best = max(best, ratios.max(initial=0.0))
+        if settled.any() or stop < k or vanish.size:
+            break
+        last, left = ratios[-1], left - k
+        g = images[:, k - 1] / scales[k - 1]
 
     probes = random_vectors(rng, model.dim, CONTRACTION_PROBES)
     nf = _analysis_norms(analysis, Y, probes)
@@ -611,9 +650,17 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     when the report was made with the plan (``d_plan``), so no second pass
     over R runs; another plan gets an R pass of its own, and a non-trivial
     weight a streamed pass over the sampled-row kernel
-    (``_sampled_row_constant``). The trials run as blocks, one column each;
-    the kernel applied to a measure sum_k lambda_k delta_{y_k} is formed as
-    V* S^{-1} sum_k lambda_k psi_{y_k}.
+    (``_sampled_row_constant``).
+
+    The trials run as blocks, one column each, and none is formed on the
+    whole grid. A range function F = V* a is held as its coordinates a:
+    its Y-norm comes through the handle (``range_norms``), its other norms
+    from row blocks of V* a (``_analysis_norms``), its samples are
+    V[:, x_i]^* a, and the pile-ups are formed in point tiles
+    (``pileup_norms``). The kernel applied to a measure
+    sum_k lambda_k delta_{y_k} has coordinates S^{-1} sum_k lambda_k
+    psi_{y_k}, and the measure's per-set masses, which its decomposition
+    norm piles up, are summed over the sets holding each atom.
     """
     model, plan, Y, report = inverse.model, inverse.plan, inverse.Y, inverse.report
     if report is None:
@@ -623,6 +670,7 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     space = model.space
     cov = plan.covering
     weight = report.weight
+    analysis = inverse._analysis
 
     d_const = _sampled_row_constant(model, plan, report)
     meas_const = report.osc_norm + report.r_norm
@@ -630,22 +678,23 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     range_sup_const = (report.osc_norm_v + report.r_norm_v) \
         * local_integrability_constant(cov, Y, weight)
 
-    F = model.random_range_block(rng, n_trials)
-    ny = Y.column_norms(F)
-    F, ny = F[:, ny > 0.0], ny[ny > 0.0]
-    vals = np.abs(F[plan.samples])
-    sup = sup_space.column_norms(F)
-    d_obs = np.max(Y.column_norms(pileup(vals, cov)) / ny, initial=0.0)
-    smoothed = cov.pair_sums(plan.pou.phi[:, None]
-                             * vals[cov.holders(0, space.n_points)])
-    sig_obs = np.max(Y.column_norms(smoothed) / ny, initial=0.0)
+    g = random_vectors(rng, model.dim, n_trials)
+    ny = inverse.range_norms(g)
+    g, ny = g[:, ny > 0.0], ny[ny > 0.0]
+    vals = model.vectors[:, plan.samples].conj().T @ g
+    sup = _analysis_norms(analysis, sup_space, g)
+    d_obs = np.max(pileup_norms(Y, vals, cov) / ny, initial=0.0)
+    sig_obs = np.max(pileup_norms(Y, vals, cov, phi=plan.pou.phi) / ny,
+                     initial=0.0)
     sup_obs = np.max(sup / ny, initial=0.0)
-    ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)
+    ratios_1y = ny / _analysis_norms(analysis, WeightedLp(space, 1.0, weight.v),
+                                     g)
     ratios_ysup = sup / ny
 
-    # Measure trials: atoms at random points. Each trial's per-point mass
-    # sum_k |lambda_k| [y_k = x] is one column of a (n, n_trials) density,
-    # whose decomposition norms are one natural pile-up pass.
+    # Measure trials: atoms at random points. A trial's mass on set i is
+    # sum_k |lambda_k| over its atoms y_k in U_i, one column of an
+    # (n_sets, n_trials) block whose natural pile-ups give the
+    # decomposition norms.
     atoms = np.empty((model.dim, n_trials), dtype=complex)
     points, moduli = [], []
     for j in range(n_trials):
@@ -654,17 +703,19 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
         idx = rng.integers(0, space.n_points, size=k)
         coef = random_vectors(rng, k, 1)[:, 0]
         atoms[:, j] = model.vectors[:, idx] @ coef
-        points.append(idx * n_trials + j)
+        points.append(idx)
         moduli.append(np.abs(coef))
-    density = np.bincount(np.concatenate(points), np.concatenate(moduli),
-                          minlength=space.n_points * n_trials)
-    dec_norms = Y.column_norms(pileup(
-        cov.set_sums(density.reshape(space.n_points, n_trials)), cov,
-        natural=True))
-    applied = inverse._analysis @ (model.s_inverse @ atoms)
+    sets, held = cov.holders_of(np.concatenate(points))
+    trial = np.repeat(np.repeat(np.arange(n_trials),
+                                [idx.size for idx in points]), held)
+    masses = np.bincount(sets * n_trials + trial,
+                         np.repeat(np.concatenate(moduli), held),
+                         minlength=cov.n_sets * n_trials)
+    dec_norms = pileup_norms(Y, masses.reshape(cov.n_sets, n_trials), cov,
+                             natural=True)
+    applied = inverse.range_norms(model.s_inverse @ atoms)
     keep = dec_norms > 0.0
-    meas_obs = np.max(Y.column_norms(applied[:, keep]) / dec_norms[keep],
-                      initial=0.0)
+    meas_obs = np.max(applied[keep] / dec_norms[keep], initial=0.0)
 
     checks = [(d_obs, d_const), (meas_obs, meas_const), (sup_obs, range_sup_const)]
     if report.oscillation_ok:

@@ -28,13 +28,23 @@ Every streamed pass keeps to one working-set budget, ``BLOCK_BYTES``: the
 total bytes of the kernel-derived temporaries it holds at once, i.e. the
 complex products, their moduli, the gathered and maxed rows, and the weight
 block m with its second quotient (``SchurSums.entry_bytes``). A pass
-states what it holds per kernel entry, takes its tiles from that
-(``block_rows``, ``upper_strips``), carves its arrays out of one buffer
-allocated once (``Workspace``) and fills them in place. Beside the budget
-a pass holds the model's O(n d) factors and its index bookkeeping: O(n)
-entries, and for the oscillation pass at most a budget's worth of (y, z)
-pairs where n is small against the budget. So a pass's peak follows from
-n, d and ``BLOCK_BYTES``.
+states what it holds per kernel entry and takes its tiles from that. A tile
+is whole rows of up to ``TILE_COLS`` entries; longer rows are cut into even
+column blocks as well (``col_slices``), so a tile keeps one shape, at most
+``TILE_COLS`` columns by as many rows as the budget holds of them, however
+large n grows, and a grid of 4,096 points or fewer keeps whole-row tiles.
+``SchurSums`` adds up the row sums of a row block's column pieces and
+closes the rows with their last piece. A pass carves its arrays out of one
+buffer allocated once (``Workspace``) and fills them in place. Beside the
+budget a pass holds the model's O(n d) factors and its index bookkeeping:
+O(n) entries, and for the oscillation pass at most a budget's worth of
+(y, z) pairs where n is small against the budget. So a pass's peak follows
+from n, d and ``BLOCK_BYTES``.
+
+The verification harness keeps to the same budget: it measures range
+functions V* a through their coordinates a (a d x d metric at p = 2, else
+row blocks of V* a) and forms pile-ups in point tiles, so besides the budget
+it holds O(n d + n_sets n_trials) values.
 """
 
 from __future__ import annotations
@@ -49,8 +59,12 @@ from .quadrature import QuadratureSpace
 
 # Total bytes of the kernel-derived temporaries one streamed pass holds at
 # once; each pass sizes its tiles from its own bytes per kernel entry
-# (``block_rows``, ``upper_strips``).
-BLOCK_BYTES = 1 << 22
+# (``block_rows``, ``col_slices``, ``upper_strips``).
+BLOCK_BYTES = 1 << 21
+
+# Most columns of one tile: a pass over longer rows cuts the columns into
+# even blocks as well, so its tiles keep one shape however large n grows.
+TILE_COLS = 4096
 
 # Bytes per entry a non-trivial weight adds to a Schur pass: m, multiplied
 # by |K| in place, and m's second quotient.
@@ -132,14 +146,30 @@ def row_slices(n: int, step: int | None = None) -> list:
     return [slice(start, min(n, start + step)) for start in range(0, n, step)]
 
 
+def tile_width(n: int, entry_bytes: int) -> int:
+    """Columns of one tile over rows of n entries at ``entry_bytes`` each:
+    all n up to ``TILE_COLS`` columns and one row within ``BLOCK_BYTES``,
+    else the most of that allows, evened out over n."""
+    return even_step(n, min(TILE_COLS, max(1, BLOCK_BYTES // entry_bytes)))
+
+
+def col_slices(n: int, entry_bytes: int, start: int = 0) -> list:
+    """Consecutive column slices of ``tile_width(n - start, entry_bytes)``
+    covering ``range(start, n)``; one slice while whole rows fit."""
+    step = tile_width(n - start, entry_bytes)
+    return [slice(a, min(n, a + step)) for a in range(start, n, step)]
+
+
 def upper_strips(n: int, entry_bytes: int) -> list:
     """Consecutive row slices a:b covering ``range(n)`` whose strips
-    [a:b, a:] of an n x n upper triangle each fit in ``BLOCK_BYTES`` at
+    [a:b, a:] of an n x n upper triangle, taken in column blocks of
+    ``col_slices(n, entry_bytes, a)``, fit in ``BLOCK_BYTES`` at
     ``entry_bytes`` per entry (at least one row): the strips grow taller as
     they narrow."""
     strips, start = [], 0
     while start < n:
-        stop = min(n, start + block_rows(n - start, entry_bytes))
+        width = tile_width(n - start, entry_bytes)
+        stop = min(n, start + block_rows(width, entry_bytes))
         strips.append(slice(start, stop))
         start = stop
     return strips
@@ -184,11 +214,17 @@ class SchurSums:
     share one set of sums, and so do repeats of one weight object, whose m
     is formed once per block.
 
+    A row block may come in column pieces, ``add(rows, |K|[rows, cols],
+    cols)`` for consecutive ``cols`` from column 0 to n: the pieces' row
+    sums add up, and only the last piece closes the rows and returns their
+    sums (the others return None).
+
     A kernel whose |K| is symmetric may instead be fed as strips of its
     upper triangle, ``add_upper(start, |K|[start:stop, start:])`` for
-    consecutive ``start`` from 0: each strip's column sums beyond ``stop``
-    are the row sums of the rows below it, mirrored, so every entry is
-    formed once and the row sup, which equals the column sup, is the norm.
+    consecutive ``start`` from 0, each strip whole or in column pieces
+    from ``start`` to n: each strip's column sums beyond ``stop`` are the
+    row sums of the rows below it, mirrored, so every entry is formed once
+    and the row sup, which equals the column sup, is the norm.
 
     ``entry_bytes`` is what the sums hold per entry of a block: nothing
     under unit and trivial weights, else m (multiplied by |K| in place)
@@ -201,41 +237,55 @@ class SchurSums:
                     and weight.space.n_points != space.n_points:
                 raise StructuralError("weight lives on a different space")
         self._mu = space.weights
-        self._weights = [None if w is None or w.trivial else w for w in weights]
+        self._n = space.n_points
+        given = [None if w is None or w.trivial else w for w in weights]
+        # one set of sums per distinct weight; _slot maps the given ones
+        self._weights = list(dict.fromkeys(given))
+        self._slot = [self._weights.index(w) for w in given]
         self._row = np.zeros(len(self._weights))
         self._col = np.zeros((len(self._weights), space.n_points))
+        self._open = None       # row sums of the pieces of an open row block
         self.entry_bytes = 0 if all(w is None for w in self._weights) \
             else WEIGHT_ENTRY_BYTES
         self._work = Workspace()
 
-    def add(self, rows, block: np.ndarray) -> np.ndarray:
-        return self._feed(rows, slice(None), block)
+    def add(self, rows, block: np.ndarray,
+            cols: slice | None = None) -> np.ndarray | None:
+        return self._feed(rows, slice(0, self._n) if cols is None else cols,
+                          block)
 
-    def add_upper(self, start: int, block: np.ndarray) -> np.ndarray:
+    def add_upper(self, start: int, block: np.ndarray,
+                  cols: slice | None = None) -> np.ndarray | None:
         stop = start + block.shape[0]
-        return self._feed(slice(start, stop), slice(start, None), block,
-                          upper=True)
+        return self._feed(slice(start, stop),
+                          slice(start, self._n) if cols is None else cols,
+                          block, upper=True)
 
-    def _feed(self, rows, cols, block, upper=False) -> np.ndarray:
-        """Row sums of ``block`` = |K|[rows, cols]; the column sums are kept
-        for every column or, for an upper strip, for the columns right of
-        its diagonal block, where they are the rows' sums left of the
-        diagonal."""
+    def _feed(self, rows, cols, block, upper=False) -> np.ndarray | None:
+        """Row sums of ``block`` = |K|[rows, cols], added to those of the
+        row block's earlier pieces; the column sums are kept for every
+        column or, for an upper strip, for the columns right of its
+        diagonal block, where they are the rows' sums left of the diagonal.
+        Returns the rows' sums once ``cols`` reaches column n, else None."""
         mu = self._mu
-        skip = block.shape[0] if upper else 0
-        kept = slice(rows.stop, None) if upper else slice(None)
-        out = np.empty((len(self._weights), block.shape[0]))
-        sums = {}
+        skip = min(max(rows.stop - cols.start, 0), block.shape[1]) \
+            if upper else 0
+        part = np.empty((len(self._weights), block.shape[0]))
         for k, weight in enumerate(self._weights):
-            if weight not in sums:
-                weighted = block if weight is None \
-                    else self._weighted(weight, rows, cols, block)
-                sums[weight] = weighted @ mu[cols], mu[rows] @ weighted[:, skip:]
-            row, col = sums[weight]
-            out[k] = row + self._col[k, rows] if upper else row
-            self._col[k, kept] += col
+            weighted = block if weight is None \
+                else self._weighted(weight, rows, cols, block)
+            part[k] = weighted @ mu[cols]
+            self._col[k, cols.start + skip:cols.stop] += \
+                mu[rows] @ weighted[:, skip:]
+        if cols.start > (rows.start if upper else 0):
+            part += self._open
+        if cols.stop < self._n:
+            self._open = part
+            return None
+        self._open = None
+        out = part + self._col[:, rows] if upper else part
         np.maximum(self._row, out.max(axis=1, initial=0.0), out=self._row)
-        return out
+        return out[self._slot]
 
     def _weighted(self, weight: Weight2D, rows, cols, block) -> np.ndarray:
         """|K| m on the block, in the reused m buffers."""
@@ -244,8 +294,9 @@ class SchurSums:
         return np.multiply(m, block, out=m)
 
     def norms(self) -> list:
-        return [float(max(row, col.max(initial=0.0)))
-                for row, col in zip(self._row, self._col)]
+        norms = [float(max(row, col.max(initial=0.0)))
+                 for row, col in zip(self._row, self._col)]
+        return [norms[k] for k in self._slot]
 
 
 def schur_norms(space: QuadratureSpace, blocks, weights) -> list:

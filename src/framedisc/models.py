@@ -84,11 +84,6 @@ class FrameModel:
         """Canonical-dual coefficients <f, S^{-1} psi_x> as a grid function."""
         return self.vectors.conj().T @ (self.s_inverse @ self.check_vector(f))
 
-    def random_range_block(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """Analyses of ``k`` random vectors (``random_vectors``), one column
-        each: an (n_points, k) block of generic elements of the range."""
-        return self.vectors.conj().T @ random_vectors(rng, self.dim, k)
-
 
 def random_vectors(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:
     """A (dim, k) block of complex Gaussian vectors, drawn in one call.

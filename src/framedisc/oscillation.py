@@ -27,8 +27,8 @@ import numpy as np
 from .coverings import Covering, singleton_covering, uniform_covering, \
     weight_compatibility
 from .errors import CertificationError, StructuralError
-from .kernels import SchurSums, Weight2D, Workspace, block_rows, even_step, \
-    upper_strips
+from .kernels import SchurSums, Weight2D, Workspace, block_rows, \
+    col_slices, even_step, upper_strips
 from .models import FrameModel
 
 
@@ -98,10 +98,13 @@ class Screened:
 
 
 def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-              start: int, stop: int, cells: int, work: Workspace):
+              start: int, stop: int, xcols: list, cells: int,
+              work: Workspace):
     """Columns ``start:stop`` of the oscillation kernel, as rows of osc^T,
-    yielded in tiles ``(rows, osc^T[rows])`` of at most ``cells`` (y, z)
-    cells; each tile is a view into ``work`` that the next overwrites.
+    yielded in tiles ``(rows, xs, osc^T[rows, xs])`` of at most ``cells``
+    (y, z) cells by one column block ``xs`` of ``xcols``, the column blocks
+    of a row tile in order; each tile is a view into ``work`` that the
+    next overwrites.
 
     osc(x, y) = max_z |R(y, x) - conj Gamma(y, z) R(z, x)| up to the
     rounding of the rank-d rows, and the row R(y, .) - conj Gamma(y, z)
@@ -111,10 +114,10 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     phases and left factors) is made once for the block; the arithmetic
     runs in even tiles, each whole table rows or, where one row has more
     than ``cells`` cells, a piece of one row. A tile is one (pairs, d) @
-    (d, n) product whose moduli are maxed along the table's rows. The term
-    z = y is exactly 0 where Gamma(y, y) == 1 and is not formed; a y with
-    no term left, such as an uncovered one, gets a zero row, and so do the
-    cells past the end of a shorter row.
+    (d, |xs|) product whose moduli are maxed along the table's rows. The
+    term z = y is exactly 0 where Gamma(y, y) == 1 and is not formed; a y
+    with no term left, such as an uncovered one, gets a zero row, and so do
+    the cells past the end of a shorter row.
 
     For a ``hermitian`` phase the row of (z, y) is -Gamma(y, z) times the
     row of (y, z), so every pair is formed in the orientation (min, max),
@@ -122,6 +125,7 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     moduli; a phase that is not Hermitian forms every (y, z).
     """
     n = model.space.n_points
+    wide = max(xs.stop - xs.start for xs in xcols)
     ys = np.arange(start, stop)
     y_of, zs = cov.q_neighborhoods(start, stop)
     keep = (zs != y_of) | (gamma(ys, ys) != 1.0)[y_of - start]
@@ -131,11 +135,13 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     width = int(counts.max(initial=0))
     if width == 0:
         step = even_step(ys.size, cells)
+        zero, = work.views(((step * wide,), float))
+        zero.fill(0.0)
         for r0 in range(0, ys.size, step):
             rows = slice(start + r0, min(stop, start + r0 + step))
-            dst, = work.views(((rows.stop - rows.start, n), float))
-            dst.fill(0.0)
-            yield rows, dst
+            for xs in xcols:
+                shape = (rows.stop - rows.start, xs.stop - xs.start)
+                yield rows, xs, zero[:math.prod(shape)].reshape(shape)
         return
     # a tile is `tall` whole table rows, or one row in chunks of `chunk` cells
     tall = even_step(ys.size, max(1, cells // width))
@@ -166,32 +172,37 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     left = (model.duals[:, a] - gamma(a, b) * model.duals[:, b]).conj().T
     tile = tall * chunk
     prod, mods, gathered, out, spare = work.views(
-        ((tile, n), complex), ((tile + 1, n), float), ((tile, n), float),
-        ((tall, n), float), ((1, n), float))
-    mods[0] = 0.0
+        ((tile * wide,), complex), (((tile + 1) * wide,), float),
+        ((tile * wide,), float), ((tall * wide,), float), ((wide,), float))
     for t in range(n_tiles):
         r0, r1 = t * tall, min(ys.size, (t + 1) * tall)
-        dst = out[:r1 - r0]
-        for c in range(n_chunks):
-            c0, c1 = c * chunk, min(width, (c + 1) * chunk)
-            f0, f = made_start[t * n_chunks + c], made[t * n_chunks + c]
-            np.matmul(left[f0:f0 + f], model.vectors, out=prod[:f])
-            np.abs(prod[:f], out=mods[1:f + 1])
-            into = dst if c == 0 else spare
-            if f == (r1 - r0) * (c1 - c0):
-                # every cell formed, in table order: no gather
-                np.max(mods[1:f + 1].reshape(r1 - r0, c1 - c0, n), axis=1,
-                       out=into)
-            elif c1 - c0 == 1:
-                np.take(mods, at[r0:r1, c0], axis=0, out=into, mode="clip")
-            else:
-                cell = at[r0:r1, c0:c1]
-                part = gathered[:cell.size].reshape(cell.shape + (n,))
-                np.take(mods, cell, axis=0, out=part, mode="clip")
-                np.max(part, axis=1, out=into)
-            if c:
-                np.maximum(dst, into, out=dst)
-        yield slice(start + r0, start + r1), dst
+        for xs in xcols:
+            w = xs.stop - xs.start
+            dst = out[:(r1 - r0) * w].reshape(r1 - r0, w)
+            for c in range(n_chunks):
+                c0, c1 = c * chunk, min(width, (c + 1) * chunk)
+                f0, f = made_start[t * n_chunks + c], made[t * n_chunks + c]
+                product = prod[:f * w].reshape(f, w)
+                moduli = mods[:(f + 1) * w].reshape(f + 1, w)
+                moduli[0] = 0.0
+                np.matmul(left[f0:f0 + f], model.vectors[:, xs], out=product)
+                np.abs(product, out=moduli[1:])
+                into = dst if c == 0 else spare[:w].reshape(1, w)
+                if f == (r1 - r0) * (c1 - c0):
+                    # every cell formed, in table order: no gather
+                    np.max(moduli[1:].reshape(r1 - r0, c1 - c0, w), axis=1,
+                           out=into)
+                elif c1 - c0 == 1:
+                    np.take(moduli, at[r0:r1, c0], axis=0, out=into,
+                            mode="clip")
+                else:
+                    cell = at[r0:r1, c0:c1]
+                    part = gathered[:cell.size * w].reshape(cell.shape + (w,))
+                    np.take(moduli, cell, axis=0, out=part, mode="clip")
+                    np.max(part, axis=1, out=into)
+                if c:
+                    np.maximum(dst, into, out=dst)
+            yield slice(start + r0, start + r1), xs, dst
 
 
 def _same_space(model: FrameModel, cov: Covering) -> None:
@@ -208,30 +219,34 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     has at most n cells or, if more, as many as the budget holds the
     bookkeeping of (``PAIR_BYTES`` per cell and frame dimension), counted
     at the bound ``Covering.q_bound`` on |Q_y|. Each block's rows are
-    formed in tiles
-    (``_osc_rows``) whose product, moduli, gathered and maxed rows and
-    Schur sums' m hold at most ``BLOCK_BYTES`` together, in buffers
-    allocated once; each tile is summed into ``SchurSums`` and
+    formed in tiles (``_osc_rows``) of a row block by a column block
+    (``kernels.col_slices``), whose product, moduli, gathered and maxed
+    rows and Schur sums' m hold at most ``BLOCK_BYTES`` together, in
+    buffers allocated once; each tile is summed into ``SchurSums`` and
     overwritten. With ``level`` the blocks are one column, then two,
     four, ... up to that size, and the scan returns ``Screened`` at the
     first column whose weighted Schur sum under ``weights[0]`` reaches
-    ``level``: the norm is at least that sum, so the columns left cannot
-    bring it below ``level``. Those sums are the floats the norm is the
-    maximum of, and a stopped scan has formed at most 2c + 1 columns, c
-    the column it stopped at.
+    ``level``, each sum judged once its last column block is in: the norm
+    is at least that sum, so the columns left cannot bring it below
+    ``level``. Those sums are the floats the norm is the maximum of, and a
+    stopped scan has formed at most 2c + 1 columns, c the column it
+    stopped at.
     """
     _same_space(model, cov)
     n = model.space.n_points
     sums = SchurSums(model.space, weights)
-    cells = block_rows(n, OSC_CELL_BYTES + sums.entry_bytes)
+    entry = OSC_CELL_BYTES + sums.entry_bytes
+    xcols = col_slices(n, entry)
+    cells = block_rows(xcols[0].stop - xcols[0].start, entry)
     step = max(1, max(n, block_rows(model.dim, PAIR_BYTES)) // cov.q_bound)
     work = Workspace()
     start, size = 0, step if level is None else 1
     while start < n:
         stop = min(n, start + size)
-        for rows, osc in _osc_rows(model, cov, gamma, start, stop, cells, work):
-            col_sums = sums.add(rows, osc)
-            if level is not None:
+        for rows, xs, osc in _osc_rows(model, cov, gamma, start, stop, xcols,
+                                       cells, work):
+            col_sums = sums.add(rows, osc, xs)
+            if level is not None and col_sums is not None:
                 hit = np.flatnonzero(col_sums[0] >= level)
                 if hit.size:
                     return Screened(rows.start + int(hit[0]),
@@ -335,9 +350,10 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
     upper triangle of |R| in strips |R|[a:b, a:] formed from the model's
     factors (``SchurSums.add_upper``): |R| m is symmetric, R = V^* S^-1 V
     being Hermitian and m symmetric, so R(x, y) is read for x <= y only.
-    A strip holds its complex product and moduli, plus the Schur sums' m
-    under a non-trivial weight, within ``BLOCK_BYTES`` (``upper_strips``);
-    both buffers are allocated once.
+    A strip is formed whole or, on a long row, in column blocks
+    (``kernels.col_slices``); each piece holds its complex product and
+    moduli, plus the Schur sums' m under a non-trivial weight, within
+    ``BLOCK_BYTES`` (``upper_strips``), and both buffers are allocated once.
 
     Given a sampling ``plan`` (one on another grid is refused before the
     pass, StructuralError), the list ends with one more norm: the
@@ -347,7 +363,7 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
     returns at x_i. Its column sums are |R| c, c = sum_i mu(U_i)
     delta_{x_i}: a strip adds strip @ c[a:] to its rows and, mirrored,
     c[a:b] @ strip[:, b - a:] to the rows right of its diagonal block, two
-    products per strip and no sample row of R.
+    products per strip piece and no sample row of R.
     """
     n = model.space.n_points
     sampled = plan is not None
@@ -357,20 +373,26 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
         c = np.bincount(samples, cov.measures, minlength=n)
         rho, col = np.empty(n), np.zeros(n)
     sums = SchurSums(model.space, list(weights) + ([None] if sampled else []))
-    strips = upper_strips(n, STRIP_ENTRY_BYTES + sums.entry_bytes)
-    size = max((rows.stop - rows.start) * (n - rows.start) for rows in strips)
+    entry = STRIP_ENTRY_BYTES + sums.entry_bytes
+    strips = upper_strips(n, entry)
+    pieces = [col_slices(n, entry, rows.start) for rows in strips]
+    size = max((rows.stop - rows.start) * (xcols[0].stop - xcols[0].start)
+               for rows, xcols in zip(strips, pieces))
     prod, mods = Workspace().views(((size,), complex), ((size,), float))
     left = model.duals.conj().T
-    for rows in strips:
-        shape = (rows.stop - rows.start, n - rows.start)
-        product = np.matmul(left[rows], model.vectors[:, rows.start:],
-                            out=prod[:math.prod(shape)].reshape(shape))
-        strip = np.abs(product, out=mods[:product.size].reshape(shape))
-        row_sums = sums.add_upper(rows.start, strip)
-        if sampled:
-            rho[rows] = row_sums[-1]
-            col[rows] += strip @ c[rows.start:]
-            col[rows.stop:] += c[rows] @ strip[:, rows.stop - rows.start:]
+    for rows, xcols in zip(strips, pieces):
+        for xs in xcols:
+            shape = (rows.stop - rows.start, xs.stop - xs.start)
+            product = np.matmul(left[rows], model.vectors[:, xs],
+                                out=prod[:math.prod(shape)].reshape(shape))
+            strip = np.abs(product, out=mods[:product.size].reshape(shape))
+            row_sums = sums.add_upper(rows.start, strip, xs)
+            if sampled:
+                col[rows] += strip @ c[xs]
+                right = max(rows.stop, xs.start)
+                col[right:xs.stop] += c[rows] @ strip[:, right - xs.start:]
+                if row_sums is not None:
+                    rho[rows] = row_sums[-1]
     norms = sums.norms()
     if sampled:
         norms[-1] = float(max(cov.point_sums(rho[samples]).max(), col.max()))

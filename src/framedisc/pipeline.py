@@ -15,7 +15,7 @@ from .errors import CertificationError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
 from .oscillation import PhaseFunction, oscillation_report, refine_until
-from .spaces import WeightedLp, pileup
+from .spaces import WeightedLp, pileup_norms
 
 
 def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
@@ -25,7 +25,11 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     All residuals are relative except the duality defect, which is absolute
     against unit-norm inputs; the norm-equivalence ratios are in the
     inverse's Y. The trials run as one (d, n_trials) block of unit vectors,
-    drawn in one call from ``seed`` (``random_vectors``).
+    drawn in one call from ``seed`` (``random_vectors``). No trial is formed
+    on the whole grid: the range functions V* a are held as their
+    coordinates a, whose Y-norms come through the handle (``range_norms``),
+    the sample values are V[:, x_i]^* a, and the pile-ups are formed in
+    point tiles (``pileup_norms``).
     """
     rng = np.random.default_rng(seed)
     model, plan, Y = inverse.model, inverse.plan, inverse.Y
@@ -42,9 +46,9 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     atomic = errors(synthesize_plan(model, plan, lam, swap_roles=swap_roles))
 
     dual_f = model.s_inverse @ f
-    base = model.vectors.conj().T @ (dual_f if swap_roles else f)
-    dual_base = model.vectors.conj().T @ (f if swap_roles else dual_f)
-    samples = base[xs]
+    # the coordinates of the sampled range function and of its dual
+    base, dual_base = (dual_f, f) if swap_roles else (f, dual_f)
+    samples = model.vectors[:, xs].conj().T @ base
     banach = errors(reconstruct_from_samples(inverse, samples,
                                              swap_roles=swap_roles))
 
@@ -53,10 +57,10 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     exp_b = errors(synthesize_plan(model, plan, inner, swap_roles=swap_roles))
     exp_c = errors(duals.T @ samples)
 
-    ny = Y.column_norms(base)
-    flat_ratios = Y.column_norms(pileup(samples, cov))[ny > 0] / ny[ny > 0]
-    nyd = Y.column_norms(dual_base)
-    natural_ratios = Y.column_norms(pileup(inner, cov, natural=True))[nyd > 0] \
+    ny = inverse.range_norms(base)
+    flat_ratios = pileup_norms(Y, samples, cov)[ny > 0] / ny[ny > 0]
+    nyd = inverse.range_norms(dual_base)
+    natural_ratios = pileup_norms(Y, inner, cov, natural=True)[nyd > 0] \
         / nyd[nyd > 0]
 
     return {
@@ -115,10 +119,11 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
     ``inverse`` is the side of its own method; the other side is built
     from it (``SamplingInverse.other_method``: a Neumann one from its
     report, ``tol`` and ``n_max``), on the same S^{-1} S_c and p = 2
-    metric. The trials run as one block of random range functions, one
-    column each.
+    metric. The trials are random range functions, one per column of a
+    block of coordinates (``random_vectors``), inverted and measured in
+    coordinates (``invert_coords``, ``range_norms``).
     """
-    model, Y = inverse.model, inverse.Y
+    model = inverse.model
     try:
         other = inverse.other_method()
     except CertificationError:
@@ -126,10 +131,11 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
     neu, direct = (inverse, other) if inverse.method == "neumann" \
         else (other, inverse)
     rng = np.random.default_rng(seed)
-    F = model.random_range_block(rng, n_trials)
-    nf = Y.column_norms(F)
-    F, nf = F[:, nf > 0.0], nf[nf > 0.0]
-    gaps = Y.column_norms(neu.apply(F) - direct.apply(F)) / nf
+    g = random_vectors(rng, model.dim, n_trials)
+    nf = inverse.range_norms(g)
+    g, nf = g[:, nf > 0.0], nf[nf > 0.0]
+    gaps = inverse.range_norms(neu.invert_coords(g) - direct.invert_coords(g)) \
+        / nf
     return float(np.max(gaps, initial=0.0))
 
 

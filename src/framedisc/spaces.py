@@ -14,8 +14,14 @@ import numpy as np
 
 from .coverings import Covering
 from .errors import StructuralError
-from .kernels import Weight2D, Workspace
+from .kernels import Weight2D, Workspace, block_rows, row_slices
 from .quadrature import QuadratureSpace
+
+# Bytes a pile-up tile holds per column: for each (set, point) pair, the
+# gathered complex value, its modulus and the modulus scaled; for each point,
+# the pile-up, a partial sum and the moduli ``streamed_column_norms`` takes.
+PILEUP_PAIR_BYTES = 32
+PILEUP_POINT_BYTES = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,20 +119,43 @@ def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:
     return WeightedLp(Y.space, np.inf, 1.0 / weight.v)
 
 
-def pileup(seq, cov: Covering, natural: bool = False) -> np.ndarray:
+def pileup(seq, cov: Covering, natural: bool = False, rows: slice | None = None,
+           phi=None) -> np.ndarray:
     """Grid function sum_i |lambda_i| chi_{U_i} (divided by mu(U_i) if natural).
 
     A 2-D ``seq`` of shape (n_sets, k) is k sequences, one per column; the
-    result is then (n_points, k).
+    result is then (n_points, k). With ``rows`` (a slice of points) only
+    those rows are formed, from the sets holding them. With ``phi``, one
+    value per (set, point) pair in the covering's point-major order (a
+    partition of unity's ``phi``), the term of set i at x is weighted by
+    phi_i(x) instead of chi_{U_i}(x).
     """
-    lam = np.abs(np.asarray(seq))
-    if lam.ndim != 2:
-        lam = lam.reshape(-1)
-    if lam.shape[0] != cov.n_sets:
+    arr = np.asarray(seq)
+    if arr.ndim != 2:
+        arr = arr.reshape(-1)
+    if arr.shape[0] != cov.n_sets:
         raise StructuralError("sequence length must equal number of covering sets")
+    rows = slice(0, cov.space.n_points) if rows is None else rows
+    held = cov.holders(rows.start, rows.stop)
+    lam = np.abs(arr[held]).astype(float, copy=False)
     if natural:
-        lam = (lam.T / cov.measures).T
-    return cov.point_sums(lam.astype(float, copy=False))
+        lam = (lam.T / cov.measures[held]).T
+    if phi is not None:
+        lam = (np.asarray(phi)[cov.pairs(rows.start, rows.stop)] * lam.T).T
+    return cov.pair_sums(lam, rows.start, rows.stop)
+
+
+def pileup_norms(Y: WeightedLp, seq, cov: Covering, natural: bool = False,
+                 phi=None) -> np.ndarray:
+    """Y-norms of the pile-ups (``pileup``) of the columns of an (n_sets, k)
+    block ``seq``, formed in point tiles whose gathered values, pile-up and
+    moduli fit in ``BLOCK_BYTES``, so no (n_points, k) block is formed."""
+    k = np.shape(seq)[1]
+    depth = int(cov.cover_counts.max(initial=1))
+    step = block_rows(k, PILEUP_PAIR_BYTES * depth + PILEUP_POINT_BYTES)
+    return Y.streamed_column_norms(
+        (rows, pileup(seq, cov, natural, rows, phi))
+        for rows in row_slices(cov.space.n_points, step))
 
 
 def set_pair_kernel_norms(cov: Covering, weight: Weight2D) -> np.ndarray:

@@ -14,7 +14,12 @@ use them, so the package does not carry them. ``osc_rows_loop`` lists the
 ``q_neighborhoods_naive``, and forms every pair without reusing mirrors;
 the rows built from ``Covering.q_neighborhoods`` must equal it. The JSON
 writers of grids and coverings (``space_to_json``, ``covering_to_json``)
-are here too: only the round-trip tests write those documents.
+are here too: only the round-trip tests write those documents. So is the
+grid-side verification harness (``residual_suite_grid``,
+``bounds_observed_grid``, ``cross_check_grid``): it forms every trial as an
+(n_points, n_trials) block of range functions (``random_range_block``) and
+measures it on the grid, as the package did before it measured trials
+through their coordinates.
 
 The theory layer the tests measure with (measures, ``check_kernel`` and
 the dense ``schur_norm``, sequence and decomposition norms, covering
@@ -24,7 +29,11 @@ the dense algebra here coerces its kernels through ``theory.check_kernel``.
 
 import numpy as np
 
+from framedisc.discretize import atomic_decomposition, dual_frame, \
+    reconstruct_from_samples, synthesize_plan
 from framedisc.kernels import row_slices, schur_norms
+from framedisc.models import random_vectors
+from framedisc.spaces import WeightedLp, pileup, sup_infinity_space
 
 from theory import DiscreteMeasure, check_kernel, decomposition_norm, \
     random_range_function
@@ -451,3 +460,116 @@ def space_to_json(space):
     """The grid document ``quadrature.space_from_json`` reads; only the
     round-trip tests write one."""
     return {"points": space.points.tolist(), "weights": space.weights.tolist()}
+
+
+def random_range_block(model, rng, k):
+    """Analyses of ``k`` random vectors (``random_vectors``), one column
+    each: an (n_points, k) block of generic elements of the range."""
+    return model.vectors.conj().T @ random_vectors(rng, model.dim, k)
+
+
+def residual_suite_grid(inverse, n_trials=50, seed=0, swap_roles=False):
+    """``pipeline.residual_suite`` with every trial formed on the grid: the
+    range functions and their duals as (n_points, n_trials) blocks, their
+    samples read off those blocks, and their Y-norms and pile-ups summed
+    over the whole grid."""
+    rng = np.random.default_rng(seed)
+    model, plan, Y = inverse.model, inverse.plan, inverse.Y
+    duals = dual_frame(inverse, swap_roles=swap_roles)
+    cov = plan.covering
+    f = random_vectors(rng, model.dim, n_trials)
+    f /= np.linalg.norm(f, axis=0)
+
+    def errors(rec):
+        return np.linalg.norm(rec - f, axis=0)
+
+    lam = atomic_decomposition(inverse, f, swap_roles=swap_roles)
+    atomic = errors(synthesize_plan(model, plan, lam, swap_roles=swap_roles))
+    dual_f = model.s_inverse @ f
+    base = model.vectors.conj().T @ (dual_f if swap_roles else f)
+    dual_base = model.vectors.conj().T @ (f if swap_roles else dual_f)
+    samples = base[plan.samples]
+    banach = errors(reconstruct_from_samples(inverse, samples,
+                                             swap_roles=swap_roles))
+    inner = duals.conj() @ f
+    duality = np.max(np.abs(lam - inner), axis=0)
+    exp_b = errors(synthesize_plan(model, plan, inner, swap_roles=swap_roles))
+    exp_c = errors(duals.T @ samples)
+    ny = Y.column_norms(base)
+    flat = Y.column_norms(pileup(samples, cov))[ny > 0] / ny[ny > 0]
+    nyd = Y.column_norms(dual_base)
+    natural = Y.column_norms(pileup(inner, cov, natural=True))[nyd > 0] \
+        / nyd[nyd > 0]
+    return {
+        "atomic_max": float(np.max(atomic)),
+        "atomic_mean": float(np.mean(atomic)),
+        "banach_max": float(np.max(banach)),
+        "banach_mean": float(np.mean(banach)),
+        "duality_max": float(np.max(duality)),
+        "dual_expansion_max": float(np.max(exp_b)),
+        "sample_expansion_max": float(np.max(exp_c)),
+        "flat_ratio_lo": float(np.min(flat)),
+        "flat_ratio_hi": float(np.max(flat)),
+        "natural_ratio_lo": float(np.min(natural)),
+        "natural_ratio_hi": float(np.max(natural)),
+    }
+
+
+def bounds_observed_grid(inverse, n_trials=50, seed=0):
+    """The observed side of ``verify_sampled_bounds`` with every trial
+    formed on the grid: the range functions as an (n_points, n_trials)
+    block, the partition-smoothed samples and the kernel images of the
+    measure trials likewise, and each trial's per-point atom masses as a
+    column of an (n_points, n_trials) density."""
+    model, plan, Y = inverse.model, inverse.plan, inverse.Y
+    weight = inverse.report.weight
+    rng = np.random.default_rng(seed)
+    space = model.space
+    cov = plan.covering
+    F = random_range_block(model, rng, n_trials)
+    ny = Y.column_norms(F)
+    F, ny = F[:, ny > 0.0], ny[ny > 0.0]
+    vals = np.abs(F[plan.samples])
+    sup = sup_infinity_space(Y, weight).column_norms(F)
+    smoothed = cov.pair_sums(plan.pou.phi[:, None]
+                             * vals[cov.holders(0, space.n_points)])
+    ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)
+    atoms = np.empty((model.dim, n_trials), dtype=complex)
+    points, moduli = [], []
+    for j in range(n_trials):
+        k = rng.integers(1, cov.n_sets + 1)
+        idx = rng.integers(0, space.n_points, size=k)
+        coef = random_vectors(rng, k, 1)[:, 0]
+        atoms[:, j] = model.vectors[:, idx] @ coef
+        points.append(idx * n_trials + j)
+        moduli.append(np.abs(coef))
+    density = np.bincount(np.concatenate(points), np.concatenate(moduli),
+                          minlength=space.n_points * n_trials)
+    dec = Y.column_norms(pileup(
+        cov.set_sums(density.reshape(space.n_points, n_trials)), cov,
+        natural=True))
+    applied = model.vectors.conj().T @ (model.s_inverse @ atoms)
+    keep = dec > 0.0
+    return {
+        "sampled_flat_observed": np.max(Y.column_norms(pileup(vals, cov)) / ny),
+        "pou_pileup_observed": np.max(Y.column_norms(smoothed) / ny),
+        "measure_observed": np.max(Y.column_norms(applied[:, keep])
+                                   / dec[keep]),
+        "range_sup_observed": np.max(sup / ny),
+        "l1v_vs_Y_max": np.max(ratios_1y),
+        "l1v_vs_Y_min": np.min(ratios_1y),
+        "Y_vs_sup_max": np.max(sup / ny),
+        "Y_vs_sup_min": np.min(sup / ny),
+    }
+
+
+def cross_check_grid(inverse, other, n_trials=20, seed=0):
+    """``cross_check_inversion`` between two handles with the trials formed
+    on the grid: each side inverts the (n_points, n_trials) block of range
+    functions through ``apply``, which first projects it to coordinates."""
+    Y = inverse.Y
+    F = random_range_block(inverse.model, np.random.default_rng(seed), n_trials)
+    nf = Y.column_norms(F)
+    F, nf = F[:, nf > 0.0], nf[nf > 0.0]
+    return float(np.max(Y.column_norms(inverse.apply(F) - other.apply(F)) / nf,
+                        initial=0.0))

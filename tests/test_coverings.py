@@ -112,6 +112,21 @@ class TestRepresentation:
         assert cov.q_neighborhoods(2, 3)[1].size == 0
         assert cov.q_neighborhoods(3, 4)[1].tolist() == [3, 4]
 
+    def test_holders_of_points_match_oracle(self, rng, grid64):
+        """The sets holding each of a list of points, repeats and uncovered
+        points included, point after point in ascending set order, and the
+        pairs of a run of points are its slice of the point-major pairs."""
+        cov = random_interval_covering(rng, grid64, 10)
+        cov = Covering(grid64, cov.sets[:-1])       # leave some points out
+        points = np.array([5, 5, 63, 0, 17, 40, 40, 2])
+        sets, counts = cov.holders_of(points)
+        want = [[i for i, s in enumerate(cov.sets) if x in s.tolist()]
+                for x in points]
+        assert counts.tolist() == [len(h) for h in want]
+        assert sets.tolist() == [i for h in want for i in h]
+        assert np.array_equal(cov.holders(9, 30),
+                              cov.holders(0, 64)[cov.pairs(9, 30)])
+
     def test_neighbors_match_oracle(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 10)
         for i, s in enumerate(cov.sets):

@@ -20,19 +20,21 @@ from framedisc import CertificationError, Covering, PhaseFunction, \
     reconstruct_from_samples, select_samples, singleton_covering, \
     synthesize_plan, uniform_covering, verify_sampled_bounds
 from framedisc.models import FrameModel, build_gabor_model, \
-    build_orthonormal_model, build_random_smooth_model
+    build_orthonormal_model, build_random_smooth_model, random_vectors
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
     residual_suite, run_discretization
 
+from framedisc.cli import DEFAULTS
 from framedisc.spaces import local_integrability_constant
 
 from conftest import random_interval_covering, random_pointwise_weight, \
     unit_weight
-from oracles import apply_kernel, compose, dense_kernel, \
-    measure_observed_naive, observed_contraction_naive, osc_naive, \
+from oracles import apply_kernel, bounds_observed_grid, compose, \
+    cross_check_grid, dense_kernel, measure_observed_naive, \
+    observed_contraction_naive, oscillation_kernel, osc_naive, \
     phase_table_naive, rank_d_entries, reproducing_defect_streamed, \
-    sampled_row_kernel, sampling_operator_naive, schur_norm_naive, \
-    weight_matrix_naive
+    residual_suite_grid, sampled_row_kernel, sampling_operator_naive, \
+    schur_norm_naive, weight_matrix_naive
 from theory import apply_sampling, apply_smoothed, decomposition_norm, \
     integrate, norm_flat, norm_natural, project_to_range, \
     random_range_function, schur_norm
@@ -732,9 +734,9 @@ class TestStreamedBounds:
             calls["kernel_rows"] += 1
             return kernel_rows(self, rows, out)
 
-        def counted_strips(self, start, block):
+        def counted_strips(self, start, block, cols=None):
             strips.append(start)
-            return add_upper(self, start, block)
+            return add_upper(self, start, block, cols)
 
         def counted_blocks(model, plan):
             calls["blocks"] += 1
@@ -843,7 +845,9 @@ class TestWorkingSetBudget:
     covering (every Q_y the whole grid, as in refinement round 0), the R
     pass with a plan, the weighted sampled-row pass, and the Y-norms of an
     (n, n_sets) analysis block, whose budget of 32 rows is below what a
-    separate 1 MiB norm budget would hold."""
+    separate 1 MiB norm budget would hold. The verification harness keeps
+    to the same budget, and a budget below one row cuts the rows of the
+    osc and R passes into column blocks."""
 
     @pytest.fixture(scope="class")
     def gabor_6x255(self):
@@ -879,6 +883,94 @@ class TestWorkingSetBudget:
             tracemalloc.stop()
         assert peak <= 1.0 * budget + 6 * 16 * n * d
 
+    @pytest.mark.parametrize("name", ["residuals", "residuals swapped",
+                                      "bounds", "cross-check",
+                                      "contraction p=1", "contraction p=inf"])
+    def test_harness_peak_within_budget(self, gabor_6x255, monkeypatch, name):
+        """The verification harness forms no trial on the whole grid. With
+        the budget at 32 rows of n complex values, the tracemalloc peak of
+        each check stays within the budget plus six complex (n, d) arrays
+        and two complex (n_sets, n_trials) blocks. The checks: both roles
+        of the residual suite, the bounds check and the cross-check on a
+        Neumann handle (50, 50 and 20 trials), and the p != 2 observed
+        contraction on a direct one. (The grid-side harness peaked at about
+        ten such blocks above the budget here.)"""
+        model, cov, plan, Y, report, _ = gabor_6x255
+        n, d = model.space.n_points, model.dim
+        budget = 32 * 16 * n
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", budget)
+        inverse = SamplingInverse(model, plan, Y, report=report)
+        if name.startswith("contraction"):
+            p = 1.0 if name.endswith("1") else np.inf
+            inverse = SamplingInverse(model, plan,
+                                      WeightedLp(model.space, p, Y.w),
+                                      method="direct")
+        run = {"residuals": lambda: residual_suite(inverse),
+               "residuals swapped": lambda: residual_suite(
+                   inverse, seed=1, swap_roles=True),
+               "bounds": lambda: verify_sampled_bounds(inverse),
+               "cross-check": lambda: cross_check_inversion(inverse)
+               }.get(name, lambda: observed_contraction(inverse))
+        run()           # the handle's cached dual frame is not the check's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run() is not None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + 6 * 16 * n * d + 2 * 16 * cov.n_sets * 50
+
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    def test_budget_below_one_row_cuts_columns(self, monkeypatch,
+                                               weight_rule):
+        """A budget of half a row of n complex values cuts every row of the
+        osc and R passes into column blocks, whose row sums add up: on
+        Gabor 6 x 41 with 1 x 2 boxes the norms of osc and R under the
+        weight and its m_v, and the plan's sampled-row constant, match the
+        dense kernels' naive Schur norms to 1e-13, and a screened scan
+        stops at the column a whole-row scan stops at, with the same
+        bound."""
+        model = build_gabor_model(6, 41, 2.45)
+        space = model.space
+        n = space.n_points
+        cov = Covering(space, tuple(np.arange(t * 41 + m, t * 41 + min(m + 2, 41))
+                                    for t in range(6) for m in range(0, 41, 2)))
+        plan = select_samples(build_pou(cov))
+        w = np.ones(n) if weight_rule == "unit" \
+            else np.exp(0.3 * np.linalg.norm(space.points, axis=1))
+        weight = Weight2D(space, w, ref_index=5)
+        weights = (weight, oscillation_module.v_weight(weight))
+        gamma = PhaseFunction(model, "kernel")
+        osc_sum = oscillation_norms(model, cov, gamma, weights)[0]
+        whole = oscillation_norms(model, cov, gamma, weights,
+                                  level=0.5 * osc_sum)
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * n)
+        pieces = []
+        feed = SchurSums._feed
+
+        def recorded(self, rows, cols, block, upper=False):
+            pieces.append(cols.stop - cols.start)
+            return feed(self, rows, cols, block, upper)
+
+        monkeypatch.setattr(SchurSums, "_feed", recorded)
+        got_osc = oscillation_norms(model, cov, gamma, weights)
+        got_r = kernel_norms(model, weights, plan)
+        cut = oscillation_norms(model, cov, gamma, weights, level=0.5 * osc_sum)
+        assert max(pieces) < n
+        mu = space.weights
+        osc = oscillation_kernel(model, cov, gamma)
+        for k, wt in enumerate(weights):
+            m = weight_matrix_naive(wt.w)
+            assert got_osc[k] == pytest.approx(schur_norm_naive(mu, osc, m),
+                                               rel=1e-13)
+            assert got_r[k] == pytest.approx(
+                schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
+        assert got_r[2] == pytest.approx(
+            schur_norm_naive(mu, sampled_row_kernel(model, plan)), rel=1e-13)
+        assert isinstance(cut, Screened) and cut.column == whole.column
+        assert cut.lower_bound == pytest.approx(whole.lower_bound, rel=1e-13)
+
 
 class TestScaleInvariantNeumann:
     """The Neumann stopping rule is relative to each input's size."""
@@ -912,8 +1004,8 @@ class TestScaleInvariantNeumann:
         coords = rng.standard_normal((model.dim, 4)) \
             + 1j * rng.standard_normal((model.dim, 4))
         coords *= np.array([1.0, 1e-10, 1e-20, 0.0])
-        got = neu._invert_coords(coords)
-        want = dir_._invert_coords(coords)
+        got = neu.invert_coords(coords)
+        want = dir_.invert_coords(coords)
         analysis = model.vectors.conj().T
         for j in range(3):
             assert Y.norm(analysis @ (got[:, j] - want[:, j])) \
@@ -976,7 +1068,7 @@ class TestExtremeScales:
             if rows is not None:
                 monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                                     rows * discretize_module.NORM_ENTRY_BYTES * k)
-            got = neu._column_norms(coords)
+            got = neu.range_norms(coords)
             assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         if k > 1:
             assert got[0] == 0.0
@@ -1034,7 +1126,7 @@ class TestNeumannTermBound:
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
     def test_one_grid_norm_per_inversion(self, monkeypatch, gabor_4x61, p, k):
-        """``_invert_coords`` forms V* a once (the input norms), however
+        """``invert_coords`` forms V* a once (the input norms), however
         many terms it sums, and matches the direct inverse."""
         model, plan, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
@@ -1052,11 +1144,11 @@ class TestNeumannTermBound:
             return original(analysis, Y, coords)
 
         monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
-        got = neu._invert_coords(coords)
+        got = neu.invert_coords(coords)
         assert widths == [k]
         assert len(neu.last_term_norms) > 2
         analysis = model.vectors.conj().T
-        gap = Y.column_norms(analysis @ (got - dir_._invert_coords(coords)))
+        gap = Y.column_norms(analysis @ (got - dir_.invert_coords(coords)))
         assert np.all(gap <= 1e-12 * Y.column_norms(analysis @ coords))
 
 
@@ -1140,6 +1232,34 @@ class TestBlockHarness:
         assert want > 1e-4
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-3])
+    @pytest.mark.parametrize("p", [1.0, np.inf])
+    def test_observed_contraction_in_budget_chunks(self, monkeypatch,
+                                                   gabor_4x61, p, tol):
+        """With a budget of seven iterates the power iteration runs in
+        chunks of seven doubling steps, each starting from the last image
+        of the one before, and still returns the loop's estimate: the
+        stopping rule is replayed across the chunks. tol = 1e-10 runs all
+        200 steps (29 chunks); 1e-3 settles in the first chunk."""
+        model, plan, w = gabor_4x61
+        Y = WeightedLp(model.space, p, w["exp"])
+        monkeypatch.setattr(discretize_module, "CONTRACTION_TOL", tol)
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
+                            7 * discretize_module.ITERATE_BYTES * model.dim)
+        chunks = []
+        iterates = discretize_module._power_iterates
+
+        def recorded(m, g, k):
+            chunks.append(k)
+            return iterates(m, g, k)
+
+        monkeypatch.setattr(discretize_module, "_power_iterates", recorded)
+        want = observed_contraction_naive(model, plan, Y, tol=tol, seed=4)
+        got = observed_contraction(
+            SamplingInverse(model, plan, Y, method="direct"), seed=4)
+        assert chunks == ([7] * 28 + [4] if tol == 1e-10 else [7])
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("p", [1.0, np.inf])
     def test_observed_contraction_stops_at_first_step(self, monkeypatch, p):
         """m = Id - S^{-1} S_c vanishes on a singleton plan: exactly for the
@@ -1195,7 +1315,8 @@ class TestBlockHarness:
     def test_measure_observed_matches_loop(self, monkeypatch, gabor_4x61, p,
                                            weight_rule):
         """The decomposition norms of all measure trials come from one
-        density block; no trial calls ``decomposition_norm``."""
+        (n_sets, n_trials) block of per-set masses; no trial calls
+        ``decomposition_norm``."""
         model, plan, w = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
         weight = Y.weight2d()
@@ -1219,17 +1340,70 @@ class TestBlockHarness:
         assert want > 0.0
         assert rep.measure_observed == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("covering", ["boxes", "overlapping"])
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_coordinate_harness_matches_grid_harness(self, gabor_4x61, p,
+                                                     weight_rule, covering):
+        """The harness that measures its trials through their coordinates
+        reports what the grid-side harness (``oracles``) reports: every
+        residual and norm-equivalence ratio of both residual-suite roles,
+        every observed ratio of the bounds check and the observed
+        contraction, to 1e-13 relative. The cross-method gaps of both are
+        rounding noise, within ``tol-cross``. The overlapping covering
+        (boxes of three frequency steps, two apart) holds points in two
+        sets; it is inverted directly."""
+        model, plan, w = gabor_4x61
+        method = "neumann"
+        if covering == "overlapping":
+            plan = select_samples(build_pou(Covering(model.space, tuple(
+                np.arange(t * 61 + m, t * 61 + min(m + 3, 61))
+                for t in range(4) for m in range(0, 60, 2)))))
+            method = "direct"
+        Y = WeightedLp(model.space, p, w[weight_rule])
+        report = oscillation_report(model, plan.covering,
+                                    PhaseFunction(model, "kernel"),
+                                    Y.weight2d(), 0.25)
+        inverse = SamplingInverse(model, plan, Y, method=method, report=report)
+        for swap in (0, 1):
+            got = residual_suite(inverse, n_trials=20, seed=5 + swap,
+                                 swap_roles=bool(swap))
+            want = residual_suite_grid(inverse, n_trials=20, seed=5 + swap,
+                                       swap_roles=bool(swap))
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+        rep = verify_sampled_bounds(inverse, n_trials=20, seed=5)
+        got = dict(rep.transform_norm_ratios,
+                   sampled_flat_observed=rep.sampled_flat_observed,
+                   pou_pileup_observed=rep.pou_pileup_observed,
+                   measure_observed=rep.measure_observed,
+                   range_sup_observed=rep.range_sup_observed)
+        want = bounds_observed_grid(inverse, n_trials=20, seed=5)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+        if p != 2.0:
+            assert observed_contraction(inverse, seed=5) == pytest.approx(
+                observed_contraction_naive(model, plan, Y, seed=5),
+                rel=1e-13, abs=0.0)
+        if method == "neumann":
+            tol = DEFAULTS["tol-cross"]
+            assert cross_check_inversion(inverse, seed=5) <= tol
+            assert cross_check_grid(inverse, inverse.other_method(),
+                                    seed=5) <= tol
+
     def test_dual_frame_inverts_once_for_both_roles(self, monkeypatch):
         model, Y, weight, cov, gamma, report, plan = make_setup(p=1.0)
         inverse = SamplingInverse(model, plan, Y, report=report)
         calls = []
-        original = SamplingInverse._invert_coords
+        original = SamplingInverse.invert_coords
 
         def counted(self, coords):
             calls.append(coords.shape)
             return original(self, coords)
 
-        monkeypatch.setattr(SamplingInverse, "_invert_coords", counted)
+        monkeypatch.setattr(SamplingInverse, "invert_coords", counted)
         duals = dual_frame(inverse)
         swapped = dual_frame(inverse, swap_roles=True)
         assert calls == [(model.dim, cov.n_sets)]
@@ -1280,8 +1454,9 @@ class TestInverseHandle:
         monkeypatch.undo()
         neu = SamplingInverse(model, plan, Y, report=report)
         direct = SamplingInverse(model, plan, Y, method="direct")
-        F = model.random_range_block(np.random.default_rng(3), 20)
-        gaps = Y.column_norms(neu.apply(F) - direct.apply(F)) / Y.column_norms(F)
+        g = random_vectors(np.random.default_rng(3), model.dim, 20)
+        gaps = neu.range_norms(neu.invert_coords(g) - direct.invert_coords(g)) \
+            / neu.range_norms(g)
         assert result.cross_method_gap == float(gaps.max())
         return sorted(built)
 

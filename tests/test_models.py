@@ -8,7 +8,7 @@ from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, random_vectors
 
 from oracles import apply_kernel, apply_to_measure, compose, dense_kernel, \
-    gabor_vectors_naive, identity_kernel
+    gabor_vectors_naive, identity_kernel, random_range_block
 from theory import DiscreteMeasure, from_analysis, from_dual_analysis, \
     integrate, random_range_function, schur_norm, synthesize
 
@@ -114,7 +114,7 @@ class TestTransforms:
                          for _ in range(k)], axis=1)
         assert np.array_equal(random_vectors(np.random.default_rng(9), d, k),
                               vecs)
-        got = smooth_model.random_range_block(block, k)
+        got = random_range_block(smooth_model, block, k)
         assert np.array_equal(got, smooth_model.vectors.conj().T @ vecs)
         assert np.array_equal(random_range_function(smooth_model, single),
                               smooth_model.analyze(vecs[:, 0]))

@@ -150,23 +150,27 @@ class TestOscRows:
             assert np.max(np.abs(got - want[start:stop])) <= tol
 
 
-def osc_rows(model, cov, gamma, start, stop, cells=None):
+def osc_rows(model, cov, gamma, start, stop, cells=None, xcols=None):
     """Columns ``start:stop`` of the oscillation kernel as rows of osc^T,
     assembled from the pass's tiles (``_osc_rows``), each copied before
     the next overwrites it; ``cells`` defaults to the pass's tile size
-    under the unit weight."""
+    under the unit weight, and ``xcols`` to whole rows."""
     n = model.space.n_points
     if cells is None:
         cells = kernels_module.block_rows(n, oscillation_module.OSC_CELL_BYTES)
-    tiles = oscillation_module._osc_rows(model, cov, gamma, start, stop, cells,
-                                         kernels_module.Workspace())
-    return np.concatenate([block.copy() for _, block in tiles])
+    out = np.full((stop - start, n), np.nan)
+    for rows, xs, block in oscillation_module._osc_rows(
+            model, cov, gamma, start, stop, xcols or [slice(0, n)], cells,
+            kernels_module.Workspace()):
+        out[rows.start - start:rows.stop - start, xs] = block
+    return out
 
 
-def loop_tiles(model, cov, gamma, start, stop, cells, work):
+def loop_tiles(model, cov, gamma, start, stop, xcols, cells, work):
     """``osc_rows_loop`` as the one tile of a block, in ``_osc_rows``'s
     signature."""
-    return [(slice(start, stop), osc_rows_loop(model, cov, gamma, start, stop))]
+    return [(slice(start, stop), slice(0, model.space.n_points),
+             osc_rows_loop(model, cov, gamma, start, stop))]
 
 
 def count_product_rows(model):
@@ -411,9 +415,9 @@ class TestStreamedNorms:
         strips = []
         add_upper = kernels_module.SchurSums.add_upper
 
-        def recorded(self, start, block):
+        def recorded(self, start, block, cols=None):
             strips.append((start, block.shape))
-            return add_upper(self, start, block)
+            return add_upper(self, start, block, cols)
 
         monkeypatch.setattr(kernels_module.SchurSums, "add_upper", recorded)
         got = kernel_norms(model, weights)
@@ -447,9 +451,10 @@ class TestStreamedNorms:
 
         def counting(model, cov, gamma, start, stop, *args):
             blocks.append((start, stop))
-            for rows, block in osc_rows(model, cov, gamma, start, stop, *args):
+            for rows, xs, block in osc_rows(model, cov, gamma, start, stop,
+                                            *args):
                 tiles.append((rows.start, rows.stop))
-                yield rows, block
+                yield rows, xs, block
 
         def even_tiles(start, stop):
             step = kernels_module.even_step(stop - start, 50 // width)
@@ -520,9 +525,9 @@ class TestStreamedNorms:
         osc_rows = oscillation_module._osc_rows
 
         def counting(*args):
-            for rows, block in osc_rows(*args):
+            for rows, xs, block in osc_rows(*args):
                 calls.append((rows.start, rows.stop))
-                yield rows, block
+                yield rows, xs, block
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"),
@@ -759,11 +764,12 @@ def stated_bound(message):
 def naive_outcome(kernels, monkeypatch, model, *args, **kwargs):
     exact = oscillation_module._osc_rows
 
-    def memo(model, cov, gamma, start, stop, cells, work):
+    def memo(model, cov, gamma, start, stop, xcols, cells, work):
         key = (id(model), cov.identifier(), gamma.rule, start, stop)
         if key not in kernels:
-            kernels[key] = [(rows, block.copy()) for rows, block
-                            in exact(model, cov, gamma, start, stop, cells, work)]
+            kernels[key] = [(rows, xs, block.copy()) for rows, xs, block
+                            in exact(model, cov, gamma, start, stop, xcols,
+                                     cells, work)]
         return kernels[key]
 
     with monkeypatch.context() as patch:
@@ -860,9 +866,9 @@ class TestRefineScreen:
         osc_rows = oscillation_module._osc_rows
 
         def counting(model, cov, *args):
-            for rows, block in osc_rows(model, cov, *args):
+            for rows, xs, block in osc_rows(model, cov, *args):
                 calls[cov] = calls.get(cov, 0) + rows.stop - rows.start
-                yield rows, block
+                yield rows, xs, block
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         cov, rep = refine_until(model, w, delta=0.2)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedisc import Covering, StructuralError, WeightedLp, \
-    local_integrability_constant, pileup, singleton_covering, \
+import framedisc.kernels as kernels_module
+import framedisc.spaces as spaces_module
+from framedisc import Covering, StructuralError, WeightedLp, build_pou, \
+    local_integrability_constant, pileup, pileup_norms, singleton_covering, \
     uniform_covering, uniform_grid
 from framedisc.coverings import weight_compatibility
 from framedisc.spaces import sup_infinity_space
@@ -383,6 +385,33 @@ class TestScatterGatherSums:
             for j in range(5):
                 assert np.array_equal(got[:, j], pileup(block[:, j], cov,
                                                         natural=natural))
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_pileup_norms_in_point_tiles(self, overlapping, rng, monkeypatch,
+                                         p):
+        """Under a budget of a few points per tile, the Y-norms of the flat,
+        natural and partition-weighted pile-ups, formed tile by tile, match
+        the norms of the whole pile-ups; the rows of one tile are the
+        whole pile-up's rows."""
+        cov = overlapping
+        n = cov.space.n_points
+        Y = WeightedLp(cov.space, p, rng.uniform(0.5, 2.0, n))
+        block = rng.standard_normal((cov.n_sets, 3)) \
+            + 1j * rng.standard_normal((cov.n_sets, 3))
+        phi = build_pou(cov).phi
+        depth = int(cov.cover_counts.max())
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 5 * 3 * (
+            spaces_module.PILEUP_PAIR_BYTES * depth
+            + spaces_module.PILEUP_POINT_BYTES))
+        for kind in ({}, {"natural": True}, {"phi": phi}):
+            whole = pileup(block, cov, **kind)
+            assert np.array_equal(pileup(block, cov, rows=slice(7, 19), **kind),
+                                  whole[7:19])
+            assert np.allclose(pileup_norms(Y, block, cov, **kind),
+                               Y.column_norms(whole), rtol=1e-14, atol=0.0)
+        want = cov.pair_sums(phi[:, None] * np.abs(block)[
+            cov.holders(0, n)])
+        assert np.array_equal(pileup(block, cov, phi=phi), want)
 
     def test_pileup_leaves_uncovered_points_zero(self, grid64):
         cov = Covering(grid64, (np.array([0, 1, 2]), np.array([2, 5])))

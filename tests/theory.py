@@ -30,6 +30,7 @@ from framedisc import Covering, FrameModel, PhaseFunction, QuadratureSpace, \
     SamplingPlan, StructuralError, Weight2D, WeightedLp, pileup, schur_norms, \
     weight_compatibility
 from framedisc.kernels import row_slices
+from framedisc.models import random_vectors
 from framedisc.spaces import set_pair_kernel_norms
 
 
@@ -126,7 +127,7 @@ def project_to_range(model: FrameModel, F) -> np.ndarray:
 
 def random_range_function(model: FrameModel, rng: np.random.Generator) -> np.ndarray:
     """Analysis of a random vector: a generic element of the range."""
-    return model.random_range_block(rng, 1)[:, 0]
+    return model.analyze(random_vectors(rng, model.dim, 1)[:, 0])
 
 
 class TablePhase:
