@@ -28,11 +28,66 @@ def _segments(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return shift + np.arange(shift.size)
 
 
+def _segment_sums(values, ptr: np.ndarray) -> np.ndarray:
+    """out[k] = sum of ``values[ptr[k]:ptr[k + 1]]`` along the first axis,
+    for ascending ``ptr`` from 0; an empty segment gives 0."""
+    counts = np.diff(ptr)
+    vals = np.asarray(values)
+    out = np.zeros((counts.size,) + vals.shape[1:], dtype=vals.dtype)
+    # the k-th entry of every segment longer than k, k = 0, 1, ...; a
+    # row-wise reduceat over mostly one-entry segments is several times slower
+    for k in range(int(counts.max(initial=0))):
+        held = np.flatnonzero(counts > k)
+        if k == 0:
+            out[held] = vals[ptr[held]]
+        else:
+            out[held] += vals[ptr[held] + k]
+    return out
+
+
 def _pieces(flat: np.ndarray, starts: np.ndarray) -> tuple:
     """Views of ``flat`` cut at the ascending ``starts`` (the first is 0).
     Plain slices: ``np.split`` costs several times more per piece."""
     bounds = starts.tolist() + [flat.size]
     return tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+
+
+def _index_array(s) -> np.ndarray:
+    """One covering set as a flat integer index array; refuses what is not
+    a nonempty array of integers."""
+    try:
+        arr = np.asarray(s)
+    except ValueError as exc:
+        raise StructuralError(f"covering set {s!r} is not an index "
+                              f"array") from exc
+    if arr.size == 0:
+        raise StructuralError("covering sets must be nonempty")
+    if arr.dtype.kind not in "iu":
+        raise StructuralError(f"covering set entries must be integer "
+                              f"point indices, got {arr.dtype} values")
+    return arr.astype(int).reshape(-1)
+
+
+def _flat_sets(sets) -> tuple:
+    """(points, sizes): the entries of every set, one set after another, as
+    one integer array, and the number of entries of each set.
+
+    Nonempty lists of Python ints, as a JSON document gives them, are
+    chained and converted in one call. Any other family, or one of lists
+    that fails that test, goes set by set (``_index_array``), which names
+    what is wrong with the first bad set.
+    """
+    if sets and all(type(s) is list for s in sets):
+        flat = list(itertools.chain.from_iterable(sets))
+        sizes = np.fromiter(map(len, sets), int, len(sets))
+        if sizes.all() and set(map(type, flat)) == {int}:
+            points = np.array(flat)
+            if points.dtype.kind == "i":        # else an int beyond int64
+                return points, sizes
+    raw = [_index_array(s) for s in sets]
+    if not raw:
+        raise StructuralError("covering needs at least one set")
+    return np.concatenate(raw), np.array([arr.size for arr in raw])
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,30 +117,14 @@ class Covering:
 
     def __post_init__(self):
         n = self.space.n_points
-        raw = []
-        for s in self.sets:
-            try:
-                arr = np.asarray(s)
-            except ValueError as exc:
-                raise StructuralError(f"covering set {s!r} is not an index "
-                                      f"array") from exc
-            if arr.size == 0:
-                raise StructuralError("covering sets must be nonempty")
-            if arr.dtype.kind not in "iu":
-                raise StructuralError(f"covering set entries must be integer "
-                                      f"point indices, got {arr.dtype} values")
-            raw.append(arr.astype(int).reshape(-1))
-        if not raw:
-            raise StructuralError("covering needs at least one set")
-        points = np.concatenate(raw)
+        points, sizes = _flat_sets(self.sets)
         if points.min() < 0 or points.max() >= n:
             raise StructuralError("covering set contains invalid point index")
 
         # sort and dedupe every (set, point) pair at once, keyed set * n + point
-        keys = np.unique(np.repeat(np.arange(len(raw)) * n,
-                                   [idx.size for idx in raw]) + points)
+        keys = np.unique(np.repeat(np.arange(sizes.size) * n, sizes) + points)
         flat_sets, flat_points = np.divmod(keys, n)
-        sizes = np.bincount(flat_sets, minlength=len(raw))
+        sizes = np.bincount(flat_sets, minlength=sizes.size)
         flat_points.setflags(write=False)
         object.__setattr__(self, "sets",
                            _pieces(flat_points, np.cumsum(sizes) - sizes))
@@ -176,25 +215,11 @@ class Covering:
         counts = np.diff(ptr)[points]
         return self._sets_by_point[_segments(ptr[points], counts)], counts
 
-    def pair_sums(self, values, start: int = 0, stop: int | None = None
-                  ) -> np.ndarray:
-        """out[x - start] = sum of ``values`` over the pairs of point x, for
-        x in ``start:stop`` and one value per set in ``holders(start,
-        stop)``, in that order; points in no set get 0."""
-        stop = self.space.n_points if stop is None else stop
-        ptr = self._point_ptr[start:stop + 1] - self._point_ptr[start]
-        counts = np.diff(ptr)
-        vals = np.asarray(values)
-        out = np.zeros((stop - start,) + vals.shape[1:], dtype=vals.dtype)
-        # the k-th pair of every point held by more than k sets, k = 0, 1, ...;
-        # a row-wise reduceat over mostly one-pair segments is several times slower
-        for k in range(int(counts.max(initial=0))):
-            held = np.flatnonzero(counts > k)
-            if k == 0:
-                out[held] = vals[ptr[held]]
-            else:
-                out[held] += vals[ptr[held] + k]
-        return out
+    def pair_sums(self, values) -> np.ndarray:
+        """out[x] = sum of ``values`` over the pairs of point x, for one
+        value per set in ``holders(0, n_points)``, in that order; points in
+        no set get 0."""
+        return _segment_sums(values, self._point_ptr)
 
     def q_neighborhoods(self, start: int, stop: int) -> tuple:
         """Q_y for every y in ``start:stop``, as the sorted pairs (ys, zs):
@@ -269,6 +294,39 @@ def weight_compatibility(cov: Covering, weight: Weight2D) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class Cells:
+    """The points of a partition of unity grouped into cells.
+
+    A cell is a class of points held by the same sets with the same phi
+    values, so every pile-up over the partition (flat, natural or
+    phi-weighted) is constant on it. For the flat partition the cells are
+    the classes of points held by the same sets; for a smooth one they are
+    mostly single points. Cells are ordered by their sets, then their phi
+    values. Cell c holds the points ``members[member_ptr[c]:member_ptr[c +
+    1]]``, in ascending order, and its (set, phi_set) pairs are ``sets``
+    and ``phi`` at ``pair_ptr[c]:pair_ptr[c + 1]``.
+    """
+
+    members: np.ndarray
+    member_ptr: np.ndarray
+    sets: np.ndarray
+    phi: np.ndarray
+    pair_ptr: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return self.member_ptr.size - 1
+
+    def pair_sums(self, values) -> np.ndarray:
+        """out[c] = sum of ``values`` over the pairs of cell c, for one
+        value per pair in the order of ``sets`` (``values`` itself where
+        every cell has one pair)."""
+        if self.sets.size == self.count:
+            return np.asarray(values)
+        return _segment_sums(values, self.pair_ptr)
+
+
+@dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
     """Nonnegative functions phi_i <= 1 supported in U_i and summing to one.
 
@@ -304,6 +362,34 @@ class PartitionOfUnity:
         return np.bincount(cov.holders(0, cov.space.n_points),
                            self.phi * cov.space.weights[points],
                            minlength=cov.n_sets)
+
+    @cached_property
+    def cells(self) -> Cells:
+        """The partition's cells (``Cells``), found once per partition by
+        sorting the points on their sets and phi values."""
+        cov = self.covering
+        n = cov.space.n_points
+        counts, ptr = cov.cover_counts, cov._point_ptr
+        depth = int(counts.max())
+        # one row per point: its sets, then its phi values, padded with -1
+        key = np.full((n, 2 * depth), -1.0)
+        point = np.repeat(np.arange(n), counts)
+        slot = np.arange(point.size) - ptr[point]
+        key[point, slot] = cov.holders(0, n)
+        key[point, depth + slot] = self.phi
+        # sorted on its sets first, equal rows sit together in ascending points
+        members = np.lexsort(key.T[::-1])
+        ordered = key[members]
+        starts = np.flatnonzero(np.append(
+            True, np.any(ordered[1:] != ordered[:-1], axis=1)))
+        reps = members[starts]
+        pairs = _segments(ptr[reps], counts[reps])
+        cells = Cells(members, np.append(starts, n),
+                      cov.holders(0, n)[pairs], self.phi[pairs],
+                      np.concatenate(([0], np.cumsum(counts[reps]))))
+        for arr in vars(cells).values():
+            arr.setflags(write=False)
+        return cells
 
 
 def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:

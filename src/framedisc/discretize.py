@@ -26,8 +26,8 @@ from .kernels import WEIGHT_ENTRY_BYTES, Workspace, block_rows, even_step, \
     row_slices, schur_norms
 from .models import FrameModel, random_vectors
 from .oscillation import OscReport, kernel_norms
-from .spaces import WeightedLp, local_integrability_constant, pileup_norms, \
-    sup_infinity_space
+from .spaces import WeightedLp, cell_space, local_integrability_constant, \
+    pileup_norms, sup_infinity_space
 
 # Smallest eigenvalue modulus of the restricted sampling operator that
 # ``direct`` inversion accepts; below it the operator counts as singular.
@@ -170,12 +170,16 @@ class SamplingInverse:
     solves the d x d system and needs none. Each column of a block stops
     once its term's Y-norm is at most ``tol`` times the Y-norm of its input,
     so the stopping rule does not depend on the scale of the input. For
-    p = 2 the term norms are exact (a d x d quadratic form). Otherwise a
-    term t is tested through the bound |V* t|_Y <= kappa_Y |t|_2, with
-    kappa_Y = |x -> |psi_x|_2|_Y (Cauchy-Schwarz at every point, then
-    solidity of Y), so no term is formed on the grid; the bound dominates
-    the norm, so a column stops no earlier than the exact rule would stop
-    it. The input norms stay exact.
+    p = 2 both norms are exact (a d x d quadratic form). Otherwise both are
+    taken in coordinates, O(d) work per column, and nothing is formed on
+    the grid. A term t is tested through the upper bound
+    |V* t|_Y <= kappa_Y |t|_2, with kappa_Y = |x -> |psi_x|_2|_Y
+    (Cauchy-Schwarz at every point, then solidity of Y). The input a is
+    measured through the lower bound |V* a|_Y >= |a|_2 / C_Y: a is
+    S^{-1} V(mu V* a) = sum_x mu_x (V* a)(x) S^{-1} psi_x, so C_Y is the
+    norm of x -> |S^{-1} psi_x|_2 in the dual space of Y
+    (``WeightedLp.dual``). Both bounds err on the safe side, so a column
+    stops no earlier than the exact rule would stop it.
     """
 
     def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
@@ -203,7 +207,7 @@ class SamplingInverse:
         model, Y, report = self.model, self.Y, self.report
         self.method = method
         self.last_term_norms: list = []
-        self._kappa = None
+        self._kappa = self._c_dual = None
         if method == "neumann":
             if report is None:
                 raise CertificationError(
@@ -221,6 +225,8 @@ class SamplingInverse:
                 self._p2_metric()
             else:
                 self._kappa = Y.norm(np.linalg.norm(model.vectors, axis=0))
+                self._c_dual = Y.dual().norm(
+                    np.linalg.norm(model.duals, axis=0))
         elif method == "direct":
             evals = np.linalg.eigvals(self._restricted)
             if np.min(np.abs(evals)) <= DIRECT_EIG_FLOOR:
@@ -263,28 +269,39 @@ class SamplingInverse:
         quad = np.einsum("ij,ij->j", unit.conj(), self._p2_metric() @ unit).real
         return scale * np.sqrt(np.maximum(quad, 0.0))
 
+    @cached_property
+    def cell_space(self) -> WeightedLp:
+        """Y collapsed on the plan's cells (``spaces.cell_space``), where the
+        checks norm their pile-ups (``spaces.pileup_norms``)."""
+        return cell_space(self.Y, self.plan.pou.cells)
+
     def _term_norms(self, coords: np.ndarray) -> np.ndarray:
         """What the stopping rule tests for each column of a Neumann term:
-        the exact Y-norm for p = 2, else the bound kappa_Y |t|_2, taken on
-        columns scaled to unit size (O(d) work per column)."""
+        the exact Y-norm for p = 2, else the bound kappa_Y |t|_2."""
         if self.Y.p == 2.0:
             return self.range_norms(coords)
-        scale, unit = _unit_columns(np.abs(coords))
-        return self._kappa * scale * np.sqrt(np.einsum("ij,ij->j", unit, unit))
+        return self._kappa * _l2_norms(coords)
+
+    def _input_norms(self, coords: np.ndarray) -> np.ndarray:
+        """What the stopping rule takes for the Y-norm of each input column:
+        the exact norm for p = 2, else the lower bound |a|_2 / C_Y."""
+        if self.Y.p == 2.0:
+            return self.range_norms(coords)
+        return _l2_norms(coords) / self._c_dual
 
     def invert_coords(self, coords: np.ndarray) -> np.ndarray:
         """Apply the inverse to every column of a (d, k) coordinate block.
 
-        ``last_term_norms`` records the largest input Y-norm of the block,
+        ``last_term_norms`` records the largest input norm of the block,
         then, per Neumann term, the largest tested value among the columns
-        still summing: the term's Y-norm for p = 2, its bound kappa_Y |t|_2
-        otherwise. At p != 2 only the input is formed on the grid, once per
-        call.
+        still summing: exact Y-norms for p = 2, otherwise the lower bound
+        |a|_2 / C_Y of the input and the upper bound kappa_Y |t|_2 of each
+        term. Nothing is formed on the grid.
         """
         if self.method == "direct":
             return self._matrix_inv @ coords
         total = np.array(coords, dtype=complex, copy=True)
-        first = self.range_norms(total)
+        first = self._input_norms(total)
         limit = self.tol * first
         active = np.flatnonzero(first > 0.0)    # zero columns are done
         term = total[:, active]
@@ -343,6 +360,13 @@ def _unit_columns(block: np.ndarray) -> tuple:
     np.divide(block.real, div, out=unit.real)
     np.divide(block.imag, div, out=unit.imag)
     return scale, unit
+
+
+def _l2_norms(coords: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a (d, k) block, taken on columns
+    scaled to unit size so the squares neither underflow nor overflow."""
+    scale, unit = _unit_columns(np.abs(coords))
+    return scale * np.sqrt(np.einsum("ij,ij->j", unit, unit))
 
 
 def _analysis_norms(analysis: np.ndarray, Y: WeightedLp,
@@ -656,7 +680,7 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     whole grid. A range function F = V* a is held as its coordinates a:
     its Y-norm comes through the handle (``range_norms``), its other norms
     from row blocks of V* a (``_analysis_norms``), its samples are
-    V[:, x_i]^* a, and the pile-ups are formed in point tiles
+    V[:, x_i]^* a, and the pile-ups are normed on the plan's cells
     (``pileup_norms``). The kernel applied to a measure
     sum_k lambda_k delta_{y_k} has coordinates S^{-1} sum_k lambda_k
     psi_{y_k}, and the measure's per-set masses, which its decomposition
@@ -683,9 +707,10 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     g, ny = g[:, ny > 0.0], ny[ny > 0.0]
     vals = model.vectors[:, plan.samples].conj().T @ g
     sup = _analysis_norms(analysis, sup_space, g)
-    d_obs = np.max(pileup_norms(Y, vals, cov) / ny, initial=0.0)
-    sig_obs = np.max(pileup_norms(Y, vals, cov, phi=plan.pou.phi) / ny,
-                     initial=0.0)
+    d_obs = np.max(pileup_norms(inverse.cell_space, vals, plan.pou) / ny,
+                   initial=0.0)
+    sig_obs = np.max(pileup_norms(inverse.cell_space, vals, plan.pou,
+                                  phi=True) / ny, initial=0.0)
     sup_obs = np.max(sup / ny, initial=0.0)
     ratios_1y = ny / _analysis_norms(analysis, WeightedLp(space, 1.0, weight.v),
                                      g)
@@ -711,7 +736,8 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     masses = np.bincount(sets * n_trials + trial,
                          np.repeat(np.concatenate(moduli), held),
                          minlength=cov.n_sets * n_trials)
-    dec_norms = pileup_norms(Y, masses.reshape(cov.n_sets, n_trials), cov,
+    dec_norms = pileup_norms(inverse.cell_space,
+                             masses.reshape(cov.n_sets, n_trials), plan.pou,
                              natural=True)
     applied = inverse.range_norms(model.s_inverse @ atoms)
     keep = dec_norms > 0.0

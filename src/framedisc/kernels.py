@@ -43,8 +43,11 @@ from n, d and ``BLOCK_BYTES``.
 
 The verification harness keeps to the same budget: it measures range
 functions V* a through their coordinates a (a d x d metric at p = 2, else
-row blocks of V* a) and forms pile-ups in point tiles, so besides the budget
-it holds O(n d + n_sets n_trials) values.
+row blocks of V* a; a Neumann inversion only through coordinate bounds,
+O(d) per column) and norms pile-ups on the partition's cells, one value
+per cell and trial. So besides the budget it holds O(n d + (n_sets +
+cells) n_trials) values; the flat partition of a covering whose sets do
+not overlap has one cell per set, a smooth partition up to one per point.
 """
 
 from __future__ import annotations

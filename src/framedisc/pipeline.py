@@ -28,13 +28,12 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     drawn in one call from ``seed`` (``random_vectors``). No trial is formed
     on the whole grid: the range functions V* a are held as their
     coordinates a, whose Y-norms come through the handle (``range_norms``),
-    the sample values are V[:, x_i]^* a, and the pile-ups are formed in
-    point tiles (``pileup_norms``).
+    the sample values are V[:, x_i]^* a, and the pile-ups are normed on
+    the plan's cells (``pileup_norms``).
     """
     rng = np.random.default_rng(seed)
-    model, plan, Y = inverse.model, inverse.plan, inverse.Y
+    model, plan = inverse.model, inverse.plan
     duals = dual_frame(inverse, swap_roles=swap_roles)
-    cov = plan.covering
     xs = plan.samples
     f = random_vectors(rng, model.dim, n_trials)
     f /= np.linalg.norm(f, axis=0)
@@ -58,10 +57,11 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     exp_c = errors(duals.T @ samples)
 
     ny = inverse.range_norms(base)
-    flat_ratios = pileup_norms(Y, samples, cov)[ny > 0] / ny[ny > 0]
+    flat_ratios = pileup_norms(inverse.cell_space, samples, plan.pou)[ny > 0] \
+        / ny[ny > 0]
     nyd = inverse.range_norms(dual_base)
-    natural_ratios = pileup_norms(Y, inner, cov, natural=True)[nyd > 0] \
-        / nyd[nyd > 0]
+    natural_ratios = pileup_norms(inverse.cell_space, inner, plan.pou,
+                                  natural=True)[nyd > 0] / nyd[nyd > 0]
 
     return {
         "atomic_max": float(np.max(atomic)),

@@ -41,8 +41,10 @@ class QuadratureSpace:
             raise StructuralError("points must be finite")
         if not np.all(np.isfinite(wts)) or np.any(wts <= 0.0):
             raise StructuralError("weights must be finite and > 0")
-        # + 0.0 turns -0.0 into 0.0, so the two count as one point
-        if np.unique(pts + 0.0, axis=0).shape[0] != pts.shape[0]:
+        # equal points sit next to each other once sorted; float comparison
+        # counts -0.0 and 0.0 as one point
+        ordered = pts[np.lexsort(pts.T)]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise StructuralError("points must be unique")
         pts.setflags(write=False)
         wts.setflags(write=False)

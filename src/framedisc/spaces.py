@@ -1,9 +1,14 @@
 """Weighted L^p spaces on the grid and the pile-ups of covering sequences.
 
 The solid spaces are L^p_w with norm (sum_x mu_x |F(x)|^p w(x)^p)^(1/p)
-(weighted sup for p = inf). Sequences over a covering are measured through
-their pile-up functions: the flat pile-up puts |lambda_i| on chi_{U_i}, the
-natural one first divides by mu(U_i).
+(weighted sup for p = inf); the dual of L^p_w is L^q_{1/w}, 1/p + 1/q = 1,
+whose norms give the sharp Hoelder constants. Sequences over a covering are
+measured through their pile-up functions: the flat pile-up puts |lambda_i|
+on chi_{U_i}, the natural one first divides by mu(U_i), and a partition of
+unity's pile-up weights set i by phi_i. ``pileup`` forms a pile-up on the
+grid. Every pile-up over a partition is constant on the partition's cells,
+so ``pileup_norms`` forms it there and norms it in Y collapsed on the cells
+(``cell_space``), without a grid function.
 """
 
 from __future__ import annotations
@@ -12,16 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import Covering
+from .coverings import Cells, Covering, PartitionOfUnity
 from .errors import StructuralError
-from .kernels import Weight2D, Workspace, block_rows, row_slices
+from .kernels import Weight2D, Workspace
 from .quadrature import QuadratureSpace
-
-# Bytes a pile-up tile holds per column: for each (set, point) pair, the
-# gathered complex value, its modulus and the modulus scaled; for each point,
-# the pile-up, a partial sum and the moduli ``streamed_column_norms`` takes.
-PILEUP_PAIR_BYTES = 32
-PILEUP_POINT_BYTES = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,17 +100,21 @@ class WeightedLp:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
         return Weight2D(self.space, self.w, ref_index)
 
+    def dual(self) -> "WeightedLp":
+        """The dual space L^q_{1/w}(mu), 1/p + 1/q = 1: its norm of g >= 0 is
+        the sharp C in sum_x mu_x g(x) |F(x)| <= C |F|_Y (Hoelder's
+        inequality on g/w and w F, which is attained)."""
+        q = np.inf if self.p == 1.0 else 1.0 if np.isinf(self.p) \
+            else self.p / (self.p - 1.0)
+        return WeightedLp(self.space, q, 1.0 / self.w)
+
     def holder_l1_constant(self, subset) -> float:
-        """Sharp constant of |chi_Q F|_{L^1} <= C |F|_{L^p_w} on a point subset."""
-        idx = np.asarray(subset, dtype=int).reshape(-1)
-        mu = self.space.weights[idx]
-        winv = 1.0 / self.w[idx]
-        if np.isinf(self.p):
-            return float(np.sum(mu * winv))
-        if self.p == 1.0:
-            return float(np.max(winv))
-        q = self.p / (self.p - 1.0)
-        return float(np.sum(mu * winv ** q) ** (1.0 / q))
+        """Sharp constant of |chi_Q F|_{L^1} <= C |F|_{L^p_w} on a point
+        subset: the dual norm of chi_Q, scaled like every norm, so it stays
+        finite where (1/w)^q overflows."""
+        chi = np.zeros(self.space.n_points)
+        chi[np.asarray(subset, dtype=int).reshape(-1)] = 1.0
+        return self.dual().norm(chi)
 
 
 def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:
@@ -119,43 +122,69 @@ def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:
     return WeightedLp(Y.space, np.inf, 1.0 / weight.v)
 
 
-def pileup(seq, cov: Covering, natural: bool = False, rows: slice | None = None,
-           phi=None) -> np.ndarray:
+def pileup(seq, cov: Covering, natural: bool = False, phi=None) -> np.ndarray:
     """Grid function sum_i |lambda_i| chi_{U_i} (divided by mu(U_i) if natural).
 
     A 2-D ``seq`` of shape (n_sets, k) is k sequences, one per column; the
-    result is then (n_points, k). With ``rows`` (a slice of points) only
-    those rows are formed, from the sets holding them. With ``phi``, one
-    value per (set, point) pair in the covering's point-major order (a
-    partition of unity's ``phi``), the term of set i at x is weighted by
-    phi_i(x) instead of chi_{U_i}(x).
+    result is then (n_points, k). With ``phi``, one value per (set, point)
+    pair in the covering's point-major order (a partition of unity's
+    ``phi``), the term of set i at x is weighted by phi_i(x) instead of
+    chi_{U_i}(x).
     """
     arr = np.asarray(seq)
     if arr.ndim != 2:
         arr = arr.reshape(-1)
     if arr.shape[0] != cov.n_sets:
         raise StructuralError("sequence length must equal number of covering sets")
-    rows = slice(0, cov.space.n_points) if rows is None else rows
-    held = cov.holders(rows.start, rows.stop)
+    held = cov.holders(0, cov.space.n_points)
     lam = np.abs(arr[held]).astype(float, copy=False)
     if natural:
         lam = (lam.T / cov.measures[held]).T
     if phi is not None:
-        lam = (np.asarray(phi)[cov.pairs(rows.start, rows.stop)] * lam.T).T
-    return cov.pair_sums(lam, rows.start, rows.stop)
+        lam = (np.asarray(phi) * lam.T).T
+    return cov.pair_sums(lam)
 
 
-def pileup_norms(Y: WeightedLp, seq, cov: Covering, natural: bool = False,
-                 phi=None) -> np.ndarray:
-    """Y-norms of the pile-ups (``pileup``) of the columns of an (n_sets, k)
-    block ``seq``, formed in point tiles whose gathered values, pile-up and
-    moduli fit in ``BLOCK_BYTES``, so no (n_points, k) block is formed."""
-    k = np.shape(seq)[1]
-    depth = int(cov.cover_counts.max(initial=1))
-    step = block_rows(k, PILEUP_PAIR_BYTES * depth + PILEUP_POINT_BYTES)
-    return Y.streamed_column_norms(
-        (rows, pileup(seq, cov, natural, rows, phi))
-        for rows in row_slices(cov.space.n_points, step))
+def cell_space(Y: WeightedLp, cells: Cells) -> WeightedLp:
+    """Y collapsed onto a partition's cells, each at its lowest point: the
+    weight w'_c = max of w over cell c and the measure
+    mu'_c = sum over c of mu_x (w(x)/w'_c)^p (sum of mu_x at p = inf), so
+    |F|_Y = |F on the cells|_{Y'} for every F constant on each cell."""
+    members, sizes = cells.members, np.diff(cells.member_ptr)
+    starts = cells.member_ptr[:-1]
+    w = Y.w[members]
+    top = np.maximum.reduceat(w, starts)
+    mu = Y.space.weights[members]
+    if not np.isinf(Y.p):
+        mu = mu * (w / np.repeat(top, sizes)) ** Y.p
+    space = QuadratureSpace(Y.space.points[members[starts]],
+                            np.add.reduceat(mu, starts))
+    return WeightedLp(space, Y.p, top)
+
+
+def pileup_norms(Y: WeightedLp, seq, pou: PartitionOfUnity,
+                 natural: bool = False, phi: bool = False) -> np.ndarray:
+    """Y-norms of the pile-ups (``pileup``) over the partition's covering
+    of the columns of an (n_sets, k) block ``seq``, weighted by the
+    partition's phi with ``phi``.
+
+    Every such pile-up is constant on each of the partition's cells
+    (``PartitionOfUnity.cells``), so it is formed and normed there: ``Y``
+    is the grid's space collapsed on those cells (``cell_space``), and
+    each column costs one value per (cell, set) pair. No grid function is
+    formed.
+    """
+    cells = pou.cells
+    if Y.space.n_points != cells.count:
+        raise StructuralError(f"space of {Y.space.n_points} points is not "
+                              f"collapsed on the partition's {cells.count} "
+                              f"cells")
+    lam = np.abs(seq).take(cells.sets, axis=0).astype(float, copy=False)
+    if natural:
+        lam /= pou.covering.measures[cells.sets][:, None]
+    if phi:
+        lam *= cells.phi[:, None]
+    return Y.column_norms(cells.pair_sums(lam))
 
 
 def set_pair_kernel_norms(cov: Covering, weight: Weight2D) -> np.ndarray:

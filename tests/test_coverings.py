@@ -377,6 +377,42 @@ def test_json_round_trip(rng, grid64):
     assert back.identifier() == cov.identifier()
 
 
+@pytest.mark.parametrize("sets, message", [
+    ([], "at least one set"),
+    ([[0, 1], [], [2]], "nonempty"),
+    ([[0, 1], [2.0, 3.0]], "integer point indices"),
+    ([[0, 1], [True, False]], "integer point indices"),
+    ([[0, 1], ["3"]], "integer point indices"),
+    ([[0, 1], [2 ** 70]], "integer point indices"),
+    ([[0, 1], [[2, 3], [4]]], "not an index array"),
+    ([[0, 1], [4, 5]], "invalid point index"),
+    ([[-1, 1], [2, 3]], "invalid point index"),
+])
+def test_json_sets_refused(small_space, sets, message):
+    """A covering document's lists are refused with the messages the
+    set-by-set checks give."""
+    with pytest.raises(StructuralError, match=message):
+        covering_from_json(small_space, {"sets": sets})
+
+
+def test_json_sets_read_in_one_pass(rng, grid64, monkeypatch):
+    """Lists of ints, unsorted and with repeats, are read without a
+    conversion per set and give the covering their arrays give."""
+    import framedisc.coverings as coverings_module
+
+    raw = [rng.integers(0, 64, size=int(rng.integers(1, 20))).tolist()
+           for _ in range(12)]
+    want = Covering(grid64, tuple(np.array(s) for s in raw))
+    calls = []
+    monkeypatch.setattr(coverings_module, "_index_array",
+                        lambda s: calls.append(s))
+    got = covering_from_json(grid64, {"sets": raw})
+    assert not calls
+    assert got.identifier() == want.identifier()
+    assert np.array_equal(got.flat_sets, want.flat_sets)
+    assert np.array_equal(got.flat_points, want.flat_points)
+
+
 def test_identifier_hashed_once(grid64, monkeypatch):
     """A covering's identifier keeps its digest (pinned from the code that
     hashed on every call) and is hashed once per covering, also when a

@@ -1076,8 +1076,8 @@ class TestExtremeScales:
 
 class TestNeumannTermBound:
     """At p != 2 the stopping rule tests kappa_Y |t|_2, kappa_Y the Y-norm
-    of x -> |psi_x|_2, in place of |V* t|_Y; only the input is formed on
-    the grid."""
+    of x -> |psi_x|_2, in place of |V* t|_Y, against tol times the input's
+    lower bound |a|_2 / C_Y; nothing is formed on the grid."""
 
     @pytest.fixture(scope="class")
     def gabor_4x61(self):
@@ -1123,11 +1123,37 @@ class TestNeumannTermBound:
             top = int(np.argmax(Y.w * atom_norms))
             assert exact[top] == pytest.approx(kappa, rel=1e-13, abs=0.0)
 
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([1.0, 1.5, 3.0, np.inf]),
+           st.sampled_from(["unit", "exp"]),
+           st.lists(st.sampled_from([1.0, 1e300, 1e-300, 0.0]), min_size=1,
+                    max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_coordinate_bounds_bracket_range_norm(self, gabor_4x61, seed, p,
+                                                  weight_rule, scales):
+        """|a|_2 / C_Y <= |V* a|_Y <= kappa_Y |a|_2 on every column, C_Y
+        the dual norm of x -> |S^{-1} psi_x|_2, for columns of any scale
+        and zero columns (both bounds 0 there)."""
+        model, plan, w, report = gabor_4x61
+        Y = WeightedLp(model.space, p, w[weight_rule])
+        neu = SamplingInverse(model, plan, Y, method="neumann",
+                              report=report[weight_rule])
+        rng = np.random.default_rng(seed)
+        coords = rng.standard_normal((model.dim, len(scales))) \
+            + 1j * rng.standard_normal((model.dim, len(scales)))
+        coords *= np.array(scales)
+        exact = Y.column_norms(model.vectors.conj().T @ coords)
+        lower, upper = neu._input_norms(coords), neu._term_norms(coords)
+        assert np.all(lower <= exact * (1.0 + 1e-13))
+        assert np.all(exact <= upper * (1.0 + 1e-13))
+        assert np.array_equal(lower == 0.0, np.array(scales) == 0.0)
+        assert np.array_equal(upper == 0.0, np.array(scales) == 0.0)
+
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
-    def test_one_grid_norm_per_inversion(self, monkeypatch, gabor_4x61, p, k):
-        """``invert_coords`` forms V* a once (the input norms), however
-        many terms it sums, and matches the direct inverse."""
+    def test_no_grid_norm_per_inversion(self, monkeypatch, gabor_4x61, p, k):
+        """``invert_coords`` forms no V* a, however many terms it sums, and
+        matches the direct inverse."""
         model, plan, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
         neu = SamplingInverse(model, plan, Y, method="neumann",
@@ -1145,7 +1171,7 @@ class TestNeumannTermBound:
 
         monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
         got = neu.invert_coords(coords)
-        assert widths == [k]
+        assert widths == []
         assert len(neu.last_term_norms) > 2
         analysis = model.vectors.conj().T
         gap = Y.column_norms(analysis @ (got - dir_.invert_coords(coords)))

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import framedisc.kernels as kernels_module
-import framedisc.spaces as spaces_module
 from framedisc import Covering, StructuralError, WeightedLp, build_pou, \
-    local_integrability_constant, pileup, pileup_norms, singleton_covering, \
-    uniform_covering, uniform_grid
+    cell_space, local_integrability_constant, pileup, pileup_norms, \
+    singleton_covering, uniform_covering, uniform_grid
 from framedisc.coverings import weight_compatibility
 from framedisc.spaces import sup_infinity_space
 
@@ -214,6 +212,48 @@ class TestSequenceNorms:
             norm_flat(np.ones(3), cov, WeightedLp.lebesgue(grid64, 1.0))
 
 
+class TestDualSpace:
+    """``WeightedLp.dual`` is L^q_{1/w}: its norm of g >= 0 is the sharp
+    constant of sum_x mu_x g(x) |F(x)| <= C |F|_Y."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    def test_dual_norm_is_sharp(self, weighted_setup, rng, p):
+        """The inequality holds on random F and is attained: at
+        F = (g/w)^(q-1) / w for finite q, at the point of the largest g/w
+        for p = 1."""
+        space, w, _ = weighted_setup
+        mu = space.weights
+        Y = WeightedLp(space, p, w)
+        g = rng.uniform(0.0, 3.0, space.n_points)
+        c = Y.dual().norm(g)
+        for _ in range(20):
+            f = rng.standard_normal(space.n_points)
+            assert mu @ (g * np.abs(f)) <= c * Y.norm(f) * (1 + 1e-13)
+        if p == 1.0:
+            f = np.zeros(space.n_points)
+            f[np.argmax(g / w)] = 1.0
+        elif np.isinf(p):
+            f = 1.0 / w
+        else:
+            f = (g / w) ** (1.0 / (p - 1.0)) / w
+        assert mu @ (g * f) == pytest.approx(c * Y.norm(f), rel=1e-13)
+
+    @pytest.mark.parametrize("w0", [0.1, 1e-3])
+    @pytest.mark.parametrize("p", [1.001, 1.0001])
+    def test_holder_constant_finite_near_p_one(self, p, w0):
+        """With w < 1 and p near one, (1/w)^q overflows; the Hoelder
+        constant, the dual norm of chi_Q, stays finite and equals
+        max(1/w) mu(Q)^(1/q) on constant w and mu, and so does the local
+        integrability constant built on it."""
+        space = uniform_grid(10, weights=0.1)
+        Y = WeightedLp(space, p, np.full(10, w0))
+        q = p / (p - 1.0)
+        c = Y.holder_l1_constant(np.arange(5))
+        assert c == pytest.approx(0.5 ** (1.0 / q) / w0, rel=1e-13)
+        cov = uniform_covering(space, 5.0)
+        assert np.isfinite(local_integrability_constant(cov, Y, Y.weight2d()))
+
+
 class TestSupEmbedding:
     def test_singleton_covering_sup_space(self, small_space):
         cov = singleton_covering(small_space)
@@ -387,31 +427,67 @@ class TestScatterGatherSums:
                                                         natural=natural))
 
     @pytest.mark.parametrize("p", P_VALUES)
-    def test_pileup_norms_in_point_tiles(self, overlapping, rng, monkeypatch,
-                                         p):
-        """Under a budget of a few points per tile, the Y-norms of the flat,
-        natural and partition-weighted pile-ups, formed tile by tile, match
-        the norms of the whole pile-ups; the rows of one tile are the
-        whole pile-up's rows."""
+    def test_pileup_norms_on_cells(self, overlapping, rng, p):
+        """For the flat and the smooth partition, every flat, natural and
+        partition-weighted pile-up is constant on each cell, and its Y-norm
+        taken on the cells matches the norm of the whole pile-up; the flat
+        partition's cells are the classes of points held by the same sets.
+        A Y not collapsed on the cells is refused."""
         cov = overlapping
         n = cov.space.n_points
         Y = WeightedLp(cov.space, p, rng.uniform(0.5, 2.0, n))
         block = rng.standard_normal((cov.n_sets, 3)) \
             + 1j * rng.standard_normal((cov.n_sets, 3))
-        phi = build_pou(cov).phi
-        depth = int(cov.cover_counts.max())
-        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 5 * 3 * (
-            spaces_module.PILEUP_PAIR_BYTES * depth
-            + spaces_module.PILEUP_POINT_BYTES))
-        for kind in ({}, {"natural": True}, {"phi": phi}):
-            whole = pileup(block, cov, **kind)
-            assert np.array_equal(pileup(block, cov, rows=slice(7, 19), **kind),
-                                  whole[7:19])
-            assert np.allclose(pileup_norms(Y, block, cov, **kind),
-                               Y.column_norms(whole), rtol=1e-14, atol=0.0)
-        want = cov.pair_sums(phi[:, None] * np.abs(block)[
+        holders = {tuple(np.flatnonzero(row))
+                   for row in membership_naive(cov.sets, n).T}
+        for kind in ("flat", "smooth"):
+            pou = build_pou(cov, kind)
+            cells = pou.cells
+            starts = cells.member_ptr[:-1]
+            assert np.array_equal(np.sort(cells.members), np.arange(n))
+            if kind == "flat":
+                assert cells.count == len(holders)
+            collapsed = cell_space(Y, cells)
+            for pile in ({}, {"natural": True}, {"phi": True}):
+                whole = pileup(block, cov, pile.get("natural", False),
+                               pou.phi if pile.get("phi") else None)
+                on_cells = whole[cells.members[starts]]
+                assert np.array_equal(
+                    whole[cells.members],
+                    np.repeat(on_cells, np.diff(cells.member_ptr), axis=0))
+                assert np.allclose(pileup_norms(collapsed, block, pou, **pile),
+                                   Y.column_norms(whole), rtol=1e-14, atol=0.0)
+            if cells.count != n:
+                with pytest.raises(StructuralError, match="not collapsed"):
+                    pileup_norms(Y, block, pou)
+        want = cov.pair_sums(pou.phi[:, None] * np.abs(block)[
             cov.holders(0, n)])
-        assert np.array_equal(pileup(block, cov, phi=phi), want)
+        assert np.array_equal(pileup(block, cov, phi=pou.phi), want)
+
+    @given(st.integers(0, 2 ** 31 - 1),
+           st.sampled_from([1.0, 1.5, 2.0, 3.0, np.inf]),
+           st.sampled_from([0.0, 2.0, 3.0]), st.sampled_from(["flat", "smooth"]))
+    @settings(max_examples=60, deadline=None)
+    def test_cell_pileup_norms_match_grid(self, seed, p, overlap, kind):
+        """On a partition (no overlap) and on overlapping uniform coverings,
+        under the flat and the smooth partition, the flat, natural and
+        partition-weighted pile-up norms taken on the cells equal the Y-norms
+        of the pile-ups formed on the grid, to 1e-13, for random weights
+        spanning six decades and sequences with zero entries."""
+        r = np.random.default_rng(seed)
+        space = uniform_grid(40, spacing=1.0, weights=r.uniform(0.1, 2.0, 40))
+        cov = uniform_covering(space, 6.0, overlap=overlap)
+        pou = build_pou(cov, kind)
+        Y = WeightedLp(space, p, np.exp(r.uniform(-7.0, 7.0, 40)))
+        seq = r.standard_normal((cov.n_sets, 4)) \
+            + 1j * r.standard_normal((cov.n_sets, 4))
+        seq[r.random(cov.n_sets) < 0.3] = 0.0
+        collapsed = cell_space(Y, pou.cells)
+        for natural, phi in ((False, False), (True, False), (False, True)):
+            want = Y.column_norms(pileup(seq, cov, natural,
+                                         pou.phi if phi else None))
+            got = pileup_norms(collapsed, seq, pou, natural, phi)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_pileup_leaves_uncovered_points_zero(self, grid64):
         cov = Covering(grid64, (np.array([0, 1, 2]), np.array([2, 5])))
