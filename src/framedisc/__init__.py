@@ -15,7 +15,7 @@ from .discretize import SamplingInverse, SamplingPlan, atomic_decomposition, \
     observed_contraction, reconstruct_from_samples, select_samples, \
     synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import SchurSums, Weight2D, schur_norms
+from .kernels import SchurSums, Weight2D
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from .oscillation import OscReport, PhaseFunction, Screened, \

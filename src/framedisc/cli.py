@@ -133,6 +133,10 @@ def validate_config(cfg: dict) -> None:
         raise StructuralError(f"gabor grid exceeds the {MAX_POINTS}-point cap")
     if cfg["n-points"] > MAX_POINTS:
         raise StructuralError(f"grid exceeds the {MAX_POINTS}-point cap")
+    # the orthonormal model has one grid point per dimension
+    if cfg["model-kind"] == "orthonormal" and cfg["dim"] > MAX_POINTS:
+        raise StructuralError(f"orthonormal grid of dim {cfg['dim']} points "
+                              f"exceeds the {MAX_POINTS}-point cap")
     if cfg["p"] not in (1, 2, "inf") and cfg["p"] not in (1.0, 2.0):
         raise StructuralError("p must be 1, 2 or 'inf'")
     if cfg["delta"] < 0:

@@ -22,12 +22,11 @@ import numpy as np
 
 from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
-from .kernels import WEIGHT_ENTRY_BYTES, Workspace, block_rows, even_step, \
-    row_slices, schur_norms
+from .kernels import Workspace, block_rows, even_step, row_slices
 from .models import FrameModel, random_vectors
 from .oscillation import OscReport, kernel_norms
 from .spaces import WeightedLp, cell_space, local_integrability_constant, \
-    pileup_norms, sup_infinity_space
+    pileup_norms, streamed_norms, sup_infinity_space
 
 # Smallest eigenvalue modulus of the restricted sampling operator that
 # ``direct`` inversion accepts; below it the operator counts as singular.
@@ -36,11 +35,6 @@ DIRECT_EIG_FLOOR = 1e-12
 # Bytes a streamed Y-norm holds per grid value (``_analysis_norms``): the
 # complex product and its moduli.
 NORM_ENTRY_BYTES = 24
-
-# Bytes the weighted sampled-row pass holds per grid point for each set
-# holding a row's point (``_sampled_row_blocks``): the sample row of R, its
-# moduli and, where points lie in several sets, the gathered moduli.
-SAMPLED_ENTRY_BYTES = 32
 
 # ``observed_contraction`` at p != 2: at most this many power steps, settled
 # when two successive ratios agree to the tolerance, then this many probes.
@@ -264,7 +258,7 @@ class SamplingInverse:
         summed in row blocks within ``BLOCK_BYTES`` (``_analysis_norms``).
         """
         if self.Y.p != 2.0:
-            return _analysis_norms(self._analysis, self.Y, coords)
+            return _analysis_norms(self._analysis, [self.Y], coords)[0]
         scale, unit = _unit_columns(coords)
         quad = np.einsum("ij,ij->j", unit.conj(), self._p2_metric() @ unit).real
         return scale * np.sqrt(np.maximum(quad, 0.0))
@@ -369,12 +363,13 @@ def _l2_norms(coords: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.einsum("ij,ij->j", unit, unit))
 
 
-def _analysis_norms(analysis: np.ndarray, Y: WeightedLp,
-                   coords: np.ndarray) -> np.ndarray:
-    """Y-norms of the columns of ``analysis @ coords``, for the (n, d)
-    analysis matrix V* and a (d, k) coordinate block, formed and summed in
-    row blocks whose product and moduli fit in ``BLOCK_BYTES``; the product
-    buffer is allocated once."""
+def _analysis_norms(analysis: np.ndarray, spaces,
+                    coords: np.ndarray) -> list:
+    """The column norms in each of ``spaces`` of ``analysis @ coords``, for
+    the (n, d) analysis matrix V* and a (d, k) coordinate block, one array
+    per space: each row block of the product, whose product and moduli fit
+    in ``BLOCK_BYTES``, is formed once and fed to every space
+    (``spaces.streamed_norms``); the product buffer is allocated once."""
     n, k = analysis.shape[0], coords.shape[1]
     step = even_step(n, block_rows(k, NORM_ENTRY_BYTES))
     prod, = Workspace().views(((step, k), complex))
@@ -384,7 +379,7 @@ def _analysis_norms(analysis: np.ndarray, Y: WeightedLp,
             yield rows, np.matmul(analysis[rows], coords,
                                   out=prod[:rows.stop - rows.start])
 
-    return Y.streamed_column_norms(blocks())
+    return streamed_norms(spaces, blocks())
 
 
 def _as_columns(values, length: int, what: str) -> tuple:
@@ -542,7 +537,7 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
         scales = np.linalg.norm(images, axis=0)
         vanish = np.flatnonzero(scales == 0.0)
         k = vanish[0] + 1 if vanish.size else iterates.shape[1]
-        norms = _analysis_norms(analysis, Y, np.column_stack(
+        norms, = _analysis_norms(analysis, [Y], np.column_stack(
             (iterates[:, :k], images[:, k - 1])))
         nf = norms[:-1]
         ni = np.append(scales[:k - 1] * norms[1:-1], norms[-1])
@@ -560,8 +555,8 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
         g = images[:, k - 1] / scales[k - 1]
 
     probes = random_vectors(rng, model.dim, CONTRACTION_PROBES)
-    nf = _analysis_norms(analysis, Y, probes)
-    ni = _analysis_norms(analysis, Y, m @ probes)
+    nf, = _analysis_norms(analysis, [Y], probes)
+    ni, = _analysis_norms(analysis, [Y], m @ probes)
     keep = nf > 0.0
     return float(max(best, np.max(ni[keep] / nf[keep], initial=0.0)))
 
@@ -570,7 +565,7 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
 class BoundsReport:
     """Certified constants next to the worst observed ratios they dominate."""
 
-    sampled_flat_constant: float        # Schur norm of the sampled-row kernel
+    sampled_flat_constant: float        # bound on the sampled-row kernel's norm
     sampled_flat_observed: float
     pou_pileup_constant: float          # sigma
     pou_pileup_observed: float
@@ -596,67 +591,17 @@ class BoundsReport:
         }
 
 
-def _sampled_row_blocks(model: FrameModel, plan: SamplingPlan):
-    """``(rows, K[rows, :])`` over row blocks of the sampled-row kernel
-    K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x), read through the covering's
-    point-major index; K itself is never formed. Each block forms the row
-    R(x_i, .) once per set i holding one of its points and sums, for every
-    point, the moduli of its sets' rows in the order of its pairs. The
-    blocks are sized for a weighted Schur pass, so the rows of R, their
-    moduli, the gathered and summed rows and the Schur sums' m fit in
-    ``BLOCK_BYTES``; each block is a view into buffers allocated once,
-    which the next block overwrites."""
-    cov = plan.covering
-    n = model.space.n_points
-    counts = cov.cover_counts
-    depth = max(1, int(counts.max()))
-    entry = SAMPLED_ENTRY_BYTES if depth > 1 else SAMPLED_ENTRY_BYTES - 8
-    step = even_step(n, block_rows(n, depth * entry + 8 + WEIGHT_ENTRY_BYTES))
-    pairs = step * depth
-    prod, mods, gath, out = Workspace().views(
-        ((pairs, n), complex), ((pairs + 1, n), float),
-        ((pairs if depth > 1 else 0, n), float), ((step, n), float))
-    mods[0] = 0.0
-    steps = np.arange(depth)
-    for rows in row_slices(n, step):
-        sets, pair = np.unique(cov.holders(rows.start, rows.stop),
-                               return_inverse=True)
-        model.kernel_rows(plan.samples[sets], out=prod[:sets.size])
-        np.abs(prod[:sets.size], out=mods[1:sets.size + 1])
-        # at[x, k]: the moduli row of the k-th set holding x; 0 past the last
-        held = counts[rows]
-        first = np.cumsum(held) - held
-        at = np.append(pair + 1, 0)[np.where(steps < held[:, None],
-                                             first[:, None] + steps, -1)]
-        dst = out[:rows.stop - rows.start]
-        if depth == 1:
-            np.take(mods, at[:, 0], axis=0, out=dst, mode="clip")
-        else:
-            part = gath[:at.size].reshape(at.shape + (n,))
-            np.take(mods, at, axis=0, out=part, mode="clip")
-            np.sum(part, axis=1, out=dst)
-        yield rows, dst
-
-
 def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
                           report: OscReport) -> float:
-    """Schur norm of the sampled-row kernel K(x, y) = sum_i |R(x_i, y)|
-    chi_{U_i}(x) under the report's weight.
-
-    Under a trivial weight it is the last norm of an R pass with the plan
-    (``oscillation.kernel_norms``), read off the unit-weight |R| row sums
-    at the samples and |R| c, with no sample row of R formed; a report made
-    with this plan (``d_plan``) carries it as ``d_const``, and then no pass
-    runs. Otherwise m(x, y) ties every point of U_i to y, and K is streamed
-    in row blocks (``_sampled_row_blocks``).
+    """Certified bound on the Schur norm of the sampled-row kernel
+    K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x) under the report's weight
+    (``oscillation.kernel_norms``; exact under a trivial weight): the
+    report's ``d_const`` when it was made with this plan (``d_plan``),
+    else the last value of one R pass with the plan.
     """
-    weight = report.weight
-    if not weight.trivial:
-        return schur_norms(model.space, _sampled_row_blocks(model, plan),
-                           [weight])[0]
     if report.d_plan == plan.identifier():
         return report.d_const
-    return kernel_norms(model, (), plan)[-1]
+    return kernel_norms(model, (report.weight,), plan)[-1]
 
 
 def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
@@ -669,22 +614,23 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     taken under the report's weight, and its m_v norms of osc and R give
     the range-sup constant. Each block computes a kernel-derived constant
     and the worst observed ratio over random trials; ``violations`` counts
-    ratios exceeding their constant beyond ``BOUNDS_SLACK``. Under a
-    trivial weight the sampled-row constant D is the report's ``d_const``
-    when the report was made with the plan (``d_plan``), so no second pass
-    over R runs; another plan gets an R pass of its own, and a non-trivial
-    weight a streamed pass over the sampled-row kernel
-    (``_sampled_row_constant``).
+    ratios exceeding their constant beyond ``BOUNDS_SLACK``. The
+    sampled-row constant is a certified bound on D under the report's
+    weight, exact under a trivial one (``oscillation.kernel_norms``): the
+    report's ``d_const`` when the report was made with the plan
+    (``d_plan``), so no second pass over R runs; another plan gets an R
+    pass of its own (``_sampled_row_constant``).
 
     The trials run as blocks, one column each, and none is formed on the
     whole grid. A range function F = V* a is held as its coordinates a:
-    its Y-norm comes through the handle (``range_norms``), its other norms
-    from row blocks of V* a (``_analysis_norms``), its samples are
-    V[:, x_i]^* a, and the pile-ups are normed on the plan's cells
-    (``pileup_norms``). The kernel applied to a measure
-    sum_k lambda_k delta_{y_k} has coordinates S^{-1} sum_k lambda_k
-    psi_{y_k}, and the measure's per-set masses, which its decomposition
-    norm piles up, are summed over the sets holding each atom.
+    its sup and L^1_v norms and, for p != 2, its Y-norm come from one pass
+    over row blocks of V* a (``_analysis_norms``), its p = 2 Y-norm through
+    the handle (``range_norms``), its samples are V[:, x_i]^* a, and the
+    pile-ups are normed on the plan's cells (``pileup_norms``). The kernel
+    applied to a measure sum_k lambda_k delta_{y_k} has coordinates
+    S^{-1} sum_k lambda_k psi_{y_k}, and the measure's per-set masses,
+    which its decomposition norm piles up, are summed over the sets
+    holding each atom.
     """
     model, plan, Y, report = inverse.model, inverse.plan, inverse.Y, inverse.report
     if report is None:
@@ -703,17 +649,21 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
         * local_integrability_constant(cov, Y, weight)
 
     g = random_vectors(rng, model.dim, n_trials)
-    ny = inverse.range_norms(g)
-    g, ny = g[:, ny > 0.0], ny[ny > 0.0]
+    sup_l1v = [sup_space, WeightedLp(space, 1.0, weight.v)]
+    if Y.p == 2.0:
+        ny = inverse.range_norms(g)
+        sup, l1v = _analysis_norms(analysis, sup_l1v, g)
+    else:
+        sup, l1v, ny = _analysis_norms(analysis, sup_l1v + [Y], g)
+    keep = ny > 0.0
+    g, ny, sup, l1v = g[:, keep], ny[keep], sup[keep], l1v[keep]
     vals = model.vectors[:, plan.samples].conj().T @ g
-    sup = _analysis_norms(analysis, sup_space, g)
     d_obs = np.max(pileup_norms(inverse.cell_space, vals, plan.pou) / ny,
                    initial=0.0)
     sig_obs = np.max(pileup_norms(inverse.cell_space, vals, plan.pou,
                                   phi=True) / ny, initial=0.0)
     sup_obs = np.max(sup / ny, initial=0.0)
-    ratios_1y = ny / _analysis_norms(analysis, WeightedLp(space, 1.0, weight.v),
-                                     g)
+    ratios_1y = ny / l1v
     ratios_ysup = sup / ny
 
     # Measure trials: atoms at random points. A trial's mass on set i is

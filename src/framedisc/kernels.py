@@ -13,16 +13,16 @@ Schur norms are streamed: ``SchurSums`` takes |K| in blocks of rows,
 forms each non-trivial weight's m on the block once, and keeps the row
 sums and the running column sums of every weight it was given, so one pass
 gives the norm under several weights and no (n, n) array of |K| or m is
-formed. The reproducing kernel, the oscillation kernel and, under a
-non-trivial weight, the sampled-row kernel are produced block by block
-from a model's rank-d factors straight into it; no dense kernel is
-accepted. |R| m is symmetric, so R goes in as strips of its upper
-triangle (``SchurSums.add_upper``) and each entry is formed once. Two
-kernels need no pass of their own: under a trivial weight the sampled-row
-constant is read off the R pass, from its unit-weight row sums at the
-sample points and |R| c (``oscillation.kernel_norms``), and the
-reproducing defect is bounded through its d x d core
-(``pipeline.reproducing_defect``).
+formed. The reproducing kernel and the oscillation kernel are produced
+block by block from a model's rank-d factors straight into it; no dense
+kernel is accepted. |R| m is symmetric, so R goes in as strips of its
+upper triangle (``SchurSums.add_upper``) and each entry is formed once.
+Two kernels need no pass of their own. The sampled-row constant is
+bounded, under any weight, off the R pass: from the weighted |R| row sums
+at the sample points and the sums of |R| m against one more measure on
+the sample points, which ``SchurSums`` keeps beside mu under the first
+weight's m (``oscillation.kernel_norms``). The reproducing defect is
+bounded through its d x d core (``pipeline.reproducing_defect``).
 
 Every streamed pass keeps to one working-set budget, ``BLOCK_BYTES``: the
 total bytes of the kernel-derived temporaries it holds at once, i.e. the
@@ -215,7 +215,10 @@ class SchurSums:
     ``norms()`` is the Schur norm under each weight once every row has
     been fed. A weight of ``None`` is the unit weight; trivial weights
     share one set of sums, and so do repeats of one weight object, whose m
-    is formed once per block.
+    is formed once per block. With a ``measure`` nu (one value per point)
+    one more set of sums takes nu in place of mu under the first weight,
+    sharing its m: its row sums sum_y nu_y |K(x, y)| m(x, y) and its norm
+    come last.
 
     A row block may come in column pieces, ``add(rows, |K|[rows, cols],
     cols)`` for consecutive ``cols`` from column 0 to n: the pieces' row
@@ -234,19 +237,25 @@ class SchurSums:
     and its second quotient, in buffers reused from block to block.
     """
 
-    def __init__(self, space: QuadratureSpace, weights):
+    def __init__(self, space: QuadratureSpace, weights, measure=None):
         for weight in weights:
             if weight is not None and weight.space is not space \
                     and weight.space.n_points != space.n_points:
                 raise StructuralError("weight lives on a different space")
-        self._mu = space.weights
         self._n = space.n_points
         given = [None if w is None or w.trivial else w for w in weights]
-        # one set of sums per distinct weight; _slot maps the given ones
+        # one m per distinct weight; _slot maps the given ones to their sums
         self._weights = list(dict.fromkeys(given))
         self._slot = [self._weights.index(w) for w in given]
-        self._row = np.zeros(len(self._weights))
-        self._col = np.zeros((len(self._weights), space.n_points))
+        # the measure of every set of sums, and the sets under each m
+        self._mu = [space.weights] * len(self._weights)
+        self._under = [[k] for k in range(len(self._weights))]
+        if measure is not None:
+            self._under[self._slot[0]].append(len(self._mu))
+            self._slot.append(len(self._mu))
+            self._mu.append(np.asarray(measure, dtype=float))
+        self._row = np.zeros(len(self._mu))
+        self._col = np.zeros((len(self._mu), space.n_points))
         self._open = None       # row sums of the pieces of an open row block
         self.entry_bytes = 0 if all(w is None for w in self._weights) \
             else WEIGHT_ENTRY_BYTES
@@ -270,16 +279,17 @@ class SchurSums:
         column or, for an upper strip, for the columns right of its
         diagonal block, where they are the rows' sums left of the diagonal.
         Returns the rows' sums once ``cols`` reaches column n, else None."""
-        mu = self._mu
         skip = min(max(rows.stop - cols.start, 0), block.shape[1]) \
             if upper else 0
-        part = np.empty((len(self._weights), block.shape[0]))
-        for k, weight in enumerate(self._weights):
+        part = np.empty((len(self._mu), block.shape[0]))
+        for weight, sets in zip(self._weights, self._under):
             weighted = block if weight is None \
                 else self._weighted(weight, rows, cols, block)
-            part[k] = weighted @ mu[cols]
-            self._col[k, cols.start + skip:cols.stop] += \
-                mu[rows] @ weighted[:, skip:]
+            for k in sets:
+                mu = self._mu[k]
+                part[k] = weighted @ mu[cols]
+                self._col[k, cols.start + skip:cols.stop] += \
+                    mu[rows] @ weighted[:, skip:]
         if cols.start > (rows.start if upper else 0):
             part += self._open
         if cols.stop < self._n:
@@ -300,12 +310,3 @@ class SchurSums:
         norms = [float(max(row, col.max(initial=0.0)))
                  for row, col in zip(self._row, self._col)]
         return [norms[k] for k in self._slot]
-
-
-def schur_norms(space: QuadratureSpace, blocks, weights) -> list:
-    """Schur norms, one per weight, of the kernel whose ``(rows, |K|[rows, :])``
-    blocks ``blocks`` yields, in one pass."""
-    sums = SchurSums(space, weights)
-    for rows, block in blocks:
-        sums.add(rows, block)
-    return sums.norms()

@@ -9,8 +9,8 @@ definite; its inverse defines the reproducing kernel
 a Hermitian kernel that is idempotent under weighted composition and acts
 as the identity on the range of both analysis transforms. R has rank d:
 with V the (d, n) matrix of frame vectors and A = S^{-1} V the dual
-vectors, R = A^* V. The model keeps only V and A; ``kernel_rows`` forms
-rows of R on demand, so no n x n kernel is stored.
+vectors, R = A^* V. The model keeps only V and A, from which the streamed
+passes form blocks of R, so no n x n kernel is stored.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ class FrameModel:
         duals = self.s_inverse @ psi
         duals.setflags(write=False)
         self.duals = duals
-
-    def kernel_rows(self, rows, out=None) -> np.ndarray:
-        """Rows ``rows`` (an index array or slice) of the reproducing kernel,
-        R[rows, :] = A[:, rows]^* V, written into ``out`` when given."""
-        return np.matmul(self.duals[:, rows].conj().T, self.vectors, out=out)
 
     def check_vector(self, f) -> np.ndarray:
         arr = np.asarray(f, dtype=complex).reshape(-1)

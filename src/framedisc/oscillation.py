@@ -13,8 +13,9 @@ are formed in blocks from the model's rank-d factors and streamed into the
 Schur sums (``oscillation_norms``), and so are the upper-triangle strips
 of R (``kernel_norms``). Both passes form each distinct kernel entry once:
 |R| m is symmetric, and for a Hermitian phase the osc rows of the pairs
-(y, z) and (z, y) have the same moduli. Under a trivial weight, given a
-sampling plan, the R pass also yields the plan's sampled-row constant D.
+(y, z) and (z, y) have the same moduli. Given a sampling plan, the R pass
+also yields a certified bound on the plan's sampled-row constant D under
+the target weight, equal to D under a trivial weight.
 """
 
 from __future__ import annotations
@@ -283,9 +284,10 @@ class OscReport:
     It names its covering (``covering_id``) and keeps its ``weight``, which
     its consumers read; they refuse a plan on another covering. Not
     serialized: ``weight``; ``osc_norm_v`` and ``r_norm_v``, the norms of
-    osc and R under m_v (``v_weight``) from the same passes; and, under a
-    trivial weight given a plan, its sampled-row constant ``d_const`` from
-    the same R pass and its ``identifier()`` as ``d_plan`` (else None).
+    osc and R under m_v (``v_weight``) from the same passes; and, given a
+    plan, the bound on its sampled-row constant ``d_const`` from the same R
+    pass (``kernel_norms``) and its ``identifier()`` as ``d_plan`` (else
+    None).
     """
 
     osc_norm: float
@@ -328,21 +330,19 @@ def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     """Evaluate the oscillation budget; reports, never raises on failure.
 
     With a sampling ``plan`` on ``cov`` (another covering's is refused
-    before any pass, StructuralError), a trivial weight's R pass also gives
-    the plan's sampled-row constant D, carried as ``d_const`` with the
-    plan's ``identifier()`` as ``d_plan``; a non-trivial weight ignores the
-    plan, as its D needs m on every pair.
+    before any pass, StructuralError), the R pass also gives the bound on
+    the plan's sampled-row constant D under ``weight`` (``kernel_norms``),
+    carried as ``d_const`` with the plan's ``identifier()`` as ``d_plan``.
     """
     if plan is not None and plan.covering.identifier() != cov.identifier():
         raise StructuralError("the plan is on another covering than the report's")
     weights = (weight, v_weight(weight))
     osc_norms = oscillation_norms(model, cov, gamma, weights)
-    if plan is None or not weight.trivial:
-        return _report(model, cov, gamma, weight, delta, osc_norms,
-                       kernel_norms(model, weights))
-    *r_norms, d_const = kernel_norms(model, weights, plan)
-    return replace(_report(model, cov, gamma, weight, delta, osc_norms, r_norms),
-                   d_const=d_const, d_plan=plan.identifier())
+    r_norms = kernel_norms(model, weights, plan)
+    report = _report(model, cov, gamma, weight, delta, osc_norms, r_norms[:2])
+    if plan is None:
+        return report
+    return replace(report, d_const=r_norms[2], d_plan=plan.identifier())
 
 
 def kernel_norms(model: FrameModel, weights, plan=None) -> list:
@@ -356,23 +356,31 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
     ``BLOCK_BYTES`` (``upper_strips``), and both buffers are allocated once.
 
     Given a sampling ``plan`` (one on another grid is refused before the
-    pass, StructuralError), the list ends with one more norm: the
-    unit-weight Schur norm D of K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x).
-    Its row sum at x is the sum of rho_i = sum_y mu_y |R(x_i, y)| over the
-    sets holding x, and rho_i is the unit-weight |R| row sum the pass
-    returns at x_i. Its column sums are |R| c, c = sum_i mu(U_i)
-    delta_{x_i}: a strip adds strip @ c[a:] to its rows and, mirrored,
-    c[a:b] @ strip[:, b - a:] to the rows right of its diagonal block, two
-    products per strip piece and no sample row of R.
+    pass, StructuralError), the list ends with one more value: a certified
+    upper bound on D, the Schur norm under the first weight's m of
+    K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x). With
+    M_i = max over x in U_i of m(x, x_i), read off the extremes of w on
+    U_i, submultiplicativity gives m(x, y) <= M_i m(x_i, y) for x in U_i,
+    so the row sum of K at x is at most the sum of M_i rho_i over the sets
+    holding x, where rho_i is the weighted |R| row sum the pass returns at
+    x_i, and its column sum at y is at most ((|R| m)(M c))(y),
+    c = sum_i mu(U_i) delta_{x_i}: the row sum at y of |R| m against the
+    measure M c, which ``SchurSums`` keeps beside mu. No sample row of R is
+    formed. The bound lies between D and (max_i M_i)^2 D, and
+    max_i M_i <= C_mU; under a trivial weight every M_i is 1 and the
+    bound is D.
     """
     n = model.space.n_points
-    sampled = plan is not None
-    if sampled:
+    measure = None
+    if plan is not None:
         cov, samples = plan.covering, plan.samples
         _same_space(model, cov)
-        c = np.bincount(samples, cov.measures, minlength=n)
-        rho, col = np.empty(n), np.zeros(n)
-    sums = SchurSums(model.space, list(weights) + ([None] if sampled else []))
+        w = weights[0].w
+        top, low = cov.set_extrema(w)
+        spread = np.maximum(top / w[samples], w[samples] / low)     # M_i
+        measure = np.bincount(samples, spread * cov.measures, minlength=n)
+        rho = np.empty(n)
+    sums = SchurSums(model.space, weights, measure)
     entry = STRIP_ENTRY_BYTES + sums.entry_bytes
     strips = upper_strips(n, entry)
     pieces = [col_slices(n, entry, rows.start) for rows in strips]
@@ -387,15 +395,12 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
                                 out=prod[:math.prod(shape)].reshape(shape))
             strip = np.abs(product, out=mods[:product.size].reshape(shape))
             row_sums = sums.add_upper(rows.start, strip, xs)
-            if sampled:
-                col[rows] += strip @ c[xs]
-                right = max(rows.stop, xs.start)
-                col[right:xs.stop] += c[rows] @ strip[:, right - xs.start:]
-                if row_sums is not None:
-                    rho[rows] = row_sums[-1]
+            if plan is not None and row_sums is not None:
+                rho[rows] = row_sums[0]
     norms = sums.norms()
-    if sampled:
-        norms[-1] = float(max(cov.point_sums(rho[samples]).max(), col.max()))
+    if plan is not None:
+        norms[-1] = float(max(cov.point_sums(spread * rho[samples]).max(),
+                              norms[-1]))
     return norms
 
 

@@ -62,39 +62,8 @@ class WeightedLp:
 
     def streamed_column_norms(self, blocks) -> np.ndarray:
         """Column norms of an (n_points, k) block fed as ``(rows, block[rows])``
-        pieces whose rows cover the grid once.
-
-        For 1 < p < inf every column is divided by its largest weighted
-        modulus before the power is taken, and the running sums are rescaled
-        when a later piece raises that maximum, so the norm neither
-        underflows nor overflows for any finite input. p = 1 and p = inf
-        need no scaling. Each piece's mu-weighted sum is one product. The
-        moduli of every piece go into one buffer.
-        """
-        p, mu = self.p, self.space.weights
-        top = total = 0.0
-        work = Workspace()
-        for rows, part in blocks:
-            vals = np.abs(part, out=work.views((part.shape, float))[0])
-            vals *= self.w[rows, None]
-            if p == 1.0:
-                total = total + mu[rows] @ vals
-                continue
-            new_top = np.maximum(top, vals.max(axis=0, initial=0.0))
-            if not np.isinf(p):
-                scale = np.where(new_top > 0.0, new_top, 1.0)
-                vals /= scale
-                if p == 2.0:
-                    np.square(vals, out=vals)
-                else:
-                    np.power(vals, p, out=vals)
-                total = total * (top / scale) ** p + mu[rows] @ vals
-            top = new_top
-        if p == 1.0:
-            return total
-        if np.isinf(p):
-            return top
-        return top * total ** (1.0 / p)
+        pieces whose rows cover the grid once (``streamed_norms``)."""
+        return streamed_norms([self], blocks)[0]
 
     def weight2d(self, ref_index: int = 0) -> Weight2D:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
@@ -115,6 +84,44 @@ class WeightedLp:
         chi = np.zeros(self.space.n_points)
         chi[np.asarray(subset, dtype=int).reshape(-1)] = 1.0
         return self.dual().norm(chi)
+
+
+def streamed_norms(spaces, blocks) -> list:
+    """Column norms in each of ``spaces`` (solid spaces on one grid), one
+    array per space, of an (n_points, k) block fed once as
+    ``(rows, block[rows])`` pieces whose rows cover the grid once.
+
+    For 1 < p < inf every column is divided by its largest weighted
+    modulus before the power is taken, and the running sums are rescaled
+    when a later piece raises that maximum, so the norm neither
+    underflows nor overflows for any finite input. p = 1 and p = inf
+    need no scaling. Each piece's mu-weighted sum is one product. Every
+    space takes the moduli of a piece in turn, into one buffer.
+    """
+    tops, totals = [0.0] * len(spaces), [0.0] * len(spaces)
+    work = Workspace()
+    for rows, part in blocks:
+        vals, = work.views((part.shape, float))
+        for s, Y in enumerate(spaces):
+            np.abs(part, out=vals)
+            vals *= Y.w[rows, None]
+            p, mu = Y.p, Y.space.weights[rows]
+            if p == 1.0:
+                totals[s] = totals[s] + mu @ vals
+                continue
+            top = tops[s]
+            tops[s] = np.maximum(top, vals.max(axis=0, initial=0.0))
+            if not np.isinf(p):
+                scale = np.where(tops[s] > 0.0, tops[s], 1.0)
+                vals /= scale
+                if p == 2.0:
+                    np.square(vals, out=vals)
+                else:
+                    np.power(vals, p, out=vals)
+                totals[s] = totals[s] * (top / scale) ** p + mu @ vals
+    return [total if Y.p == 1.0 else top if np.isinf(Y.p)
+            else top * total ** (1.0 / Y.p)
+            for Y, top, total in zip(spaces, tops, totals)]
 
 
 def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:

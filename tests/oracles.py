@@ -3,7 +3,8 @@
 Everything named ``*_naive`` is written as plain Python loops over indices,
 deliberately avoiding the code paths (matmuls, scatter/gather over flat
 index arrays) used by the package itself. The dense reproducing kernel
-(``dense_kernel``), the dense partition-of-unity table (``dense_pou``),
+(``dense_kernel``) and its rank-d rows (``kernel_rows``), the dense
+partition-of-unity table (``dense_pou``),
 the dense kernel algebra (``identity_kernel`` ... ``involution``), the
 dense derived kernels (``oscillation_kernel``, ``sampled_row_kernel``) and
 the exact streamed reproducing defect (``reproducing_defect_streamed``) are
@@ -31,12 +32,12 @@ import numpy as np
 
 from framedisc.discretize import atomic_decomposition, dual_frame, \
     reconstruct_from_samples, synthesize_plan
-from framedisc.kernels import row_slices, schur_norms
+from framedisc.kernels import row_slices
 from framedisc.models import random_vectors
 from framedisc.spaces import WeightedLp, pileup, sup_infinity_space
 
 from theory import DiscreteMeasure, check_kernel, decomposition_norm, \
-    random_range_function
+    random_range_function, schur_norms
 
 
 def dense_kernel(model):
@@ -44,6 +45,12 @@ def dense_kernel(model):
     as 0.5 (R + R^*)."""
     r = model.vectors.conj().T @ (model.s_inverse @ model.vectors)
     return 0.5 * (r + r.conj().T)
+
+
+def kernel_rows(model, rows):
+    """Rows ``rows`` (an index array or slice) of the reproducing kernel read
+    from the model's factors, R[rows, :] = A[:, rows]^* V."""
+    return model.duals[:, rows].conj().T @ model.vectors
 
 
 def rank_d_entries(model):
@@ -141,6 +148,38 @@ def osc_rows_loop(model, cov, gamma, start, stop):
 def sampled_row_kernel(model, plan):
     """K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x): rows of R spread over sets."""
     return plan.covering.point_sums(np.abs(dense_kernel(model)[plan.samples, :]))
+
+
+def sampled_row_bound_naive(model, plan, w):
+    """The certified bound on the sampled-row constant D under the weight
+    of the pointwise ``w`` that ``kernel_norms`` reports, written as loops
+    over the sets i, the points x and the points y.
+
+    M_i = max over x in U_i of m(x, x_i) and rho_i = sum_y mu_y
+    |R(x_i, y)| m(x_i, y); the row bound at x is sum over the sets
+    holding x of M_i rho_i, the column bound at y is
+    sum_i M_i mu(U_i) |R(x_i, y)| m(x_i, y), and the bound is the largest
+    of them all."""
+    r = dense_kernel(model)
+    mu = model.space.weights
+    n = model.space.n_points
+    m = weight_matrix_naive(w)
+    sets = [list(map(int, s)) for s in plan.covering.sets]
+    samples = [int(x) for x in plan.samples]
+    spread, rho, measure = [], [], []
+    for i, s in enumerate(sets):
+        xi = samples[i]
+        spread.append(max(m[x][xi] for x in s))
+        rho.append(sum(mu[y] * abs(r[xi][y]) * m[xi][y] for y in range(n)))
+        measure.append(sum(mu[x] for x in s))
+    best = 0.0
+    for x in range(n):
+        best = max(best, sum(spread[i] * rho[i]
+                             for i, s in enumerate(sets) if x in s))
+    for y in range(n):
+        best = max(best, sum(spread[i] * measure[i] * abs(r[samples[i]][y])
+                             * m[samples[i]][y] for i in range(len(sets))))
+    return best
 
 
 def reproducing_defect_streamed(model):

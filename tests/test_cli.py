@@ -385,6 +385,32 @@ class TestNumericKeys:
         assert doc["n_sets"] == 3 * 8
 
 
+class TestPointCap:
+    """A grid above ``MAX_POINTS`` is refused with exit 2 before any model
+    is built; the orthonormal model's grid has one point per dimension."""
+
+    @pytest.mark.parametrize("command", ["validate", "osc", "discretize"])
+    def test_orthonormal_dim_above_cap(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        def built(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(cli, "build_model", built)
+        monkeypatch.setattr(cli, "build_orthonormal_model", built)
+        code, doc = run(tmp_path, command, model_kind="orthonormal",
+                        dim=cli.MAX_POINTS + 1, covering_width="singleton")
+        assert code == EXIT_CONFIG and doc is None
+        assert "point cap" in capsys.readouterr().err
+
+    def test_validate_config_caps_orthonormal_dim(self):
+        cfg = cli.load_config(None, {"model-kind": "orthonormal",
+                                     "dim": str(cli.MAX_POINTS + 1)})
+        with pytest.raises(cli.StructuralError, match="point cap"):
+            cli.validate_config(cfg)
+        cli.validate_config(cli.load_config(None, {
+            "model-kind": "orthonormal", "dim": str(cli.MAX_POINTS)}))
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
         opts = dict(model_kind="random-smooth", dim=3, n_points=96,

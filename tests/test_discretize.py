@@ -19,8 +19,8 @@ from framedisc import CertificationError, Covering, PhaseFunction, \
     observed_contraction, oscillation_norms, oscillation_report, \
     reconstruct_from_samples, select_samples, singleton_covering, \
     synthesize_plan, uniform_covering, verify_sampled_bounds
-from framedisc.models import FrameModel, build_gabor_model, \
-    build_orthonormal_model, build_random_smooth_model, random_vectors
+from framedisc.models import build_gabor_model, build_orthonormal_model, \
+    build_random_smooth_model, random_vectors
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
     residual_suite, run_discretization
 
@@ -33,8 +33,8 @@ from oracles import apply_kernel, bounds_observed_grid, compose, \
     cross_check_grid, dense_kernel, measure_observed_naive, \
     observed_contraction_naive, oscillation_kernel, osc_naive, \
     phase_table_naive, rank_d_entries, reproducing_defect_streamed, \
-    residual_suite_grid, sampled_row_kernel, sampling_operator_naive, \
-    schur_norm_naive, weight_matrix_naive
+    residual_suite_grid, sampled_row_bound_naive, sampled_row_kernel, \
+    sampling_operator_naive, schur_norm_naive, weight_matrix_naive
 from theory import apply_sampling, apply_smoothed, decomposition_norm, \
     integrate, norm_flat, norm_natural, project_to_range, \
     random_range_function, schur_norm
@@ -602,9 +602,12 @@ class TestStreamedBounds:
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     @pytest.mark.parametrize("covering", ["intervals", "boxes"])
     def test_constants_match_dense_oracles(self, covering, weight_rule):
-        """The streamed sampled-row constant and the range-sup constant built
-        from the report's m_v norms match naive Schur norms of the dense
-        sampled-row, oscillation and reproducing kernels."""
+        """The sampled-row constant matches the loop oracle of its bound
+        (``sampled_row_bound_naive``) and dominates the naive Schur norm of
+        the dense sampled-row kernel, which it equals under the unit
+        weight; the range-sup constant built from the report's m_v norms
+        matches naive Schur norms of the dense oscillation and reproducing
+        kernels."""
         model = build_random_smooth_model(3, 24, 3.0, seed=1)
         space = model.space
         n = space.n_points
@@ -623,8 +626,13 @@ class TestStreamedBounds:
         mu = space.weights
         m = weight_matrix_naive(weight.w)
         m_v = weight_matrix_naive(weight.v)
+        exact = schur_norm_naive(mu, sampled_row_kernel(model, plan), m)
         assert bounds.sampled_flat_constant == pytest.approx(
-            schur_norm_naive(mu, sampled_row_kernel(model, plan), m), rel=1e-13)
+            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
+        assert exact <= bounds.sampled_flat_constant * (1.0 + 1e-13)
+        if weight_rule == "unit":
+            assert bounds.sampled_flat_constant == pytest.approx(exact,
+                                                                 rel=1e-13)
         osc = osc_naive(dense_kernel(model), [s.tolist() for s in cov.sets],
                         phase_table_naive(rank_d_entries(model), "kernel"))
         range_sup = (schur_norm_naive(mu, osc, m_v)
@@ -702,21 +710,101 @@ class TestStreamedBounds:
         with pytest.raises(StructuralError, match="not the plan's covering"):
             SamplingInverse(model, plan_c, Y, method="direct", report=report)
 
-    def test_weighted_report_carries_no_constant(self):
-        """Under a non-trivial weight the samples are ignored: its D needs
-        m on every pair, so the report carries none."""
+    def test_weighted_report_carries_its_constant(self):
+        """Under a non-trivial weight a report made with the plan carries
+        the bound on the plan's sampled-row constant under that weight, as
+        the loop oracle gives it, and names the plan; one made without a
+        plan carries none."""
         model, _, _, cov, gamma, _, plan = make_setup()
         Y = WeightedLp(model.space, 2.0, np.exp(0.5 * model.space.points[:, 0]))
-        report = oscillation_report(model, cov, gamma, Y.weight2d(), 0.25,
-                                    plan=plan)
-        assert report.d_const is None and report.d_plan is None
+        weight = Y.weight2d()
+        report = oscillation_report(model, cov, gamma, weight, 0.25, plan=plan)
+        assert report.d_const == pytest.approx(
+            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
+        assert report.d_plan == plan.identifier()
+        bare = oscillation_report(model, cov, gamma, weight, 0.25)
+        assert bare.d_const is None and bare.d_plan is None
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(8, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_bound_brackets_the_sampled_row_constant(self, seed, d, n):
+        """On a random smooth model with random overlapping intervals (points
+        outside them stay uncovered), random samples (a set takes a sample
+        of an earlier set it holds half the time) and a lognormal weight,
+        the streamed bound on D equals its loop oracle to 1e-13 and lies
+        between the exact D and (max_i M_i)^2 D."""
+        rng = np.random.default_rng(seed)
+        model = build_random_smooth_model(d, n, 2.0, seed=seed % 1000)
+        space = model.space
+        sets, samples = [], []
+        for _ in range(int(rng.integers(1, 6))):
+            a = int(rng.integers(0, n - 1))
+            s = np.arange(a, int(rng.integers(a + 1, n + 1)))
+            shared = [x for x in samples if s[0] <= x <= s[-1]]
+            samples.append(shared[0] if shared and rng.random() < 0.5
+                           else int(rng.choice(s)))
+            sets.append(s)
+        cov = Covering(space, tuple(sets))
+        plan = SimpleNamespace(covering=cov, samples=np.array(samples))
+        w = np.exp(rng.normal(0.0, 0.5, n))
+        weight = Weight2D(space, w, ref_index=int(rng.integers(0, n)))
+        m = weight_matrix_naive(w)
+        spread = max(m[x][xi] for s, xi in zip(sets, samples) for x in s)
+        exact = schur_norm_naive(space.weights,
+                                 sampled_row_kernel(model, plan), m)
+        got = kernel_norms(model, (weight,), plan)[-1]
+        assert got == pytest.approx(sampled_row_bound_naive(model, plan, w),
+                                    rel=1e-13)
+        assert exact <= got * (1.0 + 1e-13)
+        assert got <= spread ** 2 * exact * (1.0 + 1e-13)
+
+    def test_weighted_run_makes_two_passes(self, monkeypatch):
+        """A weighted fixed-covering run makes two passes over the grid and
+        no other Schur sums: the oscillation pass, which closes every
+        column once in order, and the R pass, the upper-strip sequence
+        once, which also gives the sampled-row constant."""
+        model, _, _, cov, _, _, _ = make_setup()
+        n = model.space.n_points
+        monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * 16 * n)
+        Y = WeightedLp(model.space, 2.0, np.exp(0.5 * model.space.points[:, 0]))
+        made, closed = [], []
+        init, feed = SchurSums.__init__, SchurSums._feed
+
+        def counted_init(self, *args):
+            made.append(self)
+            init(self, *args)
+
+        def counted_feed(self, rows, cols, block, upper=False):
+            out = feed(self, rows, cols, block, upper)
+            if out is not None:
+                closed.append((made.index(self), upper, rows.start,
+                               rows.stop))
+            return out
+
+        monkeypatch.setattr(SchurSums, "__init__", counted_init)
+        monkeypatch.setattr(SchurSums, "_feed", counted_feed)
+        result = run_discretization(model, Y, Y.weight2d(), 0.25,
+                                    covering=cov, n_trials=5)
+        assert result.bounds.violations == 0
+        assert len(made) == 2
+        osc = [(upper, start, stop) for k, upper, start, stop in closed
+               if k == 0]
+        starts = [start for _, start, _ in osc]
+        stops = [stop for _, _, stop in osc]
+        assert len(osc) >= 3 and not any(upper for upper, _, _ in osc)
+        assert starts == [0] + stops[:-1] and stops[-1] == n
+        entry = oscillation_module.STRIP_ENTRY_BYTES \
+            + kernels_module.WEIGHT_ENTRY_BYTES
+        assert [(upper, start, stop) for k, upper, start, stop in closed
+                if k == 1] == [(True, rows.start, rows.stop)
+                               for rows in kernels_module.upper_strips(n, entry)]
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     def test_unit_weight_streams_no_block(self, weight_rule, monkeypatch):
         """A fixed-covering run makes one pass over the strips of |R|, in
-        the oscillation report. Under the unit weight it forms no sample
-        row of R (``FrameModel.kernel_rows``) at all; under an exp weight
-        it still streams the sampled-row kernel (``_sampled_row_blocks``)."""
+        the oscillation report, under the unit and an exp weight alike: the
+        bounds check reads the sampled-row constant off the report, and it
+        matches the loop oracle of its bound."""
         model, Y, weight, cov, _, _, _ = make_setup()
         n = model.space.n_points
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * 16 * n)
@@ -724,28 +812,14 @@ class TestStreamedBounds:
             Y = WeightedLp(model.space, 2.0,
                            np.exp(0.5 * model.space.points[:, 0]))
             weight = Y.weight2d()
-        calls = {"kernel_rows": 0, "blocks": 0}
         strips = []
-        kernel_rows = FrameModel.kernel_rows
         add_upper = SchurSums.add_upper
-        blocks = discretize_module._sampled_row_blocks
-
-        def counted_rows(self, rows, out=None):
-            calls["kernel_rows"] += 1
-            return kernel_rows(self, rows, out)
 
         def counted_strips(self, start, block, cols=None):
             strips.append(start)
             return add_upper(self, start, block, cols)
 
-        def counted_blocks(model, plan):
-            calls["blocks"] += 1
-            return blocks(model, plan)
-
-        monkeypatch.setattr(FrameModel, "kernel_rows", counted_rows)
         monkeypatch.setattr(SchurSums, "add_upper", counted_strips)
-        monkeypatch.setattr(discretize_module, "_sampled_row_blocks",
-                            counted_blocks)
         result = run_discretization(model, Y, weight, 0.25, covering=cov,
                                     n_trials=5)
         assert result.bounds.violations == 0
@@ -754,10 +828,12 @@ class TestStreamedBounds:
         assert strips == [rows.start
                           for rows in kernels_module.upper_strips(n, entry)]
         assert len(strips) >= 3
-        if weight.trivial:
-            assert calls == {"kernel_rows": 0, "blocks": 0}
-        else:
-            assert calls["blocks"] == 1 and calls["kernel_rows"] > 0
+        plan = result.inverse.plan
+        assert result.inverse.report.d_plan == plan.identifier()
+        assert result.bounds.sampled_flat_constant \
+            == result.inverse.report.d_const
+        assert result.bounds.sampled_flat_constant == pytest.approx(
+            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
 
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
         """With an eight-row block budget, the oscillation report, the bounds
@@ -827,11 +903,9 @@ def _working_set_pass(name, model, cov, plan, Y, report, coords):
         assert isinstance(scan, Screened) and scan.column == 0
         return scan
     if name == "R":
-        return kernel_norms(model, (unit, unit), plan)
-    if name == "D":
-        return discretize_module._sampled_row_constant(model, plan, report)
+        return kernel_norms(model, [report.weight, report.weight], plan)
     return discretize_module._analysis_norms(
-        model.vectors.conj().T, WeightedLp(space, 1.0, Y.w), coords)
+        model.vectors.conj().T, [WeightedLp(space, 1.0, Y.w)], coords)
 
 
 class TestWorkingSetBudget:
@@ -843,7 +917,7 @@ class TestWorkingSetBudget:
     gathered copies and the pair bookkeeping. The passes: the oscillation
     norms under an exp weight, the screen's first column on a one-box
     covering (every Q_y the whole grid, as in refinement round 0), the R
-    pass with a plan, the weighted sampled-row pass, and the Y-norms of an
+    pass with a plan under the exp weight, and the Y-norms of an
     (n, n_sets) analysis block, whose budget of 32 rows is below what a
     separate 1 MiB norm budget would hold. The verification harness keeps
     to the same budget, and a budget below one row cuts the rows of the
@@ -866,8 +940,7 @@ class TestWorkingSetBudget:
         return model, cov, plan, Y, report, coords
 
     @pytest.mark.parametrize("name,rows", [("osc", 128), ("screen", 128),
-                                           ("R", 128), ("D", 128),
-                                           ("analysis", 32)])
+                                           ("R", 128), ("analysis", 32)])
     def test_pass_peak_within_budget(self, gabor_6x255, monkeypatch, name,
                                      rows):
         model = gabor_6x255[0]
@@ -927,8 +1000,10 @@ class TestWorkingSetBudget:
         """A budget of half a row of n complex values cuts every row of the
         osc and R passes into column blocks, whose row sums add up: on
         Gabor 6 x 41 with 1 x 2 boxes the norms of osc and R under the
-        weight and its m_v, and the plan's sampled-row constant, match the
-        dense kernels' naive Schur norms to 1e-13, and a screened scan
+        weight and its m_v match the
+        dense kernels' naive Schur norms to 1e-13, the bound on the plan's
+        sampled-row constant under the weight matches its loop oracle, and
+        a screened scan
         stops at the column a whole-row scan stops at, with the same
         bound."""
         model = build_gabor_model(6, 41, 2.45)
@@ -967,7 +1042,7 @@ class TestWorkingSetBudget:
             assert got_r[k] == pytest.approx(
                 schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
         assert got_r[2] == pytest.approx(
-            schur_norm_naive(mu, sampled_row_kernel(model, plan)), rel=1e-13)
+            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
         assert isinstance(cut, Screened) and cut.column == whole.column
         assert cut.lower_bound == pytest.approx(whole.lower_bound, rel=1e-13)
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from framedisc import SchurSums, StructuralError, Weight2D, WeightedLp, \
-    schur_norms, uniform_grid
+    uniform_grid
 
 from conftest import random_kernel, random_pointwise_weight, unit_weight
 from oracles import apply_kernel, apply_measure_naive, apply_naive, \
     apply_to_measure, compose, compose_naive, identity_kernel, involution, \
     schur_norm_naive, weight_matrix_naive
-from theory import DiscreteMeasure, check_kernel, schur_norm
+from theory import DiscreteMeasure, check_kernel, schur_norm, schur_norms
 
 
 def indicator_kernel(space, rows, cols):

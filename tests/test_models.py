@@ -8,7 +8,7 @@ from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, random_vectors
 
 from oracles import apply_kernel, apply_to_measure, compose, dense_kernel, \
-    gabor_vectors_naive, identity_kernel, random_range_block
+    gabor_vectors_naive, identity_kernel, kernel_rows, random_range_block
 from theory import DiscreteMeasure, from_analysis, from_dual_analysis, \
     integrate, random_range_function, schur_norm, synthesize
 
@@ -172,7 +172,7 @@ class TestKernelIdentities:
 
     def test_kernel_hermitian(self, smooth_model):
         """The rank-d rows A^* V are Hermitian up to rounding."""
-        r = smooth_model.kernel_rows(slice(None))
+        r = kernel_rows(smooth_model, slice(None))
         assert np.max(np.abs(r - r.conj().T)) <= 1e-13
 
     @pytest.mark.parametrize("rows", [None, 3])
@@ -190,10 +190,10 @@ class TestKernelIdentities:
             monkeypatch.setattr(kernels_module, "BLOCK_BYTES", rows * 16 * n)
         want = dense_kernel(model)
         tol = 8 * d * np.finfo(float).eps * np.max(np.abs(want))
-        blocks = [model.kernel_rows(sl) for sl in kernels_module.row_slices(n)]
+        blocks = [kernel_rows(model, sl) for sl in kernels_module.row_slices(n)]
         assert np.max(np.abs(np.concatenate(blocks) - want)) <= tol
         picked = np.random.default_rng(0).integers(0, n, size=7)
-        got = model.kernel_rows(picked)
+        got = kernel_rows(model, picked)
         assert got.shape == (7, n)
         assert np.max(np.abs(got - want[picked])) <= tol
 

@@ -7,7 +7,8 @@ argument. Here are:
 
 - integration and total measure of a quadrature space;
 - finite measures (``DiscreteMeasure``) and the dense kernel interface
-  (``check_kernel``, ``abs_row_blocks``, ``schur_norm``);
+  (``check_kernel``, ``abs_row_blocks``, ``schur_norms`` of streamed
+  blocks, ``schur_norm``);
 - the inverse analysis maps, synthesis from a measure and the range
   projection of a frame model, and one random range function;
 - a phase given as a full table (``TablePhase``);
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from framedisc import Covering, FrameModel, PhaseFunction, QuadratureSpace, \
-    SamplingPlan, StructuralError, Weight2D, WeightedLp, pileup, schur_norms, \
+    SamplingPlan, SchurSums, StructuralError, Weight2D, WeightedLp, pileup, \
     weight_compatibility
 from framedisc.kernels import row_slices
 from framedisc.models import random_vectors
@@ -87,6 +88,15 @@ def check_kernel(space: QuadratureSpace, kernel) -> np.ndarray:
 def abs_row_blocks(kernel: np.ndarray):
     """``(rows, |kernel|[rows, :])`` over row blocks of a dense kernel."""
     return ((rows, np.abs(kernel[rows])) for rows in row_slices(kernel.shape[0]))
+
+
+def schur_norms(space: QuadratureSpace, blocks, weights) -> list:
+    """Schur norms, one per weight, of the kernel whose ``(rows, |K|[rows, :])``
+    blocks ``blocks`` yields, in one pass."""
+    sums = SchurSums(space, weights)
+    for rows, block in blocks:
+        sums.add(rows, block)
+    return sums.norms()
 
 
 def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -> float:
