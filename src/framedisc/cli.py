@@ -129,13 +129,12 @@ def validate_config(cfg: dict) -> None:
     for key in ("n-time", "n-freq", "dim", "n-points"):
         if cfg[key] <= 0:
             raise StructuralError(f"{key} must be positive")
-    if cfg["model-kind"] == "gabor" and cfg["n-time"] * cfg["n-freq"] > MAX_POINTS:
-        raise StructuralError(f"gabor grid exceeds the {MAX_POINTS}-point cap")
-    if cfg["n-points"] > MAX_POINTS:
-        raise StructuralError(f"grid exceeds the {MAX_POINTS}-point cap")
     # the orthonormal model has one grid point per dimension
-    if cfg["model-kind"] == "orthonormal" and cfg["dim"] > MAX_POINTS:
-        raise StructuralError(f"orthonormal grid of dim {cfg['dim']} points "
+    points = {"gabor": cfg["n-time"] * cfg["n-freq"],
+              "random-smooth": cfg["n-points"],
+              "orthonormal": cfg["dim"]}[cfg["model-kind"]]
+    if points > MAX_POINTS:
+        raise StructuralError(f"{cfg['model-kind']} grid of {points} points "
                               f"exceeds the {MAX_POINTS}-point cap")
     if cfg["p"] not in (1, 2, "inf") and cfg["p"] not in (1.0, 2.0):
         raise StructuralError("p must be 1, 2 or 'inf'")

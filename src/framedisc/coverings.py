@@ -421,7 +421,7 @@ def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
 
 def singleton_covering(space: QuadratureSpace) -> Covering:
     """One singleton set per point, in point order."""
-    return Covering(space, tuple(np.array([i]) for i in range(space.n_points)))
+    return Covering(space, [[i] for i in range(space.n_points)])
 
 
 def uniform_covering(space: QuadratureSpace, width, overlap=0.0) -> Covering:

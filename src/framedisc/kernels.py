@@ -27,12 +27,13 @@ bounded through its d x d core (``pipeline.reproducing_defect``).
 Every streamed pass keeps to one working-set budget, ``BLOCK_BYTES``: the
 total bytes of the kernel-derived temporaries it holds at once, i.e. the
 complex products, their moduli, the gathered and maxed rows, and the weight
-block m with its second quotient (``SchurSums.entry_bytes``). A pass
-states what it holds per kernel entry and takes its tiles from that. A tile
-is whole rows of up to ``TILE_COLS`` entries; longer rows are cut into even
-column blocks as well (``col_slices``), so a tile keeps one shape, at most
-``TILE_COLS`` columns by as many rows as the budget holds of them, however
-large n grows, and a grid of 4,096 points or fewer keeps whole-row tiles.
+block m with the smaller weight it divides by (``SchurSums.entry_bytes``).
+A pass states what it holds per kernel entry and takes its tiles from that.
+A tile is whole rows of up to ``TILE_COLS`` entries; longer rows are cut
+into even column blocks as well (``col_slices``), so a tile keeps one
+shape, at most ``TILE_COLS`` columns by as many rows as the budget holds of
+them, however large n grows, and a grid of 4,096 points or fewer keeps
+whole-row tiles.
 ``SchurSums`` adds up the row sums of a row block's column pieces and
 closes the rows with their last piece. A pass carves its arrays out of one
 buffer allocated once (``Workspace``) and fills them in place. Beside the
@@ -70,7 +71,7 @@ BLOCK_BYTES = 1 << 21
 TILE_COLS = 4096
 
 # Bytes per entry a non-trivial weight adds to a Schur pass: m, multiplied
-# by |K| in place, and m's second quotient.
+# by |K| in place, and the smaller weight it divides by.
 WEIGHT_ENTRY_BYTES = 16
 
 
@@ -121,12 +122,13 @@ class Weight2D:
     def block(self, rows, cols, out=None, spare=None) -> np.ndarray:
         """m(x, y) for x in ``rows`` and y in ``cols`` (index arrays or
         slices), written into ``out`` when given; ``spare``, of the same
-        shape, takes the second quotient."""
+        shape, takes the smaller weight."""
         wr = self.w[rows][:, None]
         wc = self.w[cols][None, :]
-        # both quotients, not a reciprocal: m(x, y) and m(y, x) are the same float
-        out = np.divide(wr, wc, out=out)
-        return np.maximum(out, np.divide(wc, wr, out=spare), out=out)
+        # the larger weight over the smaller is the quotient that is >= 1,
+        # to the bit, and m(x, y) and m(y, x) are the same float
+        out = np.maximum(wr, wc, out=out)
+        return np.divide(out, np.minimum(wr, wc, out=spare), out=out)
 
 
 def block_rows(n: int, entry_bytes: int = 16) -> int:
@@ -234,7 +236,8 @@ class SchurSums:
 
     ``entry_bytes`` is what the sums hold per entry of a block: nothing
     under unit and trivial weights, else m (multiplied by |K| in place)
-    and its second quotient, in buffers reused from block to block.
+    and the smaller weight it divides by, in buffers reused from block to
+    block.
     """
 
     def __init__(self, space: QuadratureSpace, weights, measure=None):

@@ -105,25 +105,22 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     yielded in tiles ``(rows, xs, osc^T[rows, xs])`` of at most ``cells``
     (y, z) cells by one column block ``xs`` of ``xcols``, the column blocks
     of a row tile in order; each tile is a view into ``work`` that the
-    next overwrites.
+    next overwrites. A block with no (y, z) pair yields nothing: its rows
+    are zero and add nothing to the Schur sums.
 
     osc(x, y) = max_z |R(y, x) - conj Gamma(y, z) R(z, x)| up to the
     rounding of the rank-d rows, and the row R(y, .) - conj Gamma(y, z)
     R(z, .) is (A[:, y] - Gamma(y, z) A[:, z])^* V. The (y, z) pairs of
     the block (``Covering.q_neighborhoods``) are laid out as a table, row
-    k listing Q_y for y = start + k. Its bookkeeping (the pairs, mirrors,
-    phases and left factors) is made once for the block; the arithmetic
-    runs in even tiles, each whole table rows or, where one row has more
-    than ``cells`` cells, a piece of one row. A tile is one (pairs, d) @
-    (d, |xs|) product whose moduli are maxed along the table's rows. The
-    term z = y is exactly 0 where Gamma(y, y) == 1 and is not formed; a y
-    with no term left, such as an uncovered one, gets a zero row, and so do
-    the cells past the end of a shorter row.
-
-    For a ``hermitian`` phase the row of (z, y) is -Gamma(y, z) times the
-    row of (y, z), so every pair is formed in the orientation (min, max),
-    and a pair whose mirror lies in the same tile reuses the mirror's
-    moduli; a phase that is not Hermitian forms every (y, z).
+    k listing Q_y for y = start + k, and cut into even tiles, each whole
+    table rows or, where one row has more than ``cells`` cells, a piece of
+    one row. The term z = y is exactly 0 where Gamma(y, y) == 1 and is not
+    listed. A tile forms each distinct row once, in one (rows, d) @
+    (d, |xs|) product, and maxes their moduli along the table's rows; a
+    row is keyed by its tile and the pair (min, max) of (y, z) for a
+    ``hermitian`` phase, whose row of (z, y) is -Gamma(y, z) times that of
+    (y, z), else by the pair (y, z). Row 0 of the moduli is zero, for the
+    cells past the end of a shorter table row.
     """
     n = model.space.n_points
     wide = max(xs.stop - xs.start for xs in xcols)
@@ -131,45 +128,33 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     y_of, zs = cov.q_neighborhoods(start, stop)
     keep = (zs != y_of) | (gamma(ys, ys) != 1.0)[y_of - start]
     y_of, zs = y_of[keep], zs[keep]
+    if zs.size == 0:
+        return
     row_of = y_of - start
     counts = np.bincount(row_of, minlength=ys.size)
-    width = int(counts.max(initial=0))
-    if width == 0:
-        step = even_step(ys.size, cells)
-        zero, = work.views(((step * wide,), float))
-        zero.fill(0.0)
-        for r0 in range(0, ys.size, step):
-            rows = slice(start + r0, min(stop, start + r0 + step))
-            for xs in xcols:
-                shape = (rows.stop - rows.start, xs.stop - xs.start)
-                yield rows, xs, zero[:math.prod(shape)].reshape(shape)
-        return
+    width = int(counts.max())
     # a tile is `tall` whole table rows, or one row in chunks of `chunk` cells
     tall = even_step(ys.size, max(1, cells // width))
     chunk = even_step(width, min(width, cells))
     n_tiles, n_chunks = -(-ys.size // tall), -(-width // chunk)
     first = np.cumsum(counts) - counts
-    pair = np.arange(zs.size)
-    group = row_of // tall * n_chunks + (pair - first[row_of]) // chunk
-    source = pair.copy()
-    lo, hi = y_of, zs
-    if gamma.hermitian:
-        lo, hi = np.minimum(y_of, zs), np.maximum(y_of, zs)
-        # the mirror (z, y) of a pair with start <= z < y, in the sorted
-        # pair keys y * n + z
-        below = np.flatnonzero((zs < y_of) & (zs >= start))
-        mirror = np.searchsorted(y_of * n + zs, zs[below] * n + y_of[below])
-        near = group[mirror] == group[below]
-        source[below[near]] = mirror[near]
-    formed = source == pair
-    made = np.bincount(group[formed], minlength=n_tiles * n_chunks)
+    group = (row_of // tall * n_chunks
+             + (np.arange(zs.size) - first[row_of]) // chunk)
+    lo, hi = (np.minimum(y_of, zs), np.maximum(y_of, zs)) if gamma.hermitian \
+        else (y_of, zs)
+    # group < ys.size * width, the table's cells, which oscillation_norms
+    # keeps to max(n, block_rows(d, PAIR_BYTES)) <= max(n, 2^15): a key is
+    # below that times n^2, within int64 for every n below 2^21
+    keys, slot = np.unique((group * n + lo) * n + hi, return_inverse=True)
+    made_in, pair = np.divmod(keys, n * n)
+    a, b = np.divmod(pair, n)
+    made = np.bincount(made_in, minlength=n_tiles * n_chunks)
     made_start = np.cumsum(made) - made
     # slot[p]: the row of pair p's moduli in its tile; row 0 is zero
-    slot = (np.cumsum(formed) - 1)[source] - made_start[group] + 1
+    slot += 1 - made_start[group]
     steps = np.arange(width)
     table = np.where(steps < counts[:, None], first[:, None] + steps, -1)
-    at = np.where(table >= 0, slot[table], 0)
-    a, b = lo[formed], hi[formed]
+    at = np.append(slot, 0)[table]
     left = (model.duals[:, a] - gamma(a, b) * model.duals[:, b]).conj().T
     tile = tall * chunk
     prod, mods, gathered, out, spare = work.views(
@@ -183,17 +168,14 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
             for c in range(n_chunks):
                 c0, c1 = c * chunk, min(width, (c + 1) * chunk)
                 f0, f = made_start[t * n_chunks + c], made[t * n_chunks + c]
-                product = prod[:f * w].reshape(f, w)
                 moduli = mods[:(f + 1) * w].reshape(f + 1, w)
                 moduli[0] = 0.0
-                np.matmul(left[f0:f0 + f], model.vectors[:, xs], out=product)
-                np.abs(product, out=moduli[1:])
+                if f:
+                    product = np.matmul(left[f0:f0 + f], model.vectors[:, xs],
+                                        out=prod[:f * w].reshape(f, w))
+                    np.abs(product, out=moduli[1:])
                 into = dst if c == 0 else spare[:w].reshape(1, w)
-                if f == (r1 - r0) * (c1 - c0):
-                    # every cell formed, in table order: no gather
-                    np.max(moduli[1:].reshape(r1 - r0, c1 - c0, w), axis=1,
-                           out=into)
-                elif c1 - c0 == 1:
+                if c1 - c0 == 1:
                     np.take(moduli, at[r0:r1, c0], axis=0, out=into,
                             mode="clip")
                 else:
@@ -489,7 +471,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
             last = _report(model, cov, gamma, weight, delta, scan, r_norms)
             done = last.oscillation_ok and (
                 not require_invertibility or last.invertibility_ok)
-            singleton = all(s.size == 1 for s in cov.sets)
+            singleton = cov.flat_points.size == cov.n_sets
             if done or (singleton and last.oscillation_ok):
                 return cov, last
         width = width / 2.0

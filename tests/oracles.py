@@ -13,8 +13,10 @@ package's streamed Schur sums, rank-d rows and rank-d majorants; only tests
 use them, so the package does not carry them. ``osc_rows_loop`` lists the
 (y, z) pairs of a block one column at a time, reading Q_y off
 ``q_neighborhoods_naive``, and forms every pair without reusing mirrors;
-the rows built from ``Covering.q_neighborhoods`` must equal it. The JSON
-writers of grids and coverings (``space_to_json``, ``covering_to_json``)
+the rows built from ``Covering.q_neighborhoods`` must equal it;
+``osc_tile_keys_naive`` counts, from the same lists, the distinct rows
+each tile of the package's pass must form. The JSON writers of grids and
+coverings (``space_to_json``, ``covering_to_json``)
 are here too: only the round-trip tests write those documents. So is the
 grid-side verification harness (``residual_suite_grid``,
 ``bounds_observed_grid``, ``cross_check_grid``): it forms every trial as an
@@ -32,7 +34,7 @@ import numpy as np
 
 from framedisc.discretize import atomic_decomposition, dual_frame, \
     reconstruct_from_samples, synthesize_plan
-from framedisc.kernels import row_slices
+from framedisc.kernels import even_step, row_slices
 from framedisc.models import random_vectors
 from framedisc.spaces import WeightedLp, pileup, sup_infinity_space
 
@@ -143,6 +145,34 @@ def osc_rows_loop(model, cov, gamma, start, stop):
     for y, row in zip(ys, rows):
         np.maximum(out[y - start], row, out=out[y - start])
     return out
+
+
+def osc_tile_keys_naive(cov, gamma, start, stop, cells):
+    """The rows each tile of the oscillation pass forms over columns
+    ``start:stop`` in tiles of at most ``cells`` (y, z) cells, one count
+    per tile that forms any: the distinct keys of its cells, (min, max) of
+    (y, z) for a Hermitian phase and (y, z) else. The cells are the pairs
+    ``osc_rows_loop`` lists, laid out one table row per y; a tile is as
+    many whole table rows as ``cells`` holds at the longest row's width,
+    or, where one row is wider than ``cells``, a piece of one row, the
+    rows and pieces cut evenly (``kernels.even_step``)."""
+    q_of = q_neighborhoods_naive(cov.sets, cov.space.n_points)
+    table = [[(y, z) for z in sorted(q_of[y])
+              if z != y or gamma(y, y) != 1.0] for y in range(start, stop)]
+    width = max(len(row) for row in table)
+    if width == 0:
+        return []
+    tall = even_step(len(table), max(1, cells // width))
+    chunk = even_step(width, min(width, cells))
+    counts = []
+    for r0 in range(0, len(table), tall):
+        for c0 in range(0, width, chunk):
+            keys = {(min(y, z), max(y, z)) if gamma.hermitian else (y, z)
+                    for row in table[r0:r0 + tall]
+                    for y, z in row[c0:c0 + chunk]}
+            if keys:
+                counts.append(len(keys))
+    return counts
 
 
 def sampled_row_kernel(model, plan):

@@ -387,20 +387,47 @@ class TestNumericKeys:
 
 class TestPointCap:
     """A grid above ``MAX_POINTS`` is refused with exit 2 before any model
-    is built; the orthonormal model's grid has one point per dimension."""
+    is built. The cap reads the chosen kind's grid: ``n-time`` x ``n-freq``
+    points for Gabor, ``n-points`` for random-smooth and one point per
+    dimension for orthonormal."""
 
-    @pytest.mark.parametrize("command", ["validate", "osc", "discretize"])
-    def test_orthonormal_dim_above_cap(self, tmp_path, capsys, monkeypatch,
-                                       command):
+    @staticmethod
+    def refuse_builds(monkeypatch, builder):
         def built(*args):
             raise AssertionError("a model was built")
 
         monkeypatch.setattr(cli, "build_model", built)
-        monkeypatch.setattr(cli, "build_orthonormal_model", built)
+        monkeypatch.setattr(cli, builder, built)
+
+    @pytest.mark.parametrize("command", ["validate", "osc", "discretize"])
+    def test_orthonormal_dim_above_cap(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        self.refuse_builds(monkeypatch, "build_orthonormal_model")
         code, doc = run(tmp_path, command, model_kind="orthonormal",
                         dim=cli.MAX_POINTS + 1, covering_width="singleton")
         assert code == EXIT_CONFIG and doc is None
         assert "point cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "osc", "discretize"])
+    def test_random_smooth_points_above_cap(self, tmp_path, capsys,
+                                            monkeypatch, command):
+        self.refuse_builds(monkeypatch, "build_random_smooth_model")
+        code, doc = run(tmp_path, command, model_kind="random-smooth", dim=4,
+                        n_points=cli.MAX_POINTS + 1, covering_width="singleton")
+        assert code == EXIT_CONFIG and doc is None
+        assert "point cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,options,points", [
+        ("gabor", {"n_time": 6, "n_freq": 41}, 246),
+        ("orthonormal", {"dim": 6}, 6)])
+    def test_other_kinds_ignore_n_points(self, tmp_path, kind, options, points):
+        """Only the random-smooth grid has ``n-points`` points: a Gabor and
+        an orthonormal grid run under an ``n-points`` above the cap."""
+        code, doc = run(tmp_path, "osc", model_kind=kind,
+                        n_points=cli.MAX_POINTS + 1000,
+                        covering_width="singleton", delta=0.2, **options)
+        assert code == EXIT_OK
+        assert doc["n_sets"] == points
 
     def test_validate_config_caps_orthonormal_dim(self):
         cfg = cli.load_config(None, {"model-kind": "orthonormal",

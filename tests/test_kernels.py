@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framedisc import SchurSums, StructuralError, Weight2D, WeightedLp, \
     uniform_grid
@@ -239,6 +241,28 @@ class TestWeight2D:
         assert np.array_equal(m.block(slice(None), slice(None)), want)
         rows, cols = np.array([4, 0, 7]), np.array([2, 2, 8, 5])
         assert np.array_equal(m.block(rows, cols), want[np.ix_(rows, cols)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-150.0, 150.0), min_size=1, max_size=12),
+           st.floats(-150.0, 150.0), st.data())
+    def test_one_quotient_is_the_larger_to_the_bit(self, exps, shift, data):
+        """m = max(w_x, w_y) / min(w_x, w_y) equals the two-quotient form
+        max(w_x/w_y, w_y/w_x) and its own transpose to the bit, over
+        weights from 1e-300 to 1e300 whose spread max(w)/min(w) reaches
+        1e300 (``Weight2D`` admits any finite spread), in the given buffers
+        and on index subsets."""
+        w = 10.0 ** (np.array(exps) + shift)
+        n = w.size
+        m = Weight2D(uniform_grid(n), w)
+        two = np.maximum(w[:, None] / w[None, :], w[None, :] / w[:, None])
+        full = m.block(slice(None), slice(None))
+        assert np.array_equal(full, two) and np.array_equal(full, full.T)
+        pick = st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)
+        rows, cols = np.array(data.draw(pick)), np.array(data.draw(pick))
+        shape = (rows.size, cols.size)
+        out, spare = np.empty(shape), np.empty(shape)
+        got = m.block(rows, cols, out=out, spare=spare)
+        assert got is out and np.array_equal(got, two[np.ix_(rows, cols)])
 
     def test_associated_weight_properties(self, rng):
         """Symmetric, one on the diagonal, submultiplicative on every triple."""

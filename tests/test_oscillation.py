@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
@@ -17,8 +19,9 @@ from framedisc.models import build_gabor_model, build_orthonormal_model, \
 from conftest import random_interval_covering, random_pointwise_weight, \
     unit_weight
 from oracles import dense_kernel, involution, osc_naive, osc_rows_loop, \
-    oscillation_kernel, phase_table_naive, q_neighborhoods_naive, \
-    rank_d_entries, refine_until_naive, schur_norm_naive, weight_matrix_naive
+    osc_tile_keys_naive, oscillation_kernel, phase_table_naive, \
+    q_neighborhoods_naive, rank_d_entries, refine_until_naive, \
+    schur_norm_naive, weight_matrix_naive
 from theory import TablePhase, schur_norm
 
 
@@ -154,11 +157,13 @@ def osc_rows(model, cov, gamma, start, stop, cells=None, xcols=None):
     """Columns ``start:stop`` of the oscillation kernel as rows of osc^T,
     assembled from the pass's tiles (``_osc_rows``), each copied before
     the next overwrites it; ``cells`` defaults to the pass's tile size
-    under the unit weight, and ``xcols`` to whole rows."""
+    under the unit weight, and ``xcols`` to whole rows. The rows start at
+    zero: a block with no (y, z) pair yields no tile, its rows being
+    exactly zero."""
     n = model.space.n_points
     if cells is None:
         cells = kernels_module.block_rows(n, oscillation_module.OSC_CELL_BYTES)
-    out = np.full((stop - start, n), np.nan)
+    out = np.zeros((stop - start, n))
     for rows, xs, block in oscillation_module._osc_rows(
             model, cov, gamma, start, stop, xcols or [slice(0, n)], cells,
             kernels_module.Workspace()):
@@ -291,6 +296,45 @@ class TestMirroredPairs:
         assert table.hermitian is True
         assert np.array_equal(osc_rows(model, cov, table, 0, n),
                               osc_rows(model, cov, gamma, 0, n))
+
+
+class TestKeyedRows:
+    """Each tile forms one row per distinct key of its cells."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from(["one", "kernel", "table"]),
+           st.integers(3, 120))
+    def test_rows_formed_are_the_distinct_keys(self, data, phase, cells):
+        """On overlapping random intervals that may leave points uncovered,
+        over a random block and in tiles of ``cells`` (y, z) cells, the
+        pass forms, tile by tile, as many rows as the tile's cells have
+        distinct keys, and its rows equal the loop's to the bit. A
+        ``table`` phase is a random non-Hermitian table with
+        Gamma(y, y) = 1 on even points only."""
+        model = build_random_smooth_model(d=4, n_points=24, smoothness=1.2,
+                                          seed=3)
+        space = model.space
+        n = space.n_points
+        spans = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(1, 8)),
+                                   min_size=1, max_size=8))
+        cov = Covering(space, tuple(np.arange(a, min(n, a + size))
+                                    for a, size in spans))
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        if phase == "table":
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+            table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
+            table[np.arange(0, n, 2), np.arange(0, n, 2)] = 1.0
+            gamma = TablePhase(space, table)
+            assert not gamma.hermitian
+        else:
+            gamma = PhaseFunction(model, phase)
+        want = osc_rows_loop(model, cov, gamma, start, stop)
+        rows = count_product_rows(model)
+        got = osc_rows(model, cov, gamma, start, stop, cells)
+        assert rows == osc_tile_keys_naive(cov, gamma, start, stop, cells)
+        assert np.array_equal(got, want)
 
 
 def q_table_setup(covering, phase):
@@ -874,7 +918,8 @@ class TestRefineScreen:
         cov, rep = refine_until(model, w, delta=0.2)
         rejected = [count for c, count in calls.items() if c is not cov]
         assert rejected and all(count < n for count in rejected)
-        assert calls[cov] == n
+        # the accepted round is all singletons: every block has no pair
+        assert cov.n_sets == n and cov not in calls
         assert rep.oscillation_ok
 
     def test_screened_exhaustion_names_bound_and_column(self, screen_models):
