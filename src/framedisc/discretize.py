@@ -133,13 +133,6 @@ def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
     return model.s_inverse @ s_c
 
 
-def _weighted_metric(model: FrameModel, Y: WeightedLp) -> np.ndarray:
-    """The d x d metric M = V diag(mu w^2) V* of the p = 2 Y-norm in
-    analysis coordinates: |V* a|_Y^2 = a* M a."""
-    return (model.vectors * (model.space.weights * Y.w ** 2)) \
-        @ model.vectors.conj().T
-
-
 class SamplingInverse:
     """Handle applying the inverse of the sampling operator on the kernel range.
 
@@ -154,20 +147,23 @@ class SamplingInverse:
     forming them on the whole grid. The handle is the one
     argument the decomposition, reconstruction, dual-frame, residual,
     cross-check, observed-contraction and bounds helpers take: they read
-    the model, plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and the
-    p = 2 metric from it. A report of another covering is refused here.
-    ``other_method`` gives the handle of the other method on the same
-    S^{-1} S_c and metric, so a run forms each of them once.
+    the model, plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's
+    range metric from it. A report of another covering is refused here.
+    The constructor asks Y once for its range metric
+    (``WeightedLp.range_metric``); where Y gives none it forms kappa_Y and
+    C_Y below instead. ``other_method`` gives the handle of the other
+    method on the same S^{-1} S_c and Y-norm constants, so a run forms
+    each of them once.
 
     ``neumann`` sums a + (Id-U)a + (Id-U)^2 a + ... and requires a
     certificate that the sharp contraction bound is below one; ``direct``
     solves the d x d system and needs none. Each column of a block stops
     once its term's Y-norm is at most ``tol`` times the Y-norm of its input,
-    so the stopping rule does not depend on the scale of the input. For
-    p = 2 both norms are exact (a d x d quadratic form). Otherwise both are
-    taken in coordinates, O(d) work per column, and nothing is formed on
-    the grid. A term t is tested through the upper bound
-    |V* t|_Y <= kappa_Y |t|_2, with kappa_Y = |x -> |psi_x|_2|_Y
+    so the stopping rule does not depend on the scale of the input. Where
+    Y gives a range metric (p = 2) both norms are exact (a d x d quadratic
+    form). Otherwise both are taken in coordinates, O(d) work per column,
+    and nothing is formed on the grid. A term t is tested through the
+    upper bound |V* t|_Y <= kappa_Y |t|_2, with kappa_Y = |x -> |psi_x|_2|_Y
     (Cauchy-Schwarz at every point, then solidity of Y). The input a is
     measured through the lower bound |V* a|_Y >= |a|_2 / C_Y: a is
     S^{-1} V(mu V* a) = sum_x mu_x (V* a)(x) S^{-1} psi_x, so C_Y is the
@@ -192,16 +188,17 @@ class SamplingInverse:
         self.report = report
         self._restricted = _restricted_matrix(model, plan)
         self._analysis = model.vectors.conj().T
-        self._metric = None
+        self._metric = Y.range_metric(model.vectors)
+        if self._metric is None:
+            self._kappa = Y.norm(np.linalg.norm(model.vectors, axis=0))
+            self._c_dual = Y.dual().norm(np.linalg.norm(model.duals, axis=0))
         self._prepare(method)
 
     def _prepare(self, method: str) -> None:
-        """Set the handle up for ``method`` on its S^{-1} S_c, forming the
-        p = 2 metric of a Neumann handle unless the handle holds it."""
-        model, Y, report = self.model, self.Y, self.report
+        """Set the handle up for ``method`` on its S^{-1} S_c."""
+        report = self.report
         self.method = method
         self.last_term_norms: list = []
-        self._kappa = self._c_dual = None
         if method == "neumann":
             if report is None:
                 raise CertificationError(
@@ -215,12 +212,6 @@ class SamplingInverse:
                     f"refine the covering (smaller width) before inverting"
                 )
             self.sharp_bound = sharp
-            if Y.p == 2.0:
-                self._p2_metric()
-            else:
-                self._kappa = Y.norm(np.linalg.norm(model.vectors, axis=0))
-                self._c_dual = Y.dual().norm(
-                    np.linalg.norm(model.duals, axis=0))
         elif method == "direct":
             evals = np.linalg.eigvals(self._restricted)
             if np.min(np.abs(evals)) <= DIRECT_EIG_FLOOR:
@@ -234,34 +225,34 @@ class SamplingInverse:
     def other_method(self) -> "SamplingInverse":
         """The handle of the other method (Neumann for direct, direct for
         Neumann) on the same plan, Y, report, ``tol`` and ``n_max``, reusing
-        this handle's S^{-1} S_c and, where formed, its p = 2 metric.
+        this handle's S^{-1} S_c and its range metric or kappa_Y and C_Y.
         Raises what that method's constructor raises."""
         other = copy.copy(self)
         other.__dict__.pop("dual_coords", None)
         other._prepare("direct" if self.method == "neumann" else "neumann")
         return other
 
-    def _p2_metric(self) -> np.ndarray:
-        """The p = 2 metric (``_weighted_metric``), formed once per handle;
-        ``other_method`` hands it on."""
-        if self._metric is None:
-            self._metric = _weighted_metric(self.model, self.Y)
-        return self._metric
-
-    def range_norms(self, coords: np.ndarray) -> np.ndarray:
+    def range_norms(self, coords: np.ndarray, spaces=()):
         """Y-norms of the range functions V* a, one per column of a (d, k)
-        coordinate block a.
+        coordinate block a; with ``spaces``, the list of their norms in each
+        of ``spaces`` followed by the Y-norms, from one pass over V* a.
 
-        For p = 2 this is the d x d quadratic form |V* a|_Y^2 = a* M a
-        (``_weighted_metric``), on columns scaled to unit size so that the
-        squares cannot underflow. Otherwise V* a is formed and its norms
-        summed in row blocks within ``BLOCK_BYTES`` (``_analysis_norms``).
+        Where Y gives a range metric (p = 2) the Y-norms are the d x d
+        quadratic form |V* a|_Y^2 = a* M a (``WeightedLp.range_metric``), on
+        columns scaled to unit size so that the squares cannot underflow.
+        Otherwise, and for ``spaces``, V* a is formed and its norms summed
+        in row blocks within ``BLOCK_BYTES`` (``_analysis_norms``).
         """
-        if self.Y.p != 2.0:
-            return _analysis_norms(self._analysis, [self.Y], coords)[0]
-        scale, unit = _unit_columns(coords)
-        quad = np.einsum("ij,ij->j", unit.conj(), self._p2_metric() @ unit).real
-        return scale * np.sqrt(np.maximum(quad, 0.0))
+        if self._metric is None:
+            *norms, ny = _analysis_norms(self._analysis, [*spaces, self.Y],
+                                         coords)
+        else:
+            norms = _analysis_norms(self._analysis, spaces, coords) \
+                if spaces else []
+            scale, unit = _unit_columns(coords)
+            quad = np.einsum("ij,ij->j", unit.conj(), self._metric @ unit).real
+            ny = scale * np.sqrt(np.maximum(quad, 0.0))
+        return [*norms, ny] if spaces else ny
 
     @cached_property
     def cell_space(self) -> WeightedLp:
@@ -271,15 +262,17 @@ class SamplingInverse:
 
     def _term_norms(self, coords: np.ndarray) -> np.ndarray:
         """What the stopping rule tests for each column of a Neumann term:
-        the exact Y-norm for p = 2, else the bound kappa_Y |t|_2."""
-        if self.Y.p == 2.0:
+        the exact Y-norm where Y gives a range metric (p = 2), else the bound
+        kappa_Y |t|_2."""
+        if self._metric is not None:
             return self.range_norms(coords)
         return self._kappa * _l2_norms(coords)
 
     def _input_norms(self, coords: np.ndarray) -> np.ndarray:
         """What the stopping rule takes for the Y-norm of each input column:
-        the exact norm for p = 2, else the lower bound |a|_2 / C_Y."""
-        if self.Y.p == 2.0:
+        the exact norm where Y gives a range metric (p = 2), else the lower
+        bound |a|_2 / C_Y."""
+        if self._metric is not None:
             return self.range_norms(coords)
         return _l2_norms(coords) / self._c_dual
 
@@ -288,9 +281,9 @@ class SamplingInverse:
 
         ``last_term_norms`` records the largest input norm of the block,
         then, per Neumann term, the largest tested value among the columns
-        still summing: exact Y-norms for p = 2, otherwise the lower bound
-        |a|_2 / C_Y of the input and the upper bound kappa_Y |t|_2 of each
-        term. Nothing is formed on the grid.
+        still summing: exact Y-norms where Y gives a range metric (p = 2),
+        otherwise the lower bound |a|_2 / C_Y of the input and the upper
+        bound kappa_Y |t|_2 of each term. Nothing is formed on the grid.
         """
         if self.method == "direct":
             return self._matrix_inv @ coords
@@ -494,12 +487,10 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     """Empirical lower estimate of ||Id - U|| on the kernel range in the
     inverse's Y-norm, read off the handle's S^{-1} S_c.
 
-    For p = 2 the restriction is finite dimensional and the norm is computed
-    exactly through the weighted metric (the handle's; one formed here is
-    kept on the handle);
-    otherwise the estimate is the best ratio |V* m g|_Y / |V* g|_Y,
-    m = Id - S^{-1} S_c, over power-iteration iterates g and
-    ``CONTRACTION_PROBES`` random coordinate vectors.
+    Where Y gives a range metric (p = 2) the norm is computed exactly
+    through the handle's metric; otherwise the estimate is the best ratio
+    |V* m g|_Y / |V* g|_Y, m = Id - S^{-1} S_c, over power-iteration
+    iterates g and ``CONTRACTION_PROBES`` random coordinate vectors.
 
     The power iteration g <- m g / |m g| runs in coordinates for up to
     ``CONTRACTION_STEPS`` steps, stopping early only where m g vanishes.
@@ -514,19 +505,17 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     probes are drawn in one call (``random_vectors``) and analyzed as one
     block.
     """
-    model, Y = inverse.model, inverse.Y
+    model, metric = inverse.model, inverse._metric
     rng = np.random.default_rng(seed)
     m = np.eye(model.dim, dtype=complex) - inverse._restricted
 
-    if Y.p == 2.0:
-        metric = inverse._p2_metric()
+    if metric is not None:
         evals, evecs = np.linalg.eigh(0.5 * (metric + metric.conj().T))
         evals = np.maximum(evals, 1e-300)
         half = (evecs * np.sqrt(evals)[None, :]) @ evecs.conj().T
         half_inv = (evecs / np.sqrt(evals)[None, :]) @ evecs.conj().T
         return float(np.linalg.norm(half @ m @ half_inv, ord=2))
 
-    analysis = inverse._analysis
     best, last = 0.0, 0.0
     g = random_vectors(rng, model.dim, 1)[:, 0]
     held = block_rows(model.dim, ITERATE_BYTES)
@@ -537,7 +526,7 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
         scales = np.linalg.norm(images, axis=0)
         vanish = np.flatnonzero(scales == 0.0)
         k = vanish[0] + 1 if vanish.size else iterates.shape[1]
-        norms, = _analysis_norms(analysis, [Y], np.column_stack(
+        norms = inverse.range_norms(np.column_stack(
             (iterates[:, :k], images[:, k - 1])))
         nf = norms[:-1]
         ni = np.append(scales[:k - 1] * norms[1:-1], norms[-1])
@@ -555,8 +544,8 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
         g = images[:, k - 1] / scales[k - 1]
 
     probes = random_vectors(rng, model.dim, CONTRACTION_PROBES)
-    nf, = _analysis_norms(analysis, [Y], probes)
-    ni, = _analysis_norms(analysis, [Y], m @ probes)
+    nf = inverse.range_norms(probes)
+    ni = inverse.range_norms(m @ probes)
     keep = nf > 0.0
     return float(max(best, np.max(ni[keep] / nf[keep], initial=0.0)))
 
@@ -623,11 +612,12 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
 
     The trials run as blocks, one column each, and none is formed on the
     whole grid. A range function F = V* a is held as its coordinates a:
-    its sup and L^1_v norms and, for p != 2, its Y-norm come from one pass
-    over row blocks of V* a (``_analysis_norms``), its p = 2 Y-norm through
-    the handle (``range_norms``), its samples are V[:, x_i]^* a, and the
-    pile-ups are normed on the plan's cells (``pileup_norms``). The kernel
-    applied to a measure sum_k lambda_k delta_{y_k} has coordinates
+    its sup and L^1_v norms come from one pass over row blocks of V* a
+    (``range_norms``), with its Y-norm unless Y gives a range metric
+    (p = 2), where that is the quadratic form; its samples are
+    V[:, x_i]^* a, and the pile-ups are normed on the plan's cells
+    (``pileup_norms``). The kernel applied to a measure
+    sum_k lambda_k delta_{y_k} has coordinates
     S^{-1} sum_k lambda_k psi_{y_k}, and the measure's per-set masses,
     which its decomposition norm piles up, are summed over the sets
     holding each atom.
@@ -640,7 +630,6 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     space = model.space
     cov = plan.covering
     weight = report.weight
-    analysis = inverse._analysis
 
     d_const = _sampled_row_constant(model, plan, report)
     meas_const = report.osc_norm + report.r_norm
@@ -650,11 +639,7 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
 
     g = random_vectors(rng, model.dim, n_trials)
     sup_l1v = [sup_space, WeightedLp(space, 1.0, weight.v)]
-    if Y.p == 2.0:
-        ny = inverse.range_norms(g)
-        sup, l1v = _analysis_norms(analysis, sup_l1v, g)
-    else:
-        sup, l1v, ny = _analysis_norms(analysis, sup_l1v + [Y], g)
+    sup, l1v, ny = inverse.range_norms(g, sup_l1v)
     keep = ny > 0.0
     g, ny, sup, l1v = g[:, keep], ny[keep], sup[keep], l1v[keep]
     vals = model.vectors[:, plan.samples].conj().T @ g

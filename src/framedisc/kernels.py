@@ -43,12 +43,13 @@ O(n) entries, and for the oscillation pass at most a budget's worth of
 from n, d and ``BLOCK_BYTES``.
 
 The verification harness keeps to the same budget: it measures range
-functions V* a through their coordinates a (a d x d metric at p = 2, else
-row blocks of V* a; a Neumann inversion only through coordinate bounds,
-O(d) per column) and norms pile-ups on the partition's cells, one value
-per cell and trial. So besides the budget it holds O(n d + (n_sets +
-cells) n_trials) values; the flat partition of a covering whose sets do
-not overlap has one cell per set, a smooth partition up to one per point.
+functions V* a through their coordinates a (a d x d metric where Y gives
+one, p = 2, else row blocks of V* a; a Neumann inversion only through
+coordinate bounds, O(d) per column) and norms pile-ups on the partition's
+cells, one value per cell and trial. So besides the budget it holds
+O(n d + (n_sets + cells) n_trials) values; the flat partition of a
+covering whose sets do not overlap has one cell per set, a smooth
+partition up to one per point.
 """
 
 from __future__ import annotations

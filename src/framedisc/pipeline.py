@@ -118,8 +118,8 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
 
     ``inverse`` is the side of its own method; the other side is built
     from it (``SamplingInverse.other_method``: a Neumann one from its
-    report, ``tol`` and ``n_max``), on the same S^{-1} S_c and p = 2
-    metric. The trials are random range functions, one per column of a
+    report, ``tol`` and ``n_max``), on the same S^{-1} S_c and Y-norm
+    constants. The trials are random range functions, one per column of a
     block of coordinates (``random_vectors``), inverted and measured in
     coordinates (``invert_coords``, ``range_norms``).
     """

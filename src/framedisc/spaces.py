@@ -58,12 +58,17 @@ class WeightedLp:
             raise StructuralError(
                 f"block of shape {arr.shape} is not (n_points, k) on "
                 f"{self.space.n_points} points")
-        return self.streamed_column_norms([(slice(None), arr)])
+        return streamed_norms([self], [(slice(None), arr)])[0]
 
-    def streamed_column_norms(self, blocks) -> np.ndarray:
-        """Column norms of an (n_points, k) block fed as ``(rows, block[rows])``
-        pieces whose rows cover the grid once (``streamed_norms``)."""
-        return streamed_norms([self], blocks)[0]
+    def range_metric(self, vectors: np.ndarray) -> np.ndarray | None:
+        """The d x d metric M = V diag(mu w^2) V* of this norm on the range
+        of the analysis transform of the (d, n_points) frame vectors V, so
+        that |V* a|_Y^2 = a* M a; None where the norm has no such metric
+        (p != 2)."""
+        if self.p != 2.0:
+            return None
+        return (vectors * (self.space.weights * self.w ** 2)) \
+            @ vectors.conj().T
 
     def weight2d(self, ref_index: int = 0) -> Weight2D:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
@@ -114,10 +119,7 @@ def streamed_norms(spaces, blocks) -> list:
             if not np.isinf(p):
                 scale = np.where(tops[s] > 0.0, tops[s], 1.0)
                 vals /= scale
-                if p == 2.0:
-                    np.square(vals, out=vals)
-                else:
-                    np.power(vals, p, out=vals)
+                np.power(vals, p, out=vals)
                 totals[s] = totals[s] * (top / scale) ** p + mu @ vals
     return [total if Y.p == 1.0 else top if np.isinf(Y.p)
             else top * total ** (1.0 / Y.p)

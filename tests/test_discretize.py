@@ -1396,19 +1396,21 @@ class TestBlockHarness:
         Y = WeightedLp(model.space, 1.0, w["exp"])
         want = observed_contraction_naive(model, plan, Y, n_iter=n_iter)
         direct = SamplingInverse(model, plan, Y, method="direct")
-        calls = {"column_norms": 0, "streamed_column_norms": 0}
-        for name in calls:
-            original = getattr(WeightedLp, name)
+        calls = {"column_norms": 0, "streamed_norms": 0}
+        for owner, name in ((WeightedLp, "column_norms"),
+                            (spaces_module, "streamed_norms"),
+                            (discretize_module, "streamed_norms")):
+            original = getattr(owner, name)
 
-            def counted(self, *args, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
-                return _original(self, *args)
+                return _original(*args)
 
-            monkeypatch.setattr(WeightedLp, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         monkeypatch.setattr(discretize_module, "CONTRACTION_STEPS", n_iter)
         got = observed_contraction(direct)
         assert calls["column_norms"] <= 3
-        assert calls["streamed_column_norms"] <= 3
+        assert calls["streamed_norms"] <= 3
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -1585,10 +1587,14 @@ class TestInverseHandle:
         bare = SamplingInverse(model, plan, Y, method="direct")
         assert cross_check_inversion(bare, n_trials=10, seed=4) is None
 
-    def test_direct_inverse_forms_no_metric(self):
+    def test_other_method_shares_the_metric(self):
+        """Both methods' handles read the one range metric the first formed."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        assert SamplingInverse(model, plan, Y, method="direct")._metric is None
-        assert SamplingInverse(model, plan, Y, report=report)._metric is not None
+        direct = SamplingInverse(model, plan, Y, method="direct", report=report)
+        assert direct._metric is not None
+        assert direct.other_method()._metric is direct._metric
+        neu = SamplingInverse(model, plan, Y, report=report)
+        assert neu.other_method()._metric is neu._metric
 
     def test_bounds_refuse_a_handle_without_report(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
@@ -1600,22 +1606,22 @@ class TestInverseHandle:
     def test_run_forms_restricted_operator_once(self, monkeypatch, method):
         """S^{-1} S_c is formed once, by the run's inverse: the observed
         contraction reads it, and the other side of the cross-check is
-        built from the handle. The p = 2 metric is formed once: by the
-        Neumann handle, or, for a direct run, by the observed contraction,
-        which keeps it on the handle for the Neumann side."""
+        built from the handle. The p = 2 range metric is formed once, by
+        the run's inverse, which hands it to the other method's handle."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        calls = {"_restricted_matrix": 0, "_weighted_metric": 0}
-        for name in calls:
-            original = getattr(discretize_module, name)
+        calls = {"_restricted_matrix": 0, "range_metric": 0}
+        for owner, name in ((discretize_module, "_restricted_matrix"),
+                            (WeightedLp, "range_metric")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(discretize_module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         run_discretization(model, Y, weight, 0.25, covering=cov,
                            method=method, n_trials=5, seed=3)
-        assert calls == {"_restricted_matrix": 1, "_weighted_metric": 1}
+        assert calls == {"_restricted_matrix": 1, "range_metric": 1}
 
     def test_result_reads_its_inverse(self):
         """The run's JSON reads the covering, plan, method, certificate and

@@ -90,3 +90,17 @@ def test_every_public_function_and_method_has_a_caller_outside_tests():
     assert len(definitions) > 50
     unused = _unused(definitions)
     assert not unused, f"public functions and methods only the tests use: {unused}"
+
+
+def test_only_spaces_reads_the_exponent():
+    """No package module but ``spaces.py`` reads an attribute ``p``: the
+    harness asks a solid space for what it needs (``streamed_norms``,
+    ``dual``, ``range_metric``, ``cell_space``) and does not branch on
+    its exponent."""
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted((ROOT / "src" / "framedisc").glob("*.py"))
+               if path.name != "spaces.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "p"
+               and isinstance(node.ctx, ast.Load)]
+    assert not readers, f"reads of an exponent p outside spaces.py: {readers}"

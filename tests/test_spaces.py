@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedisc import Covering, StructuralError, WeightedLp, build_pou, \
-    cell_space, local_integrability_constant, pileup, pileup_norms, \
+from framedisc import Covering, SamplingInverse, StructuralError, \
+    WeightedLp, build_gabor_model, build_pou, cell_space, \
+    local_integrability_constant, pileup, pileup_norms, select_samples, \
     singleton_covering, uniform_covering, uniform_grid
 from framedisc.coverings import weight_compatibility
-from framedisc.spaces import sup_infinity_space
+from framedisc.spaces import streamed_norms, sup_infinity_space
 
 from conftest import unit_weight
 from oracles import lp_norm_naive, membership_naive, pileup_naive, set_masses_naive
@@ -71,7 +72,7 @@ class TestNormY:
         block[:, 4] *= 1e-150
         cuts = [0, 1, 7, 20, 21, n]
         pieces = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-        got = Y.streamed_column_norms((rows, block[rows]) for rows in pieces)
+        got = streamed_norms([Y], ((rows, block[rows]) for rows in pieces))[0]
         want = [lp_norm_naive(space.weights, w, block[:, j], p) for j in range(4)]
         assert got[1] == 0.0
         assert np.allclose(got[:4], want, rtol=1e-14, atol=0.0)
@@ -120,9 +121,10 @@ class TestNormY:
         block[n - 3, 1] = 1e3           # a late piece raises column 1's maximum
         block[:, 3] = 0.0
         pieces = [slice(start, min(n, start + 7)) for start in range(0, n, 7)]
-        got = Y.streamed_column_norms((rows, block[rows]) for rows in pieces[::-1])
+        got = streamed_norms([Y], ((rows, block[rows])
+                                  for rows in pieces[::-1]))[0]
         assert np.allclose(got, Y.column_norms(block), rtol=1e-14, atol=0.0)
-        got = Y.streamed_column_norms((rows, block[rows]) for rows in pieces)
+        got = streamed_norms([Y], ((rows, block[rows]) for rows in pieces))[0]
         assert np.allclose(got, Y.column_norms(block), rtol=1e-14, atol=0.0)
         assert got[3] == 0.0
 
@@ -252,6 +254,44 @@ class TestDualSpace:
         assert c == pytest.approx(0.5 ** (1.0 / q) / w0, rel=1e-13)
         cov = uniform_covering(space, 5.0)
         assert np.isfinite(local_integrability_constant(cov, Y, Y.weight2d()))
+
+
+@pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_range_metric(p, weight_rule):
+    """At p = 2, sqrt(a* M a) is the Y-norm of V* a, on columns of any
+    scale; at any other p there is no metric. An inverse handle's
+    ``range_norms`` with extra spaces gives, bit for bit, what separate
+    calls give, with and without a metric."""
+    model = build_gabor_model(4, 61, 2.0)
+    space = model.space
+    w = np.ones(space.n_points) if weight_rule == "unit" \
+        else np.exp(0.02 * np.linalg.norm(space.points, axis=1))
+    Y = WeightedLp(space, p, w)
+    metric = Y.range_metric(model.vectors)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((model.dim, 4)) \
+        + 1j * rng.standard_normal((model.dim, 4))
+    a *= np.array([1.0, 1e300, 1e-300, 0.0])
+    if p == 2.0:
+        top = np.abs(a).max(axis=0)
+        unit = a / np.where(top > 0.0, top, 1.0)
+        got = top * np.sqrt(np.einsum("ij,ij->j", unit.conj(),
+                                      metric @ unit).real)
+        want = Y.column_norms(model.vectors.conj().T @ a)
+        assert got[3] == want[3] == 0.0
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    else:
+        assert metric is None
+    inverse = SamplingInverse(model, select_samples(build_pou(
+        singleton_covering(space))), Y, method="direct")
+    extra = [WeightedLp(space, np.inf, 1.0 / w), WeightedLp(space, 1.0, w)]
+    together = inverse.range_norms(a, extra)
+    alone = [inverse.range_norms(a, [s])[0] for s in extra] \
+        + [inverse.range_norms(a)]
+    assert len(together) == 3
+    for got, want in zip(together, alone):
+        assert np.array_equal(got, want)
 
 
 class TestSupEmbedding:
