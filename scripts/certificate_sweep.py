@@ -17,8 +17,8 @@ import json
 import sys
 
 from framedisc import PhaseFunction, SamplingInverse, WeightedLp, build_pou, \
-    contraction_bounds, observed_contraction, oscillation_report, \
-    select_samples, uniform_covering
+    contraction_bounds, invertibility_condition, observed_contraction, \
+    oscillation_report, select_samples, uniform_covering
 from framedisc.models import build_gabor_model
 from framedisc.pipeline import residual_suite
 
@@ -26,15 +26,13 @@ from framedisc.pipeline import residual_suite
 def max_certifiable_budget(r_norm: float, c_mu: float) -> float:
     """Largest delta with delta (|R| + max{C |R|, |R| + delta}) <= 1.
 
-    The left side is increasing in delta, so bisection finds the crossing.
+    The left side is increasing in delta, so bisection finds the crossing
+    of the package's condition (``invertibility_condition``).
     """
-    def lhs(delta):
-        return delta * (r_norm + max(c_mu * r_norm, r_norm + delta))
-
     lo, hi = 0.0, 1.0 / r_norm
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if lhs(mid) <= 1.0:
+        if invertibility_condition(mid, r_norm, c_mu)[1]:
             lo = mid
         else:
             hi = mid

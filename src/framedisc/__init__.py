@@ -25,6 +25,6 @@ from .pipeline import DiscretizationResult, cross_check_inversion, \
     residual_suite, run_discretization
 from .quadrature import QuadratureSpace, product_grid, uniform_grid
 from .spaces import WeightedLp, cell_space, local_integrability_constant, \
-    pileup, pileup_norms, sup_infinity_space
+    pileup_norms, sup_infinity_space
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -139,16 +139,14 @@ class SamplingInverse:
     Works in analysis coordinates: every function in the range of the
     analysis transforms is F = V* a for a unique a in C^d (V the d x n
     matrix of frame vectors), and there U acts as the d x d matrix
-    S^{-1} S_c, with S_c = sum_i c_i psi_{x_i} psi_{x_i}^*. ``apply`` maps a
-    grid function to coordinates (anything outside the range is first
-    projected onto it), inverts there and maps back; ``invert_coords``
-    inverts a (d, k) block of coordinates directly, and ``range_norms``
-    gives the Y-norms of the range functions V* a of such a block without
-    forming them on the whole grid. The handle is the one
-    argument the decomposition, reconstruction, dual-frame, residual,
-    cross-check, observed-contraction and bounds helpers take: they read
-    the model, plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's
-    range metric from it. A report of another covering is refused here.
+    S^{-1} S_c, with S_c = sum_i c_i psi_{x_i} psi_{x_i}^*. ``invert_coords``
+    inverts a (d, k) block of coordinates, and ``range_norms`` gives the
+    Y-norms of the range functions V* a of such a block without forming
+    them on the whole grid. The handle is the one argument the
+    decomposition, reconstruction, dual-frame, residual, cross-check,
+    observed-contraction and bounds helpers take: they read the model,
+    plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's range metric
+    from it. A report of another covering is refused here.
     The constructor asks Y once for its range metric
     (``WeightedLp.range_metric``); where Y gives none it forms kappa_Y and
     C_Y below instead. ``other_method`` gives the handle of the other
@@ -309,16 +307,6 @@ class SamplingInverse:
             f"Neumann series did not reach tol {self.tol:.1e} relative to the "
             f"input within {self.n_max} terms (last term norm {norms[-1]:.3e})"
         )
-
-    def apply(self, F) -> np.ndarray:
-        """Apply the inverse to a grid function in the kernel range, or to
-        each column of an (n_points, k) block of them."""
-        model = self.model
-        arr, shape = _as_columns(F, model.space.n_points, "grid function")
-        coords = model.s_inverse @ (model.vectors
-                                    @ (model.space.weights[:, None] * arr))
-        out = self._analysis @ self.invert_coords(coords)
-        return out.reshape((model.space.n_points,) + shape)
 
     @cached_property
     def dual_coords(self) -> np.ndarray:

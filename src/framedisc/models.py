@@ -1,4 +1,4 @@
-"""Finite continuous-frame models: a vector per grid point, plus transforms.
+"""Finite continuous-frame models: a vector per grid point.
 
 A model couples a quadrature space with one unit vector psi_x in C^d per
 point. The frame operator S = sum_x w_x psi_x psi_x^* must be positive
@@ -59,25 +59,10 @@ class FrameModel:
             )
         self.frame_operator = s
         self.s_eigenvalues = evals
-        self._s_evecs = evecs
         self.s_inverse = (evecs / evals[None, :]) @ evecs.conj().T
         duals = self.s_inverse @ psi
         duals.setflags(write=False)
         self.duals = duals
-
-    def check_vector(self, f) -> np.ndarray:
-        arr = np.asarray(f, dtype=complex).reshape(-1)
-        if arr.shape[0] != self.dim:
-            raise StructuralError(f"vector of length {arr.shape[0]}, expected {self.dim}")
-        return arr
-
-    def analyze(self, f) -> np.ndarray:
-        """Frame coefficients <f, psi_x> as a grid function."""
-        return self.vectors.conj().T @ self.check_vector(f)
-
-    def dual_analyze(self, f) -> np.ndarray:
-        """Canonical-dual coefficients <f, S^{-1} psi_x> as a grid function."""
-        return self.vectors.conj().T @ (self.s_inverse @ self.check_vector(f))
 
 
 def random_vectors(rng: np.random.Generator, dim: int, k: int) -> np.ndarray:

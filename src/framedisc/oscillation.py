@@ -59,13 +59,12 @@ class PhaseFunction:
     demand, with no n x n table. The ``kernel`` rule reads each pair in one
     orientation: R(z, y) is the d-term product A[:, z]^* V[:, y] for z > y
     and the conjugate of A[:, y]^* V[:, z] for z < y, so Gamma(z, y) is
-    conj Gamma(y, z) to the bit; both rules are ``hermitian``.
+    conj Gamma(y, z) to the bit. Both rules are thus Hermitian, and both
+    give Gamma(y, y) = 1 exactly; the oscillation pass relies on both.
     The ``kernel`` rule is the per-pair L^2-optimal phase: since
     sum_x mu_x conj(R(x, z)) R(x, y) = R(z, y), it minimizes
     sum_x mu_x |R(x, y) - Gamma(y, z) R(x, z)|^2 for every pair. Which phase
     minimizes the oscillation norm itself is open."""
-
-    hermitian = True
 
     def __init__(self, model: FrameModel, rule: str):
         if rule not in ("one", "kernel"):
@@ -114,35 +113,34 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     the block (``Covering.q_neighborhoods``) are laid out as a table, row
     k listing Q_y for y = start + k, and cut into even tiles, each whole
     table rows or, where one row has more than ``cells`` cells, a piece of
-    one row. The term z = y is exactly 0 where Gamma(y, y) == 1 and is not
+    one row. The term z = y is exactly 0, Gamma(y, y) being 1, and is not
     listed. A tile forms each distinct row once, in one (rows, d) @
     (d, |xs|) product, and maxes their moduli along the table's rows; a
-    row is keyed by its tile and the pair (min, max) of (y, z) for a
-    ``hermitian`` phase, whose row of (z, y) is -Gamma(y, z) times that of
-    (y, z), else by the pair (y, z). Row 0 of the moduli is zero, for the
-    cells past the end of a shorter table row.
+    row is keyed by its tile and the pair (min, max) of (y, z), the phase
+    being Hermitian: the row of (z, y) is -Gamma(y, z) times that of
+    (y, z). Row 0 of the moduli is zero, for the cells past the end of a
+    shorter table row.
     """
     n = model.space.n_points
     wide = max(xs.stop - xs.start for xs in xcols)
-    ys = np.arange(start, stop)
+    n_ys = stop - start
     y_of, zs = cov.q_neighborhoods(start, stop)
-    keep = (zs != y_of) | (gamma(ys, ys) != 1.0)[y_of - start]
+    keep = zs != y_of
     y_of, zs = y_of[keep], zs[keep]
     if zs.size == 0:
         return
     row_of = y_of - start
-    counts = np.bincount(row_of, minlength=ys.size)
+    counts = np.bincount(row_of, minlength=n_ys)
     width = int(counts.max())
     # a tile is `tall` whole table rows, or one row in chunks of `chunk` cells
-    tall = even_step(ys.size, max(1, cells // width))
+    tall = even_step(n_ys, max(1, cells // width))
     chunk = even_step(width, min(width, cells))
-    n_tiles, n_chunks = -(-ys.size // tall), -(-width // chunk)
+    n_tiles, n_chunks = -(-n_ys // tall), -(-width // chunk)
     first = np.cumsum(counts) - counts
     group = (row_of // tall * n_chunks
              + (np.arange(zs.size) - first[row_of]) // chunk)
-    lo, hi = (np.minimum(y_of, zs), np.maximum(y_of, zs)) if gamma.hermitian \
-        else (y_of, zs)
-    # group < ys.size * width, the table's cells, which oscillation_norms
+    lo, hi = np.minimum(y_of, zs), np.maximum(y_of, zs)
+    # group < n_ys * width, the table's cells, which oscillation_norms
     # keeps to max(n, block_rows(d, PAIR_BYTES)) <= max(n, 2^15): a key is
     # below that times n^2, within int64 for every n below 2^21
     keys, slot = np.unique((group * n + lo) * n + hi, return_inverse=True)
@@ -161,7 +159,7 @@ def _osc_rows(model: FrameModel, cov: Covering, gamma: PhaseFunction,
         ((tile * wide,), complex), (((tile + 1) * wide,), float),
         ((tile * wide,), float), ((tall * wide,), float), ((wide,), float))
     for t in range(n_tiles):
-        r0, r1 = t * tall, min(ys.size, (t + 1) * tall)
+        r0, r1 = t * tall, min(n_ys, (t + 1) * tall)
         for xs in xcols:
             w = xs.stop - xs.start
             dst = out[:(r1 - r0) * w].reshape(r1 - r0, w)
@@ -424,14 +422,13 @@ def _floor_4(x: float) -> float:
 
 
 def refine_until(model: FrameModel, weight: Weight2D, delta: float,
-                 gamma_rule: str = "kernel", max_rounds: int = 12,
-                 require_invertibility: bool = True) -> tuple:
+                 gamma_rule: str = "kernel", max_rounds: int = 12) -> tuple:
     """Halve the covering width until the oscillation budget is met.
 
     Starts from a single box spanning the grid and halves the box width each
     round. Succeeds as soon as the oscillation norm is below ``delta`` and
-    (when required) the invertibility condition holds; an all-singleton
-    covering ends the search regardless, since its oscillation vanishes.
+    the invertibility condition holds; an all-singleton covering ends the
+    search regardless, since its oscillation vanishes.
     Each round's oscillation is screened column by column: a round is
     rejected, with no report, at the first column whose weighted Schur sum
     proves the norm at least ``delta``. Rounds that get through the screen
@@ -451,11 +448,8 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
     width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
 
     # Finest usable box width per axis; below it boxes can fall between points.
-    spacing = np.full(space.dim, np.inf)
-    for a in range(space.dim):
-        coords = np.unique(space.points[:, a])
-        if coords.size > 1:
-            spacing[a] = np.diff(coords).min()
+    spacing = np.array([np.diff(np.unique(c)).min(initial=np.inf)
+                        for c in space.points.T])
 
     for _ in range(max_rounds):
         if np.all(width >= spacing):
@@ -469,8 +463,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
             if r_norms is None:
                 r_norms = kernel_norms(model, weights)
             last = _report(model, cov, gamma, weight, delta, scan, r_norms)
-            done = last.oscillation_ok and (
-                not require_invertibility or last.invertibility_ok)
+            done = last.oscillation_ok and last.invertibility_ok
             singleton = cov.flat_points.size == cov.n_sets
             if done or (singleton and last.oscillation_ok):
                 return cov, last

@@ -111,7 +111,7 @@ def reproducing_defect(model: FrameModel, weight: Weight2D) -> float:
     return float(max(rows.max(), cols.max()))
 
 
-def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
+def cross_check_inversion(inverse: SamplingInverse,
                           seed: int = 0) -> float | None:
     """Worst relative Y-norm gap between Neumann and direct inversion,
     or None when the Neumann certificate is unavailable.
@@ -119,8 +119,8 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
     ``inverse`` is the side of its own method; the other side is built
     from it (``SamplingInverse.other_method``: a Neumann one from its
     report, ``tol`` and ``n_max``), on the same S^{-1} S_c and Y-norm
-    constants. The trials are random range functions, one per column of a
-    block of coordinates (``random_vectors``), inverted and measured in
+    constants. The trials are 20 random range functions, one per column of
+    a block of coordinates (``random_vectors``), inverted and measured in
     coordinates (``invert_coords``, ``range_norms``).
     """
     model = inverse.model
@@ -131,7 +131,7 @@ def cross_check_inversion(inverse: SamplingInverse, n_trials: int = 20,
     neu, direct = (inverse, other) if inverse.method == "neumann" \
         else (other, inverse)
     rng = np.random.default_rng(seed)
-    g = random_vectors(rng, model.dim, n_trials)
+    g = random_vectors(rng, model.dim, 20)
     nf = inverse.range_norms(g)
     g, nf = g[:, nf > 0.0], nf[nf > 0.0]
     gaps = inverse.range_norms(neu.invert_coords(g) - direct.invert_coords(g)) \

@@ -5,10 +5,10 @@ The solid spaces are L^p_w with norm (sum_x mu_x |F(x)|^p w(x)^p)^(1/p)
 whose norms give the sharp Hoelder constants. Sequences over a covering are
 measured through their pile-up functions: the flat pile-up puts |lambda_i|
 on chi_{U_i}, the natural one first divides by mu(U_i), and a partition of
-unity's pile-up weights set i by phi_i. ``pileup`` forms a pile-up on the
-grid. Every pile-up over a partition is constant on the partition's cells,
-so ``pileup_norms`` forms it there and norms it in Y collapsed on the cells
-(``cell_space``), without a grid function.
+unity's pile-up weights set i by phi_i. Every pile-up over a partition is
+constant on the partition's cells, so ``pileup_norms`` forms it there and
+norms it in Y collapsed on the cells (``cell_space``), without a grid
+function.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ class WeightedLp:
         return (vectors * (self.space.weights * self.w ** 2)) \
             @ vectors.conj().T
 
-    def weight2d(self, ref_index: int = 0) -> Weight2D:
+    def weight2d(self) -> Weight2D:
         """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
-        return Weight2D(self.space, self.w, ref_index)
+        return Weight2D(self.space, self.w)
 
     def dual(self) -> "WeightedLp":
         """The dual space L^q_{1/w}(mu), 1/p + 1/q = 1: its norm of g >= 0 is
@@ -131,29 +131,6 @@ def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:
     return WeightedLp(Y.space, np.inf, 1.0 / weight.v)
 
 
-def pileup(seq, cov: Covering, natural: bool = False, phi=None) -> np.ndarray:
-    """Grid function sum_i |lambda_i| chi_{U_i} (divided by mu(U_i) if natural).
-
-    A 2-D ``seq`` of shape (n_sets, k) is k sequences, one per column; the
-    result is then (n_points, k). With ``phi``, one value per (set, point)
-    pair in the covering's point-major order (a partition of unity's
-    ``phi``), the term of set i at x is weighted by phi_i(x) instead of
-    chi_{U_i}(x).
-    """
-    arr = np.asarray(seq)
-    if arr.ndim != 2:
-        arr = arr.reshape(-1)
-    if arr.shape[0] != cov.n_sets:
-        raise StructuralError("sequence length must equal number of covering sets")
-    held = cov.holders(0, cov.space.n_points)
-    lam = np.abs(arr[held]).astype(float, copy=False)
-    if natural:
-        lam = (lam.T / cov.measures[held]).T
-    if phi is not None:
-        lam = (np.asarray(phi) * lam.T).T
-    return cov.pair_sums(lam)
-
-
 def cell_space(Y: WeightedLp, cells: Cells) -> WeightedLp:
     """Y collapsed onto a partition's cells, each at its lowest point: the
     weight w'_c = max of w over cell c and the measure
@@ -173,9 +150,10 @@ def cell_space(Y: WeightedLp, cells: Cells) -> WeightedLp:
 
 def pileup_norms(Y: WeightedLp, seq, pou: PartitionOfUnity,
                  natural: bool = False, phi: bool = False) -> np.ndarray:
-    """Y-norms of the pile-ups (``pileup``) over the partition's covering
-    of the columns of an (n_sets, k) block ``seq``, weighted by the
-    partition's phi with ``phi``.
+    """Y-norms of the pile-ups sum_i |seq_i| chi_{U_i} (each term divided by
+    mu(U_i) if ``natural``, weighted by the partition's phi_i with ``phi``)
+    over the partition's covering, one per column of an (n_sets, k) block
+    ``seq``.
 
     Every such pile-up is constant on each of the partition's cells
     (``PartitionOfUnity.cells``), so it is formed and normed there: ``Y``

@@ -20,9 +20,9 @@ coverings (``space_to_json``, ``covering_to_json``)
 are here too: only the round-trip tests write those documents. So is the
 grid-side verification harness (``residual_suite_grid``,
 ``bounds_observed_grid``, ``cross_check_grid``): it forms every trial as an
-(n_points, n_trials) block of range functions (``random_range_block``) and
-measures it on the grid, as the package did before it measured trials
-through their coordinates.
+(n_points, n_trials) block of range functions (``random_range_block``),
+inverts it on the grid (``apply_inverse``) and measures it there, as the
+package did before it measured trials through their coordinates.
 
 The theory layer the tests measure with (measures, ``check_kernel`` and
 the dense ``schur_norm``, sequence and decomposition norms, covering
@@ -36,10 +36,10 @@ from framedisc.discretize import atomic_decomposition, dual_frame, \
     reconstruct_from_samples, synthesize_plan
 from framedisc.kernels import even_step, row_slices
 from framedisc.models import random_vectors
-from framedisc.spaces import WeightedLp, pileup, sup_infinity_space
+from framedisc.spaces import WeightedLp, sup_infinity_space
 
-from theory import DiscreteMeasure, check_kernel, decomposition_norm, \
-    random_range_function, schur_norms
+from theory import DiscreteMeasure, analyze, check_kernel, \
+    decomposition_norm, pileup, random_range_function, schur_norms
 
 
 def dense_kernel(model):
@@ -122,20 +122,20 @@ def oscillation_kernel(model, cov, gamma):
 def osc_rows_loop(model, cov, gamma, start, stop):
     """Columns ``start:stop`` of the oscillation kernel as rows of osc^T, the
     pairs listed one column at a time from ``q_neighborhoods_naive``: the
-    term z = y is left out where Gamma(y, y) == 1 (it is exactly 0), a
-    column with no term left is 0, and for a Hermitian phase every pair
-    (y, z) is formed in the orientation (min, max), whose row has the same
-    moduli. Every pair, mirrored ones twice, is a row of one rank-d
+    term z = y is left out (Gamma(y, y) = 1 makes it exactly 0), a column
+    with no term left is 0, and every pair (y, z) is formed in the
+    orientation (min, max), whose row has the same moduli under a
+    Hermitian phase. Every pair, mirrored ones twice, is a row of one rank-d
     product, and each column is the running maximum of its rows."""
     n = model.space.n_points
     q_of = q_neighborhoods_naive(cov.sets, n)
     ys, pairs = [], []
     for y in range(start, stop):
         for z in sorted(q_of[y]):
-            if z == y and gamma(y, y) == 1.0:
+            if z == y:
                 continue
             ys.append(y)
-            pairs.append((min(y, z), max(y, z)) if gamma.hermitian else (y, z))
+            pairs.append((min(y, z), max(y, z)))
     out = np.zeros((stop - start, n))
     if not pairs:
         return out
@@ -147,18 +147,18 @@ def osc_rows_loop(model, cov, gamma, start, stop):
     return out
 
 
-def osc_tile_keys_naive(cov, gamma, start, stop, cells):
+def osc_tile_keys_naive(cov, start, stop, cells):
     """The rows each tile of the oscillation pass forms over columns
     ``start:stop`` in tiles of at most ``cells`` (y, z) cells, one count
-    per tile that forms any: the distinct keys of its cells, (min, max) of
-    (y, z) for a Hermitian phase and (y, z) else. The cells are the pairs
+    per tile that forms any: the distinct keys (min, max) of its cells'
+    pairs (y, z). The cells are the pairs
     ``osc_rows_loop`` lists, laid out one table row per y; a tile is as
     many whole table rows as ``cells`` holds at the longest row's width,
     or, where one row is wider than ``cells``, a piece of one row, the
     rows and pieces cut evenly (``kernels.even_step``)."""
     q_of = q_neighborhoods_naive(cov.sets, cov.space.n_points)
-    table = [[(y, z) for z in sorted(q_of[y])
-              if z != y or gamma(y, y) != 1.0] for y in range(start, stop)]
+    table = [[(y, z) for z in sorted(q_of[y]) if z != y]
+             for y in range(start, stop)]
     width = max(len(row) for row in table)
     if width == 0:
         return []
@@ -167,8 +167,7 @@ def osc_tile_keys_naive(cov, gamma, start, stop, cells):
     counts = []
     for r0 in range(0, len(table), tall):
         for c0 in range(0, width, chunk):
-            keys = {(min(y, z), max(y, z)) if gamma.hermitian else (y, z)
-                    for row in table[r0:r0 + tall]
+            keys = {(min(y, z), max(y, z)) for row in table[r0:r0 + tall]
                     for y, z in row[c0:c0 + chunk]}
             if keys:
                 counts.append(len(keys))
@@ -396,7 +395,7 @@ def set_masses_naive(sets, indices, coefficients):
 
 
 def refine_until_naive(model, weight, delta, gamma_rule="kernel",
-                       max_rounds=12, require_invertibility=True):
+                       max_rounds=12):
     """The covering search with every round's budget computed in full.
 
     The same halving schedule as ``refine_until``, but each round builds the
@@ -425,8 +424,7 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
         else:
             cov = singleton_covering(space)
         report = oscillation_report(model, cov, gamma, weight, delta)
-        done = report.oscillation_ok and (
-            not require_invertibility or report.invertibility_ok)
+        done = report.oscillation_ok and report.invertibility_ok
         singleton = all(s.size == 1 for s in cov.sets)
         if done or (singleton and report.oscillation_ok):
             return cov, report
@@ -474,12 +472,12 @@ def observed_contraction_naive(model, plan, Y, n_iter=200, tol=1e-10,
     g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     prev = 0.0
     for _ in range(n_iter):
-        F = model.analyze(g)
+        F = analyze(model, g)
         nf = Y.norm(F)
         if nf == 0.0:
             break
         g_next = m @ g
-        ratio = Y.norm(model.analyze(g_next)) / nf
+        ratio = Y.norm(analyze(model, g_next)) / nf
         best = max(best, ratio)
         scale = np.linalg.norm(g_next)
         if scale == 0.0:
@@ -490,11 +488,11 @@ def observed_contraction_naive(model, plan, Y, n_iter=200, tol=1e-10,
         prev = ratio
     for _ in range(n_probes):
         g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
-        F = model.analyze(g)
+        F = analyze(model, g)
         nf = Y.norm(F)
         if nf == 0.0:
             continue
-        best = max(best, Y.norm(model.analyze(m @ g)) / nf)
+        best = max(best, Y.norm(analyze(model, m @ g)) / nf)
     return float(best)
 
 
@@ -632,13 +630,29 @@ def bounds_observed_grid(inverse, n_trials=50, seed=0):
     }
 
 
+def apply_inverse(inverse, F):
+    """A ``SamplingInverse`` applied to a grid function in the kernel range,
+    or to each column of an (n_points, k) block of them: F goes to its
+    coordinates a = S^{-1} V (mu F) (anything outside the range is first
+    projected onto it), is inverted there (``invert_coords``) and comes
+    back as V* a."""
+    model = inverse.model
+    arr = np.asarray(F, dtype=complex)
+    block = arr.reshape(model.space.n_points, -1)
+    coords = model.s_inverse @ (model.vectors
+                                @ (model.space.weights[:, None] * block))
+    out = model.vectors.conj().T @ inverse.invert_coords(coords)
+    return out.reshape(arr.shape)
+
+
 def cross_check_grid(inverse, other, n_trials=20, seed=0):
     """``cross_check_inversion`` between two handles with the trials formed
     on the grid: each side inverts the (n_points, n_trials) block of range
-    functions through ``apply``, which first projects it to coordinates."""
+    functions through ``apply_inverse``, which first projects it to
+    coordinates."""
     Y = inverse.Y
     F = random_range_block(inverse.model, np.random.default_rng(seed), n_trials)
     nf = Y.column_norms(F)
     F, nf = F[:, nf > 0.0], nf[nf > 0.0]
-    return float(np.max(Y.column_norms(inverse.apply(F) - other.apply(F)) / nf,
-                        initial=0.0))
+    gaps = Y.column_norms(apply_inverse(inverse, F) - apply_inverse(other, F))
+    return float(np.max(gaps / nf, initial=0.0))

@@ -5,12 +5,17 @@ method of a module under ``src/framedisc/``, that only the test suite
 calls belongs in ``tests/theory.py`` or ``tests/oracles.py``, not in the
 package. A name counts as used when code in a module of ``src/framedisc/``
 other than ``__init__.py``, or in a script under ``scripts/``, refers to it
-outside the name's own ``def`` or ``class`` (docstrings and comments do not
-count), or when ``README.md`` names it.
+outside the name's own ``def`` or ``class`` (docstrings, comments and the
+README do not count).
+
+Likewise a parameter with a default, of such a function or method, is a
+knob only if a program sets it: some call in ``src/framedisc/``,
+``scripts/`` or the benchmark's programs under ``perfbench/`` passes it,
+by keyword or by position. A knob only the tests set goes, with its one
+production value written into the body.
 """
 
 import ast
-import re
 import types
 from pathlib import Path
 
@@ -72,10 +77,8 @@ def public_definitions() -> list:
 
 
 def _unused(names) -> list:
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     used = code_references()
-    return [where for where, name in names if name not in used
-            and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    return [where for where, name in names if name not in used]
 
 
 def test_every_public_name_has_a_caller_outside_tests():
@@ -104,3 +107,74 @@ def test_only_spaces_reads_the_exponent():
                if isinstance(node, ast.Attribute) and node.attr == "p"
                and isinstance(node.ctx, ast.Load)]
     assert not readers, f"reads of an exponent p outside spaces.py: {readers}"
+
+
+def defaulted_parameters() -> list:
+    """``(module.function, name, parameter, position)`` for every parameter
+    with a default of a public module-level function or public method of
+    the package modules. ``position`` is its index among the positional
+    arguments a call passes (``self`` or ``cls`` left out), None for a
+    keyword-only parameter."""
+    found = []
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.FunctionDef):
+                defs = [(f"{path.stem}.{stmt.name}", stmt, 0)]
+            elif isinstance(stmt, ast.ClassDef):
+                defs = [(f"{path.stem}.{stmt.name}.{item.name}", item,
+                         0 if any(isinstance(d, ast.Name)
+                                  and d.id == "staticmethod"
+                                  for d in item.decorator_list) else 1)
+                        for item in stmt.body
+                        if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for where, fn, bound in defs:
+                if fn.name.startswith("_"):
+                    continue
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                found += [(where, fn.name, a.arg, i - bound)
+                          for i, a in enumerate(positional) if i >= first]
+                found += [(where, fn.name, a.arg, None)
+                          for a, default in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                          if default is not None]
+    return found
+
+
+def program_calls() -> dict:
+    """Per called name, ``(keywords, positional count)`` of every call in
+    the package modules, the scripts and the benchmark's programs (not its
+    tests). A ``**`` argument passes every keyword and a ``*`` argument
+    every position."""
+    paths = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) \
+        + sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                 if not p.name.startswith("test_"))
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) \
+                else func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            keywords = {k.arg for k in node.keywords}
+            count = float("inf") if any(isinstance(a, ast.Starred)
+                                        for a in node.args) else len(node.args)
+            calls.setdefault(name, []).append((keywords, count))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_a_program():
+    params = defaulted_parameters()
+    assert len(params) > 30
+    calls = program_calls()
+    unset = [f"{where}({param})" for where, name, param, position in params
+             if not any(param in keywords or None in keywords
+                        or (position is not None and count > position)
+                        for keywords, count in calls.get(name, ()))]
+    assert not unset, f"parameters only the tests set: {unset}"

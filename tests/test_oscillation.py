@@ -22,7 +22,7 @@ from oracles import dense_kernel, involution, osc_naive, osc_rows_loop, \
     osc_tile_keys_naive, oscillation_kernel, phase_table_naive, \
     q_neighborhoods_naive, rank_d_entries, refine_until_naive, \
     schur_norm_naive, weight_matrix_naive
-from theory import TablePhase, schur_norm
+from theory import TablePhase, random_phase_table, schur_norm
 
 
 @pytest.fixture
@@ -109,7 +109,8 @@ def streamed_setup(covering, weight_rule, phase):
     """A smooth model on 24 points with an overlapping interval covering or a
     box partition, a unit or random weight, and a phase; plus the dense
     oracle's oscillation kernel for them. The ``table`` phase is a random
-    unimodular table whose diagonal is never 1."""
+    Hermitian unimodular table with ones on the diagonal
+    (``random_phase_table``)."""
     model = build_random_smooth_model(d=4, n_points=24, smoothness=1.2, seed=3)
     space = model.space
     n = space.n_points
@@ -122,7 +123,7 @@ def streamed_setup(covering, weight_rule, phase):
     w = np.ones(n) if weight_rule == "unit" else random_pointwise_weight(rng, n)
     weight = Weight2D(space, w, ref_index=5)
     if phase == "table":
-        table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
+        table = random_phase_table(rng, n)
         gamma = TablePhase(space, table)
     else:
         table = phase_table_naive(rank_d_entries(model), phase)
@@ -274,26 +275,12 @@ class TestMirroredPairs:
         assert len(rows) == 4 and all(r < n for r in rows[:3])
         assert rows[3] == n
 
-    @pytest.mark.parametrize("covering", ["intervals", "boxes"])
-    def test_non_hermitian_table_keeps_every_orientation(self, covering):
-        """A random table is not Hermitian: its rows are formed as (y, z)
-        for every pair and match the triple loop."""
-        model, cov, weight, gamma, osc = streamed_setup(covering, "unit",
-                                                        "table")
-        assert gamma.hermitian is False
-        n = model.space.n_points
-        got = osc_rows(model, cov, gamma, 0, n)
-        tol = 8 * model.dim * np.finfo(float).eps \
-            * np.max(np.abs(dense_kernel(model)))
-        assert np.max(np.abs(got - osc.T)) <= tol
-
     def test_hermitian_table_takes_the_mirrored_path(self):
         """The kernel rule written out as a table is Hermitian to the bit,
         so a table phase built from it forms the rows the rule forms."""
         model, cov, gamma = q_table_setup("intervals", "kernel")
         n = model.space.n_points
         table = TablePhase(model.space, full_table(gamma))
-        assert table.hermitian is True
         assert np.array_equal(osc_rows(model, cov, table, 0, n),
                               osc_rows(model, cov, gamma, 0, n))
 
@@ -309,8 +296,8 @@ class TestKeyedRows:
         over a random block and in tiles of ``cells`` (y, z) cells, the
         pass forms, tile by tile, as many rows as the tile's cells have
         distinct keys, and its rows equal the loop's to the bit. A
-        ``table`` phase is a random non-Hermitian table with
-        Gamma(y, y) = 1 on even points only."""
+        ``table`` phase is a random Hermitian table with ones on the
+        diagonal (``random_phase_table``)."""
         model = build_random_smooth_model(d=4, n_points=24, smoothness=1.2,
                                           seed=3)
         space = model.space
@@ -324,16 +311,13 @@ class TestKeyedRows:
         stop = data.draw(st.integers(start + 1, n))
         if phase == "table":
             rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-            table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
-            table[np.arange(0, n, 2), np.arange(0, n, 2)] = 1.0
-            gamma = TablePhase(space, table)
-            assert not gamma.hermitian
+            gamma = TablePhase(space, random_phase_table(rng, n))
         else:
             gamma = PhaseFunction(model, phase)
         want = osc_rows_loop(model, cov, gamma, start, stop)
         rows = count_product_rows(model)
         got = osc_rows(model, cov, gamma, start, stop, cells)
-        assert rows == osc_tile_keys_naive(cov, gamma, start, stop, cells)
+        assert rows == osc_tile_keys_naive(cov, start, stop, cells)
         assert np.array_equal(got, want)
 
 
@@ -342,9 +326,8 @@ def q_table_setup(covering, phase):
 
     The coverings are a box partition, overlapping random intervals, all
     singletons, and sets that leave points 11-14 and 16-17 uncovered. The
-    ``table`` phase is a random unimodular table that is not Hermitian,
-    with Gamma(y, y) = 1 on even points only, so a block drops z = y on
-    some rows and keeps it on others."""
+    ``table`` phase is a random Hermitian unimodular table with ones on
+    the diagonal (``random_phase_table``)."""
     model = build_random_smooth_model(d=4, n_points=24, smoothness=1.2, seed=3)
     space = model.space
     n = space.n_points
@@ -355,9 +338,7 @@ def q_table_setup(covering, phase):
            "uncovered": lambda: Covering(space, (np.arange(0, 6), np.arange(4, 11),
                                                  [15], np.arange(18, n)))}[covering]()
     if phase == "table":
-        table = np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n)))
-        table[np.arange(0, n, 2), np.arange(0, n, 2)] = 1.0
-        gamma = TablePhase(space, table)
+        gamma = TablePhase(space, random_phase_table(rng, n))
     else:
         gamma = PhaseFunction(model, phase)
     return model, cov, gamma
@@ -629,7 +610,6 @@ class TestPhaseFunctions:
         """gamma(z, y) == conj gamma(y, z) to the bit, at every pair."""
         gamma = PhaseFunction(build(), rule)
         table = full_table(gamma)
-        assert gamma.hermitian is True
         assert np.array_equal(table, table.conj().T)
 
     @pytest.mark.parametrize("rule", ["one", "kernel"])
@@ -667,7 +647,7 @@ class TestPhaseFunctions:
 
     def test_user_table_matches_oracle(self, smooth_model, rng):
         n = smooth_model.space.n_points
-        table = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+        table = random_phase_table(rng, n)
         gamma = TablePhase(smooth_model.space, table)
         assert gamma.rule == "table"
         assert np.array_equal(full_table(gamma), table)
@@ -681,6 +661,18 @@ class TestPhaseFunctions:
         n = smooth_model.space.n_points
         with pytest.raises(StructuralError):
             TablePhase(smooth_model.space, np.full((n, n), 0.5 + 0j))
+
+    def test_table_off_the_phase_contract_rejected(self, smooth_model, rng):
+        """A unimodular table that is not Hermitian, or whose diagonal is
+        not one, is refused: the oscillation pass relies on both."""
+        n = smooth_model.space.n_points
+        table = random_phase_table(rng, n)
+        skew, flipped = table.copy(), table.copy()
+        skew[0, 1] *= 1j
+        flipped[2, 2] = -1.0
+        for bad in (skew, flipped):
+            with pytest.raises(StructuralError):
+                TablePhase(smooth_model.space, bad)
 
 
 class TestBudgetReport:
@@ -724,19 +716,11 @@ class TestBudgetReport:
                                  PhaseFunction(smooth_model, "kernel"), w, 0.1)
         assert rep.covering_id == cov.identifier() and rep.weight is w
         assert "weight" not in rep.to_json_dict()
-        found, refined = refine_until(smooth_model, w, delta=10.0,
-                                      require_invertibility=False)
+        found, refined = refine_until(smooth_model, w, delta=10.0)
         assert refined.covering_id == found.identifier() and refined.weight is w
 
 
 class TestRefine:
-    def test_huge_delta_returns_first_covering(self, smooth_model):
-        w = unit_weight(smooth_model.space)
-        cov, rep = refine_until(smooth_model, w, delta=10.0,
-                                require_invertibility=False)
-        assert cov.n_sets == 1
-        assert rep.oscillation_ok
-
     def test_terminates_for_any_positive_delta(self, smooth_model):
         w = unit_weight(smooth_model.space)
         cov, rep = refine_until(smooth_model, w, delta=1e-6, max_rounds=12)
@@ -746,8 +730,8 @@ class TestRefine:
     def test_deterministic(self):
         model = build_gabor_model(8, 8, 2.8)
         w = unit_weight(model.space)
-        out1 = refine_until(model, w, delta=0.5, require_invertibility=False)
-        out2 = refine_until(model, w, delta=0.5, require_invertibility=False)
+        out1 = refine_until(model, w, delta=0.5)
+        out2 = refine_until(model, w, delta=0.5)
         assert out1[0].identifier() == out2[0].identifier()
         assert out1[1].osc_norm == out2[1].osc_norm
 
@@ -833,53 +817,58 @@ def column0_sum(model, weight):
 
 
 def exact_search_cases():
-    """Models x weights x deltas x (require_invertibility, max_rounds).
+    """Models x weights x deltas x max_rounds, as ``pytest.param``s.
 
     On Gabor grids a round that passes the screen costs a full n^3 kernel,
-    so the two flags are crossed only on the smooth model (both weights) and
-    on Gabor 4x61 with the unit weight; the other Gabor cases run one
-    combination per delta. At delta 0.2 every round before the singleton
-    one fails the screen, and the singleton round ends the search whatever
-    require_invertibility says, so every model and weight runs 1 round
-    (exhaustion) and 12 rounds (success) with it set. Gabor 6x81 at delta 10
-    runs with the unit weight alone: its round 0 passes the screen.
+    so every delta runs 1 round (exhaustion) and 12 rounds only on the
+    smooth model (both weights) and on Gabor 4x61 with the unit weight; the
+    other Gabor cases run 12 rounds per delta. At delta 0.2 every round
+    before the singleton one fails the screen, so every model and weight
+    runs 1 round and 12 rounds (success) there. Gabor 6x81 at delta 10 runs
+    with the unit weight alone: its round 0 passes the screen. The
+    ``True`` in each id is the invertibility every search requires.
     """
-    crossed = [(True, 1), (True, 12), (False, 1), (False, 12)]
     cases = []
     for model_name in sorted(SCREEN_MODELS):
         for rule in ("unit", "exp"):
             for delta in (0.2, 3.2, 5.5, 10.0):
-                if delta == 0.2:
-                    flags = [(True, 1), (True, 12)]
-                elif model_name == "smooth" or \
+                if delta == 0.2 or model_name == "smooth" or \
                         (model_name, rule) == ("gabor-4x61", "unit"):
-                    flags = crossed
+                    rounds = [1, 12]
                 elif (model_name, rule, delta) == ("gabor-6x81", "exp", 10.0):
-                    flags = []
+                    rounds = []
                 else:
-                    flags = [(True, 12)]
-                cases += [(model_name, rule, delta, require_inv, max_rounds)
-                          for require_inv, max_rounds in flags]
+                    rounds = [12]
+                cases += [pytest.param(model_name, rule, delta, max_rounds,
+                                       id=f"{model_name}-{rule}-{delta}-True-"
+                                          f"{max_rounds}")
+                          for max_rounds in rounds]
     return cases
 
 
+def assert_same_outcome(got, want):
+    """The search and its exact oracle agree: the same covering and report,
+    or the same exhaustion; a screened exhaustion states a lower bound on
+    the oscillation norm of the oracle's last round."""
+    assert got[0] == want[0]
+    if got[0] is CertificationError and ">=" in got[1]:
+        assert got[1].startswith(want[1].split("(")[0])
+        assert stated_bound(got[1]) <= want[2].osc_norm * (1 + 1e-12)
+    else:
+        assert got[:2] == want[:2]
+
+
 class TestRefineScreen:
-    @pytest.mark.parametrize("model_name,rule,delta,require_inv,max_rounds",
+    @pytest.mark.parametrize("model_name,rule,delta,max_rounds",
                              exact_search_cases())
     def test_matches_exact_search(self, screen_models, exact_kernels, monkeypatch,
-                                  model_name, rule, delta, require_inv,
-                                  max_rounds):
+                                  model_name, rule, delta, max_rounds):
         model = screen_models[model_name]
         w = screen_weight(model, rule)
-        opts = dict(max_rounds=max_rounds, require_invertibility=require_inv)
-        got = outcome(refine_until, model, w, delta, **opts)
-        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta, **opts)
-        assert got[0] == want[0]
-        if got[0] is CertificationError and ">=" in got[1]:
-            assert got[1].startswith(want[1].split("(")[0])
-            assert stated_bound(got[1]) <= want[2].osc_norm * (1 + 1e-12)
-        else:
-            assert got[:2] == want[:2]
+        got = outcome(refine_until, model, w, delta, max_rounds=max_rounds)
+        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta,
+                             max_rounds=max_rounds)
+        assert_same_outcome(got, want)
 
     @pytest.mark.parametrize("model_name,rule,side", [
         (model_name, rule, side)
@@ -889,18 +878,21 @@ class TestRefineScreen:
     def test_matches_exact_search_at_column0_sum(self, screen_models, exact_kernels,
                                                  monkeypatch, model_name, rule,
                                                  side):
-        """delta on round 0's column-0 sum and one ulp either side. These
-        deltas pass round 0's screen, so on 6x81 each case costs a full n^3
-        kernel; one weight and the sum itself are enough there."""
+        """delta on round 0's column-0 sum and one ulp either side, over
+        round 0 alone, where the screen decides at column 0. Round 0 is
+        one box, so a delta that passes its screen costs a full n^3 kernel
+        on 6x81; one weight and the sum itself are enough there."""
         model = screen_models[model_name]
         w = screen_weight(model, rule)
         delta = column0_sum(model, w)
         if side:
             delta = float(np.nextafter(delta, side * np.inf))
-        opts = dict(max_rounds=12, require_invertibility=False)
-        got = outcome(refine_until, model, w, delta, **opts)
-        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta, **opts)
-        assert got[:2] == want[:2]
+        got = outcome(refine_until, model, w, delta, max_rounds=1)
+        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta,
+                             max_rounds=1)
+        assert_same_outcome(got, want)
+        stopped_at_0 = got[0] is CertificationError and "column 0's" in got[1]
+        assert stopped_at_0 == (side <= 0)
 
     def test_rejected_rounds_stop_early(self, screen_models, monkeypatch):
         model = screen_models["gabor-6x81"]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from framedisc import Covering, SamplingInverse, StructuralError, \
     WeightedLp, build_gabor_model, build_pou, cell_space, \
-    local_integrability_constant, pileup, pileup_norms, select_samples, \
+    local_integrability_constant, pileup_norms, select_samples, \
     singleton_covering, uniform_covering, uniform_grid
 from framedisc.coverings import weight_compatibility
 from framedisc.spaces import streamed_norms, sup_infinity_space
@@ -15,7 +15,7 @@ from oracles import lp_norm_naive, membership_naive, pileup_naive, set_masses_na
 from theory import DiscreteMeasure, SequenceNorms, check_m_equivalent, \
     decomposition_norm, flat_equivalence_interval, integrate, \
     lp_sequence_norm, neighbor_sums, norm_flat, norm_natural, \
-    permutation_kernel, random_admissible_permutation, schur_norm, \
+    permutation_kernel, pileup, random_admissible_permutation, schur_norm, \
     sup_embedding_report, transfer_kernel
 
 P_VALUES = (1.0, 2.0, np.inf)

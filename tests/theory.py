@@ -9,12 +9,15 @@ argument. Here are:
 - finite measures (``DiscreteMeasure``) and the dense kernel interface
   (``check_kernel``, ``abs_row_blocks``, ``schur_norms`` of streamed
   blocks, ``schur_norm``);
-- the inverse analysis maps, synthesis from a measure and the range
-  projection of a frame model, and one random range function;
-- a phase given as a full table (``TablePhase``);
+- the analysis maps V* f and V* S^{-1} f of a frame model and their
+  inverses, synthesis from a measure, the range projection and one random
+  range function;
+- a phase given as a full table (``TablePhase``) and a random table it
+  accepts;
 - m-equivalent coverings, admissible permutations and their kernels;
-- the flat and natural sequence norms, their weighted l^p equivalents, the
-  sup embedding and decomposition norms;
+- the pile-up of a sequence on the grid (``pileup``), the flat and natural
+  sequence norms, their weighted l^p equivalents, the sup embedding and
+  decomposition norms;
 - the sampling operator and its phase-corrected companion applied to a
   grid function (``apply_sampling``, ``apply_smoothed``).
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from framedisc import Covering, FrameModel, PhaseFunction, QuadratureSpace, \
-    SamplingPlan, SchurSums, StructuralError, Weight2D, WeightedLp, pileup, \
+    SamplingPlan, SchurSums, StructuralError, Weight2D, WeightedLp, \
     weight_compatibility
 from framedisc.kernels import row_slices
 from framedisc.models import random_vectors
@@ -105,6 +108,18 @@ def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -
     return schur_norms(space, abs_row_blocks(k), [weight])[0]
 
 
+def analyze(model: FrameModel, f) -> np.ndarray:
+    """Frame coefficients (V* f)(x) = <f, psi_x> of a vector, or of each
+    column of a (d, k) block, as grid functions."""
+    return model.vectors.conj().T @ np.asarray(f, dtype=complex)
+
+
+def dual_analyze(model: FrameModel, f) -> np.ndarray:
+    """Canonical-dual coefficients (V* S^{-1} f)(x) = <f, S^{-1} psi_x>."""
+    return model.vectors.conj().T @ (model.s_inverse
+                                     @ np.asarray(f, dtype=complex))
+
+
 def from_analysis(model: FrameModel, F) -> np.ndarray:
     """Invert ``analyze`` on its range: f = S^{-1} sum_x w_x F(x) psi_x."""
     arr = model.space.check_function(F)
@@ -137,14 +152,15 @@ def project_to_range(model: FrameModel, F) -> np.ndarray:
 
 def random_range_function(model: FrameModel, rng: np.random.Generator) -> np.ndarray:
     """Analysis of a random vector: a generic element of the range."""
-    return model.analyze(random_vectors(rng, model.dim, 1)[:, 0])
+    return analyze(model, random_vectors(rng, model.dim, 1)[:, 0])
 
 
 class TablePhase:
     """A unimodular phase given as a full n x n table, called like
     ``oscillation.PhaseFunction``: ``gamma(y, z)`` reads the table at index
-    arrays broadcast together, ``rule`` names it in reports, and
-    ``hermitian`` says whether the table equals its conjugate transpose."""
+    arrays broadcast together and ``rule`` names it in reports. Like both
+    built-in rules, the table must be Hermitian with Gamma(y, y) = 1, to
+    the bit: the oscillation pass relies on both."""
 
     rule = "table"
 
@@ -156,13 +172,23 @@ class TablePhase:
         mod = np.abs(tab)
         if np.max(np.abs(mod - 1.0)) > 1e-14:
             raise StructuralError("phase values must have modulus one")
+        if not np.array_equal(tab, tab.conj().T) or np.any(np.diag(tab) != 1.0):
+            raise StructuralError("phase table must be Hermitian with ones on "
+                                  "the diagonal")
         tab.setflags(write=False)
         self.space = space
-        self.hermitian = bool(np.array_equal(tab, tab.conj().T))
         self._table = tab
 
     def __call__(self, y, z) -> np.ndarray:
         return self._table[y, z]
+
+
+def random_phase_table(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random n x n table ``TablePhase`` accepts: unimodular entries drawn
+    on the upper triangle, their conjugates mirrored below, ones on the
+    diagonal."""
+    upper = np.triu(np.exp(2j * np.pi * rng.uniform(0.1, 0.9, size=(n, n))), 1)
+    return upper + upper.conj().T + np.eye(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,6 +290,30 @@ def neighbor_sums(cov: Covering, seq) -> np.ndarray:
         raise StructuralError("sequence length must equal number of sets")
     starts = np.cumsum([0] + [nb.size for nb in cov.neighbors[:-1]])
     return np.add.reduceat(arr[np.concatenate(cov.neighbors)], starts)
+
+
+def pileup(seq, cov: Covering, natural: bool = False, phi=None) -> np.ndarray:
+    """Grid function sum_i |lambda_i| chi_{U_i} (divided by mu(U_i) if natural).
+
+    A 2-D ``seq`` of shape (n_sets, k) is k sequences, one per column; the
+    result is then (n_points, k). With ``phi``, one value per (set, point)
+    pair in the covering's point-major order (a partition of unity's
+    ``phi``), the term of set i at x is weighted by phi_i(x) instead of
+    chi_{U_i}(x). The package norms pile-ups on a partition's cells
+    (``spaces.pileup_norms``); this is their grid-side form.
+    """
+    arr = np.asarray(seq)
+    if arr.ndim != 2:
+        arr = arr.reshape(-1)
+    if arr.shape[0] != cov.n_sets:
+        raise StructuralError("sequence length must equal number of covering sets")
+    held = cov.holders(0, cov.space.n_points)
+    lam = np.abs(arr[held]).astype(float, copy=False)
+    if natural:
+        lam = (lam.T / cov.measures[held]).T
+    if phi is not None:
+        lam = (np.asarray(phi) * lam.T).T
+    return cov.pair_sums(lam)
 
 
 def norm_flat(seq, cov: Covering, Y: WeightedLp) -> float:
