@@ -192,9 +192,6 @@ def build_covering_on(cfg: dict, space) -> Covering | None:
     width = cfg["covering-width"]
     if width == "singleton":
         return singleton_covering(space)
-    if np.ndim(width) and len(width) != space.dim:
-        raise StructuralError(f"covering-width has {len(width)} entries for a "
-                              f"{space.dim}-dimensional grid")
     return uniform_covering(space, width, cfg["covering-overlap"])
 
 

@@ -9,9 +9,7 @@ all by exact enumeration.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,13 +43,6 @@ def _segment_sums(values, ptr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pieces(flat: np.ndarray, starts: np.ndarray) -> tuple:
-    """Views of ``flat`` cut at the ascending ``starts`` (the first is 0).
-    Plain slices: ``np.split`` costs several times more per piece."""
-    bounds = starts.tolist() + [flat.size]
-    return tuple(flat[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
-
-
 def _index_array(s) -> np.ndarray:
     """One covering set as a flat integer index array; refuses what is not
     a nonempty array of integers."""
@@ -78,7 +69,7 @@ def _flat_sets(sets) -> tuple:
     what is wrong with the first bad set.
     """
     if sets and all(type(s) is list for s in sets):
-        flat = list(itertools.chain.from_iterable(sets))
+        flat = [x for s in sets for x in s]
         sizes = np.fromiter(map(len, sets), int, len(sets))
         if sizes.all() and set(map(type, flat)) == {int}:
             points = np.array(flat)
@@ -92,19 +83,17 @@ def _flat_sets(sets) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Covering:
-    """Indexed family of point subsets, stored once as point-index arrays.
+    """Indexed family of point subsets, stored once as its incidence.
 
-    The incidence is kept as ``sets`` (sorted, unique indices per set) and
-    as the same (set, point) pairs in two flat arrays, set-major
-    (``flat_sets``, ``flat_points``), plus a point-major ordering of those
-    pairs (a CSR index). No (n_sets, n_points), (n_sets, n_sets) or
-    (n_points, n_points) table is formed; everything else is derived (all
-    exact):
+    ``sets`` is read into the (set, point) pairs, sorted and unique, in two
+    flat arrays, set-major (``flat_sets``, ``flat_points``), plus a
+    point-major ordering of those pairs (a CSR index). No per-set object
+    and no (n_sets, n_points), (n_sets, n_sets) or (n_points, n_points)
+    table is kept; everything else is derived (all exact):
 
       cover_counts       number of sets containing each point
       measures           mu(U_i)
-      neighbors          sorted lists i* = {j : U_j meets U_i} (i is in i*)
-      overlap_bound      N  = max_i #(i*)
+      overlap_bound      N  = max_i #(i*), i* = {j : U_j meets U_i} (i is in i*)
       min_measure        D  = min_i mu(U_i)
       moderateness       C~ = max mu(U_i)/mu(U_j) over intersecting pairs
       q_neighborhoods    Q_y for a block of points y, the union of the sets
@@ -113,35 +102,41 @@ class Covering:
     """
 
     space: QuadratureSpace
-    sets: tuple
+    sets: InitVar[tuple]
 
-    def __post_init__(self):
-        n = self.space.n_points
-        points, sizes = _flat_sets(self.sets)
-        if points.min() < 0 or points.max() >= n:
+    def __post_init__(self, sets):
+        points, sizes = _flat_sets(sets)
+        if points.min() < 0 or points.max() >= self.space.n_points:
             raise StructuralError("covering set contains invalid point index")
+        self._index(np.repeat(np.arange(sizes.size), sizes), points)
 
+    @classmethod
+    def _from_pairs(cls, space: QuadratureSpace, set_ids, points) -> Covering:
+        """The covering of the (set, point) pairs (``set_ids``, ``points``):
+        valid points in any order, repeats allowed, no set id left out."""
+        cov = cls.__new__(cls)
+        object.__setattr__(cov, "space", space)
+        cov._index(set_ids, points)
+        return cov
+
+    def _index(self, set_ids, points) -> None:
+        n = self.space.n_points
         # sort and dedupe every (set, point) pair at once, keyed set * n + point
-        keys = np.unique(np.repeat(np.arange(sizes.size) * n, sizes) + points)
-        flat_sets, flat_points = np.divmod(keys, n)
-        sizes = np.bincount(flat_sets, minlength=sizes.size)
-        flat_points.setflags(write=False)
-        object.__setattr__(self, "sets",
-                           _pieces(flat_points, np.cumsum(sizes) - sizes))
+        flat_sets, flat_points = np.divmod(np.unique(set_ids * n + points), n)
+        sizes = np.bincount(flat_sets)
         by_point = np.argsort(flat_points, kind="stable")
-        point_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(flat_points, minlength=n))))
+        point_ptr = np.cumsum(np.bincount(flat_points, minlength=n))
         for name, arr in (("flat_sets", flat_sets), ("flat_points", flat_points),
                           ("_set_starts", np.cumsum(sizes) - sizes),
                           ("_set_sizes", sizes),
                           ("_sets_by_point", flat_sets[by_point]),
-                          ("_point_ptr", point_ptr)):
+                          ("_point_ptr", np.append(0, point_ptr))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def n_sets(self) -> int:
-        return len(self.sets)
+        return self._set_sizes.size
 
     @property
     def cover_counts(self) -> np.ndarray:
@@ -156,20 +151,19 @@ class Covering:
         return out
 
     @cached_property
-    def neighbors(self) -> tuple:
-        """i* for every set i: the sets holding any point of U_i."""
+    def _neighbor_pairs(self) -> tuple:
+        """(i, j) for every set i and every j in i*, ordered by i, then j."""
         # Pair every flat (i, x) with each set j holding x; those j sit at
         # _sets_by_point[ptr[x]:ptr[x + 1]], laid out here pair after pair.
         ptr = self._point_ptr
         holds = np.diff(ptr)[self.flat_points]
         holders = self._sets_by_point[_segments(ptr[self.flat_points], holds)]
         pairs = np.unique(np.repeat(self.flat_sets, holds) * self.n_sets + holders)
-        rows, cols = np.divmod(pairs, self.n_sets)
-        return _pieces(cols, np.flatnonzero(np.diff(rows, prepend=-1)))
+        return np.divmod(pairs, self.n_sets)
 
     @property
     def overlap_bound(self) -> int:
-        return int(max(len(nb) for nb in self.neighbors))
+        return int(np.bincount(self._neighbor_pairs[0]).max())
 
     @property
     def min_measure(self) -> float:
@@ -178,8 +172,8 @@ class Covering:
     @property
     def moderateness(self) -> float:
         mu = self.measures
-        rows = np.repeat(np.arange(self.n_sets), [nb.size for nb in self.neighbors])
-        return float(np.max(mu[rows] / mu[np.concatenate(self.neighbors)]))
+        rows, cols = self._neighbor_pairs
+        return float(np.max(mu[rows] / mu[cols]))
 
     def set_sums(self, values) -> np.ndarray:
         """out[i] = sum over x in U_i of values[x], for (n_points, ...) values."""
@@ -241,9 +235,13 @@ class Covering:
 
     @cached_property
     def _identifier(self) -> str:
-        # hashed once per covering: the JSON dump of every set dominates
-        payload = json.dumps([s.tolist() for s in self.sets]).encode()
-        return hashlib.sha256(payload).hexdigest()[:12]
+        # hashed once per covering: the JSON text of the sorted sets, each
+        # point followed by ", " inside a set and by "], [" at a set's end
+        ends = (np.diff(self.flat_sets, append=self.n_sets) != 0).tolist()
+        text = "".join(f"{x}], [" if end else f"{x}, "
+                       for x, end in zip(self.flat_points.tolist(), ends))
+        payload = "[[" + text[:-len("], [")] + "]]"
+        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +398,7 @@ def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
     elif kind == "smooth":
         pts = cov.space.points
         bumps = []
-        for idx in cov.sets:
+        for idx in np.split(cov.flat_points, cov._set_starts[1:]):
             center = pts[idx].mean(axis=0)
             d2 = np.sum((pts[idx] - center) ** 2, axis=1)
             spread = max(float(d2.max()), 1e-12)
@@ -415,7 +413,8 @@ def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
 
 def singleton_covering(space: QuadratureSpace) -> Covering:
     """One singleton set per point, in point order."""
-    return Covering(space, [[i] for i in range(space.n_points)])
+    every = np.arange(space.n_points)
+    return Covering._from_pairs(space, every, every)
 
 
 def uniform_covering(space: QuadratureSpace, width, overlap=0.0) -> Covering:
@@ -423,48 +422,49 @@ def uniform_covering(space: QuadratureSpace, width, overlap=0.0) -> Covering:
 
     Along every axis, windows [a, a + width) start at the axis minimum and
     advance by ``width - overlap`` while they still start at or below the
-    axis maximum; sets are the box preimages on the grid. ``width`` and
-    ``overlap`` may be scalars or per-axis sequences.
+    axis maximum; sets are the box preimages on the grid, one box per
+    choice of a window on every axis, numbered with the last axis fastest.
+    ``width`` and ``overlap`` may be scalars or per-axis sequences.
     """
     dim = space.dim
-    widths = np.broadcast_to(np.asarray(width, dtype=float).reshape(-1), (dim,)) \
-        if np.ndim(width) else np.full(dim, float(width))
-    overlaps = np.broadcast_to(np.asarray(overlap, dtype=float).reshape(-1), (dim,)) \
-        if np.ndim(overlap) else np.full(dim, float(overlap))
+    widths, overlaps = (np.asarray(v, dtype=float).reshape(-1)
+                        for v in (width, overlap))
+    if {widths.size, overlaps.size} - {1, dim}:
+        raise StructuralError(f"width and overlap take 1 or {dim} entries on a "
+                              f"{dim}-dimensional grid, got {widths.size} and "
+                              f"{overlaps.size}")
+    widths, overlaps = np.broadcast_to(widths, dim), np.broadcast_to(overlaps, dim)
     if np.any(widths <= 0):
         raise StructuralError("width must be positive")
     if np.any(overlaps < 0) or np.any(overlaps >= widths):
         raise StructuralError("overlap must satisfy 0 <= overlap < width")
 
     tol = 1e-9
-    axis_windows = []
+    # the (box, point) pairs, one axis at a time: each pair of the boxes so
+    # far is split over the windows of the next axis holding its point
+    boxes, points = np.zeros(space.n_points, dtype=int), np.arange(space.n_points)
+    n_boxes = 1
     for a in range(dim):
         coords = space.points[:, a]
         lo, hi = float(coords.min()), float(coords.max())
         stride = widths[a] - overlaps[a]
-        starts = []
-        s = lo
-        while s <= hi + tol:
-            starts.append(s)
-            s += stride
-        masks = []
-        for s in starts:
-            masks.append((coords >= s - tol) & (coords < s + widths[a] - tol))
-        axis_windows.append(masks)
-
-    sets = []
-    idx_grid = [range(len(m)) for m in axis_windows]
-    for combo in itertools.product(*idx_grid):
-        mask = np.ones(space.n_points, dtype=bool)
-        for a, k in enumerate(combo):
-            mask &= axis_windows[a][k]
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise StructuralError(
-                "uniform covering produced an empty box; adjust width/overlap"
-            )
-        sets.append(idx)
-    return Covering(space, tuple(sets))
+        starts = [lo]
+        while starts[-1] + stride <= hi + tol:
+            starts.append(starts[-1] + stride)
+        starts = np.array(starts)
+        # window k holds x when starts[k] - tol <= x < starts[k] + width - tol;
+        # both bounds ascend with k, so x is in windows first[x]:stop[x]
+        first = np.searchsorted(starts + widths[a] - tol, coords, side="right")
+        stop = np.searchsorted(starts - tol, coords, side="right")
+        held = (stop - first)[points]
+        boxes = np.repeat(boxes * starts.size, held) + _segments(first[points], held)
+        points = np.repeat(points, held)
+        n_boxes *= starts.size
+    if boxes.size < n_boxes or not np.bincount(boxes, minlength=n_boxes).all():
+        raise StructuralError(
+            "uniform covering produced an empty box; adjust width/overlap"
+        )
+    return Covering._from_pairs(space, boxes, points)
 
 
 def covering_from_json(space: QuadratureSpace, doc: dict) -> Covering:

@@ -24,7 +24,7 @@ from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import Workspace, block_rows, even_step, row_slices
 from .models import FrameModel, random_vectors
-from .oscillation import OscReport, kernel_norms
+from .oscillation import OscReport, kernel_norms, sigma_constant
 from .spaces import WeightedLp, cell_space, local_integrability_constant, \
     pileup_norms, streamed_norms, sup_infinity_space
 
@@ -106,7 +106,8 @@ def select_samples(pou: PartitionOfUnity,
         samples = cov.flat_points[first]
     elif rule == "medoid":
         samples = np.empty(cov.n_sets, dtype=int)
-        for i, idx in enumerate(cov.sets):
+        starts = np.flatnonzero(np.diff(cov.flat_sets)) + 1
+        for i, idx in enumerate(np.split(cov.flat_points, starts)):
             pts = space.points[idx]
             dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
             samples[i] = idx[int(np.argmin(dists.sum(axis=1)))]
@@ -118,11 +119,13 @@ def select_samples(pou: PartitionOfUnity,
 def contraction_bounds(report: OscReport) -> tuple:
     """(nominal, sharp) bounds on ||Id - U|| restricted to the kernel range.
 
-    nominal uses the target budget delta, sharp the measured oscillation
-    norm; both are multiplied by (|R| + sigma).
+    nominal is delta (|R| + sigma), sharp osc (|R| + sigma'), with sigma' the
+    pile-up constant of the budget max{delta, osc}: sigma when osc < delta.
     """
-    factor = report.r_norm + report.sigma
-    return report.delta * factor, report.osc_norm * factor
+    sigma = sigma_constant(max(report.delta, report.osc_norm), report.r_norm,
+                           report.c_mu)
+    return (report.delta * (report.r_norm + report.sigma),
+            report.osc_norm * (report.r_norm + sigma))
 
 
 def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
@@ -209,7 +212,6 @@ class SamplingInverse:
                     f"sharp contraction bound {sharp:.4f} is not below 1; "
                     f"refine the covering (smaller width) before inverting"
                 )
-            self.sharp_bound = sharp
         elif method == "direct":
             evals = np.linalg.eigvals(self._restricted)
             if np.min(np.abs(evals)) <= DIRECT_EIG_FLOOR:

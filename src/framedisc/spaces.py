@@ -184,7 +184,7 @@ def set_pair_kernel_norms(cov: Covering, weight: Weight2D) -> np.ndarray:
     (set, point) pairs.
     """
     mu = cov.space.weights
-    k_idx = cov.sets[0]
+    k_idx = cov.flat_points[cov.flat_sets == 0]
     points = cov.flat_points
     starts = np.flatnonzero(np.diff(cov.flat_sets, prepend=-1))
     m_k = weight.block(k_idx, points)               # (|U_k|, pairs)
@@ -202,7 +202,7 @@ def local_integrability_constant(cov: Covering, Y: WeightedLp,
     |chi_{U_i} F|_{L^1} <= C_k mu(U_k)^{-1} |K_i| |F|_Y, then takes the
     weighted sup of the resulting pile-up against 1/v.
     """
-    c_hold = Y.holder_l1_constant(cov.sets[0])
+    c_hold = Y.holder_l1_constant(cov.flat_points[cov.flat_sets == 0])
     coef = set_pair_kernel_norms(cov, weight) / cov.measures
     envelope = cov.point_sums(coef)
     return float(c_hold / cov.measures[0] * np.max(envelope / weight.v))

@@ -18,6 +18,9 @@ the rows built from ``Covering.q_neighborhoods`` must equal it;
 each tile of the package's pass must form. The JSON writers of grids and
 coverings (``space_to_json``, ``covering_to_json``)
 are here too: only the round-trip tests write those documents. So is the
+box covering built from one mask per window and box
+(``uniform_covering_naive``), which the package builds from each point's
+window range along each axis, and the
 grid-side verification harness (``residual_suite_grid``,
 ``bounds_observed_grid``, ``cross_check_grid``): it forms every trial as an
 (n_points, n_trials) block of range functions (``random_range_block``),
@@ -30,8 +33,13 @@ kernels, the sampling operator on grid functions) is in ``theory.py``;
 the dense algebra here coerces its kernels through ``theory.check_kernel``.
 """
 
+import hashlib
+import itertools
+import json
+
 import numpy as np
 
+from framedisc import Covering, StructuralError
 from framedisc.discretize import atomic_decomposition, dual_frame, \
     reconstruct_from_samples, synthesize_plan
 from framedisc.kernels import even_step, row_slices
@@ -39,7 +47,7 @@ from framedisc.models import random_vectors
 from framedisc.spaces import WeightedLp, sup_infinity_space
 
 from theory import DiscreteMeasure, analyze, check_kernel, \
-    decomposition_norm, pileup, random_range_function, schur_norms
+    decomposition_norm, pileup, random_range_function, schur_norms, sets_of
 
 
 def dense_kernel(model):
@@ -128,7 +136,7 @@ def osc_rows_loop(model, cov, gamma, start, stop):
     Hermitian phase. Every pair, mirrored ones twice, is a row of one rank-d
     product, and each column is the running maximum of its rows."""
     n = model.space.n_points
-    q_of = q_neighborhoods_naive(cov.sets, n)
+    q_of = q_neighborhoods_naive(sets_of(cov), n)
     ys, pairs = [], []
     for y in range(start, stop):
         for z in sorted(q_of[y]):
@@ -156,7 +164,7 @@ def osc_tile_keys_naive(cov, start, stop, cells):
     many whole table rows as ``cells`` holds at the longest row's width,
     or, where one row is wider than ``cells``, a piece of one row, the
     rows and pieces cut evenly (``kernels.even_step``)."""
-    q_of = q_neighborhoods_naive(cov.sets, cov.space.n_points)
+    q_of = q_neighborhoods_naive(sets_of(cov), cov.space.n_points)
     table = [[(y, z) for z in sorted(q_of[y]) if z != y]
              for y in range(start, stop)]
     width = max(len(row) for row in table)
@@ -193,7 +201,7 @@ def sampled_row_bound_naive(model, plan, w):
     mu = model.space.weights
     n = model.space.n_points
     m = weight_matrix_naive(w)
-    sets = [list(map(int, s)) for s in plan.covering.sets]
+    sets = [list(map(int, s)) for s in sets_of(plan.covering)]
     samples = [int(x) for x in plan.samples]
     spread, rho, measure = [], [], []
     for i, s in enumerate(sets):
@@ -425,7 +433,7 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
             cov = singleton_covering(space)
         report = oscillation_report(model, cov, gamma, weight, delta)
         done = report.oscillation_ok and report.invertibility_ok
-        singleton = all(s.size == 1 for s in cov.sets)
+        singleton = all(s.size == 1 for s in sets_of(cov))
         if done or (singleton and report.oscillation_ok):
             return cov, report
         width = width / 2.0
@@ -517,10 +525,62 @@ def measure_observed_naive(model, plan, Y, n_trials=50, seed=0):
     return best
 
 
+def uniform_covering_naive(space, width, overlap=0.0):
+    """``coverings.uniform_covering`` as one boolean mask per window and
+    axis, intersected box by box over ``itertools.product`` of the window
+    indices; the first empty box raises."""
+    dim = space.dim
+    widths = np.broadcast_to(np.asarray(width, dtype=float).reshape(-1), (dim,)) \
+        if np.ndim(width) else np.full(dim, float(width))
+    overlaps = np.broadcast_to(np.asarray(overlap, dtype=float).reshape(-1), (dim,)) \
+        if np.ndim(overlap) else np.full(dim, float(overlap))
+    if np.any(widths <= 0):
+        raise StructuralError("width must be positive")
+    if np.any(overlaps < 0) or np.any(overlaps >= widths):
+        raise StructuralError("overlap must satisfy 0 <= overlap < width")
+
+    tol = 1e-9
+    axis_windows = []
+    for a in range(dim):
+        coords = space.points[:, a]
+        lo, hi = float(coords.min()), float(coords.max())
+        stride = widths[a] - overlaps[a]
+        starts = []
+        s = lo
+        while s <= hi + tol:
+            starts.append(s)
+            s += stride
+        masks = []
+        for s in starts:
+            masks.append((coords >= s - tol) & (coords < s + widths[a] - tol))
+        axis_windows.append(masks)
+
+    sets = []
+    idx_grid = [range(len(m)) for m in axis_windows]
+    for combo in itertools.product(*idx_grid):
+        mask = np.ones(space.n_points, dtype=bool)
+        for a, k in enumerate(combo):
+            mask &= axis_windows[a][k]
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            raise StructuralError(
+                "uniform covering produced an empty box; adjust width/overlap"
+            )
+        sets.append(idx)
+    return Covering(space, tuple(sets))
+
+
+def identifier_naive(cov):
+    """A covering's content hash as its JSON writer gives it: the first 12
+    hex digits of the SHA-256 of ``json.dumps`` of its sorted sets."""
+    payload = json.dumps([s.tolist() for s in sets_of(cov)]).encode()
+    return hashlib.sha256(payload).hexdigest()[:12]
+
+
 def covering_to_json(cov):
     """The covering document ``coverings.covering_from_json`` reads; only
     the round-trip tests write one."""
-    return {"sets": [s.tolist() for s in cov.sets]}
+    return {"sets": [s.tolist() for s in sets_of(cov)]}
 
 
 def space_to_json(space):

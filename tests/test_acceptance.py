@@ -27,8 +27,8 @@ from oracles import compose, dense_kernel, osc_naive, oscillation_kernel, \
     phase_table_naive, rank_d_entries, schur_norm_naive, weight_matrix_naive
 from theory import SequenceNorms, flat_equivalence_interval, lp_sequence_norm, \
     neighbor_sums, norm_flat, norm_natural, permutation_kernel, \
-    random_admissible_permutation, schur_norm, sup_embedding_report, \
-    transfer_kernel
+    random_admissible_permutation, schur_norm, sets_of, \
+    sup_embedding_report, transfer_kernel
 
 
 @contextmanager
@@ -212,7 +212,7 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
         cov_u = uniform_covering(space, 6 / 48, overlap=2 / 48)
 
         # transfer kernel between equivalent coverings
-        cov_v = Covering(space, tuple(np.clip(s + 1, 0, 47) for s in cov_u.sets))
+        cov_v = Covering(space, tuple(np.clip(s + 1, 0, 47) for s in sets_of(cov_u)))
         bound = schur_norm(space, transfer_kernel(cov_u, cov_v), m)
         for _ in range(50):
             lam = rng.standard_normal(cov_u.n_sets)

@@ -17,8 +17,9 @@ from framedisc import CertificationError, Covering, PhaseFunction, \
     Weight2D, WeightedLp, atomic_decomposition, build_pou, \
     contraction_bounds, dual_frame, hilbert_frame_bounds, kernel_norms, \
     observed_contraction, oscillation_norms, oscillation_report, \
-    reconstruct_from_samples, select_samples, singleton_covering, \
-    synthesize_plan, uniform_covering, verify_sampled_bounds
+    reconstruct_from_samples, select_samples, sigma_constant, \
+    singleton_covering, synthesize_plan, uniform_covering, \
+    verify_sampled_bounds
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, random_vectors
 from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
@@ -38,7 +39,7 @@ from oracles import apply_inverse, apply_kernel, bounds_observed_grid, \
     sampling_operator_naive, schur_norm_naive, weight_matrix_naive
 from theory import analyze, apply_sampling, apply_smoothed, \
     decomposition_norm, dual_analyze, integrate, norm_flat, norm_natural, \
-    project_to_range, random_range_function, schur_norm
+    project_to_range, random_range_function, schur_norm, sets_of
 
 
 def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
@@ -77,7 +78,7 @@ class TestSampleSelection:
     def test_uniform_weights_tie_break_lowest(self, grid64):
         cov = uniform_covering(grid64, 8.0)
         plan = select_samples(build_pou(cov), "max_weight")
-        assert np.array_equal(plan.samples, [s[0] for s in cov.sets])
+        assert np.array_equal(plan.samples, [s[0] for s in sets_of(cov)])
 
     def test_max_weight_matches_argmax(self, rng):
         """Distinct and tied weights, on boxes and on overlapping intervals."""
@@ -89,14 +90,14 @@ class TestSampleSelection:
             for cov in (uniform_covering(space, 4.0),
                         random_interval_covering(rng, space, 12)):
                 plan = select_samples(build_pou(cov), "max_weight")
-                for i, s in enumerate(cov.sets):
+                for i, s in enumerate(sets_of(cov)):
                     best = max(s, key=lambda j: (space.weights[j], -j))
                     assert plan.samples[i] == best
 
     def test_medoid_of_interval_is_middle(self, grid64):
         cov = uniform_covering(grid64, 5.0)
         plan = select_samples(build_pou(cov), "medoid")
-        for i, s in enumerate(cov.sets):
+        for i, s in enumerate(sets_of(cov)):
             assert plan.samples[i] == s[(s.size - 1) // 2]
 
     def test_sample_in_its_set_enforced(self, grid64):
@@ -108,7 +109,7 @@ class TestSampleSelection:
         with pytest.raises(StructuralError):
             SamplingPlan(pou, np.zeros(cov.n_sets, dtype=int))
         for bad in (0, -1, 64, 40):
-            samples = np.array([s[-1] for s in cov.sets])
+            samples = np.array([s[-1] for s in sets_of(cov)])
             SamplingPlan(pou, samples)
             samples[3] = bad
             with pytest.raises(StructuralError,
@@ -219,10 +220,33 @@ class TestSmoothedOperator:
 class TestContraction:
     def test_bounds_arithmetic(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
+        assert report.oscillation_ok
         nominal, sharp = contraction_bounds(report)
         assert nominal == pytest.approx(report.delta * (report.r_norm + report.sigma))
         assert sharp == pytest.approx(report.osc_norm * (report.r_norm + report.sigma))
         assert sharp <= nominal
+
+    def test_sharp_bound_over_budget(self):
+        """At osc >= delta the report's sigma, the pile-up constant of the
+        budget delta, does not bound the pile-up, and the sharp bound takes
+        the one of the budget osc: Gabor 6 x 161 (window 2.45, p = 2) with
+        boxes of one time step by two frequency steps at delta 0.1 has osc
+        0.148."""
+        model = build_gabor_model(6, 161, 2.45)
+        Y = WeightedLp.lebesgue(model.space, 2.0)
+        cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
+                                    Y.weight2d(), 0.1)
+        assert not report.oscillation_ok and report.osc_norm > 0.14
+        sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
+        assert sigma == report.r_norm + report.osc_norm > report.sigma
+        nominal, sharp = contraction_bounds(report)
+        assert nominal == report.delta * (report.r_norm + report.sigma)
+        assert sharp == report.osc_norm * (report.r_norm + sigma)
+        assert sharp == pytest.approx(0.60251216, rel=1e-7)
+        inverse = SamplingInverse(model, select_samples(build_pou(cov)), Y,
+                                  report=report)
+        assert observed_contraction(inverse, seed=2) <= sharp
 
     def test_zero_for_singleton_covering(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
@@ -634,7 +658,7 @@ class TestStreamedBounds:
         if weight_rule == "unit":
             assert bounds.sampled_flat_constant == pytest.approx(exact,
                                                                  rel=1e-13)
-        osc = osc_naive(dense_kernel(model), [s.tolist() for s in cov.sets],
+        osc = osc_naive(dense_kernel(model), [s.tolist() for s in sets_of(cov)],
                         phase_table_naive(rank_d_entries(model), "kernel"))
         range_sup = (schur_norm_naive(mu, osc, m_v)
                      + schur_norm_naive(mu, dense_kernel(model), m_v)) \
@@ -693,7 +717,7 @@ class TestStreamedBounds:
         space = model.space
         report = oscillation_report(model, cov, gamma, weight, 0.25,
                                     plan=plan_a)
-        other = np.array([idx[-1] for idx in cov.sets])
+        other = np.array([idx[-1] for idx in sets_of(cov)])
         plan_b = discretize_module.SamplingPlan(plan_a.pou, other)
         cov_c = uniform_covering(space, 3.0 / space.n_points)
         plan_c = select_samples(build_pou(cov_c))

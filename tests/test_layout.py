@@ -13,6 +13,10 @@ knob only if a program sets it: some call in ``src/framedisc/``,
 ``scripts/`` or the benchmark's programs under ``perfbench/`` passes it,
 by keyword or by position. A knob only the tests set goes, with its one
 production value written into the body.
+
+Two modules keep a format to themselves: only ``spaces.py`` reads a solid
+space's exponent ``p``, and only ``coverings.py`` reads the private
+attributes of a ``Covering``.
 """
 
 import ast
@@ -107,6 +111,26 @@ def test_only_spaces_reads_the_exponent():
                if isinstance(node, ast.Attribute) and node.attr == "p"
                and isinstance(node.ctx, ast.Load)]
     assert not readers, f"reads of an exponent p outside spaces.py: {readers}"
+
+
+def test_only_coverings_reads_a_covering_private():
+    """No package module but ``coverings.py`` reads a private attribute of
+    a ``Covering`` (its set starts and sizes, its point-major index, its
+    cached neighbour pairs and digest, its private constructors): the
+    others read the incidence through ``flat_sets``, ``flat_points`` and
+    the covering's public methods, so its format stays in one module."""
+    cov = framedisc.Covering(framedisc.uniform_grid(4), ([0, 1], [1, 2, 3]))
+    cov.identifier(), cov.overlap_bound            # fill the cached ones
+    private = {name for name in set(vars(cov)) | set(dir(framedisc.Covering))
+               if name.startswith("_") and not name.startswith("__")}
+    assert {"_set_starts", "_set_sizes", "_sets_by_point", "_point_ptr",
+            "_neighbor_pairs"} <= private
+    readers = [f"{path.name}:{node.lineno} {node.attr}"
+               for path in sorted((ROOT / "src" / "framedisc").glob("*.py"))
+               if path.name != "coverings.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not readers, f"reads of a covering's private outside coverings.py: {readers}"
 
 
 def defaulted_parameters() -> list:

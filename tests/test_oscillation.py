@@ -22,7 +22,7 @@ from oracles import dense_kernel, involution, osc_naive, osc_rows_loop, \
     osc_tile_keys_naive, oscillation_kernel, phase_table_naive, \
     q_neighborhoods_naive, rank_d_entries, refine_until_naive, \
     schur_norm_naive, weight_matrix_naive
-from theory import TablePhase, random_phase_table, schur_norm
+from theory import TablePhase, random_phase_table, schur_norm, sets_of
 
 
 @pytest.fixture
@@ -99,7 +99,7 @@ class TestOscillationKernel:
                                  PhaseFunction(smooth_model, "kernel"))
         r = np.abs(dense_kernel(smooth_model))
         n = smooth_model.space.n_points
-        for s in cov.sets:
+        for s in sets_of(cov):
             for y in s:
                 for z in s:
                     assert np.all(r[:, z] <= osc[:, y] + r[:, y] + 1e-13)
@@ -119,7 +119,7 @@ def streamed_setup(covering, weight_rule, phase):
         cov = random_interval_covering(rng, space, 5)
     else:
         cov = uniform_covering(space, 4.0 / n)
-        assert sum(s.size for s in cov.sets) == n and cov.n_sets > 1
+        assert sum(s.size for s in sets_of(cov)) == n and cov.n_sets > 1
     w = np.ones(n) if weight_rule == "unit" else random_pointwise_weight(rng, n)
     weight = Weight2D(space, w, ref_index=5)
     if phase == "table":
@@ -128,7 +128,7 @@ def streamed_setup(covering, weight_rule, phase):
     else:
         table = phase_table_naive(rank_d_entries(model), phase)
         gamma = PhaseFunction(model, phase)
-    osc = osc_naive(dense_kernel(model), [s.tolist() for s in cov.sets], table)
+    osc = osc_naive(dense_kernel(model), [s.tolist() for s in sets_of(cov)], table)
     return model, cov, weight, gamma, osc
 
 
@@ -144,7 +144,7 @@ class TestOscRows:
         model = build()
         n, d = model.space.n_points, model.dim
         cov = uniform_covering(model.space, width)
-        assert cov.overlap_bound == 1 and max(s.size for s in cov.sets) > 1
+        assert cov.overlap_bound == 1 and max(s.size for s in sets_of(cov)) > 1
         gamma = PhaseFunction(model, rule)
         want = oscillation_kernel(model, cov, gamma).T
         tol = 8 * d * np.finfo(float).eps * np.max(np.abs(dense_kernel(model)))
@@ -359,7 +359,7 @@ class TestQTable:
         default size and of three cells (which cut the wider rows)."""
         model, cov, gamma = q_table_setup(covering, phase)
         n = model.space.n_points
-        q_of = q_neighborhoods_naive(cov.sets, n)
+        q_of = q_neighborhoods_naive(sets_of(cov), n)
         for start, stop in ((0, 1), (1, 3), (3, 7), (7, 15), (15, n), (11, 15),
                             (10, 19), (0, n)):
             y_of, zs = cov.q_neighborhoods(start, stop)
@@ -470,7 +470,7 @@ class TestStreamedNorms:
                             50 * oscillation_module.OSC_CELL_BYTES * n)
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 41))
         gamma = PhaseFunction(model, "kernel")
-        width = max(s.size for s in cov.sets) - 1     # z = y is not formed
+        width = max(s.size for s in sets_of(cov)) - 1     # z = y is not formed
         blocks, tiles = [], []
         osc_rows = oscillation_module._osc_rows
 
@@ -654,7 +654,7 @@ class TestPhaseFunctions:
         cov = uniform_covering(smooth_model.space, 0.3)
         got = oscillation_kernel(smooth_model, cov, gamma)
         want = osc_naive(dense_kernel(smooth_model),
-                         [s.tolist() for s in cov.sets], table)
+                         [s.tolist() for s in sets_of(cov)], table)
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_non_unimodular_table_rejected(self, smooth_model):
@@ -725,7 +725,7 @@ class TestRefine:
         w = unit_weight(smooth_model.space)
         cov, rep = refine_until(smooth_model, w, delta=1e-6, max_rounds=12)
         assert rep.oscillation_ok
-        assert all(s.size == 1 for s in cov.sets)
+        assert all(s.size == 1 for s in sets_of(cov))
 
     def test_deterministic(self):
         model = build_gabor_model(8, 8, 2.8)

@@ -16,7 +16,7 @@ from theory import DiscreteMeasure, SequenceNorms, check_m_equivalent, \
     decomposition_norm, flat_equivalence_interval, integrate, \
     lp_sequence_norm, neighbor_sums, norm_flat, norm_natural, \
     permutation_kernel, pileup, random_admissible_permutation, schur_norm, \
-    sup_embedding_report, transfer_kernel
+    sets_of, sup_embedding_report, transfer_kernel
 
 P_VALUES = (1.0, 2.0, np.inf)
 
@@ -132,7 +132,7 @@ class TestNormY:
         space, w, cov = weighted_setup
         for p in P_VALUES:
             Y = WeightedLp(space, p, w)
-            member = membership_naive(cov.sets, space.n_points)
+            member = membership_naive(sets_of(cov), space.n_points)
             for i in range(min(3, cov.n_sets)):
                 val = Y.norm(member[i].astype(float))
                 assert np.isfinite(val) and val > 0
@@ -152,7 +152,7 @@ class TestSequenceNorms:
         lam = np.zeros(cov.n_sets)
         lam[2] = 1.0
         assert norm_flat(lam, cov, Y) == pytest.approx(
-            Y.norm(membership_naive(cov.sets, 64)[2].astype(float)), rel=1e-14)
+            Y.norm(membership_naive(sets_of(cov), 64)[2].astype(float)), rel=1e-14)
 
     def test_natural_partition_counts(self, grid64, rng):
         cov = uniform_covering(grid64, 8.0)
@@ -387,7 +387,7 @@ class TestCoveringTransfer:
         """Pile-ups over one covering controlled through the transfer kernel."""
         space, w, cov_u = weighted_setup
         cov_v = Covering(space, tuple(np.clip(s + 1, 0, space.n_points - 1)
-                                      for s in cov_u.sets))
+                                      for s in sets_of(cov_u)))
         L = transfer_kernel(cov_u, cov_v)
         for p in P_VALUES:
             Y = WeightedLp(space, p, w)
@@ -433,7 +433,7 @@ def test_pileup_values(grid64, rng):
     lam = rng.standard_normal(cov.n_sets) + 1j * rng.standard_normal(cov.n_sets)
     pile = pileup(lam, cov)
     x = 11
-    member = membership_naive(cov.sets, 64)
+    member = membership_naive(sets_of(cov), 64)
     want = sum(abs(lam[i]) for i in range(cov.n_sets) if member[i, x])
     assert pile[x] == pytest.approx(want, rel=1e-13)
 
@@ -450,10 +450,10 @@ class TestScatterGatherSums:
         cov = overlapping
         n = cov.space.n_points
         lam = rng.standard_normal(cov.n_sets) + 1j * rng.standard_normal(cov.n_sets)
-        assert np.allclose(pileup(lam, cov), pileup_naive(cov.sets, n, lam),
+        assert np.allclose(pileup(lam, cov), pileup_naive(sets_of(cov), n, lam),
                            rtol=1e-14, atol=0.0)
         assert np.allclose(pileup(lam, cov, natural=True),
-                           pileup_naive(cov.sets, n, lam, cov.measures),
+                           pileup_naive(sets_of(cov), n, lam, cov.measures),
                            rtol=1e-14, atol=0.0)
 
     def test_pileup_block_is_columnwise(self, overlapping, rng):
@@ -479,7 +479,7 @@ class TestScatterGatherSums:
         block = rng.standard_normal((cov.n_sets, 3)) \
             + 1j * rng.standard_normal((cov.n_sets, 3))
         holders = {tuple(np.flatnonzero(row))
-                   for row in membership_naive(cov.sets, n).T}
+                   for row in membership_naive(sets_of(cov), n).T}
         for kind in ("flat", "smooth"):
             pou = build_pou(cov, kind)
             cells = pou.cells
@@ -532,7 +532,7 @@ class TestScatterGatherSums:
     def test_pileup_leaves_uncovered_points_zero(self, grid64):
         cov = Covering(grid64, (np.array([0, 1, 2]), np.array([2, 5])))
         pile = pileup(np.array([1.0, -2.0]), cov)
-        assert np.array_equal(pile, pileup_naive(cov.sets, 64, [1.0, -2.0]))
+        assert np.array_equal(pile, pileup_naive(sets_of(cov), 64, [1.0, -2.0]))
 
     def test_measure_masses_with_repeated_atoms(self, overlapping, rng):
         cov = overlapping
@@ -540,7 +540,7 @@ class TestScatterGatherSums:
         coef = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
         nu = DiscreteMeasure(idx, coef)
         Y = WeightedLp.lebesgue(cov.space, 2.0)
-        masses = set_masses_naive(cov.sets, idx, coef)
+        masses = set_masses_naive(sets_of(cov), idx, coef)
         assert decomposition_norm(nu, cov, Y) == pytest.approx(
             norm_natural(masses, cov, Y), rel=1e-14)
 
@@ -548,7 +548,7 @@ class TestScatterGatherSums:
         cov = overlapping
         space = cov.space
         f = rng.standard_normal(space.n_points)
-        masses = [sum(space.weights[x] * abs(f[x]) for x in s) for s in cov.sets]
+        masses = [sum(space.weights[x] * abs(f[x]) for x in s) for s in sets_of(cov)]
         assert np.allclose(cov.set_sums(np.abs(f) * space.weights), masses,
                            rtol=1e-14, atol=0.0)
 

@@ -14,6 +14,8 @@ argument. Here are:
   range function;
 - a phase given as a full table (``TablePhase``) and a random table it
   accepts;
+- the sets and the neighbour sets i* of a covering, cut from its flat
+  (set, point) pairs (``sets_of``, ``neighbors_of``);
 - m-equivalent coverings, admissible permutations and their kernels;
 - the pile-up of a sequence on the grid (``pileup``), the flat and natural
   sequence norms, their weighted l^p equivalents, the sup embedding and
@@ -226,6 +228,21 @@ def check_m_equivalent(cov_u: Covering, cov_v: Covering,
     return EquivalenceReport(bool(ok), c1, c2, cross)
 
 
+def sets_of(cov: Covering) -> tuple:
+    """The sets U_i of a covering, each its sorted point indices, cut from
+    the flat (set, point) pairs."""
+    return tuple(np.split(cov.flat_points,
+                          np.flatnonzero(np.diff(cov.flat_sets)) + 1))
+
+
+def neighbors_of(cov: Covering) -> tuple:
+    """i* = {j : U_j meets U_i} for every set i, as sorted index arrays,
+    from the product of the dense membership table with its transpose."""
+    member = np.zeros((cov.n_sets, cov.space.n_points), dtype=int)
+    member[cov.flat_sets, cov.flat_points] = 1
+    return tuple(np.flatnonzero(row) for row in member @ member.T)
+
+
 def transfer_kernel(cov_u: Covering, cov_v: Covering) -> np.ndarray:
     """Kernel moving coefficient pile-ups over ``cov_v`` to pile-ups over ``cov_u``.
 
@@ -235,7 +252,7 @@ def transfer_kernel(cov_u: Covering, cov_v: Covering) -> np.ndarray:
         raise StructuralError("coverings must share one index set")
     n = cov_u.space.n_points
     out = np.zeros((n, n), dtype=complex)
-    for u, v, mu_v in zip(cov_u.sets, cov_v.sets, cov_v.measures):
+    for u, v, mu_v in zip(sets_of(cov_u), sets_of(cov_v), cov_v.measures):
         out[np.ix_(u, v)] += 1.0 / mu_v
     return out
 
@@ -253,15 +270,16 @@ def permutation_kernel(cov: Covering, pi) -> np.ndarray:
     inv[pi] = np.arange(cov.n_sets)
     n = cov.space.n_points
     out = np.zeros((n, n), dtype=complex)
+    sets = sets_of(cov)
     for i, j in enumerate(inv):          # j = pi^{-1}(i)
-        out[np.ix_(cov.sets[j], cov.sets[i])] += 1.0 / cov.measures[j]
+        out[np.ix_(sets[j], sets[i])] += 1.0 / cov.measures[j]
     return out
 
 
 def is_admissible_permutation(cov: Covering, pi) -> bool:
     """True when pi(i) always lies in the neighbor set i*."""
     pi = np.asarray(pi, dtype=int)
-    return all(pi[i] in nb for i, nb in enumerate(cov.neighbors))
+    return all(pi[i] in nb for i, nb in enumerate(neighbors_of(cov)))
 
 
 def random_admissible_permutation(cov: Covering, rng: np.random.Generator):
@@ -273,8 +291,9 @@ def random_admissible_permutation(cov: Covering, rng: np.random.Generator):
     order = rng.permutation(n)
     taken = np.zeros(n, dtype=bool)
     pi = np.full(n, -1, dtype=int)
+    neighbors = neighbors_of(cov)
     for i in order:
-        options = [j for j in cov.neighbors[i] if not taken[j]]
+        options = [j for j in neighbors[i] if not taken[j]]
         if not options:
             return None
         j = options[rng.integers(len(options))]
@@ -288,8 +307,9 @@ def neighbor_sums(cov: Covering, seq) -> np.ndarray:
     arr = np.asarray(seq, dtype=complex).reshape(-1)
     if arr.shape[0] != cov.n_sets:
         raise StructuralError("sequence length must equal number of sets")
-    starts = np.cumsum([0] + [nb.size for nb in cov.neighbors[:-1]])
-    return np.add.reduceat(arr[np.concatenate(cov.neighbors)], starts)
+    neighbors = neighbors_of(cov)
+    starts = np.cumsum([0] + [nb.size for nb in neighbors[:-1]])
+    return np.add.reduceat(arr[np.concatenate(neighbors)], starts)
 
 
 def pileup(seq, cov: Covering, natural: bool = False, phi=None) -> np.ndarray:
@@ -393,7 +413,7 @@ def sup_embedding_report(cov: Covering, Y: WeightedLp, weight: Weight2D,
     """
     norms = SequenceNorms.build(cov, Y, weight)
     chi = np.zeros(cov.space.n_points)
-    chi[cov.sets[0]] = 1.0
+    chi[sets_of(cov)[0]] = 1.0
     base = Y.norm(chi)
     per_set = set_pair_kernel_norms(cov, weight) / base
     apriori = float(np.max(per_set / norms.sup_trace))
