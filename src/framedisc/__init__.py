@@ -20,7 +20,7 @@ from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 from .oscillation import OscReport, PhaseFunction, Screened, \
     invertibility_condition, kernel_norms, oscillation_norms, \
-    oscillation_report, refine_until, sigma_constant, v_weight
+    oscillation_report, refine_until, sigma_constant
 from .pipeline import DiscretizationResult, cross_check_inversion, \
     residual_suite, run_discretization
 from .quadrature import QuadratureSpace, product_grid, uniform_grid

@@ -116,16 +116,22 @@ def select_samples(pou: PartitionOfUnity,
     return SamplingPlan(pou, samples)
 
 
+def _pileup_sigma(report: OscReport) -> float:
+    """sigma', the pile-up constant of the budget max{delta, osc}: the
+    report's sigma when osc < delta, and a bound on the pile-up whatever
+    osc is."""
+    return sigma_constant(max(report.delta, report.osc_norm), report.r_norm,
+                          report.c_mu)
+
+
 def contraction_bounds(report: OscReport) -> tuple:
     """(nominal, sharp) bounds on ||Id - U|| restricted to the kernel range.
 
-    nominal is delta (|R| + sigma), sharp osc (|R| + sigma'), with sigma' the
-    pile-up constant of the budget max{delta, osc}: sigma when osc < delta.
+    nominal is delta (|R| + sigma), sharp osc (|R| + sigma'), with sigma'
+    the pile-up constant of the budget max{delta, osc} (``_pileup_sigma``).
     """
-    sigma = sigma_constant(max(report.delta, report.osc_norm), report.r_norm,
-                           report.c_mu)
     return (report.delta * (report.r_norm + report.sigma),
-            report.osc_norm * (report.r_norm + sigma))
+            report.osc_norm * (report.r_norm + _pileup_sigma(report)))
 
 
 def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
@@ -546,7 +552,7 @@ class BoundsReport:
 
     sampled_flat_constant: float        # bound on the sampled-row kernel's norm
     sampled_flat_observed: float
-    pou_pileup_constant: float          # sigma
+    pou_pileup_constant: float          # sigma'
     pou_pileup_observed: float
     measure_constant: float             # |osc| + |R|
     measure_observed: float
@@ -580,7 +586,7 @@ def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
     """
     if report.d_plan == plan.identifier():
         return report.d_const
-    return kernel_norms(model, (report.weight,), plan)[-1]
+    return kernel_norms(model, report.weight, plan)[1]
 
 
 def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
@@ -590,10 +596,14 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
 
     The handle must carry the oscillation report of its plan's covering
     (one without a report is refused, StructuralError); the constants are
-    taken under the report's weight, and its m_v norms of osc and R give
-    the range-sup constant. Each block computes a kernel-derived constant
-    and the worst observed ratio over random trials; ``violations`` counts
-    ratios exceeding their constant beyond ``BOUNDS_SLACK``. The
+    taken under the report's weight m. The range-sup constant asks for the
+    norms of osc and R under m_v, the weight of the sup space; it takes
+    their norms under m, which bound them since m_v <= m (``kernels``), and
+    equal them when w is least or largest at the reference point. The
+    pile-up constant is sigma' (``_pileup_sigma``), checked whatever osc
+    is. Each block computes a kernel-derived constant and the worst
+    observed ratio over random trials; ``violations`` counts ratios
+    exceeding their constant beyond ``BOUNDS_SLACK``. The
     sampled-row constant is a certified bound on D under the report's
     weight, exact under a trivial one (``oscillation.kernel_norms``): the
     report's ``d_const`` when the report was made with the plan
@@ -623,9 +633,9 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
 
     d_const = _sampled_row_constant(model, plan, report)
     meas_const = report.osc_norm + report.r_norm
+    sigma = _pileup_sigma(report)
     sup_space = sup_infinity_space(Y, weight)
-    range_sup_const = (report.osc_norm_v + report.r_norm_v) \
-        * local_integrability_constant(cov, Y, weight)
+    range_sup_const = meas_const * local_integrability_constant(cov, Y, weight)
 
     g = random_vectors(rng, model.dim, n_trials)
     sup_l1v = [sup_space, WeightedLp(space, 1.0, weight.v)]
@@ -668,9 +678,8 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     keep = dec_norms > 0.0
     meas_obs = np.max(applied[keep] / dec_norms[keep], initial=0.0)
 
-    checks = [(d_obs, d_const), (meas_obs, meas_const), (sup_obs, range_sup_const)]
-    if report.oscillation_ok:
-        checks.append((sig_obs, report.sigma))
+    checks = [(d_obs, d_const), (sig_obs, sigma), (meas_obs, meas_const),
+              (sup_obs, range_sup_const)]
     violations = int(sum(obs > const + BOUNDS_SLACK for obs, const in checks))
 
     ratios = {
@@ -682,7 +691,7 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     return BoundsReport(
         sampled_flat_constant=float(d_const),
         sampled_flat_observed=float(d_obs),
-        pou_pileup_constant=float(report.sigma),
+        pou_pileup_constant=float(sigma),
         pou_pileup_observed=float(sig_obs),
         measure_constant=float(meas_const),
         measure_observed=float(meas_obs),

@@ -10,18 +10,22 @@ submultiplicative under weighted composition. The two-point weight m is
 the associated weight of a pointwise weight and is stored pointwise.
 
 Schur norms are streamed: ``SchurSums`` takes |K| in blocks of rows,
-forms each non-trivial weight's m on the block once, and keeps the row
-sums and the running column sums of every weight it was given, so one pass
-gives the norm under several weights and no (n, n) array of |K| or m is
-formed. The reproducing kernel and the oscillation kernel are produced
-block by block from a model's rank-d factors straight into it; no dense
-kernel is accepted. |R| m is symmetric, so R goes in as strips of its
+forms its one weight's m on the block once (none under a trivial weight),
+and keeps the row sums and the running column sums, so no (n, n) array of
+|K| or m is formed. Every pass has one weight, the target weight m. The
+sup space L^inf_{1/v} of the range-sup constant asks for the norms under
+m_v, the associated weight of v = m(., z0); submultiplicativity gives
+m(x, z0) <= m(x, y) m(y, z0), so m_v <= m pointwise and the norms under m
+bound those under m_v, with equality when w(z0) is the least or the
+largest value of w. The reproducing kernel and the oscillation kernel
+are produced block by block from a model's rank-d factors straight into
+it; no dense kernel is accepted. |R| m is symmetric, so R goes in as strips of its
 upper triangle (``SchurSums.add_upper``) and each entry is formed once.
 Two kernels need no pass of their own. The sampled-row constant is
 bounded, under any weight, off the R pass: from the weighted |R| row sums
 at the sample points and the sums of |R| m against one more measure on
-the sample points, which ``SchurSums`` keeps beside mu under the first
-weight's m (``oscillation.kernel_norms``). The reproducing defect is
+the sample points, which ``SchurSums`` keeps beside mu under the same m
+(``oscillation.kernel_norms``). The reproducing defect is
 bounded through its d x d core (``pipeline.reproducing_defect``).
 
 Every streamed pass keeps to one working-set budget, ``BLOCK_BYTES``: the
@@ -79,18 +83,17 @@ WEIGHT_ENTRY_BYTES = 16
 @dataclass(frozen=True, eq=False)
 class Weight2D:
     """Associated two-point weight m(x, y) = max{w(x)/w(y), w(y)/w(x)} of a
-    positive pointwise weight w, with a distinguished reference point.
+    positive pointwise weight w.
 
     Only w is stored; ``block`` evaluates m on index sets. An associated
     weight is symmetric, one on the diagonal and submultiplicative. A
     constant w gives the trivial weight m = 1, for which no m is formed.
-    The one-point trace ``v(x) = m(x, z)`` (z = ``ref_index``) is what the
-    sup-weighted function spaces use.
+    The one-point trace ``v(x) = m(x, z0)`` at the reference point z0 =
+    point 0 is what the sup-weighted function spaces use.
     """
 
     space: QuadratureSpace
     w: np.ndarray
-    ref_index: int = 0
 
     def __post_init__(self):
         n = self.space.n_points
@@ -105,8 +108,6 @@ class Weight2D:
             spread = wv.max() / wv.min()
         if not np.isfinite(spread):
             raise StructuralError("weight ratio max(w)/min(w) must be finite")
-        if not 0 <= self.ref_index < n:
-            raise StructuralError("ref_index out of range")
         wv.setflags(write=False)
         object.__setattr__(self, "w", wv)
 
@@ -117,8 +118,8 @@ class Weight2D:
 
     @property
     def v(self) -> np.ndarray:
-        """One-point weight v(x) = m(x, ref)."""
-        return self.block(slice(None), [self.ref_index])[:, 0]
+        """One-point weight v(x) = m(x, z0), z0 = point 0."""
+        return self.block(slice(None), [0])[:, 0]
 
     def block(self, rows, cols, out=None, spare=None) -> np.ndarray:
         """m(x, y) for x in ``rows`` and y in ``cols`` (index arrays or
@@ -214,14 +215,12 @@ class SchurSums:
     """Weighted Schur sums of a nonnegative kernel fed as blocks of rows.
 
     ``add(rows, block)`` takes ``block = |K|[rows, :]`` and returns the
-    block's row sums sum_y w_y |K(x, y)| m(x, y), one row per weight;
-    ``norms()`` is the Schur norm under each weight once every row has
-    been fed. A weight of ``None`` is the unit weight; trivial weights
-    share one set of sums, and so do repeats of one weight object, whose m
-    is formed once per block. With a ``measure`` nu (one value per point)
-    one more set of sums takes nu in place of mu under the first weight,
-    sharing its m: its row sums sum_y nu_y |K(x, y)| m(x, y) and its norm
-    come last.
+    block's row sums sum_y mu_y |K(x, y)| m(x, y) under the one ``weight``
+    (``None`` or a trivial weight: m = 1, and no m is formed); ``norms()``
+    is the Schur norm once every row has been fed. With a ``measure`` nu
+    (one value per point) one more set of sums takes nu in place of mu
+    under the same m, formed once per block: its norm comes second in
+    ``norms()``.
 
     A row block may come in column pieces, ``add(rows, |K|[rows, cols],
     cols)`` for consecutive ``cols`` from column 0 to n: the pieces' row
@@ -236,33 +235,25 @@ class SchurSums:
     and the row sup, which equals the column sup, is the norm.
 
     ``entry_bytes`` is what the sums hold per entry of a block: nothing
-    under unit and trivial weights, else m (multiplied by |K| in place)
+    under a unit or trivial weight, else m (multiplied by |K| in place)
     and the smaller weight it divides by, in buffers reused from block to
     block.
     """
 
-    def __init__(self, space: QuadratureSpace, weights, measure=None):
-        for weight in weights:
-            if weight is not None and weight.space is not space \
-                    and weight.space.n_points != space.n_points:
-                raise StructuralError("weight lives on a different space")
+    def __init__(self, space: QuadratureSpace, weight: Weight2D | None = None,
+                 measure=None):
+        if weight is not None and weight.space is not space \
+                and weight.space.n_points != space.n_points:
+            raise StructuralError("weight lives on a different space")
         self._n = space.n_points
-        given = [None if w is None or w.trivial else w for w in weights]
-        # one m per distinct weight; _slot maps the given ones to their sums
-        self._weights = list(dict.fromkeys(given))
-        self._slot = [self._weights.index(w) for w in given]
-        # the measure of every set of sums, and the sets under each m
-        self._mu = [space.weights] * len(self._weights)
-        self._under = [[k] for k in range(len(self._weights))]
-        if measure is not None:
-            self._under[self._slot[0]].append(len(self._mu))
-            self._slot.append(len(self._mu))
-            self._mu.append(np.asarray(measure, dtype=float))
+        self._weight = None if weight is None or weight.trivial else weight
+        # mu, then the measure: both summed under the one m
+        self._mu = [space.weights] if measure is None \
+            else [space.weights, np.asarray(measure, dtype=float)]
         self._row = np.zeros(len(self._mu))
         self._col = np.zeros((len(self._mu), space.n_points))
         self._open = None       # row sums of the pieces of an open row block
-        self.entry_bytes = 0 if all(w is None for w in self._weights) \
-            else WEIGHT_ENTRY_BYTES
+        self.entry_bytes = 0 if self._weight is None else WEIGHT_ENTRY_BYTES
         self._work = Workspace()
 
     def add(self, rows, block: np.ndarray,
@@ -282,18 +273,20 @@ class SchurSums:
         row block's earlier pieces; the column sums are kept for every
         column or, for an upper strip, for the columns right of its
         diagonal block, where they are the rows' sums left of the diagonal.
-        Returns the rows' sums once ``cols`` reaches column n, else None."""
+        Returns the rows' sums against mu once ``cols`` reaches column n,
+        else None."""
         skip = min(max(rows.stop - cols.start, 0), block.shape[1]) \
             if upper else 0
+        if self._weight is not None:
+            m, spare = self._work.views((block.shape, float),
+                                        (block.shape, float))
+            self._weight.block(rows, cols, out=m, spare=spare)
+            block = np.multiply(m, block, out=m)
         part = np.empty((len(self._mu), block.shape[0]))
-        for weight, sets in zip(self._weights, self._under):
-            weighted = block if weight is None \
-                else self._weighted(weight, rows, cols, block)
-            for k in sets:
-                mu = self._mu[k]
-                part[k] = weighted @ mu[cols]
-                self._col[k, cols.start + skip:cols.stop] += \
-                    mu[rows] @ weighted[:, skip:]
+        for k, mu in enumerate(self._mu):
+            part[k] = block @ mu[cols]
+            self._col[k, cols.start + skip:cols.stop] += \
+                mu[rows] @ block[:, skip:]
         if cols.start > (rows.start if upper else 0):
             part += self._open
         if cols.stop < self._n:
@@ -302,15 +295,9 @@ class SchurSums:
         self._open = None
         out = part + self._col[:, rows] if upper else part
         np.maximum(self._row, out.max(axis=1, initial=0.0), out=self._row)
-        return out[self._slot]
-
-    def _weighted(self, weight: Weight2D, rows, cols, block) -> np.ndarray:
-        """|K| m on the block, in the reused m buffers."""
-        m, spare = self._work.views((block.shape, float), (block.shape, float))
-        weight.block(rows, cols, out=m, spare=spare)
-        return np.multiply(m, block, out=m)
+        return out[0]
 
     def norms(self) -> list:
-        norms = [float(max(row, col.max(initial=0.0)))
-                 for row, col in zip(self._row, self._col)]
-        return [norms[k] for k in self._slot]
+        """The Schur norm against mu, then against the measure if given."""
+        return [float(max(row, col.max(initial=0.0)))
+                for row, col in zip(self._row, self._col)]

@@ -15,7 +15,9 @@ of R (``kernel_norms``). Both passes form each distinct kernel entry once:
 |R| m is symmetric, and for a Hermitian phase the osc rows of the pairs
 (y, z) and (z, y) have the same moduli. Given a sampling plan, the R pass
 also yields a certified bound on the plan's sampled-row constant D under
-the target weight, equal to D under a trivial weight.
+the target weight, equal to D under a trivial weight. Each pass runs under
+the target weight alone: its norm also bounds the norm under m_v, the
+weight of the sup space (``kernels``).
 """
 
 from __future__ import annotations
@@ -193,8 +195,9 @@ def _same_space(model: FrameModel, cov: Covering) -> None:
 
 
 def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                      weights, level: float | None = None) -> list | Screened:
-    """Schur norms of the oscillation kernel under each of ``weights``.
+                      weight: Weight2D, level: float | None = None
+                      ) -> float | Screened:
+    """Schur norm of the oscillation kernel under ``weight``.
 
     One pass over the columns in index order, in blocks whose table of Q_y
     has at most n cells or, if more, as many as the budget holds the
@@ -206,16 +209,15 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     buffers allocated once; each tile is summed into ``SchurSums`` and
     overwritten. With ``level`` the blocks are one column, then two,
     four, ... up to that size, and the scan returns ``Screened`` at the
-    first column whose weighted Schur sum under ``weights[0]`` reaches
-    ``level``, each sum judged once its last column block is in: the norm
-    is at least that sum, so the columns left cannot bring it below
-    ``level``. Those sums are the floats the norm is the maximum of, and a
+    first column whose weighted Schur sum reaches ``level``, each sum
+    judged once its last column block is in: the norm is at least that
+    sum, so the columns left cannot bring it below ``level``. Those sums are the floats the norm is the maximum of, and a
     stopped scan has formed at most 2c + 1 columns, c the column it
     stopped at.
     """
     _same_space(model, cov)
     n = model.space.n_points
-    sums = SchurSums(model.space, weights)
+    sums = SchurSums(model.space, weight)
     entry = OSC_CELL_BYTES + sums.entry_bytes
     xcols = col_slices(n, entry)
     cells = block_rows(xcols[0].stop - xcols[0].start, entry)
@@ -228,22 +230,12 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
                                        cells, work):
             col_sums = sums.add(rows, osc, xs)
             if level is not None and col_sums is not None:
-                hit = np.flatnonzero(col_sums[0] >= level)
+                hit = np.flatnonzero(col_sums >= level)
                 if hit.size:
                     return Screened(rows.start + int(hit[0]),
-                                    float(col_sums[0, hit[0]]))
+                                    float(col_sums[hit[0]]))
         start, size = stop, min(2 * size, step)
-    return sums.norms()
-
-
-def v_weight(weight: Weight2D) -> Weight2D:
-    """m_v, the associated weight of the one-point trace v of ``weight``;
-    ``weight`` itself when v equals w, as it does whenever w is one at the
-    reference point and at least one everywhere."""
-    v = weight.v
-    if np.array_equal(v, weight.w):
-        return weight
-    return Weight2D(weight.space, v, weight.ref_index)
+    return sums.norms()[0]
 
 
 def sigma_constant(delta: float, r_norm: float, c_mu: float) -> float:
@@ -262,20 +254,18 @@ class OscReport:
     """Snapshot of the oscillation budget for one covering/phase/weight.
 
     It names its covering (``covering_id``) and keeps its ``weight``, which
-    its consumers read; they refuse a plan on another covering. Not
-    serialized: ``weight``; ``osc_norm_v`` and ``r_norm_v``, the norms of
-    osc and R under m_v (``v_weight``) from the same passes; and, given a
-    plan, the bound on its sampled-row constant ``d_const`` from the same R
-    pass (``kernel_norms``) and its ``identifier()`` as ``d_plan`` (else
-    None).
+    its consumers read; they refuse a plan on another covering. Both norms
+    are taken under that weight's m, which also bounds them under m_v, the
+    weight of the sup space (``kernels``). Not serialized: ``weight``; and,
+    given a plan, the bound on its sampled-row constant ``d_const`` from
+    the same R pass (``kernel_norms``) and its ``identifier()`` as
+    ``d_plan`` (else None).
     """
 
     osc_norm: float
-    osc_norm_v: float
     delta: float
     sigma: float
     r_norm: float
-    r_norm_v: float
     c_mu: float
     oscillation_ok: bool     # osc_norm < delta (strict)
     invertibility_ok: bool   # delta (r_norm + sigma) <= 1
@@ -316,28 +306,27 @@ def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     """
     if plan is not None and plan.covering.identifier() != cov.identifier():
         raise StructuralError("the plan is on another covering than the report's")
-    weights = (weight, v_weight(weight))
-    osc_norms = oscillation_norms(model, cov, gamma, weights)
-    r_norms = kernel_norms(model, weights, plan)
-    report = _report(model, cov, gamma, weight, delta, osc_norms, r_norms[:2])
+    osc_norm = oscillation_norms(model, cov, gamma, weight)
+    r_norm, d_const = kernel_norms(model, weight, plan)
+    report = _report(model, cov, gamma, weight, delta, osc_norm, r_norm)
     if plan is None:
         return report
-    return replace(report, d_const=r_norms[2], d_plan=plan.identifier())
+    return replace(report, d_const=d_const, d_plan=plan.identifier())
 
 
-def kernel_norms(model: FrameModel, weights, plan=None) -> list:
-    """Schur norms of R under each of ``weights``, from one pass over the
-    upper triangle of |R| in strips |R|[a:b, a:] formed from the model's
-    factors (``SchurSums.add_upper``): |R| m is symmetric, R = V^* S^-1 V
-    being Hermitian and m symmetric, so R(x, y) is read for x <= y only.
-    A strip is formed whole or, on a long row, in column blocks
-    (``kernels.col_slices``); each piece holds its complex product and
-    moduli, plus the Schur sums' m under a non-trivial weight, within
+def kernel_norms(model: FrameModel, weight: Weight2D, plan=None) -> tuple:
+    """(|R|, D bound): the Schur norm of R under ``weight``, from one pass
+    over the upper triangle of |R| in strips |R|[a:b, a:] formed from the
+    model's factors (``SchurSums.add_upper``): |R| m is symmetric,
+    R = V^* S^-1 V being Hermitian and m symmetric, so R(x, y) is read for
+    x <= y only. A strip is formed whole or, on a long row, in column
+    blocks (``kernels.col_slices``); each piece holds its complex product
+    and moduli, plus the Schur sums' m under a non-trivial weight, within
     ``BLOCK_BYTES`` (``upper_strips``), and both buffers are allocated once.
 
     Given a sampling ``plan`` (one on another grid is refused before the
-    pass, StructuralError), the list ends with one more value: a certified
-    upper bound on D, the Schur norm under the first weight's m of
+    pass, StructuralError), the second value is a certified upper bound on
+    D (else None), the Schur norm under the weight's m of
     K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x). With
     M_i = max over x in U_i of m(x, x_i), read off the extremes of w on
     U_i, submultiplicativity gives m(x, y) <= M_i m(x_i, y) for x in U_i,
@@ -355,12 +344,12 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
     if plan is not None:
         cov, samples = plan.covering, plan.samples
         _same_space(model, cov)
-        w = weights[0].w
+        w = weight.w
         top, low = cov.set_extrema(w)
         spread = np.maximum(top / w[samples], w[samples] / low)     # M_i
         measure = np.bincount(samples, spread * cov.measures, minlength=n)
         rho = np.empty(n)
-    sums = SchurSums(model.space, weights, measure)
+    sums = SchurSums(model.space, weight, measure)
     entry = STRIP_ENTRY_BYTES + sums.entry_bytes
     strips = upper_strips(n, entry)
     pieces = [col_slices(n, entry, rows.start) for rows in strips]
@@ -376,30 +365,26 @@ def kernel_norms(model: FrameModel, weights, plan=None) -> list:
             strip = np.abs(product, out=mods[:product.size].reshape(shape))
             row_sums = sums.add_upper(rows.start, strip, xs)
             if plan is not None and row_sums is not None:
-                rho[rows] = row_sums[0]
+                rho[rows] = row_sums
     norms = sums.norms()
-    if plan is not None:
-        norms[-1] = float(max(cov.point_sums(spread * rho[samples]).max(),
-                              norms[-1]))
-    return norms
+    if plan is None:
+        return norms[0], None
+    return norms[0], float(max(cov.point_sums(spread * rho[samples]).max(),
+                               norms[1]))
 
 
 def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-            weight: Weight2D, delta: float, osc_norms: list,
-            r_norms: list) -> OscReport:
-    """The budget from the norms of osc and R under ``weight`` and its m_v."""
-    osc_norm, osc_norm_v = osc_norms
-    r_norm, r_norm_v = r_norms
+            weight: Weight2D, delta: float, osc_norm: float,
+            r_norm: float) -> OscReport:
+    """The budget from the norms of osc and R under ``weight``."""
     c_mu = weight_compatibility(cov, weight)
     sigma = sigma_constant(delta, r_norm, c_mu)
     lhs, inv_ok = invertibility_condition(delta, r_norm, c_mu)
     return OscReport(
         osc_norm=float(osc_norm),
-        osc_norm_v=float(osc_norm_v),
         delta=float(delta),
         sigma=float(sigma),
         r_norm=float(r_norm),
-        r_norm_v=float(r_norm_v),
         c_mu=float(c_mu),
         oscillation_ok=bool(osc_norm < delta),
         invertibility_ok=inv_ok,
@@ -442,8 +427,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
         raise StructuralError("max_rounds must be at least 1")
     space = model.space
     gamma = PhaseFunction(model, gamma_rule)
-    weights = (weight, v_weight(weight))
-    r_norms = None
+    r_norm = None
     spans = space.points.max(axis=0) - space.points.min(axis=0)
     width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
 
@@ -456,13 +440,13 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
             cov = uniform_covering(space, width)
         else:
             cov = singleton_covering(space)
-        scan = oscillation_norms(model, cov, gamma, weights, level=delta)
+        scan = oscillation_norms(model, cov, gamma, weight, level=delta)
         if isinstance(scan, Screened):
             last = scan
         else:
-            if r_norms is None:
-                r_norms = kernel_norms(model, weights)
-            last = _report(model, cov, gamma, weight, delta, scan, r_norms)
+            if r_norm is None:
+                r_norm = kernel_norms(model, weight)[0]
+            last = _report(model, cov, gamma, weight, delta, scan, r_norm)
             done = last.oscillation_ok and last.invertibility_ok
             singleton = cov.flat_points.size == cov.n_sets
             if done or (singleton and last.oscillation_ok):

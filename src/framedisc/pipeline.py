@@ -156,14 +156,13 @@ class DiscretizationResult:
     bounds: BoundsReport
     seed: int
     n_trials: int
-    schema_version: str = "1"
 
     def to_json_dict(self) -> dict:
         report, plan = self.inverse.report, self.inverse.plan
         osc = report.to_json_dict()
         nominal, sharp = contraction_bounds(report)
         return {
-            "schema_version": self.schema_version,
+            "schema_version": "1",
             "constants": {
                 "delta": osc["delta"],
                 "sigma": osc["sigma"],

@@ -47,7 +47,8 @@ from framedisc.models import random_vectors
 from framedisc.spaces import WeightedLp, sup_infinity_space
 
 from theory import DiscreteMeasure, analyze, check_kernel, \
-    decomposition_norm, pileup, random_range_function, schur_norms, sets_of
+    decomposition_norm, pileup, random_range_function, sets_of, \
+    streamed_schur_norm
 
 
 def dense_kernel(model):
@@ -226,7 +227,7 @@ def reproducing_defect_streamed(model):
     right = (g @ model.frame_operator @ g - g) @ model.vectors
     blocks = ((rows, np.abs(model.vectors[:, rows].conj().T @ right))
               for rows in row_slices(model.space.n_points))
-    return schur_norms(model.space, blocks, [None])[0]
+    return streamed_schur_norm(model.space, blocks)
 
 
 def integrate_naive(weights, values):

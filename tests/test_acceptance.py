@@ -124,7 +124,7 @@ def test_criterion_3_oscillation_oracle():
             want = osc_naive(dense_kernel(model), [s.tolist() for s in sets],
                              phase_table_naive(rank_d_entries(model), rule))
             assert np.max(np.abs(got - want)) <= 1e-14
-            streamed, = oscillation_norms(model, cov, gamma, [None])
+            streamed = oscillation_norms(model, cov, gamma, None)
             assert streamed == pytest.approx(
                 schur_norm_naive(model.space.weights, want), rel=1e-13)
             singleton = singleton_covering(model.space)

@@ -248,6 +248,29 @@ class TestContraction:
                                   report=report)
         assert observed_contraction(inverse, seed=2) <= sharp
 
+    def test_bounds_check_the_pileup_of_the_sharp_bound(self):
+        """The bounds check reports and checks the pile-up constant the
+        sharp bound is computed with, sigma' = sigma(max{delta, osc}), also
+        at osc >= delta: on Gabor 6 x 161 with 1 x 2 boxes at delta 0.1 it
+        reports 2.1152, not the 2.0676 of the budget delta, and the
+        observed pile-up stays below it."""
+        model = build_gabor_model(6, 161, 2.45)
+        Y = WeightedLp.lebesgue(model.space, 2.0)
+        cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
+                                    Y.weight2d(), 0.1)
+        assert not report.oscillation_ok
+        bounds = verify_sampled_bounds(SamplingInverse(
+            model, select_samples(build_pou(cov)), Y, report=report))
+        sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
+        _, sharp = contraction_bounds(report)
+        assert bounds.pou_pileup_constant == sigma
+        assert sharp == report.osc_norm * (report.r_norm + sigma)
+        assert report.sigma == pytest.approx(2.0676, abs=1e-4)
+        assert sigma == pytest.approx(2.1152, abs=1e-4)
+        assert 0.0 < bounds.pou_pileup_observed <= sigma
+        assert bounds.violations == 0
+
     def test_zero_for_singleton_covering(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
         Y, weight, gamma, report, plan = singleton_setup(model)
@@ -630,9 +653,11 @@ class TestStreamedBounds:
         """The sampled-row constant matches the loop oracle of its bound
         (``sampled_row_bound_naive``) and dominates the naive Schur norm of
         the dense sampled-row kernel, which it equals under the unit
-        weight; the range-sup constant built from the report's m_v norms
-        matches naive Schur norms of the dense oscillation and reproducing
-        kernels."""
+        weight. The range-sup constant is (|osc| + |R|) C under m, the
+        report's norms: under the random weight, whose point 0 is interior,
+        it dominates the same constant under m_v, the naive Schur norms of
+        the dense oscillation and reproducing kernels, and the check counts
+        no violation."""
         model = build_random_smooth_model(3, 24, 3.0, seed=1)
         space = model.space
         n = space.n_points
@@ -641,7 +666,7 @@ class TestStreamedBounds:
             else uniform_covering(space, 3.0 / n)
         w = np.ones(n) if weight_rule == "unit" else random_pointwise_weight(rng, n)
         Y = WeightedLp(space, 2.0, w)
-        weight = Weight2D(space, w, ref_index=4)
+        weight = Weight2D(space, w)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
         plan = select_samples(build_pou(cov))
@@ -660,10 +685,18 @@ class TestStreamedBounds:
                                                                  rel=1e-13)
         osc = osc_naive(dense_kernel(model), [s.tolist() for s in sets_of(cov)],
                         phase_table_naive(rank_d_entries(model), "kernel"))
-        range_sup = (schur_norm_naive(mu, osc, m_v)
-                     + schur_norm_naive(mu, dense_kernel(model), m_v)) \
-            * local_integrability_constant(cov, Y, weight)
-        assert bounds.range_sup_constant == pytest.approx(range_sup, rel=1e-13)
+        local = local_integrability_constant(cov, Y, weight)
+        assert bounds.range_sup_constant \
+            == (report.osc_norm + report.r_norm) * local
+        under_m_v = (schur_norm_naive(mu, osc, m_v)
+                     + schur_norm_naive(mu, dense_kernel(model), m_v)) * local
+        assert under_m_v <= bounds.range_sup_constant * (1.0 + 1e-13)
+        if weight_rule == "unit":
+            assert bounds.range_sup_constant == pytest.approx(under_m_v,
+                                                              rel=1e-13)
+        else:
+            assert w.min() < w[0] < w.max() and not np.allclose(m_v, m)
+        assert bounds.violations == 0
 
     @pytest.mark.parametrize("covering", ["intervals", "uniform", "singletons",
                                           "uncovered", "shared"])
@@ -772,12 +805,12 @@ class TestStreamedBounds:
         cov = Covering(space, tuple(sets))
         plan = SimpleNamespace(covering=cov, samples=np.array(samples))
         w = np.exp(rng.normal(0.0, 0.5, n))
-        weight = Weight2D(space, w, ref_index=int(rng.integers(0, n)))
+        weight = Weight2D(space, w)
         m = weight_matrix_naive(w)
         spread = max(m[x][xi] for s, xi in zip(sets, samples) for x in s)
         exact = schur_norm_naive(space.weights,
                                  sampled_row_kernel(model, plan), m)
-        got = kernel_norms(model, (weight,), plan)[-1]
+        got = kernel_norms(model, weight, plan)[1]
         assert got == pytest.approx(sampled_row_bound_naive(model, plan, w),
                                     rel=1e-13)
         assert exact <= got * (1.0 + 1e-13)
@@ -920,15 +953,14 @@ def _working_set_pass(name, model, cov, plan, Y, report, coords):
     gamma = PhaseFunction(model, "kernel")
     unit = unit_weight(space)
     if name == "osc":
-        return oscillation_norms(model, cov, gamma,
-                                 [report.weight, report.weight])
+        return oscillation_norms(model, cov, gamma, report.weight)
     if name == "screen":
         one_box = Covering(space, (np.arange(space.n_points),))
-        scan = oscillation_norms(model, one_box, gamma, [unit], level=0.0)
+        scan = oscillation_norms(model, one_box, gamma, unit, level=0.0)
         assert isinstance(scan, Screened) and scan.column == 0
         return scan
     if name == "R":
-        return kernel_norms(model, [report.weight, report.weight], plan)
+        return kernel_norms(model, report.weight, plan)
     return discretize_module._analysis_norms(
         model.vectors.conj().T, [WeightedLp(space, 1.0, Y.w)], coords)
 
@@ -1025,25 +1057,22 @@ class TestWorkingSetBudget:
         """A budget of half a row of n complex values cuts every row of the
         osc and R passes into column blocks, whose row sums add up: on
         Gabor 6 x 41 with 1 x 2 boxes the norms of osc and R under the
-        weight and its m_v match the
-        dense kernels' naive Schur norms to 1e-13, the bound on the plan's
-        sampled-row constant under the weight matches its loop oracle, and
-        a screened scan
-        stops at the column a whole-row scan stops at, with the same
-        bound."""
+        weight (least at point 5) match the dense kernels' naive Schur
+        norms to 1e-13, the bound on the plan's sampled-row constant under
+        the weight matches its loop oracle, and a screened scan stops at
+        the column a whole-row scan stops at, with the same bound."""
         model = build_gabor_model(6, 41, 2.45)
         space = model.space
         n = space.n_points
         cov = Covering(space, tuple(np.arange(t * 41 + m, t * 41 + min(m + 2, 41))
                                     for t in range(6) for m in range(0, 41, 2)))
         plan = select_samples(build_pou(cov))
-        w = np.ones(n) if weight_rule == "unit" \
-            else np.exp(0.3 * np.linalg.norm(space.points, axis=1))
-        weight = Weight2D(space, w, ref_index=5)
-        weights = (weight, oscillation_module.v_weight(weight))
+        w = np.ones(n) if weight_rule == "unit" else np.exp(
+            0.3 * np.linalg.norm(space.points - space.points[5], axis=1))
+        weight = Weight2D(space, w)
         gamma = PhaseFunction(model, "kernel")
-        osc_sum = oscillation_norms(model, cov, gamma, weights)[0]
-        whole = oscillation_norms(model, cov, gamma, weights,
+        osc_sum = oscillation_norms(model, cov, gamma, weight)
+        whole = oscillation_norms(model, cov, gamma, weight,
                                   level=0.5 * osc_sum)
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * n)
         pieces = []
@@ -1054,20 +1083,19 @@ class TestWorkingSetBudget:
             return feed(self, rows, cols, block, upper)
 
         monkeypatch.setattr(SchurSums, "_feed", recorded)
-        got_osc = oscillation_norms(model, cov, gamma, weights)
-        got_r = kernel_norms(model, weights, plan)
-        cut = oscillation_norms(model, cov, gamma, weights, level=0.5 * osc_sum)
+        got_osc = oscillation_norms(model, cov, gamma, weight)
+        got_r, got_d = kernel_norms(model, weight, plan)
+        cut = oscillation_norms(model, cov, gamma, weight, level=0.5 * osc_sum)
         assert max(pieces) < n
         mu = space.weights
         osc = oscillation_kernel(model, cov, gamma)
-        for k, wt in enumerate(weights):
-            m = weight_matrix_naive(wt.w)
-            assert got_osc[k] == pytest.approx(schur_norm_naive(mu, osc, m),
-                                               rel=1e-13)
-            assert got_r[k] == pytest.approx(
-                schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
-        assert got_r[2] == pytest.approx(
-            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
+        m = weight_matrix_naive(w)
+        assert got_osc == pytest.approx(schur_norm_naive(mu, osc, m),
+                                        rel=1e-13)
+        assert got_r == pytest.approx(
+            schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
+        assert got_d == pytest.approx(
+            sampled_row_bound_naive(model, plan, w), rel=1e-13)
         assert isinstance(cut, Screened) and cut.column == whole.column
         assert cut.lower_bound == pytest.approx(whole.lower_bound, rel=1e-13)
 
@@ -1685,7 +1713,7 @@ class TestPlanOnAnotherCovering:
             build_random_smooth_model(3, 48, 3.0, seed=1).space, 2 / 48)))
         passes = self.forbid_passes(monkeypatch)
         with pytest.raises(StructuralError, match="different space"):
-            kernel_norms(model, (weight,), plan=other)
+            kernel_norms(model, weight, plan=other)
         assert not passes
 
     def test_oscillation_report(self, monkeypatch):

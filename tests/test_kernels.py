@@ -12,7 +12,8 @@ from conftest import random_kernel, random_pointwise_weight, unit_weight
 from oracles import apply_kernel, apply_measure_naive, apply_naive, \
     apply_to_measure, compose, compose_naive, identity_kernel, involution, \
     schur_norm_naive, weight_matrix_naive
-from theory import DiscreteMeasure, check_kernel, schur_norm, schur_norms
+from theory import DiscreteMeasure, check_kernel, schur_norm, \
+    streamed_schur_norm
 
 
 def indicator_kernel(space, rows, cols):
@@ -61,66 +62,111 @@ class TestSchurNorm:
 
 
 class TestStreamedSchurSums:
-    def test_several_weights_in_one_pass(self, rng):
-        """Uneven row blocks, given as slices and index arrays, with the unit
-        weight twice and two non-trivial weights."""
+    def test_uneven_row_blocks_under_each_weight(self, rng):
+        """Uneven row blocks, given as slices and index arrays, one pass
+        each under no weight, the unit weight and two non-trivial ones."""
         n = 9
         space = uniform_grid(n, weights=rng.uniform(0.5, 2.0, n))
         k = np.abs(random_kernel(rng, n))
         weights = [None, unit_weight(space),
                    Weight2D(space, random_pointwise_weight(rng, n)),
-                   Weight2D(space, random_pointwise_weight(rng, n), ref_index=3)]
+                   Weight2D(space, random_pointwise_weight(rng, n))]
         blocks = [(slice(0, 2), k[:2]), (np.array([2, 3, 4]), k[2:5]),
                   (slice(5, n), k[5:])]
-        got = schur_norms(space, blocks, weights)
-        for value, weight in zip(got, weights):
+        for weight in weights:
             m = None if weight is None else weight_matrix_naive(weight.w)
-            assert value == pytest.approx(
+            assert streamed_schur_norm(space, blocks, weight) == pytest.approx(
                 schur_norm_naive(space.weights, k, m), rel=1e-13)
 
     def test_add_returns_the_block_row_sums(self, rng):
+        """Under one weight, with a measure beside mu: ``add`` returns the
+        row sums against mu, and ``norms`` gives the norm against mu, then
+        the one against the measure, both under the same m."""
         n = 7
         space = uniform_grid(n, weights=rng.uniform(0.5, 2.0, n))
         k = np.abs(random_kernel(rng, n))
         weight = Weight2D(space, random_pointwise_weight(rng, n))
+        nu = rng.uniform(0.0, 3.0, n)
         m = weight_matrix_naive(weight.w)
-        rows = slice(2, 5)
-        got = SchurSums(space, [None, weight]).add(rows, k[rows])
-        assert got.shape == (2, 3)
-        for i, x in enumerate(range(2, 5)):
-            plain = sum(space.weights[y] * k[x, y] for y in range(n))
-            weighted = sum(space.weights[y] * k[x, y] * m[x][y] for y in range(n))
-            assert got[0, i] == pytest.approx(plain, rel=1e-14)
-            assert got[1, i] == pytest.approx(weighted, rel=1e-14)
+        for wt, mm in ((None, None), (weight, m)):
+            sums = SchurSums(space, wt, nu)
+            got = sums.add(slice(2, 5), k[2:5])
+            assert got.shape == (3,)
+            for i, x in enumerate(range(2, 5)):
+                want = sum(space.weights[y] * k[x, y]
+                           * (1.0 if mm is None else mm[x][y])
+                           for y in range(n))
+                assert got[i] == pytest.approx(want, rel=1e-14)
+            sums.add(slice(0, 2), k[:2])
+            sums.add(slice(5, n), k[5:])
+            norm, against_nu = sums.norms()
+            assert norm == pytest.approx(
+                schur_norm_naive(space.weights, k, mm), rel=1e-13)
+            assert against_nu == pytest.approx(
+                schur_norm_naive(nu, k, mm), rel=1e-13)
 
     def test_upper_strips_of_a_symmetric_kernel(self, rng):
         """Strips |K|[a:b, a:] of a symmetric kernel, of uneven heights, give
-        the norms of the whole kernel under two weights and the unit one,
-        and each strip's row sums are the full row sums of its rows."""
+        the norm of the whole kernel under the unit weight and under two
+        others, one pass each, and each strip's row sums are the full row
+        sums of its rows."""
         n = 11
         space = uniform_grid(n, weights=rng.uniform(0.5, 2.0, n))
         k = random_kernel(rng, n)
         k = np.abs(k + k.conj().T)
-        weights = [None, Weight2D(space, random_pointwise_weight(rng, n)),
-                   Weight2D(space, random_pointwise_weight(rng, n), ref_index=4)]
-        sums = SchurSums(space, weights)
-        for a, b in ((0, 2), (2, 3), (3, 7), (7, n)):
-            got = sums.add_upper(a, k[a:b, a:])
-            assert got.shape == (3, b - a)
-            for value, weight in zip(got, weights):
-                m = np.ones((n, n)) if weight is None \
-                    else weight_matrix_naive(weight.w)
+        for weight in (None, Weight2D(space, random_pointwise_weight(rng, n)),
+                       Weight2D(space, random_pointwise_weight(rng, n))):
+            m = np.ones((n, n)) if weight is None \
+                else weight_matrix_naive(weight.w)
+            sums = SchurSums(space, weight)
+            for a, b in ((0, 2), (2, 3), (3, 7), (7, n)):
+                got = sums.add_upper(a, k[a:b, a:])
                 want = (k[a:b] * m[a:b]) @ space.weights
-                assert np.allclose(value, want, rtol=1e-14, atol=0.0)
-        for value, weight in zip(sums.norms(), weights):
-            m = None if weight is None else weight_matrix_naive(weight.w)
-            assert value == pytest.approx(
+                assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+            assert sums.norms()[0] == pytest.approx(
                 schur_norm_naive(space.weights, k, m), rel=1e-13)
 
     def test_weight_on_another_space_rejected(self, small_space):
         other = uniform_grid(3)
         with pytest.raises(StructuralError):
-            SchurSums(small_space, [unit_weight(other)])
+            SchurSums(small_space, unit_weight(other))
+
+
+class TestSupSpaceWeight:
+    """m_v, the associated weight of the trace v = m(., z0) that the sup
+    space L^inf_{1/v} uses, is at most m, by submultiplicativity:
+    m(x, z0) <= m(x, y) m(y, z0). So every kernel's Schur norm under m_v is
+    at most its norm under m, and the two are equal when w(z0) is the least
+    or the largest value of w, where v = w/w(z0) or w(z0)/w."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=9),
+           st.integers(0, 2 ** 32 - 1), st.data())
+    def test_norms_under_m_v_are_at_most_under_m(self, exps, seed, data):
+        n = len(exps)
+        rng = np.random.default_rng(seed)
+        space = uniform_grid(n, weights=rng.uniform(0.2, 1.5, n))
+        k = random_kernel(rng, n)
+        w = np.exp(np.array(exps))
+        z0 = data.draw(st.integers(0, n - 1), label="z0")
+        extreme = data.draw(st.sampled_from([None, "least", "largest"]),
+                            label="extreme")
+        if extreme is not None:
+            w[z0] = w.min() if extreme == "least" else w.max()
+        m = weight_matrix_naive(w)
+        v = m[:, z0]
+        m_v = weight_matrix_naive(v)
+        assert np.all(m_v <= m * (1.0 + 1e-14))
+        # z0 is point 0 of the grid ordered from z0 on
+        order = np.roll(np.arange(n), -z0)
+        weight = Weight2D(space, w[order])
+        assert np.array_equal(weight.v, v[order])
+        under_m = schur_norm(space, k, Weight2D(space, w))
+        under_m_v = schur_norm(space, k, Weight2D(space, v))
+        assert under_m_v <= under_m * (1.0 + 1e-13)
+        if extreme is not None:
+            assert np.allclose(m_v, m, rtol=1e-14, atol=0.0)
+            assert under_m_v == pytest.approx(under_m, rel=1e-13)
 
 
 class TestApply:
@@ -278,8 +324,8 @@ class TestWeight2D:
 
     def test_v_trace(self, small_space, rng):
         w = rng.uniform(0.5, 3.0, 5)
-        m = Weight2D(small_space, w, ref_index=2)
-        assert np.array_equal(m.v, weight_matrix_naive(w)[:, 2])
+        m = Weight2D(small_space, w)
+        assert np.array_equal(m.v, weight_matrix_naive(w)[:, 0])
 
     def test_constant_is_trivial(self, rng):
         space = uniform_grid(6, weights=rng.uniform(0.2, 1.5, 6))
@@ -291,24 +337,21 @@ class TestWeight2D:
         assert not Weight2D(space, random_pointwise_weight(rng, 6)).trivial
 
     def test_stores_only_the_pointwise_weight(self, small_space, rng):
-        m = Weight2D(small_space, rng.uniform(0.5, 3.0, 5), ref_index=1)
-        assert set(vars(m)) == {"space", "w", "ref_index"}
+        m = Weight2D(small_space, rng.uniform(0.5, 3.0, 5))
+        assert set(vars(m)) == {"space", "w"}
         assert m.w.shape == (5,) and not m.w.flags.writeable
 
-    @pytest.mark.parametrize("w, ref", [
-        (np.ones(4), 0),                                # wrong length
-        (np.ones((5, 5)), 0),                           # a matrix is not pointwise
-        (np.array([1.0, 0.0, 1.0, 1.0, 1.0]), 0),       # zero
-        (np.array([1.0, -2.0, 1.0, 1.0, 1.0]), 0),      # negative
-        (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), 0),
-        (np.array([1.0, np.inf, 1.0, 1.0, 1.0]), 0),
-        (np.ones(5), 5),                                # ref_index out of range
-        (np.ones(5), -1),
-    ], ids=["length", "matrix", "zero", "negative", "nan", "inf", "ref-high",
-            "ref-negative"])
-    def test_rejects_invalid(self, small_space, w, ref):
+    @pytest.mark.parametrize("w", [
+        np.ones(4),                                     # wrong length
+        np.ones((5, 5)),                                # a matrix is not pointwise
+        np.array([1.0, 0.0, 1.0, 1.0, 1.0]),            # zero
+        np.array([1.0, -2.0, 1.0, 1.0, 1.0]),           # negative
+        np.array([1.0, np.nan, 1.0, 1.0, 1.0]),
+        np.array([1.0, np.inf, 1.0, 1.0, 1.0]),
+    ], ids=["length", "matrix", "zero", "negative", "nan", "inf"])
+    def test_rejects_invalid(self, small_space, w):
         with pytest.raises(StructuralError):
-            Weight2D(small_space, w, ref)
+            Weight2D(small_space, w)
 
     def test_rejects_overflowing_ratio_quietly(self, small_space):
         w = np.array([1e-300, 1.0, 1.0, 1.0, 1e10])     # max/min = 1e310

@@ -12,7 +12,9 @@ Likewise a parameter with a default, of such a function or method, is a
 knob only if a program sets it: some call in ``src/framedisc/``,
 ``scripts/`` or the benchmark's programs under ``perfbench/`` passes it,
 by keyword or by position. A knob only the tests set goes, with its one
-production value written into the body.
+production value written into the body. So does a dataclass field with a
+default that no program call passes by keyword, to the class or to
+``replace``; a ``field(init=False)`` is no knob.
 
 Two modules keep a format to themselves: only ``spaces.py`` reads a solid
 space's exponent ``p``, and only ``coverings.py`` reads the private
@@ -193,6 +195,36 @@ def program_calls() -> dict:
     return calls
 
 
+def defaulted_fields() -> list:
+    """``(module.Class, Class, field)`` for every field with a default of a
+    dataclass of the package modules, leaving out ``field(init=False)``
+    fields, which no caller can pass."""
+    def called(node, name):
+        func = node.func if isinstance(node, ast.Call) else node
+        return isinstance(func, ast.Name) and func.id == name
+
+    found = []
+    for path in PACKAGE:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(stmt, ast.ClassDef)
+                    and any(called(d, "dataclass")
+                            for d in stmt.decorator_list)):
+                continue
+            for item in stmt.body:
+                if not (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and item.value is not None):
+                    continue
+                if called(item.value, "field") and any(
+                        k.arg == "init" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False
+                        for k in item.value.keywords):
+                    continue
+                found.append((f"{path.stem}.{stmt.name}", stmt.name,
+                              item.target.id))
+    return found
+
+
 def test_every_defaulted_parameter_is_set_by_a_program():
     params = defaulted_parameters()
     assert len(params) > 30
@@ -202,3 +234,15 @@ def test_every_defaulted_parameter_is_set_by_a_program():
                         or (position is not None and count > position)
                         for keywords, count in calls.get(name, ()))]
     assert not unset, f"parameters only the tests set: {unset}"
+
+
+def test_every_defaulted_field_is_set_by_a_program():
+    fields = defaulted_fields()
+    assert ("oscillation.OscReport", "OscReport", "d_const") in fields
+    assert not any(name == "masses" for _, _, name in fields)   # init=False
+    calls = program_calls()
+    unset = [f"{where}.{name}" for where, cls, name in fields
+             if not any(name in keywords or None in keywords
+                        for keywords, _ in calls.get(cls, [])
+                        + calls.get("replace", []))]
+    assert not unset, f"dataclass fields only the tests set: {unset}"

@@ -12,7 +12,7 @@ from framedisc import CertificationError, Covering, FrameModel, \
     PhaseFunction, Screened, StructuralError, Weight2D, WeightedLp, \
     invertibility_condition, kernel_norms, oscillation_norms, \
     oscillation_report, refine_until, sigma_constant, singleton_covering, \
-    uniform_covering, uniform_grid, v_weight
+    uniform_covering, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
@@ -121,7 +121,7 @@ def streamed_setup(covering, weight_rule, phase):
         cov = uniform_covering(space, 4.0 / n)
         assert sum(s.size for s in sets_of(cov)) == n and cov.n_sets > 1
     w = np.ones(n) if weight_rule == "unit" else random_pointwise_weight(rng, n)
-    weight = Weight2D(space, w, ref_index=5)
+    weight = Weight2D(space, w)
     if phase == "table":
         table = random_phase_table(rng, n)
         gamma = TablePhase(space, table)
@@ -221,7 +221,7 @@ class TestMirroredPairs:
         rows.clear()
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                             64 * oscillation_module.OSC_CELL_BYTES * n)
-        oscillation_norms(model, cov, gamma, [unit_weight(model.space)])
+        oscillation_norms(model, cov, gamma, unit_weight(model.space))
         assert len(rows) == -(-n // 64)
         assert sum(rows) <= n // 2 + len(rows)
 
@@ -245,7 +245,7 @@ class TestMirroredPairs:
 
         rows = count_product_rows(model)
         oscillation_norms(model, cov, CountingPhase(model, "kernel"),
-                          [unit_weight(model.space)])
+                          unit_weight(model.space))
         assert sum(phases) == sum(rows)
         assert sum(rows) <= 3060 // 2 + 2 * len(rows)
 
@@ -255,8 +255,8 @@ class TestMirroredPairs:
         cov = singleton_covering(model.space)
         gamma = PhaseFunction(model, rule)
         rows = count_product_rows(model)
-        w = unit_weight(model.space)
-        assert oscillation_norms(model, cov, gamma, [w, w]) == [0.0, 0.0]
+        assert oscillation_norms(model, cov, gamma,
+                                 unit_weight(model.space)) == 0.0
         assert rows == []
 
     def test_refine_singleton_round_forms_no_product(self, monkeypatch):
@@ -375,17 +375,16 @@ class TestQTable:
     @pytest.mark.parametrize("covering", Q_TABLE_COVERINGS)
     def test_norms_equal_column_loop(self, monkeypatch, covering, phase,
                                      weight_rule):
-        """The oscillation norms under a weight and its m_v are the floats
-        the loop's rows give."""
+        """The oscillation norm under a weight is the float the loop's rows
+        give; the exp weight is least at point 5, so point 0 is interior."""
         model, cov, gamma = q_table_setup(covering, phase)
         space = model.space
-        w = np.ones(space.n_points) if weight_rule == "unit" \
-            else np.exp(0.5 * np.linalg.norm(space.points, axis=1))
-        weight = Weight2D(space, w, ref_index=5)
-        weights = (weight, v_weight(weight))
-        got = oscillation_norms(model, cov, gamma, weights)
+        w = np.ones(space.n_points) if weight_rule == "unit" else np.exp(
+            0.5 * np.linalg.norm(space.points - space.points[5], axis=1))
+        weight = Weight2D(space, w)
+        got = oscillation_norms(model, cov, gamma, weight)
         monkeypatch.setattr(oscillation_module, "_osc_rows", loop_tiles)
-        assert got == oscillation_norms(model, cov, gamma, weights)
+        assert got == oscillation_norms(model, cov, gamma, weight)
 
 
 class TestStreamedNorms:
@@ -395,48 +394,45 @@ class TestStreamedNorms:
     @pytest.mark.parametrize("covering", ["intervals", "boxes"])
     def test_match_dense_oracles(self, monkeypatch, covering, weight_rule, phase,
                                  budget):
-        """The norms of osc and R under the weight and its m_v, from one
-        streamed pass each, match the triple-loop kernel's naive Schur norms.
-        A budget of two complex rows holds one (y, z) cell per oscillation
-        tile, so it also cuts every row of each block's table of Q_y into
-        one-cell pieces."""
+        """The norms of osc and R under the weight, from one streamed pass
+        each, match the triple-loop kernel's naive Schur norms, and the
+        report carries them. A budget of two complex rows holds one (y, z)
+        cell per oscillation tile, so it also cuts every row of each
+        block's table of Q_y into one-cell pieces."""
         model, cov, weight, gamma, osc = streamed_setup(covering, weight_rule,
                                                         phase)
         if budget == "two rows":
             monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                                 2 * 16 * model.space.n_points)
-        weights = (weight, v_weight(weight))
-        got_osc = oscillation_norms(model, cov, gamma, weights)
-        got_r = kernel_norms(model, weights)
+        got_osc = oscillation_norms(model, cov, gamma, weight)
+        got_r, no_plan = kernel_norms(model, weight)
         mu = model.space.weights
-        for k, wt in enumerate(weights):
-            m = weight_matrix_naive(wt.w)
-            assert got_osc[k] == pytest.approx(schur_norm_naive(mu, osc, m),
-                                               rel=1e-13)
-            assert got_r[k] == pytest.approx(
-                schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
+        m = weight_matrix_naive(weight.w)
+        assert no_plan is None
+        assert got_osc == pytest.approx(schur_norm_naive(mu, osc, m),
+                                        rel=1e-13)
+        assert got_r == pytest.approx(
+            schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
         rep = oscillation_report(model, cov, gamma, weight, 0.5)
-        assert [rep.osc_norm, rep.osc_norm_v] == got_osc
-        assert [rep.r_norm, rep.r_norm_v] == got_r
+        assert (rep.osc_norm, rep.r_norm) == (got_osc, got_r)
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     def test_r_norms_from_upper_strips(self, monkeypatch, weight_rule):
         """Under a budget of 30 full rows (the product and moduli, plus m
-        and its second quotient under the exp weight) the norms of R come
+        and its second quotient under the exp weight) the norm of R comes
         from at least three strips |R|[a:b, a:] of the upper triangle: the
         first 30 rows tall, each as tall as the budget holds at its width,
-        so each fits in the budget. They match the dense kernel's naive
-        Schur norms."""
+        so each fits in the budget. It matches the dense kernel's naive
+        Schur norm; the exp weight is least at point 5."""
         model = build_gabor_model(6, 16, 2.45)
         space = model.space
         n = space.n_points
         entry = oscillation_module.STRIP_ENTRY_BYTES \
             + (0 if weight_rule == "unit" else kernels_module.WEIGHT_ENTRY_BYTES)
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 30 * entry * n)
-        w = np.ones(n) if weight_rule == "unit" \
-            else np.exp(0.3 * np.linalg.norm(space.points, axis=1))
-        weight = Weight2D(space, w, ref_index=5)
-        weights = (weight, v_weight(weight))
+        w = np.ones(n) if weight_rule == "unit" else np.exp(
+            0.3 * np.linalg.norm(space.points - space.points[5], axis=1))
+        weight = Weight2D(space, w)
         strips = []
         add_upper = kernels_module.SchurSums.add_upper
 
@@ -445,7 +441,7 @@ class TestStreamedNorms:
             return add_upper(self, start, block, cols)
 
         monkeypatch.setattr(kernels_module.SchurSums, "add_upper", recorded)
-        got = kernel_norms(model, weights)
+        got, _ = kernel_norms(model, weight)
         assert len(strips) >= 3
         starts = [a for a, _ in strips] + [n]
         assert starts[:2] == [0, 30]
@@ -453,10 +449,9 @@ class TestStreamedNorms:
             assert shape == (b - a, n - a)
             assert (b - a) * (n - a) <= 30 * n
             assert b == n or (b - a + 1) * (n - a) > 30 * n
-        for value, wt in zip(got, weights):
-            assert value == pytest.approx(
-                schur_norm_naive(space.weights, dense_kernel(model),
-                                 weight_matrix_naive(wt.w)), rel=1e-13)
+        assert got == pytest.approx(
+            schur_norm_naive(space.weights, dense_kernel(model),
+                             weight_matrix_naive(w)), rel=1e-13)
 
     def test_unscreened_scan_takes_full_blocks(self, monkeypatch):
         """Under a budget of 50 cells an unscreened scan is one block of the
@@ -486,49 +481,52 @@ class TestStreamedNorms:
             return [(a, min(stop, a + step)) for a in range(start, stop, step)]
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
-        weights = [unit_weight(model.space)]
-        full = oscillation_norms(model, cov, gamma, weights)
+        unit = unit_weight(model.space)
+        full = oscillation_norms(model, cov, gamma, unit)
         assert blocks == [(0, n)] and tiles == even_tiles(0, n)
         assert (tiles[0][1] - tiles[0][0]) * width <= 50
         blocks.clear()
         tiles.clear()
-        screened = oscillation_norms(model, cov, gamma, weights, level=np.inf)
+        screened = oscillation_norms(model, cov, gamma, unit, level=np.inf)
         starts = [0, 1, 3, 7, 15, 31, 63, 127]
         assert blocks == list(zip(starts, starts[1:] + [n]))
         assert tiles == [tile for block in blocks for tile in even_tiles(*block)]
         assert screened == pytest.approx(full, rel=1e-14)
 
-    def test_v_weight_equal_to_weight_is_shared(self, monkeypatch):
-        """An exp weight is one at the origin, point 0, and grows from it, so
-        its m_v is the weight itself: one report forms m once per row block
-        of each Schur pass, half as often as with a separate m_v, and gives
-        the same norms."""
+    @pytest.mark.parametrize("least_at", [0, 202])
+    def test_one_m_per_block(self, monkeypatch, least_at):
+        """Every Schur pass has one weight: a report forms m once per block
+        it feeds, whether the exp weight is least at point 0, the origin,
+        where v = w, or at point 202, where point 0 is interior and m_v is
+        not m; its norms are those of one pass under the weight alone."""
         model = build_gabor_model(4, 101, 2.0)
         space = model.space
         cov = Covering(space, tuple(np.arange(t * 101 + m, t * 101 + min(m + 2, 101))
                                     for t in range(4) for m in range(0, 101, 2)))
-        w = np.exp(0.02 * np.linalg.norm(space.points, axis=1))
+        w = np.exp(0.02 * np.linalg.norm(space.points - space.points[least_at],
+                                         axis=1))
         weight = WeightedLp(space, 2.0, w).weight2d()
-        assert v_weight(weight) is weight
-        moved = Weight2D(space, w, ref_index=7)      # w > 1 at point 7
-        assert v_weight(moved) is not moved
+        assert np.array_equal(weight.v, weight.w) == (least_at == 0)
+        assert least_at == 0 or w.min() < w[0] < w.max()
         gamma = PhaseFunction(model, "kernel")
-        calls = []
-        block = Weight2D.block
+        blocks, feeds = [], []
+        block, feed = Weight2D.block, kernels_module.SchurSums._feed
 
-        def counted(self, rows, cols, out=None, spare=None):
-            calls.append(isinstance(cols, slice))
+        def counted_block(self, rows, cols, out=None, spare=None):
+            if isinstance(cols, slice):         # not the v trace's column
+                blocks.append(rows)
             return block(self, rows, cols, out, spare)
 
-        monkeypatch.setattr(Weight2D, "block", counted)
-        shared = oscillation_report(model, cov, gamma, weight, 0.25)
-        n_shared = sum(calls)
-        calls.clear()
-        monkeypatch.setattr(oscillation_module, "v_weight",
-                            lambda wt: Weight2D(wt.space, wt.v, wt.ref_index))
-        separate = oscillation_report(model, cov, gamma, weight, 0.25)
-        assert n_shared > 0 and 2 * n_shared == sum(calls)
-        assert vars(shared) == vars(separate)
+        def counted_feed(self, rows, cols, part, upper=False):
+            feeds.append(rows)
+            return feed(self, rows, cols, part, upper)
+
+        monkeypatch.setattr(Weight2D, "block", counted_block)
+        monkeypatch.setattr(kernels_module.SchurSums, "_feed", counted_feed)
+        rep = oscillation_report(model, cov, gamma, weight, 0.25)
+        assert len(feeds) > 2 and blocks == feeds
+        assert rep.osc_norm == oscillation_norms(model, cov, gamma, weight)
+        assert rep.r_norm == kernel_norms(model, weight)[0]
 
     def test_report_holds_no_array(self, smooth_model):
         cov = uniform_covering(smooth_model.space, 0.3)
@@ -556,7 +554,7 @@ class TestStreamedNorms:
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
         scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"),
-                                 [unit_weight(model.space)],
+                                 unit_weight(model.space),
                                  level=np.finfo(float).tiny)
         assert isinstance(scan, Screened) and scan.column == column
         assert sum(stop - start for start, stop in calls) <= 2 * column + 1
@@ -810,7 +808,7 @@ def column0_sum(model, weight):
     spans = np.ptp(model.space.points, axis=0)
     cov = uniform_covering(model.space,
                            np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0)
-    scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"), [weight],
+    scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"), weight,
                              level=0.0)
     assert scan.column == 0
     return scan.lower_bound
@@ -932,17 +930,17 @@ class TestRefineScreen:
         osc = oscillation_kernel(model, cov, gamma)
         sums = model.space.weights @ osc
         level = float(np.sort(sums)[-2])
-        scan = oscillation_norms(model, cov, gamma, [w], level=level)
+        scan = oscillation_norms(model, cov, gamma, w, level=level)
         assert isinstance(scan, Screened)
         first = int(np.flatnonzero(sums >= level)[0])
         assert scan.column == first
         assert scan.lower_bound == pytest.approx(sums[first], rel=1e-14)
         norm = schur_norm(model.space, osc, w)
         assert scan.lower_bound <= norm * (1 + 1e-13)
-        full = oscillation_norms(model, cov, gamma, [w],
+        full = oscillation_norms(model, cov, gamma, w,
                                  level=float(sums.max()) * 2.0)
-        assert full == oscillation_norms(model, cov, gamma, [w])
-        assert full[0] == pytest.approx(norm, rel=1e-13)
+        assert full == oscillation_norms(model, cov, gamma, w)
+        assert full == pytest.approx(norm, rel=1e-13)
 
     def test_zero_rounds_rejected(self, smooth_model):
         with pytest.raises(StructuralError):

@@ -7,8 +7,8 @@ argument. Here are:
 
 - integration and total measure of a quadrature space;
 - finite measures (``DiscreteMeasure``) and the dense kernel interface
-  (``check_kernel``, ``abs_row_blocks``, ``schur_norms`` of streamed
-  blocks, ``schur_norm``);
+  (``check_kernel``, ``abs_row_blocks``, ``streamed_schur_norm`` of
+  streamed blocks, ``schur_norm``);
 - the analysis maps V* f and V* S^{-1} f of a frame model and their
   inverses, synthesis from a measure, the range projection and one random
   range function;
@@ -95,19 +95,20 @@ def abs_row_blocks(kernel: np.ndarray):
     return ((rows, np.abs(kernel[rows])) for rows in row_slices(kernel.shape[0]))
 
 
-def schur_norms(space: QuadratureSpace, blocks, weights) -> list:
-    """Schur norms, one per weight, of the kernel whose ``(rows, |K|[rows, :])``
-    blocks ``blocks`` yields, in one pass."""
-    sums = SchurSums(space, weights)
+def streamed_schur_norm(space: QuadratureSpace, blocks,
+                        weight: Weight2D | None = None) -> float:
+    """Schur norm under ``weight`` of the kernel whose
+    ``(rows, |K|[rows, :])`` blocks ``blocks`` yields, in one pass."""
+    sums = SchurSums(space, weight)
     for rows, block in blocks:
         sums.add(rows, block)
-    return sums.norms()
+    return sums.norms()[0]
 
 
 def schur_norm(space: QuadratureSpace, kernel, weight: Weight2D | None = None) -> float:
     """Weighted Schur algebra norm of a dense kernel."""
     k = check_kernel(space, kernel)
-    return schur_norms(space, abs_row_blocks(k), [weight])[0]
+    return streamed_schur_norm(space, abs_row_blocks(k), weight)
 
 
 def analyze(model: FrameModel, f) -> np.ndarray:
