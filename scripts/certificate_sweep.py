@@ -15,10 +15,11 @@ Usage:
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from framedisc import PhaseFunction, SamplingInverse, WeightedLp, build_pou, \
-    contraction_bounds, invertibility_condition, observed_contraction, \
-    oscillation_report, select_samples, uniform_covering
+    invertibility_condition, observed_contraction, oscillation_report, \
+    select_samples, uniform_covering
 from framedisc.models import build_gabor_model
 from framedisc.pipeline import residual_suite
 
@@ -50,8 +51,8 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
     probe = oscillation_report(model, cov, gamma, weight, delta=1.0)
     budget = max_certifiable_budget(probe.r_norm, probe.c_mu)
     delta = 0.5 * (probe.osc_norm + budget)
-    report = oscillation_report(model, cov, gamma, weight, delta)
-    certified = report.oscillation_ok and report.invertibility_ok
+    report = replace(probe, delta=delta)
+    certified = report.certified
 
     row = {
         "n_time": n_time,
@@ -65,8 +66,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
     }
     if certified:
         plan = select_samples(build_pou(cov))
-        _, sharp = contraction_bounds(report)
-        row["contraction_sharp"] = sharp
+        row["contraction_sharp"] = report.contraction_bounds[1]
         inverse = SamplingInverse(model, plan, Y, report=report)
         row["contraction_observed"] = observed_contraction(inverse, seed=0)
         res = residual_suite(inverse, n_trials=10, seed=0)

@@ -11,9 +11,9 @@ from .coverings import Covering, PartitionOfUnity, build_pou, \
     singleton_covering, uniform_covering, validate_covering, \
     weight_compatibility
 from .discretize import SamplingInverse, SamplingPlan, atomic_decomposition, \
-    contraction_bounds, dual_frame, hilbert_frame_bounds, \
-    observed_contraction, reconstruct_from_samples, select_samples, \
-    synthesize_plan, verify_sampled_bounds
+    dual_frame, hilbert_frame_bounds, observed_contraction, \
+    reconstruct_from_samples, select_samples, synthesize_plan, \
+    verify_sampled_bounds
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import SchurSums, Weight2D
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \

@@ -195,16 +195,6 @@ def build_covering_on(cfg: dict, space) -> Covering | None:
     return uniform_covering(space, width, cfg["covering-overlap"])
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def check_output(output: str | None) -> None:
     """Refuse an output path that cannot be written, before any work: a
     directory, a file in a missing directory, or a path without write
@@ -224,7 +214,7 @@ def check_output(output: str | None) -> None:
 
 
 def emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -244,13 +234,12 @@ def cmd_validate(cfg: dict) -> int:
     cov = build_covering_on(cfg, space)
     if cov is None:
         raise StructuralError("validate requires covering-sets or covering-width")
-    report = validate_covering(cov)
-    doc = report.to_json_dict()
+    doc = validate_covering(cov)
     doc["C_mU"] = weight_compatibility(cov, weight)
     doc["covering_id"] = cov.identifier()
     doc["schema_version"] = "1"
     emit(doc, cfg["output"])
-    return EXIT_OK if report.moderate else EXIT_PROPERTY
+    return EXIT_OK if doc["moderate"] else EXIT_PROPERTY
 
 
 def cmd_osc(cfg: dict) -> int:
@@ -268,17 +257,15 @@ def cmd_osc(cfg: dict) -> int:
     doc = report.to_json_dict()
     doc["schema_version"] = "1"
     emit(doc, cfg["output"])
-    ok = report.oscillation_ok and report.invertibility_ok
-    return EXIT_OK if ok else EXIT_PROPERTY
+    return EXIT_OK if report.certified else EXIT_PROPERTY
 
 
 def cmd_discretize(cfg: dict) -> int:
     model = build_model(cfg)
     Y = weighted_space_for(cfg, model.space)
-    weight = Y.weight2d()
     cov = build_covering_on(cfg, model.space)
     result = run_discretization(
-        model, Y, weight, cfg["delta"], covering=cov,
+        model, Y, cfg["delta"], covering=cov,
         gamma_rule=cfg["gamma"], pou_kind=cfg["pou"],
         sampling_rule=cfg["sampling"].replace("-", "_"),
         method=cfg["inversion-method"], tol=cfg["inversion-tol"],

@@ -244,38 +244,26 @@ class Covering:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True, eq=False)
-class CoveringReport:
-    admissible: bool
-    moderate: bool
-    overlap_bound: int
-    min_measure: float
-    moderateness: float
-    uncovered: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "moderate": self.moderate,
-            "N": self.overlap_bound,
-            "D": self.min_measure,
-            "C_tilde": self.moderateness,
-            "uncovered_points": list(self.uncovered),
-        }
-
-
-def validate_covering(cov: Covering) -> CoveringReport:
-    """Exact enumeration of the covering constants.
+def validate_covering(cov: Covering) -> dict:
+    """Exact enumeration of the covering constants, as the JSON dict
+    ``admissible``, ``moderate``, ``N`` (overlap bound), ``D`` (least set
+    measure), ``C_tilde`` (moderateness) and ``uncovered_points``.
 
     A family failing to cover every point is reported inadmissible rather
     than rejected; on a finite space an admissible covering is automatically
     moderate (D > 0 and C~ finite).
     """
-    uncovered = tuple(int(x) for x in np.flatnonzero(cov.cover_counts == 0))
-    admissible = len(uncovered) == 0
-    moderate = admissible and cov.min_measure > 0 and np.isfinite(cov.moderateness)
-    return CoveringReport(admissible, moderate, cov.overlap_bound,
-                          cov.min_measure, cov.moderateness, uncovered)
+    uncovered = [int(x) for x in np.flatnonzero(cov.cover_counts == 0)]
+    admissible = not uncovered
+    return {
+        "admissible": admissible,
+        "moderate": bool(admissible and cov.min_measure > 0
+                         and np.isfinite(cov.moderateness)),
+        "N": cov.overlap_bound,
+        "D": cov.min_measure,
+        "C_tilde": cov.moderateness,
+        "uncovered_points": uncovered,
+    }
 
 
 def weight_compatibility(cov: Covering, weight: Weight2D) -> float:

@@ -24,7 +24,7 @@ from .coverings import Covering, PartitionOfUnity
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import Workspace, block_rows, even_step, row_slices
 from .models import FrameModel, random_vectors
-from .oscillation import OscReport, kernel_norms, sigma_constant
+from .oscillation import OscReport, kernel_norms
 from .spaces import WeightedLp, cell_space, local_integrability_constant, \
     pileup_norms, streamed_norms, sup_infinity_space
 
@@ -116,24 +116,6 @@ def select_samples(pou: PartitionOfUnity,
     return SamplingPlan(pou, samples)
 
 
-def _pileup_sigma(report: OscReport) -> float:
-    """sigma', the pile-up constant of the budget max{delta, osc}: the
-    report's sigma when osc < delta, and a bound on the pile-up whatever
-    osc is."""
-    return sigma_constant(max(report.delta, report.osc_norm), report.r_norm,
-                          report.c_mu)
-
-
-def contraction_bounds(report: OscReport) -> tuple:
-    """(nominal, sharp) bounds on ||Id - U|| restricted to the kernel range.
-
-    nominal is delta (|R| + sigma), sharp osc (|R| + sigma'), with sigma'
-    the pile-up constant of the budget max{delta, osc} (``_pileup_sigma``).
-    """
-    return (report.delta * (report.r_norm + report.sigma),
-            report.osc_norm * (report.r_norm + _pileup_sigma(report)))
-
-
 def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
     """Action of U on analysis coordinates: U(V g) = V(S^{-1} S_c g)."""
     xs = plan.samples
@@ -155,7 +137,8 @@ class SamplingInverse:
     decomposition, reconstruction, dual-frame, residual, cross-check,
     observed-contraction and bounds helpers take: they read the model,
     plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's range metric
-    from it. A report of another covering is refused here.
+    from it. A report of another covering, or under another weight than
+    Y's, certifies nothing for this plan in Y and is refused here.
     The constructor asks Y once for its range metric
     (``WeightedLp.range_metric``); where Y gives none it forms kappa_Y and
     C_Y below instead. ``other_method`` gives the handle of the other
@@ -163,7 +146,8 @@ class SamplingInverse:
     each of them once.
 
     ``neumann`` sums a + (Id-U)a + (Id-U)^2 a + ... and requires a
-    certificate that the sharp contraction bound is below one; ``direct``
+    certificate that the sharp contraction bound
+    (``OscReport.contraction_bounds``) is below one; ``direct``
     solves the d x d system and needs none. Each column of a block stops
     once its term's Y-norm is at most ``tol`` times the Y-norm of its input,
     so the stopping rule does not depend on the scale of the input. Where
@@ -182,11 +166,15 @@ class SamplingInverse:
     def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
                  method: str = "neumann", tol: float = 1e-12, n_max: int = 200,
                  report: OscReport | None = None):
-        # a report of another covering certifies nothing here
-        if report is not None \
-                and report.covering_id != plan.covering.identifier():
-            raise StructuralError(f"oscillation report made for covering "
-                                  f"{report.covering_id}, not the plan's covering")
+        # a report of another covering or weight certifies nothing here
+        if report is not None:
+            if report.covering_id != plan.covering.identifier():
+                raise StructuralError(
+                    f"oscillation report made for covering "
+                    f"{report.covering_id}, not the plan's covering")
+            if not np.array_equal(report.weight.w, Y.w):
+                raise StructuralError("oscillation report made under another "
+                                      "weight than Y's")
         self.model = model
         self.plan = plan
         self.Y = Y
@@ -212,7 +200,7 @@ class SamplingInverse:
                     "Neumann inversion needs an oscillation report carrying "
                     "the contraction certificate"
                 )
-            _, sharp = contraction_bounds(report)
+            _, sharp = report.contraction_bounds
             if not sharp < 1.0:
                 raise CertificationError(
                     f"sharp contraction bound {sharp:.4f} is not below 1; "
@@ -546,36 +534,6 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     return float(max(best, np.max(ni[keep] / nf[keep], initial=0.0)))
 
 
-@dataclass(frozen=True, eq=False)
-class BoundsReport:
-    """Certified constants next to the worst observed ratios they dominate."""
-
-    sampled_flat_constant: float        # bound on the sampled-row kernel's norm
-    sampled_flat_observed: float
-    pou_pileup_constant: float          # sigma'
-    pou_pileup_observed: float
-    measure_constant: float             # |osc| + |R|
-    measure_observed: float
-    range_sup_constant: float           # range of R into the sup space
-    range_sup_observed: float
-    transform_norm_ratios: dict         # finite two-sided comparison constants
-    violations: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "D_const": self.sampled_flat_constant,
-            "D_observed": self.sampled_flat_observed,
-            "sigma_const": self.pou_pileup_constant,
-            "sigma_observed": self.pou_pileup_observed,
-            "measure_const": self.measure_constant,
-            "measure_observed": self.measure_observed,
-            "range_sup_const": self.range_sup_constant,
-            "range_sup_observed": self.range_sup_observed,
-            "transform_norm_ratios": self.transform_norm_ratios,
-            "violations": self.violations,
-        }
-
-
 def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
                           report: OscReport) -> float:
     """Certified bound on the Schur norm of the sampled-row kernel
@@ -590,9 +548,15 @@ def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
 
 
 def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
-                          seed: int = 0) -> BoundsReport:
+                          seed: int = 0) -> dict:
     """Measure every inequality the sampled kernels certify, for the
-    inverse's plan in its Y.
+    inverse's plan in its Y, and return the JSON dict of each certified
+    constant beside the worst observed ratio it dominates: ``D_const`` and
+    ``D_observed`` (the sampled-row kernel), ``sigma_const`` and
+    ``sigma_observed`` (the pile-up), ``measure_const`` and
+    ``measure_observed`` (|osc| + |R|), ``range_sup_const`` and
+    ``range_sup_observed`` (R into the sup space), the finite two-sided
+    ``transform_norm_ratios`` and the count of ``violations``.
 
     The handle must carry the oscillation report of its plan's covering
     (one without a report is refused, StructuralError); the constants are
@@ -600,10 +564,10 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     norms of osc and R under m_v, the weight of the sup space; it takes
     their norms under m, which bound them since m_v <= m (``kernels``), and
     equal them when w is least or largest at the reference point. The
-    pile-up constant is sigma' (``_pileup_sigma``), checked whatever osc
-    is. Each block computes a kernel-derived constant and the worst
-    observed ratio over random trials; ``violations`` counts ratios
-    exceeding their constant beyond ``BOUNDS_SLACK``. The
+    pile-up constant is the report's sigma' (``OscReport.pileup_sigma``),
+    checked whatever osc is. Each block computes a kernel-derived constant
+    and the worst observed ratio over random trials; ``violations`` counts
+    ratios exceeding their constant beyond ``BOUNDS_SLACK``. The
     sampled-row constant is a certified bound on D under the report's
     weight, exact under a trivial one (``oscillation.kernel_norms``): the
     report's ``d_const`` when the report was made with the plan
@@ -633,7 +597,7 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
 
     d_const = _sampled_row_constant(model, plan, report)
     meas_const = report.osc_norm + report.r_norm
-    sigma = _pileup_sigma(report)
+    sigma = report.pileup_sigma
     sup_space = sup_infinity_space(Y, weight)
     range_sup_const = meas_const * local_integrability_constant(cov, Y, weight)
 
@@ -688,15 +652,15 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
         "Y_vs_sup_max": float(np.max(ratios_ysup, initial=0.0)),
         "Y_vs_sup_min": float(np.min(ratios_ysup)) if ratios_ysup.size else 0.0,
     }
-    return BoundsReport(
-        sampled_flat_constant=float(d_const),
-        sampled_flat_observed=float(d_obs),
-        pou_pileup_constant=float(sigma),
-        pou_pileup_observed=float(sig_obs),
-        measure_constant=float(meas_const),
-        measure_observed=float(meas_obs),
-        range_sup_constant=float(range_sup_const),
-        range_sup_observed=float(sup_obs),
-        transform_norm_ratios=ratios,
-        violations=violations,
-    )
+    return {
+        "D_const": float(d_const),
+        "D_observed": float(d_obs),
+        "sigma_const": float(sigma),
+        "sigma_observed": float(sig_obs),
+        "measure_const": float(meas_const),
+        "measure_observed": float(meas_obs),
+        "range_sup_const": float(range_sup_const),
+        "range_sup_observed": float(sup_obs),
+        "transform_norm_ratios": ratios,
+        "violations": violations,
+    }

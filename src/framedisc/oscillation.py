@@ -71,7 +71,6 @@ class PhaseFunction:
     def __init__(self, model: FrameModel, rule: str):
         if rule not in ("one", "kernel"):
             raise StructuralError(f"unknown phase rule {rule!r}")
-        self.space = model.space
         self.rule = rule
         self._model = model
 
@@ -253,6 +252,10 @@ def invertibility_condition(delta: float, r_norm: float, c_mu: float) -> tuple:
 class OscReport:
     """Snapshot of the oscillation budget for one covering/phase/weight.
 
+    It keeps what was measured or given: the norms ``osc_norm`` and
+    ``r_norm``, ``c_mu`` and the budget ``delta``. Every certificate is a
+    property of those four (``sigma_constant``, ``invertibility_condition``),
+    so ``replace(report, delta=...)`` is the report of another budget.
     It names its covering (``covering_id``) and keeps its ``weight``, which
     its consumers read; they refuse a plan on another covering. Both norms
     are taken under that weight's m, which also bounds them under m_v, the
@@ -263,20 +266,55 @@ class OscReport:
     """
 
     osc_norm: float
-    delta: float
-    sigma: float
     r_norm: float
     c_mu: float
-    oscillation_ok: bool     # osc_norm < delta (strict)
-    invertibility_ok: bool   # delta (r_norm + sigma) <= 1
-    condition_lhs: float
+    delta: float
     covering_id: str
-    gamma_rule: str
     overlap_bound: int
     n_sets: int
+    gamma_rule: str
     weight: Weight2D
     d_const: float | None = None
     d_plan: str | None = None
+
+    @property
+    def sigma(self) -> float:
+        """sigma = max{C_mU |R|, |R| + delta}."""
+        return sigma_constant(self.delta, self.r_norm, self.c_mu)
+
+    @property
+    def condition_lhs(self) -> float:
+        """delta (|R| + sigma)."""
+        return invertibility_condition(self.delta, self.r_norm, self.c_mu)[0]
+
+    @property
+    def oscillation_ok(self) -> bool:
+        """osc < delta (strict)."""
+        return self.osc_norm < self.delta
+
+    @property
+    def invertibility_ok(self) -> bool:
+        """delta (|R| + sigma) <= 1."""
+        return invertibility_condition(self.delta, self.r_norm, self.c_mu)[1]
+
+    @property
+    def certified(self) -> bool:
+        """Both certificates hold: osc < delta and delta (|R| + sigma) <= 1."""
+        return self.oscillation_ok and self.invertibility_ok
+
+    @property
+    def pileup_sigma(self) -> float:
+        """sigma', the pile-up constant of the budget max{delta, osc}: sigma
+        when osc < delta, and a bound on the pile-up whatever osc is."""
+        return sigma_constant(max(self.delta, self.osc_norm), self.r_norm,
+                              self.c_mu)
+
+    @property
+    def contraction_bounds(self) -> tuple:
+        """(nominal, sharp) bounds on ||Id - U|| restricted to the kernel
+        range: delta (|R| + sigma) and osc (|R| + sigma')."""
+        return (self.condition_lhs,
+                self.osc_norm * (self.r_norm + self.pileup_sigma))
 
     def to_json_dict(self) -> dict:
         return {
@@ -377,22 +415,15 @@ def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
             weight: Weight2D, delta: float, osc_norm: float,
             r_norm: float) -> OscReport:
     """The budget from the norms of osc and R under ``weight``."""
-    c_mu = weight_compatibility(cov, weight)
-    sigma = sigma_constant(delta, r_norm, c_mu)
-    lhs, inv_ok = invertibility_condition(delta, r_norm, c_mu)
     return OscReport(
         osc_norm=float(osc_norm),
-        delta=float(delta),
-        sigma=float(sigma),
         r_norm=float(r_norm),
-        c_mu=float(c_mu),
-        oscillation_ok=bool(osc_norm < delta),
-        invertibility_ok=inv_ok,
-        condition_lhs=float(lhs),
+        c_mu=weight_compatibility(cov, weight),
+        delta=float(delta),
         covering_id=cov.identifier(),
-        gamma_rule=gamma.rule,
         overlap_bound=cov.overlap_bound,
         n_sets=cov.n_sets,
+        gamma_rule=gamma.rule,
         weight=weight,
     )
 
@@ -447,9 +478,8 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
             if r_norm is None:
                 r_norm = kernel_norms(model, weight)[0]
             last = _report(model, cov, gamma, weight, delta, scan, r_norm)
-            done = last.oscillation_ok and last.invertibility_ok
             singleton = cov.flat_points.size == cov.n_sets
-            if done or (singleton and last.oscillation_ok):
+            if last.certified or (singleton and last.oscillation_ok):
                 return cov, last
         width = width / 2.0
     if isinstance(last, Screened):

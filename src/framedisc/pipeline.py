@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coverings import Covering, build_pou, validate_covering
-from .discretize import BoundsReport, SamplingInverse, atomic_decomposition, \
-    contraction_bounds, dual_frame, hilbert_frame_bounds, observed_contraction, \
-    reconstruct_from_samples, select_samples, synthesize_plan, \
-    verify_sampled_bounds
+from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
+    hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
+    select_samples, synthesize_plan, verify_sampled_bounds
 from .errors import CertificationError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
@@ -153,14 +152,14 @@ class DiscretizationResult:
     frame_lower: float
     frame_upper: float
     reproducing_defect: float
-    bounds: BoundsReport
+    bounds: dict
     seed: int
     n_trials: int
 
     def to_json_dict(self) -> dict:
         report, plan = self.inverse.report, self.inverse.plan
         osc = report.to_json_dict()
-        nominal, sharp = contraction_bounds(report)
+        nominal, sharp = report.contraction_bounds
         return {
             "schema_version": "1",
             "constants": {
@@ -175,14 +174,14 @@ class DiscretizationResult:
                 "contraction_observed": self.contraction_observed,
                 "C1": self.frame_lower,
                 "C2": self.frame_upper,
-                "D_const": self.bounds.sampled_flat_constant,
+                "D_const": self.bounds["D_const"],
             },
             "certificates": {
                 "holds_D": osc["holds_D"],
                 "holds_58": osc["holds_58"],
                 "condition_lhs": osc["condition_lhs"],
             },
-            "covering": validate_covering(plan.covering).to_json_dict(),
+            "covering": validate_covering(plan.covering),
             "covering_id": osc["covering_id"],
             "plan_id": plan.identifier(),
             "samples": [int(s) for s in plan.samples],
@@ -191,14 +190,14 @@ class DiscretizationResult:
             "reproducing_defect": self.reproducing_defect,
             "residuals": self.residuals,
             "residuals_swapped": self.residuals_swapped,
-            "bounds": self.bounds.to_json_dict(),
+            "bounds": self.bounds,
             "seed": self.seed,
             "n_trials": self.n_trials,
         }
 
 
-def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
-                       delta: float, covering: Covering | None = None,
+def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
+                       covering: Covering | None = None,
                        gamma_rule: str = "kernel", pou_kind: str = "flat",
                        sampling_rule: str = "max_weight",
                        method: str = "neumann", tol: float = 1e-12,
@@ -208,11 +207,14 @@ def run_discretization(model: FrameModel, Y: WeightedLp, weight: Weight2D,
 
     With ``covering=None`` the covering is refined until the budget and the
     invertibility condition hold. A given covering's plan is built before
-    its oscillation report, whose R pass then also gives the plan's
-    sampled-row constant under a trivial weight. The checks read the plan,
-    Y, report and S^{-1} S_c off the run's inverse. Raises
-    CertificationError when Neumann inversion lacks a usable certificate.
+    its oscillation report, whose R pass then also gives the bound on the
+    plan's sampled-row constant. The checks read the plan, Y, report and
+    S^{-1} S_c off the run's inverse. Every weighted norm is taken under
+    Y's own two-point weight (``WeightedLp.weight2d``).
+    Raises CertificationError when Neumann inversion lacks a usable
+    certificate.
     """
+    weight = Y.weight2d()
     report = None
     if covering is None:
         covering, report = refine_until(model, weight, delta,

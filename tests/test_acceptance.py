@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from framedisc import PhaseFunction, SamplingInverse, Weight2D, WeightedLp, \
-    build_pou, contraction_bounds, hilbert_frame_bounds, \
+    build_pou, hilbert_frame_bounds, \
     invertibility_condition, observed_contraction, oscillation_norms, \
     oscillation_report, select_samples, singleton_covering, uniform_covering, uniform_grid, \
     verify_sampled_bounds
@@ -139,7 +139,7 @@ def test_criterion_4_contraction_certificates(certified_runs):
             report = run["report"]
             assert report.oscillation_ok and report.invertibility_ok, run["label"]
             n_certified += 1
-            _, sharp = contraction_bounds(report)
+            _, sharp = report.contraction_bounds
             inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
                                       report=report)
             observed = observed_contraction(inverse, seed=0)
@@ -246,12 +246,12 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
             inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
                                       report=run["report"])
             rep = verify_sampled_bounds(inverse, n_trials=50, seed=8)
-            assert rep.violations == 0, run["label"]
-            for pair in (("sampled_flat_observed", "sampled_flat_constant"),
-                         ("pou_pileup_observed", "pou_pileup_constant"),
-                         ("measure_observed", "measure_constant"),
-                         ("range_sup_observed", "range_sup_constant")):
-                assert getattr(rep, pair[0]) <= getattr(rep, pair[1]) + 1e-10
+            assert rep["violations"] == 0, run["label"]
+            for pair in (("D_observed", "D_const"),
+                         ("sigma_observed", "sigma_const"),
+                         ("measure_observed", "measure_const"),
+                         ("range_sup_observed", "range_sup_const")):
+                assert rep[pair[0]] <= rep[pair[1]] + 1e-10
 
 
 def test_criterion_9_hilbert_frame_bounds(certified_runs):

@@ -51,9 +51,9 @@ class TestValidate:
         cov = uniform_covering(model.space, 2.0)
         rep = validate_covering(cov)
         assert code == EXIT_OK
-        assert doc["N"] == rep.overlap_bound
-        assert doc["D"] == rep.min_measure
-        assert doc["C_tilde"] == rep.moderateness
+        assert doc["N"] == rep["N"]
+        assert doc["D"] == rep["D"]
+        assert doc["C_tilde"] == rep["C_tilde"]
         assert doc["C_mU"] == weight_compatibility(
             cov, unit_weight(model.space))
 
@@ -451,6 +451,52 @@ class TestDeterminism:
                     + sum([[f"--{k.replace('_', '-')}", str(v)]
                            for k, v in opts.items()], [])) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def _leaves(doc):
+    if isinstance(doc, dict):
+        for value in doc.values():
+            yield from _leaves(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _leaves(value)
+    else:
+        yield doc
+
+
+GABOR_EXP = dict(model_kind="gabor", n_time=4, n_freq=61, window_width=2.0,
+                 weight_rule="exp", weight_scale=0.02, p="inf",
+                 covering_width="1,0.131", delta=0.25)
+
+
+class TestPlainDocuments:
+    """Each subcommand's document is plain Python: ``json.dumps`` takes it
+    with no ``default`` hook, and every leaf is a bool, int, float, str or
+    None, whether its checks pass or fail."""
+
+    @pytest.mark.parametrize("command, options", [
+        ("validate", BASE),
+        ("validate", dict(model_kind="orthonormal", dim=6,
+                          covering_sets=json.dumps([[0, 1], [3, 4, 5]]))),
+        ("validate", GABOR_EXP),
+        ("osc", dict(BASE, delta=0.3)),
+        ("osc", dict(BASE, covering_width=100.0, delta=0.3)),
+        ("osc", dict(model_kind="gabor", n_time=4, n_freq=16, delta=0.3)),
+        ("osc", GABOR_EXP),
+        ("discretize", dict(BASE, delta=0.3, n_trials=10)),
+        ("discretize", dict(GABOR_EXP, n_trials=10)),
+    ], ids=["validate-partition", "validate-uncovered", "validate-exp",
+            "osc", "osc-failing", "osc-refined", "osc-exp", "discretize",
+            "discretize-exp"])
+    def test_document_needs_no_default(self, tmp_path, monkeypatch, command,
+                                       options):
+        docs = []
+        monkeypatch.setattr(cli, "emit", lambda doc, output: docs.append(doc))
+        run(tmp_path, command, **options)
+        assert len(docs) == 1
+        json.dumps(docs[0], sort_keys=True)
+        plain = (bool, int, float, str, type(None))
+        assert all(type(leaf) in plain for leaf in _leaves(docs[0]))
 
 
 class TestParser:

@@ -23,31 +23,31 @@ class TestValidation:
     def test_singleton_partition(self, small_space):
         cov = singleton_covering(small_space)
         rep = validate_covering(cov)
-        assert rep.admissible and rep.moderate
-        assert rep.overlap_bound == 1
-        assert rep.moderateness == 1.0
-        assert rep.min_measure == small_space.weights.min()
+        assert rep["admissible"] and rep["moderate"]
+        assert rep["N"] == 1
+        assert rep["C_tilde"] == 1.0
+        assert rep["D"] == small_space.weights.min()
 
     def test_two_identical_full_sets(self, small_space):
         cov = Covering(small_space, (np.arange(5), np.arange(5)))
         rep = validate_covering(cov)
-        assert rep.overlap_bound == 2
-        assert rep.moderateness == 1.0
+        assert rep["N"] == 2
+        assert rep["C_tilde"] == 1.0
 
     def test_matches_brute_force(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 10)
         rep = validate_covering(cov)
         n, d, c = covering_stats_naive([s.tolist() for s in sets_of(cov)],
                                        grid64.weights)
-        assert rep.overlap_bound == n
-        assert rep.min_measure == pytest.approx(d, rel=1e-14)
-        assert rep.moderateness == pytest.approx(c, rel=1e-14)
+        assert rep["N"] == n
+        assert rep["D"] == pytest.approx(d, rel=1e-14)
+        assert rep["C_tilde"] == pytest.approx(c, rel=1e-14)
 
     def test_uncovered_point_reported_not_raised(self, small_space):
         cov = Covering(small_space, (np.array([0, 1]), np.array([3, 4])))
         rep = validate_covering(cov)
-        assert not rep.admissible
-        assert rep.uncovered == (2,)
+        assert not rep["admissible"]
+        assert rep["uncovered_points"] == [2]
 
     def test_empty_set_rejected(self, small_space):
         with pytest.raises(StructuralError):
@@ -360,7 +360,7 @@ class TestUniformCovering:
         cov = uniform_covering(grid64, 64.0)
         assert cov.n_sets == 1
         assert cov.overlap_bound == 1
-        assert validate_covering(cov).admissible
+        assert validate_covering(cov)["admissible"]
 
     def test_unit_width_gives_singleton_partition(self, grid64):
         cov = uniform_covering(grid64, 1.0)
@@ -372,7 +372,7 @@ class TestUniformCovering:
         counts = cov.cover_counts
         assert np.all(counts[2:] == 2)
         assert counts[0] == 1 and counts[1] == 1
-        assert validate_covering(cov).admissible
+        assert validate_covering(cov)["admissible"]
 
     def test_empty_box_rejected(self, grid64):
         with pytest.raises(StructuralError):

@@ -15,7 +15,7 @@ from framedisc import CertificationError, Covering, PhaseFunction, \
     SamplingInverse, SchurSums, Screened, SingularOperatorError, \
     StructuralError, \
     Weight2D, WeightedLp, atomic_decomposition, build_pou, \
-    contraction_bounds, dual_frame, hilbert_frame_bounds, kernel_norms, \
+    dual_frame, hilbert_frame_bounds, kernel_norms, \
     observed_contraction, oscillation_norms, oscillation_report, \
     reconstruct_from_samples, select_samples, sigma_constant, \
     singleton_covering, synthesize_plan, uniform_covering, \
@@ -221,7 +221,7 @@ class TestContraction:
     def test_bounds_arithmetic(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         assert report.oscillation_ok
-        nominal, sharp = contraction_bounds(report)
+        nominal, sharp = report.contraction_bounds
         assert nominal == pytest.approx(report.delta * (report.r_norm + report.sigma))
         assert sharp == pytest.approx(report.osc_norm * (report.r_norm + report.sigma))
         assert sharp <= nominal
@@ -240,7 +240,7 @@ class TestContraction:
         assert not report.oscillation_ok and report.osc_norm > 0.14
         sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
         assert sigma == report.r_norm + report.osc_norm > report.sigma
-        nominal, sharp = contraction_bounds(report)
+        nominal, sharp = report.contraction_bounds
         assert nominal == report.delta * (report.r_norm + report.sigma)
         assert sharp == report.osc_norm * (report.r_norm + sigma)
         assert sharp == pytest.approx(0.60251216, rel=1e-7)
@@ -263,24 +263,24 @@ class TestContraction:
         bounds = verify_sampled_bounds(SamplingInverse(
             model, select_samples(build_pou(cov)), Y, report=report))
         sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
-        _, sharp = contraction_bounds(report)
-        assert bounds.pou_pileup_constant == sigma
+        _, sharp = report.contraction_bounds
+        assert bounds["sigma_const"] == sigma
         assert sharp == report.osc_norm * (report.r_norm + sigma)
         assert report.sigma == pytest.approx(2.0676, abs=1e-4)
         assert sigma == pytest.approx(2.1152, abs=1e-4)
-        assert 0.0 < bounds.pou_pileup_observed <= sigma
-        assert bounds.violations == 0
+        assert 0.0 < bounds["sigma_observed"] <= sigma
+        assert bounds["violations"] == 0
 
     def test_zero_for_singleton_covering(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
         Y, weight, gamma, report, plan = singleton_setup(model)
-        _, sharp = contraction_bounds(report)
+        _, sharp = report.contraction_bounds
         assert sharp == 0.0
 
     def test_observed_below_sharp_certificate(self):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         assert report.oscillation_ok and report.invertibility_ok
-        _, sharp = contraction_bounds(report)
+        _, sharp = report.contraction_bounds
         inverse = SamplingInverse(model, plan, Y, report=report)
         observed = observed_contraction(inverse, seed=2)
         assert observed <= sharp + 1e-9
@@ -288,7 +288,7 @@ class TestContraction:
     def test_observed_below_sharp_all_p(self):
         for p in (1.0, np.inf):
             model, Y, weight, cov, gamma, report, plan = make_setup(p=p)
-            _, sharp = contraction_bounds(report)
+            _, sharp = report.contraction_bounds
             inverse = SamplingInverse(model, plan, Y, report=report)
             observed = observed_contraction(inverse, seed=2)
             assert observed <= sharp + 1e-9
@@ -335,7 +335,7 @@ class TestInversion:
     def test_refusal_without_certificate(self):
         model, Y, weight, cov, gamma, report, plan = make_setup(
             d=3, n=48, smoothness=2.5, delta=0.5)
-        _, sharp = contraction_bounds(report)
+        _, sharp = report.contraction_bounds
         assert sharp >= 1.0
         with pytest.raises(CertificationError):
             SamplingInverse(model, plan, Y, method="neumann", report=report)
@@ -386,7 +386,7 @@ class TestDecomposition:
     def test_coefficient_norm_controlled(self, rng):
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
-        _, sharp = contraction_bounds(report)
+        _, sharp = report.contraction_bounds
         d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
         bound = d_const / (1.0 - sharp)
         for _ in range(10):
@@ -522,7 +522,7 @@ class TestWeakerThresholds:
         model, Y, weight, cov, gamma, report, plan = make_setup(delta=0.30)
         assert report.oscillation_ok
         assert not report.invertibility_ok
-        _, sharp = contraction_bounds(report)
+        _, sharp = report.contraction_bounds
         assert sharp < 1.0
         inverse = SamplingInverse(model, plan, Y, report=report)
         for _ in range(5):
@@ -541,17 +541,17 @@ class TestVerifiedBounds:
         rep = verify_sampled_bounds(SamplingInverse(model, plan, Y,
                                                     report=report),
                                     n_trials=50, seed=3)
-        assert rep.violations == 0
-        assert rep.sampled_flat_observed <= rep.sampled_flat_constant + 1e-10
-        assert rep.pou_pileup_observed <= rep.pou_pileup_constant + 1e-10
-        assert rep.measure_observed <= rep.measure_constant + 1e-10
-        assert rep.range_sup_observed <= rep.range_sup_constant + 1e-10
+        assert rep["violations"] == 0
+        assert rep["D_observed"] <= rep["D_const"] + 1e-10
+        assert rep["sigma_observed"] <= rep["sigma_const"] + 1e-10
+        assert rep["measure_observed"] <= rep["measure_const"] + 1e-10
+        assert rep["range_sup_observed"] <= rep["range_sup_const"] + 1e-10
 
     def test_norm_equivalence_interval(self, rng):
         """Observed sampled-norm ratios sit inside the certified interval."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
-        _, sharp = contraction_bounds(report)
+        _, sharp = report.contraction_bounds
         d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
         n_over = cov.overlap_bound
         c_mu = report.c_mu
@@ -582,7 +582,7 @@ class TestVerifiedBounds:
         independently of the probe seed."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
         inverse = SamplingInverse(model, plan, Y, report=report)
-        _, sharp = contraction_bounds(report)
+        _, sharp = report.contraction_bounds
         d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
         upper = d_const / (1.0 - sharp)
         c_plus = cov.overlap_bound ** 2 * report.c_mu ** 2 \
@@ -619,7 +619,7 @@ class TestReportCovering:
         coarse = uniform_covering(space, (1.0, 16 * step))
         report = oscillation_report(model, fine, gamma, Y.weight2d(), 0.2)
         own = oscillation_report(model, coarse, gamma, Y.weight2d(), 0.2)
-        assert contraction_bounds(report)[1] < 0.62
+        assert report.contraction_bounds[1] < 0.62
         assert own.osc_norm > 1.8
         return model, Y, report, select_samples(build_pou(fine)), \
             select_samples(build_pou(coarse))
@@ -643,7 +643,54 @@ class TestReportCovering:
                                                   report=report), n_trials=3)
         rep = verify_sampled_bounds(SamplingInverse(model, fine_plan, Y,
                                                     report=report), n_trials=3)
-        assert rep.violations == 0
+        assert rep["violations"] == 0
+
+
+class TestReportWeight:
+    """A report certifies Y's own weight only. On Gabor 4 x 61 with boxes of
+    one time step by two frequency steps, delta 0.25 and Y = L^p_w with
+    w = exp(2 |x|), the report under w refuses Neumann inversion (sharp
+    bound 1.9e6), while a unit-weight report certifies (sharp bound 0.714)
+    the unweighted L^p, not Y: a handle refuses it, and a run takes Y's
+    weight."""
+
+    @pytest.fixture(scope="class")
+    def gabor_4x61(self):
+        model = build_gabor_model(4, 61, 2.0)
+        space = model.space
+        cov = uniform_covering(space, (1.0, 2 * 4 / 61))
+        gamma = PhaseFunction(model, "kernel")
+        w = np.exp(2.0 * np.linalg.norm(space.points, axis=1))
+        own = oscillation_report(model, cov, gamma,
+                                 WeightedLp(space, 2.0, w).weight2d(), 0.25)
+        unit = oscillation_report(model, cov, gamma, unit_weight(space), 0.25)
+        assert own.contraction_bounds[1] > 1e6
+        assert unit.certified and unit.contraction_bounds[1] < 0.72
+        return model, cov, w, own, unit, select_samples(build_pou(cov))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("method", ["neumann", "direct"])
+    def test_inverse_refuses_another_weight(self, gabor_4x61, p, method):
+        model, cov, w, own, unit, plan = gabor_4x61
+        Y = WeightedLp(model.space, p, w)
+        with pytest.raises(StructuralError, match="another weight"):
+            SamplingInverse(model, plan, Y, method=method, report=unit)
+        with pytest.raises(StructuralError, match="another weight"):
+            SamplingInverse(model, plan, WeightedLp.lebesgue(model.space, p),
+                            method=method, report=own)
+        if method == "neumann":
+            with pytest.raises(CertificationError, match="sharp contraction"):
+                SamplingInverse(model, plan, Y, report=own)
+        else:
+            assert SamplingInverse(model, plan, Y, method="direct",
+                                   report=own).report is own
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_run_takes_the_weight_of_y(self, gabor_4x61, p):
+        model, cov, w, own, unit, plan = gabor_4x61
+        with pytest.raises(CertificationError, match="sharp contraction"):
+            run_discretization(model, WeightedLp(model.space, p, w), 0.25,
+                               covering=cov, n_trials=5)
 
 
 class TestStreamedBounds:
@@ -677,26 +724,26 @@ class TestStreamedBounds:
         m = weight_matrix_naive(weight.w)
         m_v = weight_matrix_naive(weight.v)
         exact = schur_norm_naive(mu, sampled_row_kernel(model, plan), m)
-        assert bounds.sampled_flat_constant == pytest.approx(
+        assert bounds["D_const"] == pytest.approx(
             sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
-        assert exact <= bounds.sampled_flat_constant * (1.0 + 1e-13)
+        assert exact <= bounds["D_const"] * (1.0 + 1e-13)
         if weight_rule == "unit":
-            assert bounds.sampled_flat_constant == pytest.approx(exact,
+            assert bounds["D_const"] == pytest.approx(exact,
                                                                  rel=1e-13)
         osc = osc_naive(dense_kernel(model), [s.tolist() for s in sets_of(cov)],
                         phase_table_naive(rank_d_entries(model), "kernel"))
         local = local_integrability_constant(cov, Y, weight)
-        assert bounds.range_sup_constant \
+        assert bounds["range_sup_const"] \
             == (report.osc_norm + report.r_norm) * local
         under_m_v = (schur_norm_naive(mu, osc, m_v)
                      + schur_norm_naive(mu, dense_kernel(model), m_v)) * local
-        assert under_m_v <= bounds.range_sup_constant * (1.0 + 1e-13)
+        assert under_m_v <= bounds["range_sup_const"] * (1.0 + 1e-13)
         if weight_rule == "unit":
-            assert bounds.range_sup_constant == pytest.approx(under_m_v,
+            assert bounds["range_sup_const"] == pytest.approx(under_m_v,
                                                               rel=1e-13)
         else:
             assert w.min() < w[0] < w.max() and not np.allclose(m_v, m)
-        assert bounds.violations == 0
+        assert bounds["violations"] == 0
 
     @pytest.mark.parametrize("covering", ["intervals", "uniform", "singletons",
                                           "uncovered", "shared"])
@@ -760,7 +807,7 @@ class TestStreamedBounds:
             inverse = SamplingInverse(model, plan, Y, method="direct",
                                       report=report)
             got = verify_sampled_bounds(inverse,
-                                        n_trials=3).sampled_flat_constant
+                                        n_trials=3)["D_const"]
             assert got == pytest.approx(want, rel=1e-13)
         assert report.d_const != pytest.approx(
             schur_norm_naive(space.weights, sampled_row_kernel(model, plan_b)),
@@ -841,9 +888,9 @@ class TestStreamedBounds:
 
         monkeypatch.setattr(SchurSums, "__init__", counted_init)
         monkeypatch.setattr(SchurSums, "_feed", counted_feed)
-        result = run_discretization(model, Y, Y.weight2d(), 0.25,
+        result = run_discretization(model, Y, 0.25,
                                     covering=cov, n_trials=5)
-        assert result.bounds.violations == 0
+        assert result.bounds["violations"] == 0
         assert len(made) == 2
         osc = [(upper, start, stop) for k, upper, start, stop in closed
                if k == 0]
@@ -878,9 +925,9 @@ class TestStreamedBounds:
             return add_upper(self, start, block, cols)
 
         monkeypatch.setattr(SchurSums, "add_upper", counted_strips)
-        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+        result = run_discretization(model, Y, 0.25, covering=cov,
                                     n_trials=5)
-        assert result.bounds.violations == 0
+        assert result.bounds["violations"] == 0
         entry = oscillation_module.STRIP_ENTRY_BYTES \
             + (0 if weight.trivial else kernels_module.WEIGHT_ENTRY_BYTES)
         assert strips == [rows.start
@@ -888,9 +935,9 @@ class TestStreamedBounds:
         assert len(strips) >= 3
         plan = result.inverse.plan
         assert result.inverse.report.d_plan == plan.identifier()
-        assert result.bounds.sampled_flat_constant \
+        assert result.bounds["D_const"] \
             == result.inverse.report.d_const
-        assert result.bounds.sampled_flat_constant == pytest.approx(
+        assert result.bounds["D_const"] == pytest.approx(
             sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
 
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
@@ -937,7 +984,7 @@ class TestStreamedBounds:
         Y = WeightedLp.lebesgue(model.space, 2.0)
         tracemalloc.start()
         try:
-            result = run_discretization(model, Y, Y.weight2d(), 0.21,
+            result = run_discretization(model, Y, 0.21,
                                         covering=cov, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -1494,7 +1541,7 @@ class TestBlockHarness:
         rep = verify_sampled_bounds(inverse, n_trials=20, seed=6)
         assert not calls
         assert want > 0.0
-        assert rep.measure_observed == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert rep["measure_observed"] == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("covering", ["boxes", "overlapping"])
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -1530,11 +1577,11 @@ class TestBlockHarness:
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
         rep = verify_sampled_bounds(inverse, n_trials=20, seed=5)
-        got = dict(rep.transform_norm_ratios,
-                   sampled_flat_observed=rep.sampled_flat_observed,
-                   pou_pileup_observed=rep.pou_pileup_observed,
-                   measure_observed=rep.measure_observed,
-                   range_sup_observed=rep.range_sup_observed)
+        got = dict(rep["transform_norm_ratios"],
+                   sampled_flat_observed=rep["D_observed"],
+                   pou_pileup_observed=rep["sigma_observed"],
+                   measure_observed=rep["measure_observed"],
+                   range_sup_observed=rep["range_sup_observed"])
         want = bounds_observed_grid(inverse, n_trials=20, seed=5)
         assert got.keys() == want.keys()
         for key, value in want.items():
@@ -1575,7 +1622,7 @@ class TestBlockHarness:
         cov = plan.covering
         Y = WeightedLp(model.space, p, w["exp"])
         weight = Y.weight2d()
-        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+        result = run_discretization(model, Y, 0.25, covering=cov,
                                     n_trials=10, seed=3)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
@@ -1605,7 +1652,7 @@ class TestInverseHandle:
             built.append(self.method)
 
         monkeypatch.setattr(SamplingInverse, "_prepare", counted)
-        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+        result = run_discretization(model, Y, 0.25, covering=cov,
                                     method=method, n_trials=10, seed=3)
         monkeypatch.undo()
         neu = SamplingInverse(model, plan, Y, report=report)
@@ -1672,7 +1719,7 @@ class TestInverseHandle:
                 return _original(*args)
 
             monkeypatch.setattr(owner, name, counted)
-        run_discretization(model, Y, weight, 0.25, covering=cov,
+        run_discretization(model, Y, 0.25, covering=cov,
                            method=method, n_trials=5, seed=3)
         assert calls == {"_restricted_matrix": 1, "range_metric": 1}
 
@@ -1680,7 +1727,7 @@ class TestInverseHandle:
         """The run's JSON reads the covering, plan, method, certificate and
         D off the handle the run built and its own report."""
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        result = run_discretization(model, Y, weight, 0.25, covering=cov,
+        result = run_discretization(model, Y, 0.25, covering=cov,
                                     n_trials=5, seed=3)
         doc = result.to_json_dict()
         inverse = result.inverse
@@ -1691,7 +1738,7 @@ class TestInverseHandle:
         assert doc["inversion_method"] == inverse.method == "neumann"
         assert doc["constants"]["osc_norm"] == own.osc_norm
         assert doc["constants"]["contraction_bound_sharp"] \
-            == contraction_bounds(own)[1]
+            == own.contraction_bounds[1]
         assert doc["constants"]["D_const"] == own.d_const
 
 

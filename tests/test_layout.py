@@ -16,9 +16,11 @@ production value written into the body. So does a dataclass field with a
 default that no program call passes by keyword, to the class or to
 ``replace``; a ``field(init=False)`` is no knob.
 
-Two modules keep a format to themselves: only ``spaces.py`` reads a solid
-space's exponent ``p``, and only ``coverings.py`` reads the private
-attributes of a ``Covering``.
+Three modules keep a format to themselves: only ``spaces.py`` reads a
+solid space's exponent ``p``, only ``coverings.py`` reads the private
+attributes of a ``Covering``, and only ``oscillation.py`` turns norms into
+certificates (``sigma_constant``, ``invertibility_condition``); the other
+modules read them off an ``OscReport``.
 """
 
 import ast
@@ -133,6 +135,19 @@ def test_only_coverings_reads_a_covering_private():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr in private]
     assert not readers, f"reads of a covering's private outside coverings.py: {readers}"
+
+
+def test_only_oscillation_derives_a_certificate():
+    """No package module but ``oscillation.py`` calls ``sigma_constant`` or
+    ``invertibility_condition``: every certificate is a property of the
+    report that holds the norms it is derived from."""
+    formulas = {"sigma_constant", "invertibility_condition"}
+    callers = [f"{path.name}:{node.lineno} {name}"
+               for path in PACKAGE if path.name != "oscillation.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               for name in _names_in(node.func) & formulas]
+    assert not callers, f"certificates derived outside oscillation.py: {callers}"
 
 
 def defaulted_parameters() -> list:

@@ -1,5 +1,8 @@
+import functools
+import json
 import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,10 +12,10 @@ from hypothesis import strategies as st
 import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
 from framedisc import CertificationError, Covering, FrameModel, \
-    PhaseFunction, Screened, StructuralError, Weight2D, WeightedLp, \
-    invertibility_condition, kernel_norms, oscillation_norms, \
-    oscillation_report, refine_until, sigma_constant, singleton_covering, \
-    uniform_covering, uniform_grid
+    OscReport, PhaseFunction, Screened, StructuralError, Weight2D, \
+    WeightedLp, invertibility_condition, kernel_norms, oscillation_norms, \
+    build_pou, oscillation_report, refine_until, select_samples, \
+    sigma_constant, singleton_covering, uniform_covering, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
@@ -280,7 +283,7 @@ class TestMirroredPairs:
         so a table phase built from it forms the rows the rule forms."""
         model, cov, gamma = q_table_setup("intervals", "kernel")
         n = model.space.n_points
-        table = TablePhase(model.space, full_table(gamma))
+        table = TablePhase(model.space, full_table(model.space, gamma))
         assert np.array_equal(osc_rows(model, cov, table, 0, n),
                               osc_rows(model, cov, gamma, 0, n))
 
@@ -562,26 +565,28 @@ class TestStreamedNorms:
             assert calls == [(0, 1)]
 
 
-def full_table(gamma):
-    """Gamma(y, z) at every pair of grid points, read through ``gamma``."""
-    y, z = np.indices((gamma.space.n_points,) * 2)
+def full_table(space, gamma):
+    """Gamma(y, z) at every pair of points of ``space``, read through
+    ``gamma``."""
+    y, z = np.indices((space.n_points,) * 2)
     return gamma(y, z)
 
 
 class TestPhaseFunctions:
     def test_constant_rule_table(self, smooth_model):
         gamma = PhaseFunction(smooth_model, "one")
-        assert np.all(full_table(gamma) == 1.0)
+        assert np.all(full_table(smooth_model.space, gamma) == 1.0)
 
     def test_kernel_phase_unimodular_and_diagonal_one(self, smooth_model):
-        table = full_table(PhaseFunction(smooth_model, "kernel"))
+        table = full_table(smooth_model.space,
+                           PhaseFunction(smooth_model, "kernel"))
         assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-14
         assert np.max(np.abs(np.diagonal(table) - 1.0)) <= 1e-12
 
     def test_positive_kernel_gives_constant_phase(self):
         model = constant_frame_model()
         gamma = PhaseFunction(model, "kernel")
-        assert np.allclose(full_table(gamma), 1.0, atol=1e-14)
+        assert np.allclose(full_table(model.space, gamma), 1.0, atol=1e-14)
 
     @pytest.mark.parametrize("rule", ["one", "kernel"])
     def test_rules_hold_no_dense_array(self, rule):
@@ -606,8 +611,8 @@ class TestPhaseFunctions:
                                           seed=5)], ids=["gabor", "smooth"])
     def test_mirrored_pairs_conjugate_exactly(self, build, rule):
         """gamma(z, y) == conj gamma(y, z) to the bit, at every pair."""
-        gamma = PhaseFunction(build(), rule)
-        table = full_table(gamma)
+        model = build()
+        table = full_table(model.space, PhaseFunction(model, rule))
         assert np.array_equal(table, table.conj().T)
 
     @pytest.mark.parametrize("rule", ["one", "kernel"])
@@ -648,7 +653,7 @@ class TestPhaseFunctions:
         table = random_phase_table(rng, n)
         gamma = TablePhase(smooth_model.space, table)
         assert gamma.rule == "table"
-        assert np.array_equal(full_table(gamma), table)
+        assert np.array_equal(full_table(smooth_model.space, gamma), table)
         cov = uniform_covering(smooth_model.space, 0.3)
         got = oscillation_kernel(smooth_model, cov, gamma)
         want = osc_naive(dense_kernel(smooth_model),
@@ -671,6 +676,21 @@ class TestPhaseFunctions:
         for bad in (skew, flipped):
             with pytest.raises(StructuralError):
                 TablePhase(smooth_model.space, bad)
+
+
+@functools.cache
+def _budget_setup(weight_rule, rule, with_plan):
+    """Gabor 4 x 61 with boxes of one time step by two frequency steps, its
+    weight, plan and oscillation report at delta 0.25."""
+    model = build_gabor_model(4, 61, 2.0)
+    space = model.space
+    cov = uniform_covering(space, (1.0, 2 * 4 / 61))
+    gamma = PhaseFunction(model, rule)
+    weight = unit_weight(space) if weight_rule == "unit" else Weight2D(
+        space, np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
+    plan = select_samples(build_pou(cov)) if with_plan else None
+    return model, cov, gamma, weight, plan, oscillation_report(
+        model, cov, gamma, weight, 0.25, plan=plan)
 
 
 class TestBudgetReport:
@@ -716,6 +736,45 @@ class TestBudgetReport:
         assert "weight" not in rep.to_json_dict()
         found, refined = refine_until(smooth_model, w, delta=10.0)
         assert refined.covering_id == found.identifier() and refined.weight is w
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["unit", "exp"]), st.sampled_from(["one", "kernel"]),
+           st.booleans(),
+           st.sampled_from(["below", "just-below", "at", "just-above",
+                            "above"]),
+           st.floats(0.05, 0.95))
+    def test_replaced_budget_is_the_report_of_that_budget(
+            self, weight_rule, rule, with_plan, where, frac):
+        """Every certificate is derived from the stored norms and delta, so
+        the report of another budget is ``replace(report, delta=...)``: it
+        equals a fresh ``oscillation_report`` at that delta in every field,
+        every certificate and its JSON, for delta below, at and one float
+        either side of the oscillation norm, and well above it, where the
+        invertibility condition fails."""
+        model, cov, gamma, weight, plan, base = _budget_setup(
+            weight_rule, rule, with_plan)
+        osc = base.osc_norm
+        delta = {"below": frac * osc,
+                 "just-below": np.nextafter(osc, 0.0).item(),
+                 "at": osc,
+                 "just-above": np.nextafter(osc, np.inf).item(),
+                 "above": max(osc, 1.0 / base.r_norm) / frac}[where]
+        got = replace(base, delta=delta)
+        want = oscillation_report(model, cov, gamma, weight, delta, plan=plan)
+        assert got.weight is want.weight
+        for field in fields(OscReport):
+            if field.name != "weight":
+                assert getattr(got, field.name) == getattr(want, field.name), \
+                    field.name
+        for name in ("sigma", "condition_lhs", "oscillation_ok",
+                     "invertibility_ok", "certified", "pileup_sigma",
+                     "contraction_bounds"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert json.dumps(got.to_json_dict(), sort_keys=True) \
+            == json.dumps(want.to_json_dict(), sort_keys=True)
+        assert got.oscillation_ok == (where in ("just-above", "above"))
+        if where == "above":
+            assert not got.invertibility_ok
 
 
 class TestRefine:
