@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 
-from framedisc import PhaseFunction, SamplingInverse, WeightedLp, build_pou, \
+from framedisc import PhaseFunction, SamplingInverse, WeightedLp, \
     invertibility_condition, observed_contraction, oscillation_report, \
     select_samples, uniform_covering
 from framedisc.models import build_gabor_model
@@ -65,7 +65,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
         "certified": certified,
     }
     if certified:
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         row["contraction_sharp"] = report.contraction_bounds[1]
         inverse = SamplingInverse(model, plan, Y, report=report)
         row["contraction_observed"] = observed_contraction(inverse, seed=0)

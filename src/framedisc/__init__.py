@@ -7,9 +7,8 @@ frames with computable constants: contraction certificates, dual frames,
 atomic decompositions, and two-sided norm equivalences.
 """
 
-from .coverings import Covering, PartitionOfUnity, build_pou, \
-    singleton_covering, uniform_covering, validate_covering, \
-    weight_compatibility
+from .coverings import Covering, singleton_covering, uniform_covering, \
+    validate_covering, weight_compatibility
 from .discretize import SamplingInverse, SamplingPlan, atomic_decomposition, \
     dual_frame, hilbert_frame_bounds, observed_contraction, \
     reconstruct_from_samples, select_samples, synthesize_plan, \

@@ -1,6 +1,6 @@
 """Batch experiment driver with reproducible JSON reports.
 
-Subcommands: validate, osc, discretize, report-merge. Configuration is a
+Subcommands: validate, osc, discretize. Configuration is a
 flat JSON document with kebab-case keys; any key can be overridden on the
 command line by the flag of the same name. Exit codes: 0 success,
 1 property failure, 2 configuration error (including a file that cannot be
@@ -10,7 +10,6 @@ read, decoded or written), 3 certification refusal, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -55,8 +54,6 @@ DEFAULTS = {
     "covering-sets": None,
     "refine-max-rounds": 12,
     "gamma": "kernel",
-    "pou": "flat",
-    "sampling": "max-weight",
     "inversion-method": "neumann",
     "inversion-tol": 1e-12,
     "inversion-n-max": 200,
@@ -152,10 +149,6 @@ def validate_config(cfg: dict) -> None:
         raise StructuralError(f"unknown weight rule {cfg['weight-rule']!r}")
     if cfg["gamma"] not in ("one", "kernel"):
         raise StructuralError(f"unknown phase rule {cfg['gamma']!r}")
-    if cfg["pou"] not in ("flat", "smooth"):
-        raise StructuralError(f"unknown partition kind {cfg['pou']!r}")
-    if cfg["sampling"] not in ("max-weight", "medoid"):
-        raise StructuralError(f"unknown sampling rule {cfg['sampling']!r}")
     if cfg["inversion-method"] not in ("neumann", "direct"):
         raise StructuralError(f"unknown inversion method {cfg['inversion-method']!r}")
 
@@ -266,10 +259,9 @@ def cmd_discretize(cfg: dict) -> int:
     cov = build_covering_on(cfg, model.space)
     result = run_discretization(
         model, Y, cfg["delta"], covering=cov,
-        gamma_rule=cfg["gamma"], pou_kind=cfg["pou"],
-        sampling_rule=cfg["sampling"].replace("-", "_"),
-        method=cfg["inversion-method"], tol=cfg["inversion-tol"],
-        n_max=cfg["inversion-n-max"], refine_max_rounds=cfg["refine-max-rounds"],
+        gamma_rule=cfg["gamma"], method=cfg["inversion-method"],
+        tol=cfg["inversion-tol"], n_max=cfg["inversion-n-max"],
+        refine_max_rounds=cfg["refine-max-rounds"],
         n_trials=cfg["n-trials"], seed=cfg["seed"],
     )
     doc = result.to_json_dict()
@@ -292,40 +284,6 @@ def cmd_discretize(cfg: dict) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_PROPERTY
 
 
-def cmd_report_merge(paths: list, output: str | None) -> int:
-    """Concatenate JSON reports into a CSV summary of their scalar fields."""
-    def flatten(prefix, doc, into):
-        for key, val in doc.items():
-            name = f"{prefix}.{key}" if prefix else key
-            if isinstance(val, dict):
-                flatten(name, val, into)
-            elif isinstance(val, (int, float, bool, str)) or val is None:
-                into[name] = val
-
-    rows = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise StructuralError(f"{path}: a report must be a JSON object")
-        flat: dict = {"report": path}
-        flatten("", doc, flat)
-        rows.append(flat)
-    if not rows:
-        raise StructuralError("report-merge needs at least one report")
-    keys = sorted(set().union(*rows))
-    out = open(output, "w", encoding="utf-8", newline="") if output else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=keys)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if output:
-            out.close()
-    return EXIT_OK
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="JSON config file")
     for key in DEFAULTS:
@@ -340,18 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("validate", "osc", "discretize"):
         _add_config_flags(sub.add_parser(name))
-    merge = sub.add_parser("report-merge")
-    merge.add_argument("reports", nargs="+")
-    merge.add_argument("--output", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report-merge":
-            check_output(args.output)
-            return cmd_report_merge(args.reports, args.output)
         overrides = {k: getattr(args, k) for k in DEFAULTS}
         cfg = load_config(args.config, overrides)
         validate_config(cfg)

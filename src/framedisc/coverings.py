@@ -1,6 +1,9 @@
-"""Coverings of the point set and partitions of unity.
+"""Coverings of the point set and their partition of unity.
 
-A covering is a finite family of nonempty point-index subsets. Validation
+A covering is a finite family of nonempty point-index subsets. Its one
+partition of unity is the flat one, phi_i(x) = 1/#{j : x in U_j} on U_i:
+bounded, subordinate to the covering and summing to one wherever the
+covering reaches, which is all a sampling plan needs of it. Validation
 computes the overlap bound N, the smallest set measure D, and the
 moderateness constant C~ = max mu(U_i)/mu(U_j) over intersecting pairs,
 all by exact enumeration.
@@ -9,6 +12,7 @@ all by exact enumeration.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -99,6 +103,8 @@ class Covering:
       q_neighborhoods    Q_y for a block of points y, the union of the sets
                          containing y, as sorted (y, z) pairs
       q_bound            max_y |Q_y| <= max_y sum of |U_i| over U_i holding y
+      phi                the flat partition of unity, one value per pair
+      cells              the classes of points held by the same sets
     """
 
     space: QuadratureSpace
@@ -229,6 +235,40 @@ class Covering:
         sums = np.bincount(self.flat_points, self._set_sizes[self.flat_sets])
         return int(sums.max(initial=0))
 
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """The flat partition of unity, phi_i(x) = 1/#{j : x in U_j}, one
+        value per (set, point) pair in the order of ``holders(0, n_points)``,
+        the order ``pair_sums`` reads; off those pairs phi_i is zero."""
+        counts = self.cover_counts
+        out = 1.0 / np.repeat(counts, counts)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def cells(self) -> Cells:
+        """The covering's cells (``Cells``), found once per covering by
+        sorting the points on the sets holding them."""
+        n = self.space.n_points
+        counts, ptr = self.cover_counts, self._point_ptr
+        # one row per point: its sets, padded with -1
+        key = np.full((n, int(counts.max())), -1)
+        point = np.repeat(np.arange(n), counts)
+        key[point, np.arange(point.size) - ptr[point]] = self.holders(0, n)
+        # sorted on its sets, equal rows sit together in ascending points
+        members = np.lexsort(key.T[::-1])
+        ordered = key[members]
+        starts = np.flatnonzero(np.append(
+            True, np.any(ordered[1:] != ordered[:-1], axis=1)))
+        reps = members[starts]
+        pairs = _segments(ptr[reps], counts[reps])
+        cells = Cells(members, np.append(starts, n), self.holders(0, n)[pairs],
+                      self.phi[pairs],
+                      np.concatenate(([0], np.cumsum(counts[reps]))))
+        for arr in vars(cells).values():
+            arr.setflags(write=False)
+        return cells
+
     def identifier(self) -> str:
         """Deterministic content hash used in reports."""
         return self._identifier
@@ -275,16 +315,14 @@ def weight_compatibility(cov: Covering, weight: Weight2D) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Cells:
-    """The points of a partition of unity grouped into cells.
+    """The points of a covering grouped into cells.
 
-    A cell is a class of points held by the same sets with the same phi
-    values, so every pile-up over the partition (flat, natural or
-    phi-weighted) is constant on it. For the flat partition the cells are
-    the classes of points held by the same sets; for a smooth one they are
-    mostly single points. Cells are ordered by their sets, then their phi
-    values. Cell c holds the points ``members[member_ptr[c]:member_ptr[c +
-    1]]``, in ascending order, and its (set, phi_set) pairs are ``sets``
-    and ``phi`` at ``pair_ptr[c]:pair_ptr[c + 1]``.
+    A cell is a class of points held by the same sets, and so with the same
+    flat phi values; every pile-up over the covering (flat, natural or
+    phi-weighted) is constant on it. Cells are ordered by their sets. Cell c
+    holds the points ``members[member_ptr[c]:member_ptr[c + 1]]``, in
+    ascending order, and its (set, phi_set) pairs are ``sets`` and ``phi``
+    at ``pair_ptr[c]:pair_ptr[c + 1]``.
     """
 
     members: np.ndarray
@@ -304,99 +342,6 @@ class Cells:
         if self.sets.size == self.count:
             return np.asarray(values)
         return _segment_sums(values, self.pair_ptr)
-
-
-@dataclass(frozen=True, eq=False)
-class PartitionOfUnity:
-    """Nonnegative functions phi_i <= 1 supported in U_i and summing to one.
-
-    ``phi`` holds one value phi_i(x) per (set, point) pair of the covering,
-    point-major: in the order of ``covering.holders(0, n_points)``, the
-    order ``Covering.pair_sums`` reads. Off those pairs phi_i is zero, so
-    no (n_sets, n_points) table is formed.
-    """
-
-    covering: Covering
-    phi: np.ndarray
-
-    def __post_init__(self):
-        cov = self.covering
-        arr = np.array(self.phi, dtype=float)
-        if arr.shape != cov.flat_points.shape:
-            raise StructuralError(
-                f"phi must be shaped ({cov.flat_points.size},): one value per "
-                f"(set, point) pair of the covering")
-        if np.any(arr < -1e-15) or np.any(arr > 1 + 1e-12):
-            raise StructuralError("partition values must lie in [0, 1]")
-        total = cov.pair_sums(arr)
-        if np.max(np.abs(total - 1.0)) > 1e-12:
-            raise StructuralError("partition functions must sum to one")
-        arr.setflags(write=False)
-        object.__setattr__(self, "phi", arr)
-
-    @property
-    def masses(self) -> np.ndarray:
-        """c_i = integral of phi_i."""
-        cov = self.covering
-        points = np.repeat(np.arange(cov.space.n_points), cov.cover_counts)
-        return np.bincount(cov.holders(0, cov.space.n_points),
-                           self.phi * cov.space.weights[points],
-                           minlength=cov.n_sets)
-
-    @cached_property
-    def cells(self) -> Cells:
-        """The partition's cells (``Cells``), found once per partition by
-        sorting the points on their sets and phi values."""
-        cov = self.covering
-        n = cov.space.n_points
-        counts, ptr = cov.cover_counts, cov._point_ptr
-        depth = int(counts.max())
-        # one row per point: its sets, then its phi values, padded with -1
-        key = np.full((n, 2 * depth), -1.0)
-        point = np.repeat(np.arange(n), counts)
-        slot = np.arange(point.size) - ptr[point]
-        key[point, slot] = cov.holders(0, n)
-        key[point, depth + slot] = self.phi
-        # sorted on its sets first, equal rows sit together in ascending points
-        members = np.lexsort(key.T[::-1])
-        ordered = key[members]
-        starts = np.flatnonzero(np.append(
-            True, np.any(ordered[1:] != ordered[:-1], axis=1)))
-        reps = members[starts]
-        pairs = _segments(ptr[reps], counts[reps])
-        cells = Cells(members, np.append(starts, n),
-                      cov.holders(0, n)[pairs], self.phi[pairs],
-                      np.concatenate(([0], np.cumsum(counts[reps]))))
-        for arr in vars(cells).values():
-            arr.setflags(write=False)
-        return cells
-
-
-def build_pou(cov: Covering, kind: str = "flat") -> PartitionOfUnity:
-    """Partition of unity subordinate to a covering.
-
-    flat   : equal sharing, phi_i(x) = 1/#{j : x in U_j} on U_i.
-    smooth : Gaussian bump around each set's coordinate center, normalized.
-    """
-    counts = cov.cover_counts
-    if np.any(counts == 0):
-        raise StructuralError("cannot build a partition of unity: uncovered points")
-    if kind == "flat":
-        phi = np.repeat(1.0 / counts, counts)
-    elif kind == "smooth":
-        pts = cov.space.points
-        bumps = []
-        for idx in np.split(cov.flat_points, cov._set_starts[1:]):
-            center = pts[idx].mean(axis=0)
-            d2 = np.sum((pts[idx] - center) ** 2, axis=1)
-            spread = max(float(d2.max()), 1e-12)
-            bumps.append(np.exp(-d2 / spread))
-        # set-major bumps, reordered to the point-major pairs
-        phi = np.concatenate(bumps)[np.argsort(cov.flat_points, kind="stable")]
-        phi /= np.repeat(cov.pair_sums(phi), counts)
-    else:
-        raise StructuralError(f"unknown partition kind {kind!r}")
-    return PartitionOfUnity(cov, phi)
 
 
 def singleton_covering(space: QuadratureSpace) -> Covering:
@@ -428,17 +373,37 @@ def uniform_covering(space: QuadratureSpace, width, overlap=0.0) -> Covering:
         raise StructuralError("overlap must satisfy 0 <= overlap < width")
 
     tol = 1e-9
+    empty_box = "uniform covering produced an empty box; adjust width/overlap"
+    # per-axis Python floats: the roundings of numpy scalars at less cost, and
+    # a quotient too large for a float is inf rather than an error
+    axes = list(space.points.T)
+    lows, highs = [float(c.min()) for c in axes], [float(c.max()) for c in axes]
+    strides = (widths - overlaps).tolist()
+    # Window k of an axis holds x only if its start lies in
+    # (x - width + tol, x + tol], so a point lies in at most
+    # ceil(width/stride) + 1 windows of each axis, and nonempty boxes number
+    # at most n_points times the product of those. An axis has at least
+    # floor((hi - lo + tol)/stride) windows (the accumulated starts below may
+    # fall one short of that plus one), so more boxes than the bound leave
+    # one empty: refused before any window is listed.
+    windows, fillable = 1.0, float(space.n_points)
+    for lo, hi, width, stride in zip(lows, highs, widths.tolist(), strides):
+        windows *= max((hi - lo + tol) // stride, 1.0)
+        fillable *= math.ceil(width / stride) + 1
+    if windows > fillable:
+        raise StructuralError(empty_box)
     # the (box, point) pairs, one axis at a time: each pair of the boxes so
     # far is split over the windows of the next axis holding its point
     boxes, points = np.zeros(space.n_points, dtype=int), np.arange(space.n_points)
     n_boxes = 1
-    for a in range(dim):
-        coords = space.points[:, a]
-        lo, hi = float(coords.min()), float(coords.max())
-        stride = widths[a] - overlaps[a]
-        starts = [lo]
-        while starts[-1] + stride <= hi + tol:
-            starts.append(starts[-1] + stride)
+    for a, (coords, lo, hi, stride) in enumerate(zip(axes, lows, highs, strides)):
+        start, starts = lo, [lo]
+        while (step := start + stride) <= hi + tol:
+            if step == start:
+                raise StructuralError(f"covering stride {stride:g} does not "
+                                      f"advance the window start {start:g}")
+            starts.append(step)
+            start = step
         starts = np.array(starts)
         # window k holds x when starts[k] - tol <= x < starts[k] + width - tol;
         # both bounds ascend with k, so x is in windows first[x]:stop[x]
@@ -449,9 +414,7 @@ def uniform_covering(space: QuadratureSpace, width, overlap=0.0) -> Covering:
         points = np.repeat(points, held)
         n_boxes *= starts.size
     if boxes.size < n_boxes or not np.bincount(boxes, minlength=n_boxes).all():
-        raise StructuralError(
-            "uniform covering produced an empty box; adjust width/overlap"
-        )
+        raise StructuralError(empty_box)
     return Covering._from_pairs(space, boxes, points)
 
 

@@ -1,7 +1,7 @@
 """Sampling the frame through a covering: operators, inversion, dual frames.
 
-Given a covering with partition of unity and one sample point per set, the
-sampling operator
+Given a covering with its partition of unity and one sample point per set,
+the sampling operator
 
     (U F)(x) = sum_i c_i F(x_i) R(x, x_i),      c_i = integral of phi_i,
 
@@ -15,12 +15,13 @@ verification helpers compute both sides.
 from __future__ import annotations
 
 import copy
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .coverings import Covering, PartitionOfUnity
+from .coverings import Covering
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import Workspace, block_rows, even_step, row_slices
 from .models import FrameModel, random_vectors
@@ -53,15 +54,20 @@ BOUNDS_SLACK = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SamplingPlan:
-    """A partition of unity and one sample point per set of its covering;
-    the covering and the masses c_i = integral of phi_i are the partition's."""
+    """One sample point per set of a covering; the masses c_i = integral of
+    phi_i are those of the covering's partition of unity (``Covering.phi``)."""
 
-    pou: PartitionOfUnity
+    covering: Covering
     samples: np.ndarray
     masses: np.ndarray = field(init=False)      # c_i
 
     def __post_init__(self):
         cov = self.covering
+        n = cov.space.n_points
+        counts = cov.cover_counts
+        if np.any(counts == 0):
+            raise StructuralError("cannot build a partition of unity: "
+                                  "uncovered points")
         idx = np.asarray(self.samples, dtype=int).reshape(-1)
         if idx.shape[0] != cov.n_sets:
             raise StructuralError("one sample point per covering set required")
@@ -70,7 +76,9 @@ class SamplingPlan:
         if not inside.all():
             i = int(np.argmin(inside))
             raise StructuralError(f"sample {idx[i]} is not inside covering set {i}")
-        c = self.pou.masses
+        points = np.repeat(np.arange(n), counts)
+        c = np.bincount(cov.holders(0, n), cov.phi * cov.space.weights[points],
+                        minlength=cov.n_sets)
         if np.any(c <= 0):
             raise StructuralError("partition masses must be positive")
         idx.setflags(write=False)
@@ -78,42 +86,23 @@ class SamplingPlan:
         object.__setattr__(self, "samples", idx)
         object.__setattr__(self, "masses", c)
 
-    @property
-    def covering(self) -> Covering:
-        return self.pou.covering
-
     def identifier(self) -> str:
-        return f"{self.covering.identifier()}-{'.'.join(map(str, self.samples))}"
+        """Deterministic content hash of the covering and the samples, used
+        in reports."""
+        text = f"{self.covering.identifier()}-{'.'.join(map(str, self.samples))}"
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def select_samples(pou: PartitionOfUnity,
-                   rule: str = "max_weight") -> SamplingPlan:
-    """Pick one point per set of the partition's covering; ties break to
-    the lowest index.
-
-    max_weight : the point of largest quadrature weight in the set.
-    medoid     : the point minimizing the summed coordinate distance to the
-                 rest of the set.
-    """
-    cov = pou.covering
-    space = cov.space
-    if rule == "max_weight":
-        # the pairs are set-major with ascending points, so the first pair of
-        # a set at the set's largest weight holds its lowest such index
-        vals = space.weights[cov.flat_points]
-        top = np.flatnonzero(vals == cov.set_extrema(space.weights)[0][cov.flat_sets])
-        first = top[np.diff(cov.flat_sets[top], prepend=-1) != 0]
-        samples = cov.flat_points[first]
-    elif rule == "medoid":
-        samples = np.empty(cov.n_sets, dtype=int)
-        starts = np.flatnonzero(np.diff(cov.flat_sets)) + 1
-        for i, idx in enumerate(np.split(cov.flat_points, starts)):
-            pts = space.points[idx]
-            dists = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            samples[i] = idx[int(np.argmin(dists.sum(axis=1)))]
-    else:
-        raise StructuralError(f"unknown sampling rule {rule!r}")
-    return SamplingPlan(pou, samples)
+def select_samples(cov: Covering) -> SamplingPlan:
+    """The plan sampling each set of ``cov`` at its point of largest
+    quadrature weight; ties break to the lowest index."""
+    weights = cov.space.weights
+    # the pairs are set-major with ascending points, so the first pair of
+    # a set at the set's largest weight holds its lowest such index
+    vals = weights[cov.flat_points]
+    top = np.flatnonzero(vals == cov.set_extrema(weights)[0][cov.flat_sets])
+    first = top[np.diff(cov.flat_sets[top], prepend=-1) != 0]
+    return SamplingPlan(cov, cov.flat_points[first])
 
 
 def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
@@ -252,7 +241,7 @@ class SamplingInverse:
     def cell_space(self) -> WeightedLp:
         """Y collapsed on the plan's cells (``spaces.cell_space``), where the
         checks norm their pile-ups (``spaces.pileup_norms``)."""
-        return cell_space(self.Y, self.plan.pou.cells)
+        return cell_space(self.Y, self.plan.covering.cells)
 
     def _term_norms(self, coords: np.ndarray) -> np.ndarray:
         """What the stopping rule tests for each column of a Neumann term:
@@ -607,9 +596,9 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     keep = ny > 0.0
     g, ny, sup, l1v = g[:, keep], ny[keep], sup[keep], l1v[keep]
     vals = model.vectors[:, plan.samples].conj().T @ g
-    d_obs = np.max(pileup_norms(inverse.cell_space, vals, plan.pou) / ny,
+    d_obs = np.max(pileup_norms(inverse.cell_space, vals, cov) / ny,
                    initial=0.0)
-    sig_obs = np.max(pileup_norms(inverse.cell_space, vals, plan.pou,
+    sig_obs = np.max(pileup_norms(inverse.cell_space, vals, cov,
                                   phi=True) / ny, initial=0.0)
     sup_obs = np.max(sup / ny, initial=0.0)
     ratios_1y = ny / l1v
@@ -636,7 +625,7 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
                          np.repeat(np.concatenate(moduli), held),
                          minlength=cov.n_sets * n_trials)
     dec_norms = pileup_norms(inverse.cell_space,
-                             masses.reshape(cov.n_sets, n_trials), plan.pou,
+                             masses.reshape(cov.n_sets, n_trials), cov,
                              natural=True)
     applied = inverse.range_norms(model.s_inverse @ atoms)
     keep = dec_norms > 0.0

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import Covering, build_pou, validate_covering
+from .coverings import Covering, validate_covering
 from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
     hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
     select_samples, synthesize_plan, verify_sampled_bounds
@@ -56,10 +56,10 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     exp_c = errors(duals.T @ samples)
 
     ny = inverse.range_norms(base)
-    flat_ratios = pileup_norms(inverse.cell_space, samples, plan.pou)[ny > 0] \
-        / ny[ny > 0]
+    flat_ratios = pileup_norms(inverse.cell_space, samples,
+                               plan.covering)[ny > 0] / ny[ny > 0]
     nyd = inverse.range_norms(dual_base)
-    natural_ratios = pileup_norms(inverse.cell_space, inner, plan.pou,
+    natural_ratios = pileup_norms(inverse.cell_space, inner, plan.covering,
                                   natural=True)[nyd > 0] / nyd[nyd > 0]
 
     return {
@@ -198,8 +198,7 @@ class DiscretizationResult:
 
 def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
                        covering: Covering | None = None,
-                       gamma_rule: str = "kernel", pou_kind: str = "flat",
-                       sampling_rule: str = "max_weight",
+                       gamma_rule: str = "kernel",
                        method: str = "neumann", tol: float = 1e-12,
                        n_max: int = 200, refine_max_rounds: int = 12,
                        n_trials: int = 50, seed: int = 0) -> DiscretizationResult:
@@ -220,7 +219,7 @@ def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
         covering, report = refine_until(model, weight, delta,
                                         gamma_rule=gamma_rule,
                                         max_rounds=refine_max_rounds)
-    plan = select_samples(build_pou(covering, pou_kind), sampling_rule)
+    plan = select_samples(covering)
     if report is None:
         report = oscillation_report(model, covering,
                                     PhaseFunction(model, gamma_rule), weight,

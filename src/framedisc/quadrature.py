@@ -21,7 +21,7 @@ class QuadratureSpace:
     """Ordered points with positive weights.
 
     points : float array of shape (n, dim); coordinates are only used by
-        geometric constructors (coverings, medoid sampling).
+        geometric constructors (coverings).
     weights : float array of shape (n,), strictly positive.
     """
 

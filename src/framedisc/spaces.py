@@ -5,8 +5,8 @@ The solid spaces are L^p_w with norm (sum_x mu_x |F(x)|^p w(x)^p)^(1/p)
 whose norms give the sharp Hoelder constants. Sequences over a covering are
 measured through their pile-up functions: the flat pile-up puts |lambda_i|
 on chi_{U_i}, the natural one first divides by mu(U_i), and a partition of
-unity's pile-up weights set i by phi_i. Every pile-up over a partition is
-constant on the partition's cells, so ``pileup_norms`` forms it there and
+unity's pile-up weights set i by phi_i. Every pile-up over a covering is
+constant on the covering's cells, so ``pileup_norms`` forms it there and
 norms it in Y collapsed on the cells (``cell_space``), without a grid
 function.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coverings import Cells, Covering, PartitionOfUnity
+from .coverings import Cells, Covering
 from .errors import StructuralError
 from .kernels import Weight2D, Workspace
 from .quadrature import QuadratureSpace
@@ -132,7 +132,7 @@ def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:
 
 
 def cell_space(Y: WeightedLp, cells: Cells) -> WeightedLp:
-    """Y collapsed onto a partition's cells, each at its lowest point: the
+    """Y collapsed onto a covering's cells, each at its lowest point: the
     weight w'_c = max of w over cell c and the measure
     mu'_c = sum over c of mu_x (w(x)/w'_c)^p (sum of mu_x at p = inf), so
     |F|_Y = |F on the cells|_{Y'} for every F constant on each cell."""
@@ -148,27 +148,25 @@ def cell_space(Y: WeightedLp, cells: Cells) -> WeightedLp:
     return WeightedLp(space, Y.p, top)
 
 
-def pileup_norms(Y: WeightedLp, seq, pou: PartitionOfUnity,
+def pileup_norms(Y: WeightedLp, seq, cov: Covering,
                  natural: bool = False, phi: bool = False) -> np.ndarray:
     """Y-norms of the pile-ups sum_i |seq_i| chi_{U_i} (each term divided by
-    mu(U_i) if ``natural``, weighted by the partition's phi_i with ``phi``)
-    over the partition's covering, one per column of an (n_sets, k) block
-    ``seq``.
+    mu(U_i) if ``natural``, weighted by the covering's phi_i with ``phi``)
+    over the covering, one per column of an (n_sets, k) block ``seq``.
 
-    Every such pile-up is constant on each of the partition's cells
-    (``PartitionOfUnity.cells``), so it is formed and normed there: ``Y``
-    is the grid's space collapsed on those cells (``cell_space``), and
-    each column costs one value per (cell, set) pair. No grid function is
-    formed.
+    Every such pile-up is constant on each of the covering's cells
+    (``Covering.cells``), so it is formed and normed there: ``Y`` is the
+    grid's space collapsed on those cells (``cell_space``), and each column
+    costs one value per (cell, set) pair. No grid function is formed.
     """
-    cells = pou.cells
+    cells = cov.cells
     if Y.space.n_points != cells.count:
         raise StructuralError(f"space of {Y.space.n_points} points is not "
-                              f"collapsed on the partition's {cells.count} "
+                              f"collapsed on the covering's {cells.count} "
                               f"cells")
     lam = np.abs(seq).take(cells.sets, axis=0).astype(float, copy=False)
     if natural:
-        lam /= pou.covering.measures[cells.sets][:, None]
+        lam /= cov.measures[cells.sets][:, None]
     if phi:
         lam *= cells.phi[:, None]
     return Y.column_norms(cells.pair_sums(lam))

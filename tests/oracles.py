@@ -4,7 +4,7 @@ Everything named ``*_naive`` is written as plain Python loops over indices,
 deliberately avoiding the code paths (matmuls, scatter/gather over flat
 index arrays) used by the package itself. The dense reproducing kernel
 (``dense_kernel``) and its rank-d rows (``kernel_rows``), the dense
-partition-of-unity table (``dense_pou``),
+partition-of-unity table (``dense_phi``),
 the dense kernel algebra (``identity_kernel`` ... ``involution``), the
 dense derived kernels (``oscillation_kernel``, ``sampled_row_kernel``) and
 the exact streamed reproducing defect (``reproducing_defect_streamed``) are
@@ -72,15 +72,30 @@ def rank_d_entries(model):
     return (model.duals[:, z].conj() * model.vectors[:, y]).sum(axis=0)
 
 
-def dense_pou(pou):
-    """The (n_sets, n_points) table of a partition of unity: phi_i(x) on the
-    covering's (set, point) pairs, zero elsewhere."""
-    cov = pou.covering
+def dense_phi(cov):
+    """The (n_sets, n_points) table of a covering's partition of unity:
+    phi_i(x) on the covering's (set, point) pairs, zero elsewhere."""
     n = cov.space.n_points
     out = np.zeros((cov.n_sets, n))
     points = np.repeat(np.arange(n), cov.cover_counts)
-    out[cov.holders(0, n), points] = pou.phi
+    out[cov.holders(0, n), points] = cov.phi
     return out
+
+
+def cells_naive(cov):
+    """The cells of a covering by plain loops: the points grouped by their
+    sets and phi values (1 / the number of sets holding the point), sorted
+    by the sets, then the phi values; one (sets, phis, points) triple per
+    cell, the points ascending."""
+    holders = [[] for _ in range(cov.space.n_points)]
+    for i, x in zip(cov.flat_sets.tolist(), cov.flat_points.tolist()):
+        holders[x].append(i)
+    groups = {}
+    for x, sets in enumerate(holders):
+        key = (tuple(sorted(sets)), tuple(1.0 / len(sets) for _ in sets))
+        groups.setdefault(key, []).append(x)
+    return [(sets, phis, tuple(points))
+            for (sets, phis), points in sorted(groups.items())]
 
 
 def identity_kernel(space):
@@ -659,7 +674,7 @@ def bounds_observed_grid(inverse, n_trials=50, seed=0):
     F, ny = F[:, ny > 0.0], ny[ny > 0.0]
     vals = np.abs(F[plan.samples])
     sup = sup_infinity_space(Y, weight).column_norms(F)
-    smoothed = cov.pair_sums(plan.pou.phi[:, None]
+    smoothed = cov.pair_sums(cov.phi[:, None]
                              * vals[cov.holders(0, space.n_points)])
     ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)
     atoms = np.empty((model.dim, n_trials), dtype=complex)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from framedisc import PhaseFunction, SamplingInverse, Weight2D, WeightedLp, \
-    build_pou, hilbert_frame_bounds, \
+    hilbert_frame_bounds, \
     invertibility_condition, observed_contraction, oscillation_norms, \
     oscillation_report, select_samples, singleton_covering, uniform_covering, uniform_grid, \
     verify_sampled_bounds
@@ -67,7 +67,7 @@ def certified_runs():
             cov = uniform_covering(space, (1.0, box_pts * n_time / n_freq))
         gamma = PhaseFunction(model, "kernel")
         report = oscillation_report(model, cov, gamma, weight, delta)
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         runs.append({
             "label": f"d{n_time}-nf{n_freq}-p{p}",
             "model": model, "Y": Y, "weight": weight, "cov": cov,
@@ -258,7 +258,7 @@ def test_criterion_9_hilbert_frame_bounds(certified_runs):
     with criterion(9, "sampled frame bounds: singleton exactness, positivity"):
         model = build_random_smooth_model(6, 64, 2.0, seed=4)
         cov = singleton_covering(model.space)
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         c1, c2 = hilbert_frame_bounds(model, plan)
         ev = model.s_eigenvalues
         assert abs(c1 - ev[0]) <= 1e-10

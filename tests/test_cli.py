@@ -3,6 +3,7 @@ import importlib.util
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,17 @@ class TestOsc:
             assert "osc_norm >= " in err and "column 0" in err
 
 
+    def test_vanishing_width_refused_at_once(self, tmp_path, capsys):
+        """Windows of width 1e-300 on a 3-unit axis would number about
+        3e300; the covering is refused before any window is listed."""
+        start = time.perf_counter()
+        code, doc = run(tmp_path, "osc", n_time=4, n_freq=16, window_width=2,
+                        covering_width=1e-300)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG and doc is None
+        assert "empty box" in capsys.readouterr().err
+
+
 class TestDiscretize:
     def test_orthonormal_singleton_plan(self, tmp_path):
         code, doc = run(tmp_path, "discretize", **BASE, delta=0.3, n_trials=10)
@@ -198,15 +210,47 @@ class TestDiscretize:
         assert doc["cross_method_gap"] <= 1e-9
         assert doc["bounds"]["violations"] == 0
 
-    def test_smooth_pou_medoid_variant(self, tmp_path):
+    def test_direct_inversion_variant(self, tmp_path):
         code, doc = run(tmp_path, "discretize", model_kind="random-smooth",
                         dim=3, n_points=96, smoothness=3.0, model_seed=1,
                         covering_width=2 / 96, delta=0.25, n_trials=5,
-                        pou="smooth", sampling="medoid",
                         inversion_method="direct")
         assert code == EXIT_OK
         assert doc["inversion_method"] == "direct"
         assert doc["failing_checks"] == []
+
+    def test_uncovered_point_is_config_error(self, tmp_path, capsys):
+        """A covering that leaves a point out has no partition of unity, so
+        no plan: exit 2, no report."""
+        code, doc = run(tmp_path, "discretize", model_kind="orthonormal", dim=4,
+                        covering_sets=json.dumps([[0, 1], [3]]))
+        assert code == EXIT_CONFIG
+        assert doc is None
+        assert "cannot build a partition of unity: uncovered points" \
+            in capsys.readouterr().err
+
+    def test_plan_id_is_a_hash_of_the_plan(self, tmp_path):
+        """``plan_id`` is 12 hex digits of the covering and the samples; it
+        changes with one sample and equals the report's ``d_plan`` for the
+        plan that made the report."""
+        from framedisc import PhaseFunction, SamplingPlan, WeightedLp, \
+            oscillation_report, select_samples, uniform_covering
+        from framedisc.models import build_random_smooth_model
+        code, doc = run(tmp_path, "discretize", model_kind="random-smooth",
+                        dim=3, n_points=96, smoothness=3.0, model_seed=1,
+                        covering_width=2 / 96, delta=0.25, n_trials=5)
+        assert code == EXIT_OK
+        assert re.fullmatch("[0-9a-f]{12}", doc["plan_id"])
+        model = build_random_smooth_model(3, 96, 3.0, seed=1)
+        cov = uniform_covering(model.space, 2 / 96)
+        plan = select_samples(cov)
+        report = oscillation_report(
+            model, cov, PhaseFunction(model, "kernel"),
+            WeightedLp.lebesgue(model.space, 2.0).weight2d(), 0.25, plan=plan)
+        assert plan.identifier() == report.d_plan == doc["plan_id"]
+        moved = SamplingPlan(cov, plan.samples + 1)
+        assert re.fullmatch("[0-9a-f]{12}", moved.identifier())
+        assert moved.identifier() != plan.identifier()
 
     def test_rank_deficient_direct_is_numerical_failure(self, tmp_path):
         code, doc = run(tmp_path, "discretize", model_kind="orthonormal",
@@ -332,9 +376,6 @@ class TestUnusableFiles:
         assert code == EXIT_CERTIFICATION
         assert "certification refused" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_merge_input_is_a_directory(self, tmp_path, capsys):
-        self.refused(capsys, ["report-merge", str(tmp_path)])
 
     def test_config_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -519,22 +560,24 @@ class TestParser:
         assert built.count("framedisc") == 1
 
 
-class TestReportMerge:
-    def test_csv_summary(self, tmp_path):
-        _, _ = run(tmp_path, "osc", **BASE, delta=0.3)
-        first = tmp_path / "report.json"
-        second = tmp_path / "second.json"
-        second.write_text(first.read_text())
-        out = tmp_path / "merged.csv"
-        code = main(["report-merge", str(first), str(second),
-                     "--output", str(out)])
-        assert code == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert "osc_norm" in lines[0]
+class TestRemovedSurface:
+    """The partition kind, the sampling rule and the report merger are gone:
+    naming them is a configuration error (exit 2)."""
 
-    def test_non_object_report_is_config_error(self, tmp_path, capsys):
-        report = tmp_path / "f.json"
-        report.write_text("[1, 2]")
-        assert main(["report-merge", str(report)]) == EXIT_CONFIG
-        assert "must be a JSON object" in capsys.readouterr().err
+    @pytest.mark.parametrize("key, value", [("pou", "flat"),
+                                            ("sampling", "max-weight")])
+    def test_config_key_is_unknown(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model-kind": "orthonormal", key: value}))
+        assert main(["discretize", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["discretize", "--pou", "flat"],
+        ["discretize", "--sampling", "max-weight"],
+        ["report-merge", "report.json"],
+    ], ids=["pou-flag", "sampling-flag", "report-merge"])
+    def test_flag_or_command_is_unknown(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG

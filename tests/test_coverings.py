@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import Covering, QuadratureSpace, StructuralError, Weight2D, \
-    singleton_covering, uniform_covering, uniform_grid, validate_covering, \
-    weight_compatibility
-from framedisc.coverings import PartitionOfUnity, build_pou, covering_from_json
+    select_samples, singleton_covering, uniform_covering, uniform_grid, \
+    validate_covering, weight_compatibility
+from framedisc.coverings import covering_from_json
 
 from conftest import random_interval_covering, unit_weight
-from oracles import apply_kernel, covering_stats_naive, covering_to_json, \
-    dense_pou, identifier_naive, identity_kernel, membership_naive, \
-    q_neighborhoods_naive, uniform_covering_naive, weight_matrix_naive
+from oracles import apply_kernel, cells_naive, covering_stats_naive, \
+    covering_to_json, dense_phi, identifier_naive, identity_kernel, \
+    membership_naive, q_neighborhoods_naive, uniform_covering_naive, weight_matrix_naive
 from theory import check_m_equivalent, is_admissible_permutation, \
     neighbor_sums, neighbors_of, permutation_kernel, \
     random_admissible_permutation, sets_of, total_measure, transfer_kernel
@@ -179,77 +179,50 @@ class TestWeightCompatibility:
 class TestPartitionOfUnity:
     def test_flat_on_partition_is_indicator(self, grid64):
         cov = uniform_covering(grid64, 8.0)
-        pou = build_pou(cov, "flat")
-        assert np.array_equal(dense_pou(pou),
+        assert np.array_equal(dense_phi(cov),
                               membership_naive(sets_of(cov), 64).astype(float))
-        assert np.allclose(pou.masses, cov.measures, rtol=0, atol=0)
+        assert np.allclose(select_samples(cov).masses, cov.measures,
+                           rtol=0, atol=0)
 
     def test_equal_sharing_on_double_cover(self, small_space):
         cov = Covering(small_space, (np.array([0, 1, 2]), np.array([2, 3, 4])))
-        pou = build_pou(cov, "flat")
-        phi = dense_pou(pou)
+        phi = dense_phi(cov)
         assert phi[0, 2] == 0.5 and phi[1, 2] == 0.5
 
     def test_masses_sum_to_total_measure(self, rng, grid64):
-        for kind in ("flat", "smooth"):
-            cov = random_interval_covering(rng, grid64, 6)
-            pou = build_pou(cov, kind)
-            assert np.sum(pou.masses) == pytest.approx(total_measure(grid64),
-                                                       rel=1e-12)
-            assert np.all(pou.masses > 0)
-            assert np.all(pou.masses <= cov.measures + 1e-12)
-            assert np.allclose(pou.masses, dense_pou(pou) @ grid64.weights,
-                               rtol=1e-14, atol=0)
-
-    def test_smooth_invariants(self, rng, grid64):
-        cov = random_interval_covering(rng, grid64, 5)
-        pou = build_pou(cov, "smooth")
-        phi = dense_pou(pou)
+        cov = random_interval_covering(rng, grid64, 6)
+        masses = select_samples(cov).masses
+        assert np.sum(masses) == pytest.approx(total_measure(grid64), rel=1e-12)
+        assert np.all(masses > 0)
+        assert np.all(masses <= cov.measures + 1e-12)
+        assert np.allclose(masses, dense_phi(cov) @ grid64.weights,
+                           rtol=1e-14, atol=0)
+        phi = dense_phi(cov)
         assert np.all(phi >= 0) and np.all(phi <= 1)
-        assert np.max(np.abs(phi.sum(axis=0) - 1)) <= 1e-14
+        assert np.max(np.abs(phi.sum(axis=0) - 1)) <= 1e-15
         assert np.all(phi[~membership_naive(sets_of(cov), 64)] == 0)
-
-    def test_smooth_matches_dense_construction(self, rng, grid64):
-        """The per-pair smooth partition has the floats of the dense
-        construction: Gaussian bumps on each set, divided by their sum."""
-        cov = random_interval_covering(rng, grid64, 5)
-        want = np.zeros((cov.n_sets, 64))
-        pts = grid64.points
-        for i, idx in enumerate(sets_of(cov)):
-            d2 = np.sum((pts[idx] - pts[idx].mean(axis=0)) ** 2, axis=1)
-            want[i, idx] = np.exp(-d2 / max(float(d2.max()), 1e-12))
-        want /= want.sum(axis=0)[None, :]
-        assert np.array_equal(dense_pou(build_pou(cov, "smooth")), want)
 
     def test_stores_one_value_per_pair(self):
         cov = singleton_covering(uniform_grid(256))
-        pou = build_pou(cov, "smooth")
-        assert pou.phi.shape == (256,)
-        assert not pou.phi.flags.writeable
+        assert cov.phi.shape == (256,)
+        assert not cov.phi.flags.writeable
 
-    def test_rejects_support_outside_set(self, small_space):
-        """Values are stored per (set, point) pair, so a partition of a
-        covering whose U_0 also holds point 3 cannot be attached to this
-        one; a dense table is refused for its shape."""
-        cov = Covering(small_space, (np.array([0, 1, 2]), np.array([2, 3, 4])))
-        wider = Covering(small_space, (np.array([0, 1, 2, 3]),
-                                       np.array([2, 3, 4])))
-        with pytest.raises(StructuralError, match="one value per"):
-            PartitionOfUnity(cov, build_pou(wider, "flat").phi)
-        with pytest.raises(StructuralError, match="shaped"):
-            PartitionOfUnity(cov, dense_pou(build_pou(cov, "flat")))
-
-    def test_rejects_values_out_of_range_or_not_summing_to_one(self, small_space):
-        cov = Covering(small_space, (np.array([0, 1, 2]), np.array([2, 3, 4])))
-        phi = np.array(build_pou(cov, "flat").phi)
-        bad = phi.copy()
-        bad[0] = 1.5
-        with pytest.raises(StructuralError, match="lie in"):
-            PartitionOfUnity(cov, bad)
-        bad = phi.copy()
-        bad[2] = 0.25                       # point 2's two shares now sum to 0.75
-        with pytest.raises(StructuralError, match="sum to one"):
-            PartitionOfUnity(cov, bad)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_cells_group_points_by_sets_and_phi(self, seed, n_sets):
+        """On random overlapping coverings, the cells are the classes of
+        points with the same sets and the same phi values, ordered by their
+        sets, then their phi values, each listing its points in ascending
+        order with the (set, phi) pairs of its lowest point."""
+        rng = np.random.default_rng(seed)
+        cov = random_interval_covering(rng, uniform_grid(40), n_sets)
+        cells = cov.cells
+        got = [(tuple(cells.sets[cells.pair_ptr[c]:cells.pair_ptr[c + 1]]),
+                tuple(cells.phi[cells.pair_ptr[c]:cells.pair_ptr[c + 1]]),
+                tuple(cells.members[cells.member_ptr[c]:
+                                    cells.member_ptr[c + 1]]))
+               for c in range(cells.count)]
+        assert got == cells_naive(cov)
 
 
 class TestEquivalence:
@@ -377,6 +350,37 @@ class TestUniformCovering:
     def test_empty_box_rejected(self, grid64):
         with pytest.raises(StructuralError):
             uniform_covering(grid64, 0.5)
+
+    @pytest.mark.parametrize("width", [1e-300, 5e-324, 1e-3])
+    def test_window_count_bound_refuses_before_listing(self, grid64, width):
+        """More windows than the points can fill (each lies in at most
+        ceil(width / stride) + 1 windows of an axis) are refused as an empty
+        box before any window is listed: about 6e301 windows at width
+        1e-300 would never finish."""
+        with pytest.raises(StructuralError, match="empty box"):
+            uniform_covering(grid64, width)
+
+    def test_stalled_stride_rejected(self):
+        """A stride below half an ulp of the window start never advances it."""
+        space = QuadratureSpace(np.array([[1e17], [1e17 + 64.0]]),
+                                np.ones(2))
+        with pytest.raises(StructuralError, match="does not advance"):
+            uniform_covering(space, 100.0, 99.0)
+
+    @pytest.mark.parametrize("grid, width, overlap, n_sets, ident", [
+        ("line4", 2.0, 1.9, 31, "43f3cb8aacfa"),
+        ("gabor4x16", (1.0, 1.0), (0.0, 0.9), 152, "c942c834e36d"),
+    ])
+    def test_overlap_coverings_with_more_sets_than_points(
+            self, grid, width, overlap, n_sets, ident):
+        """Overlapping windows give more sets than points; the window-count
+        bound lets them through, with the digests they had before it."""
+        from framedisc.models import build_gabor_model
+        space = uniform_grid(4) if grid == "line4" \
+            else build_gabor_model(4, 16, 2.0).space
+        cov = uniform_covering(space, width, overlap)
+        assert cov.n_sets == n_sets > space.n_points
+        assert cov.identifier() == ident
 
     def test_bad_overlap_rejected(self, grid64):
         with pytest.raises(StructuralError):
@@ -506,7 +510,8 @@ def test_json_sets_read_in_one_pass(rng, grid64, monkeypatch):
 def test_identifier_hashed_once(grid64, monkeypatch):
     """A covering's identifier keeps its digest (pinned from the code that
     hashed on every call) and is hashed once per covering, also when a
-    plan's identifier reads it."""
+    plan's identifier reads it; the plan's is the digest of the covering's
+    followed by the samples."""
     import framedisc.coverings as coverings_module
     from framedisc import select_samples
 
@@ -520,9 +525,10 @@ def test_identifier_hashed_once(grid64, monkeypatch):
     monkeypatch.setattr(coverings_module.hashlib, "sha256", counted)
     cov = Covering(grid64, (np.arange(0, 40), np.arange(30, 64), np.array([5, 3, 3])))
     boxes = uniform_covering(grid64, 4.0)
-    plan = select_samples(build_pou(boxes))
+    plan = select_samples(boxes)
+    text = "6616088e25fe-" + ".".join(str(x) for x in range(0, 64, 4))
     for _ in range(3):
         assert cov.identifier() == "c533ecd0e964"
         assert boxes.identifier() == "6616088e25fe"
-        assert plan.identifier().startswith("6616088e25fe-")
-    assert len(hashed) == 2
+        assert plan.identifier() == sha256(text.encode()).hexdigest()[:12]
+    assert len([p for p in hashed if p.startswith(b"[[")]) == 2

@@ -14,7 +14,7 @@ import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, PhaseFunction, \
     SamplingInverse, SchurSums, Screened, SingularOperatorError, \
     StructuralError, \
-    Weight2D, WeightedLp, atomic_decomposition, build_pou, \
+    Weight2D, WeightedLp, atomic_decomposition, \
     dual_frame, hilbert_frame_bounds, kernel_norms, \
     observed_contraction, oscillation_norms, oscillation_report, \
     reconstruct_from_samples, select_samples, sigma_constant, \
@@ -32,7 +32,7 @@ from conftest import random_interval_covering, random_pointwise_weight, \
     unit_weight
 from oracles import apply_inverse, apply_kernel, bounds_observed_grid, \
     compose, \
-    cross_check_grid, dense_kernel, measure_observed_naive, \
+    cross_check_grid, dense_kernel, dense_phi, measure_observed_naive, \
     observed_contraction_naive, oscillation_kernel, osc_naive, \
     phase_table_naive, rank_d_entries, reproducing_defect_streamed, \
     residual_suite_grid, sampled_row_bound_naive, sampled_row_kernel, \
@@ -43,7 +43,7 @@ from theory import analyze, apply_sampling, apply_smoothed, \
 
 
 def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
-               p=2.0, pou_kind="flat", rule="max_weight"):
+               p=2.0):
     """Random smooth model with a box covering; delta=0.25 certifies it."""
     model = build_random_smooth_model(d, n, smoothness, seed=seed)
     space = model.space
@@ -52,8 +52,7 @@ def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
     cov = uniform_covering(space, box_pts / n)
     gamma = PhaseFunction(model, "kernel")
     report = oscillation_report(model, cov, gamma, weight, delta)
-    pou = build_pou(cov, pou_kind)
-    plan = select_samples(pou, rule)
+    plan = select_samples(cov)
     return model, Y, weight, cov, gamma, report, plan
 
 
@@ -64,20 +63,19 @@ def singleton_setup(model, p=2.0):
     weight = Y.weight2d()
     gamma = PhaseFunction(model, "kernel")
     report = oscillation_report(model, cov, gamma, weight, 0.25)
-    pou = build_pou(cov)
-    plan = select_samples(pou)
+    plan = select_samples(cov)
     return Y, weight, gamma, report, plan
 
 
 class TestSampleSelection:
     def test_singleton_sets(self, small_space):
         cov = singleton_covering(small_space)
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         assert np.array_equal(plan.samples, np.arange(5))
 
     def test_uniform_weights_tie_break_lowest(self, grid64):
         cov = uniform_covering(grid64, 8.0)
-        plan = select_samples(build_pou(cov), "max_weight")
+        plan = select_samples(cov)
         assert np.array_equal(plan.samples, [s[0] for s in sets_of(cov)])
 
     def test_max_weight_matches_argmax(self, rng):
@@ -89,51 +87,42 @@ class TestSampleSelection:
             space = uniform_grid(32, weights=w)
             for cov in (uniform_covering(space, 4.0),
                         random_interval_covering(rng, space, 12)):
-                plan = select_samples(build_pou(cov), "max_weight")
+                plan = select_samples(cov)
                 for i, s in enumerate(sets_of(cov)):
                     best = max(s, key=lambda j: (space.weights[j], -j))
                     assert plan.samples[i] == best
-
-    def test_medoid_of_interval_is_middle(self, grid64):
-        cov = uniform_covering(grid64, 5.0)
-        plan = select_samples(build_pou(cov), "medoid")
-        for i, s in enumerate(sets_of(cov)):
-            assert plan.samples[i] == s[(s.size - 1) // 2]
 
     def test_sample_in_its_set_enforced(self, grid64):
         """Sets are [8 i, 8 i + 8); a sample outside its set, or off the
         grid, is refused, naming the first such set."""
         cov = uniform_covering(grid64, 8.0)
-        pou = build_pou(cov)
         from framedisc import SamplingPlan
         with pytest.raises(StructuralError):
-            SamplingPlan(pou, np.zeros(cov.n_sets, dtype=int))
+            SamplingPlan(cov, np.zeros(cov.n_sets, dtype=int))
         for bad in (0, -1, 64, 40):
             samples = np.array([s[-1] for s in sets_of(cov)])
-            SamplingPlan(pou, samples)
+            SamplingPlan(cov, samples)
             samples[3] = bad
             with pytest.raises(StructuralError,
                                match=f"sample {bad} is not inside covering set 3"):
-                SamplingPlan(pou, samples)
+                SamplingPlan(cov, samples)
             samples[6] = bad
             with pytest.raises(StructuralError, match="covering set 3"):
-                SamplingPlan(pou, samples)
+                SamplingPlan(cov, samples)
 
-    @pytest.mark.parametrize("kind", ["flat", "smooth"])
+    @pytest.mark.parametrize("kind", ["flat"])
     def test_plan_reads_its_partition(self, grid64, kind):
-        """The covering and the masses c_i are the partition's, computed
-        once; neither can be passed in."""
+        """The masses c_i are the integrals of the covering's phi_i,
+        computed once; they cannot be passed in."""
         from framedisc import SamplingPlan
-        cov = uniform_covering(grid64, 5.0)
-        pou = build_pou(cov, kind)
-        plan = select_samples(pou)
+        cov = uniform_covering(grid64, 5.0, 2.0)
+        plan = select_samples(cov)
         assert plan.covering is cov
-        assert np.array_equal(plan.masses, pou.masses)
+        assert np.allclose(plan.masses, dense_phi(cov) @ grid64.weights,
+                           rtol=1e-14, atol=0)
         assert plan.masses is plan.masses and not plan.masses.flags.writeable
         with pytest.raises(TypeError):
-            SamplingPlan(pou, plan.samples, 3.0 * pou.masses)
-        with pytest.raises(TypeError):
-            SamplingPlan(cov, pou, plan.samples, pou.masses)
+            SamplingPlan(cov, plan.samples, 3.0 * plan.masses)
 
 
 class TestSamplingOperator:
@@ -186,7 +175,7 @@ class TestSmoothedOperator:
         model = build_random_smooth_model(3, 24, 2.0, seed=4)
         space = model.space
         cov = singleton_covering(space)
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         gamma = PhaseFunction(model, "one")
         F = rng.standard_normal(24) + 1j * rng.standard_normal(24)
         out = apply_smoothed(model, plan, gamma, F)
@@ -244,7 +233,7 @@ class TestContraction:
         assert nominal == report.delta * (report.r_norm + report.sigma)
         assert sharp == report.osc_norm * (report.r_norm + sigma)
         assert sharp == pytest.approx(0.60251216, rel=1e-7)
-        inverse = SamplingInverse(model, select_samples(build_pou(cov)), Y,
+        inverse = SamplingInverse(model, select_samples(cov), Y,
                                   report=report)
         assert observed_contraction(inverse, seed=2) <= sharp
 
@@ -261,7 +250,7 @@ class TestContraction:
                                     Y.weight2d(), 0.1)
         assert not report.oscillation_ok
         bounds = verify_sampled_bounds(SamplingInverse(
-            model, select_samples(build_pou(cov)), Y, report=report))
+            model, select_samples(cov), Y, report=report))
         sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
         _, sharp = report.contraction_bounds
         assert bounds["sigma_const"] == sigma
@@ -352,7 +341,7 @@ class TestInversion:
     def test_direct_refuses_rank_deficient_plan(self):
         model = build_orthonormal_model(4)
         cov = Covering(model.space, (np.array([0, 1]), np.array([2, 3])))
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         Y = WeightedLp.lebesgue(model.space, 2.0)
         with pytest.raises(SingularOperatorError):
             SamplingInverse(model, plan, Y, method="direct")
@@ -621,8 +610,8 @@ class TestReportCovering:
         own = oscillation_report(model, coarse, gamma, Y.weight2d(), 0.2)
         assert report.contraction_bounds[1] < 0.62
         assert own.osc_norm > 1.8
-        return model, Y, report, select_samples(build_pou(fine)), \
-            select_samples(build_pou(coarse))
+        return model, Y, report, select_samples(fine), \
+            select_samples(coarse)
 
     @pytest.mark.parametrize("method", ["neumann", "direct"])
     def test_inverse_refuses_another_covering(self, gabor_6x161, method):
@@ -666,7 +655,7 @@ class TestReportWeight:
         unit = oscillation_report(model, cov, gamma, unit_weight(space), 0.25)
         assert own.contraction_bounds[1] > 1e6
         assert unit.certified and unit.contraction_bounds[1] < 0.72
-        return model, cov, w, own, unit, select_samples(build_pou(cov))
+        return model, cov, w, own, unit, select_samples(cov)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     @pytest.mark.parametrize("method", ["neumann", "direct"])
@@ -716,7 +705,7 @@ class TestStreamedBounds:
         weight = Weight2D(space, w)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         bounds = verify_sampled_bounds(
             SamplingInverse(model, plan, Y, method="direct", report=report),
             n_trials=5)
@@ -771,13 +760,12 @@ class TestStreamedBounds:
         elif covering == "shared":
             cov = Covering(space, (np.arange(0, 8), np.arange(5, 14),
                                    np.arange(14, n)))
-            pou = build_pou(cov)
-            plan = discretize_module.SamplingPlan(pou, np.array([6, 6, 20]))
+            plan = discretize_module.SamplingPlan(cov, np.array([6, 6, 20]))
         else:
             cov = {"intervals": lambda: random_interval_covering(rng, space, 5),
                    "uniform": lambda: uniform_covering(space, 3.0 / n),
                    "singletons": lambda: singleton_covering(space)}[covering]()
-            plan = select_samples(build_pou(cov))
+            plan = select_samples(cov)
         weight = WeightedLp.lebesgue(space, 2.0).weight2d()
         gamma = PhaseFunction(model, "kernel")
         want = schur_norm_naive(space.weights, sampled_row_kernel(model, plan))
@@ -798,9 +786,9 @@ class TestStreamedBounds:
         report = oscillation_report(model, cov, gamma, weight, 0.25,
                                     plan=plan_a)
         other = np.array([idx[-1] for idx in sets_of(cov)])
-        plan_b = discretize_module.SamplingPlan(plan_a.pou, other)
+        plan_b = discretize_module.SamplingPlan(cov, other)
         cov_c = uniform_covering(space, 3.0 / space.n_points)
-        plan_c = select_samples(build_pou(cov_c))
+        plan_c = select_samples(cov_c)
         for plan in (plan_a, plan_b):
             want = schur_norm_naive(space.weights,
                                     sampled_row_kernel(model, plan))
@@ -954,7 +942,7 @@ class TestStreamedBounds:
                                                                 axis=1)))
         weight = Y.weight2d()
         gamma = PhaseFunction(model, "kernel")
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         report = oscillation_report(model, cov, gamma, weight, 0.2)
         inverse = SamplingInverse(model, plan, Y, method="direct", report=report)
         unit = WeightedLp.lebesgue(space, 2.0).weight2d()
@@ -1034,7 +1022,7 @@ class TestWorkingSetBudget:
         cov = Covering(space, tuple(
             np.arange(t * 255 + m, t * 255 + min(m + 3, 255))
             for t in range(6) for m in range(0, 255, 3)))
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         Y = WeightedLp(space, 2.0,
                        np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
@@ -1113,7 +1101,7 @@ class TestWorkingSetBudget:
         n = space.n_points
         cov = Covering(space, tuple(np.arange(t * 41 + m, t * 41 + min(m + 2, 41))
                                     for t in range(6) for m in range(0, 41, 2)))
-        plan = select_samples(build_pou(cov))
+        plan = select_samples(cov)
         w = np.ones(n) if weight_rule == "unit" else np.exp(
             0.3 * np.linalg.norm(space.points - space.points[5], axis=1))
         weight = Weight2D(space, w)
@@ -1157,7 +1145,7 @@ class TestScaleInvariantNeumann:
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     Y.weight2d(), 0.2)
-        return model, Y, select_samples(build_pou(cov)), report
+        return model, Y, select_samples(cov), report
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
     def test_matches_direct_at_every_scale(self, gabor_plan, scale):
@@ -1203,7 +1191,7 @@ class TestExtremeScales:
         weight = WeightedLp(space, 2.0, w).weight2d()
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        return model, w, select_samples(build_pou(cov)), report
+        return model, w, select_samples(cov), report
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
     def test_neumann_apply_homogeneous(self, gabor_4x61, p):
@@ -1265,7 +1253,7 @@ class TestNeumannTermBound:
         report = {rule: oscillation_report(
             model, cov, PhaseFunction(model, "kernel"),
             WeightedLp(space, 2.0, w[rule]).weight2d(), 0.25) for rule in w}
-        return model, select_samples(build_pou(cov)), w, report
+        return model, select_samples(cov), w, report
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
@@ -1415,7 +1403,7 @@ class TestBlockHarness:
                                     for t in range(4) for m in range(0, 61, 2)))
         w = {"unit": np.ones(space.n_points),
              "exp": np.exp(0.02 * np.linalg.norm(space.points, axis=1))}
-        return model, select_samples(build_pou(cov)), w
+        return model, select_samples(cov), w
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-3])
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -1559,9 +1547,9 @@ class TestBlockHarness:
         model, plan, w = gabor_4x61
         method = "neumann"
         if covering == "overlapping":
-            plan = select_samples(build_pou(Covering(model.space, tuple(
+            plan = select_samples(Covering(model.space, tuple(
                 np.arange(t * 61 + m, t * 61 + min(m + 3, 61))
-                for t in range(4) for m in range(0, 60, 2)))))
+                for t in range(4) for m in range(0, 60, 2))))
             method = "direct"
         Y = WeightedLp(model.space, p, w[weight_rule])
         report = oscillation_report(model, plan.covering,
@@ -1756,8 +1744,8 @@ class TestPlanOnAnotherCovering:
 
     def test_kernel_norms(self, monkeypatch):
         model, Y, weight, cov, gamma, report, plan = make_setup(n=96)
-        other = select_samples(build_pou(uniform_covering(
-            build_random_smooth_model(3, 48, 3.0, seed=1).space, 2 / 48)))
+        other = select_samples(uniform_covering(
+            build_random_smooth_model(3, 48, 3.0, seed=1).space, 2 / 48))
         passes = self.forbid_passes(monkeypatch)
         with pytest.raises(StructuralError, match="different space"):
             kernel_norms(model, weight, plan=other)
@@ -1765,8 +1753,8 @@ class TestPlanOnAnotherCovering:
 
     def test_oscillation_report(self, monkeypatch):
         model, Y, weight, cov, gamma, report, plan = make_setup()
-        other = select_samples(build_pou(
-            uniform_covering(model.space, 3 / model.space.n_points)))
+        other = select_samples(
+            uniform_covering(model.space, 3 / model.space.n_points))
         passes = self.forbid_passes(monkeypatch)
         with pytest.raises(StructuralError, match="another covering"):
             oscillation_report(model, cov, gamma, weight, 0.25, plan=other)

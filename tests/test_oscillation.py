@@ -14,7 +14,7 @@ import framedisc.oscillation as oscillation_module
 from framedisc import CertificationError, Covering, FrameModel, \
     OscReport, PhaseFunction, Screened, StructuralError, Weight2D, \
     WeightedLp, invertibility_condition, kernel_norms, oscillation_norms, \
-    build_pou, oscillation_report, refine_until, select_samples, \
+    oscillation_report, refine_until, select_samples, \
     sigma_constant, singleton_covering, uniform_covering, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
@@ -688,7 +688,7 @@ def _budget_setup(weight_rule, rule, with_plan):
     gamma = PhaseFunction(model, rule)
     weight = unit_weight(space) if weight_rule == "unit" else Weight2D(
         space, np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
-    plan = select_samples(build_pou(cov)) if with_plan else None
+    plan = select_samples(cov) if with_plan else None
     return model, cov, gamma, weight, plan, oscillation_report(
         model, cov, gamma, weight, 0.25, plan=plan)
 

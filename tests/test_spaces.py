@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import Covering, SamplingInverse, StructuralError, \
-    WeightedLp, build_gabor_model, build_pou, cell_space, \
+    WeightedLp, build_gabor_model, cell_space, \
     local_integrability_constant, pileup_norms, select_samples, \
     singleton_covering, uniform_covering, uniform_grid
 from framedisc.coverings import weight_compatibility
@@ -283,8 +283,8 @@ def test_range_metric(p, weight_rule):
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     else:
         assert metric is None
-    inverse = SamplingInverse(model, select_samples(build_pou(
-        singleton_covering(space))), Y, method="direct")
+    inverse = SamplingInverse(model, select_samples(
+        singleton_covering(space)), Y, method="direct")
     extra = [WeightedLp(space, np.inf, 1.0 / w), WeightedLp(space, 1.0, w)]
     together = inverse.range_norms(a, extra)
     alone = [inverse.range_norms(a, [s])[0] for s in extra] \
@@ -468,11 +468,10 @@ class TestScatterGatherSums:
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_pileup_norms_on_cells(self, overlapping, rng, p):
-        """For the flat and the smooth partition, every flat, natural and
-        partition-weighted pile-up is constant on each cell, and its Y-norm
-        taken on the cells matches the norm of the whole pile-up; the flat
-        partition's cells are the classes of points held by the same sets.
-        A Y not collapsed on the cells is refused."""
+        """Every flat, natural and partition-weighted pile-up is constant on
+        each cell, and its Y-norm taken on the cells matches the norm of the
+        whole pile-up; the cells are the classes of points held by the same
+        sets. A Y not collapsed on the cells is refused."""
         cov = overlapping
         n = cov.space.n_points
         Y = WeightedLp(cov.space, p, rng.uniform(0.5, 2.0, n))
@@ -480,53 +479,49 @@ class TestScatterGatherSums:
             + 1j * rng.standard_normal((cov.n_sets, 3))
         holders = {tuple(np.flatnonzero(row))
                    for row in membership_naive(sets_of(cov), n).T}
-        for kind in ("flat", "smooth"):
-            pou = build_pou(cov, kind)
-            cells = pou.cells
-            starts = cells.member_ptr[:-1]
-            assert np.array_equal(np.sort(cells.members), np.arange(n))
-            if kind == "flat":
-                assert cells.count == len(holders)
-            collapsed = cell_space(Y, cells)
-            for pile in ({}, {"natural": True}, {"phi": True}):
-                whole = pileup(block, cov, pile.get("natural", False),
-                               pou.phi if pile.get("phi") else None)
-                on_cells = whole[cells.members[starts]]
-                assert np.array_equal(
-                    whole[cells.members],
-                    np.repeat(on_cells, np.diff(cells.member_ptr), axis=0))
-                assert np.allclose(pileup_norms(collapsed, block, pou, **pile),
-                                   Y.column_norms(whole), rtol=1e-14, atol=0.0)
-            if cells.count != n:
-                with pytest.raises(StructuralError, match="not collapsed"):
-                    pileup_norms(Y, block, pou)
-        want = cov.pair_sums(pou.phi[:, None] * np.abs(block)[
+        cells = cov.cells
+        starts = cells.member_ptr[:-1]
+        assert np.array_equal(np.sort(cells.members), np.arange(n))
+        assert cells.count == len(holders)
+        collapsed = cell_space(Y, cells)
+        for pile in ({}, {"natural": True}, {"phi": True}):
+            whole = pileup(block, cov, pile.get("natural", False),
+                           cov.phi if pile.get("phi") else None)
+            on_cells = whole[cells.members[starts]]
+            assert np.array_equal(
+                whole[cells.members],
+                np.repeat(on_cells, np.diff(cells.member_ptr), axis=0))
+            assert np.allclose(pileup_norms(collapsed, block, cov, **pile),
+                               Y.column_norms(whole), rtol=1e-14, atol=0.0)
+        if cells.count != n:
+            with pytest.raises(StructuralError, match="not collapsed"):
+                pileup_norms(Y, block, cov)
+        want = cov.pair_sums(cov.phi[:, None] * np.abs(block)[
             cov.holders(0, n)])
-        assert np.array_equal(pileup(block, cov, phi=pou.phi), want)
+        assert np.array_equal(pileup(block, cov, phi=cov.phi), want)
 
     @given(st.integers(0, 2 ** 31 - 1),
            st.sampled_from([1.0, 1.5, 2.0, 3.0, np.inf]),
-           st.sampled_from([0.0, 2.0, 3.0]), st.sampled_from(["flat", "smooth"]))
+           st.sampled_from([0.0, 2.0, 3.0]))
     @settings(max_examples=60, deadline=None)
-    def test_cell_pileup_norms_match_grid(self, seed, p, overlap, kind):
+    def test_cell_pileup_norms_match_grid(self, seed, p, overlap):
         """On a partition (no overlap) and on overlapping uniform coverings,
-        under the flat and the smooth partition, the flat, natural and
-        partition-weighted pile-up norms taken on the cells equal the Y-norms
-        of the pile-ups formed on the grid, to 1e-13, for random weights
-        spanning six decades and sequences with zero entries."""
+        the flat, natural and partition-weighted pile-up norms taken on the
+        cells equal the Y-norms of the pile-ups formed on the grid, to
+        1e-13, for random weights spanning six decades and sequences with
+        zero entries."""
         r = np.random.default_rng(seed)
         space = uniform_grid(40, spacing=1.0, weights=r.uniform(0.1, 2.0, 40))
         cov = uniform_covering(space, 6.0, overlap=overlap)
-        pou = build_pou(cov, kind)
         Y = WeightedLp(space, p, np.exp(r.uniform(-7.0, 7.0, 40)))
         seq = r.standard_normal((cov.n_sets, 4)) \
             + 1j * r.standard_normal((cov.n_sets, 4))
         seq[r.random(cov.n_sets) < 0.3] = 0.0
-        collapsed = cell_space(Y, pou.cells)
+        collapsed = cell_space(Y, cov.cells)
         for natural, phi in ((False, False), (True, False), (False, True)):
             want = Y.column_norms(pileup(seq, cov, natural,
-                                         pou.phi if phi else None))
-            got = pileup_norms(collapsed, seq, pou, natural, phi)
+                                         cov.phi if phi else None))
+            got = pileup_norms(collapsed, seq, cov, natural, phi)
             assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_pileup_leaves_uncovered_points_zero(self, grid64):

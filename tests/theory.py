@@ -471,6 +471,6 @@ def apply_smoothed(model: FrameModel, plan: SamplingPlan, gamma: PhaseFunction,
     n = arr.size
     points = np.repeat(np.arange(n), cov.cover_counts)
     held = plan.samples[cov.holders(0, n)]
-    g = cov.pair_sums(np.conj(gamma(points, held)) * plan.pou.phi * arr[held])
+    g = cov.pair_sums(np.conj(gamma(points, held)) * cov.phi * arr[held])
     return model.vectors.conj().T @ (
         model.s_inverse @ (model.vectors @ (model.space.weights * g)))
