@@ -9,10 +9,9 @@ atomic decompositions, and two-sided norm equivalences.
 
 from .coverings import Covering, singleton_covering, uniform_covering, \
     validate_covering, weight_compatibility
-from .discretize import SamplingInverse, SamplingPlan, atomic_decomposition, \
-    dual_frame, hilbert_frame_bounds, observed_contraction, \
-    reconstruct_from_samples, select_samples, synthesize_plan, \
-    verify_sampled_bounds
+from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
+    hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
+    synthesize_sampled, verify_sampled_bounds
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import SchurSums, Weight2D
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \

@@ -4,7 +4,8 @@ Subcommands: validate, osc, discretize. Configuration is a
 flat JSON document with kebab-case keys; any key can be overridden on the
 command line by the flag of the same name. Exit codes: 0 success,
 1 property failure, 2 configuration error (including a file that cannot be
-read, decoded or written), 3 certification refusal, 4 numerical failure.
+read, decoded or written), 3 certification refusal, 4 numerical failure
+(including running out of memory).
 """
 
 from __future__ import annotations
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
         return EXIT_CERTIFICATION
     except (SingularOperatorError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

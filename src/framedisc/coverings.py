@@ -3,7 +3,7 @@
 A covering is a finite family of nonempty point-index subsets. Its one
 partition of unity is the flat one, phi_i(x) = 1/#{j : x in U_j} on U_i:
 bounded, subordinate to the covering and summing to one wherever the
-covering reaches, which is all a sampling plan needs of it. Validation
+covering reaches, which is all the sampling operator needs of it. Validation
 computes the overlap bound N, the smallest set measure D, and the
 moderateness constant C~ = max mu(U_i)/mu(U_j) over intersecting pairs,
 all by exact enumeration.
@@ -105,6 +105,8 @@ class Covering:
       q_bound            max_y |Q_y| <= max_y sum of |U_i| over U_i holding y
       phi                the flat partition of unity, one value per pair
       cells              the classes of points held by the same sets
+      samples            x_i, the point of largest weight in U_i
+      masses             c_i = integral of phi_i
     """
 
     space: QuadratureSpace
@@ -242,6 +244,36 @@ class Covering:
         the order ``pair_sums`` reads; off those pairs phi_i is zero."""
         counts = self.cover_counts
         out = 1.0 / np.repeat(counts, counts)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """x_i, one sample per set: the point of U_i of largest quadrature
+        weight, ties going to the lowest index."""
+        weights = self.space.weights
+        # the pairs are set-major with ascending points, so the first pair of
+        # a set at the set's largest weight holds its lowest such index
+        vals = weights[self.flat_points]
+        top = np.flatnonzero(vals == self.set_extrema(weights)[0][self.flat_sets])
+        out = self.flat_points[top[np.diff(self.flat_sets[top], prepend=-1) != 0]]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """c_i = integral of phi_i; refuses a covering that leaves a point out."""
+        n = self.space.n_points
+        counts = self.cover_counts
+        if np.any(counts == 0):
+            raise StructuralError("cannot build a partition of unity: "
+                                  "uncovered points")
+        points = np.repeat(np.arange(n), counts)
+        out = np.bincount(self.holders(0, n),
+                          self.phi * self.space.weights[points],
+                          minlength=self.n_sets)
+        if np.any(out <= 0):
+            raise StructuralError("partition masses must be positive")
         out.setflags(write=False)
         return out
 

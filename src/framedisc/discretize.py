@@ -1,7 +1,7 @@
 """Sampling the frame through a covering: operators, inversion, dual frames.
 
-Given a covering with its partition of unity and one sample point per set,
-the sampling operator
+Given a covering, with its flat partition of unity and one sample point per
+set (``Covering.samples``, ``Covering.masses``), the sampling operator
 
     (U F)(x) = sum_i c_i F(x_i) R(x, x_i),      c_i = integral of phi_i,
 
@@ -15,8 +15,6 @@ verification helpers compute both sides.
 from __future__ import annotations
 
 import copy
-import hashlib
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,64 +50,10 @@ ITERATE_BYTES = 48
 BOUNDS_SLACK = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class SamplingPlan:
-    """One sample point per set of a covering; the masses c_i = integral of
-    phi_i are those of the covering's partition of unity (``Covering.phi``)."""
-
-    covering: Covering
-    samples: np.ndarray
-    masses: np.ndarray = field(init=False)      # c_i
-
-    def __post_init__(self):
-        cov = self.covering
-        n = cov.space.n_points
-        counts = cov.cover_counts
-        if np.any(counts == 0):
-            raise StructuralError("cannot build a partition of unity: "
-                                  "uncovered points")
-        idx = np.asarray(self.samples, dtype=int).reshape(-1)
-        if idx.shape[0] != cov.n_sets:
-            raise StructuralError("one sample point per covering set required")
-        inside = np.zeros(cov.n_sets, dtype=bool)
-        inside[cov.flat_sets[cov.flat_points == idx[cov.flat_sets]]] = True
-        if not inside.all():
-            i = int(np.argmin(inside))
-            raise StructuralError(f"sample {idx[i]} is not inside covering set {i}")
-        points = np.repeat(np.arange(n), counts)
-        c = np.bincount(cov.holders(0, n), cov.phi * cov.space.weights[points],
-                        minlength=cov.n_sets)
-        if np.any(c <= 0):
-            raise StructuralError("partition masses must be positive")
-        idx.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "samples", idx)
-        object.__setattr__(self, "masses", c)
-
-    def identifier(self) -> str:
-        """Deterministic content hash of the covering and the samples, used
-        in reports."""
-        text = f"{self.covering.identifier()}-{'.'.join(map(str, self.samples))}"
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def select_samples(cov: Covering) -> SamplingPlan:
-    """The plan sampling each set of ``cov`` at its point of largest
-    quadrature weight; ties break to the lowest index."""
-    weights = cov.space.weights
-    # the pairs are set-major with ascending points, so the first pair of
-    # a set at the set's largest weight holds its lowest such index
-    vals = weights[cov.flat_points]
-    top = np.flatnonzero(vals == cov.set_extrema(weights)[0][cov.flat_sets])
-    first = top[np.diff(cov.flat_sets[top], prepend=-1) != 0]
-    return SamplingPlan(cov, cov.flat_points[first])
-
-
-def _restricted_matrix(model: FrameModel, plan: SamplingPlan) -> np.ndarray:
+def _restricted_matrix(model: FrameModel, cov: Covering) -> np.ndarray:
     """Action of U on analysis coordinates: U(V g) = V(S^{-1} S_c g)."""
-    xs = plan.samples
-    psi = model.vectors[:, xs]
-    s_c = (psi * plan.masses[None, :]) @ psi.conj().T
+    psi = model.vectors[:, cov.samples]
+    s_c = (psi * cov.masses[None, :]) @ psi.conj().T
     return model.s_inverse @ s_c
 
 
@@ -125,9 +69,9 @@ class SamplingInverse:
     them on the whole grid. The handle is the one argument the
     decomposition, reconstruction, dual-frame, residual, cross-check,
     observed-contraction and bounds helpers take: they read the model,
-    plan, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's range metric
-    from it. A report of another covering, or under another weight than
-    Y's, certifies nothing for this plan in Y and is refused here.
+    covering, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's range
+    metric from it. A report of another covering, or under another weight
+    than Y's, certifies nothing for this covering in Y and is refused here.
     The constructor asks Y once for its range metric
     (``WeightedLp.range_metric``); where Y gives none it forms kappa_Y and
     C_Y below instead. ``other_method`` gives the handle of the other
@@ -152,25 +96,25 @@ class SamplingInverse:
     stops no earlier than the exact rule would stop it.
     """
 
-    def __init__(self, model: FrameModel, plan: SamplingPlan, Y: WeightedLp,
+    def __init__(self, model: FrameModel, covering: Covering, Y: WeightedLp,
                  method: str = "neumann", tol: float = 1e-12, n_max: int = 200,
                  report: OscReport | None = None):
         # a report of another covering or weight certifies nothing here
         if report is not None:
-            if report.covering_id != plan.covering.identifier():
+            if report.covering_id != covering.identifier():
                 raise StructuralError(
                     f"oscillation report made for covering "
-                    f"{report.covering_id}, not the plan's covering")
+                    f"{report.covering_id}, not the inverse's covering")
             if not np.array_equal(report.weight.w, Y.w):
                 raise StructuralError("oscillation report made under another "
                                       "weight than Y's")
         self.model = model
-        self.plan = plan
+        self.covering = covering
         self.Y = Y
         self.tol = float(tol)
         self.n_max = int(n_max)
         self.report = report
-        self._restricted = _restricted_matrix(model, plan)
+        self._restricted = _restricted_matrix(model, covering)
         self._analysis = model.vectors.conj().T
         self._metric = Y.range_metric(model.vectors)
         if self._metric is None:
@@ -207,7 +151,7 @@ class SamplingInverse:
 
     def other_method(self) -> "SamplingInverse":
         """The handle of the other method (Neumann for direct, direct for
-        Neumann) on the same plan, Y, report, ``tol`` and ``n_max``, reusing
+        Neumann) on the same covering, Y, report, ``tol`` and ``n_max``, reusing
         this handle's S^{-1} S_c and its range metric or kappa_Y and C_Y.
         Raises what that method's constructor raises."""
         other = copy.copy(self)
@@ -239,9 +183,9 @@ class SamplingInverse:
 
     @cached_property
     def cell_space(self) -> WeightedLp:
-        """Y collapsed on the plan's cells (``spaces.cell_space``), where the
-        checks norm their pile-ups (``spaces.pileup_norms``)."""
-        return cell_space(self.Y, self.plan.covering.cells)
+        """Y collapsed on the covering's cells (``spaces.cell_space``), where
+        the checks norm their pile-ups (``spaces.pileup_norms``)."""
+        return cell_space(self.Y, self.covering.cells)
 
     def _term_norms(self, coords: np.ndarray) -> np.ndarray:
         """What the stopping rule tests for each column of a Neumann term:
@@ -298,9 +242,9 @@ class SamplingInverse:
         """The read-only (d, n_sets) block U^{-1} c_i S^{-1} psi_{x_i}, one
         column per sample: the canonical coordinates of the dual frame
         (``dual_frame``), inverted once per handle for both roles."""
-        model, plan = self.model, self.plan
-        coords = model.s_inverse @ (model.vectors[:, plan.samples]
-                                    * plan.masses[None, :])
+        model, cov = self.model, self.covering
+        coords = model.s_inverse @ (model.vectors[:, cov.samples]
+                                    * cov.masses[None, :])
         out = self.invert_coords(coords)
         out.setflags(write=False)
         return out
@@ -361,7 +305,7 @@ def _as_columns(values, length: int, what: str) -> tuple:
 
 def atomic_decomposition(inverse: SamplingInverse, f,
                          swap_roles: bool = False) -> np.ndarray:
-    """Coefficients lambda_i = c_i (U^{-1} A f)(x_i) in the inverse's plan.
+    """Coefficients lambda_i = c_i (U^{-1} A f)(x_i) at the inverse's samples.
 
     A is the dual analysis for expansion in the sampled frame vectors, or
     the plain analysis (``swap_roles``) for expansion in the sampled
@@ -369,22 +313,23 @@ def atomic_decomposition(inverse: SamplingInverse, f,
     may be one vector or a (d, k) block of column vectors, giving an
     (n_sets, k) block of coefficients.
     """
-    model, plan = inverse.model, inverse.plan
+    model, cov = inverse.model, inverse.covering
     vecs, shape = _as_columns(f, model.dim, "vector")
     coords = vecs if swap_roles else model.s_inverse @ vecs
     g = inverse.invert_coords(coords)
-    out = plan.masses[:, None] * (model.vectors[:, plan.samples].conj().T @ g)
-    return out.reshape((plan.covering.n_sets,) + shape)
+    out = cov.masses[:, None] * (model.vectors[:, cov.samples].conj().T @ g)
+    return out.reshape((cov.n_sets,) + shape)
 
 
-def synthesize_plan(model: FrameModel, plan: SamplingPlan, coeffs,
-                    swap_roles: bool = False) -> np.ndarray:
-    """sum_i lambda_i times the sampled atom (dual atoms when swapped).
+def synthesize_sampled(model: FrameModel, cov: Covering, coeffs,
+                       swap_roles: bool = False) -> np.ndarray:
+    """sum_i lambda_i times the atom at sample x_i of ``cov`` (dual atoms
+    when swapped).
 
     ``coeffs`` may be one sequence or an (n_sets, k) block of them.
     """
-    lam, shape = _as_columns(coeffs, plan.covering.n_sets, "coefficient sequence")
-    out = model.vectors[:, plan.samples] @ lam
+    lam, shape = _as_columns(coeffs, cov.n_sets, "coefficient sequence")
+    out = model.vectors[:, cov.samples] @ lam
     if swap_roles:
         out = model.s_inverse @ out
     return out.reshape((model.dim,) + shape)
@@ -401,10 +346,10 @@ def reconstruct_from_samples(inverse: SamplingInverse, samples,
     formed. ``samples`` may be an (n_sets, k) block, one sample set per
     column, giving a (d, k) block of vectors.
     """
-    model, plan = inverse.model, inverse.plan
-    vals, shape = _as_columns(samples, plan.covering.n_sets, "sample set")
-    xs = plan.samples
-    coords = model.s_inverse @ (model.vectors[:, xs] @ (plan.masses[:, None] * vals))
+    model, cov = inverse.model, inverse.covering
+    vals, shape = _as_columns(samples, cov.n_sets, "sample set")
+    coords = model.s_inverse @ (model.vectors[:, cov.samples]
+                                @ (cov.masses[:, None] * vals))
     g = inverse.invert_coords(coords)
     out = model.frame_operator @ g if swap_roles else g
     return out.reshape((model.dim,) + shape)
@@ -425,11 +370,10 @@ def dual_frame(inverse: SamplingInverse, swap_roles: bool = False) -> np.ndarray
     return (inverse.model.frame_operator @ e if swap_roles else e).T
 
 
-def hilbert_frame_bounds(model: FrameModel, plan: SamplingPlan) -> tuple:
+def hilbert_frame_bounds(model: FrameModel, cov: Covering) -> tuple:
     """Extreme eigenvalues of sum_i mu(U_i) psi_{x_i} psi_{x_i}^*."""
-    xs = plan.samples
-    psi = model.vectors[:, xs]
-    op = (psi * plan.covering.measures[None, :]) @ psi.conj().T
+    psi = model.vectors[:, cov.samples]
+    op = (psi * cov.measures[None, :]) @ psi.conj().T
     evals = np.linalg.eigvalsh(0.5 * (op + op.conj().T))
     return float(evals[0]), float(evals[-1])
 
@@ -523,23 +467,10 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     return float(max(best, np.max(ni[keep] / nf[keep], initial=0.0)))
 
 
-def _sampled_row_constant(model: FrameModel, plan: SamplingPlan,
-                          report: OscReport) -> float:
-    """Certified bound on the Schur norm of the sampled-row kernel
-    K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x) under the report's weight
-    (``oscillation.kernel_norms``; exact under a trivial weight): the
-    report's ``d_const`` when it was made with this plan (``d_plan``),
-    else the last value of one R pass with the plan.
-    """
-    if report.d_plan == plan.identifier():
-        return report.d_const
-    return kernel_norms(model, report.weight, plan)[1]
-
-
 def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
                           seed: int = 0) -> dict:
     """Measure every inequality the sampled kernels certify, for the
-    inverse's plan in its Y, and return the JSON dict of each certified
+    inverse's covering in its Y, and return the JSON dict of each certified
     constant beside the worst observed ratio it dominates: ``D_const`` and
     ``D_observed`` (the sampled-row kernel), ``sigma_const`` and
     ``sigma_observed`` (the pile-up), ``measure_const`` and
@@ -547,8 +478,8 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     ``range_sup_observed`` (R into the sup space), the finite two-sided
     ``transform_norm_ratios`` and the count of ``violations``.
 
-    The handle must carry the oscillation report of its plan's covering
-    (one without a report is refused, StructuralError); the constants are
+    The handle must carry the oscillation report of its covering (one
+    without a report is refused, StructuralError); the constants are
     taken under the report's weight m. The range-sup constant asks for the
     norms of osc and R under m_v, the weight of the sup space; it takes
     their norms under m, which bound them since m_v <= m (``kernels``), and
@@ -559,43 +490,45 @@ def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
     ratios exceeding their constant beyond ``BOUNDS_SLACK``. The
     sampled-row constant is a certified bound on D under the report's
     weight, exact under a trivial one (``oscillation.kernel_norms``): the
-    report's ``d_const`` when the report was made with the plan
-    (``d_plan``), so no second pass over R runs; another plan gets an R
-    pass of its own (``_sampled_row_constant``).
+    report's ``d_const`` when the report's R pass gave it
+    (``oscillation_report(..., sampled=True)``), so no second pass over R
+    runs; a report without it (the refine path) gets one R pass here.
 
     The trials run as blocks, one column each, and none is formed on the
     whole grid. A range function F = V* a is held as its coordinates a:
     its sup and L^1_v norms come from one pass over row blocks of V* a
     (``range_norms``), with its Y-norm unless Y gives a range metric
     (p = 2), where that is the quadratic form; its samples are
-    V[:, x_i]^* a, and the pile-ups are normed on the plan's cells
+    V[:, x_i]^* a, and the pile-ups are normed on the covering's cells
     (``pileup_norms``). The kernel applied to a measure
     sum_k lambda_k delta_{y_k} has coordinates
     S^{-1} sum_k lambda_k psi_{y_k}, and the measure's per-set masses,
     which its decomposition norm piles up, are summed over the sets
     holding each atom.
     """
-    model, plan, Y, report = inverse.model, inverse.plan, inverse.Y, inverse.report
+    model, cov, report = inverse.model, inverse.covering, inverse.report
     if report is None:
         raise StructuralError("bounds need an inverse made with an "
                               "oscillation report")
     rng = np.random.default_rng(seed)
     space = model.space
-    cov = plan.covering
     weight = report.weight
 
-    d_const = _sampled_row_constant(model, plan, report)
+    d_const = report.d_const
+    if d_const is None:
+        d_const = kernel_norms(model, weight, cov)[1]
     meas_const = report.osc_norm + report.r_norm
     sigma = report.pileup_sigma
-    sup_space = sup_infinity_space(Y, weight)
-    range_sup_const = meas_const * local_integrability_constant(cov, Y, weight)
+    sup_space = sup_infinity_space(inverse.Y, weight)
+    range_sup_const = meas_const * local_integrability_constant(
+        cov, inverse.Y, weight)
 
     g = random_vectors(rng, model.dim, n_trials)
     sup_l1v = [sup_space, WeightedLp(space, 1.0, weight.v)]
     sup, l1v, ny = inverse.range_norms(g, sup_l1v)
     keep = ny > 0.0
     g, ny, sup, l1v = g[:, keep], ny[keep], sup[keep], l1v[keep]
-    vals = model.vectors[:, plan.samples].conj().T @ g
+    vals = model.vectors[:, cov.samples].conj().T @ g
     d_obs = np.max(pileup_norms(inverse.cell_space, vals, cov) / ny,
                    initial=0.0)
     sig_obs = np.max(pileup_norms(inverse.cell_space, vals, cov,

@@ -13,8 +13,8 @@ are formed in blocks from the model's rank-d factors and streamed into the
 Schur sums (``oscillation_norms``), and so are the upper-triangle strips
 of R (``kernel_norms``). Both passes form each distinct kernel entry once:
 |R| m is symmetric, and for a Hermitian phase the osc rows of the pairs
-(y, z) and (z, y) have the same moduli. Given a sampling plan, the R pass
-also yields a certified bound on the plan's sampled-row constant D under
+(y, z) and (z, y) have the same moduli. Given the covering's samples, the
+R pass also yields a certified bound on their sampled-row constant D under
 the target weight, equal to D under a trivial weight. Each pass runs under
 the target weight alone: its norm also bounds the norm under m_v, the
 weight of the sup space (``kernels``).
@@ -23,7 +23,7 @@ weight of the sup space (``kernels``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -257,12 +257,12 @@ class OscReport:
     property of those four (``sigma_constant``, ``invertibility_condition``),
     so ``replace(report, delta=...)`` is the report of another budget.
     It names its covering (``covering_id``) and keeps its ``weight``, which
-    its consumers read; they refuse a plan on another covering. Both norms
-    are taken under that weight's m, which also bounds them under m_v, the
-    weight of the sup space (``kernels``). Not serialized: ``weight``; and,
-    given a plan, the bound on its sampled-row constant ``d_const`` from
-    the same R pass (``kernel_norms``) and its ``identifier()`` as
-    ``d_plan`` (else None).
+    its consumers read; they refuse a report of another covering. Both
+    norms are taken under that weight's m, which also bounds them under
+    m_v, the weight of the sup space (``kernels``). Not serialized:
+    ``weight``, and ``d_const``, the bound on the sampled-row constant of
+    the covering's samples from the same R pass (``kernel_norms``) when
+    the report was made ``sampled`` (else None).
     """
 
     osc_norm: float
@@ -275,7 +275,6 @@ class OscReport:
     gamma_rule: str
     weight: Weight2D
     d_const: float | None = None
-    d_plan: str | None = None
 
     @property
     def sigma(self) -> float:
@@ -334,25 +333,20 @@ class OscReport:
 
 
 def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       weight: Weight2D, delta: float, plan=None) -> OscReport:
+                       weight: Weight2D, delta: float,
+                       sampled: bool = False) -> OscReport:
     """Evaluate the oscillation budget; reports, never raises on failure.
 
-    With a sampling ``plan`` on ``cov`` (another covering's is refused
-    before any pass, StructuralError), the R pass also gives the bound on
-    the plan's sampled-row constant D under ``weight`` (``kernel_norms``),
-    carried as ``d_const`` with the plan's ``identifier()`` as ``d_plan``.
+    With ``sampled`` the R pass also gives the bound on the sampled-row
+    constant D of the covering's samples under ``weight``
+    (``kernel_norms``), carried as ``d_const``.
     """
-    if plan is not None and plan.covering.identifier() != cov.identifier():
-        raise StructuralError("the plan is on another covering than the report's")
     osc_norm = oscillation_norms(model, cov, gamma, weight)
-    r_norm, d_const = kernel_norms(model, weight, plan)
-    report = _report(model, cov, gamma, weight, delta, osc_norm, r_norm)
-    if plan is None:
-        return report
-    return replace(report, d_const=d_const, d_plan=plan.identifier())
+    r_norm, d_const = kernel_norms(model, weight, cov if sampled else None)
+    return _report(model, cov, gamma, weight, delta, osc_norm, r_norm, d_const)
 
 
-def kernel_norms(model: FrameModel, weight: Weight2D, plan=None) -> tuple:
+def kernel_norms(model: FrameModel, weight: Weight2D, cov=None) -> tuple:
     """(|R|, D bound): the Schur norm of R under ``weight``, from one pass
     over the upper triangle of |R| in strips |R|[a:b, a:] formed from the
     model's factors (``SchurSums.add_upper``): |R| m is symmetric,
@@ -362,7 +356,7 @@ def kernel_norms(model: FrameModel, weight: Weight2D, plan=None) -> tuple:
     and moduli, plus the Schur sums' m under a non-trivial weight, within
     ``BLOCK_BYTES`` (``upper_strips``), and both buffers are allocated once.
 
-    Given a sampling ``plan`` (one on another grid is refused before the
+    Given a covering ``cov`` (one on another grid is refused before the
     pass, StructuralError), the second value is a certified upper bound on
     D (else None), the Schur norm under the weight's m of
     K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x). With
@@ -379,8 +373,8 @@ def kernel_norms(model: FrameModel, weight: Weight2D, plan=None) -> tuple:
     """
     n = model.space.n_points
     measure = None
-    if plan is not None:
-        cov, samples = plan.covering, plan.samples
+    if cov is not None:
+        samples = cov.samples
         _same_space(model, cov)
         w = weight.w
         top, low = cov.set_extrema(w)
@@ -402,10 +396,10 @@ def kernel_norms(model: FrameModel, weight: Weight2D, plan=None) -> tuple:
                                 out=prod[:math.prod(shape)].reshape(shape))
             strip = np.abs(product, out=mods[:product.size].reshape(shape))
             row_sums = sums.add_upper(rows.start, strip, xs)
-            if plan is not None and row_sums is not None:
+            if cov is not None and row_sums is not None:
                 rho[rows] = row_sums
     norms = sums.norms()
-    if plan is None:
+    if cov is None:
         return norms[0], None
     return norms[0], float(max(cov.point_sums(spread * rho[samples]).max(),
                                norms[1]))
@@ -413,7 +407,7 @@ def kernel_norms(model: FrameModel, weight: Weight2D, plan=None) -> tuple:
 
 def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
             weight: Weight2D, delta: float, osc_norm: float,
-            r_norm: float) -> OscReport:
+            r_norm: float, d_const: float | None = None) -> OscReport:
     """The budget from the norms of osc and R under ``weight``."""
     return OscReport(
         osc_norm=float(osc_norm),
@@ -425,6 +419,7 @@ def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
         n_sets=cov.n_sets,
         gamma_rule=gamma.rule,
         weight=weight,
+        d_const=d_const,
     )
 
 
@@ -443,8 +438,9 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
 
     Starts from a single box spanning the grid and halves the box width each
     round. Succeeds as soon as the oscillation norm is below ``delta`` and
-    the invertibility condition holds; an all-singleton covering ends the
-    search regardless, since its oscillation vanishes.
+    the invertibility condition holds. An all-singleton covering, whose
+    oscillation vanishes, ends the search either way: one that fails the
+    invertibility condition raises CertificationError.
     Each round's oscillation is screened column by column: a round is
     rejected, with no report, at the first column whose weighted Schur sum
     proves the norm at least ``delta``. Rounds that get through the screen
@@ -478,9 +474,13 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
             if r_norm is None:
                 r_norm = kernel_norms(model, weight)[0]
             last = _report(model, cov, gamma, weight, delta, scan, r_norm)
-            singleton = cov.flat_points.size == cov.n_sets
-            if last.certified or (singleton and last.oscillation_ok):
+            if last.certified:
                 return cov, last
+            if cov.flat_points.size == cov.n_sets:
+                raise CertificationError(
+                    f"the all-singleton covering meets the oscillation budget "
+                    f"but not the invertibility condition (condition_lhs "
+                    f"{last.condition_lhs:.4f} > 1)")
         width = width / 2.0
     if isinstance(last, Screened):
         found = (f"osc_norm >= {_floor_4(last.lower_bound):.3e} vs delta {delta:.3e}; "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from .coverings import Covering, validate_covering
 from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
     hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
-    select_samples, synthesize_plan, verify_sampled_bounds
+    synthesize_sampled, verify_sampled_bounds
 from .errors import CertificationError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
@@ -28,12 +29,11 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
     on the whole grid: the range functions V* a are held as their
     coordinates a, whose Y-norms come through the handle (``range_norms``),
     the sample values are V[:, x_i]^* a, and the pile-ups are normed on
-    the plan's cells (``pileup_norms``).
+    the covering's cells (``pileup_norms``).
     """
     rng = np.random.default_rng(seed)
-    model, plan = inverse.model, inverse.plan
+    model, cov = inverse.model, inverse.covering
     duals = dual_frame(inverse, swap_roles=swap_roles)
-    xs = plan.samples
     f = random_vectors(rng, model.dim, n_trials)
     f /= np.linalg.norm(f, axis=0)
 
@@ -41,25 +41,25 @@ def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
         return np.linalg.norm(rec - f, axis=0)
 
     lam = atomic_decomposition(inverse, f, swap_roles=swap_roles)
-    atomic = errors(synthesize_plan(model, plan, lam, swap_roles=swap_roles))
+    atomic = errors(synthesize_sampled(model, cov, lam, swap_roles=swap_roles))
 
     dual_f = model.s_inverse @ f
     # the coordinates of the sampled range function and of its dual
     base, dual_base = (dual_f, f) if swap_roles else (f, dual_f)
-    samples = model.vectors[:, xs].conj().T @ base
+    samples = model.vectors[:, cov.samples].conj().T @ base
     banach = errors(reconstruct_from_samples(inverse, samples,
                                              swap_roles=swap_roles))
 
     inner = duals.conj() @ f
     duality = np.max(np.abs(lam - inner), axis=0)
-    exp_b = errors(synthesize_plan(model, plan, inner, swap_roles=swap_roles))
+    exp_b = errors(synthesize_sampled(model, cov, inner, swap_roles=swap_roles))
     exp_c = errors(duals.T @ samples)
 
     ny = inverse.range_norms(base)
     flat_ratios = pileup_norms(inverse.cell_space, samples,
-                               plan.covering)[ny > 0] / ny[ny > 0]
+                               cov)[ny > 0] / ny[ny > 0]
     nyd = inverse.range_norms(dual_base)
-    natural_ratios = pileup_norms(inverse.cell_space, inner, plan.covering,
+    natural_ratios = pileup_norms(inverse.cell_space, inner, cov,
                                   natural=True)[nyd > 0] / nyd[nyd > 0]
 
     return {
@@ -141,8 +141,8 @@ def cross_check_inversion(inverse: SamplingInverse,
 @dataclass(frozen=True, eq=False)
 class DiscretizationResult:
     """Every certified constant and measured residual of one full run; the
-    covering, the plan, the inversion method and the contraction bounds are
-    read off the run's ``inverse`` and its report."""
+    covering and its samples, the inversion method and the contraction
+    bounds are read off the run's ``inverse`` and its report."""
 
     inverse: SamplingInverse
     contraction_observed: float
@@ -157,9 +157,10 @@ class DiscretizationResult:
     n_trials: int
 
     def to_json_dict(self) -> dict:
-        report, plan = self.inverse.report, self.inverse.plan
+        report, cov = self.inverse.report, self.inverse.covering
         osc = report.to_json_dict()
         nominal, sharp = report.contraction_bounds
+        plan = f"{cov.identifier()}-{'.'.join(map(str, cov.samples))}"
         return {
             "schema_version": "1",
             "constants": {
@@ -181,10 +182,10 @@ class DiscretizationResult:
                 "holds_58": osc["holds_58"],
                 "condition_lhs": osc["condition_lhs"],
             },
-            "covering": validate_covering(plan.covering),
+            "covering": validate_covering(cov),
             "covering_id": osc["covering_id"],
-            "plan_id": plan.identifier(),
-            "samples": [int(s) for s in plan.samples],
+            "plan_id": hashlib.sha256(plan.encode()).hexdigest()[:12],
+            "samples": [int(s) for s in cov.samples],
             "inversion_method": self.inverse.method,
             "cross_method_gap": self.cross_method_gap,
             "reproducing_defect": self.reproducing_defect,
@@ -205,37 +206,37 @@ def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
     """Full pipeline: covering -> oscillation budget -> inversion -> residuals.
 
     With ``covering=None`` the covering is refined until the budget and the
-    invertibility condition hold. A given covering's plan is built before
-    its oscillation report, whose R pass then also gives the bound on the
-    plan's sampled-row constant. The checks read the plan, Y, report and
-    S^{-1} S_c off the run's inverse. Every weighted norm is taken under
-    Y's own two-point weight (``WeightedLp.weight2d``).
+    invertibility condition hold. A given covering is refused before any
+    pass if it leaves a point out (``Covering.masses``), and its report's R
+    pass also gives the bound on its samples' sampled-row constant. The
+    checks read the covering, Y, report and S^{-1} S_c off the run's
+    inverse. Every weighted norm is taken under Y's own two-point weight
+    (``WeightedLp.weight2d``).
     Raises CertificationError when Neumann inversion lacks a usable
     certificate.
     """
     weight = Y.weight2d()
-    report = None
     if covering is None:
         covering, report = refine_until(model, weight, delta,
                                         gamma_rule=gamma_rule,
                                         max_rounds=refine_max_rounds)
-    plan = select_samples(covering)
-    if report is None:
+    else:
+        covering.masses         # refuses an uncovered covering before any pass
         report = oscillation_report(model, covering,
                                     PhaseFunction(model, gamma_rule), weight,
-                                    delta, plan=plan)
+                                    delta, sampled=True)
 
-    inverse = SamplingInverse(model, plan, Y, method=method, tol=tol,
+    inverse = SamplingInverse(model, covering, Y, method=method, tol=tol,
                               n_max=n_max, report=report)
     observed = observed_contraction(inverse, seed=seed)
     gap = cross_check_inversion(inverse, seed=seed)
     res = residual_suite(inverse, n_trials=n_trials, seed=seed)
     res_sw = residual_suite(inverse, n_trials=n_trials, seed=seed + 1,
                             swap_roles=True)
-    c1, c2 = hilbert_frame_bounds(model, plan)
+    c1, c2 = hilbert_frame_bounds(model, covering)
     if report.invertibility_ok and not c1 > 0.0:
         raise CertificationError(
-            "certified plan produced a degenerate sampled frame operator"
+            "certified covering produced a degenerate sampled frame operator"
         )
     bounds = verify_sampled_bounds(inverse, n_trials=n_trials, seed=seed)
     defect = reproducing_defect(model, weight)

@@ -41,7 +41,7 @@ import numpy as np
 
 from framedisc import Covering, StructuralError
 from framedisc.discretize import atomic_decomposition, dual_frame, \
-    reconstruct_from_samples, synthesize_plan
+    reconstruct_from_samples, synthesize_sampled
 from framedisc.kernels import even_step, row_slices
 from framedisc.models import random_vectors
 from framedisc.spaces import WeightedLp, sup_infinity_space
@@ -198,12 +198,12 @@ def osc_tile_keys_naive(cov, start, stop, cells):
     return counts
 
 
-def sampled_row_kernel(model, plan):
+def sampled_row_kernel(model, cov):
     """K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x): rows of R spread over sets."""
-    return plan.covering.point_sums(np.abs(dense_kernel(model)[plan.samples, :]))
+    return cov.point_sums(np.abs(dense_kernel(model)[cov.samples, :]))
 
 
-def sampled_row_bound_naive(model, plan, w):
+def sampled_row_bound_naive(model, cov, w):
     """The certified bound on the sampled-row constant D under the weight
     of the pointwise ``w`` that ``kernel_norms`` reports, written as loops
     over the sets i, the points x and the points y.
@@ -217,8 +217,8 @@ def sampled_row_bound_naive(model, plan, w):
     mu = model.space.weights
     n = model.space.n_points
     m = weight_matrix_naive(w)
-    sets = [list(map(int, s)) for s in sets_of(plan.covering)]
-    samples = [int(x) for x in plan.samples]
+    sets = [list(map(int, s)) for s in sets_of(cov)]
+    samples = [int(x) for x in cov.samples]
     spread, rho, measure = [], [], []
     for i, s in enumerate(sets):
         xi = samples[i]
@@ -424,8 +424,10 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
 
     The same halving schedule as ``refine_until``, but each round builds the
     complete ``oscillation_report`` (an unscreened pass over the whole
-    oscillation kernel, both Schur norms, C_mU) before deciding. When the rounds run
-    out, the raised error carries the last round's report as ``last_report``.
+    oscillation kernel, both Schur norms, C_mU) before deciding. Only a
+    certified covering is accepted; an all-singleton one that is not ends
+    the search with CertificationError. The raised error carries the last
+    round's report as ``last_report``.
     """
     from framedisc import CertificationError, PhaseFunction, StructuralError, \
         oscillation_report, singleton_covering, uniform_covering
@@ -448,15 +450,20 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
         else:
             cov = singleton_covering(space)
         report = oscillation_report(model, cov, gamma, weight, delta)
-        done = report.oscillation_ok and report.invertibility_ok
-        singleton = all(s.size == 1 for s in sets_of(cov))
-        if done or (singleton and report.oscillation_ok):
+        if report.oscillation_ok and report.invertibility_ok:
             return cov, report
+        if all(s.size == 1 for s in sets_of(cov)):
+            err = CertificationError(
+                f"the all-singleton covering meets the oscillation budget but "
+                f"not the invertibility condition (condition_lhs "
+                f"{report.condition_lhs:.4f} > 1)")
+            break
         width = width / 2.0
-    err = CertificationError(
-        f"no covering met the oscillation budget within {max_rounds} rounds "
-        f"(last osc_norm {report.osc_norm:.3e} vs delta {delta:.3e})"
-    )
+    else:
+        err = CertificationError(
+            f"no covering met the oscillation budget within {max_rounds} "
+            f"rounds (last osc_norm {report.osc_norm:.3e} vs delta "
+            f"{delta:.3e})")
     err.last_report = report
     raise err
 
@@ -482,7 +489,7 @@ def gabor_vectors_naive(n_time, n_freq, window_width):
     return psi, coords
 
 
-def observed_contraction_naive(model, plan, Y, n_iter=200, tol=1e-10,
+def observed_contraction_naive(model, cov, Y, n_iter=200, tol=1e-10,
                                n_probes=20, seed=0):
     """``observed_contraction`` for p != 2, one vector at a time: the power
     iteration analyzes every iterate and image separately and stops at the
@@ -491,7 +498,7 @@ def observed_contraction_naive(model, plan, Y, n_iter=200, tol=1e-10,
     from framedisc.discretize import _restricted_matrix
 
     rng = np.random.default_rng(seed)
-    m = np.eye(model.dim, dtype=complex) - _restricted_matrix(model, plan)
+    m = np.eye(model.dim, dtype=complex) - _restricted_matrix(model, cov)
     best = 0.0
     g = rng.standard_normal(model.dim) + 1j * rng.standard_normal(model.dim)
     prev = 0.0
@@ -520,14 +527,13 @@ def observed_contraction_naive(model, plan, Y, n_iter=200, tol=1e-10,
     return float(best)
 
 
-def measure_observed_naive(model, plan, Y, n_trials=50, seed=0):
+def measure_observed_naive(model, cov, Y, n_trials=50, seed=0):
     """The ``measure_observed`` field of ``verify_sampled_bounds``, one trial
     at a time: after the same ``n_trials`` range-function draws, each trial
     measure's decomposition norm and kernel image are formed on their own."""
     rng = np.random.default_rng(seed)
     for _ in range(n_trials):
         random_range_function(model, rng)
-    cov = plan.covering
     best = 0.0
     for _ in range(n_trials):
         k = rng.integers(1, cov.n_sets + 1)
@@ -617,9 +623,8 @@ def residual_suite_grid(inverse, n_trials=50, seed=0, swap_roles=False):
     samples read off those blocks, and their Y-norms and pile-ups summed
     over the whole grid."""
     rng = np.random.default_rng(seed)
-    model, plan, Y = inverse.model, inverse.plan, inverse.Y
+    model, cov, Y = inverse.model, inverse.covering, inverse.Y
     duals = dual_frame(inverse, swap_roles=swap_roles)
-    cov = plan.covering
     f = random_vectors(rng, model.dim, n_trials)
     f /= np.linalg.norm(f, axis=0)
 
@@ -627,16 +632,16 @@ def residual_suite_grid(inverse, n_trials=50, seed=0, swap_roles=False):
         return np.linalg.norm(rec - f, axis=0)
 
     lam = atomic_decomposition(inverse, f, swap_roles=swap_roles)
-    atomic = errors(synthesize_plan(model, plan, lam, swap_roles=swap_roles))
+    atomic = errors(synthesize_sampled(model, cov, lam, swap_roles=swap_roles))
     dual_f = model.s_inverse @ f
     base = model.vectors.conj().T @ (dual_f if swap_roles else f)
     dual_base = model.vectors.conj().T @ (f if swap_roles else dual_f)
-    samples = base[plan.samples]
+    samples = base[cov.samples]
     banach = errors(reconstruct_from_samples(inverse, samples,
                                              swap_roles=swap_roles))
     inner = duals.conj() @ f
     duality = np.max(np.abs(lam - inner), axis=0)
-    exp_b = errors(synthesize_plan(model, plan, inner, swap_roles=swap_roles))
+    exp_b = errors(synthesize_sampled(model, cov, inner, swap_roles=swap_roles))
     exp_c = errors(duals.T @ samples)
     ny = Y.column_norms(base)
     flat = Y.column_norms(pileup(samples, cov))[ny > 0] / ny[ny > 0]
@@ -664,15 +669,14 @@ def bounds_observed_grid(inverse, n_trials=50, seed=0):
     block, the partition-smoothed samples and the kernel images of the
     measure trials likewise, and each trial's per-point atom masses as a
     column of an (n_points, n_trials) density."""
-    model, plan, Y = inverse.model, inverse.plan, inverse.Y
+    model, cov, Y = inverse.model, inverse.covering, inverse.Y
     weight = inverse.report.weight
     rng = np.random.default_rng(seed)
     space = model.space
-    cov = plan.covering
     F = random_range_block(model, rng, n_trials)
     ny = Y.column_norms(F)
     F, ny = F[:, ny > 0.0], ny[ny > 0.0]
-    vals = np.abs(F[plan.samples])
+    vals = np.abs(F[cov.samples])
     sup = sup_infinity_space(Y, weight).column_norms(F)
     smoothed = cov.pair_sums(cov.phi[:, None]
                              * vals[cov.holders(0, space.n_points)])

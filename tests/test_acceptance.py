@@ -15,7 +15,7 @@ import pytest
 from framedisc import PhaseFunction, SamplingInverse, Weight2D, WeightedLp, \
     hilbert_frame_bounds, \
     invertibility_condition, observed_contraction, oscillation_norms, \
-    oscillation_report, select_samples, singleton_covering, uniform_covering, uniform_grid, \
+    oscillation_report, singleton_covering, uniform_covering, uniform_grid, \
     verify_sampled_bounds
 from framedisc.cli import main
 from framedisc.coverings import Covering, weight_compatibility
@@ -67,11 +67,10 @@ def certified_runs():
             cov = uniform_covering(space, (1.0, box_pts * n_time / n_freq))
         gamma = PhaseFunction(model, "kernel")
         report = oscillation_report(model, cov, gamma, weight, delta)
-        plan = select_samples(cov)
         runs.append({
             "label": f"d{n_time}-nf{n_freq}-p{p}",
             "model": model, "Y": Y, "weight": weight, "cov": cov,
-            "gamma": gamma, "report": report, "plan": plan,
+            "gamma": gamma, "report": report,
         })
     return {"runs": runs, "build_seconds": time.time() - t0}
 
@@ -140,7 +139,7 @@ def test_criterion_4_contraction_certificates(certified_runs):
             assert report.oscillation_ok and report.invertibility_ok, run["label"]
             n_certified += 1
             _, sharp = report.contraction_bounds
-            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
+            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
                                       report=report)
             observed = observed_contraction(inverse, seed=0)
             assert observed <= sharp + 1e-9, run["label"]
@@ -155,7 +154,7 @@ def test_criterion_4_contraction_certificates(certified_runs):
 def test_criterion_5_end_to_end_decomposition(certified_runs):
     with criterion(5, "atomic decomposition / sampled-frame round trips"):
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
+            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
                                       method="neumann", report=run["report"])
             res = residual_suite(inverse, n_trials=50, seed=5)
             assert res["atomic_max"] <= 1e-8, run["label"]
@@ -170,7 +169,7 @@ def test_criterion_5_end_to_end_decomposition(certified_runs):
 def test_criterion_6_swapped_roles(certified_runs):
     with criterion(6, "same residual suite with analysis roles exchanged"):
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
+            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
                                       method="neumann", report=run["report"])
             res = residual_suite(inverse, n_trials=50, seed=7, swap_roles=True)
             assert res["atomic_max"] <= 1e-8, run["label"]
@@ -243,7 +242,7 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
 
         # sampled-kernel inequalities on every certified configuration
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["model"], run["plan"], run["Y"],
+            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
                                       report=run["report"])
             rep = verify_sampled_bounds(inverse, n_trials=50, seed=8)
             assert rep["violations"] == 0, run["label"]
@@ -258,13 +257,12 @@ def test_criterion_9_hilbert_frame_bounds(certified_runs):
     with criterion(9, "sampled frame bounds: singleton exactness, positivity"):
         model = build_random_smooth_model(6, 64, 2.0, seed=4)
         cov = singleton_covering(model.space)
-        plan = select_samples(cov)
-        c1, c2 = hilbert_frame_bounds(model, plan)
+        c1, c2 = hilbert_frame_bounds(model, cov)
         ev = model.s_eigenvalues
         assert abs(c1 - ev[0]) <= 1e-10
         assert abs(c2 - ev[-1]) <= 1e-10
         for run in certified_runs["runs"]:
-            c1, _ = hilbert_frame_bounds(run["model"], run["plan"])
+            c1, _ = hilbert_frame_bounds(run["model"], run["cov"])
             assert c1 > 0.0, run["label"]
 
 

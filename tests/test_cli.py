@@ -172,6 +172,23 @@ class TestOsc:
             assert "osc_norm >= " in err and "column 0" in err
 
 
+    def test_default_config_refused_alike(self, tmp_path, capsys):
+        """With no flags (Gabor 12 x 12, delta 0.25) refinement ends at the
+        all-singleton covering, which meets the oscillation budget but not
+        the invertibility condition: ``osc`` and ``discretize`` both refuse
+        it with the same message and write no report."""
+        errs = []
+        for command in ("osc", "discretize"):
+            code, doc = run(tmp_path, command)
+            assert code == EXIT_CERTIFICATION
+            assert doc is None
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("certification refused: the all-singleton "
+                                  "covering meets the oscillation budget but "
+                                  "not the invertibility condition "
+                                  "(condition_lhs 1.0531 > 1)")
+
     def test_vanishing_width_refused_at_once(self, tmp_path, capsys):
         """Windows of width 1e-300 on a 3-unit axis would number about
         3e300; the covering is refused before any window is listed."""
@@ -221,7 +238,7 @@ class TestDiscretize:
 
     def test_uncovered_point_is_config_error(self, tmp_path, capsys):
         """A covering that leaves a point out has no partition of unity, so
-        no plan: exit 2, no report."""
+        no sample masses: exit 2, no report."""
         code, doc = run(tmp_path, "discretize", model_kind="orthonormal", dim=4,
                         covering_sets=json.dumps([[0, 1], [3]]))
         assert code == EXIT_CONFIG
@@ -230,11 +247,11 @@ class TestDiscretize:
             in capsys.readouterr().err
 
     def test_plan_id_is_a_hash_of_the_plan(self, tmp_path):
-        """``plan_id`` is 12 hex digits of the covering and the samples; it
-        changes with one sample and equals the report's ``d_plan`` for the
-        plan that made the report."""
-        from framedisc import PhaseFunction, SamplingPlan, WeightedLp, \
-            oscillation_report, select_samples, uniform_covering
+        """``plan_id`` is the first 12 hex digits of the sha256 of the
+        covering's identifier and its samples, joined by "-" and the
+        samples by "."; ``samples`` lists them."""
+        from hashlib import sha256
+        from framedisc import uniform_covering
         from framedisc.models import build_random_smooth_model
         code, doc = run(tmp_path, "discretize", model_kind="random-smooth",
                         dim=3, n_points=96, smoothness=3.0, model_seed=1,
@@ -243,14 +260,27 @@ class TestDiscretize:
         assert re.fullmatch("[0-9a-f]{12}", doc["plan_id"])
         model = build_random_smooth_model(3, 96, 3.0, seed=1)
         cov = uniform_covering(model.space, 2 / 96)
-        plan = select_samples(cov)
-        report = oscillation_report(
-            model, cov, PhaseFunction(model, "kernel"),
-            WeightedLp.lebesgue(model.space, 2.0).weight2d(), 0.25, plan=plan)
-        assert plan.identifier() == report.d_plan == doc["plan_id"]
-        moved = SamplingPlan(cov, plan.samples + 1)
-        assert re.fullmatch("[0-9a-f]{12}", moved.identifier())
-        assert moved.identifier() != plan.identifier()
+        assert doc["covering_id"] == cov.identifier()
+        assert doc["samples"] == cov.samples.tolist()
+        text = f"{cov.identifier()}-{'.'.join(map(str, doc['samples']))}"
+        assert doc["plan_id"] == sha256(text.encode()).hexdigest()[:12]
+
+    def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys,
+                                                monkeypatch):
+        """A MemoryError anywhere in a run exits 4 with one line on stderr
+        and no traceback."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_discretization", exhausted)
+        monkeypatch.setattr(cli, "refine_until", exhausted)
+        for command in ("osc", "discretize"):
+            code, doc = run(tmp_path, command)
+            assert code == EXIT_NUMERICAL
+            assert doc is None
+            err = capsys.readouterr().err
+            assert err == "numerical failure: out of memory\n"
+            assert "Traceback" not in err
 
     def test_rank_deficient_direct_is_numerical_failure(self, tmp_path):
         code, doc = run(tmp_path, "discretize", model_kind="orthonormal",
@@ -522,7 +552,8 @@ class TestPlainDocuments:
         ("validate", GABOR_EXP),
         ("osc", dict(BASE, delta=0.3)),
         ("osc", dict(BASE, covering_width=100.0, delta=0.3)),
-        ("osc", dict(model_kind="gabor", n_time=4, n_freq=16, delta=0.3)),
+        ("osc", dict(model_kind="gabor", n_time=6, n_freq=81,
+                     window_width=2.45, delta=0.2)),
         ("osc", GABOR_EXP),
         ("discretize", dict(BASE, delta=0.3, n_trials=10)),
         ("discretize", dict(GABOR_EXP, n_trials=10)),

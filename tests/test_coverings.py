@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framedisc import Covering, QuadratureSpace, StructuralError, Weight2D, \
-    select_samples, singleton_covering, uniform_covering, uniform_grid, \
-    validate_covering, weight_compatibility
+    singleton_covering, uniform_covering, uniform_grid, validate_covering, \
+    weight_compatibility
 from framedisc.coverings import covering_from_json
 
 from conftest import random_interval_covering, unit_weight
@@ -181,7 +181,7 @@ class TestPartitionOfUnity:
         cov = uniform_covering(grid64, 8.0)
         assert np.array_equal(dense_phi(cov),
                               membership_naive(sets_of(cov), 64).astype(float))
-        assert np.allclose(select_samples(cov).masses, cov.measures,
+        assert np.allclose(cov.masses, cov.measures,
                            rtol=0, atol=0)
 
     def test_equal_sharing_on_double_cover(self, small_space):
@@ -191,7 +191,7 @@ class TestPartitionOfUnity:
 
     def test_masses_sum_to_total_measure(self, rng, grid64):
         cov = random_interval_covering(rng, grid64, 6)
-        masses = select_samples(cov).masses
+        masses = cov.masses
         assert np.sum(masses) == pytest.approx(total_measure(grid64), rel=1e-12)
         assert np.all(masses > 0)
         assert np.all(masses <= cov.measures + 1e-12)
@@ -223,6 +223,67 @@ class TestPartitionOfUnity:
                                     cells.member_ptr[c + 1]]))
                for c in range(cells.count)]
         assert got == cells_naive(cov)
+
+
+
+class TestSamplesAndMasses:
+    """Each set's sample x_i and mass c_i, kept by the covering."""
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_match_loop_oracle(self, seed, n_sets):
+        """On random overlapping coverings of a grid whose weights take
+        three values, so that sets hold tied weights, the sample of U_i is
+        its point of largest weight, the lowest such index, and its mass is
+        c_i = sum over x in U_i of phi_i(x) mu_x with
+        phi_i(x) = 1/#{j : x in U_j}; both are computed once and are
+        read-only."""
+        rng = np.random.default_rng(seed)
+        space = uniform_grid(40, weights=rng.choice([0.5, 1.0, 2.0], 40))
+        cov = random_interval_covering(rng, space, n_sets)
+        mu = space.weights
+        sets = [[int(x) for x in s] for s in sets_of(cov)]
+        holders = [sum(x in s for s in sets) for x in range(40)]
+        for i, s in enumerate(sets):
+            best = s[0]
+            for x in s:
+                if mu[x] > mu[best]:
+                    best = x
+            assert cov.samples[i] == best
+            assert cov.masses[i] == pytest.approx(
+                sum(mu[x] / holders[x] for x in s), rel=1e-14, abs=0.0)
+        for name in ("samples", "masses"):
+            arr = getattr(cov, name)
+            assert arr is getattr(cov, name) and not arr.flags.writeable
+
+    def test_uncovered_points_have_no_masses(self, small_space):
+        cov = Covering(small_space, (np.array([0, 1]), np.array([3])))
+        assert cov.samples.tolist() == [1, 3]
+        with pytest.raises(StructuralError, match="cannot build a partition "
+                                                  "of unity: uncovered points"):
+            cov.masses
+
+    def test_vanishing_mass_refused(self):
+        """Half of the least subnormal weight rounds to zero."""
+        cov = Covering(uniform_grid(2, weights=5e-324),
+                       (np.array([0, 1]), np.array([0, 1])))
+        with pytest.raises(StructuralError,
+                           match="partition masses must be positive"):
+            cov.masses
+
+    def test_discretize_refuses_uncovered_before_any_pass(self, monkeypatch):
+        import framedisc.oscillation as oscillation_module
+        from framedisc import WeightedLp, build_random_smooth_model
+        from framedisc.pipeline import run_discretization
+        model = build_random_smooth_model(3, 12, 2.0, seed=0)
+        cov = Covering(model.space, (np.arange(0, 5), np.arange(6, 12)))
+        passes = []
+        monkeypatch.setattr(oscillation_module, "oscillation_norms",
+                            lambda *args, **kwargs: passes.append(args))
+        with pytest.raises(StructuralError, match="uncovered points"):
+            run_discretization(model, WeightedLp.lebesgue(model.space, 2.0),
+                               0.25, covering=cov)
+        assert not passes
 
 
 class TestEquivalence:
@@ -509,11 +570,8 @@ def test_json_sets_read_in_one_pass(rng, grid64, monkeypatch):
 
 def test_identifier_hashed_once(grid64, monkeypatch):
     """A covering's identifier keeps its digest (pinned from the code that
-    hashed on every call) and is hashed once per covering, also when a
-    plan's identifier reads it; the plan's is the digest of the covering's
-    followed by the samples."""
+    hashed on every call) and is hashed once per covering."""
     import framedisc.coverings as coverings_module
-    from framedisc import select_samples
 
     hashed = []
     sha256 = coverings_module.hashlib.sha256
@@ -525,10 +583,7 @@ def test_identifier_hashed_once(grid64, monkeypatch):
     monkeypatch.setattr(coverings_module.hashlib, "sha256", counted)
     cov = Covering(grid64, (np.arange(0, 40), np.arange(30, 64), np.array([5, 3, 3])))
     boxes = uniform_covering(grid64, 4.0)
-    plan = select_samples(boxes)
-    text = "6616088e25fe-" + ".".join(str(x) for x in range(0, 64, 4))
     for _ in range(3):
         assert cov.identifier() == "c533ecd0e964"
         assert boxes.identifier() == "6616088e25fe"
-        assert plan.identifier() == sha256(text.encode()).hexdigest()[:12]
     assert len([p for p in hashed if p.startswith(b"[[")]) == 2

@@ -1,6 +1,5 @@
 import copy
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +10,15 @@ import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
 import framedisc.spaces as spaces_module
-from framedisc import CertificationError, Covering, PhaseFunction, \
+from framedisc import CertificationError, Covering, FrameModel, \
+    PhaseFunction, QuadratureSpace, \
     SamplingInverse, SchurSums, Screened, SingularOperatorError, \
     StructuralError, \
     Weight2D, WeightedLp, atomic_decomposition, \
     dual_frame, hilbert_frame_bounds, kernel_norms, \
     observed_contraction, oscillation_norms, oscillation_report, \
-    reconstruct_from_samples, select_samples, sigma_constant, \
-    singleton_covering, synthesize_plan, uniform_covering, \
+    reconstruct_from_samples, sigma_constant, \
+    singleton_covering, synthesize_sampled, uniform_covering, \
     verify_sampled_bounds
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, random_vectors
@@ -52,8 +52,7 @@ def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
     cov = uniform_covering(space, box_pts / n)
     gamma = PhaseFunction(model, "kernel")
     report = oscillation_report(model, cov, gamma, weight, delta)
-    plan = select_samples(cov)
-    return model, Y, weight, cov, gamma, report, plan
+    return model, Y, weight, cov, gamma, report
 
 
 def singleton_setup(model, p=2.0):
@@ -63,20 +62,17 @@ def singleton_setup(model, p=2.0):
     weight = Y.weight2d()
     gamma = PhaseFunction(model, "kernel")
     report = oscillation_report(model, cov, gamma, weight, 0.25)
-    plan = select_samples(cov)
-    return Y, weight, gamma, report, plan
+    return Y, weight, gamma, report, cov
 
 
 class TestSampleSelection:
     def test_singleton_sets(self, small_space):
         cov = singleton_covering(small_space)
-        plan = select_samples(cov)
-        assert np.array_equal(plan.samples, np.arange(5))
+        assert np.array_equal(cov.samples, np.arange(5))
 
     def test_uniform_weights_tie_break_lowest(self, grid64):
         cov = uniform_covering(grid64, 8.0)
-        plan = select_samples(cov)
-        assert np.array_equal(plan.samples, [s[0] for s in sets_of(cov)])
+        assert np.array_equal(cov.samples, [s[0] for s in sets_of(cov)])
 
     def test_max_weight_matches_argmax(self, rng):
         """Distinct and tied weights, on boxes and on overlapping intervals."""
@@ -87,85 +83,61 @@ class TestSampleSelection:
             space = uniform_grid(32, weights=w)
             for cov in (uniform_covering(space, 4.0),
                         random_interval_covering(rng, space, 12)):
-                plan = select_samples(cov)
                 for i, s in enumerate(sets_of(cov)):
                     best = max(s, key=lambda j: (space.weights[j], -j))
-                    assert plan.samples[i] == best
-
-    def test_sample_in_its_set_enforced(self, grid64):
-        """Sets are [8 i, 8 i + 8); a sample outside its set, or off the
-        grid, is refused, naming the first such set."""
-        cov = uniform_covering(grid64, 8.0)
-        from framedisc import SamplingPlan
-        with pytest.raises(StructuralError):
-            SamplingPlan(cov, np.zeros(cov.n_sets, dtype=int))
-        for bad in (0, -1, 64, 40):
-            samples = np.array([s[-1] for s in sets_of(cov)])
-            SamplingPlan(cov, samples)
-            samples[3] = bad
-            with pytest.raises(StructuralError,
-                               match=f"sample {bad} is not inside covering set 3"):
-                SamplingPlan(cov, samples)
-            samples[6] = bad
-            with pytest.raises(StructuralError, match="covering set 3"):
-                SamplingPlan(cov, samples)
+                    assert cov.samples[i] == best
 
     @pytest.mark.parametrize("kind", ["flat"])
     def test_plan_reads_its_partition(self, grid64, kind):
         """The masses c_i are the integrals of the covering's phi_i,
-        computed once; they cannot be passed in."""
-        from framedisc import SamplingPlan
+        computed once and read-only."""
         cov = uniform_covering(grid64, 5.0, 2.0)
-        plan = select_samples(cov)
-        assert plan.covering is cov
-        assert np.allclose(plan.masses, dense_phi(cov) @ grid64.weights,
+        assert np.allclose(cov.masses, dense_phi(cov) @ grid64.weights,
                            rtol=1e-14, atol=0)
-        assert plan.masses is plan.masses and not plan.masses.flags.writeable
-        with pytest.raises(TypeError):
-            SamplingPlan(cov, plan.samples, 3.0 * plan.masses)
+        assert cov.masses is cov.masses and not cov.masses.flags.writeable
 
 
 class TestSamplingOperator:
     def test_singleton_plan_degenerates_to_kernel(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=2)
-        Y, weight, gamma, report, plan = singleton_setup(model)
+        Y, weight, gamma, report, cov = singleton_setup(model)
         rng = np.random.default_rng(0)
         F = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-        out = apply_sampling(model, plan, F)
+        out = apply_sampling(model, cov, F)
         ref = apply_kernel(model.space, dense_kernel(model), F)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         G = random_range_function(model, rng)
-        assert np.max(np.abs(apply_sampling(model, plan, G) - G)) \
+        assert np.max(np.abs(apply_sampling(model, cov, G) - G)) \
             <= 1e-11 * np.max(np.abs(G))
 
     def test_zero_input(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup(n=48, delta=0.6)
-        assert np.all(apply_sampling(model, plan, np.zeros(48)) == 0)
+        model, Y, weight, cov, gamma, report = make_setup(n=48, delta=0.6)
+        assert np.all(apply_sampling(model, cov, np.zeros(48)) == 0)
 
     def test_matches_direct_summation(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup(n=48, delta=0.6)
+        model, Y, weight, cov, gamma, report = make_setup(n=48, delta=0.6)
         F = rng.standard_normal(48) + 1j * rng.standard_normal(48)
-        got = apply_sampling(model, plan, F)
-        want = sampling_operator_naive(dense_kernel(model), plan.samples,
-                                       plan.masses, F)
+        got = apply_sampling(model, cov, F)
+        want = sampling_operator_naive(dense_kernel(model), cov.samples,
+                                       cov.masses, F)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_maps_range_into_range(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         for _ in range(10):
             F = random_range_function(model, rng)
-            UF = apply_sampling(model, plan, F)
+            UF = apply_sampling(model, cov, F)
             proj = project_to_range(model, UF)
             assert np.max(np.abs(proj - UF)) <= 1e-10 * Y.norm(F)
 
     def test_self_adjoint_under_weighted_pairing(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         space = model.space
         for _ in range(10):
             F = random_range_function(model, rng)
             G = random_range_function(model, rng)
-            lhs = integrate(space, apply_sampling(model, plan, F) * np.conj(G))
-            rhs = integrate(space, F * np.conj(apply_sampling(model, plan, G)))
+            lhs = integrate(space, apply_sampling(model, cov, F) * np.conj(G))
+            rhs = integrate(space, F * np.conj(apply_sampling(model, cov, G)))
             scale = max(1.0, abs(lhs))
             assert abs(lhs - rhs) <= 1e-11 * scale
 
@@ -175,40 +147,39 @@ class TestSmoothedOperator:
         model = build_random_smooth_model(3, 24, 2.0, seed=4)
         space = model.space
         cov = singleton_covering(space)
-        plan = select_samples(cov)
         gamma = PhaseFunction(model, "one")
         F = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-        out = apply_smoothed(model, plan, gamma, F)
+        out = apply_smoothed(model, cov, gamma, F)
         ref = apply_kernel(space, dense_kernel(model), F)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_zero_input(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup(n=48, delta=0.6)
-        assert np.all(apply_smoothed(model, plan, gamma, np.zeros(48)) == 0)
+        model, Y, weight, cov, gamma, report = make_setup(n=48, delta=0.6)
+        assert np.all(apply_smoothed(model, cov, gamma, np.zeros(48)) == 0)
 
     def test_gap_to_sampling_operator_bounded(self, rng):
         """|S F - U F| <= sigma |osc| |F| on the kernel range."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         bound = report.sigma * report.osc_norm
         for _ in range(20):
             F = random_range_function(model, rng)
-            gap = Y.norm(apply_smoothed(model, plan, gamma, F)
-                         - apply_sampling(model, plan, F))
+            gap = Y.norm(apply_smoothed(model, cov, gamma, F)
+                         - apply_sampling(model, cov, F))
             assert gap <= bound * Y.norm(F) * (1 + 1e-10)
 
     def test_distance_to_identity_bounded(self, rng):
         """|F - S F| <= |R| |osc| |F| on the kernel range."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         bound = report.r_norm * report.osc_norm
         for _ in range(20):
             F = random_range_function(model, rng)
-            gap = Y.norm(F - apply_smoothed(model, plan, gamma, F))
+            gap = Y.norm(F - apply_smoothed(model, cov, gamma, F))
             assert gap <= bound * Y.norm(F) * (1 + 1e-10)
 
 
 class TestContraction:
     def test_bounds_arithmetic(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         assert report.oscillation_ok
         nominal, sharp = report.contraction_bounds
         assert nominal == pytest.approx(report.delta * (report.r_norm + report.sigma))
@@ -233,7 +204,7 @@ class TestContraction:
         assert nominal == report.delta * (report.r_norm + report.sigma)
         assert sharp == report.osc_norm * (report.r_norm + sigma)
         assert sharp == pytest.approx(0.60251216, rel=1e-7)
-        inverse = SamplingInverse(model, select_samples(cov), Y,
+        inverse = SamplingInverse(model, cov, Y,
                                   report=report)
         assert observed_contraction(inverse, seed=2) <= sharp
 
@@ -250,7 +221,7 @@ class TestContraction:
                                     Y.weight2d(), 0.1)
         assert not report.oscillation_ok
         bounds = verify_sampled_bounds(SamplingInverse(
-            model, select_samples(cov), Y, report=report))
+            model, cov, Y, report=report))
         sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
         _, sharp = report.contraction_bounds
         assert bounds["sigma_const"] == sigma
@@ -262,23 +233,23 @@ class TestContraction:
 
     def test_zero_for_singleton_covering(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
-        Y, weight, gamma, report, plan = singleton_setup(model)
+        Y, weight, gamma, report, cov = singleton_setup(model)
         _, sharp = report.contraction_bounds
         assert sharp == 0.0
 
     def test_observed_below_sharp_certificate(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         assert report.oscillation_ok and report.invertibility_ok
         _, sharp = report.contraction_bounds
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         observed = observed_contraction(inverse, seed=2)
         assert observed <= sharp + 1e-9
 
     def test_observed_below_sharp_all_p(self):
         for p in (1.0, np.inf):
-            model, Y, weight, cov, gamma, report, plan = make_setup(p=p)
+            model, Y, weight, cov, gamma, report = make_setup(p=p)
             _, sharp = report.contraction_bounds
-            inverse = SamplingInverse(model, plan, Y, report=report)
+            inverse = SamplingInverse(model, cov, Y, report=report)
             observed = observed_contraction(inverse, seed=2)
             assert observed <= sharp + 1e-9
 
@@ -286,23 +257,23 @@ class TestContraction:
 class TestInversion:
     def test_singleton_plan_inverse_is_identity(self, rng):
         model = build_random_smooth_model(3, 24, 2.0, seed=6)
-        Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        Y, weight, gamma, report, cov = singleton_setup(model)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         F = random_range_function(model, rng)
         assert Y.norm(apply_inverse(inverse, F) - F) <= 1e-10 * Y.norm(F)
 
     def test_neumann_matches_direct(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
-        dir_ = SamplingInverse(model, plan, Y, method="direct")
+        model, Y, weight, cov, gamma, report = make_setup()
+        neu = SamplingInverse(model, cov, Y, method="neumann", report=report)
+        dir_ = SamplingInverse(model, cov, Y, method="direct")
         for _ in range(20):
             F = random_range_function(model, rng)
             gap = Y.norm(apply_inverse(neu, F) - apply_inverse(dir_, F))
             assert gap <= 1e-9 * Y.norm(F)
 
     def test_term_norms_decay_geometrically(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, method="neumann",
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, method="neumann",
                                   report=report)
         observed = observed_contraction(inverse, seed=0)
         F = random_range_function(model, rng)
@@ -314,26 +285,26 @@ class TestInversion:
                 assert b / a <= observed + 1e-6
 
     def test_inverse_really_inverts(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         for _ in range(5):
             F = random_range_function(model, rng)
-            back = apply_sampling(model, plan, apply_inverse(inverse, F))
+            back = apply_sampling(model, cov, apply_inverse(inverse, F))
             assert Y.norm(back - F) <= 1e-9 * Y.norm(F)
 
     def test_refusal_without_certificate(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup(
+        model, Y, weight, cov, gamma, report = make_setup(
             d=3, n=48, smoothness=2.5, delta=0.5)
         _, sharp = report.contraction_bounds
         assert sharp >= 1.0
         with pytest.raises(CertificationError):
-            SamplingInverse(model, plan, Y, method="neumann", report=report)
+            SamplingInverse(model, cov, Y, method="neumann", report=report)
         with pytest.raises(CertificationError):
-            SamplingInverse(model, plan, Y, method="neumann", report=None)
+            SamplingInverse(model, cov, Y, method="neumann", report=None)
 
     def test_neumann_term_budget_exhaustion(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, method="neumann",
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, method="neumann",
                                   report=report, n_max=1)
         with pytest.raises(SingularOperatorError):
             apply_inverse(inverse, random_range_function(model, rng))
@@ -341,42 +312,41 @@ class TestInversion:
     def test_direct_refuses_rank_deficient_plan(self):
         model = build_orthonormal_model(4)
         cov = Covering(model.space, (np.array([0, 1]), np.array([2, 3])))
-        plan = select_samples(cov)
         Y = WeightedLp.lebesgue(model.space, 2.0)
         with pytest.raises(SingularOperatorError):
-            SamplingInverse(model, plan, Y, method="direct")
+            SamplingInverse(model, cov, Y, method="direct")
 
 
 class TestDecomposition:
     def test_zero_vector(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         lam = atomic_decomposition(inverse, np.zeros(3))
         assert np.all(lam == 0)
 
     def test_frame_vector_roundtrip_singleton_plan(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=7)
-        Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        Y, weight, gamma, report, cov = singleton_setup(model)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         f = model.vectors[:, 5]
         lam = atomic_decomposition(inverse, f)
-        rec = synthesize_plan(model, plan, lam)
+        rec = synthesize_sampled(model, cov, lam)
         assert np.linalg.norm(rec - f) <= 1e-9
 
     def test_random_vectors_reconstruct(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = atomic_decomposition(inverse, f)
-            rec = synthesize_plan(model, plan, lam)
+            rec = synthesize_sampled(model, cov, lam)
             assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
 
     def test_coefficient_norm_controlled(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         _, sharp = report.contraction_bounds
-        d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
+        d_const = schur_norm(model.space, sampled_row_kernel(model, cov), weight)
         bound = d_const / (1.0 - sharp)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -387,35 +357,35 @@ class TestDecomposition:
 
 class TestSampleReconstruction:
     def test_round_trip(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            samples = analyze(model, f)[plan.samples]
+            samples = analyze(model, f)[cov.samples]
             rec = reconstruct_from_samples(inverse, samples)
             assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
 
     def test_frame_vector_from_its_samples(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
-        f = model.vectors[:, plan.samples[3]]
-        samples = analyze(model, f)[plan.samples]
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
+        f = model.vectors[:, cov.samples[3]]
+        samples = analyze(model, f)[cov.samples]
         rec = reconstruct_from_samples(inverse, samples)
         assert np.linalg.norm(rec - f) <= 1e-8
 
     def test_zero_samples(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         rec = reconstruct_from_samples(inverse, np.zeros(cov.n_sets))
         assert np.linalg.norm(rec) <= 1e-12
 
     def test_decompose_then_resample_consistent(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        samples = analyze(model, f)[plan.samples]
+        samples = analyze(model, f)[cov.samples]
         rec = reconstruct_from_samples(inverse, samples)
-        resampled = analyze(model, rec)[plan.samples]
+        resampled = analyze(model, rec)[cov.samples]
         assert np.max(np.abs(resampled - samples)) \
             <= 1e-8 * max(1.0, np.max(np.abs(samples)))
 
@@ -423,27 +393,27 @@ class TestSampleReconstruction:
 class TestDualFrame:
     def test_orthonormal_singleton_plan(self):
         model = build_orthonormal_model(4)
-        Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        Y, weight, gamma, report, cov = singleton_setup(model)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         duals = dual_frame(inverse)
         assert np.allclose(duals, np.eye(4), atol=1e-10)
         f = np.array([1.0, 2.0, 3.0 - 1.0j, 0.5])
-        rec = (analyze(model, f)[plan.samples]) @ duals
+        rec = (analyze(model, f)[cov.samples]) @ duals
         assert np.linalg.norm(rec - f) <= 1e-10
 
     def test_dim_one(self):
         model = build_random_smooth_model(1, 8, 1.0, seed=8)
-        Y, weight, gamma, report, plan = singleton_setup(model)
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        Y, weight, gamma, report, cov = singleton_setup(model)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         duals = dual_frame(inverse)
         f = np.array([2.0 - 1.0j])
-        rec = sum(np.vdot(duals[i], f) * model.vectors[:, plan.samples[i]]
-                  for i in range(plan.covering.n_sets))
+        rec = sum(np.vdot(duals[i], f) * model.vectors[:, cov.samples[i]]
+                  for i in range(cov.n_sets))
         assert np.linalg.norm(rec - f) <= 1e-10
 
     def test_duality_of_coefficients(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         duals = dual_frame(inverse)
         for _ in range(20):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -455,8 +425,8 @@ class TestDualFrame:
 
 class TestSwappedRoles:
     def test_full_residual_suite(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         res = residual_suite(inverse, n_trials=20, seed=9, swap_roles=True)
         assert res["atomic_max"] <= 1e-8
         assert res["banach_max"] <= 1e-8
@@ -465,12 +435,12 @@ class TestSwappedRoles:
         assert res["sample_expansion_max"] <= 1e-8
 
     def test_swapped_atoms_are_duals(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         lam = atomic_decomposition(inverse, f, swap_roles=True)
-        rec = synthesize_plan(model, plan, lam, swap_roles=True)
-        manual = sum(lam[i] * (model.s_inverse @ model.vectors[:, plan.samples[i]])
+        rec = synthesize_sampled(model, cov, lam, swap_roles=True)
+        manual = sum(lam[i] * (model.s_inverse @ model.vectors[:, cov.samples[i]])
                      for i in range(cov.n_sets))
         assert np.linalg.norm(rec - manual) <= 1e-12
         assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
@@ -479,25 +449,25 @@ class TestSwappedRoles:
 class TestFrameBounds:
     def test_singleton_plan_recovers_frame_operator(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=10)
-        Y, weight, gamma, report, plan = singleton_setup(model)
-        c1, c2 = hilbert_frame_bounds(model, plan)
+        Y, weight, gamma, report, cov = singleton_setup(model)
+        c1, c2 = hilbert_frame_bounds(model, cov)
         ev = model.s_eigenvalues
         assert c1 == pytest.approx(ev[0], abs=1e-10)
         assert c2 == pytest.approx(ev[-1], abs=1e-10)
 
     def test_orthonormal_unit_bounds(self):
         model = build_orthonormal_model(5)
-        Y, weight, gamma, report, plan = singleton_setup(model)
-        c1, c2 = hilbert_frame_bounds(model, plan)
+        Y, weight, gamma, report, cov = singleton_setup(model)
+        c1, c2 = hilbert_frame_bounds(model, cov)
         assert c1 == pytest.approx(1.0, abs=1e-12)
         assert c2 == pytest.approx(1.0, abs=1e-12)
 
     def test_certified_plan_positive_lower_bound(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         assert report.invertibility_ok
-        c1, c2 = hilbert_frame_bounds(model, plan)
+        c1, c2 = hilbert_frame_bounds(model, cov)
         assert c1 > 0
-        xs = plan.samples
+        xs = cov.samples
         psi = model.vectors[:, xs] * np.sqrt(cov.measures)[None, :]
         ev = np.linalg.eigvalsh(psi @ psi.conj().T)
         assert c1 == pytest.approx(ev[0], rel=1e-10)
@@ -508,26 +478,26 @@ class TestWeakerThresholds:
     def test_gap_instance_still_reconstructs(self, rng):
         """Invertibility condition fails but the sharp certificate holds:
         the whole decomposition pipeline still goes through."""
-        model, Y, weight, cov, gamma, report, plan = make_setup(delta=0.30)
+        model, Y, weight, cov, gamma, report = make_setup(delta=0.30)
         assert report.oscillation_ok
         assert not report.invertibility_ok
         _, sharp = report.contraction_bounds
         assert sharp < 1.0
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         for _ in range(5):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = atomic_decomposition(inverse, f)
-            assert np.linalg.norm(synthesize_plan(model, plan, lam) - f) \
+            assert np.linalg.norm(synthesize_sampled(model, cov, lam) - f) \
                 <= 1e-8 * np.linalg.norm(f)
-            samples = analyze(model, f)[plan.samples]
+            samples = analyze(model, f)[cov.samples]
             rec = reconstruct_from_samples(inverse, samples)
             assert np.linalg.norm(rec - f) <= 1e-8 * np.linalg.norm(f)
 
 
 class TestVerifiedBounds:
     def test_no_violations_on_certified_setup(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        rep = verify_sampled_bounds(SamplingInverse(model, plan, Y,
+        model, Y, weight, cov, gamma, report = make_setup()
+        rep = verify_sampled_bounds(SamplingInverse(model, cov, Y,
                                                     report=report),
                                     n_trials=50, seed=3)
         assert rep["violations"] == 0
@@ -538,10 +508,10 @@ class TestVerifiedBounds:
 
     def test_norm_equivalence_interval(self, rng):
         """Observed sampled-norm ratios sit inside the certified interval."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         _, sharp = report.contraction_bounds
-        d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
+        d_const = schur_norm(model.space, sampled_row_kernel(model, cov), weight)
         n_over = cov.overlap_bound
         c_mu = report.c_mu
         c_plus = n_over ** 2 * c_mu ** 2 * max(1.0, cov.moderateness)
@@ -550,29 +520,29 @@ class TestVerifiedBounds:
         for _ in range(20):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             F = analyze(model, f)
-            ratio = norm_flat(F[plan.samples], cov, Y) / Y.norm(F)
+            ratio = norm_flat(F[cov.samples], cov, Y) / Y.norm(F)
             assert lower * (1 - 1e-9) <= ratio <= d_const * (1 + 1e-9)
 
     def test_sampled_measure_application_bound(self, rng):
         """Kernel applied to point masses at the sample points is controlled
         by the covering-neighborhood constant times the natural norm."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         c_plus = cov.overlap_bound ** 2 * report.c_mu ** 2 \
             * max(1.0, cov.moderateness)
         bound = (report.osc_norm + report.r_norm) * c_plus
         for _ in range(20):
             lam = rng.standard_normal(cov.n_sets) \
                 + 1j * rng.standard_normal(cov.n_sets)
-            spread = dense_kernel(model)[:, plan.samples] @ lam
+            spread = dense_kernel(model)[:, cov.samples] @ lam
             assert Y.norm(spread) <= bound * norm_natural(lam, cov, Y) * (1 + 1e-10)
 
     def test_natural_equivalence_interval_stable(self):
         """Dual-coefficient natural norms stay inside the certified interval,
         independently of the probe seed."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         _, sharp = report.contraction_bounds
-        d_const = schur_norm(model.space, sampled_row_kernel(model, plan), weight)
+        d_const = schur_norm(model.space, sampled_row_kernel(model, cov), weight)
         upper = d_const / (1.0 - sharp)
         c_plus = cov.overlap_bound ** 2 * report.c_mu ** 2 \
             * max(1.0, cov.moderateness)
@@ -583,14 +553,14 @@ class TestVerifiedBounds:
             assert res["natural_ratio_hi"] <= upper * (1 + 1e-9)
 
     def test_cross_check_inversion_helper(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         gap = cross_check_inversion(inverse, seed=4)
         assert gap is not None and gap <= 1e-9
 
 
 class TestReportCovering:
-    """A report certifies its own covering only: a plan on another covering
+    """A report certifies its own covering only: another covering
     is refused, not measured against the report's constants."""
 
     @pytest.fixture(scope="class")
@@ -610,27 +580,26 @@ class TestReportCovering:
         own = oscillation_report(model, coarse, gamma, Y.weight2d(), 0.2)
         assert report.contraction_bounds[1] < 0.62
         assert own.osc_norm > 1.8
-        return model, Y, report, select_samples(fine), \
-            select_samples(coarse)
+        return model, Y, report, fine, coarse
 
     @pytest.mark.parametrize("method", ["neumann", "direct"])
     def test_inverse_refuses_another_covering(self, gabor_6x161, method):
-        model, Y, report, fine_plan, coarse_plan = gabor_6x161
-        with pytest.raises(StructuralError, match="not the plan's covering"):
-            SamplingInverse(model, coarse_plan, Y, method=method, report=report)
-        inverse = SamplingInverse(model, fine_plan, Y, method=method,
+        model, Y, report, fine, coarse = gabor_6x161
+        with pytest.raises(StructuralError, match="not the inverse's covering"):
+            SamplingInverse(model, coarse, Y, method=method, report=report)
+        inverse = SamplingInverse(model, fine, Y, method=method,
                                   report=report)
         assert inverse.report is report
 
     def test_bounds_refuse_another_covering(self, gabor_6x161):
-        """The bounds take their plan and report from a handle, which
+        """The bounds take their covering and report from a handle, which
         refuses the pair when it is made."""
-        model, Y, report, fine_plan, coarse_plan = gabor_6x161
-        with pytest.raises(StructuralError, match="not the plan's covering"):
-            verify_sampled_bounds(SamplingInverse(model, coarse_plan, Y,
+        model, Y, report, fine, coarse = gabor_6x161
+        with pytest.raises(StructuralError, match="not the inverse's covering"):
+            verify_sampled_bounds(SamplingInverse(model, coarse, Y,
                                                   method="direct",
                                                   report=report), n_trials=3)
-        rep = verify_sampled_bounds(SamplingInverse(model, fine_plan, Y,
+        rep = verify_sampled_bounds(SamplingInverse(model, fine, Y,
                                                     report=report), n_trials=3)
         assert rep["violations"] == 0
 
@@ -655,28 +624,28 @@ class TestReportWeight:
         unit = oscillation_report(model, cov, gamma, unit_weight(space), 0.25)
         assert own.contraction_bounds[1] > 1e6
         assert unit.certified and unit.contraction_bounds[1] < 0.72
-        return model, cov, w, own, unit, select_samples(cov)
+        return model, cov, w, own, unit, cov
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     @pytest.mark.parametrize("method", ["neumann", "direct"])
     def test_inverse_refuses_another_weight(self, gabor_4x61, p, method):
-        model, cov, w, own, unit, plan = gabor_4x61
+        model, cov, w, own, unit, cov = gabor_4x61
         Y = WeightedLp(model.space, p, w)
         with pytest.raises(StructuralError, match="another weight"):
-            SamplingInverse(model, plan, Y, method=method, report=unit)
+            SamplingInverse(model, cov, Y, method=method, report=unit)
         with pytest.raises(StructuralError, match="another weight"):
-            SamplingInverse(model, plan, WeightedLp.lebesgue(model.space, p),
+            SamplingInverse(model, cov, WeightedLp.lebesgue(model.space, p),
                             method=method, report=own)
         if method == "neumann":
             with pytest.raises(CertificationError, match="sharp contraction"):
-                SamplingInverse(model, plan, Y, report=own)
+                SamplingInverse(model, cov, Y, report=own)
         else:
-            assert SamplingInverse(model, plan, Y, method="direct",
+            assert SamplingInverse(model, cov, Y, method="direct",
                                    report=own).report is own
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_run_takes_the_weight_of_y(self, gabor_4x61, p):
-        model, cov, w, own, unit, plan = gabor_4x61
+        model, cov, w, own, unit, cov = gabor_4x61
         with pytest.raises(CertificationError, match="sharp contraction"):
             run_discretization(model, WeightedLp(model.space, p, w), 0.25,
                                covering=cov, n_trials=5)
@@ -705,16 +674,15 @@ class TestStreamedBounds:
         weight = Weight2D(space, w)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        plan = select_samples(cov)
         bounds = verify_sampled_bounds(
-            SamplingInverse(model, plan, Y, method="direct", report=report),
+            SamplingInverse(model, cov, Y, method="direct", report=report),
             n_trials=5)
         mu = space.weights
         m = weight_matrix_naive(weight.w)
         m_v = weight_matrix_naive(weight.v)
-        exact = schur_norm_naive(mu, sampled_row_kernel(model, plan), m)
+        exact = schur_norm_naive(mu, sampled_row_kernel(model, cov), m)
         assert bounds["D_const"] == pytest.approx(
-            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
+            sampled_row_bound_naive(model, cov, weight.w), rel=1e-13)
         assert exact <= bounds["D_const"] * (1.0 + 1e-13)
         if weight_rule == "unit":
             assert bounds["D_const"] == pytest.approx(exact,
@@ -740,12 +708,10 @@ class TestStreamedBounds:
         """Under the unit weight the sampled-row constant, read off an R pass
         (the |R| row sums at the samples and |R| c) in eight strips of three
         rows, matches the naive Schur norm of the dense sampled-row kernel,
-        both from a report made without the plan and as the ``d_const`` of
-        an oscillation report made with it. A covering may leave points in
-        no set (no partition of unity, hence no plan, admits them), so that
-        case passes a bare covering, samples and identifier. Where two sets
-        share a sample point, c = sum_i mu(U_i) delta_{x_i} adds both
-        measures."""
+        both from a bare R pass and as the ``d_const`` of a ``sampled``
+        oscillation report. A covering may leave points in no set. Where
+        two sets share a sample point (point 6 weighs most in both),
+        c = sum_i mu(U_i) delta_{x_i} adds both measures."""
         model = build_random_smooth_model(3, 24, 3.0, seed=2)
         space = model.space
         n = space.n_points
@@ -755,98 +721,74 @@ class TestStreamedBounds:
         if covering == "uncovered":
             cov = Covering(space, (np.arange(2, 9), np.arange(6, 15),
                                    np.arange(20, 23)))
-            plan = SimpleNamespace(covering=cov, samples=np.array([4, 6, 22]),
-                                   identifier=lambda: "uncovered")
         elif covering == "shared":
+            w = space.weights.copy()
+            w[[6, 20]] *= 2.0
+            space = QuadratureSpace(space.points, w)
+            model = FrameModel(space, model.vectors)
             cov = Covering(space, (np.arange(0, 8), np.arange(5, 14),
                                    np.arange(14, n)))
-            plan = discretize_module.SamplingPlan(cov, np.array([6, 6, 20]))
+            assert cov.samples.tolist() == [6, 6, 20]
         else:
             cov = {"intervals": lambda: random_interval_covering(rng, space, 5),
                    "uniform": lambda: uniform_covering(space, 3.0 / n),
                    "singletons": lambda: singleton_covering(space)}[covering]()
-            plan = select_samples(cov)
         weight = WeightedLp.lebesgue(space, 2.0).weight2d()
         gamma = PhaseFunction(model, "kernel")
-        want = schur_norm_naive(space.weights, sampled_row_kernel(model, plan))
-        bare = oscillation_report(model, cov, gamma, weight, 0.25)
-        got = discretize_module._sampled_row_constant(model, plan, bare)
-        assert got == pytest.approx(want, rel=1e-13)
-        report = oscillation_report(model, cov, gamma, weight, 0.25, plan=plan)
-        assert report.d_const == pytest.approx(want, rel=1e-13)
-        assert report.d_plan == plan.identifier()
-
-    def test_report_constant_only_for_its_own_plan(self):
-        """A unit-weight report made for plan A and handed in with plan B,
-        on the same covering with other samples, gives plan B's sampled-row
-        constant; with plan A it gives A's. With a plan on another covering
-        it is refused."""
-        model, Y, weight, cov, gamma, _, plan_a = make_setup()
-        space = model.space
+        want = schur_norm_naive(space.weights, sampled_row_kernel(model, cov))
+        assert kernel_norms(model, weight, cov)[1] == pytest.approx(want,
+                                                                   rel=1e-13)
         report = oscillation_report(model, cov, gamma, weight, 0.25,
-                                    plan=plan_a)
-        other = np.array([idx[-1] for idx in sets_of(cov)])
-        plan_b = discretize_module.SamplingPlan(cov, other)
-        cov_c = uniform_covering(space, 3.0 / space.n_points)
-        plan_c = select_samples(cov_c)
-        for plan in (plan_a, plan_b):
-            want = schur_norm_naive(space.weights,
-                                    sampled_row_kernel(model, plan))
-            inverse = SamplingInverse(model, plan, Y, method="direct",
-                                      report=report)
-            got = verify_sampled_bounds(inverse,
-                                        n_trials=3)["D_const"]
-            assert got == pytest.approx(want, rel=1e-13)
-        assert report.d_const != pytest.approx(
-            schur_norm_naive(space.weights, sampled_row_kernel(model, plan_b)),
-            rel=1e-6)
-        with pytest.raises(StructuralError, match="not the plan's covering"):
-            SamplingInverse(model, plan_c, Y, method="direct", report=report)
+                                    sampled=True)
+        assert report.d_const == pytest.approx(want, rel=1e-13)
 
     def test_weighted_report_carries_its_constant(self):
-        """Under a non-trivial weight a report made with the plan carries
-        the bound on the plan's sampled-row constant under that weight, as
-        the loop oracle gives it, and names the plan; one made without a
-        plan carries none."""
-        model, _, _, cov, gamma, _, plan = make_setup()
+        """Under a non-trivial weight a ``sampled`` report carries the bound
+        on the sampled-row constant of the covering's samples under that
+        weight, as the loop oracle gives it; one made without ``sampled``
+        carries none, and the bounds check makes the same bound from an R
+        pass of its own."""
+        model, _, _, cov, gamma, _ = make_setup()
         Y = WeightedLp(model.space, 2.0, np.exp(0.5 * model.space.points[:, 0]))
         weight = Y.weight2d()
-        report = oscillation_report(model, cov, gamma, weight, 0.25, plan=plan)
+        report = oscillation_report(model, cov, gamma, weight, 0.25,
+                                    sampled=True)
         assert report.d_const == pytest.approx(
-            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
-        assert report.d_plan == plan.identifier()
+            sampled_row_bound_naive(model, cov, weight.w), rel=1e-13)
         bare = oscillation_report(model, cov, gamma, weight, 0.25)
-        assert bare.d_const is None and bare.d_plan is None
+        assert bare.d_const is None
+        inverse = SamplingInverse(model, cov, Y, method="direct", report=bare)
+        assert verify_sampled_bounds(inverse, n_trials=3)["D_const"] \
+            == report.d_const
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(8, 40))
     @settings(max_examples=40, deadline=None)
     def test_bound_brackets_the_sampled_row_constant(self, seed, d, n):
-        """On a random smooth model with random overlapping intervals (points
-        outside them stay uncovered), random samples (a set takes a sample
-        of an earlier set it holds half the time) and a lognormal weight,
-        the streamed bound on D equals its loop oracle to 1e-13 and lies
-        between the exact D and (max_i M_i)^2 D."""
+        """On a random smooth model with lognormal quadrature weights and
+        random overlapping intervals (points outside them stay uncovered),
+        whose samples are their points of largest weight (overlapping sets
+        may share one), and a lognormal weight, the streamed bound on D
+        equals its loop oracle to 1e-13 and lies between the exact D and
+        (max_i M_i)^2 D."""
         rng = np.random.default_rng(seed)
-        model = build_random_smooth_model(d, n, 2.0, seed=seed % 1000)
-        space = model.space
-        sets, samples = [], []
+        base = build_random_smooth_model(d, n, 2.0, seed=seed % 1000)
+        space = QuadratureSpace(base.space.points,
+                                np.exp(rng.normal(0.0, 1.0, n)) / n)
+        model = FrameModel(space, base.vectors)
+        sets = []
         for _ in range(int(rng.integers(1, 6))):
             a = int(rng.integers(0, n - 1))
-            s = np.arange(a, int(rng.integers(a + 1, n + 1)))
-            shared = [x for x in samples if s[0] <= x <= s[-1]]
-            samples.append(shared[0] if shared and rng.random() < 0.5
-                           else int(rng.choice(s)))
-            sets.append(s)
+            sets.append(np.arange(a, int(rng.integers(a + 1, n + 1))))
         cov = Covering(space, tuple(sets))
-        plan = SimpleNamespace(covering=cov, samples=np.array(samples))
+        samples = cov.samples.tolist()
         w = np.exp(rng.normal(0.0, 0.5, n))
         weight = Weight2D(space, w)
         m = weight_matrix_naive(w)
         spread = max(m[x][xi] for s, xi in zip(sets, samples) for x in s)
         exact = schur_norm_naive(space.weights,
-                                 sampled_row_kernel(model, plan), m)
-        got = kernel_norms(model, weight, plan)[1]
-        assert got == pytest.approx(sampled_row_bound_naive(model, plan, w),
+                                 sampled_row_kernel(model, cov), m)
+        got = kernel_norms(model, weight, cov)[1]
+        assert got == pytest.approx(sampled_row_bound_naive(model, cov, w),
                                     rel=1e-13)
         assert exact <= got * (1.0 + 1e-13)
         assert got <= spread ** 2 * exact * (1.0 + 1e-13)
@@ -856,7 +798,7 @@ class TestStreamedBounds:
         no other Schur sums: the oscillation pass, which closes every
         column once in order, and the R pass, the upper-strip sequence
         once, which also gives the sampled-row constant."""
-        model, _, _, cov, _, _, _ = make_setup()
+        model, _, _, cov, _, _ = make_setup()
         n = model.space.n_points
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * 16 * n)
         Y = WeightedLp(model.space, 2.0, np.exp(0.5 * model.space.points[:, 0]))
@@ -898,7 +840,7 @@ class TestStreamedBounds:
         the oscillation report, under the unit and an exp weight alike: the
         bounds check reads the sampled-row constant off the report, and it
         matches the loop oracle of its bound."""
-        model, Y, weight, cov, _, _, _ = make_setup()
+        model, Y, weight, cov, _, _ = make_setup()
         n = model.space.n_points
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", 8 * 16 * n)
         if weight_rule == "exp":
@@ -921,18 +863,16 @@ class TestStreamedBounds:
         assert strips == [rows.start
                           for rows in kernels_module.upper_strips(n, entry)]
         assert len(strips) >= 3
-        plan = result.inverse.plan
-        assert result.inverse.report.d_plan == plan.identifier()
         assert result.bounds["D_const"] \
             == result.inverse.report.d_const
         assert result.bounds["D_const"] == pytest.approx(
-            sampled_row_bound_naive(model, plan, weight.w), rel=1e-13)
+            sampled_row_bound_naive(model, cov, weight.w), rel=1e-13)
 
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
         """With an eight-row block budget, the oscillation report, the bounds
         check and the reproducing defect each allocate less than one n x n
         float array; the model itself holds no kernel. So does a unit-weight
-        report made with the plan's samples, whose |R| c adds O(n)."""
+        ``sampled`` unit-weight report, whose |R| c adds O(n)."""
         model = build_gabor_model(6, 81, 2.45)
         space = model.space
         n = space.n_points
@@ -942,13 +882,12 @@ class TestStreamedBounds:
                                                                 axis=1)))
         weight = Y.weight2d()
         gamma = PhaseFunction(model, "kernel")
-        plan = select_samples(cov)
         report = oscillation_report(model, cov, gamma, weight, 0.2)
-        inverse = SamplingInverse(model, plan, Y, method="direct", report=report)
+        inverse = SamplingInverse(model, cov, Y, method="direct", report=report)
         unit = WeightedLp.lebesgue(space, 2.0).weight2d()
         for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
                     lambda: oscillation_report(model, cov, gamma, unit, 0.2,
-                                               plan=plan),
+                                               sampled=True),
                     lambda: verify_sampled_bounds(inverse, n_trials=5),
                     lambda: reproducing_defect(model, weight)):
             tracemalloc.start()
@@ -982,7 +921,7 @@ class TestStreamedBounds:
         assert peak < 16 * n * n
 
 
-def _working_set_pass(name, model, cov, plan, Y, report, coords):
+def _working_set_pass(name, model, cov, Y, report, coords):
     """Run one streamed kernel pass on the ``TestWorkingSetBudget`` setup."""
     space = model.space
     gamma = PhaseFunction(model, "kernel")
@@ -995,7 +934,7 @@ def _working_set_pass(name, model, cov, plan, Y, report, coords):
         assert isinstance(scan, Screened) and scan.column == 0
         return scan
     if name == "R":
-        return kernel_norms(model, report.weight, plan)
+        return kernel_norms(model, report.weight, cov)
     return discretize_module._analysis_norms(
         model.vectors.conj().T, [WeightedLp(space, 1.0, Y.w)], coords)
 
@@ -1009,7 +948,8 @@ class TestWorkingSetBudget:
     gathered copies and the pair bookkeeping. The passes: the oscillation
     norms under an exp weight, the screen's first column on a one-box
     covering (every Q_y the whole grid, as in refinement round 0), the R
-    pass with a plan under the exp weight, and the Y-norms of an
+    pass with the covering's samples under the exp weight, and the Y-norms
+    of an
     (n, n_sets) analysis block, whose budget of 32 rows is below what a
     separate 1 MiB norm budget would hold. The verification harness keeps
     to the same budget, and a budget below one row cuts the rows of the
@@ -1022,14 +962,13 @@ class TestWorkingSetBudget:
         cov = Covering(space, tuple(
             np.arange(t * 255 + m, t * 255 + min(m + 3, 255))
             for t in range(6) for m in range(0, 255, 3)))
-        plan = select_samples(cov)
         Y = WeightedLp(space, 2.0,
                        np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     Y.weight2d(), 0.2)
         coords = np.random.default_rng(0).standard_normal(
             (model.dim, cov.n_sets)) + 0j
-        return model, cov, plan, Y, report, coords
+        return model, cov, Y, report, coords
 
     @pytest.mark.parametrize("name,rows", [("osc", 128), ("screen", 128),
                                            ("R", 128), ("analysis", 32)])
@@ -1060,14 +999,14 @@ class TestWorkingSetBudget:
         Neumann handle (50, 50 and 20 trials), and the p != 2 observed
         contraction on a direct one. (The grid-side harness peaked at about
         ten such blocks above the budget here.)"""
-        model, cov, plan, Y, report, _ = gabor_6x255
+        model, cov, Y, report, _ = gabor_6x255
         n, d = model.space.n_points, model.dim
         budget = 32 * 16 * n
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", budget)
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         if name.startswith("contraction"):
             p = 1.0 if name.endswith("1") else np.inf
-            inverse = SamplingInverse(model, plan,
+            inverse = SamplingInverse(model, cov,
                                       WeightedLp(model.space, p, Y.w),
                                       method="direct")
         run = {"residuals": lambda: residual_suite(inverse),
@@ -1093,7 +1032,7 @@ class TestWorkingSetBudget:
         osc and R passes into column blocks, whose row sums add up: on
         Gabor 6 x 41 with 1 x 2 boxes the norms of osc and R under the
         weight (least at point 5) match the dense kernels' naive Schur
-        norms to 1e-13, the bound on the plan's sampled-row constant under
+        norms to 1e-13, the bound on the samples' sampled-row constant under
         the weight matches its loop oracle, and a screened scan stops at
         the column a whole-row scan stops at, with the same bound."""
         model = build_gabor_model(6, 41, 2.45)
@@ -1101,7 +1040,6 @@ class TestWorkingSetBudget:
         n = space.n_points
         cov = Covering(space, tuple(np.arange(t * 41 + m, t * 41 + min(m + 2, 41))
                                     for t in range(6) for m in range(0, 41, 2)))
-        plan = select_samples(cov)
         w = np.ones(n) if weight_rule == "unit" else np.exp(
             0.3 * np.linalg.norm(space.points - space.points[5], axis=1))
         weight = Weight2D(space, w)
@@ -1119,7 +1057,7 @@ class TestWorkingSetBudget:
 
         monkeypatch.setattr(SchurSums, "_feed", recorded)
         got_osc = oscillation_norms(model, cov, gamma, weight)
-        got_r, got_d = kernel_norms(model, weight, plan)
+        got_r, got_d = kernel_norms(model, weight, cov)
         cut = oscillation_norms(model, cov, gamma, weight, level=0.5 * osc_sum)
         assert max(pieces) < n
         mu = space.weights
@@ -1130,7 +1068,7 @@ class TestWorkingSetBudget:
         assert got_r == pytest.approx(
             schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
         assert got_d == pytest.approx(
-            sampled_row_bound_naive(model, plan, w), rel=1e-13)
+            sampled_row_bound_naive(model, cov, w), rel=1e-13)
         assert isinstance(cut, Screened) and cut.column == whole.column
         assert cut.lower_bound == pytest.approx(whole.lower_bound, rel=1e-13)
 
@@ -1145,13 +1083,13 @@ class TestScaleInvariantNeumann:
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     Y.weight2d(), 0.2)
-        return model, Y, select_samples(cov), report
+        return model, Y, cov, report
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
     def test_matches_direct_at_every_scale(self, gabor_plan, scale):
-        model, Y, plan, report = gabor_plan
-        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
-        dir_ = SamplingInverse(model, plan, Y, method="direct")
+        model, Y, cov, report = gabor_plan
+        neu = SamplingInverse(model, cov, Y, method="neumann", report=report)
+        dir_ = SamplingInverse(model, cov, Y, method="direct")
         rng = np.random.default_rng(5)
         for _ in range(5):
             F = scale * random_range_function(model, rng)
@@ -1160,9 +1098,9 @@ class TestScaleInvariantNeumann:
             assert len(neu.last_term_norms) > 2
 
     def test_block_columns_of_mixed_scale(self, gabor_plan):
-        model, Y, plan, report = gabor_plan
-        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
-        dir_ = SamplingInverse(model, plan, Y, method="direct")
+        model, Y, cov, report = gabor_plan
+        neu = SamplingInverse(model, cov, Y, method="neumann", report=report)
+        dir_ = SamplingInverse(model, cov, Y, method="direct")
         rng = np.random.default_rng(6)
         coords = rng.standard_normal((model.dim, 4)) \
             + 1j * rng.standard_normal((model.dim, 4))
@@ -1191,13 +1129,13 @@ class TestExtremeScales:
         weight = WeightedLp(space, 2.0, w).weight2d()
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        return model, w, select_samples(cov), report
+        return model, w, cov, report
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
     def test_neumann_apply_homogeneous(self, gabor_4x61, p):
-        model, w, plan, report = gabor_4x61
+        model, w, cov, report = gabor_4x61
         Y = WeightedLp(model.space, p, w)
-        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
+        neu = SamplingInverse(model, cov, Y, method="neumann", report=report)
         F = random_range_function(model, np.random.default_rng(3))
         base = apply_inverse(neu, F)
         terms = len(neu.last_term_norms)
@@ -1217,9 +1155,9 @@ class TestExtremeScales:
         blocks of V* C, equal the Y-norms of the whole V* C, zero columns
         included. (The terms are tested through a coordinate bound and are
         not formed on the grid.)"""
-        model, w, plan, report = gabor_4x61
+        model, w, cov, report = gabor_4x61
         Y = WeightedLp(model.space, p, w)
-        neu = SamplingInverse(model, plan, Y, method="neumann", report=report)
+        neu = SamplingInverse(model, cov, Y, method="neumann", report=report)
         rng = np.random.default_rng(k)
         coords = rng.standard_normal((model.dim, k)) \
             + 1j * rng.standard_normal((model.dim, k))
@@ -1253,16 +1191,16 @@ class TestNeumannTermBound:
         report = {rule: oscillation_report(
             model, cov, PhaseFunction(model, "kernel"),
             WeightedLp(space, 2.0, w[rule]).weight2d(), 0.25) for rule in w}
-        return model, select_samples(cov), w, report
+        return model, cov, w, report
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
     def test_bound_dominates_term_norm(self, gabor_4x61, p, weight_rule):
         """On random blocks and on every direction psi_x / |psi_x|; at
         p = inf the direction of the largest w(x) |psi_x|_2 attains it."""
-        model, plan, w, report = gabor_4x61
+        model, cov, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
-        neu = SamplingInverse(model, plan, Y, method="neumann",
+        neu = SamplingInverse(model, cov, Y, method="neumann",
                               report=report[weight_rule])
         rng = np.random.default_rng(8)
         coords = rng.standard_normal((model.dim, 6)) \
@@ -1297,9 +1235,9 @@ class TestNeumannTermBound:
         """|a|_2 / C_Y <= |V* a|_Y <= kappa_Y |a|_2 on every column, C_Y
         the dual norm of x -> |S^{-1} psi_x|_2, for columns of any scale
         and zero columns (both bounds 0 there)."""
-        model, plan, w, report = gabor_4x61
+        model, cov, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
-        neu = SamplingInverse(model, plan, Y, method="neumann",
+        neu = SamplingInverse(model, cov, Y, method="neumann",
                               report=report[weight_rule])
         rng = np.random.default_rng(seed)
         coords = rng.standard_normal((model.dim, len(scales))) \
@@ -1317,11 +1255,11 @@ class TestNeumannTermBound:
     def test_no_grid_norm_per_inversion(self, monkeypatch, gabor_4x61, p, k):
         """``invert_coords`` forms no V* a, however many terms it sums, and
         matches the direct inverse."""
-        model, plan, w, report = gabor_4x61
+        model, cov, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
-        neu = SamplingInverse(model, plan, Y, method="neumann",
+        neu = SamplingInverse(model, cov, Y, method="neumann",
                               report=report["exp"])
-        dir_ = SamplingInverse(model, plan, Y, method="direct")
+        dir_ = SamplingInverse(model, cov, Y, method="direct")
         rng = np.random.default_rng(k)
         coords = rng.standard_normal((model.dim, k)) \
             + 1j * rng.standard_normal((model.dim, k))
@@ -1345,17 +1283,17 @@ class TestBlocks:
     """Every helper taking one vector also takes a block, column by column."""
 
     def test_block_equals_columns(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         f = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         for swap in (False, True):
             lam = atomic_decomposition(inverse, f, swap_roles=swap)
             assert lam.shape == (cov.n_sets, 4)
             samples = dual_analyze if swap else analyze
-            block = np.stack([samples(model, f[:, j])[plan.samples]
+            block = np.stack([samples(model, f[:, j])[cov.samples]
                               for j in range(4)], axis=1)
             rec = reconstruct_from_samples(inverse, block, swap_roles=swap)
-            syn = synthesize_plan(model, plan, lam, swap_roles=swap)
+            syn = synthesize_sampled(model, cov, lam, swap_roles=swap)
 
             def close(got, want):
                 return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -1365,12 +1303,12 @@ class TestBlocks:
                     inverse, f[:, j], swap_roles=swap))
                 assert close(rec[:, j], reconstruct_from_samples(
                     inverse, block[:, j], swap_roles=swap))
-                assert close(syn[:, j], synthesize_plan(
-                    model, plan, lam[:, j], swap_roles=swap))
+                assert close(syn[:, j], synthesize_sampled(
+                    model, cov, lam[:, j], swap_roles=swap))
 
     def test_inverse_apply_block_is_columnwise(self, rng):
-        model, Y, weight, cov, gamma, report, plan = make_setup(p=1.0)
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup(p=1.0)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         F = np.stack([random_range_function(model, rng) for _ in range(3)],
                      axis=1)
         got = apply_inverse(inverse, F)
@@ -1381,14 +1319,14 @@ class TestBlocks:
                 <= 1e-12 * np.linalg.norm(want)
 
     def test_wrong_lengths_rejected(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        inverse = SamplingInverse(model, cov, Y, report=report)
         with pytest.raises(StructuralError):
             atomic_decomposition(inverse, np.ones(4))
         with pytest.raises(StructuralError):
             reconstruct_from_samples(inverse, np.ones(cov.n_sets + 1))
         with pytest.raises(StructuralError):
-            synthesize_plan(model, plan, np.ones((cov.n_sets - 1, 2)))
+            synthesize_sampled(model, cov, np.ones((cov.n_sets - 1, 2)))
 
 
 class TestBlockHarness:
@@ -1403,7 +1341,7 @@ class TestBlockHarness:
                                     for t in range(4) for m in range(0, 61, 2)))
         w = {"unit": np.ones(space.n_points),
              "exp": np.exp(0.02 * np.linalg.norm(space.points, axis=1))}
-        return model, select_samples(cov), w
+        return model, cov, w
 
     @pytest.mark.parametrize("tol", [1e-10, 1e-3])
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -1412,12 +1350,12 @@ class TestBlockHarness:
                                                p, weight_rule, tol):
         """tol = 1e-3 settles the power iteration after a few steps; 1e-10
         runs all of them."""
-        model, plan, w = gabor_4x61
+        model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
         monkeypatch.setattr(discretize_module, "CONTRACTION_TOL", tol)
-        want = observed_contraction_naive(model, plan, Y, tol=tol, seed=4)
+        want = observed_contraction_naive(model, cov, Y, tol=tol, seed=4)
         got = observed_contraction(
-            SamplingInverse(model, plan, Y, method="direct"), seed=4)
+            SamplingInverse(model, cov, Y, method="direct"), seed=4)
         assert want > 1e-4
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -1430,7 +1368,7 @@ class TestBlockHarness:
         of the one before, and still returns the loop's estimate: the
         stopping rule is replayed across the chunks. tol = 1e-10 runs all
         200 steps (29 chunks); 1e-3 settles in the first chunk."""
-        model, plan, w = gabor_4x61
+        model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
         monkeypatch.setattr(discretize_module, "CONTRACTION_TOL", tol)
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
@@ -1443,20 +1381,20 @@ class TestBlockHarness:
             return iterates(m, g, k)
 
         monkeypatch.setattr(discretize_module, "_power_iterates", recorded)
-        want = observed_contraction_naive(model, plan, Y, tol=tol, seed=4)
+        want = observed_contraction_naive(model, cov, Y, tol=tol, seed=4)
         got = observed_contraction(
-            SamplingInverse(model, plan, Y, method="direct"), seed=4)
+            SamplingInverse(model, cov, Y, method="direct"), seed=4)
         assert chunks == ([7] * 28 + [4] if tol == 1e-10 else [7])
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("p", [1.0, np.inf])
     def test_observed_contraction_stops_at_first_step(self, monkeypatch, p):
-        """m = Id - S^{-1} S_c vanishes on a singleton plan: exactly for the
+        """m = Id - S^{-1} S_c vanishes on a singleton covering: exactly for the
         orthonormal basis (the image is zero, so the iteration keeps one
         iterate and its image), to rounding for a smooth model (the first
         ratio settles)."""
         model = build_orthonormal_model(4)
-        Y, weight, gamma, report, plan = singleton_setup(model, p=p)
+        Y, weight, gamma, report, cov = singleton_setup(model, p=p)
         widths = []
         original = discretize_module._analysis_norms
 
@@ -1465,25 +1403,25 @@ class TestBlockHarness:
             return original(analysis, Y, coords)
 
         monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
-        direct = SamplingInverse(model, plan, Y, method="direct")
+        direct = SamplingInverse(model, cov, Y, method="direct")
         assert observed_contraction(direct, seed=3) == 0.0
         assert widths == [2, 20, 20]
-        assert observed_contraction_naive(model, plan, Y, seed=3) == 0.0
+        assert observed_contraction_naive(model, cov, Y, seed=3) == 0.0
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
-        Y, weight, gamma, report, plan = singleton_setup(model, p=p)
-        direct = SamplingInverse(model, plan, Y, method="direct")
+        Y, weight, gamma, report, cov = singleton_setup(model, p=p)
+        direct = SamplingInverse(model, cov, Y, method="direct")
         assert observed_contraction(direct, seed=3) <= 1e-12
-        assert observed_contraction_naive(model, plan, Y, seed=3) <= 1e-12
+        assert observed_contraction_naive(model, cov, Y, seed=3) <= 1e-12
 
     @pytest.mark.parametrize("n_iter", [1, 7, 200])
     def test_observed_contraction_norm_calls(self, monkeypatch, gabor_4x61,
                                              n_iter):
         """The iterates with the last image, the probes and the probe
         images are three blocks, whatever ``CONTRACTION_STEPS`` is."""
-        model, plan, w = gabor_4x61
+        model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, 1.0, w["exp"])
-        want = observed_contraction_naive(model, plan, Y, n_iter=n_iter)
-        direct = SamplingInverse(model, plan, Y, method="direct")
+        want = observed_contraction_naive(model, cov, Y, n_iter=n_iter)
+        direct = SamplingInverse(model, cov, Y, method="direct")
         calls = {"column_norms": 0, "streamed_norms": 0}
         for owner, name in ((WeightedLp, "column_norms"),
                             (spaces_module, "streamed_norms"),
@@ -1508,12 +1446,12 @@ class TestBlockHarness:
         """The decomposition norms of all measure trials come from one
         (n_sets, n_trials) block of per-set masses; no trial calls
         ``decomposition_norm``."""
-        model, plan, w = gabor_4x61
+        model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
         weight = Y.weight2d()
-        report = oscillation_report(model, plan.covering,
+        report = oscillation_report(model, cov,
                                     PhaseFunction(model, "kernel"), weight, 0.25)
-        want = measure_observed_naive(model, plan, Y, n_trials=20, seed=6)
+        want = measure_observed_naive(model, cov, Y, n_trials=20, seed=6)
         calls = []
         original = decomposition_norm
 
@@ -1524,7 +1462,7 @@ class TestBlockHarness:
         for module in (discretize_module, spaces_module):
             monkeypatch.setattr(module, "decomposition_norm", counted,
                                 raising=False)
-        inverse = SamplingInverse(model, plan, Y, method="direct",
+        inverse = SamplingInverse(model, cov, Y, method="direct",
                                   report=report)
         rep = verify_sampled_bounds(inverse, n_trials=20, seed=6)
         assert not calls
@@ -1544,18 +1482,18 @@ class TestBlockHarness:
         rounding noise, within ``tol-cross``. The overlapping covering
         (boxes of three frequency steps, two apart) holds points in two
         sets; it is inverted directly."""
-        model, plan, w = gabor_4x61
+        model, cov, w = gabor_4x61
         method = "neumann"
         if covering == "overlapping":
-            plan = select_samples(Covering(model.space, tuple(
+            cov = Covering(model.space, tuple(
                 np.arange(t * 61 + m, t * 61 + min(m + 3, 61))
-                for t in range(4) for m in range(0, 60, 2))))
+                for t in range(4) for m in range(0, 60, 2)))
             method = "direct"
         Y = WeightedLp(model.space, p, w[weight_rule])
-        report = oscillation_report(model, plan.covering,
+        report = oscillation_report(model, cov,
                                     PhaseFunction(model, "kernel"),
                                     Y.weight2d(), 0.25)
-        inverse = SamplingInverse(model, plan, Y, method=method, report=report)
+        inverse = SamplingInverse(model, cov, Y, method=method, report=report)
         for swap in (0, 1):
             got = residual_suite(inverse, n_trials=20, seed=5 + swap,
                                  swap_roles=bool(swap))
@@ -1576,7 +1514,7 @@ class TestBlockHarness:
             assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
         if p != 2.0:
             assert observed_contraction(inverse, seed=5) == pytest.approx(
-                observed_contraction_naive(model, plan, Y, seed=5),
+                observed_contraction_naive(model, cov, Y, seed=5),
                 rel=1e-13, abs=0.0)
         if method == "neumann":
             tol = DEFAULTS["tol-cross"]
@@ -1585,8 +1523,8 @@ class TestBlockHarness:
                                     seed=5) <= tol
 
     def test_dual_frame_inverts_once_for_both_roles(self, monkeypatch):
-        model, Y, weight, cov, gamma, report, plan = make_setup(p=1.0)
-        inverse = SamplingInverse(model, plan, Y, report=report)
+        model, Y, weight, cov, gamma, report = make_setup(p=1.0)
+        inverse = SamplingInverse(model, cov, Y, report=report)
         calls = []
         original = SamplingInverse.invert_coords
 
@@ -1606,15 +1544,14 @@ class TestBlockHarness:
         """The two role-swapped suites of a run share one dual-frame
         inversion and still report exactly what two separate suites, each
         with its own inverse, report."""
-        model, plan, w = gabor_4x61
-        cov = plan.covering
+        model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
         weight = Y.weight2d()
         result = run_discretization(model, Y, 0.25, covering=cov,
                                     n_trials=10, seed=3)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        suites = [residual_suite(SamplingInverse(model, plan, Y, report=report),
+        suites = [residual_suite(SamplingInverse(model, cov, Y, report=report),
                                  n_trials=10, seed=3 + swap,
                                  swap_roles=bool(swap))
                   for swap in (0, 1)]
@@ -1624,14 +1561,14 @@ class TestBlockHarness:
 
 class TestInverseHandle:
     """The inverse is the one handle of the sampled frame: the helpers read
-    its model, plan, Y, report, tol and n_max, and a run of either method
+    its model, covering, Y, report, tol and n_max, and a run of either method
     builds one Neumann and one direct inverse."""
 
     @staticmethod
     def run_counting_inverses(monkeypatch, method):
         """Run with the given method; return the methods of the inverses it
         built, and check its cross-method gap against a fresh pair."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         built = []
         prepare = SamplingInverse._prepare
 
@@ -1643,8 +1580,8 @@ class TestInverseHandle:
         result = run_discretization(model, Y, 0.25, covering=cov,
                                     method=method, n_trials=10, seed=3)
         monkeypatch.undo()
-        neu = SamplingInverse(model, plan, Y, report=report)
-        direct = SamplingInverse(model, plan, Y, method="direct")
+        neu = SamplingInverse(model, cov, Y, report=report)
+        direct = SamplingInverse(model, cov, Y, method="direct")
         g = random_vectors(np.random.default_rng(3), model.dim, 20)
         gaps = neu.range_norms(neu.invert_coords(g) - direct.invert_coords(g)) \
             / neu.range_norms(g)
@@ -1663,30 +1600,30 @@ class TestInverseHandle:
     def test_cross_check_from_a_direct_inverse(self):
         """A direct inverse checks against a Neumann inverse built from its
         report, tol and n_max; without a report there is none."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         gaps = []
         for tol in (1e-12, 1e-4):
-            neu = SamplingInverse(model, plan, Y, tol=tol, report=report)
-            direct = SamplingInverse(model, plan, Y, method="direct", tol=tol,
+            neu = SamplingInverse(model, cov, Y, tol=tol, report=report)
+            direct = SamplingInverse(model, cov, Y, method="direct", tol=tol,
                                      report=report)
             gaps.append(cross_check_inversion(direct, seed=4))
             assert gaps[-1] == cross_check_inversion(neu, seed=4)
         assert gaps[1] > 100 * gaps[0]       # the looser tol was used
-        bare = SamplingInverse(model, plan, Y, method="direct")
+        bare = SamplingInverse(model, cov, Y, method="direct")
         assert cross_check_inversion(bare, seed=4) is None
 
     def test_other_method_shares_the_metric(self):
         """Both methods' handles read the one range metric the first formed."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        direct = SamplingInverse(model, plan, Y, method="direct", report=report)
+        model, Y, weight, cov, gamma, report = make_setup()
+        direct = SamplingInverse(model, cov, Y, method="direct", report=report)
         assert direct._metric is not None
         assert direct.other_method()._metric is direct._metric
-        neu = SamplingInverse(model, plan, Y, report=report)
+        neu = SamplingInverse(model, cov, Y, report=report)
         assert neu.other_method()._metric is neu._metric
 
     def test_bounds_refuse_a_handle_without_report(self):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        bare = SamplingInverse(model, plan, Y, method="direct")
+        model, Y, weight, cov, gamma, report = make_setup()
+        bare = SamplingInverse(model, cov, Y, method="direct")
         with pytest.raises(StructuralError, match="oscillation report"):
             verify_sampled_bounds(bare, n_trials=3)
 
@@ -1696,7 +1633,7 @@ class TestInverseHandle:
         contraction reads it, and the other side of the cross-check is
         built from the handle. The p = 2 range metric is formed once, by
         the run's inverse, which hands it to the other method's handle."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         calls = {"_restricted_matrix": 0, "range_metric": 0}
         for owner, name in ((discretize_module, "_restricted_matrix"),
                             (WeightedLp, "range_metric")):
@@ -1712,17 +1649,17 @@ class TestInverseHandle:
         assert calls == {"_restricted_matrix": 1, "range_metric": 1}
 
     def test_result_reads_its_inverse(self):
-        """The run's JSON reads the covering, plan, method, certificate and
+        """The run's JSON reads the covering, samples, method, certificate and
         D off the handle the run built and its own report."""
-        model, Y, weight, cov, gamma, report, plan = make_setup()
+        model, Y, weight, cov, gamma, report = make_setup()
         result = run_discretization(model, Y, 0.25, covering=cov,
                                     n_trials=5, seed=3)
         doc = result.to_json_dict()
         inverse = result.inverse
-        own, own_plan = inverse.report, inverse.plan
+        own = inverse.report
+        assert inverse.covering is cov
         assert doc["covering_id"] == own.covering_id == cov.identifier()
-        assert doc["plan_id"] == own_plan.identifier() == own.d_plan
-        assert doc["samples"] == own_plan.samples.tolist()
+        assert doc["samples"] == cov.samples.tolist()
         assert doc["inversion_method"] == inverse.method == "neumann"
         assert doc["constants"]["osc_norm"] == own.osc_norm
         assert doc["constants"]["contraction_bound_sharp"] \
@@ -1731,8 +1668,8 @@ class TestInverseHandle:
 
 
 class TestPlanOnAnotherCovering:
-    """A pass given a plan refuses one whose covering is not its own before
-    any Schur sum is formed."""
+    """An R pass given a covering of another grid refuses it before any
+    Schur sum is formed."""
 
     @staticmethod
     def forbid_passes(monkeypatch) -> list:
@@ -1743,21 +1680,12 @@ class TestPlanOnAnotherCovering:
         return passes
 
     def test_kernel_norms(self, monkeypatch):
-        model, Y, weight, cov, gamma, report, plan = make_setup(n=96)
-        other = select_samples(uniform_covering(
-            build_random_smooth_model(3, 48, 3.0, seed=1).space, 2 / 48))
+        model, Y, weight, cov, gamma, report = make_setup(n=96)
+        other = uniform_covering(
+            build_random_smooth_model(3, 48, 3.0, seed=1).space, 2 / 48)
         passes = self.forbid_passes(monkeypatch)
         with pytest.raises(StructuralError, match="different space"):
-            kernel_norms(model, weight, plan=other)
-        assert not passes
-
-    def test_oscillation_report(self, monkeypatch):
-        model, Y, weight, cov, gamma, report, plan = make_setup()
-        other = select_samples(
-            uniform_covering(model.space, 3 / model.space.n_points))
-        passes = self.forbid_passes(monkeypatch)
-        with pytest.raises(StructuralError, match="another covering"):
-            oscillation_report(model, cov, gamma, weight, 0.25, plan=other)
+            kernel_norms(model, weight, cov=other)
         assert not passes
 
 

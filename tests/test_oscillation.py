@@ -14,8 +14,7 @@ import framedisc.oscillation as oscillation_module
 from framedisc import CertificationError, Covering, FrameModel, \
     OscReport, PhaseFunction, Screened, StructuralError, Weight2D, \
     WeightedLp, invertibility_condition, kernel_norms, oscillation_norms, \
-    oscillation_report, refine_until, select_samples, \
-    sigma_constant, singleton_covering, uniform_covering, uniform_grid
+    oscillation_report, refine_until, sigma_constant, singleton_covering, uniform_covering, uniform_grid
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
@@ -408,10 +407,10 @@ class TestStreamedNorms:
             monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                                 2 * 16 * model.space.n_points)
         got_osc = oscillation_norms(model, cov, gamma, weight)
-        got_r, no_plan = kernel_norms(model, weight)
+        got_r, no_d = kernel_norms(model, weight)
         mu = model.space.weights
         m = weight_matrix_naive(weight.w)
-        assert no_plan is None
+        assert no_d is None
         assert got_osc == pytest.approx(schur_norm_naive(mu, osc, m),
                                         rel=1e-13)
         assert got_r == pytest.approx(
@@ -679,18 +678,17 @@ class TestPhaseFunctions:
 
 
 @functools.cache
-def _budget_setup(weight_rule, rule, with_plan):
+def _budget_setup(weight_rule, rule, sampled):
     """Gabor 4 x 61 with boxes of one time step by two frequency steps, its
-    weight, plan and oscillation report at delta 0.25."""
+    weight and oscillation report at delta 0.25, ``sampled`` or not."""
     model = build_gabor_model(4, 61, 2.0)
     space = model.space
     cov = uniform_covering(space, (1.0, 2 * 4 / 61))
     gamma = PhaseFunction(model, rule)
     weight = unit_weight(space) if weight_rule == "unit" else Weight2D(
         space, np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
-    plan = select_samples(cov) if with_plan else None
-    return model, cov, gamma, weight, plan, oscillation_report(
-        model, cov, gamma, weight, 0.25, plan=plan)
+    return model, cov, gamma, weight, oscillation_report(
+        model, cov, gamma, weight, 0.25, sampled=sampled)
 
 
 class TestBudgetReport:
@@ -734,7 +732,7 @@ class TestBudgetReport:
                                  PhaseFunction(smooth_model, "kernel"), w, 0.1)
         assert rep.covering_id == cov.identifier() and rep.weight is w
         assert "weight" not in rep.to_json_dict()
-        found, refined = refine_until(smooth_model, w, delta=10.0)
+        found, refined = refine_until(smooth_model, w, delta=0.2)
         assert refined.covering_id == found.identifier() and refined.weight is w
 
     @settings(max_examples=40, deadline=None)
@@ -744,15 +742,15 @@ class TestBudgetReport:
                             "above"]),
            st.floats(0.05, 0.95))
     def test_replaced_budget_is_the_report_of_that_budget(
-            self, weight_rule, rule, with_plan, where, frac):
+            self, weight_rule, rule, sampled, where, frac):
         """Every certificate is derived from the stored norms and delta, so
         the report of another budget is ``replace(report, delta=...)``: it
         equals a fresh ``oscillation_report`` at that delta in every field,
         every certificate and its JSON, for delta below, at and one float
         either side of the oscillation norm, and well above it, where the
         invertibility condition fails."""
-        model, cov, gamma, weight, plan, base = _budget_setup(
-            weight_rule, rule, with_plan)
+        model, cov, gamma, weight, base = _budget_setup(
+            weight_rule, rule, sampled)
         osc = base.osc_norm
         delta = {"below": frac * osc,
                  "just-below": np.nextafter(osc, 0.0).item(),
@@ -760,7 +758,8 @@ class TestBudgetReport:
                  "just-above": np.nextafter(osc, np.inf).item(),
                  "above": max(osc, 1.0 / base.r_norm) / frac}[where]
         got = replace(base, delta=delta)
-        want = oscillation_report(model, cov, gamma, weight, delta, plan=plan)
+        want = oscillation_report(model, cov, gamma, weight, delta,
+                                  sampled=sampled)
         assert got.weight is want.weight
         for field in fields(OscReport):
             if field.name != "weight":
@@ -787,8 +786,8 @@ class TestRefine:
     def test_deterministic(self):
         model = build_gabor_model(8, 8, 2.8)
         w = unit_weight(model.space)
-        out1 = refine_until(model, w, delta=0.5)
-        out2 = refine_until(model, w, delta=0.5)
+        out1 = refine_until(model, w, delta=0.2)
+        out2 = refine_until(model, w, delta=0.2)
         assert out1[0].identifier() == out2[0].identifier()
         assert out1[1].osc_norm == out2[1].osc_norm
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from framedisc import Covering, SamplingInverse, StructuralError, \
     WeightedLp, build_gabor_model, cell_space, \
-    local_integrability_constant, pileup_norms, select_samples, \
-    singleton_covering, uniform_covering, uniform_grid
+    local_integrability_constant, pileup_norms, singleton_covering, \
+    uniform_covering, uniform_grid
 from framedisc.coverings import weight_compatibility
 from framedisc.spaces import streamed_norms, sup_infinity_space
 
@@ -283,8 +283,8 @@ def test_range_metric(p, weight_rule):
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     else:
         assert metric is None
-    inverse = SamplingInverse(model, select_samples(
-        singleton_covering(space)), Y, method="direct")
+    inverse = SamplingInverse(model, singleton_covering(space), Y,
+                              method="direct")
     extra = [WeightedLp(space, np.inf, 1.0 / w), WeightedLp(space, 1.0, w)]
     together = inverse.range_norms(a, extra)
     alone = [inverse.range_norms(a, [s])[0] for s in extra] \

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from framedisc import Covering, FrameModel, PhaseFunction, QuadratureSpace, \
-    SamplingPlan, SchurSums, StructuralError, Weight2D, WeightedLp, \
-    weight_compatibility
+    SchurSums, StructuralError, Weight2D, WeightedLp, weight_compatibility
 from framedisc.kernels import row_slices
 from framedisc.models import random_vectors
 from framedisc.spaces import set_pair_kernel_norms
@@ -450,14 +449,14 @@ def decomposition_norm(nu, cov: Covering, Y: WeightedLp) -> float:
     return norm_natural(cov.set_sums(dens), cov, Y)
 
 
-def apply_sampling(model: FrameModel, plan: SamplingPlan, F) -> np.ndarray:
+def apply_sampling(model: FrameModel, cov: Covering, F) -> np.ndarray:
     """(U F)(x) = sum_i c_i F(x_i) R(x, x_i), formed as V^* A[:, xs] (c F(xs))."""
     arr = model.space.check_function(F)
-    xs = plan.samples
-    return model.vectors.conj().T @ (model.duals[:, xs] @ (plan.masses * arr[xs]))
+    xs = cov.samples
+    return model.vectors.conj().T @ (model.duals[:, xs] @ (cov.masses * arr[xs]))
 
 
-def apply_smoothed(model: FrameModel, plan: SamplingPlan, gamma: PhaseFunction,
+def apply_smoothed(model: FrameModel, cov: Covering, gamma: PhaseFunction,
                    F) -> np.ndarray:
     """Phase-corrected companion of the sampling operator.
 
@@ -467,10 +466,9 @@ def apply_smoothed(model: FrameModel, plan: SamplingPlan, gamma: PhaseFunction,
     times the partition pile-up bound.
     """
     arr = model.space.check_function(F)
-    cov = plan.covering
     n = arr.size
     points = np.repeat(np.arange(n), cov.cover_counts)
-    held = plan.samples[cov.holders(0, n)]
+    held = cov.samples[cov.holders(0, n)]
     g = cov.pair_sums(np.conj(gamma(points, held)) * cov.phi * arr[held])
     return model.vectors.conj().T @ (
         model.s_inverse @ (model.vectors @ (model.space.weights * g)))
