@@ -19,9 +19,8 @@ from dataclasses import replace
 
 from framedisc import PhaseFunction, SamplingInverse, WeightedLp, \
     invertibility_condition, observed_contraction, oscillation_report, \
-    uniform_covering
+    uniform_covering, verification_suite
 from framedisc.models import build_gabor_model
-from framedisc.pipeline import residual_suite
 
 
 def max_certifiable_budget(r_norm: float, c_mu: float) -> float:
@@ -48,7 +47,10 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
     cov = uniform_covering(model.space, (1.0, 2 * freq_step))
     gamma = PhaseFunction(model, "kernel")
 
-    probe = oscillation_report(model, cov, gamma, weight, delta=1.0)
+    # sampled: the R pass also bounds the samples' sampled-row constant,
+    # which the verification suite's bounds check reads off the report
+    probe = oscillation_report(model, cov, gamma, weight, delta=1.0,
+                               sampled=True)
     budget = max_certifiable_budget(probe.r_norm, probe.c_mu)
     delta = 0.5 * (probe.osc_norm + budget)
     report = replace(probe, delta=delta)
@@ -68,7 +70,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
         row["contraction_sharp"] = report.contraction_bounds[1]
         inverse = SamplingInverse(model, cov, Y, report=report)
         row["contraction_observed"] = observed_contraction(inverse, seed=0)
-        res = residual_suite(inverse, n_trials=10, seed=0)
+        res = verification_suite(inverse, n_trials=10, seed=0)["residuals"]
         row["atomic_residual_max"] = res["atomic_max"]
         row["banach_residual_max"] = res["banach_max"]
     return row

@@ -11,7 +11,7 @@ from .coverings import Covering, singleton_covering, uniform_covering, \
     validate_covering, weight_compatibility
 from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
     hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
-    synthesize_sampled, verify_sampled_bounds
+    synthesize_sampled
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import SchurSums, Weight2D
 from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
@@ -19,8 +19,8 @@ from .models import FrameModel, build_gabor_model, build_orthonormal_model, \
 from .oscillation import OscReport, PhaseFunction, Screened, \
     invertibility_condition, kernel_norms, oscillation_norms, \
     oscillation_report, refine_until, sigma_constant
-from .pipeline import DiscretizationResult, cross_check_inversion, \
-    residual_suite, run_discretization
+from .pipeline import DiscretizationResult, run_discretization, \
+    verification_suite
 from .quadrature import QuadratureSpace, product_grid, uniform_grid
 from .spaces import WeightedLp, cell_space, local_integrability_constant, \
     pileup_norms, sup_infinity_space

@@ -9,7 +9,8 @@ approximates the reproducing kernel on its range. When the oscillation
 budget certifies ||Id - U|| < 1 there, U is invertible by Neumann series
 and yields frame coefficients, a dual frame, and stable reconstruction
 from point samples. Every certified bound here is also measurable, and the
-verification helpers compute both sides.
+verification harness (``pipeline.verification_suite``) measures the
+observed side.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .coverings import Covering
 from .errors import CertificationError, SingularOperatorError, StructuralError
 from .kernels import Workspace, block_rows, even_step, row_slices
 from .models import FrameModel, random_vectors
-from .oscillation import OscReport, kernel_norms
-from .spaces import WeightedLp, cell_space, local_integrability_constant, \
-    pileup_norms, streamed_norms, sup_infinity_space
+from .oscillation import OscReport
+from .spaces import WeightedLp, cell_space, streamed_norms
 
 # Smallest eigenvalue modulus of the restricted sampling operator that
 # ``direct`` inversion accepts; below it the operator counts as singular.
@@ -45,10 +45,6 @@ CONTRACTION_PROBES = 20
 # iterate, its image and the iterates a doubling forms at once.
 ITERATE_BYTES = 48
 
-# An observed ratio above its certified constant by more than this is a
-# violation (``verify_sampled_bounds``).
-BOUNDS_SLACK = 1e-10
-
 
 def _restricted_matrix(model: FrameModel, cov: Covering) -> np.ndarray:
     """Action of U on analysis coordinates: U(V g) = V(S^{-1} S_c g)."""
@@ -67,8 +63,8 @@ class SamplingInverse:
     inverts a (d, k) block of coordinates, and ``range_norms`` gives the
     Y-norms of the range functions V* a of such a block without forming
     them on the whole grid. The handle is the one argument the
-    decomposition, reconstruction, dual-frame, residual, cross-check,
-    observed-contraction and bounds helpers take: they read the model,
+    decomposition, reconstruction, dual-frame and observed-contraction
+    helpers and the verification harness take: they read the model,
     covering, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's range
     metric from it. A report of another covering, or under another weight
     than Y's, certifies nothing for this covering in Y and is refused here.
@@ -242,10 +238,7 @@ class SamplingInverse:
         """The read-only (d, n_sets) block U^{-1} c_i S^{-1} psi_{x_i}, one
         column per sample: the canonical coordinates of the dual frame
         (``dual_frame``), inverted once per handle for both roles."""
-        model, cov = self.model, self.covering
-        coords = model.s_inverse @ (model.vectors[:, cov.samples]
-                                    * cov.masses[None, :])
-        out = self.invert_coords(coords)
+        out = self.invert_coords(dual_frame(self, deferred=True)[0])
         out.setflags(write=False)
         return out
 
@@ -304,21 +297,28 @@ def _as_columns(values, length: int, what: str) -> tuple:
 
 
 def atomic_decomposition(inverse: SamplingInverse, f,
-                         swap_roles: bool = False) -> np.ndarray:
+                         swap_roles: bool = False, deferred: bool = False):
     """Coefficients lambda_i = c_i (U^{-1} A f)(x_i) at the inverse's samples.
 
     A is the dual analysis for expansion in the sampled frame vectors, or
     the plain analysis (``swap_roles``) for expansion in the sampled
     canonical duals. In analysis coordinates A f is S^{-1} f (or f). ``f``
     may be one vector or a (d, k) block of column vectors, giving an
-    (n_sets, k) block of coefficients.
+    (n_sets, k) block of coefficients. With ``deferred`` it returns
+    (coords, finish) instead: the (d, k) block it would invert and the
+    function that makes the coefficients from that block's inverse, so
+    that a caller can invert several such blocks in one call.
     """
     model, cov = inverse.model, inverse.covering
     vecs, shape = _as_columns(f, model.dim, "vector")
+
+    def finish(g):
+        out = cov.masses[:, None] * (model.vectors[:, cov.samples].conj().T @ g)
+        return out.reshape((cov.n_sets,) + shape)
+
     coords = vecs if swap_roles else model.s_inverse @ vecs
-    g = inverse.invert_coords(coords)
-    out = cov.masses[:, None] * (model.vectors[:, cov.samples].conj().T @ g)
-    return out.reshape((cov.n_sets,) + shape)
+    return (coords, finish) if deferred \
+        else finish(inverse.invert_coords(coords))
 
 
 def synthesize_sampled(model: FrameModel, cov: Covering, coeffs,
@@ -336,7 +336,7 @@ def synthesize_sampled(model: FrameModel, cov: Covering, coeffs,
 
 
 def reconstruct_from_samples(inverse: SamplingInverse, samples,
-                             swap_roles: bool = False) -> np.ndarray:
+                             swap_roles: bool = False, deferred: bool = False):
     """Recover f from its point samples of the analysis transform at the
     inverse's sample points.
 
@@ -344,18 +344,24 @@ def reconstruct_from_samples(inverse: SamplingInverse, samples,
     The sampled function U(A f) = sum_i c_i A f(x_i) R(., x_i) has analysis
     coordinates S^{-1} sum_i c_i A f(x_i) psi_{x_i}, so the kernel is never
     formed. ``samples`` may be an (n_sets, k) block, one sample set per
-    column, giving a (d, k) block of vectors.
+    column, giving a (d, k) block of vectors. With ``deferred`` it returns
+    (coords, finish), as ``atomic_decomposition`` does.
     """
     model, cov = inverse.model, inverse.covering
     vals, shape = _as_columns(samples, cov.n_sets, "sample set")
+
+    def finish(g):
+        out = model.frame_operator @ g if swap_roles else g
+        return out.reshape((model.dim,) + shape)
+
     coords = model.s_inverse @ (model.vectors[:, cov.samples]
                                 @ (cov.masses[:, None] * vals))
-    g = inverse.invert_coords(coords)
-    out = model.frame_operator @ g if swap_roles else g
-    return out.reshape((model.dim,) + shape)
+    return (coords, finish) if deferred \
+        else finish(inverse.invert_coords(coords))
 
 
-def dual_frame(inverse: SamplingInverse, swap_roles: bool = False) -> np.ndarray:
+def dual_frame(inverse: SamplingInverse, swap_roles: bool = False,
+               deferred: bool = False):
     """Vectors e_i with lambda_i(f) = <f, e_i>, stacked as rows.
 
     Solves A(e_i) = c_i U^{-1} R(., x_i) where A is the analysis whose range
@@ -365,9 +371,18 @@ def dual_frame(inverse: SamplingInverse, swap_roles: bool = False) -> np.ndarray
     (d, n_sets) inversion: e_i = U^{-1} c_i S^{-1} psi_{x_i}, times S when
     swapped. That inversion is ``inverse.dual_coords``, made once per
     inverse and shared by both roles; the unswapped rows are read-only.
+    With ``deferred`` it returns (coords, finish), as
+    ``atomic_decomposition`` does, and inverts nothing.
     """
-    e = inverse.dual_coords
-    return (inverse.model.frame_operator @ e if swap_roles else e).T
+    model, cov = inverse.model, inverse.covering
+
+    def finish(e):
+        return (model.frame_operator @ e if swap_roles else e).T
+
+    if not deferred:
+        return finish(inverse.dual_coords)
+    return model.s_inverse @ (model.vectors[:, cov.samples]
+                              * cov.masses[None, :]), finish
 
 
 def hilbert_frame_bounds(model: FrameModel, cov: Covering) -> tuple:
@@ -465,124 +480,3 @@ def observed_contraction(inverse: SamplingInverse, *, seed: int = 0) -> float:
     ni = inverse.range_norms(m @ probes)
     keep = nf > 0.0
     return float(max(best, np.max(ni[keep] / nf[keep], initial=0.0)))
-
-
-def verify_sampled_bounds(inverse: SamplingInverse, n_trials: int = 50,
-                          seed: int = 0) -> dict:
-    """Measure every inequality the sampled kernels certify, for the
-    inverse's covering in its Y, and return the JSON dict of each certified
-    constant beside the worst observed ratio it dominates: ``D_const`` and
-    ``D_observed`` (the sampled-row kernel), ``sigma_const`` and
-    ``sigma_observed`` (the pile-up), ``measure_const`` and
-    ``measure_observed`` (|osc| + |R|), ``range_sup_const`` and
-    ``range_sup_observed`` (R into the sup space), the finite two-sided
-    ``transform_norm_ratios`` and the count of ``violations``.
-
-    The handle must carry the oscillation report of its covering (one
-    without a report is refused, StructuralError); the constants are
-    taken under the report's weight m. The range-sup constant asks for the
-    norms of osc and R under m_v, the weight of the sup space; it takes
-    their norms under m, which bound them since m_v <= m (``kernels``), and
-    equal them when w is least or largest at the reference point. The
-    pile-up constant is the report's sigma' (``OscReport.pileup_sigma``),
-    checked whatever osc is. Each block computes a kernel-derived constant
-    and the worst observed ratio over random trials; ``violations`` counts
-    ratios exceeding their constant beyond ``BOUNDS_SLACK``. The
-    sampled-row constant is a certified bound on D under the report's
-    weight, exact under a trivial one (``oscillation.kernel_norms``): the
-    report's ``d_const`` when the report's R pass gave it
-    (``oscillation_report(..., sampled=True)``), so no second pass over R
-    runs; a report without it (the refine path) gets one R pass here.
-
-    The trials run as blocks, one column each, and none is formed on the
-    whole grid. A range function F = V* a is held as its coordinates a:
-    its sup and L^1_v norms come from one pass over row blocks of V* a
-    (``range_norms``), with its Y-norm unless Y gives a range metric
-    (p = 2), where that is the quadratic form; its samples are
-    V[:, x_i]^* a, and the pile-ups are normed on the covering's cells
-    (``pileup_norms``). The kernel applied to a measure
-    sum_k lambda_k delta_{y_k} has coordinates
-    S^{-1} sum_k lambda_k psi_{y_k}, and the measure's per-set masses,
-    which its decomposition norm piles up, are summed over the sets
-    holding each atom.
-    """
-    model, cov, report = inverse.model, inverse.covering, inverse.report
-    if report is None:
-        raise StructuralError("bounds need an inverse made with an "
-                              "oscillation report")
-    rng = np.random.default_rng(seed)
-    space = model.space
-    weight = report.weight
-
-    d_const = report.d_const
-    if d_const is None:
-        d_const = kernel_norms(model, weight, cov)[1]
-    meas_const = report.osc_norm + report.r_norm
-    sigma = report.pileup_sigma
-    sup_space = sup_infinity_space(inverse.Y, weight)
-    range_sup_const = meas_const * local_integrability_constant(
-        cov, inverse.Y, weight)
-
-    g = random_vectors(rng, model.dim, n_trials)
-    sup_l1v = [sup_space, WeightedLp(space, 1.0, weight.v)]
-    sup, l1v, ny = inverse.range_norms(g, sup_l1v)
-    keep = ny > 0.0
-    g, ny, sup, l1v = g[:, keep], ny[keep], sup[keep], l1v[keep]
-    vals = model.vectors[:, cov.samples].conj().T @ g
-    d_obs = np.max(pileup_norms(inverse.cell_space, vals, cov) / ny,
-                   initial=0.0)
-    sig_obs = np.max(pileup_norms(inverse.cell_space, vals, cov,
-                                  phi=True) / ny, initial=0.0)
-    sup_obs = np.max(sup / ny, initial=0.0)
-    ratios_1y = ny / l1v
-    ratios_ysup = sup / ny
-
-    # Measure trials: atoms at random points. A trial's mass on set i is
-    # sum_k |lambda_k| over its atoms y_k in U_i, one column of an
-    # (n_sets, n_trials) block whose natural pile-ups give the
-    # decomposition norms.
-    atoms = np.empty((model.dim, n_trials), dtype=complex)
-    points, moduli = [], []
-    for j in range(n_trials):
-        k = rng.integers(1, cov.n_sets + 1)
-        # the values rng.choice(n, size=k) gives, without its extra checks
-        idx = rng.integers(0, space.n_points, size=k)
-        coef = random_vectors(rng, k, 1)[:, 0]
-        atoms[:, j] = model.vectors[:, idx] @ coef
-        points.append(idx)
-        moduli.append(np.abs(coef))
-    sets, held = cov.holders_of(np.concatenate(points))
-    trial = np.repeat(np.repeat(np.arange(n_trials),
-                                [idx.size for idx in points]), held)
-    masses = np.bincount(sets * n_trials + trial,
-                         np.repeat(np.concatenate(moduli), held),
-                         minlength=cov.n_sets * n_trials)
-    dec_norms = pileup_norms(inverse.cell_space,
-                             masses.reshape(cov.n_sets, n_trials), cov,
-                             natural=True)
-    applied = inverse.range_norms(model.s_inverse @ atoms)
-    keep = dec_norms > 0.0
-    meas_obs = np.max(applied[keep] / dec_norms[keep], initial=0.0)
-
-    checks = [(d_obs, d_const), (sig_obs, sigma), (meas_obs, meas_const),
-              (sup_obs, range_sup_const)]
-    violations = int(sum(obs > const + BOUNDS_SLACK for obs, const in checks))
-
-    ratios = {
-        "l1v_vs_Y_max": float(np.max(ratios_1y, initial=0.0)),
-        "l1v_vs_Y_min": float(np.min(ratios_1y)) if ratios_1y.size else 0.0,
-        "Y_vs_sup_max": float(np.max(ratios_ysup, initial=0.0)),
-        "Y_vs_sup_min": float(np.min(ratios_ysup)) if ratios_ysup.size else 0.0,
-    }
-    return {
-        "D_const": float(d_const),
-        "D_observed": float(d_obs),
-        "sigma_const": float(sigma),
-        "sigma_observed": float(sig_obs),
-        "measure_const": float(meas_const),
-        "measure_observed": float(meas_obs),
-        "range_sup_const": float(range_sup_const),
-        "range_sup_observed": float(sup_obs),
-        "transform_norm_ratios": ratios,
-        "violations": violations,
-    }

@@ -10,58 +10,203 @@ import numpy as np
 from .coverings import Covering, validate_covering
 from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
     hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
-    synthesize_sampled, verify_sampled_bounds
-from .errors import CertificationError
+    synthesize_sampled
+from .errors import CertificationError, StructuralError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
-from .oscillation import PhaseFunction, oscillation_report, refine_until
-from .spaces import WeightedLp, pileup_norms
+from .oscillation import PhaseFunction, kernel_norms, oscillation_report, \
+    refine_until
+from .spaces import WeightedLp, local_integrability_constant, pileup_norms, \
+    sup_infinity_space
 
 
-def residual_suite(inverse: SamplingInverse, n_trials: int = 50, seed: int = 0,
-                   swap_roles: bool = False) -> dict:
-    """Reconstruction, duality and norm-equivalence residuals on random vectors.
+# An observed ratio above its certified constant by more than this is a
+# violation (``verification_suite``).
+BOUNDS_SLACK = 1e-10
 
-    All residuals are relative except the duality defect, which is absolute
-    against unit-norm inputs; the norm-equivalence ratios are in the
-    inverse's Y. The trials run as one (d, n_trials) block of unit vectors,
-    drawn in one call from ``seed`` (``random_vectors``). No trial is formed
-    on the whole grid: the range functions V* a are held as their
-    coordinates a, whose Y-norms come through the handle (``range_norms``),
-    the sample values are V[:, x_i]^* a, and the pile-ups are normed on
-    the covering's cells (``pileup_norms``).
+
+def verification_suite(inverse: SamplingInverse, n_trials: int = 50,
+                       seed: int = 0) -> dict:
+    """Measure the sampled frame of the inverse's covering in its Y: the
+    report's ``residuals`` and ``residuals_swapped`` (``_residuals``, one
+    role each), ``bounds`` (each certified constant beside the worst
+    observed ratio it dominates, and the count of ``violations`` beyond
+    ``BOUNDS_SLACK``) and ``cross_method_gap`` (the worst relative Y-norm
+    gap between Neumann and direct inversion, None when the Neumann
+    certificate is unavailable).
+
+    Each trial family is drawn once, one call per array
+    (``random_vectors``): from ``seed`` the bounds check's range functions,
+    which normalized are the unswapped role's trials, then the measure
+    trials (``_measure_trials``); from ``seed + 1`` the swapped role's
+    trials; from ``seed`` again the cross-check's 20 range functions. No
+    trial is formed on the whole grid: V* a is held as a, its samples are
+    V[:, x_i]^* a, and each family's pile-ups are normed on the cells
+    (``pileup_norms``) before the next family's are formed. Every block the
+    inverse inverts (the dual frame's, the decomposition and reconstruction
+    inputs of both roles, the cross-check's trials, each ``deferred``) goes
+    through one ``invert_coords`` call, each column stopping on its own,
+    and the other method's handle (``SamplingInverse.other_method``)
+    inverts the cross-check's trials alone. The residual and cross-check
+    range functions are normed in Y in one ``range_norms`` call; the bounds
+    families run after the residual roles, within their peak, with a call
+    for the range functions' Y, sup and L^1_v norms and one for the
+    measures' kernel images.
+
+    The handle must carry the oscillation report of its covering (one
+    without is refused, StructuralError), whose weight m the constants are
+    taken under. D is the report's bound on the sampled-row constant
+    (``oscillation.kernel_norms``), or one R pass here when the report has
+    none; sigma' is the report's ``pileup_sigma``, checked whatever osc
+    is; the measure constant is |osc| + |R|, and the range-sup constant
+    takes the norms of osc and R under m, which bound those under the sup
+    space's m_v since m_v <= m (``kernels``).
     """
+    model, cov, report = inverse.model, inverse.covering, inverse.report
+    if report is None:
+        raise StructuralError("bounds need an inverse made with an "
+                              "oscillation report")
     rng = np.random.default_rng(seed)
+    g = random_vectors(rng, model.dim, n_trials)
+    try:
+        other = inverse.other_method()
+        probes = random_vectors(np.random.default_rng(seed), model.dim, 20)
+    except CertificationError:
+        other, probes = None, np.empty((model.dim, 0), dtype=complex)
+
+    # each role's decomposition and reconstruction, as the block each
+    # inverts and the function that makes its result from the inverse
+    roles = []
+    for swap, draw in ((False, g), (True, random_vectors(
+            np.random.default_rng(seed + 1), model.dim, n_trials))):
+        f = draw / np.linalg.norm(draw, axis=0)
+        dual_f = model.s_inverse @ f
+        roles.append((swap, f, dual_f, atomic_decomposition(
+            inverse, f, swap_roles=swap, deferred=True),
+            reconstruct_from_samples(inverse, model.vectors[
+                :, cov.samples].conj().T @ (dual_f if swap else f),
+                swap_roles=swap, deferred=True)))
+    dual, *solved, cross = np.split(inverse.invert_coords(np.hstack([
+        dual_frame(inverse, deferred=True)[0],
+        *(step[0] for *_, atomic, recon in roles for step in (atomic, recon)),
+        probes])), np.cumsum([cov.n_sets] + [n_trials] * 4), axis=1)
+    gaps = probes if other is None else cross - other.invert_coords(probes)
+    ranges = [*(v for _, f, dual_f, *_ in roles for v in (f, dual_f)),
+              probes, gaps]
+    norms = np.split(inverse.range_norms(np.hstack(ranges)),
+                     np.cumsum([a.shape[1] for a in ranges])[:-1])
+    residuals = [_residuals(inverse, swap, f, dual_f, dual_frame(
+        inverse, swap_roles=swap, deferred=True)[1](dual),
+        atomic[1](solved[2 * r]), recon[1](solved[2 * r + 1]),
+        *norms[2 * r:2 * r + 2])
+        for r, (swap, f, dual_f, atomic, recon) in enumerate(roles)]
+
+    nf, ng = norms[4:]
+    d_obs, sig_obs, ratios = _range_bounds(inverse, g)
+    measures, masses = _measure_trials(inverse, rng, n_trials)
+    applied = inverse.range_norms(model.s_inverse @ measures)
+    dec_norms = pileup_norms(inverse.cell_space, masses, cov, natural=True)
+    meas_const = report.osc_norm + report.r_norm
+    d_const = report.d_const if report.d_const is not None \
+        else kernel_norms(model, report.weight, cov)[1]
+    pairs = {
+        "D": (d_obs, d_const),
+        "sigma": (sig_obs, report.pileup_sigma),
+        "measure": (np.max(applied[dec_norms > 0.0]
+                           / dec_norms[dec_norms > 0.0], initial=0.0),
+                    meas_const),
+        "range_sup": (ratios["Y_vs_sup_max"], meas_const
+                      * local_integrability_constant(cov, inverse.Y,
+                                                     report.weight)),
+    }
+    bounds = {f"{name}_{side}": float(value)
+              for name, pair in pairs.items()
+              for side, value in zip(("observed", "const"), pair)}
+    bounds["transform_norm_ratios"] = ratios
+    bounds["violations"] = int(sum(obs > const + BOUNDS_SLACK
+                                   for obs, const in pairs.values()))
+    gap = None if other is None \
+        else float(np.max(ng[nf > 0.0] / nf[nf > 0.0], initial=0.0))
+    return {"residuals": residuals[0], "residuals_swapped": residuals[1],
+            "bounds": bounds, "cross_method_gap": gap}
+
+
+def _range_bounds(inverse: SamplingInverse, g: np.ndarray) -> tuple:
+    """(D, sigma', ratios) observed on the range functions of coordinates
+    g of nonzero Y-norm: the worst flat and phi-weighted pile-ups of their
+    samples over their Y-norms, and the two-sided norm ratios between
+    L^1_v, Y and the sup space."""
+    model, cov, weight = inverse.model, inverse.covering, inverse.report.weight
+    sup, l1v, ny = inverse.range_norms(g, [
+        sup_infinity_space(inverse.Y, weight),
+        WeightedLp(model.space, 1.0, weight.v)])
+    keep = ny > 0.0
+    g, ny, sup, l1v = g[:, keep], ny[keep], sup[keep], l1v[keep]
+    vals = model.vectors[:, cov.samples].conj().T @ g
+    d_obs = np.max(pileup_norms(inverse.cell_space, vals, cov) / ny,
+                   initial=0.0)
+    sig_obs = np.max(pileup_norms(inverse.cell_space, vals, cov,
+                                  phi=True) / ny, initial=0.0)
+    ratios_1y, ratios_ysup = ny / l1v, sup / ny
+    return d_obs, sig_obs, {
+        "l1v_vs_Y_max": float(np.max(ratios_1y, initial=0.0)),
+        "l1v_vs_Y_min": float(np.min(ratios_1y)) if ratios_1y.size else 0.0,
+        "Y_vs_sup_max": float(np.max(ratios_ysup, initial=0.0)),
+        "Y_vs_sup_min": float(np.min(ratios_ysup)) if ratios_ysup.size else 0.0,
+    }
+
+
+def _measure_trials(inverse: SamplingInverse, rng: np.random.Generator,
+                    n_trials: int) -> tuple:
+    """The bounds check's measures sum_k lambda_k delta_{y_k}, drawn in one
+    call each: all sizes (1 to n_sets atoms), all atom indices, all
+    coefficients. Returns each one's sum_k lambda_k psi_{y_k}, a segment
+    sum along each row of V (no (d, total atoms) block is formed), and its
+    masses sum_k |lambda_k| over its atoms in each set, one column each."""
     model, cov = inverse.model, inverse.covering
-    duals = dual_frame(inverse, swap_roles=swap_roles)
-    f = random_vectors(rng, model.dim, n_trials)
-    f /= np.linalg.norm(f, axis=0)
+    sizes = rng.integers(1, cov.n_sets + 1, size=n_trials)
+    # the values rng.choice(n, size=...) gives, without its extra checks
+    points = rng.integers(0, model.space.n_points, size=sizes.sum())
+    # the values random_vectors(rng, points.size, 1) gives, formed in place
+    coef = np.empty(points.size, dtype=complex)
+    coef.real, coef.imag = rng.standard_normal((2, points.size))
+    starts, terms = np.cumsum(sizes) - sizes, np.empty_like(coef)
+    atoms = np.array([np.add.reduceat(np.multiply(
+        np.take(row, points, out=terms), coef, out=terms), starts)
+        for row in model.vectors])
+    sets, held = cov.holders_of(points)
+    trial = np.repeat(np.repeat(np.arange(n_trials), sizes), held)
+    masses = np.bincount(sets * n_trials + trial,
+                         np.repeat(np.abs(coef), held),
+                         minlength=cov.n_sets * n_trials)
+    return atoms, masses.reshape(cov.n_sets, n_trials)
 
-    def errors(rec):
-        return np.linalg.norm(rec - f, axis=0)
 
-    lam = atomic_decomposition(inverse, f, swap_roles=swap_roles)
-    atomic = errors(synthesize_sampled(model, cov, lam, swap_roles=swap_roles))
-
-    dual_f = model.s_inverse @ f
+def _residuals(inverse: SamplingInverse, swap_roles: bool, f: np.ndarray,
+               dual_f: np.ndarray, duals: np.ndarray, lam: np.ndarray,
+               rec: np.ndarray, nf: np.ndarray, ndf: np.ndarray) -> dict:
+    """One role's reconstruction, duality and norm-equivalence residuals on
+    unit vectors f, given S^{-1} f, the dual frame, f's decomposition and
+    reconstruction, and the Y-norms of V* f and V* S^{-1} f. All are
+    relative except the duality defect, absolute against unit inputs."""
+    model, cov = inverse.model, inverse.covering
     # the coordinates of the sampled range function and of its dual
-    base, dual_base = (dual_f, f) if swap_roles else (f, dual_f)
-    samples = model.vectors[:, cov.samples].conj().T @ base
-    banach = errors(reconstruct_from_samples(inverse, samples,
-                                             swap_roles=swap_roles))
+    base, ny, nyd = (dual_f, ndf, nf) if swap_roles else (f, nf, ndf)
 
+    def errors(got):
+        return np.linalg.norm(got - f, axis=0)
+
+    atomic = errors(synthesize_sampled(model, cov, lam, swap_roles=swap_roles))
+    banach = errors(rec)
+    samples = model.vectors[:, cov.samples].conj().T @ base
     inner = duals.conj() @ f
     duality = np.max(np.abs(lam - inner), axis=0)
     exp_b = errors(synthesize_sampled(model, cov, inner, swap_roles=swap_roles))
     exp_c = errors(duals.T @ samples)
-
-    ny = inverse.range_norms(base)
     flat_ratios = pileup_norms(inverse.cell_space, samples,
                                cov)[ny > 0] / ny[ny > 0]
-    nyd = inverse.range_norms(dual_base)
     natural_ratios = pileup_norms(inverse.cell_space, inner, cov,
                                   natural=True)[nyd > 0] / nyd[nyd > 0]
-
     return {
         "atomic_max": float(np.max(atomic)),
         "atomic_mean": float(np.mean(atomic)),
@@ -108,34 +253,6 @@ def reproducing_defect(model: FrameModel, weight: Weight2D) -> float:
         rows = w * (sp.T @ (q @ (mu / w))) + (sp.T @ (q @ (mu * w))) / w
         cols = w * (sq.T @ (p @ (mu / w))) + (sq.T @ (p @ (mu * w))) / w
     return float(max(rows.max(), cols.max()))
-
-
-def cross_check_inversion(inverse: SamplingInverse,
-                          seed: int = 0) -> float | None:
-    """Worst relative Y-norm gap between Neumann and direct inversion,
-    or None when the Neumann certificate is unavailable.
-
-    ``inverse`` is the side of its own method; the other side is built
-    from it (``SamplingInverse.other_method``: a Neumann one from its
-    report, ``tol`` and ``n_max``), on the same S^{-1} S_c and Y-norm
-    constants. The trials are 20 random range functions, one per column of
-    a block of coordinates (``random_vectors``), inverted and measured in
-    coordinates (``invert_coords``, ``range_norms``).
-    """
-    model = inverse.model
-    try:
-        other = inverse.other_method()
-    except CertificationError:
-        return None
-    neu, direct = (inverse, other) if inverse.method == "neumann" \
-        else (other, inverse)
-    rng = np.random.default_rng(seed)
-    g = random_vectors(rng, model.dim, 20)
-    nf = inverse.range_norms(g)
-    g, nf = g[:, nf > 0.0], nf[nf > 0.0]
-    gaps = inverse.range_norms(neu.invert_coords(g) - direct.invert_coords(g)) \
-        / nf
-    return float(np.max(gaps, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,29 +345,18 @@ def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
 
     inverse = SamplingInverse(model, covering, Y, method=method, tol=tol,
                               n_max=n_max, report=report)
-    observed = observed_contraction(inverse, seed=seed)
-    gap = cross_check_inversion(inverse, seed=seed)
-    res = residual_suite(inverse, n_trials=n_trials, seed=seed)
-    res_sw = residual_suite(inverse, n_trials=n_trials, seed=seed + 1,
-                            swap_roles=True)
     c1, c2 = hilbert_frame_bounds(model, covering)
     if report.invertibility_ok and not c1 > 0.0:
         raise CertificationError(
             "certified covering produced a degenerate sampled frame operator"
         )
-    bounds = verify_sampled_bounds(inverse, n_trials=n_trials, seed=seed)
-    defect = reproducing_defect(model, weight)
-
     return DiscretizationResult(
         inverse=inverse,
-        contraction_observed=float(observed),
-        cross_method_gap=gap,
-        residuals=res,
-        residuals_swapped=res_sw,
+        contraction_observed=observed_contraction(inverse, seed=seed),
         frame_lower=c1,
         frame_upper=c2,
-        reproducing_defect=float(defect),
-        bounds=bounds,
+        reproducing_defect=reproducing_defect(model, weight),
         seed=seed,
         n_trials=n_trials,
+        **verification_suite(inverse, n_trials=n_trials, seed=seed),
     )

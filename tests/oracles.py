@@ -528,17 +528,23 @@ def observed_contraction_naive(model, cov, Y, n_iter=200, tol=1e-10,
 
 
 def measure_observed_naive(model, cov, Y, n_trials=50, seed=0):
-    """The ``measure_observed`` field of ``verify_sampled_bounds``, one trial
-    at a time: after the same ``n_trials`` range-function draws, each trial
-    measure's decomposition norm and kernel image are formed on their own."""
+    """The ``measure_observed`` field of the bounds in
+    ``verification_suite``, one trial at a time: after the same ``n_trials``
+    range-function draws, the sizes of all trials, then the atom indices of
+    all trials, then the coefficients of all trials are drawn, and each
+    trial measure's decomposition norm and kernel image are formed on
+    their own."""
     rng = np.random.default_rng(seed)
     for _ in range(n_trials):
         random_range_function(model, rng)
+    sizes = rng.integers(1, cov.n_sets + 1, size=n_trials)
+    points = rng.choice(model.space.n_points, size=sizes.sum(), replace=True)
+    coefs = rng.standard_normal(points.size) \
+        + 1j * rng.standard_normal(points.size)
     best = 0.0
-    for _ in range(n_trials):
-        k = rng.integers(1, cov.n_sets + 1)
-        idx = rng.choice(model.space.n_points, size=k, replace=True)
-        coef = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    for j, k in enumerate(sizes):
+        start = int(sizes[:j].sum())
+        idx, coef = points[start:start + k], coefs[start:start + k]
         dec = decomposition_norm(DiscreteMeasure(idx, coef), cov, Y)
         if dec > 0.0:
             applied = model.vectors.conj().T @ (
@@ -618,7 +624,8 @@ def random_range_block(model, rng, k):
 
 
 def residual_suite_grid(inverse, n_trials=50, seed=0, swap_roles=False):
-    """``pipeline.residual_suite`` with every trial formed on the grid: the
+    """One role's residuals of ``pipeline.verification_suite`` (its
+    trials drawn from ``seed``) with every trial formed on the grid: the
     range functions and their duals as (n_points, n_trials) blocks, their
     samples read off those blocks, and their Y-norms and pile-ups summed
     over the whole grid."""
@@ -664,8 +671,8 @@ def residual_suite_grid(inverse, n_trials=50, seed=0, swap_roles=False):
 
 
 def bounds_observed_grid(inverse, n_trials=50, seed=0):
-    """The observed side of ``verify_sampled_bounds`` with every trial
-    formed on the grid: the range functions as an (n_points, n_trials)
+    """The observed side of the bounds in ``verification_suite`` with every
+    trial formed on the grid: the range functions as an (n_points, n_trials)
     block, the partition-smoothed samples and the kernel images of the
     measure trials likewise, and each trial's per-point atom masses as a
     column of an (n_points, n_trials) density."""
@@ -681,16 +688,13 @@ def bounds_observed_grid(inverse, n_trials=50, seed=0):
     smoothed = cov.pair_sums(cov.phi[:, None]
                              * vals[cov.holders(0, space.n_points)])
     ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)
-    atoms = np.empty((model.dim, n_trials), dtype=complex)
-    points, moduli = [], []
-    for j in range(n_trials):
-        k = rng.integers(1, cov.n_sets + 1)
-        idx = rng.integers(0, space.n_points, size=k)
-        coef = random_vectors(rng, k, 1)[:, 0]
-        atoms[:, j] = model.vectors[:, idx] @ coef
-        points.append(idx * n_trials + j)
-        moduli.append(np.abs(coef))
-    density = np.bincount(np.concatenate(points), np.concatenate(moduli),
+    sizes = rng.integers(1, cov.n_sets + 1, size=n_trials)
+    idx = rng.integers(0, space.n_points, size=sizes.sum())
+    coef = random_vectors(rng, idx.size, 1)[:, 0]
+    trial = np.repeat(np.arange(n_trials), sizes)
+    atoms = np.stack([model.vectors[:, idx[trial == j]] @ coef[trial == j]
+                      for j in range(n_trials)], axis=1)
+    density = np.bincount(idx * n_trials + trial, np.abs(coef),
                           minlength=space.n_points * n_trials)
     dec = Y.column_norms(pileup(
         cov.set_sums(density.reshape(space.n_points, n_trials)), cov,
@@ -726,10 +730,10 @@ def apply_inverse(inverse, F):
 
 
 def cross_check_grid(inverse, other, n_trials=20, seed=0):
-    """``cross_check_inversion`` between two handles with the trials formed
-    on the grid: each side inverts the (n_points, n_trials) block of range
-    functions through ``apply_inverse``, which first projects it to
-    coordinates."""
+    """The cross-method gap of ``verification_suite`` between two handles
+    with the trials formed on the grid: each side inverts the
+    (n_points, n_trials) block of range functions through
+    ``apply_inverse``, which first projects it to coordinates."""
     Y = inverse.Y
     F = random_range_block(inverse.model, np.random.default_rng(seed), n_trials)
     nf = Y.column_norms(F)

@@ -16,11 +16,10 @@ from framedisc import PhaseFunction, SamplingInverse, Weight2D, WeightedLp, \
     hilbert_frame_bounds, \
     invertibility_condition, observed_contraction, oscillation_norms, \
     oscillation_report, singleton_covering, uniform_covering, uniform_grid, \
-    verify_sampled_bounds
+    verification_suite
 from framedisc.cli import main
 from framedisc.coverings import Covering, weight_compatibility
 from framedisc.models import build_gabor_model, build_random_smooth_model
-from framedisc.pipeline import cross_check_inversion, residual_suite
 
 from conftest import random_kernel, random_pointwise_weight
 from oracles import compose, dense_kernel, osc_naive, oscillation_kernel, \
@@ -156,13 +155,14 @@ def test_criterion_5_end_to_end_decomposition(certified_runs):
         for run in certified_runs["runs"]:
             inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
                                       method="neumann", report=run["report"])
-            res = residual_suite(inverse, n_trials=50, seed=5)
+            checks = verification_suite(inverse, n_trials=50, seed=5)
+            res = checks["residuals"]
             assert res["atomic_max"] <= 1e-8, run["label"]
             assert res["banach_max"] <= 1e-8, run["label"]
             assert res["duality_max"] <= 1e-10, run["label"]
             assert res["dual_expansion_max"] <= 1e-8, run["label"]
             assert res["sample_expansion_max"] <= 1e-8, run["label"]
-            gap = cross_check_inversion(inverse, seed=6)
+            gap = checks["cross_method_gap"]
             assert gap is not None and gap <= 1e-9, run["label"]
 
 
@@ -171,7 +171,9 @@ def test_criterion_6_swapped_roles(certified_runs):
         for run in certified_runs["runs"]:
             inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
                                       method="neumann", report=run["report"])
-            res = residual_suite(inverse, n_trials=50, seed=7, swap_roles=True)
+            # the swapped role draws its trials from seed + 1 = 7
+            res = verification_suite(inverse, n_trials=50,
+                                     seed=6)["residuals_swapped"]
             assert res["atomic_max"] <= 1e-8, run["label"]
             assert res["banach_max"] <= 1e-8, run["label"]
             assert res["duality_max"] <= 1e-10, run["label"]
@@ -244,7 +246,7 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
         for run in certified_runs["runs"]:
             inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
                                       report=run["report"])
-            rep = verify_sampled_bounds(inverse, n_trials=50, seed=8)
+            rep = verification_suite(inverse, n_trials=50, seed=8)["bounds"]
             assert rep["violations"] == 0, run["label"]
             for pair in (("D_observed", "D_const"),
                          ("sigma_observed", "sigma_const"),

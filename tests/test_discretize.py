@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import framedisc.discretize as discretize_module
 import framedisc.kernels as kernels_module
 import framedisc.oscillation as oscillation_module
+import framedisc.pipeline as pipeline_module
 import framedisc.spaces as spaces_module
 from framedisc import CertificationError, Covering, FrameModel, \
     PhaseFunction, QuadratureSpace, \
@@ -18,12 +19,11 @@ from framedisc import CertificationError, Covering, FrameModel, \
     dual_frame, hilbert_frame_bounds, kernel_norms, \
     observed_contraction, oscillation_norms, oscillation_report, \
     reconstruct_from_samples, sigma_constant, \
-    singleton_covering, synthesize_sampled, uniform_covering, \
-    verify_sampled_bounds
+    singleton_covering, synthesize_sampled, uniform_covering
 from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model, random_vectors
-from framedisc.pipeline import cross_check_inversion, reproducing_defect, \
-    residual_suite, run_discretization
+from framedisc.pipeline import reproducing_defect, run_discretization, \
+    verification_suite
 
 from framedisc.cli import DEFAULTS
 from framedisc.spaces import local_integrability_constant
@@ -220,8 +220,8 @@ class TestContraction:
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     Y.weight2d(), 0.1)
         assert not report.oscillation_ok
-        bounds = verify_sampled_bounds(SamplingInverse(
-            model, cov, Y, report=report))
+        bounds = verification_suite(SamplingInverse(
+            model, cov, Y, report=report))["bounds"]
         sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
         _, sharp = report.contraction_bounds
         assert bounds["sigma_const"] == sigma
@@ -427,7 +427,9 @@ class TestSwappedRoles:
     def test_full_residual_suite(self):
         model, Y, weight, cov, gamma, report = make_setup()
         inverse = SamplingInverse(model, cov, Y, report=report)
-        res = residual_suite(inverse, n_trials=20, seed=9, swap_roles=True)
+        # the swapped role draws its trials from seed + 1 = 9
+        res = verification_suite(inverse, n_trials=20,
+                                 seed=8)["residuals_swapped"]
         assert res["atomic_max"] <= 1e-8
         assert res["banach_max"] <= 1e-8
         assert res["duality_max"] <= 1e-10
@@ -497,9 +499,9 @@ class TestWeakerThresholds:
 class TestVerifiedBounds:
     def test_no_violations_on_certified_setup(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        rep = verify_sampled_bounds(SamplingInverse(model, cov, Y,
-                                                    report=report),
-                                    n_trials=50, seed=3)
+        rep = verification_suite(SamplingInverse(model, cov, Y,
+                                                 report=report),
+                                 n_trials=50, seed=3)["bounds"]
         assert rep["violations"] == 0
         assert rep["D_observed"] <= rep["D_const"] + 1e-10
         assert rep["sigma_observed"] <= rep["sigma_const"] + 1e-10
@@ -548,14 +550,15 @@ class TestVerifiedBounds:
             * max(1.0, cov.moderateness)
         lower = 1.0 / ((report.osc_norm + report.r_norm) * c_plus)
         for seed in (21, 22):
-            res = residual_suite(inverse, n_trials=25, seed=seed)
+            res = verification_suite(inverse, n_trials=25,
+                                     seed=seed)["residuals"]
             assert lower * (1 - 1e-9) <= res["natural_ratio_lo"]
             assert res["natural_ratio_hi"] <= upper * (1 + 1e-9)
 
     def test_cross_check_inversion_helper(self):
         model, Y, weight, cov, gamma, report = make_setup()
         inverse = SamplingInverse(model, cov, Y, report=report)
-        gap = cross_check_inversion(inverse, seed=4)
+        gap = verification_suite(inverse, seed=4)["cross_method_gap"]
         assert gap is not None and gap <= 1e-9
 
 
@@ -596,11 +599,12 @@ class TestReportCovering:
         refuses the pair when it is made."""
         model, Y, report, fine, coarse = gabor_6x161
         with pytest.raises(StructuralError, match="not the inverse's covering"):
-            verify_sampled_bounds(SamplingInverse(model, coarse, Y,
-                                                  method="direct",
-                                                  report=report), n_trials=3)
-        rep = verify_sampled_bounds(SamplingInverse(model, fine, Y,
-                                                    report=report), n_trials=3)
+            verification_suite(SamplingInverse(model, coarse, Y,
+                                               method="direct",
+                                               report=report), n_trials=3)
+        rep = verification_suite(SamplingInverse(model, fine, Y,
+                                                 report=report),
+                                 n_trials=3)["bounds"]
         assert rep["violations"] == 0
 
 
@@ -674,9 +678,9 @@ class TestStreamedBounds:
         weight = Weight2D(space, w)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        bounds = verify_sampled_bounds(
+        bounds = verification_suite(
             SamplingInverse(model, cov, Y, method="direct", report=report),
-            n_trials=5)
+            n_trials=5)["bounds"]
         mu = space.weights
         m = weight_matrix_naive(weight.w)
         m_v = weight_matrix_naive(weight.v)
@@ -758,7 +762,7 @@ class TestStreamedBounds:
         bare = oscillation_report(model, cov, gamma, weight, 0.25)
         assert bare.d_const is None
         inverse = SamplingInverse(model, cov, Y, method="direct", report=bare)
-        assert verify_sampled_bounds(inverse, n_trials=3)["D_const"] \
+        assert verification_suite(inverse, n_trials=3)["bounds"]["D_const"] \
             == report.d_const
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(8, 40))
@@ -869,8 +873,9 @@ class TestStreamedBounds:
             sampled_row_bound_naive(model, cov, weight.w), rel=1e-13)
 
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
-        """With an eight-row block budget, the oscillation report, the bounds
-        check and the reproducing defect each allocate less than one n x n
+        """With an eight-row block budget, the oscillation report, the
+        verification harness and the reproducing defect each allocate less
+        than one n x n
         float array; the model itself holds no kernel. So does a unit-weight
         ``sampled`` unit-weight report, whose |R| c adds O(n)."""
         model = build_gabor_model(6, 81, 2.45)
@@ -888,7 +893,7 @@ class TestStreamedBounds:
         for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
                     lambda: oscillation_report(model, cov, gamma, unit, 0.2,
                                                sampled=True),
-                    lambda: verify_sampled_bounds(inverse, n_trials=5),
+                    lambda: verification_suite(inverse, n_trials=5),
                     lambda: reproducing_defect(model, weight)):
             tracemalloc.start()
             try:
@@ -987,35 +992,36 @@ class TestWorkingSetBudget:
             tracemalloc.stop()
         assert peak <= 1.0 * budget + 6 * 16 * n * d
 
-    @pytest.mark.parametrize("name", ["residuals", "residuals swapped",
-                                      "bounds", "cross-check",
-                                      "contraction p=1", "contraction p=inf"])
+    @pytest.mark.parametrize("name", ["suite", "suite p=1", "contraction p=1",
+                                      "contraction p=inf"])
     def test_harness_peak_within_budget(self, gabor_6x255, monkeypatch, name):
         """The verification harness forms no trial on the whole grid. With
         the budget at 32 rows of n complex values, the tracemalloc peak of
         each check stays within the budget plus six complex (n, d) arrays
-        and two complex (n_sets, n_trials) blocks. The checks: both roles
-        of the residual suite, the bounds check and the cross-check on a
-        Neumann handle (50, 50 and 20 trials), and the p != 2 observed
-        contraction on a direct one. (The grid-side harness peaked at about
-        ten such blocks above the budget here.)"""
+        and two complex (n_sets, n_trials) blocks. The checks: the whole
+        verification suite (both residual roles, the bounds check and the
+        cross-check, 50, 50, 50 and 20 trials) on a Neumann handle in Y
+        and on a direct one in L^1 under Y's weight, whose Y-norms are
+        summed over row blocks of the range functions, and the p != 2
+        observed contraction on a direct one. (The grid-side harness
+        peaked at about ten such blocks above the budget here.)"""
         model, cov, Y, report, _ = gabor_6x255
         n, d = model.space.n_points, model.dim
         budget = 32 * 16 * n
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", budget)
         inverse = SamplingInverse(model, cov, Y, report=report)
-        if name.startswith("contraction"):
+        if name == "suite p=1":
+            inverse = SamplingInverse(model, cov,
+                                      WeightedLp(model.space, 1.0, Y.w),
+                                      method="direct", report=report)
+        elif name.startswith("contraction"):
             p = 1.0 if name.endswith("1") else np.inf
             inverse = SamplingInverse(model, cov,
                                       WeightedLp(model.space, p, Y.w),
                                       method="direct")
-        run = {"residuals": lambda: residual_suite(inverse),
-               "residuals swapped": lambda: residual_suite(
-                   inverse, seed=1, swap_roles=True),
-               "bounds": lambda: verify_sampled_bounds(inverse),
-               "cross-check": lambda: cross_check_inversion(inverse)
-               }.get(name, lambda: observed_contraction(inverse))
-        run()           # the handle's cached dual frame is not the check's
+        run = (lambda: verification_suite(inverse)) \
+            if name.startswith("suite") else (lambda: observed_contraction(inverse))
+        run()           # the handle's cached cell space is not the check's
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1464,7 +1470,7 @@ class TestBlockHarness:
                                 raising=False)
         inverse = SamplingInverse(model, cov, Y, method="direct",
                                   report=report)
-        rep = verify_sampled_bounds(inverse, n_trials=20, seed=6)
+        rep = verification_suite(inverse, n_trials=20, seed=6)["bounds"]
         assert not calls
         assert want > 0.0
         assert rep["measure_observed"] == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -1494,15 +1500,15 @@ class TestBlockHarness:
                                     PhaseFunction(model, "kernel"),
                                     Y.weight2d(), 0.25)
         inverse = SamplingInverse(model, cov, Y, method=method, report=report)
-        for swap in (0, 1):
-            got = residual_suite(inverse, n_trials=20, seed=5 + swap,
-                                 swap_roles=bool(swap))
+        checks = verification_suite(inverse, n_trials=20, seed=5)
+        for swap, role in enumerate(("residuals", "residuals_swapped")):
+            got = checks[role]
             want = residual_suite_grid(inverse, n_trials=20, seed=5 + swap,
                                        swap_roles=bool(swap))
             assert got.keys() == want.keys()
             for key, value in want.items():
                 assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
-        rep = verify_sampled_bounds(inverse, n_trials=20, seed=5)
+        rep = checks["bounds"]
         got = dict(rep["transform_norm_ratios"],
                    sampled_flat_observed=rep["D_observed"],
                    pou_pileup_observed=rep["sigma_observed"],
@@ -1518,7 +1524,7 @@ class TestBlockHarness:
                 rel=1e-13, abs=0.0)
         if method == "neumann":
             tol = DEFAULTS["tol-cross"]
-            assert cross_check_inversion(inverse, seed=5) <= tol
+            assert checks["cross_method_gap"] <= tol
             assert cross_check_grid(inverse, inverse.other_method(),
                                     seed=5) <= tol
 
@@ -1541,9 +1547,11 @@ class TestBlockHarness:
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_run_residuals_equal_standalone_suites(self, gabor_4x61, p):
-        """The two role-swapped suites of a run share one dual-frame
-        inversion and still report exactly what two separate suites, each
-        with its own inverse, report."""
+        """A run reports exactly what the verification suite reports on a
+        separate inverse of its covering, made with a report that carries
+        no sampled-row bound, so that the suite makes that bound with an R
+        pass of its own: both roles' residuals, the bounds and the
+        cross-method gap."""
         model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
         weight = Y.weight2d()
@@ -1551,12 +1559,103 @@ class TestBlockHarness:
                                     n_trials=10, seed=3)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
                                     weight, 0.25)
-        suites = [residual_suite(SamplingInverse(model, cov, Y, report=report),
-                                 n_trials=10, seed=3 + swap,
-                                 swap_roles=bool(swap))
-                  for swap in (0, 1)]
-        assert result.residuals == suites[0]
-        assert result.residuals_swapped == suites[1]
+        checks = verification_suite(SamplingInverse(model, cov, Y,
+                                                    report=report),
+                                    n_trials=10, seed=3)
+        assert result.residuals == checks["residuals"]
+        assert result.residuals_swapped == checks["residuals_swapped"]
+        assert result.bounds == checks["bounds"]
+        assert result.cross_method_gap == checks["cross_method_gap"]
+
+    @staticmethod
+    def trial_families(inverse, n_trials, seed):
+        """The coordinate blocks the harness inverts, built one family at a
+        time: the dual-frame inputs c_i S^{-1} psi_{x_i}, the
+        atomic-decomposition and reconstruction inputs of the unswapped
+        role (trials from ``seed``) and of the swapped one (``seed + 1``),
+        and the cross-check's 20 range functions (``seed``)."""
+        model, cov = inverse.model, inverse.covering
+        s_inv, psi = model.s_inverse, model.vectors[:, cov.samples]
+        families = [s_inv @ (psi * cov.masses[None, :])]
+        for swap in (0, 1):
+            f = random_vectors(np.random.default_rng(seed + swap), model.dim,
+                               n_trials)
+            f = f / np.linalg.norm(f, axis=0)
+            base = s_inv @ f if swap else f
+            samples = psi.conj().T @ base
+            families += [f if swap else s_inv @ f,
+                         s_inv @ (psi @ (cov.masses[:, None] * samples))]
+        return families + [random_vectors(np.random.default_rng(seed),
+                                          model.dim, 20)]
+
+    @pytest.mark.parametrize("method", ["neumann", "direct"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_stacked_inversion_matches_each_family(self, monkeypatch,
+                                                   gabor_4x61, p, method):
+        """The harness inverts every trial family in one block, and the
+        block's inverse equals, column by column, the inverse of each
+        family alone to 1e-13 relative to the column's largest entry: each
+        column stops on its own (under the exp 0.02 weight, either
+        method)."""
+        model, cov, w = gabor_4x61
+        Y = WeightedLp(model.space, p, w["exp"])
+        report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
+                                    Y.weight2d(), 0.25)
+        inverse = SamplingInverse(model, cov, Y, method=method, report=report)
+        blocks = []
+        original = SamplingInverse.invert_coords
+
+        def recorded(self, coords):
+            out = original(self, coords)
+            if self is inverse:
+                blocks.append((coords.copy(), out))
+            return out
+
+        monkeypatch.setattr(SamplingInverse, "invert_coords", recorded)
+        verification_suite(inverse, n_trials=10, seed=3)
+        monkeypatch.undo()
+        (stacked, got), = blocks
+        families = self.trial_families(inverse, 10, 3)
+        assert np.array_equal(stacked, np.hstack(families))
+        want = np.hstack([inverse.invert_coords(a) for a in families])
+        assert np.all(np.abs(got - want).max(axis=0)
+                      <= 1e-13 * np.abs(want).max(axis=0))
+
+    def test_run_inverts_its_trials_in_one_call(self, monkeypatch,
+                                                gabor_4x61):
+        """A run (p = 1, exp weight, Neumann) makes one Neumann
+        ``invert_coords`` call, for all its trial families, and its
+        verification harness makes at most three ``range_norms`` calls."""
+        model, cov, w = gabor_4x61
+        Y = WeightedLp(model.space, 1.0, w["exp"])
+        calls = {"neumann": 0, "range_norms": 0}
+        harness = [False]
+        invert, norms = SamplingInverse.invert_coords, SamplingInverse.range_norms
+        suite = pipeline_module.verification_suite
+
+        def counted_invert(self, coords):
+            calls["neumann"] += self.method == "neumann"
+            return invert(self, coords)
+
+        def counted_norms(self, *args, **kwargs):
+            calls["range_norms"] += harness[0]
+            return norms(self, *args, **kwargs)
+
+        def in_harness(*args, **kwargs):
+            harness[0] = True
+            try:
+                return suite(*args, **kwargs)
+            finally:
+                harness[0] = False
+
+        monkeypatch.setattr(SamplingInverse, "invert_coords", counted_invert)
+        monkeypatch.setattr(SamplingInverse, "range_norms", counted_norms)
+        monkeypatch.setattr(pipeline_module, "verification_suite", in_harness)
+        result = run_discretization(model, Y, 0.25, covering=cov,
+                                    n_trials=10, seed=3)
+        assert result.inverse.method == "neumann"
+        assert calls["neumann"] == 1
+        assert 1 <= calls["range_norms"] <= 3
 
 
 class TestInverseHandle:
@@ -1599,18 +1698,25 @@ class TestInverseHandle:
 
     def test_cross_check_from_a_direct_inverse(self):
         """A direct inverse checks against a Neumann inverse built from its
-        report, tol and n_max; without a report there is none."""
+        report, tol and n_max; under a report without the contraction
+        certificate (1 x 8 boxes, sharp bound 5.2) there is none."""
         model, Y, weight, cov, gamma, report = make_setup()
         gaps = []
         for tol in (1e-12, 1e-4):
             neu = SamplingInverse(model, cov, Y, tol=tol, report=report)
             direct = SamplingInverse(model, cov, Y, method="direct", tol=tol,
                                      report=report)
-            gaps.append(cross_check_inversion(direct, seed=4))
-            assert gaps[-1] == cross_check_inversion(neu, seed=4)
+            gaps.append(verification_suite(direct, n_trials=3,
+                                           seed=4)["cross_method_gap"])
+            assert gaps[-1] == verification_suite(
+                neu, n_trials=3, seed=4)["cross_method_gap"]
         assert gaps[1] > 100 * gaps[0]       # the looser tol was used
-        bare = SamplingInverse(model, cov, Y, method="direct")
-        assert cross_check_inversion(bare, seed=4) is None
+        model, Y, weight, cov, gamma, report = make_setup(box_pts=8)
+        assert report.contraction_bounds[1] > 1.0
+        uncertified = SamplingInverse(model, cov, Y, method="direct",
+                                      report=report)
+        assert verification_suite(uncertified, n_trials=3,
+                                  seed=4)["cross_method_gap"] is None
 
     def test_other_method_shares_the_metric(self):
         """Both methods' handles read the one range metric the first formed."""
@@ -1625,7 +1731,7 @@ class TestInverseHandle:
         model, Y, weight, cov, gamma, report = make_setup()
         bare = SamplingInverse(model, cov, Y, method="direct")
         with pytest.raises(StructuralError, match="oscillation report"):
-            verify_sampled_bounds(bare, n_trials=3)
+            verification_suite(bare, n_trials=3)
 
     @pytest.mark.parametrize("method", ["neumann", "direct"])
     def test_run_forms_restricted_operator_once(self, monkeypatch, method):

@@ -12,7 +12,11 @@ harness that read the unit-weight sampled-row constant off the sample rows
 of R, before that constant came from the oscillation report's R pass. The
 constants and the observed ratios do not depend on how the harness is
 organised, so they must match to 1e-12 relative; the residuals are rounding
-noise and only have to stay under their configured limits.
+noise and only have to stay under their configured limits. The four
+``bounds.measure_observed`` values are the exception: they come from the
+loop oracle ``oracles.measure_observed_naive`` of the measure trials'
+draw order (all sizes, then all atom indices, then all coefficients),
+which replaced the trial-by-trial draw.
 """
 
 import json
