@@ -944,6 +944,33 @@ def _working_set_pass(name, model, cov, Y, report, coords):
         model.vectors.conj().T, [WeightedLp(space, 1.0, Y.w)], coords)
 
 
+def _suite_family(name, inverse, n_trials=50, seed=0):
+    """Run one trial family of ``verification_suite`` on its own, as the
+    suite draws it: a residual role (the swapped one from ``seed + 1``)
+    or the bounds check's range functions and measures."""
+    model, cov = inverse.model, inverse.covering
+    rng = np.random.default_rng(seed)
+    if name == "bounds":
+        g = random_vectors(rng, model.dim, n_trials)
+        observed = pipeline_module._range_bounds(inverse, g)
+        measures, masses = pipeline_module._measure_trials(inverse, rng,
+                                                           n_trials)
+        applied = inverse.range_norms(model.s_inverse @ measures)
+        return observed, applied, spaces_module.pileup_norms(
+            inverse.cell_space, masses, cov, natural=True)
+    swap = name == "residuals swapped"
+    draw = random_vectors(np.random.default_rng(seed + swap), model.dim,
+                          n_trials)
+    f = draw / np.linalg.norm(draw, axis=0)
+    dual_f = model.s_inverse @ f
+    samples = model.vectors[:, cov.samples].conj().T @ (dual_f if swap else f)
+    nf, ndf = np.split(inverse.range_norms(np.hstack([f, dual_f])), 2)
+    return pipeline_module._residuals(
+        inverse, swap, f, dual_f, dual_frame(inverse, swap_roles=swap),
+        atomic_decomposition(inverse, f, swap_roles=swap),
+        reconstruct_from_samples(inverse, samples, swap_roles=swap), nf, ndf)
+
+
 class TestWorkingSetBudget:
     """Every streamed kernel pass holds its kernel-derived temporaries
     within one budget, ``kernels.BLOCK_BYTES``. On Gabor 6 x 255 (1,530
@@ -992,19 +1019,22 @@ class TestWorkingSetBudget:
             tracemalloc.stop()
         assert peak <= 1.0 * budget + 6 * 16 * n * d
 
-    @pytest.mark.parametrize("name", ["suite", "suite p=1", "contraction p=1",
-                                      "contraction p=inf"])
+    @pytest.mark.parametrize("name", ["residuals", "residuals swapped",
+                                      "bounds", "suite", "suite p=1",
+                                      "contraction p=1", "contraction p=inf"])
     def test_harness_peak_within_budget(self, gabor_6x255, monkeypatch, name):
         """The verification harness forms no trial on the whole grid. With
         the budget at 32 rows of n complex values, the tracemalloc peak of
         each check stays within the budget plus six complex (n, d) arrays
-        and two complex (n_sets, n_trials) blocks. The checks: the whole
-        verification suite (both residual roles, the bounds check and the
-        cross-check, 50, 50, 50 and 20 trials) on a Neumann handle in Y
-        and on a direct one in L^1 under Y's weight, whose Y-norms are
-        summed over row blocks of the range functions, and the p != 2
-        observed contraction on a direct one. (The grid-side harness
-        peaked at about ten such blocks above the budget here.)"""
+        and two complex (n_sets, n_trials) blocks. The checks: each of the
+        suite's residual roles and its bounds check run on its own
+        (``_suite_family``, 50 trials each) and the whole verification
+        suite (both roles, the bounds check and the cross-check, 50, 50,
+        50 and 20 trials) on a Neumann handle in Y, the whole suite on a
+        direct one in L^1 under Y's weight, whose Y-norms are summed over
+        row blocks of the range functions, and the p != 2 observed
+        contraction on a direct one. (The grid-side harness peaked at
+        about ten such blocks above the budget here.)"""
         model, cov, Y, report, _ = gabor_6x255
         n, d = model.space.n_points, model.dim
         budget = 32 * 16 * n
@@ -1020,7 +1050,10 @@ class TestWorkingSetBudget:
                                       WeightedLp(model.space, p, Y.w),
                                       method="direct")
         run = (lambda: verification_suite(inverse)) \
-            if name.startswith("suite") else (lambda: observed_contraction(inverse))
+            if name.startswith("suite") \
+            else (lambda: observed_contraction(inverse)) \
+            if name.startswith("contraction") \
+            else (lambda: _suite_family(name, inverse))
         run()           # the handle's cached cell space is not the check's
         tracemalloc.start()
         try:
