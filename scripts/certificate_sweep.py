@@ -68,7 +68,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
     }
     if certified:
         row["contraction_sharp"] = report.contraction_bounds[1]
-        inverse = SamplingInverse(model, cov, Y, report=report)
+        inverse = SamplingInverse(report, Y)
         row["contraction_observed"] = observed_contraction(inverse, seed=0)
         res = verification_suite(inverse, n_trials=10, seed=0)["residuals"]
         row["atomic_residual_max"] = res["atomic_max"]

@@ -242,9 +242,9 @@ def cmd_osc(cfg: dict) -> int:
     weight = Y.weight2d()
     cov = build_covering_on(cfg, model.space)
     if cov is None:
-        cov, report = refine_until(model, weight, cfg["delta"],
-                                   gamma_rule=cfg["gamma"],
-                                   max_rounds=cfg["refine-max-rounds"])
+        report = refine_until(model, weight, cfg["delta"],
+                              gamma_rule=cfg["gamma"],
+                              max_rounds=cfg["refine-max-rounds"])
     else:
         gamma = PhaseFunction(model, cfg["gamma"])
         report = oscillation_report(model, cov, gamma, weight, cfg["delta"])

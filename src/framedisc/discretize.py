@@ -66,8 +66,9 @@ class SamplingInverse:
     decomposition, reconstruction, dual-frame and observed-contraction
     helpers and the verification harness take: they read the model,
     covering, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's range
-    metric from it. A report of another covering, or under another weight
-    than Y's, certifies nothing for this covering in Y and is refused here.
+    metric from it. The model and covering are the report's own, the ones
+    its certificate was computed for; a report made under another weight
+    than Y's certifies nothing in Y and is refused here.
     The constructor asks Y once for its range metric
     (``WeightedLp.range_metric``); where Y gives none it forms kappa_Y and
     C_Y below instead. ``other_method`` gives the handle of the other
@@ -92,25 +93,20 @@ class SamplingInverse:
     stops no earlier than the exact rule would stop it.
     """
 
-    def __init__(self, model: FrameModel, covering: Covering, Y: WeightedLp,
-                 method: str = "neumann", tol: float = 1e-12, n_max: int = 200,
-                 report: OscReport | None = None):
-        # a report of another covering or weight certifies nothing here
-        if report is not None:
-            if report.covering_id != covering.identifier():
-                raise StructuralError(
-                    f"oscillation report made for covering "
-                    f"{report.covering_id}, not the inverse's covering")
-            if not np.array_equal(report.weight.w, Y.w):
-                raise StructuralError("oscillation report made under another "
-                                      "weight than Y's")
+    def __init__(self, report: OscReport, Y: WeightedLp,
+                 method: str = "neumann", tol: float = 1e-12,
+                 n_max: int = 200):
+        if not np.array_equal(report.weight.w, Y.w):
+            raise StructuralError("oscillation report made under another "
+                                  "weight than Y's")
+        model = report.model
         self.model = model
-        self.covering = covering
+        self.covering = report.covering
         self.Y = Y
         self.tol = float(tol)
         self.n_max = int(n_max)
         self.report = report
-        self._restricted = _restricted_matrix(model, covering)
+        self._restricted = _restricted_matrix(model, self.covering)
         self._analysis = model.vectors.conj().T
         self._metric = Y.range_metric(model.vectors)
         if self._metric is None:
@@ -120,16 +116,10 @@ class SamplingInverse:
 
     def _prepare(self, method: str) -> None:
         """Set the handle up for ``method`` on its S^{-1} S_c."""
-        report = self.report
         self.method = method
         self.last_term_norms: list = []
         if method == "neumann":
-            if report is None:
-                raise CertificationError(
-                    "Neumann inversion needs an oscillation report carrying "
-                    "the contraction certificate"
-                )
-            _, sharp = report.contraction_bounds
+            _, sharp = self.report.contraction_bounds
             if not sharp < 1.0:
                 raise CertificationError(
                     f"sharp contraction bound {sharp:.4f} is not below 1; "
@@ -151,7 +141,6 @@ class SamplingInverse:
         this handle's S^{-1} S_c and its range metric or kappa_Y and C_Y.
         Raises what that method's constructor raises."""
         other = copy.copy(self)
-        other.__dict__.pop("dual_coords", None)
         other._prepare("direct" if self.method == "neumann" else "neumann")
         return other
 
@@ -232,15 +221,6 @@ class SamplingInverse:
             f"Neumann series did not reach tol {self.tol:.1e} relative to the "
             f"input within {self.n_max} terms (last term norm {norms[-1]:.3e})"
         )
-
-    @cached_property
-    def dual_coords(self) -> np.ndarray:
-        """The read-only (d, n_sets) block U^{-1} c_i S^{-1} psi_{x_i}, one
-        column per sample: the canonical coordinates of the dual frame
-        (``dual_frame``), inverted once per handle for both roles."""
-        out = self.invert_coords(dual_frame(self, deferred=True)[0])
-        out.setflags(write=False)
-        return out
 
 
 def _unit_columns(block: np.ndarray) -> tuple:
@@ -369,20 +349,18 @@ def dual_frame(inverse: SamplingInverse, swap_roles: bool = False,
     frame operator is positive definite (the family spans). In analysis
     coordinates R(., x_i) is S^{-1} psi_{x_i}, so all e_i come from one
     (d, n_sets) inversion: e_i = U^{-1} c_i S^{-1} psi_{x_i}, times S when
-    swapped. That inversion is ``inverse.dual_coords``, made once per
-    inverse and shared by both roles; the unswapped rows are read-only.
-    With ``deferred`` it returns (coords, finish), as
-    ``atomic_decomposition`` does, and inverts nothing.
+    swapped. With ``deferred`` it returns (coords, finish), as
+    ``atomic_decomposition`` does.
     """
     model, cov = inverse.model, inverse.covering
 
     def finish(e):
         return (model.frame_operator @ e if swap_roles else e).T
 
-    if not deferred:
-        return finish(inverse.dual_coords)
-    return model.s_inverse @ (model.vectors[:, cov.samples]
-                              * cov.masses[None, :]), finish
+    coords = model.s_inverse @ (model.vectors[:, cov.samples]
+                                * cov.masses[None, :])
+    return (coords, finish) if deferred \
+        else finish(inverse.invert_coords(coords))
 
 
 def hilbert_frame_bounds(model: FrameModel, cov: Covering) -> tuple:

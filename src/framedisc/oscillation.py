@@ -250,28 +250,30 @@ def invertibility_condition(delta: float, r_norm: float, c_mu: float) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class OscReport:
-    """Snapshot of the oscillation budget for one covering/phase/weight.
+    """The certificate of one model's kernel on one covering under one
+    phase and weight.
 
     It keeps what was measured or given: the norms ``osc_norm`` and
     ``r_norm``, ``c_mu`` and the budget ``delta``. Every certificate is a
     property of those four (``sigma_constant``, ``invertibility_condition``),
     so ``replace(report, delta=...)`` is the report of another budget.
-    It names its covering (``covering_id``) and keeps its ``weight``, which
-    its consumers read; they refuse a report of another covering. Both
-    norms are taken under that weight's m, which also bounds them under
-    m_v, the weight of the sup space (``kernels``). Not serialized:
-    ``weight``, and ``d_const``, the bound on the sampled-row constant of
-    the covering's samples from the same R pass (``kernel_norms``) when
-    the report was made ``sampled`` (else None).
+    It holds the ``model`` and ``covering`` it was made for and its
+    ``weight``, which its consumers read: a ``SamplingInverse`` takes its
+    model and covering from the report. Both norms are taken under that
+    weight's m, which also bounds them under m_v, the weight of the sup
+    space (``kernels``). Not serialized: ``model``, ``weight``, and
+    ``d_const``, the bound on the sampled-row constant of the covering's
+    samples from the same R pass (``kernel_norms``) when the report was
+    made ``sampled`` (else None); the covering is serialized as its
+    ``covering_id``, overlap bound ``N`` and ``n_sets``.
     """
 
     osc_norm: float
     r_norm: float
     c_mu: float
     delta: float
-    covering_id: str
-    overlap_bound: int
-    n_sets: int
+    model: FrameModel
+    covering: Covering
     gamma_rule: str
     weight: Weight2D
     d_const: float | None = None
@@ -325,10 +327,10 @@ class OscReport:
             "holds_D": self.oscillation_ok,
             "holds_58": self.invertibility_ok,
             "condition_lhs": self.condition_lhs,
-            "covering_id": self.covering_id,
+            "covering_id": self.covering.identifier(),
             "gamma_rule": self.gamma_rule,
-            "N": self.overlap_bound,
-            "n_sets": self.n_sets,
+            "N": self.covering.overlap_bound,
+            "n_sets": self.covering.n_sets,
         }
 
 
@@ -414,9 +416,8 @@ def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
         r_norm=float(r_norm),
         c_mu=weight_compatibility(cov, weight),
         delta=float(delta),
-        covering_id=cov.identifier(),
-        overlap_bound=cov.overlap_bound,
-        n_sets=cov.n_sets,
+        model=model,
+        covering=cov,
         gamma_rule=gamma.rule,
         weight=weight,
         d_const=d_const,
@@ -433,8 +434,10 @@ def _floor_4(x: float) -> float:
 
 
 def refine_until(model: FrameModel, weight: Weight2D, delta: float,
-                 gamma_rule: str = "kernel", max_rounds: int = 12) -> tuple:
-    """Halve the covering width until the oscillation budget is met.
+                 gamma_rule: str = "kernel",
+                 max_rounds: int = 12) -> OscReport:
+    """Halve the covering width until the oscillation budget is met, and
+    return the report of the covering that meets it.
 
     Starts from a single box spanning the grid and halves the box width each
     round. Succeeds as soon as the oscillation norm is below ``delta`` and
@@ -475,7 +478,7 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
                 r_norm = kernel_norms(model, weight)[0]
             last = _report(model, cov, gamma, weight, delta, scan, r_norm)
             if last.certified:
-                return cov, last
+                return last
             if cov.flat_points.size == cov.n_sets:
                 raise CertificationError(
                     f"the all-singleton covering meets the oscillation budget "

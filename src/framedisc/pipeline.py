@@ -11,7 +11,7 @@ from .coverings import Covering, validate_covering
 from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
     hilbert_frame_bounds, observed_contraction, reconstruct_from_samples, \
     synthesize_sampled
-from .errors import CertificationError, StructuralError
+from .errors import CertificationError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
 from .oscillation import PhaseFunction, kernel_norms, oscillation_report, \
@@ -53,9 +53,8 @@ def verification_suite(inverse: SamplingInverse, n_trials: int = 50,
     for the range functions' Y, sup and L^1_v norms and one for the
     measures' kernel images.
 
-    The handle must carry the oscillation report of its covering (one
-    without is refused, StructuralError), whose weight m the constants are
-    taken under. D is the report's bound on the sampled-row constant
+    The constants are taken under the weight m of the handle's report. D
+    is the report's bound on the sampled-row constant
     (``oscillation.kernel_norms``), or one R pass here when the report has
     none; sigma' is the report's ``pileup_sigma``, checked whatever osc
     is; the measure constant is |osc| + |R|, and the range-sup constant
@@ -63,9 +62,6 @@ def verification_suite(inverse: SamplingInverse, n_trials: int = 50,
     space's m_v since m_v <= m (``kernels``).
     """
     model, cov, report = inverse.model, inverse.covering, inverse.report
-    if report is None:
-        raise StructuralError("bounds need an inverse made with an "
-                              "oscillation report")
     rng = np.random.default_rng(seed)
     g = random_vectors(rng, model.dim, n_trials)
     try:
@@ -334,18 +330,16 @@ def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
     """
     weight = Y.weight2d()
     if covering is None:
-        covering, report = refine_until(model, weight, delta,
-                                        gamma_rule=gamma_rule,
-                                        max_rounds=refine_max_rounds)
+        report = refine_until(model, weight, delta, gamma_rule=gamma_rule,
+                              max_rounds=refine_max_rounds)
     else:
         covering.masses         # refuses an uncovered covering before any pass
         report = oscillation_report(model, covering,
                                     PhaseFunction(model, gamma_rule), weight,
                                     delta, sampled=True)
 
-    inverse = SamplingInverse(model, covering, Y, method=method, tol=tol,
-                              n_max=n_max, report=report)
-    c1, c2 = hilbert_frame_bounds(model, covering)
+    inverse = SamplingInverse(report, Y, method=method, tol=tol, n_max=n_max)
+    c1, c2 = hilbert_frame_bounds(model, report.covering)
     if report.invertibility_ok and not c1 > 0.0:
         raise CertificationError(
             "certified covering produced a degenerate sampled frame operator"

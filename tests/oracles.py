@@ -424,10 +424,10 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
 
     The same halving schedule as ``refine_until``, but each round builds the
     complete ``oscillation_report`` (an unscreened pass over the whole
-    oscillation kernel, both Schur norms, C_mU) before deciding. Only a
-    certified covering is accepted; an all-singleton one that is not ends
-    the search with CertificationError. The raised error carries the last
-    round's report as ``last_report``.
+    oscillation kernel, both Schur norms, C_mU) before deciding, and
+    returns the first certified round's report; an all-singleton covering
+    that is not certified ends the search with CertificationError. The
+    raised error carries the last round's report as ``last_report``.
     """
     from framedisc import CertificationError, PhaseFunction, StructuralError, \
         oscillation_report, singleton_covering, uniform_covering
@@ -451,7 +451,7 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
             cov = singleton_covering(space)
         report = oscillation_report(model, cov, gamma, weight, delta)
         if report.oscillation_ok and report.invertibility_ok:
-            return cov, report
+            return report
         if all(s.size == 1 for s in sets_of(cov)):
             err = CertificationError(
                 f"the all-singleton covering meets the oscillation budget but "

@@ -138,8 +138,7 @@ def test_criterion_4_contraction_certificates(certified_runs):
             assert report.oscillation_ok and report.invertibility_ok, run["label"]
             n_certified += 1
             _, sharp = report.contraction_bounds
-            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
-                                      report=report)
+            inverse = SamplingInverse(report, run["Y"])
             observed = observed_contraction(inverse, seed=0)
             assert observed <= sharp + 1e-9, run["label"]
         assert n_certified >= 5
@@ -153,8 +152,8 @@ def test_criterion_4_contraction_certificates(certified_runs):
 def test_criterion_5_end_to_end_decomposition(certified_runs):
     with criterion(5, "atomic decomposition / sampled-frame round trips"):
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
-                                      method="neumann", report=run["report"])
+            inverse = SamplingInverse(run["report"], run["Y"],
+                                      method="neumann")
             checks = verification_suite(inverse, n_trials=50, seed=5)
             res = checks["residuals"]
             assert res["atomic_max"] <= 1e-8, run["label"]
@@ -169,8 +168,8 @@ def test_criterion_5_end_to_end_decomposition(certified_runs):
 def test_criterion_6_swapped_roles(certified_runs):
     with criterion(6, "same residual suite with analysis roles exchanged"):
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
-                                      method="neumann", report=run["report"])
+            inverse = SamplingInverse(run["report"], run["Y"],
+                                      method="neumann")
             # the swapped role draws its trials from seed + 1 = 7
             res = verification_suite(inverse, n_trials=50,
                                      seed=6)["residuals_swapped"]
@@ -244,8 +243,7 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
 
         # sampled-kernel inequalities on every certified configuration
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["model"], run["cov"], run["Y"],
-                                      report=run["report"])
+            inverse = SamplingInverse(run["report"], run["Y"])
             rep = verification_suite(inverse, n_trials=50, seed=8)["bounds"]
             assert rep["violations"] == 0, run["label"]
             for pair in (("D_observed", "D_const"),

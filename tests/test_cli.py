@@ -85,7 +85,7 @@ def readme_commands(command: str, program: str = "framedisc") -> list:
 
 
 class TestReadmeExamples:
-    @pytest.mark.parametrize("command", ["validate", "osc"])
+    @pytest.mark.parametrize("command", ["validate", "osc", "discretize"])
     def test_example_runs(self, tmp_path, command):
         examples = readme_commands(command)
         assert examples

@@ -272,8 +272,8 @@ class TestMirroredPairs:
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                             n * n * oscillation_module.OSC_CELL_BYTES)
         rows = count_product_rows(model)
-        cov, rep = refine_until(model, unit_weight(model.space), 0.2)
-        assert cov.n_sets == n and rep.osc_norm == 0.0
+        rep = refine_until(model, unit_weight(model.space), 0.2)
+        assert rep.covering.n_sets == n and rep.osc_norm == 0.0
         assert len(rows) == 4 and all(r < n for r in rows[:3])
         assert rows[3] == n
 
@@ -723,17 +723,26 @@ class TestBudgetReport:
             assert key in doc
 
     def test_report_records_covering_and_weight(self, smooth_model):
-        """A report names its covering and keeps the weight it was made
-        under, from a direct call and from the refinement search alike;
-        the weight is not serialized."""
+        """A report holds the model and covering it was made for and the
+        weight it was made under, from a direct call and from the
+        refinement search alike, which returns that one report; the JSON
+        names the covering by its id, and serializes neither the model nor
+        the weight."""
         w = unit_weight(smooth_model.space)
         cov = uniform_covering(smooth_model.space, 0.1)
         rep = oscillation_report(smooth_model, cov,
                                  PhaseFunction(smooth_model, "kernel"), w, 0.1)
-        assert rep.covering_id == cov.identifier() and rep.weight is w
-        assert "weight" not in rep.to_json_dict()
-        found, refined = refine_until(smooth_model, w, delta=0.2)
-        assert refined.covering_id == found.identifier() and refined.weight is w
+        assert rep.model is smooth_model and rep.covering is cov
+        assert rep.weight is w
+        doc = rep.to_json_dict()
+        assert "weight" not in doc and "model" not in doc
+        assert doc["covering_id"] == cov.identifier()
+        assert (doc["N"], doc["n_sets"]) == (cov.overlap_bound, cov.n_sets)
+        refined = refine_until(smooth_model, w, delta=0.2)
+        assert isinstance(refined, OscReport) and refined.certified
+        assert refined.model is smooth_model and refined.weight is w
+        assert refined.to_json_dict()["covering_id"] \
+            == refined.covering.identifier()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["unit", "exp"]), st.sampled_from(["one", "kernel"]),
@@ -779,17 +788,17 @@ class TestBudgetReport:
 class TestRefine:
     def test_terminates_for_any_positive_delta(self, smooth_model):
         w = unit_weight(smooth_model.space)
-        cov, rep = refine_until(smooth_model, w, delta=1e-6, max_rounds=12)
+        rep = refine_until(smooth_model, w, delta=1e-6, max_rounds=12)
         assert rep.oscillation_ok
-        assert all(s.size == 1 for s in sets_of(cov))
+        assert all(s.size == 1 for s in sets_of(rep.covering))
 
     def test_deterministic(self):
         model = build_gabor_model(8, 8, 2.8)
         w = unit_weight(model.space)
         out1 = refine_until(model, w, delta=0.2)
         out2 = refine_until(model, w, delta=0.2)
-        assert out1[0].identifier() == out2[0].identifier()
-        assert out1[1].osc_norm == out2[1].osc_norm
+        assert out1.covering.identifier() == out2.covering.identifier()
+        assert out1.osc_norm == out2.osc_norm
 
     def test_zero_delta_rejected(self, smooth_model):
         with pytest.raises(StructuralError):
@@ -834,10 +843,10 @@ def outcome(search, *args, **kwargs):
     """(covering id, report JSON) on success; on exhausted rounds
     (CertificationError, message, the error's last report if it has one)."""
     try:
-        cov, rep = search(*args, **kwargs)
+        rep = search(*args, **kwargs)
     except CertificationError as exc:
         return CertificationError, str(exc), getattr(exc, "last_report", None)
-    return cov.identifier(), rep.to_json_dict()
+    return rep.covering.identifier(), rep.to_json_dict()
 
 
 def stated_bound(message):
@@ -963,7 +972,8 @@ class TestRefineScreen:
                 yield rows, xs, block
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
-        cov, rep = refine_until(model, w, delta=0.2)
+        rep = refine_until(model, w, delta=0.2)
+        cov = rep.covering
         rejected = [count for c, count in calls.items() if c is not cov]
         assert rejected and all(count < n for count in rejected)
         # the accepted round is all singletons: every block has no pair

@@ -15,8 +15,8 @@ from oracles import lp_norm_naive, membership_naive, pileup_naive, set_masses_na
 from theory import DiscreteMeasure, SequenceNorms, check_m_equivalent, \
     decomposition_norm, flat_equivalence_interval, integrate, \
     lp_sequence_norm, neighbor_sums, norm_flat, norm_natural, \
-    permutation_kernel, pileup, random_admissible_permutation, schur_norm, \
-    sets_of, sup_embedding_report, transfer_kernel
+    permutation_kernel, pileup, random_admissible_permutation, report_for, \
+    schur_norm, sets_of, sup_embedding_report, transfer_kernel
 
 P_VALUES = (1.0, 2.0, np.inf)
 
@@ -283,8 +283,8 @@ def test_range_metric(p, weight_rule):
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
     else:
         assert metric is None
-    inverse = SamplingInverse(model, singleton_covering(space), Y,
-                              method="direct")
+    inverse = SamplingInverse(report_for(model, singleton_covering(space), Y),
+                              Y, method="direct")
     extra = [WeightedLp(space, np.inf, 1.0 / w), WeightedLp(space, 1.0, w)]
     together = inverse.range_norms(a, extra)
     alone = [inverse.range_norms(a, [s])[0] for s in extra] \

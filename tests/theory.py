@@ -21,7 +21,9 @@ argument. Here are:
   sequence norms, their weighted l^p equivalents, the sup embedding and
   decomposition norms;
 - the sampling operator and its phase-corrected companion applied to a
-  grid function (``apply_sampling``, ``apply_smoothed``).
+  grid function (``apply_sampling``, ``apply_smoothed``), and the
+  oscillation report a directly inverted covering's handle is made from
+  (``report_for``).
 
 The brute-force loops these are checked against are in ``oracles.py``.
 """
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from framedisc import Covering, FrameModel, PhaseFunction, QuadratureSpace, \
-    SchurSums, StructuralError, Weight2D, WeightedLp, weight_compatibility
+from framedisc import Covering, FrameModel, OscReport, PhaseFunction, \
+    QuadratureSpace, SchurSums, StructuralError, Weight2D, WeightedLp, \
+    oscillation_report, weight_compatibility
 from framedisc.kernels import row_slices
 from framedisc.models import random_vectors
 from framedisc.spaces import set_pair_kernel_norms
@@ -447,6 +450,15 @@ def decomposition_norm(nu, cov: Covering, Y: WeightedLp) -> float:
         arr = cov.space.check_function(nu)
         dens = np.abs(arr) * cov.space.weights
     return norm_natural(cov.set_sums(dens), cov, Y)
+
+
+def report_for(model: FrameModel, cov: Covering, Y: WeightedLp,
+               delta: float = 1.0) -> OscReport:
+    """The oscillation report of ``cov`` under Y's weight with the kernel
+    phase: what a ``SamplingInverse`` of ``cov`` in Y is made from when a
+    test inverts directly and needs no certificate of its own."""
+    return oscillation_report(model, cov, PhaseFunction(model, "kernel"),
+                              Y.weight2d(), delta)
 
 
 def apply_sampling(model: FrameModel, cov: Covering, F) -> np.ndarray:
