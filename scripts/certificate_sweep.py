@@ -42,15 +42,11 @@ def max_certifiable_budget(r_norm: float, c_mu: float) -> float:
 def run_one(n_time: int, n_freq: int, window: float) -> dict:
     model = build_gabor_model(n_time, n_freq, window)
     Y = WeightedLp.lebesgue(model.space, 2.0)
-    weight = Y.weight2d()
     freq_step = n_time / n_freq
     cov = uniform_covering(model.space, (1.0, 2 * freq_step))
     gamma = PhaseFunction(model, "kernel")
 
-    # sampled: the R pass also bounds the samples' sampled-row constant,
-    # which the verification suite's bounds check reads off the report
-    probe = oscillation_report(model, cov, gamma, weight, delta=1.0,
-                               sampled=True)
+    probe = oscillation_report(model, cov, gamma, Y, delta=1.0)
     budget = max_certifiable_budget(probe.r_norm, probe.c_mu)
     delta = 0.5 * (probe.osc_norm + budget)
     report = replace(probe, delta=delta)
@@ -68,7 +64,7 @@ def run_one(n_time: int, n_freq: int, window: float) -> dict:
     }
     if certified:
         row["contraction_sharp"] = report.contraction_bounds[1]
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         row["contraction_observed"] = observed_contraction(inverse, seed=0)
         res = verification_suite(inverse, n_trials=10, seed=0)["residuals"]
         row["atomic_residual_max"] = res["atomic_max"]

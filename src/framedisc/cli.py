@@ -239,15 +239,14 @@ def cmd_validate(cfg: dict) -> int:
 def cmd_osc(cfg: dict) -> int:
     model = build_model(cfg)
     Y = weighted_space_for(cfg, model.space)
-    weight = Y.weight2d()
     cov = build_covering_on(cfg, model.space)
     if cov is None:
-        report = refine_until(model, weight, cfg["delta"],
+        report = refine_until(model, Y, cfg["delta"],
                               gamma_rule=cfg["gamma"],
                               max_rounds=cfg["refine-max-rounds"])
     else:
         gamma = PhaseFunction(model, cfg["gamma"])
-        report = oscillation_report(model, cov, gamma, weight, cfg["delta"])
+        report = oscillation_report(model, cov, gamma, Y, cfg["delta"])
     doc = report.to_json_dict()
     doc["schema_version"] = "1"
     emit(doc, cfg["output"])

@@ -66,9 +66,8 @@ class SamplingInverse:
     decomposition, reconstruction, dual-frame and observed-contraction
     helpers and the verification harness take: they read the model,
     covering, Y, report, ``tol``, ``n_max``, S^{-1} S_c and Y's range
-    metric from it. The model and covering are the report's own, the ones
-    its certificate was computed for; a report made under another weight
-    than Y's certifies nothing in Y and is refused here.
+    metric from it. The model, covering and Y are the report's own, the
+    ones its certificate was computed for.
     The constructor asks Y once for its range metric
     (``WeightedLp.range_metric``); where Y gives none it forms kappa_Y and
     C_Y below instead. ``other_method`` gives the handle of the other
@@ -93,13 +92,9 @@ class SamplingInverse:
     stops no earlier than the exact rule would stop it.
     """
 
-    def __init__(self, report: OscReport, Y: WeightedLp,
-                 method: str = "neumann", tol: float = 1e-12,
-                 n_max: int = 200):
-        if not np.array_equal(report.weight.w, Y.w):
-            raise StructuralError("oscillation report made under another "
-                                  "weight than Y's")
-        model = report.model
+    def __init__(self, report: OscReport, method: str = "neumann",
+                 tol: float = 1e-12, n_max: int = 200):
+        model, Y = report.model, report.Y
         self.model = model
         self.covering = report.covering
         self.Y = Y

@@ -12,7 +12,9 @@ the associated weight of a pointwise weight and is stored pointwise.
 Schur norms are streamed: ``SchurSums`` takes |K| in blocks of rows,
 forms its one weight's m on the block once (none under a trivial weight),
 and keeps the row sums and the running column sums, so no (n, n) array of
-|K| or m is formed. Every pass has one weight, the target weight m. The
+|K| or m is formed. Every pass has one weight, the target weight m: the
+two-point weight of the solid space Y (``WeightedLp.weight2d``) that an
+oscillation report is made in, and the one it holds. The
 sup space L^inf_{1/v} of the range-sup constant asks for the norms under
 m_v, the associated weight of v = m(., z0); submultiplicativity gives
 m(x, z0) <= m(x, y) m(y, z0), so m_v <= m pointwise and the norms under m

@@ -13,10 +13,11 @@ are formed in blocks from the model's rank-d factors and streamed into the
 Schur sums (``oscillation_norms``), and so are the upper-triangle strips
 of R (``kernel_norms``). Both passes form each distinct kernel entry once:
 |R| m is symmetric, and for a Hermitian phase the osc rows of the pairs
-(y, z) and (z, y) have the same moduli. Given the covering's samples, the
+(y, z) and (z, y) have the same moduli. From the covering's samples the
 R pass also yields a certified bound on their sampled-row constant D under
-the target weight, equal to D under a trivial weight. Each pass runs under
-the target weight alone: its norm also bounds the norm under m_v, the
+the target weight, equal to D under a trivial weight. The target weight is
+the two-point weight m of the solid space Y (``WeightedLp.weight2d``), and
+each pass runs under it alone: its norm also bounds the norm under m_v, the
 weight of the sup space (``kernels``).
 """
 
@@ -33,6 +34,7 @@ from .errors import CertificationError, StructuralError
 from .kernels import SchurSums, Weight2D, Workspace, block_rows, \
     col_slices, even_step, upper_strips
 from .models import FrameModel
+from .spaces import WeightedLp
 
 
 # |R| <= PHASE_EPS carries no usable phase; the kernel rule uses phase one there.
@@ -210,9 +212,9 @@ def oscillation_norms(model: FrameModel, cov: Covering, gamma: PhaseFunction,
     four, ... up to that size, and the scan returns ``Screened`` at the
     first column whose weighted Schur sum reaches ``level``, each sum
     judged once its last column block is in: the norm is at least that
-    sum, so the columns left cannot bring it below ``level``. Those sums are the floats the norm is the maximum of, and a
-    stopped scan has formed at most 2c + 1 columns, c the column it
-    stopped at.
+    sum, so the columns left cannot bring it below ``level``. Those sums
+    are the floats the norm is the maximum of, and a stopped scan has
+    formed at most 2c + 1 columns, c the column it stopped at.
     """
     _same_space(model, cov)
     n = model.space.n_points
@@ -251,21 +253,21 @@ def invertibility_condition(delta: float, r_norm: float, c_mu: float) -> tuple:
 @dataclass(frozen=True, eq=False)
 class OscReport:
     """The certificate of one model's kernel on one covering under one
-    phase and weight.
+    phase, in one solid space Y.
 
     It keeps what was measured or given: the norms ``osc_norm`` and
     ``r_norm``, ``c_mu`` and the budget ``delta``. Every certificate is a
     property of those four (``sigma_constant``, ``invertibility_condition``),
     so ``replace(report, delta=...)`` is the report of another budget.
-    It holds the ``model`` and ``covering`` it was made for and its
-    ``weight``, which its consumers read: a ``SamplingInverse`` takes its
-    model and covering from the report. Both norms are taken under that
-    weight's m, which also bounds them under m_v, the weight of the sup
-    space (``kernels``). Not serialized: ``model``, ``weight``, and
-    ``d_const``, the bound on the sampled-row constant of the covering's
-    samples from the same R pass (``kernel_norms``) when the report was
-    made ``sampled`` (else None); the covering is serialized as its
-    ``covering_id``, overlap bound ``N`` and ``n_sets``.
+    It holds the ``model``, ``covering`` and ``Y`` it was made for, which
+    its consumers read: a ``SamplingInverse`` takes all three from the
+    report. Every norm is taken under Y's two-point weight m
+    (``weight``), which also bounds it under m_v, the weight of the sup
+    space (``kernels``). ``d_const`` bounds the sampled-row constant D of
+    the covering's samples, from the same R pass as ``r_norm``
+    (``kernel_norms``). Not serialized: ``model``, ``Y`` and ``d_const``;
+    the covering is serialized as its ``covering_id``, overlap bound ``N``
+    and ``n_sets``.
     """
 
     osc_norm: float
@@ -275,8 +277,13 @@ class OscReport:
     model: FrameModel
     covering: Covering
     gamma_rule: str
-    weight: Weight2D
-    d_const: float | None = None
+    Y: WeightedLp
+    d_const: float
+
+    @property
+    def weight(self) -> Weight2D:
+        """Y's two-point weight m, under which the norms are taken."""
+        return self.Y.weight2d()
 
     @property
     def sigma(self) -> float:
@@ -335,20 +342,14 @@ class OscReport:
 
 
 def oscillation_report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-                       weight: Weight2D, delta: float,
-                       sampled: bool = False) -> OscReport:
-    """Evaluate the oscillation budget; reports, never raises on failure.
-
-    With ``sampled`` the R pass also gives the bound on the sampled-row
-    constant D of the covering's samples under ``weight``
-    (``kernel_norms``), carried as ``d_const``.
-    """
-    osc_norm = oscillation_norms(model, cov, gamma, weight)
-    r_norm, d_const = kernel_norms(model, weight, cov if sampled else None)
-    return _report(model, cov, gamma, weight, delta, osc_norm, r_norm, d_const)
+                       Y: WeightedLp, delta: float) -> OscReport:
+    """Evaluate the oscillation budget in Y; reports, never raises on
+    failure."""
+    return _report(model, cov, gamma, Y, delta,
+                   oscillation_norms(model, cov, gamma, Y.weight2d()))
 
 
-def kernel_norms(model: FrameModel, weight: Weight2D, cov=None) -> tuple:
+def kernel_norms(model: FrameModel, cov: Covering, weight: Weight2D) -> tuple:
     """(|R|, D bound): the Schur norm of R under ``weight``, from one pass
     over the upper triangle of |R| in strips |R|[a:b, a:] formed from the
     model's factors (``SchurSums.add_upper``): |R| m is symmetric,
@@ -358,9 +359,9 @@ def kernel_norms(model: FrameModel, weight: Weight2D, cov=None) -> tuple:
     and moduli, plus the Schur sums' m under a non-trivial weight, within
     ``BLOCK_BYTES`` (``upper_strips``), and both buffers are allocated once.
 
-    Given a covering ``cov`` (one on another grid is refused before the
-    pass, StructuralError), the second value is a certified upper bound on
-    D (else None), the Schur norm under the weight's m of
+    A covering on another grid is refused before the pass
+    (StructuralError). The second value is a certified upper bound on
+    D, the Schur norm under the weight's m of the samples' kernel
     K(x, y) = sum_i |R(x_i, y)| chi_{U_i}(x). With
     M_i = max over x in U_i of m(x, x_i), read off the extremes of w on
     U_i, submultiplicativity gives m(x, y) <= M_i m(x_i, y) for x in U_i,
@@ -373,17 +374,14 @@ def kernel_norms(model: FrameModel, weight: Weight2D, cov=None) -> tuple:
     max_i M_i <= C_mU; under a trivial weight every M_i is 1 and the
     bound is D.
     """
+    _same_space(model, cov)
     n = model.space.n_points
-    measure = None
-    if cov is not None:
-        samples = cov.samples
-        _same_space(model, cov)
-        w = weight.w
-        top, low = cov.set_extrema(w)
-        spread = np.maximum(top / w[samples], w[samples] / low)     # M_i
-        measure = np.bincount(samples, spread * cov.measures, minlength=n)
-        rho = np.empty(n)
-    sums = SchurSums(model.space, weight, measure)
+    samples, w = cov.samples, weight.w
+    top, low = cov.set_extrema(w)
+    spread = np.maximum(top / w[samples], w[samples] / low)     # M_i
+    sums = SchurSums(model.space, weight, np.bincount(
+        samples, spread * cov.measures, minlength=n))
+    rho = np.empty(n)
     entry = STRIP_ENTRY_BYTES + sums.entry_bytes
     strips = upper_strips(n, entry)
     pieces = [col_slices(n, entry, rows.start) for rows in strips]
@@ -398,19 +396,19 @@ def kernel_norms(model: FrameModel, weight: Weight2D, cov=None) -> tuple:
                                 out=prod[:math.prod(shape)].reshape(shape))
             strip = np.abs(product, out=mods[:product.size].reshape(shape))
             row_sums = sums.add_upper(rows.start, strip, xs)
-            if cov is not None and row_sums is not None:
+            if row_sums is not None:
                 rho[rows] = row_sums
     norms = sums.norms()
-    if cov is None:
-        return norms[0], None
     return norms[0], float(max(cov.point_sums(spread * rho[samples]).max(),
                                norms[1]))
 
 
 def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
-            weight: Weight2D, delta: float, osc_norm: float,
-            r_norm: float, d_const: float | None = None) -> OscReport:
-    """The budget from the norms of osc and R under ``weight``."""
+            Y: WeightedLp, delta: float, osc_norm: float) -> OscReport:
+    """The report in Y from the oscillation norm under Y's weight, with
+    the R pass (``kernel_norms``) that gives |R| and D."""
+    weight = Y.weight2d()
+    r_norm, d_const = kernel_norms(model, cov, weight)
     return OscReport(
         osc_norm=float(osc_norm),
         r_norm=float(r_norm),
@@ -419,7 +417,7 @@ def _report(model: FrameModel, cov: Covering, gamma: PhaseFunction,
         model=model,
         covering=cov,
         gamma_rule=gamma.rule,
-        weight=weight,
+        Y=Y,
         d_const=d_const,
     )
 
@@ -433,11 +431,11 @@ def _floor_4(x: float) -> float:
                             rounding=ROUND_FLOOR))
 
 
-def refine_until(model: FrameModel, weight: Weight2D, delta: float,
+def refine_until(model: FrameModel, Y: WeightedLp, delta: float,
                  gamma_rule: str = "kernel",
                  max_rounds: int = 12) -> OscReport:
-    """Halve the covering width until the oscillation budget is met, and
-    return the report of the covering that meets it.
+    """Halve the covering width until the oscillation budget is met in Y,
+    and return the report of the covering that meets it.
 
     Starts from a single box spanning the grid and halves the box width each
     round. Succeeds as soon as the oscillation norm is below ``delta`` and
@@ -446,9 +444,11 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
     invertibility condition raises CertificationError.
     Each round's oscillation is screened column by column: a round is
     rejected, with no report, at the first column whose weighted Schur sum
-    proves the norm at least ``delta``. Rounds that get through the screen
-    are reported from the norms the same pass computed, so the returned
-    report is the one ``oscillation_report`` gives for that covering.
+    proves the norm at least ``delta``. A round that gets through the
+    screen is reported from the oscillation norm the same pass computed
+    and its own R pass, the one ``oscillation_report`` makes, so the
+    returned report is the one ``oscillation_report`` gives for that
+    covering.
     Raises CertificationError when ``max_rounds`` is exhausted first.
     """
     if delta <= 0:
@@ -457,7 +457,6 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
         raise StructuralError("max_rounds must be at least 1")
     space = model.space
     gamma = PhaseFunction(model, gamma_rule)
-    r_norm = None
     spans = space.points.max(axis=0) - space.points.min(axis=0)
     width = np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0
 
@@ -470,13 +469,11 @@ def refine_until(model: FrameModel, weight: Weight2D, delta: float,
             cov = uniform_covering(space, width)
         else:
             cov = singleton_covering(space)
-        scan = oscillation_norms(model, cov, gamma, weight, level=delta)
+        scan = oscillation_norms(model, cov, gamma, Y.weight2d(), level=delta)
         if isinstance(scan, Screened):
             last = scan
         else:
-            if r_norm is None:
-                r_norm = kernel_norms(model, weight)[0]
-            last = _report(model, cov, gamma, weight, delta, scan, r_norm)
+            last = _report(model, cov, gamma, Y, delta, scan)
             if last.certified:
                 return last
             if cov.flat_points.size == cov.n_sets:

@@ -14,8 +14,7 @@ from .discretize import SamplingInverse, atomic_decomposition, dual_frame, \
 from .errors import CertificationError
 from .kernels import Weight2D
 from .models import FrameModel, random_vectors
-from .oscillation import PhaseFunction, kernel_norms, oscillation_report, \
-    refine_until
+from .oscillation import PhaseFunction, oscillation_report, refine_until
 from .spaces import WeightedLp, local_integrability_constant, pileup_norms, \
     sup_infinity_space
 
@@ -53,13 +52,13 @@ def verification_suite(inverse: SamplingInverse, n_trials: int = 50,
     for the range functions' Y, sup and L^1_v norms and one for the
     measures' kernel images.
 
-    The constants are taken under the weight m of the handle's report. D
-    is the report's bound on the sampled-row constant
-    (``oscillation.kernel_norms``), or one R pass here when the report has
-    none; sigma' is the report's ``pileup_sigma``, checked whatever osc
-    is; the measure constant is |osc| + |R|, and the range-sup constant
-    takes the norms of osc and R under m, which bound those under the sup
-    space's m_v since m_v <= m (``kernels``).
+    The constants are taken under the weight m of the handle's Y. D is
+    the report's bound on the sampled-row constant
+    (``oscillation.kernel_norms``); sigma' is the report's
+    ``pileup_sigma``, checked whatever osc is; the measure constant is
+    |osc| + |R|, and the range-sup constant takes the norms of osc and R
+    under m, which bound those under the sup space's m_v since m_v <= m
+    (``kernels``).
     """
     model, cov, report = inverse.model, inverse.covering, inverse.report
     rng = np.random.default_rng(seed)
@@ -103,17 +102,14 @@ def verification_suite(inverse: SamplingInverse, n_trials: int = 50,
     applied = inverse.range_norms(model.s_inverse @ measures)
     dec_norms = pileup_norms(inverse.cell_space, masses, cov, natural=True)
     meas_const = report.osc_norm + report.r_norm
-    d_const = report.d_const if report.d_const is not None \
-        else kernel_norms(model, report.weight, cov)[1]
     pairs = {
-        "D": (d_obs, d_const),
+        "D": (d_obs, report.d_const),
         "sigma": (sig_obs, report.pileup_sigma),
         "measure": (np.max(applied[dec_norms > 0.0]
                            / dec_norms[dec_norms > 0.0], initial=0.0),
                     meas_const),
         "range_sup": (ratios["Y_vs_sup_max"], meas_const
-                      * local_integrability_constant(cov, inverse.Y,
-                                                     report.weight)),
+                      * local_integrability_constant(cov, inverse.Y)),
     }
     bounds = {f"{name}_{side}": float(value)
               for name, pair in pairs.items()
@@ -132,10 +128,10 @@ def _range_bounds(inverse: SamplingInverse, g: np.ndarray) -> tuple:
     g of nonzero Y-norm: the worst flat and phi-weighted pile-ups of their
     samples over their Y-norms, and the two-sided norm ratios between
     L^1_v, Y and the sup space."""
-    model, cov, weight = inverse.model, inverse.covering, inverse.report.weight
+    model, cov = inverse.model, inverse.covering
     sup, l1v, ny = inverse.range_norms(g, [
-        sup_infinity_space(inverse.Y, weight),
-        WeightedLp(model.space, 1.0, weight.v)])
+        sup_infinity_space(inverse.Y),
+        WeightedLp(model.space, 1.0, inverse.report.weight.v)])
     keep = ny > 0.0
     g, ny, sup, l1v = g[:, keep], ny[keep], sup[keep], l1v[keep]
     vals = model.vectors[:, cov.samples].conj().T @ g
@@ -320,25 +316,24 @@ def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
 
     With ``covering=None`` the covering is refined until the budget and the
     invertibility condition hold. A given covering is refused before any
-    pass if it leaves a point out (``Covering.masses``), and its report's R
-    pass also gives the bound on its samples' sampled-row constant. The
-    checks read the covering, Y, report and S^{-1} S_c off the run's
-    inverse. Every weighted norm is taken under Y's own two-point weight
-    (``WeightedLp.weight2d``).
+    pass if it leaves a point out (``Covering.masses``). Either way |R|
+    and the bound on the samples' sampled-row constant come from the R
+    pass of the report, and the checks make none of their own: they read
+    the covering, Y, report and S^{-1} S_c off the run's inverse. Every
+    weighted norm is taken under Y's own two-point weight
+    (``OscReport.weight``).
     Raises CertificationError when Neumann inversion lacks a usable
     certificate.
     """
-    weight = Y.weight2d()
     if covering is None:
-        report = refine_until(model, weight, delta, gamma_rule=gamma_rule,
+        report = refine_until(model, Y, delta, gamma_rule=gamma_rule,
                               max_rounds=refine_max_rounds)
     else:
         covering.masses         # refuses an uncovered covering before any pass
         report = oscillation_report(model, covering,
-                                    PhaseFunction(model, gamma_rule), weight,
-                                    delta, sampled=True)
+                                    PhaseFunction(model, gamma_rule), Y, delta)
 
-    inverse = SamplingInverse(report, Y, method=method, tol=tol, n_max=n_max)
+    inverse = SamplingInverse(report, method=method, tol=tol, n_max=n_max)
     c1, c2 = hilbert_frame_bounds(model, report.covering)
     if report.invertibility_ok and not c1 > 0.0:
         raise CertificationError(
@@ -349,7 +344,7 @@ def run_discretization(model: FrameModel, Y: WeightedLp, delta: float,
         contraction_observed=observed_contraction(inverse, seed=seed),
         frame_lower=c1,
         frame_upper=c2,
-        reproducing_defect=reproducing_defect(model, weight),
+        reproducing_defect=reproducing_defect(model, report.weight),
         seed=seed,
         n_trials=n_trials,
         **verification_suite(inverse, n_trials=n_trials, seed=seed),

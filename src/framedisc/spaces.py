@@ -14,6 +14,7 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,12 @@ class WeightedLp:
             @ vectors.conj().T
 
     def weight2d(self) -> Weight2D:
-        """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}."""
+        """Associated two-point weight max{w(x)/w(y), w(y)/w(x)}, built once
+        per space: every report made in it and every check reads this one."""
+        return self._weight2d
+
+    @cached_property
+    def _weight2d(self) -> Weight2D:
         return Weight2D(self.space, self.w)
 
     def dual(self) -> "WeightedLp":
@@ -126,9 +132,10 @@ def streamed_norms(spaces, blocks) -> list:
             for Y, top, total in zip(spaces, tops, totals)]
 
 
-def sup_infinity_space(Y: WeightedLp, weight: Weight2D) -> WeightedLp:
-    """The sup-normed space with weight 1/v, v the one-point trace of ``weight``."""
-    return WeightedLp(Y.space, np.inf, 1.0 / weight.v)
+def sup_infinity_space(Y: WeightedLp) -> WeightedLp:
+    """The sup-normed space with weight 1/v, v the one-point trace of Y's
+    two-point weight."""
+    return WeightedLp(Y.space, np.inf, 1.0 / Y.weight2d().v)
 
 
 def cell_space(Y: WeightedLp, cells: Cells) -> WeightedLp:
@@ -191,15 +198,15 @@ def set_pair_kernel_norms(cov: Covering, weight: Weight2D) -> np.ndarray:
     return np.maximum(row, col)
 
 
-def local_integrability_constant(cov: Covering, Y: WeightedLp,
-                                 weight: Weight2D) -> float:
+def local_integrability_constant(cov: Covering, Y: WeightedLp) -> float:
     """A-priori constant C with |F|_{D(L^1, natural sup-space)} <= C |F|_Y.
 
     Chains the sharp local Hoelder embedding on the reference set k = 0
-    with the set-pair kernel norms:
+    with the set-pair kernel norms under Y's two-point weight:
     |chi_{U_i} F|_{L^1} <= C_k mu(U_k)^{-1} |K_i| |F|_Y, then takes the
     weighted sup of the resulting pile-up against 1/v.
     """
+    weight = Y.weight2d()
     c_hold = Y.holder_l1_constant(cov.flat_points[cov.flat_sets == 0])
     coef = set_pair_kernel_norms(cov, weight) / cov.measures
     envelope = cov.point_sums(coef)

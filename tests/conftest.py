@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from framedisc import Covering, QuadratureSpace, Weight2D, uniform_grid
+from framedisc import Covering, QuadratureSpace, Weight2D, WeightedLp, \
+    uniform_grid
 
 
 @pytest.fixture
@@ -40,6 +41,11 @@ def random_pointwise_weight(rng, n):
 def unit_weight(space):
     """The trivial two-point weight m = 1."""
     return Weight2D(space, np.ones(space.n_points))
+
+
+def unit_space(space):
+    """L^2 with the unit weight, whose two-point weight is ``unit_weight``."""
+    return WeightedLp.lebesgue(space, 2.0)
 
 
 def random_interval_covering(rng, space, n_sets):

@@ -418,9 +418,9 @@ def set_masses_naive(sets, indices, coefficients):
     return out
 
 
-def refine_until_naive(model, weight, delta, gamma_rule="kernel",
+def refine_until_naive(model, Y, delta, gamma_rule="kernel",
                        max_rounds=12):
-    """The covering search with every round's budget computed in full.
+    """The covering search in Y with every round's budget computed in full.
 
     The same halving schedule as ``refine_until``, but each round builds the
     complete ``oscillation_report`` (an unscreened pass over the whole
@@ -449,7 +449,7 @@ def refine_until_naive(model, weight, delta, gamma_rule="kernel",
             cov = uniform_covering(space, width)
         else:
             cov = singleton_covering(space)
-        report = oscillation_report(model, cov, gamma, weight, delta)
+        report = oscillation_report(model, cov, gamma, Y, delta)
         if report.oscillation_ok and report.invertibility_ok:
             return report
         if all(s.size == 1 for s in sets_of(cov)):
@@ -684,7 +684,7 @@ def bounds_observed_grid(inverse, n_trials=50, seed=0):
     ny = Y.column_norms(F)
     F, ny = F[:, ny > 0.0], ny[ny > 0.0]
     vals = np.abs(F[cov.samples])
-    sup = sup_infinity_space(Y, weight).column_norms(F)
+    sup = sup_infinity_space(Y).column_norms(F)
     smoothed = cov.pair_sums(cov.phi[:, None]
                              * vals[cov.holders(0, space.n_points)])
     ratios_1y = ny / WeightedLp(space, 1.0, weight.v).column_norms(F)

@@ -65,7 +65,7 @@ def certified_runs():
         else:
             cov = uniform_covering(space, (1.0, box_pts * n_time / n_freq))
         gamma = PhaseFunction(model, "kernel")
-        report = oscillation_report(model, cov, gamma, weight, delta)
+        report = oscillation_report(model, cov, gamma, Y, delta)
         runs.append({
             "label": f"d{n_time}-nf{n_freq}-p{p}",
             "model": model, "Y": Y, "weight": weight, "cov": cov,
@@ -138,7 +138,7 @@ def test_criterion_4_contraction_certificates(certified_runs):
             assert report.oscillation_ok and report.invertibility_ok, run["label"]
             n_certified += 1
             _, sharp = report.contraction_bounds
-            inverse = SamplingInverse(report, run["Y"])
+            inverse = SamplingInverse(report)
             observed = observed_contraction(inverse, seed=0)
             assert observed <= sharp + 1e-9, run["label"]
         assert n_certified >= 5
@@ -152,7 +152,7 @@ def test_criterion_4_contraction_certificates(certified_runs):
 def test_criterion_5_end_to_end_decomposition(certified_runs):
     with criterion(5, "atomic decomposition / sampled-frame round trips"):
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["report"], run["Y"],
+            inverse = SamplingInverse(run["report"],
                                       method="neumann")
             checks = verification_suite(inverse, n_trials=50, seed=5)
             res = checks["residuals"]
@@ -168,7 +168,7 @@ def test_criterion_5_end_to_end_decomposition(certified_runs):
 def test_criterion_6_swapped_roles(certified_runs):
     with criterion(6, "same residual suite with analysis roles exchanged"):
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["report"], run["Y"],
+            inverse = SamplingInverse(run["report"],
                                       method="neumann")
             # the swapped role draws its trials from seed + 1 = 7
             res = verification_suite(inverse, n_trials=50,
@@ -243,7 +243,7 @@ def test_criterion_8_kernel_inequality_suite(certified_runs):
 
         # sampled-kernel inequalities on every certified configuration
         for run in certified_runs["runs"]:
-            inverse = SamplingInverse(run["report"], run["Y"])
+            inverse = SamplingInverse(run["report"])
             rep = verification_suite(inverse, n_trials=50, seed=8)["bounds"]
             assert rep["violations"] == 0, run["label"]
             for pair in (("D_observed", "D_const"),

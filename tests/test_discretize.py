@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from framedisc.cli import DEFAULTS
 from framedisc.spaces import local_integrability_constant
 
 from conftest import random_interval_covering, random_pointwise_weight, \
-    unit_weight
+    unit_space, unit_weight
 from oracles import apply_inverse, apply_kernel, bounds_observed_grid, \
     compose, \
     cross_check_grid, dense_kernel, dense_phi, measure_observed_naive, \
@@ -61,7 +62,7 @@ def make_setup(d=3, n=96, smoothness=3.0, box_pts=2, delta=0.25, seed=1,
     weight = Y.weight2d()
     cov = uniform_covering(space, box_pts / n)
     gamma = PhaseFunction(model, "kernel")
-    report = oscillation_report(model, cov, gamma, weight, delta)
+    report = oscillation_report(model, cov, gamma, Y, delta)
     return model, Y, weight, cov, gamma, report
 
 
@@ -71,7 +72,7 @@ def singleton_setup(model, p=2.0):
     Y = WeightedLp.lebesgue(space, p)
     weight = Y.weight2d()
     gamma = PhaseFunction(model, "kernel")
-    report = oscillation_report(model, cov, gamma, weight, 0.25)
+    report = oscillation_report(model, cov, gamma, Y, 0.25)
     return Y, weight, gamma, report, cov
 
 
@@ -206,7 +207,7 @@ class TestContraction:
         Y = WeightedLp.lebesgue(model.space, 2.0)
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    Y.weight2d(), 0.1)
+                                    Y, 0.1)
         assert not report.oscillation_ok and report.osc_norm > 0.14
         sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
         assert sigma == report.r_norm + report.osc_norm > report.sigma
@@ -214,7 +215,7 @@ class TestContraction:
         assert nominal == report.delta * (report.r_norm + report.sigma)
         assert sharp == report.osc_norm * (report.r_norm + sigma)
         assert sharp == pytest.approx(0.60251216, rel=1e-7)
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         assert observed_contraction(inverse, seed=2) <= sharp
 
     def test_bounds_check_the_pileup_of_the_sharp_bound(self):
@@ -227,9 +228,9 @@ class TestContraction:
         Y = WeightedLp.lebesgue(model.space, 2.0)
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    Y.weight2d(), 0.1)
+                                    Y, 0.1)
         assert not report.oscillation_ok
-        bounds = verification_suite(SamplingInverse(report, Y))["bounds"]
+        bounds = verification_suite(SamplingInverse(report))["bounds"]
         sigma = sigma_constant(report.osc_norm, report.r_norm, report.c_mu)
         _, sharp = report.contraction_bounds
         assert bounds["sigma_const"] == sigma
@@ -249,7 +250,7 @@ class TestContraction:
         model, Y, weight, cov, gamma, report = make_setup()
         assert report.oscillation_ok and report.invertibility_ok
         _, sharp = report.contraction_bounds
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         observed = observed_contraction(inverse, seed=2)
         assert observed <= sharp + 1e-9
 
@@ -257,7 +258,7 @@ class TestContraction:
         for p in (1.0, np.inf):
             model, Y, weight, cov, gamma, report = make_setup(p=p)
             _, sharp = report.contraction_bounds
-            inverse = SamplingInverse(report, Y)
+            inverse = SamplingInverse(report)
             observed = observed_contraction(inverse, seed=2)
             assert observed <= sharp + 1e-9
 
@@ -266,14 +267,14 @@ class TestInversion:
     def test_singleton_plan_inverse_is_identity(self, rng):
         model = build_random_smooth_model(3, 24, 2.0, seed=6)
         Y, weight, gamma, report, cov = singleton_setup(model)
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         F = random_range_function(model, rng)
         assert Y.norm(apply_inverse(inverse, F) - F) <= 1e-10 * Y.norm(F)
 
     def test_neumann_matches_direct(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        neu = SamplingInverse(report, Y, method="neumann")
-        dir_ = SamplingInverse(report, Y, method="direct")
+        neu = SamplingInverse(report, method="neumann")
+        dir_ = SamplingInverse(report, method="direct")
         for _ in range(20):
             F = random_range_function(model, rng)
             gap = Y.norm(apply_inverse(neu, F) - apply_inverse(dir_, F))
@@ -281,7 +282,7 @@ class TestInversion:
 
     def test_term_norms_decay_geometrically(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y, method="neumann")
+        inverse = SamplingInverse(report, method="neumann")
         observed = observed_contraction(inverse, seed=0)
         F = random_range_function(model, rng)
         apply_inverse(inverse, F)
@@ -293,7 +294,7 @@ class TestInversion:
 
     def test_inverse_really_inverts(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         for _ in range(5):
             F = random_range_function(model, rng)
             back = apply_sampling(model, cov, apply_inverse(inverse, F))
@@ -305,11 +306,11 @@ class TestInversion:
         _, sharp = report.contraction_bounds
         assert sharp >= 1.0
         with pytest.raises(CertificationError):
-            SamplingInverse(report, Y, method="neumann")
+            SamplingInverse(report, method="neumann")
 
     def test_neumann_term_budget_exhaustion(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y, method="neumann", n_max=1)
+        inverse = SamplingInverse(report, method="neumann", n_max=1)
         with pytest.raises(SingularOperatorError):
             apply_inverse(inverse, random_range_function(model, rng))
 
@@ -318,20 +319,20 @@ class TestInversion:
         cov = Covering(model.space, (np.array([0, 1]), np.array([2, 3])))
         Y = WeightedLp.lebesgue(model.space, 2.0)
         with pytest.raises(SingularOperatorError):
-            SamplingInverse(report_for(model, cov, Y), Y, method="direct")
+            SamplingInverse(report_for(model, cov, Y), method="direct")
 
 
 class TestDecomposition:
     def test_zero_vector(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         lam = atomic_decomposition(inverse, np.zeros(3))
         assert np.all(lam == 0)
 
     def test_frame_vector_roundtrip_singleton_plan(self):
         model = build_random_smooth_model(3, 24, 2.0, seed=7)
         Y, weight, gamma, report, cov = singleton_setup(model)
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         f = model.vectors[:, 5]
         lam = atomic_decomposition(inverse, f)
         rec = synthesize_sampled(model, cov, lam)
@@ -339,7 +340,7 @@ class TestDecomposition:
 
     def test_random_vectors_reconstruct(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = atomic_decomposition(inverse, f)
@@ -348,7 +349,7 @@ class TestDecomposition:
 
     def test_coefficient_norm_controlled(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         _, sharp = report.contraction_bounds
         d_const = schur_norm(model.space, sampled_row_kernel(model, cov), weight)
         bound = d_const / (1.0 - sharp)
@@ -362,7 +363,7 @@ class TestDecomposition:
 class TestSampleReconstruction:
     def test_round_trip(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         for _ in range(10):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             samples = analyze(model, f)[cov.samples]
@@ -371,7 +372,7 @@ class TestSampleReconstruction:
 
     def test_frame_vector_from_its_samples(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         f = model.vectors[:, cov.samples[3]]
         samples = analyze(model, f)[cov.samples]
         rec = reconstruct_from_samples(inverse, samples)
@@ -379,13 +380,13 @@ class TestSampleReconstruction:
 
     def test_zero_samples(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         rec = reconstruct_from_samples(inverse, np.zeros(cov.n_sets))
         assert np.linalg.norm(rec) <= 1e-12
 
     def test_decompose_then_resample_consistent(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         samples = analyze(model, f)[cov.samples]
         rec = reconstruct_from_samples(inverse, samples)
@@ -398,7 +399,7 @@ class TestDualFrame:
     def test_orthonormal_singleton_plan(self):
         model = build_orthonormal_model(4)
         Y, weight, gamma, report, cov = singleton_setup(model)
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         duals = dual_frame(inverse)
         assert np.allclose(duals, np.eye(4), atol=1e-10)
         f = np.array([1.0, 2.0, 3.0 - 1.0j, 0.5])
@@ -408,7 +409,7 @@ class TestDualFrame:
     def test_dim_one(self):
         model = build_random_smooth_model(1, 8, 1.0, seed=8)
         Y, weight, gamma, report, cov = singleton_setup(model)
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         duals = dual_frame(inverse)
         f = np.array([2.0 - 1.0j])
         rec = sum(np.vdot(duals[i], f) * model.vectors[:, cov.samples[i]]
@@ -417,7 +418,7 @@ class TestDualFrame:
 
     def test_duality_of_coefficients(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         duals = dual_frame(inverse)
         for _ in range(20):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -430,7 +431,7 @@ class TestDualFrame:
 class TestSwappedRoles:
     def test_full_residual_suite(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         # the swapped role draws its trials from seed + 1 = 9
         res = verification_suite(inverse, n_trials=20,
                                  seed=8)["residuals_swapped"]
@@ -442,7 +443,7 @@ class TestSwappedRoles:
 
     def test_swapped_atoms_are_duals(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         lam = atomic_decomposition(inverse, f, swap_roles=True)
         rec = synthesize_sampled(model, cov, lam, swap_roles=True)
@@ -489,7 +490,7 @@ class TestWeakerThresholds:
         assert not report.invertibility_ok
         _, sharp = report.contraction_bounds
         assert sharp < 1.0
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         for _ in range(5):
             f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             lam = atomic_decomposition(inverse, f)
@@ -503,7 +504,7 @@ class TestWeakerThresholds:
 class TestVerifiedBounds:
     def test_no_violations_on_certified_setup(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        rep = verification_suite(SamplingInverse(report, Y),
+        rep = verification_suite(SamplingInverse(report),
                                  n_trials=50, seed=3)["bounds"]
         assert rep["violations"] == 0
         assert rep["D_observed"] <= rep["D_const"] + 1e-10
@@ -514,7 +515,7 @@ class TestVerifiedBounds:
     def test_norm_equivalence_interval(self, rng):
         """Observed sampled-norm ratios sit inside the certified interval."""
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         _, sharp = report.contraction_bounds
         d_const = schur_norm(model.space, sampled_row_kernel(model, cov), weight)
         n_over = cov.overlap_bound
@@ -545,7 +546,7 @@ class TestVerifiedBounds:
         """Dual-coefficient natural norms stay inside the certified interval,
         independently of the probe seed."""
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         _, sharp = report.contraction_bounds
         d_const = schur_norm(model.space, sampled_row_kernel(model, cov), weight)
         upper = d_const / (1.0 - sharp)
@@ -560,7 +561,7 @@ class TestVerifiedBounds:
 
     def test_cross_check_inversion_helper(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         gap = verification_suite(inverse, seed=4)["cross_method_gap"]
         assert gap is not None and gap <= 1e-9
 
@@ -581,11 +582,11 @@ class TestReportIsTheCertificate:
         Y = WeightedLp.lebesgue(space, 2.0)
         cov = uniform_covering(space, (1.0, 2 * 6 / 161))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    Y.weight2d(), 0.2)
+                                    Y, 0.2)
         vectors = random_vectors(np.random.default_rng(1), 6, space.n_points)
         other = FrameModel(space, vectors / np.linalg.norm(vectors, axis=0))
         own = oscillation_report(other, cov, PhaseFunction(other, "kernel"),
-                                 Y.weight2d(), 0.2)
+                                 Y, 0.2)
         assert report.contraction_bounds[1] < 0.62
         assert own.contraction_bounds[1] > 20.0
         return Y, report, own
@@ -594,7 +595,7 @@ class TestReportIsTheCertificate:
     def test_inverse_takes_model_and_covering_from_report(self, gabor_6x161,
                                                           method):
         Y, report, _ = gabor_6x161
-        inverse = SamplingInverse(report, Y, method=method)
+        inverse = SamplingInverse(report, method=method)
         assert inverse.report is report
         assert inverse.model is report.model
         assert inverse.covering is report.covering
@@ -606,18 +607,18 @@ class TestReportIsTheCertificate:
         frame only."""
         Y, report, own = gabor_6x161
         with pytest.raises(CertificationError, match="sharp contraction"):
-            SamplingInverse(own, Y)
-        direct = SamplingInverse(own, Y, method="direct")
+            SamplingInverse(own)
+        direct = SamplingInverse(own, method="direct")
         assert direct.model is own.model is not report.model
-        assert SamplingInverse(report, Y).model is report.model
+        assert SamplingInverse(report).model is report.model
 
 
 class TestReportWeight:
-    """A report certifies Y's own weight only. On Gabor 4 x 61 with boxes of
-    one time step by two frequency steps, delta 0.25 and Y = L^p_w with
-    w = exp(2 |x|), the report under w refuses Neumann inversion (sharp
-    bound 1.9e6), while a unit-weight report certifies (sharp bound 0.714)
-    the unweighted L^p, not Y: a handle refuses it, and a run takes Y's
+    """A report is made in Y, under Y's own weight. On Gabor 4 x 61 with
+    boxes of one time step by two frequency steps, delta 0.25 and
+    Y = L^p_w with w = exp(2 |x|), the report in Y refuses Neumann
+    inversion (sharp bound 1.9e6), while the report in the unweighted L^2
+    certifies (sharp bound 0.714) that space, not Y: a run in Y takes Y's
     weight."""
 
     @pytest.fixture(scope="class")
@@ -627,32 +628,16 @@ class TestReportWeight:
         cov = uniform_covering(space, (1.0, 2 * 4 / 61))
         gamma = PhaseFunction(model, "kernel")
         w = np.exp(2.0 * np.linalg.norm(space.points, axis=1))
-        own = oscillation_report(model, cov, gamma,
-                                 WeightedLp(space, 2.0, w).weight2d(), 0.25)
-        unit = oscillation_report(model, cov, gamma, unit_weight(space), 0.25)
+        own = oscillation_report(model, cov, gamma, WeightedLp(space, 2.0, w),
+                                 0.25)
+        unit = oscillation_report(model, cov, gamma, unit_space(space), 0.25)
         assert own.contraction_bounds[1] > 1e6
         assert unit.certified and unit.contraction_bounds[1] < 0.72
-        return model, cov, w, own, unit, cov
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
-    @pytest.mark.parametrize("method", ["neumann", "direct"])
-    def test_inverse_refuses_another_weight(self, gabor_4x61, p, method):
-        model, cov, w, own, unit, cov = gabor_4x61
-        Y = WeightedLp(model.space, p, w)
-        with pytest.raises(StructuralError, match="another weight"):
-            SamplingInverse(unit, Y, method=method)
-        with pytest.raises(StructuralError, match="another weight"):
-            SamplingInverse(own, WeightedLp.lebesgue(model.space, p),
-                            method=method)
-        if method == "neumann":
-            with pytest.raises(CertificationError, match="sharp contraction"):
-                SamplingInverse(own, Y)
-        else:
-            assert SamplingInverse(own, Y, method="direct").report is own
+        return model, cov, w
 
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_run_takes_the_weight_of_y(self, gabor_4x61, p):
-        model, cov, w, own, unit, cov = gabor_4x61
+        model, cov, w = gabor_4x61
         with pytest.raises(CertificationError, match="sharp contraction"):
             run_discretization(model, WeightedLp(model.space, p, w), 0.25,
                                covering=cov, n_trials=5)
@@ -680,9 +665,9 @@ class TestStreamedBounds:
         Y = WeightedLp(space, 2.0, w)
         weight = Weight2D(space, w)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    weight, 0.25)
+                                    Y, 0.25)
         bounds = verification_suite(
-            SamplingInverse(report, Y, method="direct"),
+            SamplingInverse(report, method="direct"),
             n_trials=5)["bounds"]
         mu = space.weights
         m = weight_matrix_naive(weight.w)
@@ -696,7 +681,7 @@ class TestStreamedBounds:
                                                                  rel=1e-13)
         osc = osc_naive(dense_kernel(model), [s.tolist() for s in sets_of(cov)],
                         phase_table_naive(rank_d_entries(model), "kernel"))
-        local = local_integrability_constant(cov, Y, weight)
+        local = local_integrability_constant(cov, Y)
         assert bounds["range_sup_const"] \
             == (report.osc_norm + report.r_norm) * local
         under_m_v = (schur_norm_naive(mu, osc, m_v)
@@ -715,8 +700,8 @@ class TestStreamedBounds:
         """Under the unit weight the sampled-row constant, read off an R pass
         (the |R| row sums at the samples and |R| c) in eight strips of three
         rows, matches the naive Schur norm of the dense sampled-row kernel,
-        both from a bare R pass and as the ``d_const`` of a ``sampled``
-        oscillation report. A covering may leave points in no set. Where
+        both from a bare R pass and as the ``d_const`` of an oscillation
+        report. A covering may leave points in no set. Where
         two sets share a sample point (point 6 weighs most in both),
         c = sum_i mu(U_i) delta_{x_i} adds both measures."""
         model = build_random_smooth_model(3, 24, 3.0, seed=2)
@@ -740,31 +725,25 @@ class TestStreamedBounds:
             cov = {"intervals": lambda: random_interval_covering(rng, space, 5),
                    "uniform": lambda: uniform_covering(space, 3.0 / n),
                    "singletons": lambda: singleton_covering(space)}[covering]()
-        weight = WeightedLp.lebesgue(space, 2.0).weight2d()
+        Y = unit_space(space)
         gamma = PhaseFunction(model, "kernel")
         want = schur_norm_naive(space.weights, sampled_row_kernel(model, cov))
-        assert kernel_norms(model, weight, cov)[1] == pytest.approx(want,
-                                                                   rel=1e-13)
-        report = oscillation_report(model, cov, gamma, weight, 0.25,
-                                    sampled=True)
+        assert kernel_norms(model, cov, Y.weight2d())[1] \
+            == pytest.approx(want, rel=1e-13)
+        report = oscillation_report(model, cov, gamma, Y, 0.25)
         assert report.d_const == pytest.approx(want, rel=1e-13)
 
     def test_weighted_report_carries_its_constant(self):
-        """Under a non-trivial weight a ``sampled`` report carries the bound
-        on the sampled-row constant of the covering's samples under that
-        weight, as the loop oracle gives it; one made without ``sampled``
-        carries none, and the bounds check makes the same bound from an R
-        pass of its own."""
+        """Under a non-trivial weight a report carries the bound on the
+        sampled-row constant of the covering's samples under Y's weight,
+        as the loop oracle gives it, and the bounds check reads it off the
+        report."""
         model, _, _, cov, gamma, _ = make_setup()
         Y = WeightedLp(model.space, 2.0, np.exp(0.5 * model.space.points[:, 0]))
-        weight = Y.weight2d()
-        report = oscillation_report(model, cov, gamma, weight, 0.25,
-                                    sampled=True)
+        report = oscillation_report(model, cov, gamma, Y, 0.25)
         assert report.d_const == pytest.approx(
-            sampled_row_bound_naive(model, cov, weight.w), rel=1e-13)
-        bare = oscillation_report(model, cov, gamma, weight, 0.25)
-        assert bare.d_const is None
-        inverse = SamplingInverse(bare, Y, method="direct")
+            sampled_row_bound_naive(model, cov, Y.w), rel=1e-13)
+        inverse = SamplingInverse(report, method="direct")
         assert verification_suite(inverse, n_trials=3)["bounds"]["D_const"] \
             == report.d_const
 
@@ -794,7 +773,7 @@ class TestStreamedBounds:
         spread = max(m[x][xi] for s, xi in zip(sets, samples) for x in s)
         exact = schur_norm_naive(space.weights,
                                  sampled_row_kernel(model, cov), m)
-        got = kernel_norms(model, weight, cov)[1]
+        got = kernel_norms(model, cov, weight)[1]
         assert got == pytest.approx(sampled_row_bound_naive(model, cov, w),
                                     rel=1e-13)
         assert exact <= got * (1.0 + 1e-13)
@@ -875,12 +854,38 @@ class TestStreamedBounds:
         assert result.bounds["D_const"] == pytest.approx(
             sampled_row_bound_naive(model, cov, weight.w), rel=1e-13)
 
+    @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
+    def test_refined_run_makes_one_r_pass(self, weight_rule, monkeypatch):
+        """A refined run makes one R pass, on the covering it ends at, as a
+        run on that covering given makes: on Gabor 6 x 161 at delta 0.2,
+        under the unit and the exp 0.02 weight, the refinement's report
+        carries the sampled-row bound, and both runs report the same."""
+        model = build_gabor_model(6, 161, 2.45)
+        space = model.space
+        w = np.ones(space.n_points) if weight_rule == "unit" \
+            else np.exp(0.02 * np.linalg.norm(space.points, axis=1))
+        Y = WeightedLp(space, 2.0, w)
+        passes = []
+        original = oscillation_module.kernel_norms
+
+        def counted(model, cov, weight):
+            passes.append(cov)
+            return original(model, cov, weight)
+
+        for module in (oscillation_module, pipeline_module):
+            monkeypatch.setattr(module, "kernel_norms", counted, raising=False)
+        refined = run_discretization(model, Y, 0.2, n_trials=5)
+        cov = refined.inverse.covering
+        assert passes == [cov]
+        given = run_discretization(model, Y, 0.2, covering=cov, n_trials=5)
+        assert passes == [cov, cov]
+        assert refined.to_json_dict() == given.to_json_dict()
+
     def test_no_square_array_besides_the_kernel(self, monkeypatch):
         """With an eight-row block budget, the oscillation report, the
         verification harness and the reproducing defect each allocate less
-        than one n x n
-        float array; the model itself holds no kernel. So does a unit-weight
-        ``sampled`` unit-weight report, whose |R| c adds O(n)."""
+        than one n x n float array; the model itself holds no kernel. So
+        does a unit-weight report, whose |R| c adds O(n)."""
         model = build_gabor_model(6, 81, 2.45)
         space = model.space
         n = space.n_points
@@ -890,12 +895,11 @@ class TestStreamedBounds:
                                                                 axis=1)))
         weight = Y.weight2d()
         gamma = PhaseFunction(model, "kernel")
-        report = oscillation_report(model, cov, gamma, weight, 0.2)
-        inverse = SamplingInverse(report, Y, method="direct")
-        unit = WeightedLp.lebesgue(space, 2.0).weight2d()
-        for run in (lambda: oscillation_report(model, cov, gamma, weight, 0.2),
-                    lambda: oscillation_report(model, cov, gamma, unit, 0.2,
-                                               sampled=True),
+        report = oscillation_report(model, cov, gamma, Y, 0.2)
+        inverse = SamplingInverse(report, method="direct")
+        for run in (lambda: oscillation_report(model, cov, gamma, Y, 0.2),
+                    lambda: oscillation_report(model, cov, gamma,
+                                               unit_space(space), 0.2),
                     lambda: verification_suite(inverse, n_trials=5),
                     lambda: reproducing_defect(model, weight)):
             tracemalloc.start()
@@ -942,7 +946,7 @@ def _working_set_pass(name, model, cov, Y, report, coords):
         assert isinstance(scan, Screened) and scan.column == 0
         return scan
     if name == "R":
-        return kernel_norms(model, report.weight, cov)
+        return kernel_norms(model, cov, report.weight)
     return discretize_module._analysis_norms(
         model.vectors.conj().T, [WeightedLp(space, 1.0, Y.w)], coords)
 
@@ -1000,7 +1004,7 @@ class TestWorkingSetBudget:
         Y = WeightedLp(space, 2.0,
                        np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    Y.weight2d(), 0.2)
+                                    Y, 0.2)
         coords = np.random.default_rng(0).standard_normal(
             (model.dim, cov.n_sets)) + 0j
         return model, cov, Y, report, coords
@@ -1042,15 +1046,14 @@ class TestWorkingSetBudget:
         n, d = model.space.n_points, model.dim
         budget = 32 * 16 * n
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES", budget)
-        inverse = SamplingInverse(report, Y)
-        if name == "suite p=1":
-            inverse = SamplingInverse(report,
-                                      WeightedLp(model.space, 1.0, Y.w),
-                                      method="direct")
-        elif name.startswith("contraction"):
-            p = 1.0 if name.endswith("1") else np.inf
-            inverse = SamplingInverse(report, WeightedLp(model.space, p, Y.w),
-                                      method="direct")
+        inverse = SamplingInverse(report)
+        if name == "suite p=1" or name.startswith("contraction"):
+            # the norms are Y's weight's alone: the report in L^p_w is the
+            # same certificate in another space
+            p = np.inf if name.endswith("inf") else 1.0
+            inverse = SamplingInverse(
+                replace(report, Y=WeightedLp(model.space, p, Y.w)),
+                method="direct")
         run = (lambda: verification_suite(inverse)) \
             if name.startswith("suite") \
             else (lambda: observed_contraction(inverse)) \
@@ -1098,7 +1101,7 @@ class TestWorkingSetBudget:
 
         monkeypatch.setattr(SchurSums, "_feed", recorded)
         got_osc = oscillation_norms(model, cov, gamma, weight)
-        got_r, got_d = kernel_norms(model, weight, cov)
+        got_r, got_d = kernel_norms(model, cov, weight)
         cut = oscillation_norms(model, cov, gamma, weight, level=0.5 * osc_sum)
         assert max(pieces) < n
         mu = space.weights
@@ -1123,14 +1126,14 @@ class TestScaleInvariantNeumann:
         Y = WeightedLp.lebesgue(model.space, 2.0)
         cov = uniform_covering(model.space, (1.0, 2 * 6 / 161))
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    Y.weight2d(), 0.2)
+                                    Y, 0.2)
         return model, Y, cov, report
 
     @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-20])
     def test_matches_direct_at_every_scale(self, gabor_plan, scale):
         model, Y, cov, report = gabor_plan
-        neu = SamplingInverse(report, Y, method="neumann")
-        dir_ = SamplingInverse(report, Y, method="direct")
+        neu = SamplingInverse(report, method="neumann")
+        dir_ = SamplingInverse(report, method="direct")
         rng = np.random.default_rng(5)
         for _ in range(5):
             F = scale * random_range_function(model, rng)
@@ -1140,8 +1143,8 @@ class TestScaleInvariantNeumann:
 
     def test_block_columns_of_mixed_scale(self, gabor_plan):
         model, Y, cov, report = gabor_plan
-        neu = SamplingInverse(report, Y, method="neumann")
-        dir_ = SamplingInverse(report, Y, method="direct")
+        neu = SamplingInverse(report, method="neumann")
+        dir_ = SamplingInverse(report, method="direct")
         rng = np.random.default_rng(6)
         coords = rng.standard_normal((model.dim, 4)) \
             + 1j * rng.standard_normal((model.dim, 4))
@@ -1167,16 +1170,15 @@ class TestExtremeScales:
         cov = Covering(space, tuple(np.arange(t * 61 + m, t * 61 + min(m + 2, 61))
                                     for t in range(4) for m in range(0, 61, 2)))
         w = np.exp(0.02 * np.linalg.norm(space.points, axis=1))
-        weight = WeightedLp(space, 2.0, w).weight2d()
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    weight, 0.25)
+                                    WeightedLp(space, 2.0, w), 0.25)
         return model, w, cov, report
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
     def test_neumann_apply_homogeneous(self, gabor_4x61, p):
         model, w, cov, report = gabor_4x61
         Y = WeightedLp(model.space, p, w)
-        neu = SamplingInverse(report, Y, method="neumann")
+        neu = SamplingInverse(replace(report, Y=Y), method="neumann")
         F = random_range_function(model, np.random.default_rng(3))
         base = apply_inverse(neu, F)
         terms = len(neu.last_term_norms)
@@ -1198,7 +1200,7 @@ class TestExtremeScales:
         not formed on the grid.)"""
         model, w, cov, report = gabor_4x61
         Y = WeightedLp(model.space, p, w)
-        neu = SamplingInverse(report, Y, method="neumann")
+        neu = SamplingInverse(replace(report, Y=Y), method="neumann")
         rng = np.random.default_rng(k)
         coords = rng.standard_normal((model.dim, k)) \
             + 1j * rng.standard_normal((model.dim, k))
@@ -1231,7 +1233,7 @@ class TestNeumannTermBound:
              "exp": np.exp(0.02 * np.linalg.norm(space.points, axis=1))}
         report = {rule: oscillation_report(
             model, cov, PhaseFunction(model, "kernel"),
-            WeightedLp(space, 2.0, w[rule]).weight2d(), 0.25) for rule in w}
+            WeightedLp(space, 2.0, w[rule]), 0.25) for rule in w}
         return model, cov, w, report
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -1241,7 +1243,8 @@ class TestNeumannTermBound:
         p = inf the direction of the largest w(x) |psi_x|_2 attains it."""
         model, cov, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
-        neu = SamplingInverse(report[weight_rule], Y, method="neumann")
+        neu = SamplingInverse(replace(report[weight_rule], Y=Y),
+                              method="neumann")
         rng = np.random.default_rng(8)
         coords = rng.standard_normal((model.dim, 6)) \
             + 1j * rng.standard_normal((model.dim, 6))
@@ -1277,7 +1280,8 @@ class TestNeumannTermBound:
         and zero columns (both bounds 0 there)."""
         model, cov, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
-        neu = SamplingInverse(report[weight_rule], Y, method="neumann")
+        neu = SamplingInverse(replace(report[weight_rule], Y=Y),
+                              method="neumann")
         rng = np.random.default_rng(seed)
         coords = rng.standard_normal((model.dim, len(scales))) \
             + 1j * rng.standard_normal((model.dim, len(scales)))
@@ -1296,8 +1300,8 @@ class TestNeumannTermBound:
         matches the direct inverse."""
         model, cov, w, report = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
-        neu = SamplingInverse(report["exp"], Y, method="neumann")
-        dir_ = SamplingInverse(report["exp"], Y, method="direct")
+        neu = SamplingInverse(replace(report["exp"], Y=Y), method="neumann")
+        dir_ = SamplingInverse(replace(report["exp"], Y=Y), method="direct")
         rng = np.random.default_rng(k)
         coords = rng.standard_normal((model.dim, k)) \
             + 1j * rng.standard_normal((model.dim, k))
@@ -1322,7 +1326,7 @@ class TestBlocks:
 
     def test_block_equals_columns(self, rng):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         f = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         for swap in (False, True):
             lam = atomic_decomposition(inverse, f, swap_roles=swap)
@@ -1346,7 +1350,7 @@ class TestBlocks:
 
     def test_inverse_apply_block_is_columnwise(self, rng):
         model, Y, weight, cov, gamma, report = make_setup(p=1.0)
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         F = np.stack([random_range_function(model, rng) for _ in range(3)],
                      axis=1)
         got = apply_inverse(inverse, F)
@@ -1358,7 +1362,7 @@ class TestBlocks:
 
     def test_wrong_lengths_rejected(self):
         model, Y, weight, cov, gamma, report = make_setup()
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         with pytest.raises(StructuralError):
             atomic_decomposition(inverse, np.ones(4))
         with pytest.raises(StructuralError):
@@ -1393,7 +1397,7 @@ class TestBlockHarness:
         monkeypatch.setattr(discretize_module, "CONTRACTION_TOL", tol)
         want = observed_contraction_naive(model, cov, Y, tol=tol, seed=4)
         got = observed_contraction(
-            SamplingInverse(report_for(model, cov, Y), Y, method="direct"),
+            SamplingInverse(report_for(model, cov, Y), method="direct"),
             seed=4)
         assert want > 1e-4
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -1409,7 +1413,7 @@ class TestBlockHarness:
         200 steps (29 chunks); 1e-3 settles in the first chunk."""
         model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
-        direct = SamplingInverse(report_for(model, cov, Y), Y, method="direct")
+        direct = SamplingInverse(report_for(model, cov, Y), method="direct")
         monkeypatch.setattr(discretize_module, "CONTRACTION_TOL", tol)
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                             7 * discretize_module.ITERATE_BYTES * model.dim)
@@ -1442,13 +1446,13 @@ class TestBlockHarness:
             return original(analysis, Y, coords)
 
         monkeypatch.setattr(discretize_module, "_analysis_norms", recorded)
-        direct = SamplingInverse(report, Y, method="direct")
+        direct = SamplingInverse(report, method="direct")
         assert observed_contraction(direct, seed=3) == 0.0
         assert widths == [2, 20, 20]
         assert observed_contraction_naive(model, cov, Y, seed=3) == 0.0
         model = build_random_smooth_model(3, 24, 2.0, seed=5)
         Y, weight, gamma, report, cov = singleton_setup(model, p=p)
-        direct = SamplingInverse(report, Y, method="direct")
+        direct = SamplingInverse(report, method="direct")
         assert observed_contraction(direct, seed=3) <= 1e-12
         assert observed_contraction_naive(model, cov, Y, seed=3) <= 1e-12
 
@@ -1460,7 +1464,7 @@ class TestBlockHarness:
         model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, 1.0, w["exp"])
         want = observed_contraction_naive(model, cov, Y, n_iter=n_iter)
-        direct = SamplingInverse(report_for(model, cov, Y), Y, method="direct")
+        direct = SamplingInverse(report_for(model, cov, Y), method="direct")
         calls = {"column_norms": 0, "streamed_norms": 0}
         for owner, name in ((WeightedLp, "column_norms"),
                             (spaces_module, "streamed_norms"),
@@ -1487,9 +1491,8 @@ class TestBlockHarness:
         ``decomposition_norm``."""
         model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w[weight_rule])
-        weight = Y.weight2d()
         report = oscillation_report(model, cov,
-                                    PhaseFunction(model, "kernel"), weight, 0.25)
+                                    PhaseFunction(model, "kernel"), Y, 0.25)
         want = measure_observed_naive(model, cov, Y, n_trials=20, seed=6)
         calls = []
         original = decomposition_norm
@@ -1501,7 +1504,7 @@ class TestBlockHarness:
         for module in (discretize_module, spaces_module):
             monkeypatch.setattr(module, "decomposition_norm", counted,
                                 raising=False)
-        inverse = SamplingInverse(report, Y, method="direct")
+        inverse = SamplingInverse(report, method="direct")
         rep = verification_suite(inverse, n_trials=20, seed=6)["bounds"]
         assert not calls
         assert want > 0.0
@@ -1530,8 +1533,8 @@ class TestBlockHarness:
         Y = WeightedLp(model.space, p, w[weight_rule])
         report = oscillation_report(model, cov,
                                     PhaseFunction(model, "kernel"),
-                                    Y.weight2d(), 0.25)
-        inverse = SamplingInverse(report, Y, method=method)
+                                    Y, 0.25)
+        inverse = SamplingInverse(report, method=method)
         checks = verification_suite(inverse, n_trials=20, seed=5)
         for swap, role in enumerate(("residuals", "residuals_swapped")):
             got = checks[role]
@@ -1565,7 +1568,7 @@ class TestBlockHarness:
         coordinates: the swapped duals are S times the unswapped ones, to
         the bit."""
         model, Y, weight, cov, gamma, report = make_setup(p=1.0)
-        inverse = SamplingInverse(report, Y)
+        inverse = SamplingInverse(report)
         duals = dual_frame(inverse)
         swapped = dual_frame(inverse, swap_roles=True)
         assert np.array_equal(swapped, (model.frame_operator @ duals.T).T)
@@ -1573,18 +1576,15 @@ class TestBlockHarness:
     @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
     def test_run_residuals_equal_standalone_suites(self, gabor_4x61, p):
         """A run reports exactly what the verification suite reports on a
-        separate inverse of its covering, made with a report that carries
-        no sampled-row bound, so that the suite makes that bound with an R
-        pass of its own: both roles' residuals, the bounds and the
-        cross-method gap."""
+        separate inverse of its covering, made with a report of its own:
+        both roles' residuals, the bounds and the cross-method gap."""
         model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
-        weight = Y.weight2d()
         result = run_discretization(model, Y, 0.25, covering=cov,
                                     n_trials=10, seed=3)
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    weight, 0.25)
-        checks = verification_suite(SamplingInverse(report, Y),
+                                    Y, 0.25)
+        checks = verification_suite(SamplingInverse(report),
                                     n_trials=10, seed=3)
         assert result.residuals == checks["residuals"]
         assert result.residuals_swapped == checks["residuals_swapped"]
@@ -1624,8 +1624,8 @@ class TestBlockHarness:
         model, cov, w = gabor_4x61
         Y = WeightedLp(model.space, p, w["exp"])
         report = oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                                    Y.weight2d(), 0.25)
-        inverse = SamplingInverse(report, Y, method=method)
+                                    Y, 0.25)
+        inverse = SamplingInverse(report, method=method)
         blocks = []
         original = SamplingInverse.invert_coords
 
@@ -1703,8 +1703,8 @@ class TestInverseHandle:
         result = run_discretization(model, Y, 0.25, covering=cov,
                                     method=method, n_trials=10, seed=3)
         monkeypatch.undo()
-        neu = SamplingInverse(report, Y)
-        direct = SamplingInverse(report, Y, method="direct")
+        neu = SamplingInverse(report)
+        direct = SamplingInverse(report, method="direct")
         g = random_vectors(np.random.default_rng(3), model.dim, 20)
         gaps = neu.range_norms(neu.invert_coords(g) - direct.invert_coords(g)) \
             / neu.range_norms(g)
@@ -1727,8 +1727,8 @@ class TestInverseHandle:
         model, Y, weight, cov, gamma, report = make_setup()
         gaps = []
         for tol in (1e-12, 1e-4):
-            neu = SamplingInverse(report, Y, tol=tol)
-            direct = SamplingInverse(report, Y, method="direct", tol=tol)
+            neu = SamplingInverse(report, tol=tol)
+            direct = SamplingInverse(report, method="direct", tol=tol)
             gaps.append(verification_suite(direct, n_trials=3,
                                            seed=4)["cross_method_gap"])
             assert abs(gaps[-1] - verification_suite(
@@ -1736,17 +1736,17 @@ class TestInverseHandle:
         assert gaps[1] > 100 * gaps[0]       # the looser tol was used
         model, Y, weight, cov, gamma, report = make_setup(box_pts=8)
         assert report.contraction_bounds[1] > 1.0
-        uncertified = SamplingInverse(report, Y, method="direct")
+        uncertified = SamplingInverse(report, method="direct")
         assert verification_suite(uncertified, n_trials=3,
                                   seed=4)["cross_method_gap"] is None
 
     def test_other_method_shares_the_metric(self):
         """Both methods' handles read the one range metric the first formed."""
         model, Y, weight, cov, gamma, report = make_setup()
-        direct = SamplingInverse(report, Y, method="direct")
+        direct = SamplingInverse(report, method="direct")
         assert direct._metric is not None
         assert direct.other_method()._metric is direct._metric
-        neu = SamplingInverse(report, Y)
+        neu = SamplingInverse(report)
         assert neu.other_method()._metric is neu._metric
 
     @pytest.mark.parametrize("method", ["neumann", "direct"])
@@ -1808,7 +1808,7 @@ class TestPlanOnAnotherCovering:
             build_random_smooth_model(3, 48, 3.0, seed=1).space, 2 / 48)
         passes = self.forbid_passes(monkeypatch)
         with pytest.raises(StructuralError, match="different space"):
-            kernel_norms(model, weight, cov=other)
+            kernel_norms(model, other, weight)
         assert not passes
 
 

@@ -210,17 +210,20 @@ def program_calls() -> dict:
     return calls
 
 
-def defaulted_fields() -> list:
+def defaulted_fields(source: str | None = None) -> list:
     """``(module.Class, Class, field)`` for every field with a default of a
-    dataclass of the package modules, leaving out ``field(init=False)``
-    fields, which no caller can pass."""
+    dataclass of the package modules, or of the module ``source`` (named
+    ``inline``) when given, leaving out ``field(init=False)`` fields,
+    which no caller can pass."""
     def called(node, name):
         func = node.func if isinstance(node, ast.Call) else node
         return isinstance(func, ast.Name) and func.id == name
 
     found = []
-    for path in PACKAGE:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+    modules = [("inline", source)] if source is not None else \
+        [(path.stem, path.read_text(encoding="utf-8")) for path in PACKAGE]
+    for stem, text in modules:
+        for stmt in ast.parse(text).body:
             if not (isinstance(stmt, ast.ClassDef)
                     and any(called(d, "dataclass")
                             for d in stmt.decorator_list)):
@@ -235,7 +238,7 @@ def defaulted_fields() -> list:
                         and k.value.value is False
                         for k in item.value.keywords):
                     continue
-                found.append((f"{path.stem}.{stmt.name}", stmt.name,
+                found.append((f"{stem}.{stmt.name}", stmt.name,
                               item.target.id))
     return found
 
@@ -251,9 +254,22 @@ def test_every_defaulted_parameter_is_set_by_a_program():
     assert not unset, f"parameters only the tests set: {unset}"
 
 
+# A dataclass with one field of each kind: the rule reads only ``given``.
+DEFAULTED_PROBE = """
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class Probe:
+    kept: float
+    given: float = 1.0
+    made: list = field(init=False)
+"""
+
+
 def test_every_defaulted_field_is_set_by_a_program():
+    assert defaulted_fields(DEFAULTED_PROBE) \
+        == [("inline.Probe", "Probe", "given")]
     fields = defaulted_fields()
-    assert ("oscillation.OscReport", "OscReport", "d_const") in fields
     calls = program_calls()
     unset = [f"{where}.{name}" for where, cls, name in fields
              if not any(name in keywords or None in keywords

@@ -19,7 +19,7 @@ from framedisc.models import build_gabor_model, build_orthonormal_model, \
     build_random_smooth_model
 
 from conftest import random_interval_covering, random_pointwise_weight, \
-    unit_weight
+    unit_space, unit_weight
 from oracles import dense_kernel, involution, osc_naive, osc_rows_loop, \
     osc_tile_keys_naive, oscillation_kernel, phase_table_naive, \
     q_neighborhoods_naive, rank_d_entries, refine_until_naive, \
@@ -272,7 +272,7 @@ class TestMirroredPairs:
         monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                             n * n * oscillation_module.OSC_CELL_BYTES)
         rows = count_product_rows(model)
-        rep = refine_until(model, unit_weight(model.space), 0.2)
+        rep = refine_until(model, unit_space(model.space), 0.2)
         assert rep.covering.n_sets == n and rep.osc_norm == 0.0
         assert len(rows) == 4 and all(r < n for r in rows[:3])
         assert rows[3] == n
@@ -407,15 +407,15 @@ class TestStreamedNorms:
             monkeypatch.setattr(kernels_module, "BLOCK_BYTES",
                                 2 * 16 * model.space.n_points)
         got_osc = oscillation_norms(model, cov, gamma, weight)
-        got_r, no_d = kernel_norms(model, weight)
+        got_r, _ = kernel_norms(model, cov, weight)
         mu = model.space.weights
         m = weight_matrix_naive(weight.w)
-        assert no_d is None
         assert got_osc == pytest.approx(schur_norm_naive(mu, osc, m),
                                         rel=1e-13)
         assert got_r == pytest.approx(
             schur_norm_naive(mu, dense_kernel(model), m), rel=1e-13)
-        rep = oscillation_report(model, cov, gamma, weight, 0.5)
+        rep = oscillation_report(model, cov, gamma,
+                                 WeightedLp(model.space, 2.0, weight.w), 0.5)
         assert (rep.osc_norm, rep.r_norm) == (got_osc, got_r)
 
     @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -443,7 +443,7 @@ class TestStreamedNorms:
             return add_upper(self, start, block, cols)
 
         monkeypatch.setattr(kernels_module.SchurSums, "add_upper", recorded)
-        got, _ = kernel_norms(model, weight)
+        got, _ = kernel_norms(model, singleton_covering(space), weight)
         assert len(strips) >= 3
         starts = [a for a, _ in strips] + [n]
         assert starts[:2] == [0, 30]
@@ -507,7 +507,8 @@ class TestStreamedNorms:
                                     for t in range(4) for m in range(0, 101, 2)))
         w = np.exp(0.02 * np.linalg.norm(space.points - space.points[least_at],
                                          axis=1))
-        weight = WeightedLp(space, 2.0, w).weight2d()
+        Y = WeightedLp(space, 2.0, w)
+        weight = Y.weight2d()
         assert np.array_equal(weight.v, weight.w) == (least_at == 0)
         assert least_at == 0 or w.min() < w[0] < w.max()
         gamma = PhaseFunction(model, "kernel")
@@ -525,16 +526,16 @@ class TestStreamedNorms:
 
         monkeypatch.setattr(Weight2D, "block", counted_block)
         monkeypatch.setattr(kernels_module.SchurSums, "_feed", counted_feed)
-        rep = oscillation_report(model, cov, gamma, weight, 0.25)
+        rep = oscillation_report(model, cov, gamma, Y, 0.25)
         assert len(feeds) > 2 and blocks == feeds
         assert rep.osc_norm == oscillation_norms(model, cov, gamma, weight)
-        assert rep.r_norm == kernel_norms(model, weight)[0]
+        assert rep.r_norm == kernel_norms(model, cov, weight)[0]
 
     def test_report_holds_no_array(self, smooth_model):
         cov = uniform_covering(smooth_model.space, 0.3)
         rep = oscillation_report(smooth_model, cov,
                                  PhaseFunction(smooth_model, "kernel"),
-                                 unit_weight(smooth_model.space), 0.5)
+                                 unit_space(smooth_model.space), 0.5)
         assert not any(isinstance(v, np.ndarray) for v in vars(rep).values())
 
     @pytest.mark.parametrize("column", [0, 1, 2, 6, 40, 150])
@@ -678,17 +679,17 @@ class TestPhaseFunctions:
 
 
 @functools.cache
-def _budget_setup(weight_rule, rule, sampled):
+def _budget_setup(weight_rule, rule):
     """Gabor 4 x 61 with boxes of one time step by two frequency steps, its
-    weight and oscillation report at delta 0.25, ``sampled`` or not."""
+    space Y and oscillation report at delta 0.25."""
     model = build_gabor_model(4, 61, 2.0)
     space = model.space
     cov = uniform_covering(space, (1.0, 2 * 4 / 61))
     gamma = PhaseFunction(model, rule)
-    weight = unit_weight(space) if weight_rule == "unit" else Weight2D(
-        space, np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
-    return model, cov, gamma, weight, oscillation_report(
-        model, cov, gamma, weight, 0.25, sampled=sampled)
+    Y = unit_space(space) if weight_rule == "unit" else WeightedLp(
+        space, 2.0, np.exp(0.02 * np.linalg.norm(space.points, axis=1)))
+    return model, cov, gamma, Y, oscillation_report(model, cov, gamma, Y,
+                                                    0.25)
 
 
 class TestBudgetReport:
@@ -705,9 +706,9 @@ class TestBudgetReport:
 
     def test_singleton_report_passes_budget(self, smooth_model):
         cov = singleton_covering(smooth_model.space)
-        w = unit_weight(smooth_model.space)
         rep = oscillation_report(smooth_model, cov,
-                                 PhaseFunction(smooth_model, "kernel"), w, 0.05)
+                                 PhaseFunction(smooth_model, "kernel"),
+                                 unit_space(smooth_model.space), 0.05)
         assert rep.osc_norm == 0.0
         assert rep.oscillation_ok
         assert rep.sigma == sigma_constant(0.05, rep.r_norm, rep.c_mu)
@@ -716,50 +717,58 @@ class TestBudgetReport:
         cov = singleton_covering(smooth_model.space)
         rep = oscillation_report(smooth_model, cov,
                                  PhaseFunction(smooth_model, "one"),
-                                 unit_weight(smooth_model.space), 0.1)
+                                 unit_space(smooth_model.space), 0.1)
         doc = rep.to_json_dict()
         for key in ("osc_norm", "delta", "sigma", "R_norm", "C_mU",
                     "holds_D", "holds_58", "covering_id"):
             assert key in doc
 
     def test_report_records_covering_and_weight(self, smooth_model):
-        """A report holds the model and covering it was made for and the
-        weight it was made under, from a direct call and from the
-        refinement search alike, which returns that one report; the JSON
-        names the covering by its id, and serializes neither the model nor
+        """A report holds the model, covering and space Y it was made for,
+        from a direct call and from the refinement search alike, which
+        returns that one report: every field, ``d_const`` included, is
+        that of ``oscillation_report`` on the covering it ends at, to the
+        bit. Its weight is Y's one two-point weight. The JSON names
+        the covering by its id, and serializes neither the model nor Y nor
         the weight."""
-        w = unit_weight(smooth_model.space)
+        Y = WeightedLp(smooth_model.space, 2.0,
+                       np.exp(0.1 * smooth_model.space.points[:, 0]))
         cov = uniform_covering(smooth_model.space, 0.1)
         rep = oscillation_report(smooth_model, cov,
-                                 PhaseFunction(smooth_model, "kernel"), w, 0.1)
+                                 PhaseFunction(smooth_model, "kernel"), Y, 0.1)
         assert rep.model is smooth_model and rep.covering is cov
-        assert rep.weight is w
+        assert rep.Y is Y and rep.weight is Y.weight2d()
+        assert np.array_equal(rep.weight.w, Y.w)
         doc = rep.to_json_dict()
-        assert "weight" not in doc and "model" not in doc
+        assert not {"weight", "Y", "model"} & set(doc)
         assert doc["covering_id"] == cov.identifier()
         assert (doc["N"], doc["n_sets"]) == (cov.overlap_bound, cov.n_sets)
-        refined = refine_until(smooth_model, w, delta=0.2)
+        refined = refine_until(smooth_model, Y, delta=0.2)
         assert isinstance(refined, OscReport) and refined.certified
-        assert refined.model is smooth_model and refined.weight is w
+        assert refined.model is smooth_model and refined.Y is Y
+        assert refined.weight is rep.weight
         assert refined.to_json_dict()["covering_id"] \
             == refined.covering.identifier()
+        want = oscillation_report(smooth_model, refined.covering,
+                                  PhaseFunction(smooth_model, "kernel"), Y, 0.2)
+        for field in fields(OscReport):
+            assert getattr(refined, field.name) == getattr(want, field.name), \
+                field.name
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(["unit", "exp"]), st.sampled_from(["one", "kernel"]),
-           st.booleans(),
            st.sampled_from(["below", "just-below", "at", "just-above",
                             "above"]),
            st.floats(0.05, 0.95))
     def test_replaced_budget_is_the_report_of_that_budget(
-            self, weight_rule, rule, sampled, where, frac):
+            self, weight_rule, rule, where, frac):
         """Every certificate is derived from the stored norms and delta, so
         the report of another budget is ``replace(report, delta=...)``: it
         equals a fresh ``oscillation_report`` at that delta in every field,
         every certificate and its JSON, for delta below, at and one float
         either side of the oscillation norm, and well above it, where the
         invertibility condition fails."""
-        model, cov, gamma, weight, base = _budget_setup(
-            weight_rule, rule, sampled)
+        model, cov, gamma, Y, base = _budget_setup(weight_rule, rule)
         osc = base.osc_norm
         delta = {"below": frac * osc,
                  "just-below": np.nextafter(osc, 0.0).item(),
@@ -767,13 +776,10 @@ class TestBudgetReport:
                  "just-above": np.nextafter(osc, np.inf).item(),
                  "above": max(osc, 1.0 / base.r_norm) / frac}[where]
         got = replace(base, delta=delta)
-        want = oscillation_report(model, cov, gamma, weight, delta,
-                                  sampled=sampled)
-        assert got.weight is want.weight
+        want = oscillation_report(model, cov, gamma, Y, delta)
         for field in fields(OscReport):
-            if field.name != "weight":
-                assert getattr(got, field.name) == getattr(want, field.name), \
-                    field.name
+            assert getattr(got, field.name) == getattr(want, field.name), \
+                field.name
         for name in ("sigma", "condition_lhs", "oscillation_ok",
                      "invertibility_ok", "certified", "pileup_sigma",
                      "contraction_bounds"):
@@ -787,28 +793,28 @@ class TestBudgetReport:
 
 class TestRefine:
     def test_terminates_for_any_positive_delta(self, smooth_model):
-        w = unit_weight(smooth_model.space)
-        rep = refine_until(smooth_model, w, delta=1e-6, max_rounds=12)
+        Y = unit_space(smooth_model.space)
+        rep = refine_until(smooth_model, Y, delta=1e-6, max_rounds=12)
         assert rep.oscillation_ok
         assert all(s.size == 1 for s in sets_of(rep.covering))
 
     def test_deterministic(self):
         model = build_gabor_model(8, 8, 2.8)
-        w = unit_weight(model.space)
-        out1 = refine_until(model, w, delta=0.2)
-        out2 = refine_until(model, w, delta=0.2)
+        Y = unit_space(model.space)
+        out1 = refine_until(model, Y, delta=0.2)
+        out2 = refine_until(model, Y, delta=0.2)
         assert out1.covering.identifier() == out2.covering.identifier()
         assert out1.osc_norm == out2.osc_norm
 
     def test_zero_delta_rejected(self, smooth_model):
         with pytest.raises(StructuralError):
-            refine_until(smooth_model, unit_weight(smooth_model.space),
+            refine_until(smooth_model, unit_space(smooth_model.space),
                          delta=0.0)
 
     def test_max_rounds_exhaustion(self, smooth_model):
-        w = unit_weight(smooth_model.space)
         with pytest.raises(CertificationError):
-            refine_until(smooth_model, w, delta=1e-9, max_rounds=1)
+            refine_until(smooth_model, unit_space(smooth_model.space),
+                         delta=1e-9, max_rounds=1)
 
 
 SCREEN_MODELS = {
@@ -832,11 +838,11 @@ def exact_kernels():
     return {}
 
 
-def screen_weight(model, rule):
+def screen_space(model, rule):
     space = model.space
     w = np.ones(space.n_points) if rule == "unit" else \
         np.exp(0.02 * np.linalg.norm(space.points, axis=1))
-    return WeightedLp(space, 2.0, w).weight2d()
+    return WeightedLp(space, 2.0, w)
 
 
 def outcome(search, *args, **kwargs):
@@ -870,13 +876,13 @@ def naive_outcome(kernels, monkeypatch, model, *args, **kwargs):
         return outcome(refine_until_naive, model, *args, **kwargs)
 
 
-def column0_sum(model, weight):
-    """Round 0's column-0 weighted Schur sum, as the screen forms it."""
+def column0_sum(model, Y):
+    """Round 0's column-0 weighted Schur sum in Y, as the screen forms it."""
     spans = np.ptp(model.space.points, axis=0)
     cov = uniform_covering(model.space,
                            np.where(spans > 0, spans, 1.0) * 1.0000001 + 1.0)
-    scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"), weight,
-                             level=0.0)
+    scan = oscillation_norms(model, cov, PhaseFunction(model, "kernel"),
+                             Y.weight2d(), level=0.0)
     assert scan.column == 0
     return scan.lower_bound
 
@@ -929,9 +935,9 @@ class TestRefineScreen:
     def test_matches_exact_search(self, screen_models, exact_kernels, monkeypatch,
                                   model_name, rule, delta, max_rounds):
         model = screen_models[model_name]
-        w = screen_weight(model, rule)
-        got = outcome(refine_until, model, w, delta, max_rounds=max_rounds)
-        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta,
+        Y = screen_space(model, rule)
+        got = outcome(refine_until, model, Y, delta, max_rounds=max_rounds)
+        want = naive_outcome(exact_kernels, monkeypatch, model, Y, delta,
                              max_rounds=max_rounds)
         assert_same_outcome(got, want)
 
@@ -948,12 +954,12 @@ class TestRefineScreen:
         one box, so a delta that passes its screen costs a full n^3 kernel
         on 6x81; one weight and the sum itself are enough there."""
         model = screen_models[model_name]
-        w = screen_weight(model, rule)
-        delta = column0_sum(model, w)
+        Y = screen_space(model, rule)
+        delta = column0_sum(model, Y)
         if side:
             delta = float(np.nextafter(delta, side * np.inf))
-        got = outcome(refine_until, model, w, delta, max_rounds=1)
-        want = naive_outcome(exact_kernels, monkeypatch, model, w, delta,
+        got = outcome(refine_until, model, Y, delta, max_rounds=1)
+        want = naive_outcome(exact_kernels, monkeypatch, model, Y, delta,
                              max_rounds=1)
         assert_same_outcome(got, want)
         stopped_at_0 = got[0] is CertificationError and "column 0's" in got[1]
@@ -961,7 +967,7 @@ class TestRefineScreen:
 
     def test_rejected_rounds_stop_early(self, screen_models, monkeypatch):
         model = screen_models["gabor-6x81"]
-        w = screen_weight(model, "unit")
+        Y = screen_space(model, "unit")
         n = model.space.n_points
         calls = {}
         osc_rows = oscillation_module._osc_rows
@@ -972,7 +978,7 @@ class TestRefineScreen:
                 yield rows, xs, block
 
         monkeypatch.setattr(oscillation_module, "_osc_rows", counting)
-        rep = refine_until(model, w, delta=0.2)
+        rep = refine_until(model, Y, delta=0.2)
         cov = rep.covering
         rejected = [count for c, count in calls.items() if c is not cov]
         assert rejected and all(count < n for count in rejected)
@@ -982,10 +988,10 @@ class TestRefineScreen:
 
     def test_screened_exhaustion_names_bound_and_column(self, screen_models):
         model = screen_models["gabor-6x81"]
-        w = screen_weight(model, "unit")
-        bound = column0_sum(model, w)
+        Y = screen_space(model, "unit")
+        bound = column0_sum(model, Y)
         with pytest.raises(CertificationError) as err:
-            refine_until(model, w, delta=0.2, max_rounds=1)
+            refine_until(model, Y, delta=0.2, max_rounds=1)
         msg = str(err.value)
         assert bound * (1 - 1e-3) < stated_bound(msg) <= bound
         assert "column 0" in msg
@@ -1012,5 +1018,5 @@ class TestRefineScreen:
 
     def test_zero_rounds_rejected(self, smooth_model):
         with pytest.raises(StructuralError):
-            refine_until(smooth_model, unit_weight(smooth_model.space),
+            refine_until(smooth_model, unit_space(smooth_model.space),
                          delta=0.5, max_rounds=0)

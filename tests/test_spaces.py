@@ -253,7 +253,7 @@ class TestDualSpace:
         c = Y.holder_l1_constant(np.arange(5))
         assert c == pytest.approx(0.5 ** (1.0 / q) / w0, rel=1e-13)
         cov = uniform_covering(space, 5.0)
-        assert np.isfinite(local_integrability_constant(cov, Y, Y.weight2d()))
+        assert np.isfinite(local_integrability_constant(cov, Y))
 
 
 @pytest.mark.parametrize("weight_rule", ["unit", "exp"])
@@ -284,7 +284,7 @@ def test_range_metric(p, weight_rule):
     else:
         assert metric is None
     inverse = SamplingInverse(report_for(model, singleton_covering(space), Y),
-                              Y, method="direct")
+                              method="direct")
     extra = [WeightedLp(space, np.inf, 1.0 / w), WeightedLp(space, 1.0, w)]
     together = inverse.range_norms(a, extra)
     alone = [inverse.range_norms(a, [s])[0] for s in extra] \
@@ -373,8 +373,8 @@ class TestDecompositionNorm:
         for p in P_VALUES:
             Y = WeightedLp(space, p, w)
             weight = Y.weight2d()
-            c = local_integrability_constant(cov, Y, weight)
-            sup_nat = sup_infinity_space(Y, weight)
+            c = local_integrability_constant(cov, Y)
+            sup_nat = sup_infinity_space(Y)
             for _ in range(50):
                 f = rng.standard_normal(space.n_points) \
                     + 1j * rng.standard_normal(space.n_points)

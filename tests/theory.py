@@ -454,11 +454,10 @@ def decomposition_norm(nu, cov: Covering, Y: WeightedLp) -> float:
 
 def report_for(model: FrameModel, cov: Covering, Y: WeightedLp,
                delta: float = 1.0) -> OscReport:
-    """The oscillation report of ``cov`` under Y's weight with the kernel
-    phase: what a ``SamplingInverse`` of ``cov`` in Y is made from when a
+    """The oscillation report of ``cov`` in Y with the kernel phase: what a ``SamplingInverse`` of ``cov`` in Y is made from when a
     test inverts directly and needs no certificate of its own."""
     return oscillation_report(model, cov, PhaseFunction(model, "kernel"),
-                              Y.weight2d(), delta)
+                              Y, delta)
 
 
 def apply_sampling(model: FrameModel, cov: Covering, F) -> np.ndarray:
